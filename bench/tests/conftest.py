@@ -1,0 +1,7 @@
+"""Put the benchmark's modules and the checkout's package on sys.path."""
+
+import sys
+from pathlib import Path
+
+BENCH = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(BENCH), str(BENCH.parent / "src")]
