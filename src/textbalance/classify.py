@@ -1,10 +1,12 @@
 """Four supervised classifiers over TF-IDF feature matrices.
 
-All four are trained from scratch on dense views of the sparse input:
-multinomial naive Bayes with Laplace smoothing (fractional feature mass
-is allowed), full-batch gradient-descent logistic regression, a primal
-linear SVM with the Pegasos step schedule, and a greedy Gini CART tree.
-Training is deterministic: same matrix and config, same model.
+All four are trained from scratch on the matrix's CSR view, without
+dense copies: multinomial naive Bayes with Laplace smoothing (fractional
+feature mass is allowed), full-batch gradient-descent logistic
+regression, a primal linear SVM with the Pegasos step schedule, and a
+greedy Gini CART tree.  Matrix-vector products are ``np.bincount`` sums
+in a fixed order.  Training is deterministic: same matrix and config,
+same model.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .vectorize import FeatureMatrix, SparseVector
+from .vectorize import CsrView, FeatureMatrix, SparseVector
 
 ALGORITHMS = ("nb", "logistic", "svm", "tree")
 
@@ -169,12 +171,12 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 
 
 def logistic_loss_and_grad(
-    weights: np.ndarray, bias: float, X: np.ndarray, y: np.ndarray, l2: float
+    weights: np.ndarray, bias: float, X, y: np.ndarray, l2: float
 ) -> tuple[float, np.ndarray, float]:
     """Mean L2-regularized log loss and its analytic gradient.
 
     loss = mean(log(1 + e^z) - y*z) + l2/2 * ||w||^2, z = Xw + b.
-    The bias is not regularized.
+    The bias is not regularized.  X is a dense array or a `CsrView`.
     """
     z = X @ weights + bias
     loss = float(np.mean(np.logaddexp(0.0, z) - y * z)) + 0.5 * l2 * float(weights @ weights)
@@ -185,7 +187,7 @@ def logistic_loss_and_grad(
 
 
 def _fit_logistic(matrix: FeatureMatrix, config: TrainConfig) -> LogisticModel:
-    X = matrix.to_dense()
+    X = matrix.csr
     y = matrix.labels_array().astype(np.float64)
     w = np.zeros(matrix.dim)
     b = 0.0
@@ -196,9 +198,8 @@ def _fit_logistic(matrix: FeatureMatrix, config: TrainConfig) -> LogisticModel:
     return LogisticModel(dim=matrix.dim, weights=tuple(float(v) for v in w), bias=float(b))
 
 
-def svm_objective(weights: np.ndarray, X_aug: np.ndarray, y_pm: np.ndarray, lam: float) -> float:
-    """Primal objective: lam/2 * ||w||^2 + mean hinge loss."""
-    margins = y_pm * (X_aug @ weights)
+def svm_objective(weights: np.ndarray, margins: np.ndarray, lam: float) -> float:
+    """Primal objective: lam/2 * ||w||^2 + mean hinge loss of the margins."""
     hinge = np.maximum(0.0, 1.0 - margins)
     return 0.5 * lam * float(weights @ weights) + float(np.mean(hinge))
 
@@ -209,21 +210,21 @@ def _fit_svm(
     """Full-batch Pegasos on an augmented (regularized) bias feature.
 
     Step t uses eta = 1/(lam*t) with lam = 1/(C*n), followed by the
-    Pegasos projection onto the ball of radius 1/sqrt(lam).
+    Pegasos projection onto the ball of radius 1/sqrt(lam).  The last
+    entry of w is the bias, the weight of an implicit all-ones column.
     """
     n = len(matrix)
-    X = matrix.to_dense()
-    X_aug = np.hstack([X, np.ones((n, 1))])
+    X = matrix.csr
     y_pm = 2.0 * matrix.labels_array().astype(np.float64) - 1.0
     lam = 1.0 / (config.svm_C * n)
     w = np.zeros(matrix.dim + 1)
     radius = 1.0 / math.sqrt(lam)
     objectives: list[float] = []
     for t in range(1, config.svm_epochs + 1):
-        objectives.append(svm_objective(w, X_aug, y_pm, lam))
-        margins = y_pm * (X_aug @ w)
-        violators = margins < 1.0
-        grad = lam * w - (X_aug[violators] * y_pm[violators, None]).sum(axis=0) / n
+        margins = y_pm * (X @ w[:-1] + w[-1])
+        objectives.append(svm_objective(w, margins, lam))
+        pull = np.where(margins < 1.0, y_pm, 0.0)  # y of each margin violator
+        grad = lam * w - np.append(X.T @ pull, pull.sum()) / n
         w -= (1.0 / (lam * t)) * grad
         norm = float(np.linalg.norm(w))
         if norm > radius:
@@ -246,20 +247,21 @@ def svm_training_objectives(matrix: FeatureMatrix, config: TrainConfig) -> list[
 
 def _fit_nb(matrix: FeatureMatrix, config: TrainConfig) -> MultinomialNBModel:
     labels = sorted(set(matrix.labels))
-    X = matrix.to_dense()
-    if X.min(initial=0.0) < 0.0:
+    X = matrix.csr
+    if X.data.min(initial=0.0) < 0.0:
         raise ValueError(
             "nb requires non-negative feature values (multinomial counts)"
         )
     y = matrix.labels_array()
+    entry_labels = y[X.row_ids]
     alpha = config.nb_alpha
     priors = []
     log_probs = []
     for label in labels:
-        mask = y == label
-        count = int(mask.sum())
+        count = int((y == label).sum())
         priors.append(math.log(count / len(matrix)))
-        mass = X[mask].sum(axis=0)
+        mine = entry_labels == label
+        mass = np.bincount(X.indices[mine], X.data[mine], minlength=matrix.dim)
         denom = float(mass.sum()) + alpha * matrix.dim
         log_probs.append(tuple(float(math.log((m + alpha) / denom)) for m in mass))
     return MultinomialNBModel(
@@ -270,60 +272,82 @@ def _fit_nb(matrix: FeatureMatrix, config: TrainConfig) -> MultinomialNBModel:
     )
 
 
-def _gini_from_counts(n0: float, n1: float) -> float:
+def _gini_from_counts(n0, n1):
+    """Gini impurity of class counts; scalars or arrays, never both zero."""
     total = n0 + n1
-    if total == 0:
-        return 0.0
     p0 = n0 / total
     p1 = n1 / total
     return 1.0 - p0 * p0 - p1 * p1
 
 
-def _candidate_features(X: np.ndarray, max_features: int | None) -> np.ndarray:
-    d = X.shape[1]
+_VARIANCE_BLOCK = 256  # columns densified at a time by _candidate_features
+
+
+def _candidate_features(X: CsrView, max_features: int | None) -> np.ndarray:
+    n, d = X.shape
     if max_features is None or max_features >= d:
         return np.arange(d)
     # Deterministic cap: keep the highest-variance columns, ties by index.
-    variances = X.var(axis=0)
+    # np.var runs on dense blocks of one fixed width (the last block
+    # overlaps its neighbour): numpy sums a one-column block in a different
+    # order, and these variances must equal those of the full dense matrix.
+    width = min(_VARIANCE_BLOCK, d)
+    variances = np.empty(d)
+    for start in range(0, d, width):
+        start = min(start, d - width)
+        inside = (X.indices >= start) & (X.indices < start + width)
+        block = np.zeros((n, width))
+        block[X.row_ids[inside], X.indices[inside] - start] = X.data[inside]
+        variances[start : start + width] = block.var(axis=0)
     order = np.lexsort((np.arange(d), -variances))
     return np.sort(order[:max_features])
 
 
-def _best_split(X: np.ndarray, y: np.ndarray, features: np.ndarray):
-    """Best (gain, feature, threshold); thresholds are midpoints of sorted
-    unique values.  Zero-gain splits are allowed so impure nodes of
-    distinguishable points always split (ties: smaller feature, then
-    smaller threshold).  Returns None when no feature has two values."""
+def _best_split(
+    columns: np.ndarray, values: np.ndarray, entry_y: np.ndarray, y: np.ndarray, dim: int
+):
+    """Best (feature, threshold) split of a node, from its stored entries.
+
+    ``columns``/``values``/``entry_y`` hold the node's non-zero entries
+    (column, value, label of the entry's row); ``y`` holds the labels of all
+    the node's rows.  Thresholds are midpoints of sorted unique column
+    values, zeros included.  Zero-gain splits are allowed so impure nodes
+    of distinguishable points always split (ties: smaller feature, then
+    smaller threshold).  Returns None when no column has two values.
+    """
     n = len(y)
     parent_n1 = int(y.sum())
     parent_gini = _gini_from_counts(n - parent_n1, parent_n1)
-    best = None
-    for f in features:
-        column = X[:, f]
-        order = np.argsort(column, kind="stable")
-        sorted_vals = column[order]
-        sorted_y = y[order]
-        ones_prefix = np.cumsum(sorted_y)
-        # Split between consecutive distinct values only.
-        boundaries = np.nonzero(sorted_vals[1:] > sorted_vals[:-1])[0]
-        for b in boundaries:
-            left_n = b + 1
-            left_n1 = int(ones_prefix[b])
-            right_n = n - left_n
-            right_n1 = parent_n1 - left_n1
-            weighted = (
-                left_n * _gini_from_counts(left_n - left_n1, left_n1)
-                + right_n * _gini_from_counts(right_n - right_n1, right_n1)
-            ) / n
-            gain = parent_gini - weighted
-            threshold = (float(sorted_vals[b]) + float(sorted_vals[b + 1])) / 2.0
-            key = (-gain, int(f), threshold)
-            if best is None or key < best[0]:
-                best = (key, gain, int(f), threshold)
-    if best is None:
+    # One aggregated zero entry per column with both zeros and non-zeros.
+    col_nnz = np.bincount(columns, minlength=dim)
+    col_ones = np.bincount(columns[entry_y == 1], minlength=dim)
+    zero_cols = np.flatnonzero((col_nnz > 0) & (col_nnz < n))
+    columns = np.concatenate((columns, zero_cols))
+    values = np.concatenate((values, np.zeros(len(zero_cols))))
+    counts = np.concatenate((np.ones(len(entry_y), dtype=np.int64), n - col_nnz[zero_cols]))
+    ones = np.concatenate((entry_y, parent_n1 - col_ones[zero_cols]))
+    order = np.lexsort((values, columns))
+    columns, values = columns[order], values[order]
+    # Split between consecutive distinct values of one column only.
+    boundaries = np.flatnonzero((columns[1:] == columns[:-1]) & (values[1:] > values[:-1]))
+    if len(boundaries) == 0:
         return None
-    _, gain, feature, threshold = best
-    return gain, feature, threshold
+    # Every column here covers all n rows and all parent_n1 ones, so the
+    # counts left of a boundary are global prefix sums minus whole columns.
+    group = np.cumsum(np.concatenate(([True], columns[1:] != columns[:-1]))) - 1
+    left_n = (np.cumsum(counts[order]) - group * n)[boundaries]
+    left_n1 = (np.cumsum(ones[order]) - group * parent_n1)[boundaries]
+    right_n = n - left_n
+    right_n1 = parent_n1 - left_n1
+    weighted = (
+        left_n * _gini_from_counts(left_n - left_n1, left_n1)
+        + right_n * _gini_from_counts(right_n - right_n1, right_n1)
+    ) / n
+    gains = parent_gini - weighted
+    best = int(np.argmax(gains))  # first maximum: smallest feature, then threshold
+    b = boundaries[best]
+    threshold = (float(values[b]) + float(values[b + 1])) / 2.0
+    return int(columns[b]), threshold
 
 
 def _majority_label(y: np.ndarray) -> int:
@@ -335,37 +359,45 @@ def _majority_label(y: np.ndarray) -> int:
 
 
 def _fit_tree(matrix: FeatureMatrix, config: TrainConfig) -> DecisionTreeModel:
-    X = matrix.to_dense()
+    X = matrix.csr
     y = matrix.labels_array()
     features = _candidate_features(X, config.tree_max_features)
+    entries = np.flatnonzero(np.isin(X.indices, features))
     nodes: list[TreeNode] = []
 
-    def build(indices: np.ndarray, depth: int) -> int:
+    def build(rows: np.ndarray, entries: np.ndarray, depth: int) -> int:
+        """Grow the subtree of ``rows``; ``entries`` are their stored
+        entries in candidate columns, as positions into ``X``."""
         node_id = len(nodes)
         nodes.append(TreeNode())  # placeholder, replaced below
-        sub_y = y[indices]
+        sub_y = y[rows]
         pure = sub_y.min() == sub_y.max()
         if (
             pure
             or depth >= config.tree_max_depth
-            or len(indices) < config.tree_min_samples_split
+            or len(rows) < config.tree_min_samples_split
         ):
             nodes[node_id] = TreeNode(label=_majority_label(sub_y))
             return node_id
-        found = _best_split(X[indices], sub_y, features)
+        columns = X.indices[entries]
+        found = _best_split(columns, X.data[entries], y[X.row_ids[entries]], sub_y, matrix.dim)
         if found is None:  # all candidate columns constant on this node
             nodes[node_id] = TreeNode(label=_majority_label(sub_y))
             return node_id
-        _, feature, threshold = found
-        mask = X[indices, feature] <= threshold
-        left_id = build(indices[mask], depth + 1)
-        right_id = build(indices[~mask], depth + 1)
+        feature, threshold = found
+        on_feature = entries[columns == feature]
+        goes_left = np.full(len(matrix), 0.0 <= threshold)  # rows without an entry hold 0.0
+        goes_left[X.row_ids[on_feature]] = X.data[on_feature] <= threshold
+        row_left = goes_left[rows]
+        entry_left = goes_left[X.row_ids[entries]]
+        left_id = build(rows[row_left], entries[entry_left], depth + 1)
+        right_id = build(rows[~row_left], entries[~entry_left], depth + 1)
         nodes[node_id] = TreeNode(
             feature=feature, threshold=threshold, left=left_id, right=right_id
         )
         return node_id
 
-    build(np.arange(len(matrix)), 0)
+    build(np.arange(len(matrix)), entries, 0)
     return DecisionTreeModel(dim=matrix.dim, nodes=tuple(nodes))
 
 

@@ -128,17 +128,20 @@ def _make_document(record: dict, index: int, where: str, allow_empty: bool) -> L
 def _iter_csv_records(path: Path):
     with path.open("r", encoding="utf-8", newline="") as handle:
         reader = csv.DictReader(handle)
-        if reader.fieldnames is None:
-            return
-        missing = {"text", "label"} - set(reader.fieldnames)
-        if missing:
-            raise DatasetError(
-                f"CSV header must contain 'text' and 'label' (missing: {sorted(missing)})"
-            )
-        for row in reader:
-            if None in row:
-                raise DatasetError(f"record {reader.line_num}: more fields than header columns")
-            yield {k: v for k, v in row.items() if k in ("id", "text", "label")}
+        try:
+            if reader.fieldnames is None:
+                return
+            missing = {"text", "label"} - set(reader.fieldnames)
+            if missing:
+                raise DatasetError(
+                    f"CSV header must contain 'text' and 'label' (missing: {sorted(missing)})"
+                )
+            for row in reader:
+                if None in row:
+                    raise DatasetError(f"record {reader.line_num}: more fields than header columns")
+                yield {k: v for k, v in row.items() if k in ("id", "text", "label")}
+        except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
+            raise DatasetError(f"line {reader.reader.line_num}: malformed CSV ({exc})") from exc
 
 
 def _iter_jsonl_records(path: Path):

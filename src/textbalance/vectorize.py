@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -61,6 +62,46 @@ class SparseVector:
         return dense
 
 
+class CsrView:
+    """Compressed sparse rows: row r holds ``indices[indptr[r]:indptr[r+1]]``
+    (strictly increasing) with values ``data[...]``; ``row_ids`` gives each
+    entry's row.
+
+    ``X @ w`` and ``X.T @ r`` are ``np.bincount`` sums over the stored
+    entries in row-major order, so their summation order is fixed and no
+    BLAS call is involved.
+    """
+
+    def __init__(self, indptr: np.ndarray, indices: np.ndarray, data: np.ndarray, dim: int):
+        self.indptr = indptr
+        self.indices = indices
+        self.data = data
+        self.shape = (len(indptr) - 1, dim)
+        self.row_ids = np.repeat(np.arange(self.shape[0]), np.diff(indptr))
+
+    def __matmul__(self, weights: np.ndarray) -> np.ndarray:
+        return np.bincount(
+            self.row_ids, self.data * weights[self.indices], minlength=self.shape[0]
+        )
+
+    @property
+    def T(self) -> "_CsrTranspose":
+        return _CsrTranspose(self)
+
+
+class _CsrTranspose:
+    """``X.T`` of a `CsrView`; supports ``X.T @ r`` only."""
+
+    def __init__(self, csr: CsrView):
+        self._csr = csr
+
+    def __matmul__(self, residuals: np.ndarray) -> np.ndarray:
+        csr = self._csr
+        return np.bincount(
+            csr.indices, csr.data * residuals[csr.row_ids], minlength=csr.shape[1]
+        )
+
+
 @dataclass(frozen=True)
 class FeatureMatrix:
     """Sparse rows aligned with binary labels; all rows share one dim."""
@@ -86,6 +127,17 @@ class FeatureMatrix:
         for label in self.labels:
             counts[label] = counts.get(label, 0) + 1
         return counts
+
+    @cached_property
+    def csr(self) -> CsrView:
+        """The rows as one CSR view, built on first access and cached."""
+        lengths = [row.nnz for row in self.rows]
+        indptr = np.concatenate(([0], np.cumsum(lengths, dtype=np.int64)))
+        nnz = int(indptr[-1])
+        entries = [entry for row in self.rows for entry in row.entries]
+        indices = np.fromiter((i for i, _ in entries), dtype=np.int64, count=nnz)
+        data = np.fromiter((v for _, v in entries), dtype=np.float64, count=nnz)
+        return CsrView(indptr, indices, data, self.dim)
 
     def to_dense(self) -> np.ndarray:
         dense = np.zeros((len(self.rows), self.dim))
@@ -122,7 +174,7 @@ class TfIdfModel:
             if not 1 <= df <= self.n_docs:
                 raise ValueError(f"doc_freq[{term!r}] = {df} outside [1, {self.n_docs}]")
 
-    @property
+    @cached_property
     def vocabulary(self) -> dict[str, int]:
         return {term: i for i, term in enumerate(self.terms)}
 

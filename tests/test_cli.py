@@ -55,6 +55,16 @@ class TestRuntimeErrors:
         assert code == 2
         assert "[ingest]" in capsys.readouterr().err
 
+    def test_oversized_csv_field_exits_2_with_stage(self, tmp_path, capsys):
+        # The csv module refuses fields over 128 KiB by default.
+        path = tmp_path / "huge.csv"
+        path.write_text("id,text,label\na,short,0\nb," + "x" * (200 * 1024) + ",1\n")
+        code = run(["report", "--data", path, "--out", tmp_path / "out"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error [ingest]")
+        assert "line 3: malformed CSV (field larger than field limit" in err
+
     def test_missing_bundle_exits_2(self, tmp_path, capsys):
         code = run(["predict", "--bundle", tmp_path / "nope.json", "hello"])
         assert code == 2
