@@ -9,10 +9,12 @@ rejected, never migrated.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 from .classify import (
+    ALGORITHMS,
     DecisionTreeModel,
     LinearSvmModel,
     LogisticModel,
@@ -76,7 +78,7 @@ class ModelBundle:
                 f"unsupported bundle format_version {version!r} (expected {FORMAT_VERSION})"
             )
         try:
-            return cls(
+            bundle = cls(
                 tfidf=tfidf_from_dict(data["tfidf"]),
                 classifier=classifier_from_dict(data["classifier"]),
                 preprocess_config=PreprocessConfig.from_dict(data["preprocess_config"]),
@@ -87,6 +89,11 @@ class ModelBundle:
             if isinstance(exc, BundleError):
                 raise
             raise BundleError(f"malformed bundle: {exc}") from exc
+        _require(
+            bundle.classifier.dim == bundle.tfidf.dim,
+            f"classifier dim {bundle.classifier.dim} != TF-IDF dim {bundle.tfidf.dim}",
+        )
+        return bundle
 
 
 def canonical_json(obj) -> str:
@@ -151,45 +158,81 @@ def classifier_to_dict(model: TrainedClassifier) -> dict:
     raise BundleError(f"unknown classifier type {type(model).__name__}")
 
 
+def _require(condition: bool, message: str) -> None:
+    if not condition:
+        raise BundleError(message)
+
+
+def _finite_floats(values, what: str) -> tuple[float, ...]:
+    floats = tuple(float(v) for v in values)
+    _require(all(math.isfinite(v) for v in floats), f"{what} holds a non-finite number")
+    return floats
+
+
+def _tree_node(raw: dict, dim: int) -> TreeNode:
+    if "label" in raw:
+        label = int(raw["label"])
+        _require(label in (0, 1), f"tree leaf label {label} is not 0 or 1")
+        return TreeNode(label=label)
+    feature = int(raw["feature"])
+    _require(0 <= feature < dim, f"tree feature {feature} outside [0, {dim})")
+    return TreeNode(
+        feature=feature,
+        threshold=_finite_floats([raw["threshold"]], "tree threshold")[0],
+        left=int(raw["left"]),
+        right=int(raw["right"]),
+    )
+
+
+def _require_tree_shape(nodes: tuple[TreeNode, ...]) -> None:
+    """Children in range, and every node reached exactly once from node 0,
+    so prediction always ends at a leaf."""
+    _require(len(nodes) > 0, "tree has no nodes")
+    reached = [False] * len(nodes)
+    pending = [0]
+    while pending:
+        i = pending.pop()
+        _require(0 <= i < len(nodes), f"tree child {i} outside [0, {len(nodes)})")
+        _require(not reached[i], f"tree node {i} is reached more than once")
+        reached[i] = True
+        if not nodes[i].is_leaf:
+            pending += [nodes[i].left, nodes[i].right]
+    if not all(reached):
+        raise BundleError(f"tree node {reached.index(False)} is unreachable")
+
+
 def classifier_from_dict(data: dict) -> TrainedClassifier:
+    """Rebuild a classifier, checking that its tables fit its dim, that every
+    float is finite and that a tree is a tree."""
     algorithm = data.get("algorithm")
+    if algorithm not in ALGORITHMS:
+        raise BundleError(f"unknown classifier algorithm {algorithm!r}")
+    dim = int(data["dim"])
+    _require(dim >= 0, f"negative classifier dim {dim}")
     if algorithm == "nb":
+        labels = tuple(int(v) for v in data["class_labels"])
+        _require(labels in ((0,), (1,), (0, 1)), f"nb class_labels {list(labels)} invalid")
+        priors = _finite_floats(data["class_log_prior"], "nb class_log_prior")
+        tables = tuple(
+            _finite_floats(row, "nb feature_log_prob") for row in data["feature_log_prob"]
+        )
+        _require(
+            len(priors) == len(tables) == len(labels) and all(len(t) == dim for t in tables),
+            f"nb tables must be {len(labels)} x {dim}",
+        )
         return MultinomialNBModel(
-            dim=int(data["dim"]),
-            class_labels=tuple(int(v) for v in data["class_labels"]),
-            class_log_prior=tuple(float(v) for v in data["class_log_prior"]),
-            feature_log_prob=tuple(
-                tuple(float(v) for v in row) for row in data["feature_log_prob"]
-            ),
+            dim=dim, class_labels=labels, class_log_prior=priors, feature_log_prob=tables
         )
-    if algorithm == "logistic":
-        return LogisticModel(
-            dim=int(data["dim"]),
-            weights=tuple(float(v) for v in data["weights"]),
-            bias=float(data["bias"]),
+    if algorithm in ("logistic", "svm"):
+        weights = _finite_floats(data["weights"], f"{algorithm} weights")
+        _require(len(weights) == dim, f"{algorithm} dim {dim} but {len(weights)} weights")
+        model = LogisticModel if algorithm == "logistic" else LinearSvmModel
+        return model(
+            dim=dim, weights=weights, bias=_finite_floats([data["bias"]], "bias")[0]
         )
-    if algorithm == "svm":
-        return LinearSvmModel(
-            dim=int(data["dim"]),
-            weights=tuple(float(v) for v in data["weights"]),
-            bias=float(data["bias"]),
-        )
-    if algorithm == "tree":
-        nodes = []
-        for raw in data["nodes"]:
-            if "label" in raw:
-                nodes.append(TreeNode(label=int(raw["label"])))
-            else:
-                nodes.append(
-                    TreeNode(
-                        feature=int(raw["feature"]),
-                        threshold=float(raw["threshold"]),
-                        left=int(raw["left"]),
-                        right=int(raw["right"]),
-                    )
-                )
-        return DecisionTreeModel(dim=int(data["dim"]), nodes=tuple(nodes))
-    raise BundleError(f"unknown classifier algorithm {algorithm!r}")
+    nodes = tuple(_tree_node(raw, dim) for raw in data["nodes"])
+    _require_tree_shape(nodes)
+    return DecisionTreeModel(dim=dim, nodes=nodes)
 
 
 def save_bundle(bundle: ModelBundle, path) -> None:

@@ -92,10 +92,7 @@ class MultinomialNBModel:
 
     def decision_score(self, vector: SparseVector) -> float | None:
         """Log-posterior difference (class 1 minus class 0), if both present."""
-        if self.class_labels != (0, 1):
-            return None
-        scores = _nb_scores(self, vector)
-        return scores[1] - scores[0]
+        return predict_scored(self, vector)[1]
 
 
 @dataclass(frozen=True)
@@ -426,8 +423,9 @@ def _nb_scores(model: MultinomialNBModel, vector: SparseVector) -> list[float]:
     return scores
 
 
-def predict(model: TrainedClassifier, vector: SparseVector) -> int:
-    """Predicted binary label; ties everywhere resolve to label 0."""
+def predict_scored(model: TrainedClassifier, vector: SparseVector) -> tuple[int, float | None]:
+    """Predicted binary label and the model's ``decision_score``, from one
+    pass over the vector; ties everywhere resolve to label 0."""
     if vector.dim != model.dim:
         raise ValueError(f"dimension mismatch: vector {vector.dim}, model {model.dim}")
     if isinstance(model, MultinomialNBModel):
@@ -436,14 +434,21 @@ def predict(model: TrainedClassifier, vector: SparseVector) -> int:
         for c in range(1, len(scores)):
             if scores[c] > scores[best]:
                 best = c
-        return model.class_labels[best]
+        score = scores[1] - scores[0] if model.class_labels == (0, 1) else None
+        return model.class_labels[best], score
     if isinstance(model, (LogisticModel, LinearSvmModel)):
-        return 1 if model.decision_score(vector) >= 0.0 else 0
+        score = model.decision_score(vector)
+        return (1 if score >= 0.0 else 0), score
     node = model.nodes[0]
     while not node.is_leaf:
         value = vector.get(node.feature)
         node = model.nodes[node.left if value <= node.threshold else node.right]
-    return node.label
+    return node.label, None
+
+
+def predict(model: TrainedClassifier, vector: SparseVector) -> int:
+    """Predicted binary label; ties everywhere resolve to label 0."""
+    return predict_scored(model, vector)[0]
 
 
 def predict_batch(model: TrainedClassifier, matrix: FeatureMatrix) -> list[int]:

@@ -318,8 +318,7 @@ def cmd_predict(args) -> int:
                 preprocess.tokenize(preprocess.strip_html(text)), stops, min_len
             )
             vector = vectorize.transform(model_bundle.tfidf, tokens)
-            label = classify.predict(model_bundle.classifier, vector)
-            score = model_bundle.classifier.decision_score(vector)
+            label, score = classify.predict_scored(model_bundle.classifier, vector)
             if score is None:
                 print(label)
             else:

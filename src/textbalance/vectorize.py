@@ -79,6 +79,17 @@ class CsrView:
         self.shape = (len(indptr) - 1, dim)
         self.row_ids = np.repeat(np.arange(self.shape[0]), np.diff(indptr))
 
+    @classmethod
+    def from_rows(cls, rows, dim: int) -> "CsrView":
+        """Stack sparse vectors of one dim into a view, in order."""
+        lengths = [row.nnz for row in rows]
+        indptr = np.concatenate(([0], np.cumsum(lengths, dtype=np.int64)))
+        nnz = int(indptr[-1])
+        entries = [entry for row in rows for entry in row.entries]
+        indices = np.fromiter((i for i, _ in entries), dtype=np.int64, count=nnz)
+        data = np.fromiter((v for _, v in entries), dtype=np.float64, count=nnz)
+        return cls(indptr, indices, data, dim)
+
     def __matmul__(self, weights: np.ndarray) -> np.ndarray:
         return np.bincount(
             self.row_ids, self.data * weights[self.indices], minlength=self.shape[0]
@@ -131,13 +142,7 @@ class FeatureMatrix:
     @cached_property
     def csr(self) -> CsrView:
         """The rows as one CSR view, built on first access and cached."""
-        lengths = [row.nnz for row in self.rows]
-        indptr = np.concatenate(([0], np.cumsum(lengths, dtype=np.int64)))
-        nnz = int(indptr[-1])
-        entries = [entry for row in self.rows for entry in row.entries]
-        indices = np.fromiter((i for i, _ in entries), dtype=np.int64, count=nnz)
-        data = np.fromiter((v for _, v in entries), dtype=np.float64, count=nnz)
-        return CsrView(indptr, indices, data, self.dim)
+        return CsrView.from_rows(self.rows, self.dim)
 
     def to_dense(self) -> np.ndarray:
         dense = np.zeros((len(self.rows), self.dim))

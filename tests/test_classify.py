@@ -19,6 +19,7 @@ from textbalance.classify import (
     logistic_loss_and_grad,
     predict,
     predict_batch,
+    predict_scored,
     svm_training_objectives,
     train,
 )
@@ -329,6 +330,21 @@ class TestTrainValidation:
             assert predict_batch(model, matrix) == [
                 predict(model, row) for row in matrix.rows
             ]
+
+    def test_predict_scored_pairs_label_with_decision_score(self):
+        tie = dense_to_matrix([[1.0], [1.0]], [0, 1])  # NB scores tie exactly
+        single = dense_to_matrix([[1.0], [2.0]], [1, 1])  # NB with one class
+        cases = [(separable_matrix(), algo) for algo in ALGORITHMS]
+        cases += [(tie, "nb"), (single, "nb")]
+        for matrix, algo in cases:
+            model = train(matrix, TrainConfig(algorithm=algo))
+            for row in matrix.rows:
+                assert predict_scored(model, row) == (
+                    predict(model, row),
+                    model.decision_score(row),
+                ), algo
+        nb_tie = train(tie, TrainConfig(algorithm="nb"))
+        assert predict_scored(nb_tie, tie.rows[0]) == (0, 0.0)
 
 
 # -- dense reference implementations ---------------------------------------

@@ -3,10 +3,15 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import textbalance
 from conftest import rand_matrix
 from textbalance.cli import main
 from textbalance.fixtures import two_vocab_corpus
@@ -196,6 +201,106 @@ class TestPredictAndEvaluate:
         assert run(["predict", "--bundle", path, "some text"]) == 2
         assert "stop" in capsys.readouterr().err
         assert run(["predict", "--bundle", path, "--stopwords", custom, "some text"]) == 0
+
+
+def _truncate_weights(c):
+    c["weights"] = c["weights"][:3]
+
+
+def _grow_dim(c):
+    c["dim"] += 1
+    c["weights"].append(0.0)
+
+
+def _nan_bias(c):
+    c["bias"] = float("nan")
+
+
+def _short_nb_row(c):
+    c["feature_log_prob"][1].pop()
+
+
+def _one_nb_row(c):
+    c["feature_log_prob"].pop()
+
+
+def _infinite_prior(c):
+    c["class_log_prior"][0] = float("inf")
+
+
+def _first_split(c):
+    return next(i for i, node in enumerate(c["nodes"]) if "left" in node)
+
+
+def _self_loop(c):
+    root = _first_split(c)
+    c["nodes"][root]["left"] = c["nodes"][root]["right"] = root
+
+
+def _child_out_of_range(c):
+    c["nodes"][_first_split(c)]["right"] = len(c["nodes"])
+
+
+def _shared_child(c):
+    node = c["nodes"][_first_split(c)]
+    node["right"] = node["left"]
+
+
+def _unreachable_leaf(c):
+    c["nodes"].append({"label": 1})
+
+
+def _feature_out_of_range(c):
+    c["nodes"][_first_split(c)]["feature"] = c["dim"]
+
+
+class TestCorruptBundles:
+    """Bundles are checked as structures when loaded: exit 2, never a
+    traceback or a hang."""
+
+    @staticmethod
+    def corrupt_bundle(dataset, tmp_path, algo, edit):
+        path = tmp_path / f"{algo}.json"
+        assert run(["train", "--data", dataset, "--algo", algo, "--out", path]) == 0
+        data = json.loads(path.read_text())
+        edit(data["classifier"])
+        path.write_text(json.dumps(data))
+        return path
+
+    @pytest.mark.parametrize(
+        "algo, edit",
+        [
+            ("logistic", _truncate_weights),
+            ("svm", _grow_dim),
+            ("logistic", _nan_bias),
+            ("nb", _short_nb_row),
+            ("nb", _one_nb_row),
+            ("nb", _infinite_prior),
+        ],
+    )
+    def test_corrupt_linear_and_nb_bundles_exit_2(self, dataset, tmp_path, capsys, algo, edit):
+        path = self.corrupt_bundle(dataset, tmp_path, algo, edit)
+        capsys.readouterr()
+        assert run(["predict", "--bundle", path, "free money offer click now"]) == 2
+        assert "error [bundle]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "edit",
+        [_self_loop, _child_out_of_range, _shared_child, _unreachable_leaf, _feature_out_of_range],
+    )
+    def test_corrupt_tree_bundles_exit_2_without_hanging(self, dataset, tmp_path, edit):
+        path = self.corrupt_bundle(dataset, tmp_path, "tree", edit)
+        env = dict(os.environ, PYTHONPATH=str(Path(textbalance.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "textbalance.cli", "predict", "--bundle", str(path),
+             "free money offer click now"],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "error [bundle]" in proc.stderr
 
 
 class TestOversample:

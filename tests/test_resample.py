@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from conftest import rand_matrix, rand_sparse
+from textbalance.fixtures import two_vocab_corpus
+from textbalance.preprocess import preprocess_corpus
 from textbalance.resample import (
+    NeighborIndex,
     SmoteConfig,
     balance_training_set,
     euclidean_distance,
@@ -15,7 +20,8 @@ from textbalance.resample import (
     smote,
     smote_trace,
 )
-from textbalance.vectorize import FeatureMatrix, SparseVector
+from textbalance.stopwords import default_stopwords
+from textbalance.vectorize import FeatureMatrix, SparseVector, fit, transform_corpus
 
 
 def brute_force_knn(points: list[SparseVector], query: int, k: int) -> list[int]:
@@ -25,6 +31,17 @@ def brute_force_knn(points: list[SparseVector], query: int, k: int) -> list[int]
     dist = np.sqrt(((dense - dense[query]) ** 2).sum(axis=1))
     order = sorted((float(dist[i]), i) for i in range(len(points)) if i != query)
     return [i for _, i in order[: min(k, len(points) - 1)]]
+
+
+def exhaustive_knn(points: list[SparseVector], query: int, k: int) -> list[int]:
+    """Reference scan: the exact merge distance to every point, ranked by
+    (distance, index), self excluded."""
+    ranked = sorted(
+        (euclidean_distance(points[query], points[i]), i)
+        for i in range(len(points))
+        if i != query
+    )
+    return [i for _, i in ranked[: min(k, len(points) - 1)]]
 
 
 class TestEuclideanDistance:
@@ -113,6 +130,74 @@ class TestKnn:
             knn(two, 5, 1)
         with pytest.raises(ValueError):
             knn(two, 0, 0)
+
+
+class TestKnnAdversarial:
+    """Inputs where the Gram-form filter is least accurate or ties decide."""
+
+    @staticmethod
+    def assert_every_query_matches_scan(points, ks=(1, 2, 3, 5)):
+        index = NeighborIndex(points)
+        for query in range(len(points)):
+            for k in set(ks) | {len(points) - 1, len(points) + 2}:
+                expected = exhaustive_knn(points, query, k)
+                assert knn(index, query, k) == expected, (query, k)
+                assert knn(points, query, k) == expected, (query, k)
+
+    def test_exact_duplicates_tie_break_by_index(self):
+        rng = np.random.default_rng(30)
+        a = rand_sparse(rng, 40, density=0.6)
+        b = rand_sparse(rng, 40, density=0.6)
+        others = [rand_sparse(rng, 40) for _ in range(4)]
+        points = [a] * 7 + [b] * 4 + others + [a] * 3 + [b] * 2
+        self.assert_every_query_matches_scan(points)
+
+    def test_all_zero_rows(self):
+        rng = np.random.default_rng(31)
+        zero = SparseVector(dim=12, entries=())
+        points = [zero] * 5 + [rand_sparse(rng, 12) for _ in range(5)] + [zero] * 2
+        self.assert_every_query_matches_scan(points)
+        self.assert_every_query_matches_scan([zero] * 6)
+
+    def test_near_duplicates_at_extreme_norms(self):
+        # Around |x| ~ 1e6 the Gram form cancels ~12 digits away; around
+        # 1e-6 the slack is tiny.  Both scales share one index.
+        rng = np.random.default_rng(32)
+        dim = 60
+        points = []
+        for scale in (1e6, 1e-6):
+            base = rand_sparse(rng, dim, density=0.7)
+            for _ in range(14):
+                pairs = []
+                for i, v in base.entries:
+                    if rng.random() < 0.3:
+                        v *= 1.0 + float(rng.integers(-4, 5)) * 2.0**-50
+                    pairs.append((i, scale * v))
+                points.append(SparseVector.from_pairs(dim, pairs))
+            points.append(SparseVector.from_pairs(dim, [(i, scale * v) for i, v in base.entries]))
+        points.append(SparseVector(dim=dim, entries=()))
+        order = rng.permutation(len(points))
+        self.assert_every_query_matches_scan([points[i] for i in order])
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_norms_are_never_filtered(self):
+        rng = np.random.default_rng(34)
+        points = [rand_sparse(rng, 8) for _ in range(6)]
+        for scale in (1e155, 1e200, 1e155):
+            points.append(SparseVector.from_pairs(8, [(i, scale * v) for i, v in rand_sparse(rng, 8).entries]))
+        points.insert(2, points[-1])
+        self.assert_every_query_matches_scan(points)
+
+    def test_two_points(self):
+        rng = np.random.default_rng(33)
+        zero = SparseVector(dim=5, entries=())
+        pairs = [
+            [rand_sparse(rng, 5), rand_sparse(rng, 5)],
+            [zero, zero],
+            [zero, rand_sparse(rng, 5)],
+        ]
+        for points in pairs:
+            self.assert_every_query_matches_scan(points, ks=(1, 2, 7))
 
 
 class TestSmote:
@@ -253,3 +338,39 @@ class TestBalanceTrainingSet:
         assert data["minority_before"] == 3
         assert data["synthetic_created"] == 3
         assert all(isinstance(k, str) for k in data["per_sample_usage"])
+
+
+class TestPinnedOutputs:
+    """Digests of SMOTE outputs on the fixture corpora, recorded from the
+    exhaustive-scan kNN.  A faster neighbour search must reproduce them."""
+
+    PINNED = {
+        7: (
+            "ea4bbd531ffb9f6fed089db74293132b038cb1437cfeadd60236fa7741b87b47",
+            "ba4f71eee8e66678f3c467b5331f95a5d90c8f710d8a12d1e07728890582b347",
+        ),
+        11: (
+            "08eec4c1a949e178264f9fe7753a14168eb1ef0647b1d6bb32849f57f66e4d38",
+            "b3ed1845f684738d8fed342741c50d328197e8575cce348828cc78499eb25879",
+        ),
+        13: (
+            "7573bbbf24a02318d6103e6eb86a833e0583c01c4531e8b55b45fb5f3a39b6c4",
+            "73d49fa9d28f5bf2849bc18370fa72505d8902adee865b77425f0e09001e0ed5",
+        ),
+    }
+
+    @pytest.mark.parametrize("seed", sorted(PINNED))
+    def test_balanced_matrix_and_trace_digests(self, seed):
+        train_corpus, _ = two_vocab_corpus(seed=seed)
+        tokens = preprocess_corpus(train_corpus, default_stopwords())
+        matrix = transform_corpus(fit(tokens), tokens, train_corpus.labels)
+        config = SmoteConfig(k=5, seed=seed)
+        balanced, report = balance_training_set(matrix, config)
+        minority = [row for row, lb in zip(matrix.rows, matrix.labels) if lb == 1]
+        trace = smote_trace(minority, report.majority, config)
+        provenance = "".join(
+            f"{s.base_index},{s.neighbor_index},{s.gap!r}\n" for s in trace
+        )
+        assert len(trace) == 168
+        assert balanced.digest() == self.PINNED[seed][0]
+        assert hashlib.sha256(provenance.encode()).hexdigest() == self.PINNED[seed][1]
