@@ -16,8 +16,7 @@ from pathlib import Path
 from .classify import (
     ALGORITHMS,
     DecisionTreeModel,
-    LinearSvmModel,
-    LogisticModel,
+    LinearModel,
     MultinomialNBModel,
     TrainedClassifier,
     TreeNode,
@@ -126,16 +125,9 @@ def classifier_to_dict(model: TrainedClassifier) -> dict:
             "class_log_prior": list(model.class_log_prior),
             "feature_log_prob": [list(row) for row in model.feature_log_prob],
         }
-    if isinstance(model, LogisticModel):
+    if isinstance(model, LinearModel):
         return {
-            "algorithm": "logistic",
-            "dim": model.dim,
-            "weights": list(model.weights),
-            "bias": model.bias,
-        }
-    if isinstance(model, LinearSvmModel):
-        return {
-            "algorithm": "svm",
+            "algorithm": model.algorithm,
             "dim": model.dim,
             "weights": list(model.weights),
             "bias": model.bias,
@@ -226,10 +218,7 @@ def classifier_from_dict(data: dict) -> TrainedClassifier:
     if algorithm in ("logistic", "svm"):
         weights = _finite_floats(data["weights"], f"{algorithm} weights")
         _require(len(weights) == dim, f"{algorithm} dim {dim} but {len(weights)} weights")
-        model = LogisticModel if algorithm == "logistic" else LinearSvmModel
-        return model(
-            dim=dim, weights=weights, bias=_finite_floats([data["bias"]], "bias")[0]
-        )
+        return LinearModel(algorithm, dim, weights, _finite_floats([data["bias"]], "bias")[0])
     nodes = tuple(_tree_node(raw, dim) for raw in data["nodes"])
     _require_tree_shape(nodes)
     return DecisionTreeModel(dim=dim, nodes=nodes)

@@ -12,7 +12,7 @@ same model.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -68,19 +68,7 @@ class TrainConfig:
             raise ValueError("tree_max_features must be >= 1 when set")
 
     def to_dict(self) -> dict:
-        return {
-            "algorithm": self.algorithm,
-            "seed": self.seed,
-            "lr_learning_rate": self.lr_learning_rate,
-            "lr_epochs": self.lr_epochs,
-            "l2": self.l2,
-            "svm_C": self.svm_C,
-            "svm_epochs": self.svm_epochs,
-            "nb_alpha": self.nb_alpha,
-            "tree_max_depth": self.tree_max_depth,
-            "tree_min_samples_split": self.tree_min_samples_split,
-            "tree_max_features": self.tree_max_features,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -96,23 +84,16 @@ class MultinomialNBModel:
 
 
 @dataclass(frozen=True)
-class LogisticModel:
+class LinearModel:
+    """Weights and bias of a logistic or linear SVM fit; ``algorithm`` says which."""
+
+    algorithm: str
     dim: int
     weights: tuple[float, ...]
     bias: float
 
     def decision_score(self, vector: SparseVector) -> float:
-        return _sparse_dot(vector, self.weights) + self.bias
-
-
-@dataclass(frozen=True)
-class LinearSvmModel:
-    dim: int
-    weights: tuple[float, ...]
-    bias: float
-
-    def decision_score(self, vector: SparseVector) -> float:
-        return _sparse_dot(vector, self.weights) + self.bias
+        return sum(v * self.weights[i] for i, v in vector.entries) + self.bias
 
 
 @dataclass(frozen=True)
@@ -139,7 +120,7 @@ class DecisionTreeModel:
         return None
 
 
-TrainedClassifier = MultinomialNBModel | LogisticModel | LinearSvmModel | DecisionTreeModel
+TrainedClassifier = MultinomialNBModel | LinearModel | DecisionTreeModel
 
 
 def _require_non_empty(matrix: FeatureMatrix) -> None:
@@ -152,10 +133,6 @@ def _require_non_empty(matrix: FeatureMatrix) -> None:
 def _require_both_classes(matrix: FeatureMatrix, algorithm: str) -> None:
     if len(set(matrix.labels)) < 2:
         raise ValueError(f"{algorithm} requires both classes in the training data")
-
-
-def _sparse_dot(vector: SparseVector, weights: tuple[float, ...]) -> float:
-    return sum(v * weights[i] for i, v in vector.entries)
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -183,7 +160,7 @@ def logistic_loss_and_grad(
     return loss, grad_w, grad_b
 
 
-def _fit_logistic(matrix: FeatureMatrix, config: TrainConfig) -> LogisticModel:
+def _fit_logistic(matrix: FeatureMatrix, config: TrainConfig) -> LinearModel:
     X = matrix.csr
     y = matrix.labels_array().astype(np.float64)
     w = np.zeros(matrix.dim)
@@ -192,7 +169,7 @@ def _fit_logistic(matrix: FeatureMatrix, config: TrainConfig) -> LogisticModel:
         _, grad_w, grad_b = logistic_loss_and_grad(w, b, X, y, config.l2)
         w -= config.lr_learning_rate * grad_w
         b -= config.lr_learning_rate * grad_b
-    return LogisticModel(dim=matrix.dim, weights=tuple(float(v) for v in w), bias=float(b))
+    return LinearModel("logistic", matrix.dim, tuple(float(v) for v in w), float(b))
 
 
 def svm_objective(weights: np.ndarray, margins: np.ndarray, lam: float) -> float:
@@ -203,7 +180,7 @@ def svm_objective(weights: np.ndarray, margins: np.ndarray, lam: float) -> float
 
 def _fit_svm(
     matrix: FeatureMatrix, config: TrainConfig
-) -> tuple[LinearSvmModel, list[float]]:
+) -> tuple[LinearModel, list[float]]:
     """Full-batch Pegasos on an augmented (regularized) bias feature.
 
     Step t uses eta = 1/(lam*t) with lam = 1/(C*n), followed by the
@@ -226,11 +203,7 @@ def _fit_svm(
         norm = float(np.linalg.norm(w))
         if norm > radius:
             w *= radius / norm
-    model = LinearSvmModel(
-        dim=matrix.dim,
-        weights=tuple(float(v) for v in w[:-1]),
-        bias=float(w[-1]),
-    )
+    model = LinearModel("svm", matrix.dim, tuple(float(v) for v in w[:-1]), float(w[-1]))
     return model, objectives
 
 
@@ -359,42 +332,38 @@ def _fit_tree(matrix: FeatureMatrix, config: TrainConfig) -> DecisionTreeModel:
     X = matrix.csr
     y = matrix.labels_array()
     features = _candidate_features(X, config.tree_max_features)
-    entries = np.flatnonzero(np.isin(X.indices, features))
     nodes: list[TreeNode] = []
-
-    def build(rows: np.ndarray, entries: np.ndarray, depth: int) -> int:
-        """Grow the subtree of ``rows``; ``entries`` are their stored
-        entries in candidate columns, as positions into ``X``."""
+    # Nodes are numbered in pre-order: a node, its left subtree, then its
+    # right subtree.  Each pending subtree holds its rows, their stored
+    # entries in candidate columns (as positions into ``X``), its depth,
+    # and the parent field that must point at it.
+    pending = [(np.arange(len(matrix)), np.flatnonzero(np.isin(X.indices, features)), 0, -1, "")]
+    while pending:
+        rows, entries, depth, parent, side = pending.pop()
         node_id = len(nodes)
-        nodes.append(TreeNode())  # placeholder, replaced below
+        if parent >= 0:
+            nodes[parent] = replace(nodes[parent], **{side: node_id})
         sub_y = y[rows]
-        pure = sub_y.min() == sub_y.max()
+        found = None
         if (
-            pure
-            or depth >= config.tree_max_depth
-            or len(rows) < config.tree_min_samples_split
+            sub_y.min() != sub_y.max()
+            and depth < config.tree_max_depth
+            and len(rows) >= config.tree_min_samples_split
         ):
-            nodes[node_id] = TreeNode(label=_majority_label(sub_y))
-            return node_id
-        columns = X.indices[entries]
-        found = _best_split(columns, X.data[entries], y[X.row_ids[entries]], sub_y, matrix.dim)
-        if found is None:  # all candidate columns constant on this node
-            nodes[node_id] = TreeNode(label=_majority_label(sub_y))
-            return node_id
+            columns = X.indices[entries]
+            found = _best_split(columns, X.data[entries], y[X.row_ids[entries]], sub_y, matrix.dim)
+        if found is None:  # pure, too deep, too small, or all candidate columns constant
+            nodes.append(TreeNode(label=_majority_label(sub_y)))
+            continue
         feature, threshold = found
+        nodes.append(TreeNode(feature=feature, threshold=threshold))
         on_feature = entries[columns == feature]
         goes_left = np.full(len(matrix), 0.0 <= threshold)  # rows without an entry hold 0.0
         goes_left[X.row_ids[on_feature]] = X.data[on_feature] <= threshold
         row_left = goes_left[rows]
         entry_left = goes_left[X.row_ids[entries]]
-        left_id = build(rows[row_left], entries[entry_left], depth + 1)
-        right_id = build(rows[~row_left], entries[~entry_left], depth + 1)
-        nodes[node_id] = TreeNode(
-            feature=feature, threshold=threshold, left=left_id, right=right_id
-        )
-        return node_id
-
-    build(np.arange(len(matrix)), entries, 0)
+        pending.append((rows[~row_left], entries[~entry_left], depth + 1, node_id, "right"))
+        pending.append((rows[row_left], entries[entry_left], depth + 1, node_id, "left"))
     return DecisionTreeModel(dim=matrix.dim, nodes=tuple(nodes))
 
 
@@ -436,7 +405,7 @@ def predict_scored(model: TrainedClassifier, vector: SparseVector) -> tuple[int,
                 best = c
         score = scores[1] - scores[0] if model.class_labels == (0, 1) else None
         return model.class_labels[best], score
-    if isinstance(model, (LogisticModel, LinearSvmModel)):
+    if isinstance(model, LinearModel):
         score = model.decision_score(vector)
         return (1 if score >= 0.0 else 0), score
     node = model.nodes[0]

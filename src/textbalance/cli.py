@@ -9,6 +9,7 @@ $SOURCE_DATE_EPOCH when set) so repeated runs emit byte-identical files.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -25,6 +26,11 @@ EXIT_USAGE = 1
 EXIT_RUNTIME = 2
 
 _ALGO_CHOICES = classify.ALGORITHMS
+_HYPER_FIELDS = tuple(
+    field
+    for field in dataclasses.fields(classify.TrainConfig)
+    if field.name not in ("algorithm", "seed")
+)
 
 
 class CliRuntimeError(Exception):
@@ -91,18 +97,25 @@ def _common_parent() -> argparse.ArgumentParser:
 
 
 def _hyper_parent() -> argparse.ArgumentParser:
+    """One flag per `TrainConfig` hyperparameter: svm_C gives --svm-c, with
+    the field's default and the default's type (int for a None default)."""
     parent = argparse.ArgumentParser(add_help=False)
     group = parent.add_argument_group("hyperparameters")
-    group.add_argument("--lr-learning-rate", type=float, default=0.1)
-    group.add_argument("--lr-epochs", type=int, default=300)
-    group.add_argument("--l2", type=float, default=1e-4)
-    group.add_argument("--svm-c", type=float, default=1.0)
-    group.add_argument("--svm-epochs", type=int, default=300)
-    group.add_argument("--nb-alpha", type=float, default=1.0)
-    group.add_argument("--tree-max-depth", type=int, default=10)
-    group.add_argument("--tree-min-samples-split", type=int, default=2)
-    group.add_argument("--tree-max-features", type=int, default=None)
-    group.add_argument("--smote-k", type=int, default=5, help="SMOTE neighbor count")
+    for field in _HYPER_FIELDS:
+        group.add_argument(
+            "--" + field.name.lower().replace("_", "-"),
+            dest=field.name,
+            type=int if field.default is None else type(field.default),
+            default=field.default,
+        )
+    return parent
+
+
+def _smote_parent() -> argparse.ArgumentParser:
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument(
+        "--smote-k", type=int, default=resample.SmoteConfig.k, help="SMOTE neighbor count"
+    )
     return parent
 
 
@@ -111,8 +124,9 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
     common = _common_parent()
     hyper = _hyper_parent()
+    smote = _smote_parent()
 
-    p_train = sub.add_parser("train", parents=[common, hyper], help="train one classifier")
+    p_train = sub.add_parser("train", parents=[common, hyper, smote], help="train one classifier")
     p_train.add_argument("--data", required=True, metavar="PATH")
     p_train.add_argument("--algo", required=True, choices=_ALGO_CHOICES)
     p_train.add_argument("--smote", choices=("on", "off"), default="off")
@@ -132,17 +146,16 @@ def build_parser() -> _Parser:
     p_eval.add_argument("--out", metavar="PATH", help="write metrics JSON here")
 
     p_over = sub.add_parser(
-        "oversample", parents=[common], help="SMOTE-balance a sparse matrix file"
+        "oversample", parents=[common, smote], help="SMOTE-balance a sparse matrix file"
     )
     p_over.add_argument("--matrix", required=True, metavar="PATH")
     p_over.add_argument("--labels", metavar="PATH", help="label sidecar (default <matrix>.labels)")
     p_over.add_argument("--out", required=True, metavar="PATH")
     p_over.add_argument("--out-labels", metavar="PATH")
     p_over.add_argument("--report", metavar="PATH", help="write resample report JSON")
-    p_over.add_argument("--smote-k", type=int, default=5)
 
     p_report = sub.add_parser(
-        "report", parents=[common, hyper], help="with/without-SMOTE comparison table"
+        "report", parents=[common, hyper, smote], help="with/without-SMOTE comparison table"
     )
     p_report.add_argument("--data", required=True, metavar="PATH")
     p_report.add_argument("--split", type=_fraction, default=0.8, metavar="FRACTION")
@@ -154,13 +167,12 @@ def build_parser() -> _Parser:
     p_report.add_argument("--split-manifest", metavar="PATH")
 
     p_scatter = sub.add_parser(
-        "scatter", parents=[common], help="2-d projection of a training matrix"
+        "scatter", parents=[common, smote], help="2-d projection of a training matrix"
     )
     p_scatter.add_argument("--data", required=True, metavar="PATH")
     p_scatter.add_argument("--smote", choices=("on", "off"), default="off")
     p_scatter.add_argument("--out", default="scatter.csv", metavar="PATH")
     p_scatter.add_argument("--svg", metavar="PATH", help="also write a minimal SVG")
-    p_scatter.add_argument("--smote-k", type=int, default=5)
 
     return parser
 
@@ -172,19 +184,8 @@ def _resolve_stopwords(args) -> stopwords.StopWordList:
 
 
 def _train_config(args, algorithm: str) -> classify.TrainConfig:
-    return classify.TrainConfig(
-        algorithm=algorithm,
-        seed=args.seed,
-        lr_learning_rate=args.lr_learning_rate,
-        lr_epochs=args.lr_epochs,
-        l2=args.l2,
-        svm_C=args.svm_c,
-        svm_epochs=args.svm_epochs,
-        nb_alpha=args.nb_alpha,
-        tree_max_depth=args.tree_max_depth,
-        tree_min_samples_split=args.tree_min_samples_split,
-        tree_max_features=args.tree_max_features,
-    )
+    hyper = {field.name: getattr(args, field.name) for field in _HYPER_FIELDS}
+    return classify.TrainConfig(algorithm=algorithm, seed=args.seed, **hyper)
 
 
 def _timestamp(args) -> str | None:
@@ -282,19 +283,11 @@ def _load_bundle_and_stops(args):
         model_bundle = bundle_mod.load_bundle(args.bundle)
     cfg = model_bundle.preprocess_config
     with _stage("stopwords"):
-        if args.stopwords:
-            stops = stopwords.load_stopwords(args.stopwords)
-        else:
-            stops = stopwords.default_stopwords()
-            if cfg.stopwords_sha256 != stops.sha256():
-                raise ValueError(
-                    f"bundle was trained with stop list {cfg.stopwords_name!r}; "
-                    "pass the same file via --stopwords"
-                )
+        stops = _resolve_stopwords(args)
         if stops.sha256() != cfg.stopwords_sha256:
             raise ValueError(
-                f"stop list hash mismatch: bundle has {cfg.stopwords_sha256}, "
-                f"--stopwords file has {stops.sha256()}"
+                f"bundle was trained with stop list {cfg.stopwords_name!r}, not "
+                f"{stops.name!r}; pass the same file via --stopwords"
             )
     return model_bundle, stops
 

@@ -1,13 +1,14 @@
 """Plain-text sparse matrix files for standalone oversampling runs.
 
 Layout: a header line ``nrows ncols nnz`` followed by one ``row col value``
-triple per line, sorted by (row, col), 0-based, values in shortest
-round-trip decimal form.  Row labels live in a sidecar file (default
-``<matrix>.labels``) holding a single column, one label per row.
+triple per line, sorted by (row, col), 0-based, values finite and in
+shortest round-trip decimal form.  Row labels live in a sidecar file
+(default ``<matrix>.labels``) holding a single column, one label per row.
 """
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 from .vectorize import FeatureMatrix, SparseVector
@@ -62,6 +63,8 @@ def read_matrix(path, labels_path=None) -> FeatureMatrix:
             r, c, v = int(parts[0]), int(parts[1]), float(parts[2])
         except ValueError as exc:
             raise MatrixFormatError(f"{path}:{line_num}: unparsable triple") from exc
+        if not math.isfinite(v):
+            raise MatrixFormatError(f"{path}:{line_num}: non-finite value {parts[2]!r}")
         if not 0 <= r < n_rows or not 0 <= c < n_cols:
             raise MatrixFormatError(f"{path}:{line_num}: index out of bounds")
         per_row[r].append((c, v))

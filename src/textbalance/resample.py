@@ -28,16 +28,14 @@ _SAFE_NORM_SUM = 2.0**1000
 class SmoteConfig:
     k: int = 5
     seed: int = 0
-    target: str = "equalize"
 
     def __post_init__(self):
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
-        if self.target != "equalize":
-            raise ValueError(f"unsupported target {self.target!r}")
 
     def to_dict(self) -> dict:
-        return {"k": self.k, "seed": self.seed, "target": self.target}
+        # Balancing always equalizes the classes; the tag stays in bundles and reports.
+        return {"k": self.k, "seed": self.seed, "target": "equalize"}
 
 
 @dataclass(frozen=True)

@@ -11,8 +11,7 @@ from conftest import dense_to_matrix, rand_matrix
 from textbalance.classify import (
     ALGORITHMS,
     DecisionTreeModel,
-    LinearSvmModel,
-    LogisticModel,
+    LinearModel,
     MultinomialNBModel,
     TrainConfig,
     TreeNode,
@@ -172,7 +171,7 @@ class TestLogistic:
     def test_learns_separable_data(self):
         matrix = separable_matrix()
         model = train(matrix, TrainConfig(algorithm="logistic"))
-        assert isinstance(model, LogisticModel)
+        assert isinstance(model, LinearModel) and model.algorithm == "logistic"
         correct = sum(
             predict(model, row) == label for row, label in zip(matrix.rows, matrix.labels)
         )
@@ -205,7 +204,7 @@ class TestSvm:
     def test_learns_separable_data(self):
         matrix = separable_matrix()
         model = train(matrix, TrainConfig(algorithm="svm"))
-        assert isinstance(model, LinearSvmModel)
+        assert isinstance(model, LinearModel) and model.algorithm == "svm"
         correct = sum(
             predict(model, row) == label for row, label in zip(matrix.rows, matrix.labels)
         )
@@ -297,6 +296,15 @@ class TestDecisionTree:
             matrix = rand_matrix(rng, n0=n0, n1=n1, dim=int(rng.integers(2, 6)), density=1.0)
             model = train(matrix, config)
             assert predict_batch(model, matrix) == list(matrix.labels)
+
+    def test_deep_chain_builds_without_recursion_limit(self):
+        # Alternating labels along one axis: every split peels off one point,
+        # so the tree is as deep as the chain is long.
+        n = 1200
+        matrix = dense_to_matrix([[float(i)] for i in range(n)], [i % 2 for i in range(n)])
+        model = train(matrix, TrainConfig(algorithm="tree", tree_max_depth=100_000))
+        assert len(model.nodes) == 2 * n - 1
+        assert predict_batch(model, matrix) == list(matrix.labels)
 
 
 class TestTrainValidation:

@@ -13,10 +13,12 @@ import pytest
 
 import textbalance
 from conftest import rand_matrix
-from textbalance.cli import main
+from textbalance.classify import ALGORITHMS, TrainConfig
+from textbalance.cli import _train_config, build_parser, main
 from textbalance.fixtures import two_vocab_corpus
 from textbalance.ingest import Corpus, write_corpus
 from textbalance.matrixio import read_matrix, write_matrix
+from textbalance.resample import SmoteConfig
 
 
 @pytest.fixture()
@@ -202,6 +204,64 @@ class TestPredictAndEvaluate:
         assert "stop" in capsys.readouterr().err
         assert run(["predict", "--bundle", path, "--stopwords", custom, "some text"]) == 0
 
+    def test_stop_list_mismatch_names_the_bundles_list(self, dataset, tmp_path, capsys):
+        custom = tmp_path / "stops.txt"
+        custom.write_text("the\nand\nnow\n")
+        other = tmp_path / "other.txt"
+        other.write_text("the\n")
+        path = tmp_path / "custom.json"
+        assert run(["train", "--data", dataset, "--algo", "nb", "--out", path,
+                    "--stopwords", custom]) == 0
+        capsys.readouterr()
+        for extra in ([], ["--stopwords", other]):
+            assert run(["predict", "--bundle", path, *extra, "some text"]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error [stopwords]")
+            assert "'stops.txt'" in err and "--stopwords" in err
+
+
+def _parse(command, *flags):
+    required = {
+        "train": ["--data", "d.csv", "--algo", "nb"],
+        "report": ["--data", "d.csv"],
+        "oversample": ["--matrix", "m.mtx", "--out", "o.mtx"],
+        "scatter": ["--data", "d.csv"],
+    }[command]
+    return build_parser().parse_args([command, *required, *flags])
+
+
+class TestHyperparameterFlags:
+    """Every hyperparameter flag and default comes from TrainConfig and
+    SmoteConfig, so the CLI and the library cannot drift apart."""
+
+    @pytest.mark.parametrize("command", ["train", "report"])
+    @pytest.mark.parametrize("algo", ALGORITHMS)
+    def test_no_flags_give_the_default_config(self, command, algo):
+        args = _parse(command, "--seed", "9")
+        assert _train_config(args, algo) == TrainConfig(algorithm=algo, seed=args.seed)
+
+    @pytest.mark.parametrize("command", ["train", "report"])
+    def test_each_flag_sets_its_own_field(self, command):
+        cases = [
+            (["--svm-c", "2.5"], {"svm_C": 2.5}),
+            (["--tree-max-features", "3"], {"tree_max_features": 3}),
+            (["--lr-learning-rate", "0.5"], {"lr_learning_rate": 0.5}),
+            (["--lr-epochs", "7"], {"lr_epochs": 7}),
+            (["--l2", "0.25"], {"l2": 0.25}),
+            (["--svm-epochs", "8"], {"svm_epochs": 8}),
+            (["--nb-alpha", "0.5"], {"nb_alpha": 0.5}),
+            (["--tree-max-depth", "4"], {"tree_max_depth": 4}),
+            (["--tree-min-samples-split", "5"], {"tree_min_samples_split": 5}),
+        ]
+        for flags, changed in cases:
+            config = _train_config(_parse(command, *flags), "svm")
+            assert config == TrainConfig(algorithm="svm", **changed), flags
+
+    @pytest.mark.parametrize("command", ["train", "report", "oversample", "scatter"])
+    def test_smote_k_default_is_smote_configs(self, command):
+        assert _parse(command).smote_k == SmoteConfig().k
+        assert _parse(command, "--smote-k", "2").smote_k == 2
+
 
 def _truncate_weights(c):
     c["weights"] = c["weights"][:3]
@@ -322,6 +382,18 @@ class TestOversample:
         report = json.loads(report_path.read_text())
         assert report["synthetic_created"] == 7
         assert "12/12" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+    def test_non_finite_value_exits_2(self, tmp_path, capsys, value):
+        src = tmp_path / "bad.mtx"
+        src.write_text(f"5 2 3\n0 0 1.0\n1 1 {value}\n3 0 0.5\n")
+        (tmp_path / "bad.mtx.labels").write_text("0\n0\n0\n1\n1\n")
+        dst = tmp_path / "out.mtx"
+        assert run(["oversample", "--matrix", src, "--out", dst]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error [read]")
+        assert f"bad.mtx:3: non-finite value '{value}'" in err
+        assert not dst.exists()
 
 
 class TestReport:

@@ -272,8 +272,7 @@ class TestSmote:
             smote(minority, 4, SmoteConfig())
         with pytest.raises(ValueError):
             SmoteConfig(k=0)
-        with pytest.raises(ValueError):
-            SmoteConfig(target="undersample")
+        assert SmoteConfig().to_dict()["target"] == "equalize"
 
 
 class TestBalanceTrainingSet:
