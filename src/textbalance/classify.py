@@ -93,7 +93,7 @@ class LinearModel:
     bias: float
 
     def decision_score(self, vector: SparseVector) -> float:
-        return sum(v * self.weights[i] for i, v in vector.entries) + self.bias
+        return vector.dot(self.weights) + self.bias
 
 
 @dataclass(frozen=True)
@@ -382,14 +382,10 @@ def train(matrix: FeatureMatrix, config: TrainConfig) -> TrainedClassifier:
 
 
 def _nb_scores(model: MultinomialNBModel, vector: SparseVector) -> list[float]:
-    scores = []
-    for c in range(len(model.class_labels)):
-        log_prob = model.feature_log_prob[c]
-        score = model.class_log_prior[c]
-        for i, v in vector.entries:
-            score += v * log_prob[i]
-        scores.append(score)
-    return scores
+    return [
+        vector.dot(log_prob, start=prior)
+        for prior, log_prob in zip(model.class_log_prior, model.feature_log_prob)
+    ]
 
 
 def predict_scored(model: TrainedClassifier, vector: SparseVector) -> tuple[int, float | None]:

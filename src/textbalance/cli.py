@@ -399,12 +399,7 @@ def _project_rows(matrix, seed: int) -> list[tuple[float, float]]:
     for _ in range(matrix.dim):
         gx.append(rng.next_gaussian())
         gy.append(rng.next_gaussian())
-    points = []
-    for row in matrix.rows:
-        x = sum(v * gx[i] for i, v in row.entries)
-        y = sum(v * gy[i] for i, v in row.entries)
-        points.append((x, y))
-    return points
+    return [(row.dot(gx), row.dot(gy)) for row in matrix.rows]
 
 
 def _scatter_svg(points, labels, n_original: int) -> str:
@@ -455,7 +450,9 @@ def cmd_scatter(args) -> int:
     if args.smote == "on":
         with _stage("resample"):
             config = resample.SmoteConfig(k=args.smote_k, seed=args.seed)
-            matrix, _ = resample.balance_training_set(train_matrix, config)
+            matrix, report = resample.balance_training_set(train_matrix, config)
+            for warning in report.warnings:
+                print(f"warning: {warning}", file=sys.stderr)
     with _stage("project"):
         points = _project_rows(matrix, args.seed)
     with _stage("write"):

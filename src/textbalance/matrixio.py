@@ -2,8 +2,9 @@
 
 Layout: a header line ``nrows ncols nnz`` followed by one ``row col value``
 triple per line, sorted by (row, col), 0-based, values finite and in
-shortest round-trip decimal form.  Row labels live in a sidecar file
-(default ``<matrix>.labels``) holding a single column, one label per row.
+shortest round-trip decimal form.  Any order loads, but a (row, col) pair
+may appear only once.  Row labels live in a sidecar file (default
+``<matrix>.labels``) holding a single column, one label per row.
 """
 
 from __future__ import annotations
@@ -51,7 +52,10 @@ def read_matrix(path, labels_path=None) -> FeatureMatrix:
     if n_rows < 0 or n_cols < 0 or nnz < 0:
         raise MatrixFormatError(f"{path}: negative header field")
 
-    per_row: list[list[tuple[int, float]]] = [[] for _ in range(n_rows)]
+    # Entries by row, then column.  Rows are built only once the file has
+    # backed the header up, so memory follows the file's contents, not the
+    # row count it claims.
+    per_row: dict[int, dict[int, float]] = {}
     count = 0
     for line_num, line in enumerate(lines[1:], start=2):
         if not line.strip():
@@ -67,13 +71,18 @@ def read_matrix(path, labels_path=None) -> FeatureMatrix:
             raise MatrixFormatError(f"{path}:{line_num}: non-finite value {parts[2]!r}")
         if not 0 <= r < n_rows or not 0 <= c < n_cols:
             raise MatrixFormatError(f"{path}:{line_num}: index out of bounds")
-        per_row[r].append((c, v))
+        row = per_row.setdefault(r, {})
+        if c in row:
+            raise MatrixFormatError(f"{path}:{line_num}: duplicate entry ({r}, {c})")
+        row[c] = v
         count += 1
     if count != nnz:
         raise MatrixFormatError(f"{path}: header claims {nnz} entries, found {count}")
 
     labels = _read_labels(labels_path, n_rows)
-    rows = tuple(SparseVector.from_pairs(n_cols, pairs) for pairs in per_row)
+    rows = tuple(
+        SparseVector.from_pairs(n_cols, per_row.get(r, {}).items()) for r in range(n_rows)
+    )
     return FeatureMatrix(rows=rows, labels=labels, dim=n_cols)
 
 

@@ -7,6 +7,7 @@ non-alphanumeric runs, then drop short tokens and stop words.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .ingest import Corpus, LabeledDocument
@@ -25,6 +26,10 @@ _NAMED_ENTITIES = {
 # Longest recognizable entity body: "#" + up to 7 digits, or a name.
 _MAX_ENTITY_BODY = 8
 
+_MARKUP = re.compile("[<&]")
+# [^\W_] matches exactly the characters for which str.isalnum() is true.
+_TOKEN = re.compile(r"[^\W_]+")
+
 
 @dataclass(frozen=True)
 class TokenSequence:
@@ -38,14 +43,6 @@ class TokenSequence:
 
     def __iter__(self):
         return iter(self.tokens)
-
-
-def _emit(out: list[str], ch: str) -> None:
-    # Newlines and tabs (including decoded ones) become single spaces.
-    if ch in ("\n", "\r", "\t"):
-        out.append(" ")
-    else:
-        out.append(ch)
 
 
 def _decode_entity(raw: str, pos: int) -> tuple[str, int] | None:
@@ -74,86 +71,67 @@ def _decode_entity(raw: str, pos: int) -> tuple[str, int] | None:
     return None
 
 
+def _alpha_run(raw: str, start: int) -> str:
+    end = start
+    while end < len(raw) and raw[end].isalpha():
+        end += 1
+    return raw[start:end]
+
+
+def _skip_body(raw: str, i: int, name: str) -> int:
+    """Index just past the ``</name ...>`` that closes a script/style body."""
+    while (j := raw.find("</", i)) != -1:
+        if _alpha_run(raw, j + 2).lower() == name:
+            gt = raw.find(">", j + 2)
+            return len(raw) if gt == -1 else gt + 1
+        i = j + 1
+    return len(raw)
+
+
 def strip_html(raw: str) -> str:
     """Remove tags and script/style bodies from (possibly malformed) markup.
 
-    A hand-written scanner rather than a regex: it must skip everything
-    inside <script> and <style> elements and survive unclosed tags.  A tag
+    A hand-written scanner rather than a regex parser: it copies the text
+    between markup characters in one slice, skips everything inside
+    <script> and <style> elements and survives unclosed tags.  A tag
     consumes input up to the next '>' (or end of input); a lone '<' not
     followed by a letter, '/', or '!' is literal text.  The five common
     named entities and numeric character references are decoded; decoded
     characters are emitted directly and never rescanned as markup.
+    Each newline, carriage return and tab, decoded ones included, becomes
+    a space.
     """
     out: list[str] = []
     i = 0
-    n = len(raw)
-    skip_until: str | None = None  # lowercase "script" or "style"
-
-    while i < n:
-        if skip_until is not None:
-            # Inside a script/style body: drop text until the closing tag.
-            if raw[i] == "<" and raw[i + 1 : i + 2] == "/":
-                name_end = i + 2
-                while name_end < n and raw[name_end].isalpha():
-                    name_end += 1
-                if raw[i + 2 : name_end].lower() == skip_until:
-                    gt = raw.find(">", name_end)
-                    i = n if gt == -1 else gt + 1
-                    skip_until = None
-                    continue
-            i += 1
+    while (m := _MARKUP.search(raw, i)) is not None:
+        j = m.start()
+        out.append(raw[i:j])
+        i = j + 1
+        if raw[j] == "&":
+            decoded = _decode_entity(raw, j)
+            if decoded is None:
+                out.append("&")
+            else:
+                out.append(decoded[0])
+                i = j + decoded[1]
             continue
-
-        ch = raw[i]
-        if ch == "<":
-            nxt = raw[i + 1 : i + 2]
-            if nxt.isalpha() or nxt in ("/", "!"):
-                gt = raw.find(">", i + 1)
-                tag_body = raw[i + 1 :] if gt == -1 else raw[i + 1 : gt]
-                tag_end = n if gt == -1 else gt + 1
-                if nxt.isalpha():
-                    name_end = 0
-                    while name_end < len(tag_body) and tag_body[name_end].isalpha():
-                        name_end += 1
-                    name = tag_body[:name_end].lower()
-                    self_closing = tag_body.rstrip().endswith("/")
-                    if name in ("script", "style") and not self_closing:
-                        skip_until = name
-                i = tag_end
-                continue
-            _emit(out, ch)
-            i += 1
+        nxt = raw[i : i + 1]
+        if not (nxt.isalpha() or nxt in ("/", "!")):
+            out.append("<")
             continue
-        if ch == "&":
-            decoded = _decode_entity(raw, i)
-            if decoded is not None:
-                text, consumed = decoded
-                for dch in text:
-                    _emit(out, dch)
-                i += consumed
-                continue
-            _emit(out, ch)
-            i += 1
-            continue
-        _emit(out, ch)
-        i += 1
-
-    return "".join(out)
+        gt = raw.find(">", i)
+        tag_body = raw[i:] if gt == -1 else raw[i:gt]
+        i = len(raw) if gt == -1 else gt + 1
+        name = _alpha_run(tag_body, 0).lower()
+        if name in ("script", "style") and not tag_body.rstrip().endswith("/"):
+            i = _skip_body(raw, i, name)
+    out.append(raw[i:])
+    return "".join(out).replace("\n", " ").replace("\r", " ").replace("\t", " ")
 
 
 def tokenize(text: str) -> list[str]:
     """Lowercase and split on maximal runs of non-alphanumeric characters."""
-    tokens: list[str] = []
-    current: list[str] = []
-    for ch in text.lower():
-        if ch.isalnum():
-            current.append(ch)
-        elif current:
-            tokens.append("".join(current))
-            current = []
-    if current:
-        tokens.append("".join(current))
-    return tokens
+    return _TOKEN.findall(text.lower())
 
 
 def filter_tokens(

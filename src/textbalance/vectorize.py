@@ -55,6 +55,18 @@ class SparseVector:
     def nnz(self) -> int:
         return len(self.entries)
 
+    def dot(self, weights, start=0):
+        """``start`` plus each ``value * weights[index]``, added left to right.
+
+        The built-in ``sum()`` adds floats with compensation from Python 3.12
+        on, so its last bits depend on the Python version.  Like ``sum()``,
+        an empty vector gives ``start`` unchanged (the int 0 by default).
+        """
+        total = start
+        for i, v in self.entries:
+            total += v * weights[i]
+        return total
+
     def to_dense(self) -> np.ndarray:
         dense = np.zeros(self.dim)
         for i, v in self.entries:
@@ -192,20 +204,13 @@ def fit(train_docs: list[TokenSequence]) -> TfIdfModel:
     """Build vocabulary and document frequencies from training docs only."""
     if not train_docs:
         raise ValueError("cannot fit TF-IDF on an empty training set")
-    index: dict[str, int] = {}
-    doc_freq: list[int] = []
+    doc_freq: dict[str, int] = {}  # insertion order is first appearance
     for doc in train_docs:
-        seen: set[str] = set()
-        for term in doc.tokens:
-            if term in seen:
-                continue
-            seen.add(term)
-            if term not in index:
-                index[term] = len(doc_freq)
-                doc_freq.append(0)
-            doc_freq[index[term]] += 1
-    terms = tuple(sorted(index, key=index.get))
-    return TfIdfModel(terms=terms, doc_freq=tuple(doc_freq), n_docs=len(train_docs))
+        for term in dict.fromkeys(doc.tokens):
+            doc_freq[term] = doc_freq.get(term, 0) + 1
+    return TfIdfModel(
+        terms=tuple(doc_freq), doc_freq=tuple(doc_freq.values()), n_docs=len(train_docs)
+    )
 
 
 def transform(model: TfIdfModel, doc: TokenSequence) -> SparseVector:

@@ -354,6 +354,20 @@ class TestTrainValidation:
         nb_tie = train(tie, TrainConfig(algorithm="nb"))
         assert predict_scored(nb_tie, tie.rows[0]) == (0, 0.0)
 
+    def test_scores_add_in_entry_order(self):
+        ones = SparseVector(dim=3, entries=((0, 1.0), (1, 1.0), (2, 1.0)))
+        weights = (1e16, 1.0, -1e16)
+        for algo in ("logistic", "svm"):
+            model = LinearModel(algorithm=algo, dim=3, weights=weights, bias=0.25)
+            assert model.decision_score(ones) == 0.25
+        nb = MultinomialNBModel(
+            dim=3,
+            class_labels=(0, 1),
+            class_log_prior=(-1.0, 0.0),
+            feature_log_prob=((0.0, 0.0, 0.0), weights),
+        )
+        assert nb.decision_score(ones) == 1.0  # (0 + 0.0) - (-1 + 0.0)
+
 
 # -- dense reference implementations ---------------------------------------
 #

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,7 @@ from conftest import rand_matrix
 from textbalance.classify import ALGORITHMS, TrainConfig
 from textbalance.cli import _train_config, build_parser, main
 from textbalance.fixtures import two_vocab_corpus
-from textbalance.ingest import Corpus, write_corpus
+from textbalance.ingest import Corpus, LabeledDocument, write_corpus
 from textbalance.matrixio import read_matrix, write_matrix
 from textbalance.resample import SmoteConfig
 
@@ -395,6 +396,36 @@ class TestOversample:
         assert f"bad.mtx:3: non-finite value '{value}'" in err
         assert not dst.exists()
 
+    @pytest.mark.parametrize("value", ["1.0", "0.0"])
+    def test_duplicate_entry_names_its_line(self, tmp_path, capsys, value):
+        src = tmp_path / "dup.mtx"
+        src.write_text(f"2 2 3\n0 0 {value}\n1 1 2.0\n0 0 {value}\n")
+        (tmp_path / "dup.mtx.labels").write_text("0\n1\n")
+        dst = tmp_path / "out.mtx"
+        assert run(["oversample", "--matrix", src, "--out", dst]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error [read]")
+        assert "dup.mtx:4: duplicate entry (0, 0)" in err
+        assert not dst.exists()
+
+    def test_unsorted_entries_load(self, tmp_path):
+        src = tmp_path / "unsorted.mtx"
+        src.write_text("3 2 3\n2 1 0.5\n0 1 2.0\n0 0 1.0\n")
+        (tmp_path / "unsorted.mtx.labels").write_text("0\n0\n1\n")
+        matrix = read_matrix(src)
+        assert [row.entries for row in matrix.rows] == [((0, 1.0), (1, 2.0)), (), ((1, 0.5),)]
+
+    def test_huge_row_count_is_rejected_before_allocating(self, tmp_path, capsys):
+        src = tmp_path / "huge.mtx"
+        src.write_text("1000000000000 1 0\n")
+        (tmp_path / "huge.mtx.labels").write_text("0\n")
+        start = time.perf_counter()
+        code = run(["oversample", "--matrix", src, "--out", tmp_path / "out.mtx"])
+        elapsed = time.perf_counter() - start
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error [read]")
+        assert elapsed < 1.0
+
 
 class TestReport:
     def test_writes_json_text_csv(self, dataset, tmp_path, capsys):
@@ -478,6 +509,19 @@ class TestScatter:
         assert len(off_rows) == 234
         assert len(on_rows) == 402
         assert sum(1 for r in on_rows if r[3] == "true") == 168
+
+    def test_smote_warnings_reach_stderr(self, tmp_path, capsys):
+        docs = [
+            LabeledDocument(id=f"h{i}", text=f"tutorial lesson {word}", label=0)
+            for i, word in enumerate(("python", "scilab", "latex"))
+        ]
+        docs.append(LabeledDocument(id="s0", text="cheap pills offer", label=1))
+        data = tmp_path / "tiny.csv"
+        write_corpus(Corpus.from_documents(docs), data, "csv")
+        out = tmp_path / "points.csv"
+        assert run(["scatter", "--data", data, "--smote", "on", "--out", out]) == 0
+        assert "warning: single minority sample" in capsys.readouterr().err
+        assert len(out.read_text().strip().split("\n")[2:]) == 6
 
     def test_deterministic_output(self, dataset, tmp_path):
         a = tmp_path / "a.csv"

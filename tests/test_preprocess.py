@@ -93,6 +93,43 @@ class TestTokenize:
         assert tokenize("Café fällt") == ["café", "fällt"]
 
 
+class TestScannerEdgeCases:
+    """Tag, script-body and entity rules at their boundaries."""
+
+    @pytest.mark.parametrize(
+        "raw, expected",
+        [
+            ("a<script/>b", "ab"),  # self-closing: no body to skip
+            ("<script  / >visible", "visible"),
+            ("a<script>x</scriptx>y</script>z", "az"),  # whole name must match
+            ("a<script>x</script", "a"),  # unterminated closing tag
+            ("a<STYLE>p{}</Style >b", "ab"),
+            ("a<script>x</SCRİPT>y", "a"),  # "İ".lower() is two characters
+            ("a<script>1<2</script>b", "ab"),
+            ("<é>b", "b"),  # any isalpha character opens a tag
+            ("<²>b", "<²>b"),  # "²" is not alphabetic
+            ("<!x>y", "y"),
+            ("</>z", "z"),
+            ("a<b", "a"),
+            ("<", "<"),
+            ("x &amp", "x &amp"),  # no ';'
+            ("&#x110000;", "&#x110000;"),  # beyond the last code point
+            ("&#x10FFFF;", "\U0010ffff"),
+            ("&#1_0;z", " z"),  # int() accepts the underscore: chr(10)
+            ("&#x0x41;", "A"),
+            ("&# 65;", "A"),
+            ("&#9;a&#10;b", " a b"),  # decoded tab and newline become spaces
+            ("&#13;\r\n", "   "),
+            ("a&amp;&lt;b", "a&<b"),
+        ],
+    )
+    def test_strip_html(self, raw, expected):
+        assert strip_html(raw) == expected
+
+    def test_tokenize_follows_isalnum(self):
+        assert tokenize("Ǆemo_x²½ İstanbul ß") == ["ǆemo", "x²½", "i", "stanbul", "ß"]
+
+
 class TestFilterTokens:
     def test_drops_stop_words_and_short_tokens(self):
         stops = StopWordList(words=frozenset({"the", "visit"}), name="tiny")

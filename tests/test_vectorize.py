@@ -71,6 +71,15 @@ class TestSparseVector:
         v = SparseVector.from_pairs(4, [(2, 0.0), (3, 1.5), (0, -2.0)])
         assert v.entries == ((0, -2.0), (3, 1.5))
 
+    def test_dot_adds_left_to_right_without_compensation(self):
+        ones = SparseVector(dim=3, entries=((0, 1.0), (1, 1.0), (2, 1.0)))
+        # 1e16 + 1.0 rounds back to 1e16, so plain left-to-right addition
+        # gives 0.0; a compensated sum would give 1.0.
+        assert ones.dot((1e16, 1.0, -1e16)) == 0.0
+        assert ones.dot((1.0, 2.0, 4.0), start=0.5) == 7.5
+        empty = SparseVector(dim=3, entries=())
+        assert empty.dot((1.0, 2.0, 3.0)) == 0 and type(empty.dot((1.0,))) is int
+
 
 class TestFeatureMatrix:
     def test_row_label_alignment(self):
