@@ -21,6 +21,8 @@ from .classify import (
     TrainedClassifier,
     TreeNode,
 )
+from .preprocess import tokenize
+from .stopwords import StopWordList
 from .vectorize import TfIdfModel
 
 FORMAT_VERSION = 1
@@ -45,11 +47,20 @@ class PreprocessConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "PreprocessConfig":
-        return cls(
+        config = cls(
             min_token_len=data["min_token_len"],
             stopwords_name=data["stopwords_name"],
             stopwords_sha256=data["stopwords_sha256"],
         )
+        _require(
+            type(config.min_token_len) is int and config.min_token_len >= 1,
+            f"min_token_len {config.min_token_len!r} is not an integer >= 1",
+        )
+        _require(
+            isinstance(config.stopwords_name, str) and isinstance(config.stopwords_sha256, str),
+            "stop-list name and sha256 must be strings",
+        )
+        return config
 
 
 @dataclass
@@ -94,6 +105,17 @@ class ModelBundle:
         )
         return bundle
 
+    def check_vocabulary(self, stops: StopWordList) -> None:
+        """Require every term to be a token that `preprocess.filter_tokens`
+        keeps: at least min_token_len long, not on ``stops`` (the bundle's
+        own list) and its own `tokenize` output.  Filtering then changes no
+        vector, so serving may skip it."""
+        min_len = self.preprocess_config.min_token_len
+        for term in self.tfidf.terms:
+            _require(len(term) >= min_len, f"term {term!r} is shorter than {min_len}")
+            _require(term not in stops, f"term {term!r} is on the stop list")
+            _require(tokenize(term) == [term], f"term {term!r} is not a single token")
+
 
 def canonical_json(obj) -> str:
     """Sorted keys, two-space indent, shortest-repr numbers, one trailing \\n."""
@@ -109,11 +131,15 @@ def tfidf_to_dict(model: TfIdfModel) -> dict:
 
 
 def tfidf_from_dict(data: dict) -> TfIdfModel:
-    return TfIdfModel(
-        terms=tuple(data["terms"]),
-        doc_freq=tuple(int(v) for v in data["doc_freq"]),
-        n_docs=int(data["n_docs"]),
+    terms = tuple(data["terms"])
+    doc_freq = tuple(data["doc_freq"])
+    n_docs = data["n_docs"]
+    _require(all(isinstance(t, str) for t in terms), "TF-IDF terms must be strings")
+    _require(len(set(terms)) == len(terms), "TF-IDF terms must be unique")
+    _require(
+        all(type(v) is int for v in (*doc_freq, n_docs)), "doc_freq and n_docs must be integers"
     )
+    return TfIdfModel(terms=terms, doc_freq=doc_freq, n_docs=n_docs)
 
 
 def classifier_to_dict(model: TrainedClassifier) -> dict:

@@ -7,12 +7,17 @@ regression, a primal linear SVM with the Pegasos step schedule, and a
 greedy Gini CART tree.  Matrix-vector products are ``np.bincount`` sums
 in a fixed order.  Training is deterministic: same matrix and config,
 same model.
+
+`predict_scored` labels and scores one vector; `predict_batch` does a
+whole matrix from its CSR view at once, bit for bit the same labels and
+scores.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -82,6 +87,10 @@ class MultinomialNBModel:
         """Log-posterior difference (class 1 minus class 0), if both present."""
         return predict_scored(self, vector)[1]
 
+    @cached_property
+    def _log_prob_table(self) -> np.ndarray:
+        return np.array(self.feature_log_prob, dtype=np.float64)
+
 
 @dataclass(frozen=True)
 class LinearModel:
@@ -94,6 +103,10 @@ class LinearModel:
 
     def decision_score(self, vector: SparseVector) -> float:
         return vector.dot(self.weights) + self.bias
+
+    @cached_property
+    def _weight_array(self) -> np.ndarray:
+        return np.array(self.weights, dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -118,6 +131,18 @@ class DecisionTreeModel:
 
     def decision_score(self, vector: SparseVector) -> None:
         return None
+
+    @cached_property
+    def _arrays(self) -> tuple[np.ndarray, ...]:
+        """Per node: feature, threshold, left, right, and label (-1 inside)."""
+        nodes = self.nodes
+        return (
+            np.array([n.feature for n in nodes], dtype=np.int64),
+            np.array([n.threshold for n in nodes], dtype=np.float64),
+            np.array([n.left for n in nodes], dtype=np.int64),
+            np.array([n.right for n in nodes], dtype=np.int64),
+            np.array([-1 if n.label is None else n.label for n in nodes], dtype=np.int64),
+        )
 
 
 TrainedClassifier = MultinomialNBModel | LinearModel | DecisionTreeModel
@@ -416,7 +441,64 @@ def predict(model: TrainedClassifier, vector: SparseVector) -> int:
     return predict_scored(model, vector)[0]
 
 
-def predict_batch(model: TrainedClassifier, matrix: FeatureMatrix) -> list[int]:
+class Predictions(list):
+    """Predicted labels, one per row, carrying each row's
+    ``decision_score`` as ``scores`` (None for trees and single-class NB)."""
+
+    def __init__(self, labels: list[int], scores: list):
+        super().__init__(labels)
+        self.scores = scores
+
+
+def _batch_nb(model: MultinomialNBModel, X: CsrView) -> Predictions:
+    n = X.shape[0]
+    # `SparseVector.dot` starts each class score from its prior, so the
+    # prior is a leading pseudo-entry of its row: bincount adds in order.
+    rows = np.concatenate((np.arange(n), X.row_ids))
+    scores = [
+        np.bincount(
+            rows, np.concatenate((np.full(n, prior), X.data * log_prob[X.indices])), minlength=n
+        )
+        for prior, log_prob in zip(model.class_log_prior, model._log_prob_table)
+    ]
+    best = np.zeros(n, dtype=np.int64)
+    for c in range(1, len(scores)):
+        best[scores[c] > np.choose(best, scores)] = c
+    labels = np.array(model.class_labels)[best].tolist()
+    if model.class_labels == (0, 1):
+        return Predictions(labels, (scores[1] - scores[0]).tolist())
+    return Predictions(labels, [None] * n)
+
+
+def _batch_tree(model: DecisionTreeModel, X: CsrView) -> Predictions:
+    """Descend all rows one level at a time; a row's value of a feature is
+    found by binary search over the sorted ``row * dim + col`` keys."""
+    feature, threshold, left, right, label = model._arrays
+    sentinel = np.iinfo(np.int64).max  # past every key; its value reads 0.0
+    keys = np.append(X.row_ids * model.dim + X.indices, sentinel)
+    data = np.append(X.data, 0.0)
+    node = np.zeros(X.shape[0], dtype=np.int64)
+    active = np.flatnonzero(label[node] < 0)
+    while len(active):
+        at = node[active]
+        want = active * model.dim + feature[at]
+        pos = np.searchsorted(keys, want)
+        value = np.where(keys[pos] == want, data[pos], 0.0)
+        node[active] = np.where(value <= threshold[at], left[at], right[at])
+        active = active[label[node[active]] < 0]
+    return Predictions(label[node].tolist(), [None] * X.shape[0])
+
+
+def predict_batch(model: TrainedClassifier, matrix: FeatureMatrix) -> Predictions:
+    """Labels and decision scores of every row, from the matrix's CSR view;
+    bit for bit those of `predict_scored` on each row."""
     if matrix.dim != model.dim:
         raise ValueError(f"dimension mismatch: matrix {matrix.dim}, model {model.dim}")
-    return [predict(model, row) for row in matrix.rows]
+    X = matrix.csr
+    if isinstance(model, MultinomialNBModel):
+        return _batch_nb(model, X)
+    if isinstance(model, LinearModel):
+        # bincount adds each row's products in order from 0.0, as `dot` does.
+        scores = X @ model._weight_array + model.bias
+        return Predictions((scores >= 0.0).astype(np.int64).tolist(), scores.tolist())
+    return _batch_tree(model, X)

@@ -27,6 +27,9 @@ _NAMED_ENTITIES = {
 _MAX_ENTITY_BODY = 8
 
 _MARKUP = re.compile("[<&]")
+# Numeric references take ASCII digits only, as in the WHATWG tokenizer.
+_DECIMAL_DIGITS = re.compile("[0-9]+")
+_HEX_DIGITS = re.compile("[0-9A-Fa-f]+")
 # [^\W_] matches exactly the characters for which str.isalnum() is true.
 _TOKEN = re.compile(r"[^\W_]+")
 
@@ -57,17 +60,17 @@ def _decode_entity(raw: str, pos: int) -> tuple[str, int] | None:
     body = raw[pos + 1 : end]
     if body in _NAMED_ENTITIES:
         return _NAMED_ENTITIES[body], end - pos + 1
-    if body.startswith("#"):
-        digits = body[1:]
-        try:
-            if digits[:1] in ("x", "X"):
-                code = int(digits[1:], 16)
-            else:
-                code = int(digits)
-        except ValueError:
-            return None
-        if 0 <= code <= 0x10FFFF:
-            return chr(code), end - pos + 1
+    if body[:2] in ("#x", "#X"):
+        digits, base = _HEX_DIGITS.fullmatch(body, 2), 16
+    elif body[:1] == "#":
+        digits, base = _DECIMAL_DIGITS.fullmatch(body, 1), 10
+    else:
+        return None
+    if digits is None:
+        return None
+    code = int(digits[0], base)
+    if code <= 0x10FFFF:
+        return chr(code), end - pos + 1
     return None
 
 
@@ -96,7 +99,8 @@ def strip_html(raw: str) -> str:
     <script> and <style> elements and survives unclosed tags.  A tag
     consumes input up to the next '>' (or end of input); a lone '<' not
     followed by a letter, '/', or '!' is literal text.  The five common
-    named entities and numeric character references are decoded; decoded
+    named entities and numeric character references (ASCII decimal digits
+    after ``&#``, ASCII hex digits after ``&#x``) are decoded; decoded
     characters are emitted directly and never rescanned as markup.
     Each newline, carriage return and tab, decoded ones included, becomes
     a space.

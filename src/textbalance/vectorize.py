@@ -5,14 +5,21 @@ Term weight = (term count / total in-vocabulary tokens of the document)
 documents only; transform drops out-of-vocabulary tokens and never stores
 zero products, so a term present in every training document (idf = 0)
 contributes nothing.
+
+`transform` vectorizes one document; `transform_corpus` builds a whole
+matrix in one pass straight into CSR arrays, entry for entry and bit for
+bit the rows `transform` gives.  A `FeatureMatrix` holds either its rows
+or its CSR view and derives the other on first access.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 
 import numpy as np
 
@@ -36,6 +43,14 @@ class SparseVector:
             if value == 0.0:
                 raise ValueError(f"zero value stored at index {index}")
             last = index
+
+    @classmethod
+    def _unchecked(cls, dim: int, entries: tuple) -> "SparseVector":
+        """A vector from entries known to be valid; skips `__post_init__`."""
+        vector = object.__new__(cls)
+        object.__setattr__(vector, "dim", dim)
+        object.__setattr__(vector, "entries", entries)
+        return vector
 
     @classmethod
     def from_pairs(cls, dim: int, pairs) -> "SparseVector":
@@ -102,6 +117,18 @@ class CsrView:
         data = np.fromiter((v for _, v in entries), dtype=np.float64, count=nnz)
         return cls(indptr, indices, data, dim)
 
+    def rows(self) -> tuple[SparseVector, ...]:
+        """The rows as sparse vectors.  A view's rows are valid by
+        construction, so they are not checked again."""
+        dim = self.shape[1]
+        bounds = self.indptr.tolist()
+        indices = self.indices.tolist()
+        data = self.data.tolist()
+        return tuple(
+            SparseVector._unchecked(dim, tuple(zip(indices[lo:hi], data[lo:hi])))
+            for lo, hi in zip(bounds, bounds[1:])
+        )
+
     def __matmul__(self, weights: np.ndarray) -> np.ndarray:
         return np.bincount(
             self.row_ids, self.data * weights[self.indices], minlength=self.shape[0]
@@ -125,25 +152,46 @@ class _CsrTranspose:
         )
 
 
-@dataclass(frozen=True)
 class FeatureMatrix:
-    """Sparse rows aligned with binary labels; all rows share one dim."""
+    """Sparse rows aligned with binary labels; all rows share one dim.
 
-    rows: tuple[SparseVector, ...]
-    labels: tuple[int, ...]
-    dim: int
+    Built from rows, the matrix derives its CSR view on first access;
+    built from a view (`from_csr`), it derives its rows on first access.
+    Either is cached.
+    """
 
-    def __post_init__(self):
-        if len(self.rows) != len(self.labels):
-            raise ValueError(
-                f"{len(self.rows)} rows but {len(self.labels)} labels"
-            )
-        for row in self.rows:
-            if row.dim != self.dim:
-                raise ValueError(f"row dim {row.dim} != matrix dim {self.dim}")
+    def __init__(self, rows: tuple[SparseVector, ...], labels: tuple[int, ...], dim: int):
+        if len(rows) != len(labels):
+            raise ValueError(f"{len(rows)} rows but {len(labels)} labels")
+        for row in rows:
+            if row.dim != dim:
+                raise ValueError(f"row dim {row.dim} != matrix dim {dim}")
+        self.rows = rows
+        self.labels = labels
+        self.dim = dim
+
+    @classmethod
+    def from_csr(cls, csr: CsrView, labels: tuple[int, ...]) -> "FeatureMatrix":
+        if csr.shape[0] != len(labels):
+            raise ValueError(f"{csr.shape[0]} rows but {len(labels)} labels")
+        matrix = cls.__new__(cls)
+        matrix.csr = csr
+        matrix.labels = labels
+        matrix.dim = csr.shape[1]
+        return matrix
+
+    @cached_property
+    def rows(self) -> tuple[SparseVector, ...]:
+        """The rows as sparse vectors, derived from the CSR view and cached."""
+        return self.csr.rows()
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self.labels)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.rows, self.labels, self.dim) == (other.rows, other.labels, other.dim)
 
     def class_counts(self) -> dict[int, int]:
         counts: dict[int, int] = {}
@@ -195,6 +243,11 @@ class TfIdfModel:
     def vocabulary(self) -> dict[str, int]:
         return {term: i for i, term in enumerate(self.terms)}
 
+    @cached_property
+    def idf(self) -> np.ndarray:
+        """ln(n_docs / doc_freq) per term, the same `math.log` calls as `transform`."""
+        return np.array([math.log(self.n_docs / df) for df in self.doc_freq], dtype=np.float64)
+
     @property
     def dim(self) -> int:
         return len(self.terms)
@@ -241,9 +294,37 @@ def transform(model: TfIdfModel, doc: TokenSequence) -> SparseVector:
 
 
 def transform_corpus(
-    model: TfIdfModel, docs: list[TokenSequence], labels: list[int]
+    model: TfIdfModel, docs: Iterable[Iterable[str]], labels: list[int]
 ) -> FeatureMatrix:
-    if len(docs) != len(labels):
-        raise ValueError(f"{len(docs)} docs but {len(labels)} labels")
-    rows = tuple(transform(model, doc) for doc in docs)
-    return FeatureMatrix(rows=rows, labels=tuple(labels), dim=model.dim)
+    """TF-IDF matrix of many documents (token sequences or plain token
+    lists), built straight into CSR arrays.
+
+    Each document's tokens become vocabulary ids as it arrives, so the
+    token strings of a generator's documents are never held all at once.
+    One ``np.unique``
+    over ``doc * dim + term`` keys then counts every (doc, term) pair;
+    row r equals ``transform(model, docs[r])`` bit for bit, because
+    count / in-vocabulary total and the product with the idf table are
+    the same IEEE operations.
+    """
+    lookup = model.vocabulary.get
+    ids: list[int] = []  # -1 marks an out-of-vocabulary token
+    ends: list[int] = []
+    for doc in docs:
+        ids.extend(map(lookup, doc, repeat(-1)))
+        ends.append(len(ids))
+    if len(ends) != len(labels):
+        raise ValueError(f"{len(ends)} docs but {len(labels)} labels")
+    n_docs = len(ends)
+    terms = np.array(ids, dtype=np.int64)
+    doc_of = np.repeat(np.arange(n_docs), np.diff(np.array(ends, dtype=np.int64), prepend=0))
+    known = terms >= 0
+    terms, doc_of = terms[known], doc_of[known]
+    totals = np.bincount(doc_of, minlength=n_docs)
+    keys, counts = np.unique(doc_of * model.dim + terms, return_counts=True)
+    rows, terms = np.divmod(keys, model.dim)
+    values = counts / totals[rows] * model.idf[terms]
+    stored = values != 0.0
+    rows, terms, values = rows[stored], terms[stored], values[stored]
+    indptr = np.searchsorted(rows, np.arange(n_docs + 1))
+    return FeatureMatrix.from_csr(CsrView(indptr, terms, values, model.dim), tuple(labels))

@@ -369,6 +369,133 @@ class TestTrainValidation:
         assert nb.decision_score(ones) == 1.0  # (0 + 0.0) - (-1 + 0.0)
 
 
+def _scored(model, matrix: FeatureMatrix) -> list:
+    predictions = predict_batch(model, matrix)
+    assert len(predictions.scores) == len(predictions) == len(matrix)
+    return [
+        (label, None if score is None else score.hex())
+        for label, score in zip(predictions, predictions.scores)
+    ]
+
+
+def _reference(model, matrix: FeatureMatrix) -> list:
+    out = []
+    for row in matrix.rows:
+        label, score = predict_scored(model, row)
+        out.append((label, None if score is None else score.hex()))
+    return out
+
+
+class TestPredictBatchOracle:
+    """`predict_batch` scores a whole CSR view at once; its labels and
+    scores must be those of `predict_scored`, bit for bit."""
+
+    @pytest.mark.parametrize("algo", ALGORITHMS)
+    def test_matches_per_row_reference(self, algo):
+        rng = np.random.default_rng(31)
+        train_m = rand_matrix(rng, 30, 12, dim=15, density=0.3, nonneg=True)
+        test_m = rand_matrix(rng, 40, 40, dim=15, density=0.2, nonneg=True)
+        model = train(train_m, TrainConfig(algorithm=algo, tree_max_depth=6))
+        for matrix in (train_m, test_m):
+            got = _scored(model, matrix)
+            assert got == _reference(model, matrix)
+            assert all(type(label) is int for label, _ in got)
+
+    def test_labels_are_plain_ints_and_scores_plain_floats(self):
+        matrix = separable_matrix()
+        for algo in ("nb", "logistic", "svm"):
+            predictions = predict_batch(train(matrix, TrainConfig(algorithm=algo)), matrix)
+            assert {type(v) for v in predictions} == {int}
+            assert {type(v) for v in predictions.scores} == {float}
+
+    def test_single_class_nb_has_no_score(self):
+        single = dense_to_matrix([[1.0, 0.0], [2.0, 1.0], [0.0, 0.0]], [1, 1, 1])
+        model = train(single, TrainConfig(algorithm="nb"))
+        predictions = predict_batch(model, single)
+        assert predictions == [1, 1, 1]
+        assert predictions.scores == [None, None, None]
+        assert _scored(model, single) == _reference(model, single)
+
+    def test_exact_nb_ties_give_label_zero(self):
+        tie = dense_to_matrix([[1.0], [1.0], [0.0]], [0, 1, 0])
+        model = MultinomialNBModel(
+            dim=1, class_labels=(0, 1), class_log_prior=(-0.5, -0.5),
+            feature_log_prob=((-1.0,), (-1.0,)),
+        )
+        predictions = predict_batch(model, tie)
+        assert predictions == [0, 0, 0]
+        assert predictions.scores == [0.0, 0.0, 0.0]
+        assert _scored(model, tie) == _reference(model, tie)
+
+    def test_nb_prior_is_added_first(self):
+        # (prior + a) + b differs from prior + (a + b) in the last bit here.
+        model = MultinomialNBModel(
+            dim=2, class_labels=(0, 1), class_log_prior=(-0.1, -2.3),
+            feature_log_prob=((-0.7, -1.3), (-1e-17, -0.3)),
+        )
+        matrix = FeatureMatrix(
+            rows=(SparseVector(2, ((0, 0.1), (1, 0.2))), SparseVector(2, ((0, 3.0),))),
+            labels=(0, 1),
+            dim=2,
+        )
+        assert _scored(model, matrix) == _reference(model, matrix)
+
+    def test_empty_row_scores_the_bias(self):
+        for algo in ("logistic", "svm"):
+            model = LinearModel(algo, dim=3, weights=(0.5, -2.0, 1.0), bias=-0.125)
+            matrix = FeatureMatrix(
+                rows=(SparseVector(3, ()), SparseVector(3, ((1, 0.25),)), SparseVector(3, ())),
+                labels=(0, 0, 0),
+                dim=3,
+            )
+            predictions = predict_batch(model, matrix)
+            assert predictions == [0, 0, 0]
+            assert predictions.scores[0] == predictions.scores[2] == -0.125
+            assert _scored(model, matrix) == _reference(model, matrix)
+        zero_bias = LinearModel("svm", dim=1, weights=(1.0,), bias=0.0)
+        empty = FeatureMatrix(rows=(SparseVector(1, ()),), labels=(0,), dim=1)
+        assert predict_batch(zero_bias, empty) == [1]  # score 0.0 >= 0.0
+
+    def test_tree_rows_without_the_split_feature(self):
+        # Root splits on feature 2 at 0.5 (absent reads 0.0, goes left);
+        # the left child splits on feature 0 at -1.0 (absent goes right).
+        nodes = (
+            TreeNode(feature=2, threshold=0.5, left=1, right=4),
+            TreeNode(feature=0, threshold=-1.0, left=2, right=3),
+            TreeNode(label=1),
+            TreeNode(label=0),
+            TreeNode(label=1),
+        )
+        model = DecisionTreeModel(dim=3, nodes=nodes)
+        rows = (
+            SparseVector(3, ()),
+            SparseVector(3, ((0, -2.0),)),
+            SparseVector(3, ((1, 9.0),)),
+            SparseVector(3, ((2, 0.5),)),
+            SparseVector(3, ((2, 0.75),)),
+            SparseVector(3, ((0, -2.0), (2, 3.0))),
+        )
+        matrix = FeatureMatrix(rows=rows, labels=(0,) * 6, dim=3)
+        predictions = predict_batch(model, matrix)
+        assert predictions == [0, 1, 0, 0, 1, 1]
+        assert predictions.scores == [None] * 6
+        assert _scored(model, matrix) == _reference(model, matrix)
+
+    def test_leaf_only_tree_and_empty_matrix(self):
+        leaf = DecisionTreeModel(dim=2, nodes=(TreeNode(label=1),))
+        matrix = FeatureMatrix(rows=(SparseVector(2, ((0, 1.0),)),), labels=(0,), dim=2)
+        assert predict_batch(leaf, matrix) == [1]
+        empty = FeatureMatrix(rows=(), labels=(), dim=2)
+        for model in (leaf, LinearModel("svm", 2, (1.0, 1.0), 0.0)):
+            predictions = predict_batch(model, empty)
+            assert predictions == [] and predictions.scores == []
+
+    def test_dimension_mismatch(self):
+        model = LinearModel("svm", 2, (1.0, 1.0), 0.0)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            predict_batch(model, FeatureMatrix(rows=(), labels=(), dim=3))
+
+
 # -- dense reference implementations ---------------------------------------
 #
 # The fits run on the matrix's CSR view.  These are the straightforward

@@ -14,8 +14,10 @@ import pytest
 
 import textbalance
 from conftest import rand_matrix
+from textbalance import bundle as bundle_mod
+from textbalance import classify, evaluate, preprocess, stopwords, vectorize
 from textbalance.classify import ALGORITHMS, TrainConfig
-from textbalance.cli import _train_config, build_parser, main
+from textbalance.cli import CHUNK_POSTS, _train_config, build_parser, main
 from textbalance.fixtures import two_vocab_corpus
 from textbalance.ingest import Corpus, LabeledDocument, write_corpus
 from textbalance.matrixio import read_matrix, write_matrix
@@ -221,6 +223,68 @@ class TestPredictAndEvaluate:
             assert "'stops.txt'" in err and "--stopwords" in err
 
 
+def _reference_predict(bundle_path, texts) -> str:
+    """`predict` stdout the per-post way: filter, transform, score."""
+    model = bundle_mod.load_bundle(bundle_path)
+    stops = stopwords.default_stopwords()
+    lines = []
+    for text in texts:
+        tokens = preprocess.filter_tokens(
+            preprocess.tokenize(preprocess.strip_html(text)),
+            stops,
+            model.preprocess_config.min_token_len,
+        )
+        label, score = classify.predict_scored(model.classifier, vectorize.transform(model.tfidf, tokens))
+        lines.append(f"{label}\n" if score is None else f"{label}\t{score!r}\n")
+    return "".join(lines)
+
+
+class TestPredictChunks:
+    """`predict` scores CHUNK_POSTS lines at a time; its stdout must equal
+    the per-line reference at and across the chunk boundary."""
+
+    @pytest.fixture(scope="class")
+    def bundles(self, tmp_path_factory):
+        work = tmp_path_factory.mktemp("chunks")
+        train, test = two_vocab_corpus(seed=5, n_train_nonspam=60, n_train_spam=15)
+        data = work / "data.csv"
+        write_corpus(train, data)
+        paths = {}
+        for algo in ("nb", "logistic", "tree"):
+            paths[algo] = work / f"{algo}.json"
+            assert run(["train", "--data", data, "--algo", algo, "--out", paths[algo]]) == 0
+        markup = ["", "<p>Cheap &amp; <b>cash</b></p>", "the of and", "<script>x</script>zzz"]
+        texts = markup + [doc.text for doc in test.documents]
+        return paths, texts, work
+
+    @pytest.mark.parametrize("algo", ["nb", "logistic", "tree"])
+    @pytest.mark.parametrize("n_lines", [0, 1, CHUNK_POSTS, CHUNK_POSTS + 1])
+    def test_stdout_equals_per_line_reference(self, bundles, capsys, algo, n_lines):
+        paths, texts, work = bundles
+        lines = [texts[i % len(texts)] for i in range(n_lines)]
+        inputs = work / f"posts{n_lines}.txt"
+        inputs.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        capsys.readouterr()
+        assert run(["predict", "--bundle", paths[algo], "--input", inputs]) == 0
+        out = capsys.readouterr().out
+        assert out.count("\n") == n_lines
+        assert out == _reference_predict(paths[algo], lines)
+
+    @pytest.mark.parametrize("algo", ["nb", "tree"])
+    def test_evaluate_equals_whole_matrix_reference(self, bundles, capsys, algo):
+        paths, _, work = bundles
+        corpus, _ = two_vocab_corpus(seed=8, n_train_nonspam=CHUNK_POSTS, n_train_spam=60)
+        data = work / "big.csv"
+        write_corpus(corpus, data)
+        out = work / f"{algo}.metrics.json"
+        assert run(["evaluate", "--bundle", paths[algo], "--data", data, "--out", out]) == 0
+        model = bundle_mod.load_bundle(paths[algo])
+        tokens = preprocess.preprocess_corpus(corpus, stopwords.default_stopwords())
+        matrix = vectorize.transform_corpus(model.tfidf, tokens, corpus.labels)
+        report = evaluate.evaluate_model(model.classifier, matrix)
+        assert out.read_text() == bundle_mod.canonical_json(report.to_dict())
+
+
 def _parse(command, *flags):
     required = {
         "train": ["--data", "d.csv", "--algo", "nb"],
@@ -315,6 +379,19 @@ def _feature_out_of_range(c):
     c["nodes"][_first_split(c)]["feature"] = c["dim"]
 
 
+def _set(section, key, change):
+    """A bundle edit that replaces ``data[section][key]`` by ``change(old)``."""
+
+    def edit(data):
+        data[section][key] = change(data[section][key])
+
+    return edit
+
+
+def _first_term(term):
+    return _set("tfidf", "terms", lambda terms: [term] + terms[1:])
+
+
 class TestCorruptBundles:
     """Bundles are checked as structures when loaded: exit 2, never a
     traceback or a hang."""
@@ -362,6 +439,51 @@ class TestCorruptBundles:
         )
         assert proc.returncode == 2, proc.stderr
         assert "error [bundle]" in proc.stderr
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            _set("preprocess_config", "min_token_len", lambda v: "3"),
+            _set("preprocess_config", "min_token_len", lambda v: 0),
+            _set("preprocess_config", "min_token_len", lambda v: True),
+            _set("preprocess_config", "min_token_len", lambda v: 2.5),
+            _set("preprocess_config", "stopwords_name", lambda v: 5),
+            _set("preprocess_config", "stopwords_sha256", lambda v: None),
+            _set("tfidf", "terms", lambda terms: [terms[0]] + terms[:-1]),
+            _first_term(7),
+            _set("tfidf", "doc_freq", lambda df: [df[0] + 0.5] + df[1:]),
+            _set("tfidf", "n_docs", lambda n: n + 0.5),
+            _set("tfidf", "n_docs", float),
+            # Terms the bundle's own preprocessing could not have kept.
+            _first_term("ab"),
+            _first_term("the"),
+            _first_term("Ab c"),
+        ],
+        ids=[
+            "min_len_string", "min_len_zero", "min_len_bool", "min_len_float",
+            "stop_name_int", "stop_sha_null", "duplicate_term", "integer_term",
+            "fractional_doc_freq", "fractional_n_docs", "float_n_docs",
+            "short_term", "stop_word_term", "multi_token_term",
+        ],
+    )
+    @pytest.mark.parametrize("command", ["predict", "evaluate"])
+    def test_bad_vocabulary_or_preprocess_config_exits_2(
+        self, dataset, tmp_path, capsys, edit, command
+    ):
+        path = tmp_path / "model.json"
+        assert run(["train", "--data", dataset, "--algo", "logistic", "--out", path]) == 0
+        data = json.loads(path.read_text())
+        edit(data)
+        path.write_text(json.dumps(data))
+        capsys.readouterr()
+        if command == "predict":
+            argv = ["predict", "--bundle", path, "free money offer click now"]
+        else:
+            argv = ["evaluate", "--bundle", path, "--data", dataset]
+        assert run(argv) == 2
+        out = capsys.readouterr()
+        assert out.err.startswith("error [bundle]"), out.err
+        assert out.out == ""
 
 
 class TestOversample:

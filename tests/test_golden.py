@@ -1,0 +1,174 @@
+"""Golden outputs: SHA-256 digests of every artifact the CLI writes.
+
+For a given seed the outputs are the contract.  One module-scoped run
+drives ``cli.main`` in process over the two-vocabulary fixture corpora
+(seeds 7, 11 and 13) and a small hand-written markup corpus, and hashes
+each command's files and stdout per group.  A change that moves one of
+these digests changes an output byte; if that is intended, say so and
+re-pin the group it moved.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import os
+from pathlib import Path
+
+import pytest
+
+from textbalance import matrixio, preprocess, stopwords, vectorize
+from textbalance.classify import ALGORITHMS
+from textbalance.cli import main
+from textbalance.fixtures import two_vocab_corpus
+from textbalance.ingest import Corpus, LabeledDocument, write_corpus
+
+SEEDS = (7, 11, 13)
+TIMESTAMP = "2021-06-01T00:00:00+00:00"
+
+# (label, text): markup with well-formed entities, script/style bodies,
+# posts with no in-vocabulary token, and (for predict) empty lines.
+MARKUP_POSTS = (
+    (1, "<p>Cheap <b>pills</b> &amp; casino cash &#8212; click now!</p>"),
+    (0, ""),
+    (0, "<div class='post'>Trying to install ubuntu on my laptop, terminal error &lt;code 5&gt;</div>"),
+    (1, "<script>var offer = 'winner';</script>Earn money fast, lottery winner &#x2014; deal"),
+    (0, "<style>p { color: red }</style>Thanks for the python tutorial&nbsp;video"),
+    (0, "zzz qqq xyzzy"),
+    (0, "<br/><hr><!-- a comment --> &copy; &#169;"),
+    (1, "CLICK <a href='http://spam.example'>here</a> for a discount, cheap deal, cash!!!"),
+    (0, ""),
+    (0, "Kernel driver issue: the bootloader can&#39;t find the partition &quot;sda1&quot;"),
+    (1, "<SCRIPT>alert(1)</SCRIPT><i>Casino</i> lottery &amp; pills offer offer offer"),
+    (0, "the and of to a in is"),
+    (0, "Firefox browser shortcut question &mdash; keyboard help please"),
+)
+
+GOLDEN = {
+    "seed7-train": "6db5571628cd6ee2ca8edd79316d896b9cb05b8ad17bd3e286662ef3ec16981b",
+    "seed7-predict": "1beb6616ca09f5073ddb1d40b40cbaa103e0edc8fa078f7267bfca82030d8dc5",
+    "seed7-evaluate": "235726709270f21bae88fd46201e1effc5a5bdff99211359988a5d92a69bfc1d",
+    "seed7-report": "dabf6e1de9bba5b7b35d2be280c38934cae3f6fdbbe722c6e9c90b50a0a018c2",
+    "seed7-scatter": "0de601e14eae7f3e7ad2b64879c163ad374248e37463df949ce6d58bd4355a61",
+    "seed7-oversample": "eed630c8fa349f4013d9b25f37cd725515040c55769154a55b5954cd1f1751dd",
+    "seed11-train": "34e0c64326c01a15dfb65927eea3feb06c0c7ae63ad0c1b1378f543bb51bffc6",
+    "seed11-predict": "af4c662d666a2494ccf3f0f43bd4eeb0cba8c6c88ff07eaabe7392ee2a69211d",
+    "seed11-evaluate": "b86ad2221830460f467202b2d8196306be564a150e93904899db3d6efd9bb7f5",
+    "seed11-report": "8b0077905cd3dde59de2086768915523d00abd2af1bfb28e89fabcd77f80cf56",
+    "seed11-scatter": "d12d7996e2900114818e9d9722b4cdfeda7fb3f0709ae0744da91bd2746a22a5",
+    "seed11-oversample": "3d801af2f6b69860b1bd87aa94c8560a50fe37506a4dddbc2b3cfeae342dcd18",
+    "seed13-train": "fce501a9cc301eeb98306776f9253ba336e6377ea0d7e898377d51890b96e141",
+    "seed13-predict": "3e7c28fdf176a268dd62a9729b7e3f18bd059dc8bb621bf0c778a7a1ac014239",
+    "seed13-evaluate": "ad29b1c0f3af69bdd6fb15a2ff47e9b05eb12f8a3188e02f360d66ef93f8f44e",
+    "seed13-report": "ca22b58543f36e5dd53536654d5384da34cf485cce82c4d6f6094c1800988b63",
+    "seed13-scatter": "4d1755df4e151e52287f4984ada7bbd3bbe87f8e9cec016c92cbd3e782be9124",
+    "seed13-oversample": "a9371c9539c5d6b00bdf4271abece7a5a25d4f02da496ec238c5892b64bc10c3",
+}
+
+
+def _run(argv) -> bytes:
+    """Run the CLI in process; return its stdout, requiring exit 0."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main([str(a) for a in argv])
+    assert code == 0, argv
+    return out.getvalue().encode("utf-8")
+
+
+def _digest(artifacts: dict[str, bytes]) -> str:
+    h = hashlib.sha256()
+    for name, data in artifacts.items():
+        h.update(f"{name}\n{len(data)}\n".encode())
+        h.update(data)
+    return h.hexdigest()
+
+
+def _write_inputs(seed: int) -> None:
+    train, test = two_vocab_corpus(seed)
+    write_corpus(Corpus.from_documents(list(train.documents) + list(test.documents)), "data.csv")
+    Path("posts.txt").write_text(
+        "\n".join(text for _, text in MARKUP_POSTS) + "\n"
+        + "\n".join(doc.text for doc in test.documents) + "\n",
+        encoding="utf-8",
+    )
+    markup = [
+        LabeledDocument(f"m{i}", text, label)
+        for i, (label, text) in enumerate(MARKUP_POSTS)
+        if text
+    ]
+    write_corpus(Corpus.from_documents(markup), "markup.csv")
+    tokens = preprocess.preprocess_corpus(train, stopwords.default_stopwords())
+    matrix = vectorize.transform_corpus(vectorize.fit(tokens), tokens, train.labels)
+    matrixio.write_matrix(matrix, "matrix.txt")
+
+
+def _seed_groups(seed: int) -> dict[str, dict[str, bytes]]:
+    _write_inputs(seed)
+    groups: dict[str, dict[str, bytes]] = {
+        name: {} for name in ("train", "predict", "evaluate", "report", "scatter", "oversample")
+    }
+    for algo in ALGORITHMS:
+        for smote in ("on", "off"):
+            tag = f"{algo}-{smote}"
+            bundle, manifest = f"{tag}.json", f"{tag}.split.json"
+            groups["train"][f"{tag}.stdout"] = _run(
+                ["train", "--data", "data.csv", "--algo", algo, "--smote", smote,
+                 "--seed", seed, "--out", bundle, "--split-manifest", manifest,
+                 "--timestamp", TIMESTAMP]
+            )
+            groups["train"][bundle] = Path(bundle).read_bytes()
+            groups["train"][manifest] = Path(manifest).read_bytes()
+            groups["predict"][tag] = _run(["predict", "--bundle", bundle, "--input", "posts.txt"])
+            for data in ("data.csv", "markup.csv"):
+                metrics = f"{tag}.{data}.metrics.json"
+                groups["evaluate"][f"{tag}.{data}.stdout"] = _run(
+                    ["evaluate", "--bundle", bundle, "--data", data, "--out", metrics]
+                )
+                groups["evaluate"][metrics] = Path(metrics).read_bytes()
+    report = groups["report"]
+    report["stdout"] = _run(
+        ["report", "--data", "data.csv", "--seed", seed, "--out", "comparison", "--csv",
+         "--split-manifest", "report.split.json"]
+    )
+    for suffix in (".json", ".txt", ".csv"):
+        report[suffix] = Path("comparison" + suffix).read_bytes()
+    report["split"] = Path("report.split.json").read_bytes()
+    for smote in ("on", "off"):
+        csv_path, svg_path = f"scatter-{smote}.csv", f"scatter-{smote}.svg"
+        groups["scatter"][smote] = _run(
+            ["scatter", "--data", "data.csv", "--smote", smote, "--seed", seed,
+             "--out", csv_path, "--svg", svg_path]
+        )
+        groups["scatter"][csv_path] = Path(csv_path).read_bytes()
+        groups["scatter"][svg_path] = Path(svg_path).read_bytes()
+    over = groups["oversample"]
+    over["stdout"] = _run(
+        ["oversample", "--matrix", "matrix.txt", "--seed", seed, "--out", "balanced.txt",
+         "--report", "balanced.json"]
+    )
+    for name in ("balanced.txt", "balanced.txt.labels", "balanced.json"):
+        over[name] = Path(name).read_bytes()
+    return groups
+
+
+@pytest.fixture(scope="module")
+def digests(tmp_path_factory):
+    """Group name -> digest, from one run in a scratch directory.  Paths
+    are relative, because `report` records its dataset path."""
+    found = {}
+    home = os.getcwd()
+    for seed in SEEDS:
+        work = tmp_path_factory.mktemp(f"golden{seed}")
+        os.chdir(work)
+        try:
+            for group, artifacts in _seed_groups(seed).items():
+                found[f"seed{seed}-{group}"] = _digest(artifacts)
+        finally:
+            os.chdir(home)
+    return found
+
+
+@pytest.mark.parametrize("group", sorted(GOLDEN))
+def test_golden_digest(digests, group):
+    assert digests[group] == GOLDEN[group], group

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from textbalance.ingest import Corpus, LabeledDocument
@@ -115,9 +117,14 @@ class TestScannerEdgeCases:
             ("x &amp", "x &amp"),  # no ';'
             ("&#x110000;", "&#x110000;"),  # beyond the last code point
             ("&#x10FFFF;", "\U0010ffff"),
-            ("&#1_0;z", " z"),  # int() accepts the underscore: chr(10)
-            ("&#x0x41;", "A"),
-            ("&# 65;", "A"),
+            # Numeric references take ASCII digits only; anything else,
+            # even what int() would parse, passes through literally.
+            ("&#1_0;z", "&#1_0;z"),
+            ("&#x0x41;", "&#x0x41;"),
+            ("&# 65;", "&# 65;"),
+            ("&#+65;", "&#+65;"),
+            ("&#\u0663;", "&#\u0663;"),  # ARABIC-INDIC DIGIT THREE
+            ("&#65;&#x41;&#X4a;", "AAJ"),
             ("&#9;a&#10;b", " a b"),  # decoded tab and newline become spaces
             ("&#13;\r\n", "   "),
             ("a&amp;&lt;b", "a&<b"),
@@ -128,6 +135,55 @@ class TestScannerEdgeCases:
 
     def test_tokenize_follows_isalnum(self):
         assert tokenize("Ǆemo_x²½ İstanbul ß") == ["ǆemo", "x²½", "i", "stanbul", "ß"]
+
+
+# Markup fragments for the differential strings below: tags, script and
+# style forms, named and numeric entities (malformed ones too), control
+# characters, and letters whose case mapping changes their length or form.
+MARKUP_PIECES = (
+    "<p>", "</p>", "<b>", "</b>", "<br/>", "<hr>", "<a href='x?a=1&b=2'>", "</a>",
+    "<div class=\"c\">", "</div>", "<!-- c -->", "<!x>", "</>", "<", ">", "<<", "a<b",
+    "<é>", "<²>", "<1>", "< p>", "<p", "</p", "<script>", "</script>", "<SCRIPT>",
+    "</SCRIPT>", "<script/>", "<script  / >", "</scriptx>", "</script", "<style>",
+    "</style>", "<STYLE>", "</Style >", "<style/>", "</SCRİPT>", "&amp;", "&lt;", "&gt;",
+    "&quot;", "&nbsp;", "&amp", "&copy;", "&mdash;", "&;", "&#;", "&#x;", "&#65;",
+    "&#x41;", "&#X4a;", "&#169;", "&#x2014;", "&#1_0;", "&# 65;", "&#+65;", "&#-65;",
+    "&#x0x41;", "&#\u0663;", "&#x110000;", "&#x10FFFF;", "&#0;", "&#9;", "&#10;",
+    "&#13;", "&#1234567;", "&#12345678;", "&&", "&", "#", ";", "\r", "\n", "\t",
+    "\r\n", " ", "  ", ".", ",", "!", "?", "_", "-", "'", "\"", "/", "²", "½", "İ",
+    "ı", "ſ", "\u212a", "ß", "ẞ", "Ǆ", "ǅ", "ǆ", "Σ", "ΑΣ", "ς", "ﬁ", "Ⅻ", "①",
+    "٣", "١٢", "x²", "Ab", "ab", "AB", "free", "Money", "OFFER", "click", "now", "the",
+    "a", "an", "of", "linux", "Ubuntu", "x1", "2024", "naïve", "Straße", "Istanbul",
+    "\u0307", "\u00a0", "\u3000", "\ufeff",
+)
+
+
+def _differential_strings(seed: int, count: int):
+    rng = random.Random(seed)
+    for _ in range(count):
+        parts = []
+        for _ in range(rng.randrange(40)):
+            if rng.random() < 0.08:
+                parts.append(chr(rng.randrange(0x20, 0x3000)))
+            else:
+                parts.append(rng.choice(MARKUP_PIECES))
+        yield "".join(parts)
+
+
+class TestTokensAreFixedPoints:
+    """``tokenize(t) == [t]`` for every token ``tokenize`` emits, so the
+    vocabulary check that bundles pass when loaded rejects no bundle that
+    training can produce."""
+
+    def test_differential_markup_strings(self):
+        for text in _differential_strings(5, 4000):
+            for token in tokenize(text) + tokenize(strip_html(text)):
+                assert tokenize(token) == [token], (text, token)
+
+    def test_every_basic_plane_character(self):
+        for code in range(0x10000):
+            for token in tokenize(chr(code)):
+                assert tokenize(token) == [token], hex(code)
 
 
 class TestFilterTokens:

@@ -7,7 +7,9 @@ import math
 import numpy as np
 import pytest
 
-from textbalance.preprocess import TokenSequence
+from textbalance.fixtures import two_vocab_corpus
+from textbalance.preprocess import TokenSequence, preprocess_corpus
+from textbalance.stopwords import default_stopwords
 from textbalance.vectorize import (
     FeatureMatrix,
     SparseVector,
@@ -183,3 +185,74 @@ class TestTransform:
         model = fit([seq("alpha")])
         with pytest.raises(ValueError):
             transform_corpus(model, [seq("alpha")], [0, 1])
+
+
+def _bits(vector: SparseVector) -> list[tuple[int, str]]:
+    return [(i, v.hex()) for i, v in vector.entries]
+
+
+class TestTransformCorpusOracle:
+    """`transform_corpus` builds CSR arrays directly; every row must equal
+    the per-document `transform`, entry for entry and bit for bit."""
+
+    @staticmethod
+    def check(model: TfIdfModel, docs: list[TokenSequence]):
+        matrix = transform_corpus(model, docs, [0] * len(docs))
+        assert len(matrix) == len(docs) and matrix.dim == model.dim
+        for row, doc in zip(matrix.rows, docs):
+            assert _bits(row) == _bits(transform(model, doc)), doc.tokens
+        # The derived rows are valid vectors and give back the same view.
+        again = FeatureMatrix(
+            rows=tuple(SparseVector(r.dim, r.entries) for r in matrix.rows),
+            labels=matrix.labels,
+            dim=matrix.dim,
+        )
+        for name in ("indptr", "indices", "data"):
+            np.testing.assert_array_equal(getattr(again.csr, name), getattr(matrix.csr, name))
+
+    @pytest.mark.parametrize("seed", [7, 11, 13])
+    def test_fixture_corpora(self, seed):
+        train_corpus, test_corpus = two_vocab_corpus(seed)
+        stops = default_stopwords()
+        train_docs = preprocess_corpus(train_corpus, stops)
+        model = fit(train_docs)
+        self.check(model, train_docs + preprocess_corpus(test_corpus, stops))
+
+    def test_empty_and_out_of_vocabulary_documents(self):
+        model = fit([seq("alpha", "beta"), seq("beta", "gamma")])
+        docs = [seq(), seq("zzz"), seq("alpha", "zzz", "gamma", "gamma"), seq(), seq("qqq", "zzz")]
+        self.check(model, docs)
+        assert [row.nnz for row in transform_corpus(model, docs, [0] * 5).rows] == [0, 0, 2, 0, 0]
+
+    def test_term_with_idf_zero_is_never_stored(self):
+        model = fit([seq("common", "alpha"), seq("common", "beta")])
+        docs = [seq("common"), seq("common", "common", "alpha"), seq("beta", "common")]
+        self.check(model, docs)
+        matrix = transform_corpus(model, docs, [0, 1, 0])
+        assert model.vocabulary["common"] not in matrix.csr.indices.tolist()
+        assert matrix.csr.indptr.tolist() == [0, 0, 1, 2]
+
+    def test_no_documents_and_empty_vocabulary(self):
+        self.check(fit([seq("alpha")]), [])
+        self.check(fit([seq(), seq()]), [seq("alpha"), seq()])
+
+    def test_accepts_a_generator_of_token_lists(self):
+        model = fit([seq("alpha", "beta"), seq("beta")])
+        lists = [["alpha", "alpha", "beta"], [], ["beta"]]
+        from_lists = transform_corpus(model, (tokens for tokens in lists), [0, 1, 0])
+        from_seqs = transform_corpus(model, [seq(*tokens) for tokens in lists], [0, 1, 0])
+        assert from_lists == from_seqs
+
+    def test_random_corpora(self):
+        rng = np.random.default_rng(9)
+        alphabet = [f"w{i}" for i in range(30)]
+        for _ in range(50):
+            train_docs = [
+                seq(*rng.choice(alphabet[:20], size=int(rng.integers(0, 40))))
+                for _ in range(int(rng.integers(1, 12)))
+            ]
+            docs = [
+                seq(*rng.choice(alphabet, size=int(rng.integers(0, 60))))
+                for _ in range(int(rng.integers(0, 12)))
+            ]
+            self.check(fit(train_docs), docs)
