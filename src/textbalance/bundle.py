@@ -181,6 +181,11 @@ def _require(condition: bool, message: str) -> None:
         raise BundleError(message)
 
 
+def _integer(value, what: str) -> int:
+    _require(type(value) is int, f"{what} {value!r} is not an integer")
+    return value
+
+
 def _finite_floats(values, what: str) -> tuple[float, ...]:
     floats = tuple(float(v) for v in values)
     _require(all(math.isfinite(v) for v in floats), f"{what} holds a non-finite number")
@@ -189,16 +194,16 @@ def _finite_floats(values, what: str) -> tuple[float, ...]:
 
 def _tree_node(raw: dict, dim: int) -> TreeNode:
     if "label" in raw:
-        label = int(raw["label"])
+        label = _integer(raw["label"], "tree leaf label")
         _require(label in (0, 1), f"tree leaf label {label} is not 0 or 1")
         return TreeNode(label=label)
-    feature = int(raw["feature"])
+    feature = _integer(raw["feature"], "tree feature")
     _require(0 <= feature < dim, f"tree feature {feature} outside [0, {dim})")
     return TreeNode(
         feature=feature,
         threshold=_finite_floats([raw["threshold"]], "tree threshold")[0],
-        left=int(raw["left"]),
-        right=int(raw["right"]),
+        left=_integer(raw["left"], "tree child"),
+        right=_integer(raw["right"], "tree child"),
     )
 
 
@@ -225,10 +230,10 @@ def classifier_from_dict(data: dict) -> TrainedClassifier:
     algorithm = data.get("algorithm")
     if algorithm not in ALGORITHMS:
         raise BundleError(f"unknown classifier algorithm {algorithm!r}")
-    dim = int(data["dim"])
+    dim = _integer(data["dim"], "classifier dim")
     _require(dim >= 0, f"negative classifier dim {dim}")
     if algorithm == "nb":
-        labels = tuple(int(v) for v in data["class_labels"])
+        labels = tuple(_integer(v, "nb class label") for v in data["class_labels"])
         _require(labels in ((0,), (1,), (0, 1)), f"nb class_labels {list(labels)} invalid")
         priors = _finite_floats(data["class_log_prior"], "nb class_log_prior")
         tables = tuple(
@@ -260,6 +265,8 @@ def load_bundle(path) -> ModelBundle:
         data = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise BundleError(f"{path}: not valid JSON ({exc.msg})") from exc
+    except RecursionError as exc:
+        raise BundleError(f"{path}: JSON nested too deeply") from exc
     if not isinstance(data, dict):
         raise BundleError(f"{path}: bundle must be a JSON object")
     return ModelBundle.from_dict(data)

@@ -52,6 +52,9 @@ class TrainConfig:
             raise ValueError(
                 f"unknown algorithm {self.algorithm!r} (expected one of {ALGORITHMS})"
             )
+        for name in ("lr_learning_rate", "l2", "svm_C", "nb_alpha"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         positives = {
             "lr_learning_rate": self.lr_learning_rate,
             "lr_epochs": self.lr_epochs,

@@ -153,6 +153,8 @@ def _iter_jsonl_records(path: Path):
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise DatasetError(f"record at line {line_num}: invalid JSON ({exc.msg})") from exc
+            except RecursionError as exc:
+                raise DatasetError(f"record at line {line_num}: JSON nested too deeply") from exc
             if not isinstance(obj, dict):
                 raise DatasetError(f"record at line {line_num}: expected a JSON object")
             yield obj

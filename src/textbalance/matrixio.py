@@ -4,7 +4,8 @@ Layout: a header line ``nrows ncols nnz`` followed by one ``row col value``
 triple per line, sorted by (row, col), 0-based, values finite and in
 shortest round-trip decimal form.  Any order loads, but a (row, col) pair
 may appear only once.  Row labels live in a sidecar file (default
-``<matrix>.labels``) holding a single column, one label per row.
+``<matrix>.labels``) holding a single column, one label per row.  Reading
+builds a `FeatureMatrix`'s CSR arrays directly; writing streams them by row.
 """
 
 from __future__ import annotations
@@ -12,7 +13,9 @@ from __future__ import annotations
 import math
 from pathlib import Path
 
-from .vectorize import FeatureMatrix, SparseVector
+import numpy as np
+
+from .vectorize import CsrView, FeatureMatrix
 
 
 class MatrixFormatError(ValueError):
@@ -27,11 +30,10 @@ def default_labels_path(matrix_path) -> Path:
 def write_matrix(matrix: FeatureMatrix, path, labels_path=None) -> None:
     path = Path(path)
     labels_path = default_labels_path(path) if labels_path is None else Path(labels_path)
-    lines = [f"{len(matrix)} {matrix.dim} {sum(row.nnz for row in matrix.rows)}"]
-    for r, row in enumerate(matrix.rows):
-        for i, v in row.entries:
-            lines.append(f"{r} {i} {v!r}")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with path.open("w", encoding="utf-8") as out:
+        out.write(f"{len(matrix)} {matrix.dim} {matrix.csr.data.size}\n")
+        for r, entries in enumerate(matrix.csr.entries()):
+            out.writelines(f"{r} {i} {v!r}\n" for i, v in entries)
     labels_path.write_text("".join(f"{lb}\n" for lb in matrix.labels), encoding="utf-8")
 
 
@@ -51,12 +53,13 @@ def read_matrix(path, labels_path=None) -> FeatureMatrix:
         raise MatrixFormatError(f"{path}: non-integer header field") from exc
     if n_rows < 0 or n_cols < 0 or nnz < 0:
         raise MatrixFormatError(f"{path}: negative header field")
+    if max(n_rows, n_cols) >= 2**63:
+        raise MatrixFormatError(f"{path}: header field does not fit a 64-bit index")
 
-    # Entries by row, then column.  Rows are built only once the file has
+    # Values by (row, col).  The CSR arrays are built only once the file has
     # backed the header up, so memory follows the file's contents, not the
     # row count it claims.
-    per_row: dict[int, dict[int, float]] = {}
-    count = 0
+    entries: dict[tuple[int, int], float] = {}
     for line_num, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -71,19 +74,18 @@ def read_matrix(path, labels_path=None) -> FeatureMatrix:
             raise MatrixFormatError(f"{path}:{line_num}: non-finite value {parts[2]!r}")
         if not 0 <= r < n_rows or not 0 <= c < n_cols:
             raise MatrixFormatError(f"{path}:{line_num}: index out of bounds")
-        row = per_row.setdefault(r, {})
-        if c in row:
+        if (r, c) in entries:
             raise MatrixFormatError(f"{path}:{line_num}: duplicate entry ({r}, {c})")
-        row[c] = v
-        count += 1
-    if count != nnz:
-        raise MatrixFormatError(f"{path}: header claims {nnz} entries, found {count}")
+        entries[r, c] = v
+    if len(entries) != nnz:
+        raise MatrixFormatError(f"{path}: header claims {nnz} entries, found {len(entries)}")
 
     labels = _read_labels(labels_path, n_rows)
-    rows = tuple(
-        SparseVector.from_pairs(n_cols, per_row.get(r, {}).items()) for r in range(n_rows)
-    )
-    return FeatureMatrix(rows=rows, labels=labels, dim=n_cols)
+    kept = sorted(key for key, v in entries.items() if v != 0.0)
+    rows, cols = np.array(kept, dtype=np.int64).reshape(-1, 2).T
+    data = np.array([entries[key] for key in kept], dtype=np.float64)
+    indptr = np.searchsorted(rows, np.arange(n_rows + 1))
+    return FeatureMatrix.from_csr(CsrView(indptr, cols, data, n_cols), labels)
 
 
 def _read_labels(labels_path: Path, n_rows: int) -> tuple[int, ...]:

@@ -5,7 +5,8 @@ point and one of its k nearest minority-class neighbors (Euclidean, over
 sparse vectors).  Base points are visited in deterministic round-robin
 order over the minority set; the neighbor pick and the interpolation gap
 come from two independent seeded streams, so changing k never perturbs
-the gap sequence.  Oversampling is a training-set operation only.
+the gap sequence.  Oversampling is a training-set operation only, and it
+makes `SparseVector`s of the minority and synthetic rows alone.
 """
 
 from __future__ import annotations
@@ -158,12 +159,8 @@ class NeighborIndex:
     def __init__(self, points: Sequence[SparseVector]):
         if len(points) < 2:
             raise ValueError("knn requires at least 2 points")
-        dim = points[0].dim
-        for point in points:
-            if point.dim != dim:
-                raise ValueError(f"dimension mismatch: {dim} vs {point.dim}")
         self.points = points
-        self._csr = CsrView.from_rows(points, dim)
+        self._csr = CsrView.from_rows(points, points[0].dim)
         data = self._csr.data
         with np.errstate(over="ignore"):  # overflowing rows are caught per query
             self._sq_norms = np.bincount(self._csr.row_ids, data * data, minlength=len(points))
@@ -288,8 +285,9 @@ def balance_training_set(
 
     minority_label = label_a if count_a < count_b else label_b
     majority_count = max(count_a, count_b)
-    minority_rows = [i for i, lb in enumerate(matrix.labels) if lb == minority_label]
-    minority = [matrix.rows[i] for i in minority_rows]
+    is_minority = matrix.labels_array() == minority_label
+    minority_rows = np.flatnonzero(is_minority).tolist()
+    minority = matrix.csr.select(is_minority).rows()
 
     trace = smote_trace(minority, majority_count, config)
     usage = {row: 0 for row in minority_rows}
@@ -308,6 +306,6 @@ def balance_training_set(
             "single minority sample: synthetic rows are exact duplicates"
         )
 
-    rows = matrix.rows + tuple(s.vector for s in trace)
-    labels = matrix.labels + tuple(minority_label for _ in trace)
-    return FeatureMatrix(rows=rows, labels=labels, dim=matrix.dim), report
+    synthetic = CsrView.from_rows([s.vector for s in trace], matrix.dim)
+    labels = matrix.labels + (minority_label,) * len(trace)
+    return FeatureMatrix.from_csr(matrix.csr.stack(synthetic), labels), report

@@ -43,11 +43,9 @@ class SplitMix64:
         self._spare_gaussian: float | None = None
 
     def next_u64(self) -> int:
+        value = mix64(self._state)
         self._state = (self._state + _GOLDEN) & _MASK64
-        z = self._state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        return (z ^ (z >> 31)) & _MASK64
+        return value
 
     def next_float(self) -> float:
         """Uniform double in [0, 1): the top 53 bits scaled by 2**-53."""

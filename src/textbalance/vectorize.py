@@ -8,8 +8,8 @@ contributes nothing.
 
 `transform` vectorizes one document; `transform_corpus` builds a whole
 matrix in one pass straight into CSR arrays, entry for entry and bit for
-bit the rows `transform` gives.  A `FeatureMatrix` holds either its rows
-or its CSR view and derives the other on first access.
+bit the rows `transform` gives.  A `FeatureMatrix` stores only its CSR
+view; its rows as `SparseVector`s are derived on first access.
 """
 
 from __future__ import annotations
@@ -82,12 +82,6 @@ class SparseVector:
             total += v * weights[i]
         return total
 
-    def to_dense(self) -> np.ndarray:
-        dense = np.zeros(self.dim)
-        for i, v in self.entries:
-            dense[i] = v
-        return dense
-
 
 class CsrView:
     """Compressed sparse rows: row r holds ``indices[indptr[r]:indptr[r+1]]``
@@ -109,6 +103,9 @@ class CsrView:
     @classmethod
     def from_rows(cls, rows, dim: int) -> "CsrView":
         """Stack sparse vectors of one dim into a view, in order."""
+        for row in rows:
+            if row.dim != dim:
+                raise ValueError(f"row dim {row.dim} != matrix dim {dim}")
         lengths = [row.nnz for row in rows]
         indptr = np.concatenate(([0], np.cumsum(lengths, dtype=np.int64)))
         nnz = int(indptr[-1])
@@ -117,17 +114,29 @@ class CsrView:
         data = np.fromiter((v for _, v in entries), dtype=np.float64, count=nnz)
         return cls(indptr, indices, data, dim)
 
+    def entries(self):
+        """Each row's (index, value) pairs, converted one row at a time."""
+        bounds = self.indptr.tolist()
+        for lo, hi in zip(bounds, bounds[1:]):
+            yield zip(self.indices[lo:hi].tolist(), self.data[lo:hi].tolist())
+
     def rows(self) -> tuple[SparseVector, ...]:
         """The rows as sparse vectors.  A view's rows are valid by
         construction, so they are not checked again."""
-        dim = self.shape[1]
-        bounds = self.indptr.tolist()
-        indices = self.indices.tolist()
-        data = self.data.tolist()
-        return tuple(
-            SparseVector._unchecked(dim, tuple(zip(indices[lo:hi], data[lo:hi])))
-            for lo, hi in zip(bounds, bounds[1:])
-        )
+        return tuple(SparseVector._unchecked(self.shape[1], tuple(e)) for e in self.entries())
+
+    def select(self, keep: np.ndarray) -> "CsrView":
+        """The rows where the boolean array ``keep`` is true, in order."""
+        kept = keep[self.row_ids]
+        indptr = np.concatenate(([0], np.cumsum(np.diff(self.indptr)[keep])))
+        return CsrView(indptr, self.indices[kept], self.data[kept], self.shape[1])
+
+    def stack(self, below: "CsrView") -> "CsrView":
+        """This view's rows followed by ``below``'s, which share its dim."""
+        indptr = np.concatenate((self.indptr, below.indptr[1:] + self.indptr[-1]))
+        indices = np.concatenate((self.indices, below.indices))
+        data = np.concatenate((self.data, below.data))
+        return CsrView(indptr, indices, data, self.shape[1])
 
     def __matmul__(self, weights: np.ndarray) -> np.ndarray:
         return np.bincount(
@@ -153,32 +162,27 @@ class _CsrTranspose:
 
 
 class FeatureMatrix:
-    """Sparse rows aligned with binary labels; all rows share one dim.
-
-    Built from rows, the matrix derives its CSR view on first access;
-    built from a view (`from_csr`), it derives its rows on first access.
-    Either is cached.
-    """
+    """Sparse rows aligned with binary labels, stored as one CSR view;
+    ``rows`` derives them from the view on first access and caches them."""
 
     def __init__(self, rows: tuple[SparseVector, ...], labels: tuple[int, ...], dim: int):
-        if len(rows) != len(labels):
-            raise ValueError(f"{len(rows)} rows but {len(labels)} labels")
-        for row in rows:
-            if row.dim != dim:
-                raise ValueError(f"row dim {row.dim} != matrix dim {dim}")
-        self.rows = rows
-        self.labels = labels
-        self.dim = dim
+        self._store(CsrView.from_rows(rows, dim), labels)
 
     @classmethod
     def from_csr(cls, csr: CsrView, labels: tuple[int, ...]) -> "FeatureMatrix":
+        matrix = cls.__new__(cls)
+        matrix._store(csr, labels)
+        return matrix
+
+    def _store(self, csr: CsrView, labels: tuple[int, ...]) -> None:
         if csr.shape[0] != len(labels):
             raise ValueError(f"{csr.shape[0]} rows but {len(labels)} labels")
-        matrix = cls.__new__(cls)
-        matrix.csr = csr
-        matrix.labels = labels
-        matrix.dim = csr.shape[1]
-        return matrix
+        self.csr = csr
+        self.labels = labels
+
+    @property
+    def dim(self) -> int:
+        return self.csr.shape[1]
 
     @cached_property
     def rows(self) -> tuple[SparseVector, ...]:
@@ -199,18 +203,6 @@ class FeatureMatrix:
             counts[label] = counts.get(label, 0) + 1
         return counts
 
-    @cached_property
-    def csr(self) -> CsrView:
-        """The rows as one CSR view, built on first access and cached."""
-        return CsrView.from_rows(self.rows, self.dim)
-
-    def to_dense(self) -> np.ndarray:
-        dense = np.zeros((len(self.rows), self.dim))
-        for r, row in enumerate(self.rows):
-            for i, v in row.entries:
-                dense[r, i] = v
-        return dense
-
     def labels_array(self) -> np.ndarray:
         return np.asarray(self.labels, dtype=np.int64)
 
@@ -218,8 +210,8 @@ class FeatureMatrix:
         """SHA-256 over dim, labels, and every (index, repr(value)) entry."""
         h = hashlib.sha256()
         h.update(f"{self.dim};{','.join(map(str, self.labels))}\n".encode())
-        for row in self.rows:
-            h.update(";".join(f"{i}:{v!r}" for i, v in row.entries).encode())
+        for entries in self.csr.entries():
+            h.update(";".join(f"{i}:{v!r}" for i, v in entries).encode())
             h.update(b"\n")
         return h.hexdigest()
 

@@ -36,6 +36,18 @@ def rand_matrix(
     return FeatureMatrix(rows=tuple(rows), labels=tuple(labels), dim=dim)
 
 
+def to_dense(x: SparseVector | FeatureMatrix) -> np.ndarray:
+    """Dense copy of a sparse vector (1-d) or of a feature matrix (2-d)."""
+    if isinstance(x, FeatureMatrix):
+        dense = np.zeros(x.csr.shape)
+        dense[x.csr.row_ids, x.csr.indices] = x.csr.data
+        return dense
+    dense = np.zeros(x.dim)
+    for i, v in x.entries:
+        dense[i] = v
+    return dense
+
+
 def dense_to_matrix(X, y) -> FeatureMatrix:
     """Exact conversion of a dense array + labels into a FeatureMatrix."""
     X = np.asarray(X, dtype=np.float64)

@@ -12,7 +12,7 @@ import time
 
 import numpy as np
 
-from conftest import dense_to_matrix, rand_matrix, rand_sparse
+from conftest import dense_to_matrix, rand_matrix, rand_sparse, to_dense
 from textbalance.classify import TrainConfig, logistic_loss_and_grad, predict_batch, train
 from textbalance.cli import main as cli_main
 from textbalance.evaluate import ConfusionMatrix, compare, confusion, metrics
@@ -62,9 +62,9 @@ def test_criterion_02_smote_geometry():
             trace = smote_trace(minority, t + extra, config)
             assert len(trace) == extra
             for sample in trace:
-                base = minority[sample.base_index].to_dense()
-                neighbor = minority[sample.neighbor_index].to_dense()
-                got = sample.vector.to_dense()
+                base = to_dense(minority[sample.base_index])
+                neighbor = to_dense(minority[sample.neighbor_index])
+                got = to_dense(sample.vector)
                 # Betweenness within 1e-12, coordinatewise.
                 assert np.all(got >= np.minimum(base, neighbor) - 1e-12)
                 assert np.all(got <= np.maximum(base, neighbor) + 1e-12)
@@ -88,7 +88,7 @@ def test_criterion_03_knn_oracle():
             n = int(rng.integers(2, 201))
             dim = int(rng.integers(1, 26))
             points = [rand_sparse(rng, dim, density=0.4) for _ in range(n)]
-            dense = np.vstack([p.to_dense() for p in points])
+            dense = np.vstack([to_dense(p) for p in points])
             for _ in range(3):
                 query = int(rng.integers(0, n))
                 k = int(rng.integers(1, n + 2))
@@ -130,7 +130,7 @@ def test_criterion_04_tfidf_oracle():
                     expected[col[tok]] += 1
                 if d:
                     expected = expected / len(d) * np.log(n_docs / df)
-                got = transform(model, TokenSequence(tokens=d, source_id="")).to_dense()
+                got = to_dense(transform(model, TokenSequence(tokens=d, source_id="")))
                 np.testing.assert_allclose(got, expected, atol=1e-9)
         elapsed = time.perf_counter() - started
         assert elapsed < 10.0, f"took {elapsed:.2f}s"

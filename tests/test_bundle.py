@@ -153,6 +153,12 @@ class TestModelBundle:
         with pytest.raises(BundleError, match="format_version"):
             load_bundle(path)
 
+    def test_deeply_nested_json_reported(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200_000 + "\n")
+        with pytest.raises(BundleError, match="nested too deeply"):
+            load_bundle(path)
+
     def test_corrupt_json_reported(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -215,6 +221,26 @@ class TestMatrixIo:
         path.write_text("2 2 1\n0 0 1.0\n")
         labels.write_text("0\n")
         with pytest.raises(MatrixFormatError, match="label"):
+            read_matrix(path)
+
+    def test_read_builds_csr_arrays_not_rows(self, tmp_path):
+        path = tmp_path / "m.mtx"
+        path.write_text("3 4 4\n2 3 0.5\n0 1 2.0\n0 0 1.0\n2 2 0.0\n")
+        (tmp_path / "m.mtx.labels").write_text("0\n1\n1\n")
+        matrix = read_matrix(path)
+        assert "rows" not in vars(matrix)
+        assert matrix.csr.indptr.tolist() == [0, 2, 2, 3]
+        assert matrix.csr.indices.tolist() == [0, 1, 3]
+        assert matrix.csr.data.tolist() == [1.0, 2.0, 0.5]
+
+    @pytest.mark.parametrize(
+        "body", [f"{2**63} 2 0\n", f"2 {2**63} 0\n", f"2 {10**30} 1\n1 {10**24} 1.0\n"]
+    )
+    def test_header_beyond_int64_rejected(self, tmp_path, body):
+        path = tmp_path / "huge.mtx"
+        path.write_text(body)
+        (tmp_path / "huge.mtx.labels").write_text("0\n1\n")
+        with pytest.raises(MatrixFormatError, match="64-bit"):
             read_matrix(path)
 
     def test_zero_row_matrix(self, tmp_path):

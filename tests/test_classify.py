@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import dense_to_matrix, rand_matrix
+from conftest import dense_to_matrix, rand_matrix, to_dense
 from textbalance.classify import (
     ALGORITHMS,
     DecisionTreeModel,
@@ -61,6 +61,12 @@ class TestTrainConfig:
             TrainConfig(algorithm="logistic", l2=-0.01)
         with pytest.raises(ValueError):
             TrainConfig(algorithm="tree", tree_min_samples_split=1)
+
+    @pytest.mark.parametrize("field", ["lr_learning_rate", "l2", "svm_C", "nb_alpha"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_hyperparameters_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            TrainConfig(algorithm="nb", **{field: value})
 
     def test_to_dict_round_trips_values(self):
         config = TrainConfig(algorithm="svm", svm_C=2.5, seed=4)
@@ -158,7 +164,7 @@ class TestLogistic:
 
     def test_training_reduces_loss(self):
         matrix = separable_matrix()
-        X = matrix.to_dense()
+        X = to_dense(matrix)
         y = matrix.labels_array().astype(np.float64)
         config = TrainConfig(algorithm="logistic")
         model = train(matrix, config)
@@ -261,7 +267,7 @@ class TestDecisionTree:
         # the larger variance, so the cap must keep column 0 alone.
         X = [[0.0, 0.1], [4.0, 0.1], [0.0, 0.2], [4.0, 0.2], [2.0, 0.1], [2.0, 0.2]]
         matrix = dense_to_matrix(X, [0, 0, 1, 1, 0, 1])
-        assert np.argmax(matrix.to_dense().var(axis=0)) == 0
+        assert np.argmax(to_dense(matrix).var(axis=0)) == 0
         uncapped = train(matrix, TrainConfig(algorithm="tree"))
         assert {node.feature for node in uncapped.nodes if not node.is_leaf} == {1}
         model = train(matrix, TrainConfig(algorithm="tree", tree_max_features=1))
@@ -272,7 +278,7 @@ class TestDecisionTree:
         # constant.  Both separate the classes, so whichever is kept is used.
         X = [[0.0, 1.0, 3.0], [3.0, 1.0, 0.0], [0.0, 1.0, 3.0], [3.0, 1.0, 0.0]]
         matrix = dense_to_matrix(X, [0, 1, 0, 1])
-        variances = matrix.to_dense().var(axis=0)
+        variances = to_dense(matrix).var(axis=0)
         assert variances[0] == variances[2] > variances[1]
         model = train(matrix, TrainConfig(algorithm="tree", tree_max_features=1))
         assert {node.feature for node in model.nodes if not node.is_leaf} == {0}
@@ -504,7 +510,7 @@ class TestPredictBatchOracle:
 
 
 def dense_nb(matrix: FeatureMatrix, alpha: float):
-    X = matrix.to_dense()
+    X = to_dense(matrix)
     y = matrix.labels_array()
     priors, tables = [], []
     for label in sorted(set(matrix.labels)):
@@ -517,7 +523,7 @@ def dense_nb(matrix: FeatureMatrix, alpha: float):
 
 
 def dense_logistic(matrix: FeatureMatrix, config: TrainConfig):
-    X = matrix.to_dense()
+    X = to_dense(matrix)
     y = matrix.labels_array().astype(np.float64)
     w = np.zeros(matrix.dim)
     b = 0.0
@@ -531,7 +537,7 @@ def dense_logistic(matrix: FeatureMatrix, config: TrainConfig):
 def dense_svm(matrix: FeatureMatrix, config: TrainConfig):
     """Pegasos on an explicit all-ones bias column; (w with bias last, objectives)."""
     n = len(matrix)
-    X_aug = np.hstack([matrix.to_dense(), np.ones((n, 1))])
+    X_aug = np.hstack([to_dense(matrix), np.ones((n, 1))])
     y_pm = 2.0 * matrix.labels_array().astype(np.float64) - 1.0
     lam = 1.0 / (config.svm_C * n)
     w = np.zeros(matrix.dim + 1)
@@ -594,7 +600,7 @@ def _dense_majority(y: np.ndarray) -> int:
 
 
 def dense_tree(matrix: FeatureMatrix, config: TrainConfig) -> tuple[TreeNode, ...]:
-    X = matrix.to_dense()
+    X = to_dense(matrix)
     y = matrix.labels_array()
     d = matrix.dim
     features = np.arange(d)
@@ -697,7 +703,7 @@ class TestDenseOracles:
             w = rng.normal(size=matrix.dim)
             b = float(rng.normal())
             l2 = float(rng.uniform(0, 0.1))
-            dense = logistic_loss_and_grad(w, b, matrix.to_dense(), y, l2)
+            dense = logistic_loss_and_grad(w, b, to_dense(matrix), y, l2)
             sparse = logistic_loss_and_grad(w, b, matrix.csr, y, l2)
             assert abs(sparse[0] - dense[0]) <= 1e-12
             np.testing.assert_allclose(sparse[1], dense[1], rtol=0, atol=1e-12)

@@ -379,6 +379,21 @@ def _feature_out_of_range(c):
     c["nodes"][_first_split(c)]["feature"] = c["dim"]
 
 
+def _set_integer(field, value):
+    """A classifier edit that sets ``field`` to ``value``: the dim, the first
+    nb class label, or that key of the first tree node that has it."""
+
+    def edit(c):
+        if field == "dim":
+            c["dim"] = value
+        elif field == "class_labels":
+            c["class_labels"][0] = value
+        else:
+            next(node for node in c["nodes"] if field in node)[field] = value
+
+    return edit
+
+
 def _set(section, key, change):
     """A bundle edit that replaces ``data[section][key]`` by ``change(old)``."""
 
@@ -421,6 +436,20 @@ class TestCorruptBundles:
         capsys.readouterr()
         assert run(["predict", "--bundle", path, "free money offer click now"]) == 2
         assert "error [bundle]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [1e400, 2.9, "1", True], ids=["1e400", "2.9", "str", "true"])
+    @pytest.mark.parametrize(
+        "algo, field",
+        [("nb", "dim"), ("nb", "class_labels"), ("tree", "feature"), ("tree", "left"),
+         ("tree", "right"), ("tree", "label")],
+    )
+    def test_integer_fields_must_be_json_integers(
+        self, dataset, tmp_path, capsys, algo, field, value
+    ):
+        path = self.corrupt_bundle(dataset, tmp_path, algo, _set_integer(field, value))
+        capsys.readouterr()
+        assert run(["predict", "--bundle", path, "free money offer click now"]) == 2
+        assert capsys.readouterr().err.startswith("error [bundle]")
 
     @pytest.mark.parametrize(
         "edit",
@@ -537,6 +566,33 @@ class TestOversample:
         matrix = read_matrix(src)
         assert [row.entries for row in matrix.rows] == [((0, 1.0), (1, 2.0)), (), ((1, 0.5),)]
 
+    def test_builds_vectors_for_minority_and_synthetic_rows_only(self, tmp_path, monkeypatch):
+        src = tmp_path / "train.mtx"
+        write_matrix(rand_matrix(np.random.default_rng(51), n0=12, n1=5, dim=6), src)
+        built = []
+        real_post_init = vectorize.SparseVector.__post_init__
+        real_unchecked = vectorize.SparseVector._unchecked.__func__
+
+        def counted_post_init(vector):
+            built.append(vector)
+            real_post_init(vector)
+
+        def counted_unchecked(cls, dim, entries):
+            built.append(entries)
+            return real_unchecked(cls, dim, entries)
+
+        monkeypatch.setattr(vectorize.SparseVector, "__post_init__", counted_post_init)
+        monkeypatch.setattr(vectorize.SparseVector, "_unchecked", classmethod(counted_unchecked))
+        assert run(["oversample", "--matrix", src, "--out", tmp_path / "out.mtx"]) == 0
+        assert len(built) == 5 + 7  # minority rows, then synthetic rows
+
+    def test_header_beyond_int64_exits_2(self, tmp_path, capsys):
+        src = tmp_path / "wide.mtx"
+        src.write_text(f"5 {10**30} 3\n0 0 1.0\n1 {10**24} 2.0\n3 0 0.5\n")
+        (tmp_path / "wide.mtx.labels").write_text("0\n0\n0\n1\n1\n")
+        assert run(["oversample", "--matrix", src, "--out", tmp_path / "out.mtx"]) == 2
+        assert capsys.readouterr().err.startswith("error [read]")
+
     def test_huge_row_count_is_rejected_before_allocating(self, tmp_path, capsys):
         src = tmp_path / "huge.mtx"
         src.write_text("1000000000000 1 0\n")
@@ -550,6 +606,25 @@ class TestOversample:
 
 
 class TestReport:
+    @pytest.mark.parametrize(
+        "flag, field, value",
+        [("--svm-c", "svm_C", "nan"), ("--lr-learning-rate", "lr_learning_rate", "inf"),
+         ("--l2", "l2", "nan"), ("--nb-alpha", "nb_alpha", "inf")],
+    )
+    def test_non_finite_hyperparameter_exits_2_before_any_fit(
+        self, dataset, tmp_path, capsys, monkeypatch, flag, field, value
+    ):
+        def no_fit(*args):
+            raise AssertionError("a fit started")
+
+        monkeypatch.setattr(evaluate, "train", no_fit)
+        prefix = tmp_path / "cmp"
+        assert run(["report", "--data", dataset, "--out", prefix, flag, value]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error [compare]")
+        assert f"{field} must be finite" in err
+        assert not Path(f"{prefix}.json").exists()
+
     def test_writes_json_text_csv(self, dataset, tmp_path, capsys):
         prefix = tmp_path / "cmp"
         code = run(

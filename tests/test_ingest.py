@@ -127,6 +127,12 @@ class TestLoadCorpus:
         with pytest.raises(DatasetError, match="line 2"):
             load_corpus(path, "jsonl")
 
+    def test_deeply_nested_json_line(self, tmp_path):
+        path = tmp_path / "deep.jsonl"
+        path.write_text('{"text": "ok", "label": 0}\n' + "[" * 200_000 + "\n")
+        with pytest.raises(DatasetError, match="line 2: JSON nested too deeply"):
+            load_corpus(path, "jsonl")
+
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("id,text,label\n")

@@ -7,7 +7,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from conftest import rand_matrix, rand_sparse
+from conftest import rand_matrix, rand_sparse, to_dense
 from textbalance.fixtures import two_vocab_corpus
 from textbalance.preprocess import preprocess_corpus
 from textbalance.resample import (
@@ -27,7 +27,7 @@ from textbalance.vectorize import FeatureMatrix, SparseVector, fit, transform_co
 def brute_force_knn(points: list[SparseVector], query: int, k: int) -> list[int]:
     """Exhaustive oracle: all pairwise distances via dense numpy, sorted by
     (distance, index), self excluded."""
-    dense = np.vstack([p.to_dense() for p in points])
+    dense = np.vstack([to_dense(p) for p in points])
     dist = np.sqrt(((dense - dense[query]) ** 2).sum(axis=1))
     order = sorted((float(dist[i]), i) for i in range(len(points)) if i != query)
     return [i for _, i in order[: min(k, len(points) - 1)]]
@@ -60,7 +60,7 @@ class TestEuclideanDistance:
             dim = int(rng.integers(1, 30))
             a = rand_sparse(rng, dim, density=float(rng.uniform(0, 1)))
             b = rand_sparse(rng, dim, density=float(rng.uniform(0, 1)))
-            expected = float(np.linalg.norm(a.to_dense() - b.to_dense()))
+            expected = float(np.linalg.norm(to_dense(a) - to_dense(b)))
             assert euclidean_distance(a, b) == pytest.approx(expected, abs=1e-12)
 
     def test_dimension_mismatch(self):
@@ -83,7 +83,7 @@ class TestInterpolate:
         other = rand_sparse(rng, 10)
         assert interpolate(base, other, 0.0).entries == base.entries
         np.testing.assert_allclose(
-            interpolate(base, other, 1.0).to_dense(), other.to_dense(), atol=1e-15
+            to_dense(interpolate(base, other, 1.0)), to_dense(other), atol=1e-15
         )
 
     def test_matches_dense_formula(self):
@@ -93,9 +93,9 @@ class TestInterpolate:
             base = rand_sparse(rng, dim)
             other = rand_sparse(rng, dim)
             gap = float(rng.random())
-            expected = base.to_dense() + gap * (other.to_dense() - base.to_dense())
+            expected = to_dense(base) + gap * (to_dense(other) - to_dense(base))
             np.testing.assert_allclose(
-                interpolate(base, other, gap).to_dense(), expected, atol=1e-15
+                to_dense(interpolate(base, other, gap)), expected, atol=1e-15
             )
 
 
@@ -217,13 +217,13 @@ class TestSmote:
         minority = [rand_sparse(rng, 12) for _ in range(9)]
         trace = smote_trace(minority, 30, SmoteConfig(k=3, seed=8))
         for sample in trace:
-            base = minority[sample.base_index].to_dense()
-            neighbor = minority[sample.neighbor_index].to_dense()
+            base = to_dense(minority[sample.base_index])
+            neighbor = to_dense(minority[sample.neighbor_index])
             expected = base + sample.gap * (neighbor - base)
-            np.testing.assert_allclose(sample.vector.to_dense(), expected, atol=1e-12)
+            np.testing.assert_allclose(to_dense(sample.vector), expected, atol=1e-12)
             lo = np.minimum(base, neighbor) - 1e-12
             hi = np.maximum(base, neighbor) + 1e-12
-            got = sample.vector.to_dense()
+            got = to_dense(sample.vector)
             assert np.all(got >= lo) and np.all(got <= hi)
 
     def test_neighbor_comes_from_k_nearest(self):
@@ -328,6 +328,21 @@ class TestBalanceTrainingSet:
         matrix = FeatureMatrix(rows=rows, labels=(1, 1, 1), dim=4)
         with pytest.raises(ValueError):
             balance_training_set(matrix, SmoteConfig())
+
+    def test_stacks_the_synthetic_block_below_the_view(self):
+        rng = np.random.default_rng(18)
+        matrix = rand_matrix(rng, n0=9, n1=4, dim=6)
+        config = SmoteConfig(k=2, seed=3)
+        balanced, _ = balance_training_set(matrix, config)
+        assert "rows" not in vars(matrix)
+        assert "rows" not in vars(balanced)
+        original, stacked = matrix.csr, balanced.csr
+        assert np.array_equal(stacked.indptr[: len(matrix) + 1], original.indptr)
+        assert np.array_equal(stacked.indices[: original.indices.size], original.indices)
+        assert np.array_equal(stacked.data[: original.data.size], original.data)
+        minority = [row for row, label in zip(matrix.rows, matrix.labels) if label == 1]
+        synthetic = smote(minority, 9, config)
+        assert balanced.rows[len(matrix) :] == tuple(synthetic)
 
     def test_report_to_dict_is_json_shaped(self):
         rng = np.random.default_rng(17)

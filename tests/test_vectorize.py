@@ -7,10 +7,12 @@ import math
 import numpy as np
 import pytest
 
+from conftest import rand_sparse, to_dense
 from textbalance.fixtures import two_vocab_corpus
 from textbalance.preprocess import TokenSequence, preprocess_corpus
 from textbalance.stopwords import default_stopwords
 from textbalance.vectorize import (
+    CsrView,
     FeatureMatrix,
     SparseVector,
     TfIdfModel,
@@ -53,7 +55,7 @@ class TestSparseVector:
         assert v.nnz == 2
         assert v.get(1) == 2.0
         assert v.get(0) == 0.0
-        assert list(v.to_dense()) == [0.0, 2.0, 0.0, 0.0, -1.0]
+        assert list(to_dense(v)) == [0.0, 2.0, 0.0, 0.0, -1.0]
 
     def test_rejects_unsorted_or_duplicate_indices(self):
         with pytest.raises(ValueError):
@@ -102,6 +104,32 @@ class TestFeatureMatrix:
         assert a.digest() != b.digest()
         assert a.digest() != c.digest()
         assert a.digest() == FeatureMatrix(rows=(row,), labels=(0,), dim=2).digest()
+
+    def test_stores_only_the_csr_view(self):
+        rows = (SparseVector(dim=3, entries=((0, 1.0), (2, -2.0))), SparseVector(dim=3, entries=()))
+        matrix = FeatureMatrix(rows=rows, labels=(0, 1), dim=3)
+        assert "rows" not in vars(matrix)
+        assert matrix.dim == 3
+        assert matrix.csr.indptr.tolist() == [0, 2, 2]
+        assert matrix.rows == rows
+        assert "rows" in vars(matrix)
+
+
+class TestCsrView:
+    def test_select_and_stack_keep_row_order(self):
+        rng = np.random.default_rng(3)
+        rows = tuple(rand_sparse(rng, 5) for _ in range(6))
+        csr = CsrView.from_rows(rows, 5)
+        keep = np.array([True, False, True, True, False, False])
+        kept = tuple(row for row, k in zip(rows, keep) if k)
+        assert csr.select(keep).rows() == kept
+        assert csr.select(np.zeros(6, dtype=bool)).rows() == ()
+        assert csr.stack(csr.select(keep)).rows() == rows + kept
+
+    def test_from_rows_checks_every_row_dim(self):
+        rows = [SparseVector(dim=2, entries=()), SparseVector(dim=3, entries=())]
+        with pytest.raises(ValueError, match="row dim 3 != matrix dim 2"):
+            CsrView.from_rows(rows, 2)
 
 
 class TestFit:
@@ -171,7 +199,7 @@ class TestTransform:
             vocab, dense = dense_tfidf(list(docs))
             assert list(model.terms) == vocab
             for i, d in enumerate(docs):
-                got = transform(model, seq(*d)).to_dense()
+                got = to_dense(transform(model, seq(*d)))
                 np.testing.assert_allclose(got, dense[i], atol=1e-9)
 
     def test_transform_corpus_shape_and_labels(self):
@@ -180,6 +208,11 @@ class TestTransform:
         assert len(matrix) == 2
         assert matrix.labels == (0, 1)
         assert matrix.dim == model.dim
+
+    def test_transform_corpus_builds_no_rows(self):
+        model = fit([seq("alpha", "gamma"), seq("beta")])
+        matrix = transform_corpus(model, [seq("alpha"), seq("beta", "gamma")], [0, 1])
+        assert "rows" not in vars(matrix)
 
     def test_transform_corpus_length_mismatch(self):
         model = fit([seq("alpha")])
