@@ -139,6 +139,8 @@ def tfidf_from_dict(data: dict) -> TfIdfModel:
     _require(
         all(type(v) is int for v in (*doc_freq, n_docs)), "doc_freq and n_docs must be integers"
     )
+    # idf divides n_docs by a doc_freq in [1, n_docs]; a 64-bit count keeps that a float.
+    _require(0 <= n_docs < 2**63, "n_docs does not fit a 64-bit count")
     return TfIdfModel(terms=terms, doc_freq=doc_freq, n_docs=n_docs)
 
 
@@ -187,7 +189,10 @@ def _integer(value, what: str) -> int:
 
 
 def _finite_floats(values, what: str) -> tuple[float, ...]:
-    floats = tuple(float(v) for v in values)
+    try:
+        floats = tuple(float(v) for v in values)
+    except OverflowError:  # a JSON integer beyond the float range
+        raise BundleError(f"{what} holds a non-finite number") from None
     _require(all(math.isfinite(v) for v in floats), f"{what} holds a non-finite number")
     return floats
 

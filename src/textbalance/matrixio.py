@@ -6,16 +6,27 @@ shortest round-trip decimal form.  Any order loads, but a (row, col) pair
 may appear only once.  Row labels live in a sidecar file (default
 ``<matrix>.labels``) holding a single column, one label per row.  Reading
 builds a `FeatureMatrix`'s CSR arrays directly; writing streams them by row.
+
+Reading has a fast path and a checker.  The fast path parses chunks of
+about 64 KiB of lines with ``str.split`` and the same ``int()`` and
+``float()`` as the checker, then checks finiteness and bounds per chunk and
+order and repeats once over all entries, with numpy.  It gives up on any
+fault, and the checker then reads the file line by line and raises a
+`MatrixFormatError` naming the first faulty line, so the fast path changes
+neither a matrix nor a message.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from pathlib import Path
 
 import numpy as np
 
 from .vectorize import CsrView, FeatureMatrix
+
+_CHUNK_CHARS = 1 << 16  # text parsed per chunk by the fast path
 
 
 class MatrixFormatError(ValueError):
@@ -40,11 +51,21 @@ def write_matrix(matrix: FeatureMatrix, path, labels_path=None) -> None:
 def read_matrix(path, labels_path=None) -> FeatureMatrix:
     path = Path(path)
     labels_path = default_labels_path(path) if labels_path is None else Path(labels_path)
+    text = path.read_text(encoding="utf-8")
+    parsed = _parse_fast(path, text)
+    if parsed is None:
+        parsed = _parse_checked(path, text.splitlines())
+    n_rows, n_cols, rows, cols, data = parsed
+    labels = _read_labels(labels_path, n_rows)
+    # Only now has the label file backed up the header's row count.
+    indptr = np.searchsorted(rows, np.arange(n_rows + 1))
+    return FeatureMatrix.from_csr(CsrView(indptr, cols, data, n_cols), labels)
 
-    lines = path.read_text(encoding="utf-8").splitlines()
-    if not lines or not lines[0].strip():
+
+def _header(path: Path, line: str) -> tuple[int, int, int]:
+    if not line.strip():
         raise MatrixFormatError(f"{path}: missing header line")
-    header = lines[0].split()
+    header = line.split()
     if len(header) != 3:
         raise MatrixFormatError(f"{path}: header must be 'nrows ncols nnz'")
     try:
@@ -55,7 +76,67 @@ def read_matrix(path, labels_path=None) -> FeatureMatrix:
         raise MatrixFormatError(f"{path}: negative header field")
     if max(n_rows, n_cols) >= 2**63:
         raise MatrixFormatError(f"{path}: header field does not fit a 64-bit index")
+    return n_rows, n_cols, nnz
 
+
+def _line_chunks(text: str):
+    """``text.splitlines()`` in pieces of about `_CHUNK_CHARS` characters,
+    each cut just after a newline, so no line is split."""
+    start = 0
+    while start < len(text):
+        stop = text.find("\n", start + _CHUNK_CHARS) + 1 or len(text)
+        yield text[start:stop].splitlines()
+        start = stop
+
+
+def _parse_fast(path: Path, text: str):
+    """The stored entries as sorted (rows, cols, data) arrays, parsed a
+    chunk of lines at a time with the same ``int()`` and ``float()`` as
+    `_parse_checked` and checked with array operations; None wherever that
+    checker could fail, so it runs and words the error."""
+    chunks = _line_chunks(text)
+    first = next(chunks, [""])
+    n_rows, n_cols, nnz = _header(path, first[0])
+    parts: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+    for lines in itertools.chain([first[1:]], chunks):
+        fields = list(filter(None, map(str.split, lines)))  # blank lines split to []
+        if set(map(len, fields)) - {3}:
+            return None
+        r, c, v = zip(*fields) if fields else ((), (), ())
+        try:
+            r = np.fromiter(map(int, r), dtype=np.int64, count=len(r))
+            c = np.fromiter(map(int, c), dtype=np.int64, count=len(c))
+            v = np.fromiter(map(float, v), dtype=np.float64, count=len(v))
+        except (ValueError, OverflowError):  # unparsable, or beyond int64
+            return None
+        if not (
+            np.isfinite(v).all()
+            and ((0 <= r) & (r < n_rows) & (0 <= c) & (c < n_cols)).all()
+        ):
+            return None
+        parts.append((r, c, v))
+    rows, cols, data = (np.concatenate(x) for x in zip(*parts))
+    if rows.size != nnz:
+        return None
+    if not _increasing(rows, cols):
+        order = np.lexsort((cols, rows))
+        rows, cols, data = rows[order], cols[order], data[order]
+        if not _increasing(rows, cols):  # sorted now: a (row, col) pair repeats
+            return None
+    kept = data != 0.0
+    return n_rows, n_cols, rows[kept], cols[kept], data[kept]
+
+
+def _increasing(rows: np.ndarray, cols: np.ndarray) -> bool:
+    """Whether the (row, col) pairs strictly increase: sorted, none repeated."""
+    step = np.diff(rows)
+    return bool(((step > 0) | ((step == 0) & (np.diff(cols) > 0))).all())
+
+
+def _parse_checked(path: Path, lines: list[str]):
+    """Line by line: the first fault raises a `MatrixFormatError` naming
+    its line.  Returns what `_parse_fast` returns for the same file."""
+    n_rows, n_cols, nnz = _header(path, lines[0] if lines else "")
     # Values by (row, col).  The CSR arrays are built only once the file has
     # backed the header up, so memory follows the file's contents, not the
     # row count it claims.
@@ -80,12 +161,10 @@ def read_matrix(path, labels_path=None) -> FeatureMatrix:
     if len(entries) != nnz:
         raise MatrixFormatError(f"{path}: header claims {nnz} entries, found {len(entries)}")
 
-    labels = _read_labels(labels_path, n_rows)
     kept = sorted(key for key, v in entries.items() if v != 0.0)
     rows, cols = np.array(kept, dtype=np.int64).reshape(-1, 2).T
     data = np.array([entries[key] for key in kept], dtype=np.float64)
-    indptr = np.searchsorted(rows, np.arange(n_rows + 1))
-    return FeatureMatrix.from_csr(CsrView(indptr, cols, data, n_cols), labels)
+    return n_rows, n_cols, rows, cols, data
 
 
 def _read_labels(labels_path: Path, n_rows: int) -> tuple[int, ...]:

@@ -5,8 +5,15 @@ point and one of its k nearest minority-class neighbors (Euclidean, over
 sparse vectors).  Base points are visited in deterministic round-robin
 order over the minority set; the neighbor pick and the interpolation gap
 come from two independent seeded streams, so changing k never perturbs
-the gap sequence.  Oversampling is a training-set operation only, and it
-makes `SparseVector`s of the minority and synthetic rows alone.
+the gap sequence.  Oversampling is a training-set operation only.
+
+SMOTE runs on CSR arrays: the neighbor search and the interpolation each
+take whole blocks of rows, and every sum and product is the IEEE operation
+that `euclidean_distance` and `interpolate` perform on one pair, in the
+same order, so the synthetic rows are theirs bit for bit.  Those two
+single-vector functions stay as the references the tests check against.
+`balance_training_set` builds no `SparseVector`; `smote_trace` and `smote`
+convert their vectors to arrays and back.
 """
 
 from __future__ import annotations
@@ -23,6 +30,8 @@ from .vectorize import CsrView, FeatureMatrix, SparseVector
 _UNIT_ROUNDOFF = 2.0**-53
 _SMALLEST_SUBNORMAL = 2.0**-1074
 _SAFE_NORM_SUM = 2.0**1000
+# Elements in one block's temporary arrays (a block of one query may exceed it).
+_BLOCK_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -110,32 +119,102 @@ def interpolate(base: SparseVector, other: SparseVector, gap: float) -> SparseVe
     return SparseVector.from_pairs(base.dim, values.items())
 
 
-class NeighborIndex:
-    """Exact k-nearest-neighbor search over one fixed list of sparse points.
+def _segments(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The positions of the ranges [starts[s], starts[s] + lengths[s]), in order."""
+    ends = np.cumsum(lengths)
+    return np.arange(ends[-1] if ends.size else 0) + np.repeat(starts - ends + lengths, lengths)
 
-    A query a is answered in two steps.  The filter computes, for every
-    point b, the Gram form G = (|a|^2 + |b|^2) - 2 a.b of the squared
-    distance, from squared row norms taken once and one fixed-order
-    `CsrView` matvec for all the dot products; the points are never
-    densified.  Each G carries a slack e >= |G - M|, where M is the sum
-    that `euclidean_distance` takes the square root of.  The exact recheck
-    then ranks by (`euclidean_distance`, index), as an exhaustive scan
-    does, every point whose lower bound G - e is at most the k-th smallest
-    upper bound G + e.  At least k points have M at most that upper bound,
-    so every point the scan would return is rechecked, and the result is
-    the scan's, ties included.
+
+def _compact(csr: CsrView) -> tuple[np.ndarray, CsrView]:
+    """The columns ``csr`` uses, ascending, and ``csr`` with its columns
+    renumbered to positions in that list; their order is kept."""
+    used, columns = np.unique(csr.indices, return_inverse=True)
+    return used, CsrView(csr.indptr, columns, csr.data, used.size)
+
+
+def _union(csr: CsrView, a_rows: np.ndarray, b_rows: np.ndarray):
+    """Rows a_rows[p] and b_rows[p] of a compacted ``csr`` over the union of
+    their supports, for every pair p: (pair, column, a value, b value)
+    sorted by (pair, column), with 0.0 where a row stores nothing.
+
+    Entries are sorted on pair * width + column.  Callers pass at most
+    `_BLOCK_ENTRIES` (2^16) pairs and a compacted width is at most the
+    entry count, so the key fits int64 below 2^47 entries."""
+    indptr, width = csr.indptr, max(1, csr.shape[1])
+    a_len, b_len = indptr[a_rows + 1] - indptr[a_rows], indptr[b_rows + 1] - indptr[b_rows]
+    a_pos, b_pos = _segments(indptr[a_rows], a_len), _segments(indptr[b_rows], b_len)
+    pairs = np.arange(a_rows.size) * width
+    key = np.concatenate((np.repeat(pairs, a_len), np.repeat(pairs, b_len)))
+    key += csr.indices[np.concatenate((a_pos, b_pos))]
+    a = np.concatenate((csr.data[a_pos], np.zeros(b_pos.size)))
+    b = np.concatenate((np.zeros(a_pos.size), csr.data[b_pos]))
+    order = np.argsort(key, kind="stable")  # on a shared column, a's entry stays first
+    key, a, b = key[order], a[order], b[order]
+    shared = key[1:] == key[:-1]
+    b[:-1][shared] = b[1:][shared]
+    keep = np.ones(key.size, dtype=bool)
+    keep[1:] = ~shared
+    pair, col = np.divmod(key[keep], width)
+    return pair, col, a[keep], b[keep]
+
+
+def _sequential_sums(group: np.ndarray, terms: np.ndarray, n_groups: int) -> np.ndarray:
+    """Each group's non-negative terms added left to right from 0.0, as a
+    Python loop adds them; ``group`` is sorted.  ``np.cumsum`` accumulates
+    in order, and the zeros padding each row's end change no sum."""
+    firsts = np.searchsorted(group, np.arange(n_groups))
+    lengths = np.diff(np.append(firsts, group.size))
+    table = np.zeros((n_groups, max(1, int(lengths.max(initial=0)))))
+    table[group, np.arange(group.size) - firsts[group]] = terms
+    return np.cumsum(table, axis=1)[:, -1]
+
+
+def _longest_row(csr: CsrView) -> int:
+    return int(np.diff(csr.indptr).max(initial=0))
+
+
+class NeighborIndex:
+    """Exact k-nearest-neighbor search over one fixed set of sparse points,
+    given as a `CsrView` or as `SparseVector`s.
+
+    The points' columns are renumbered, in order, to the ones they use, so
+    no buffer grows with the dimension.  Queries are answered a block of
+    consecutive points at a time: the first time a point is asked for with
+    a given k, it is solved with the points after it, and the neighbor
+    lists are kept per k.  The first block for a k holds one query and each
+    later one up to twice as many as the last, so a lone query costs one
+    query's work while a scan over every point runs in full blocks.
+
+    The filter computes, for every query a of a block and every point b,
+    the Gram form G = (|a|^2 + |b|^2) - 2 a.b of the squared distance,
+    from squared row norms taken once and dot products summed with one
+    `np.bincount` over the block's nonzero products (columns joined through
+    a column-major copy of the points, added in column order); the points
+    are never densified.  Each G carries a slack e >= |G - M|, where M is
+    the sum that `euclidean_distance` takes the square root of.  The exact
+    recheck then ranks by (distance, index), as an exhaustive scan does,
+    every point whose lower bound G - e is at most the query's k-th
+    smallest upper bound G + e.  At least k points have M at most that
+    upper bound, so every point the scan would return is rechecked, and
+    the result is the scan's, ties included.  The recheck computes M
+    itself: the squared differences over the union of both supports,
+    padded into one row per pair and added by `np.cumsum` in column order,
+    which is the sum `euclidean_distance` forms, bit for bit.
 
     The slack.  Let u = 2^-53, g(n) = n u / (1 - n u), L the most entries
     stored in one row, N = |a|^2 + |b|^2 exactly and N' its computed value.
-    In the standard model of float64 rounding:
+    The bound holds for each (query, point) pair on its own, so it does not
+    depend on how the pairs are grouped into blocks.  In the standard model
+    of float64 rounding:
 
     * M sums at most 2L terms in order, each the square of a rounded
       difference (three roundings), so |M - S| <= g(2L+2) S, where
       S = |a - b|^2 <= 2N.
     * Each squared norm and each dot product sums at most L rounded
-      products in row order (`np.bincount`), so it is within g(L) of its
-      exact value, or of sum |a_i b_i| <= N/2 for a dot product.  With the
-      roundings of the sum and the difference, |G - S| <= g(2L+4) N.
+      products, in a fixed order (any order obeys this bound), so it is
+      within g(L) of its exact value, or of sum |a_i b_i| <= N/2 for a dot
+      product.  With the roundings of the sum and the difference,
+      |G - S| <= g(2L+4) N.
     * So |G - M| <= g(2L+4) N + 2 g(2L+2) N <= 3 g(2L+4) N.
 
     Two margins ride on top.  Distances are compared after a correctly
@@ -154,57 +233,105 @@ class NeighborIndex:
     lower bound is -inf and its upper bound +inf, so it is never filtered
     out, and if it is among the k smallest upper bounds every point is
     rechecked.
+
+    Memory.  A block holds as many queries as keep its products plus its
+    n-wide filter rows within `_BLOCK_ENTRIES` elements (at least one
+    query), and the recheck takes its pairs in chunks of at most
+    `_BLOCK_ENTRIES` union entries, so every temporary array is bounded by
+    that budget or by one query's share, whatever the point count or k.
     """
 
-    def __init__(self, points: Sequence[SparseVector]):
-        if len(points) < 2:
+    def __init__(self, points: CsrView | Sequence[SparseVector]):
+        if not isinstance(points, CsrView):
+            points = CsrView.from_rows(points, points[0].dim if points else 0)
+        n = points.shape[0]
+        if n < 2:
             raise ValueError("knn requires at least 2 points")
-        self.points = points
-        self._csr = CsrView.from_rows(points, points[0].dim)
-        data = self._csr.data
+        self._csr = csr = _compact(points)[1]
+        data, columns = csr.data, csr.indices
         with np.errstate(over="ignore"):  # overflowing rows are caught per query
-            self._sq_norms = np.bincount(self._csr.row_ids, data * data, minlength=len(points))
-        longest = int(np.diff(self._csr.indptr).max())
-        n = 8 * longest + 32
-        self._rel_slack = n * _UNIT_ROUNDOFF / (1.0 - n * _UNIT_ROUNDOFF)
-        self._abs_slack = (4 * longest + 4) * _SMALLEST_SUBNORMAL
+            self._sq_norms = np.bincount(csr.row_ids, data * data, minlength=n)
+        self._longest = _longest_row(csr)
+        m = 8 * self._longest + 32
+        self._rel_slack = m * _UNIT_ROUNDOFF / (1.0 - m * _UNIT_ROUNDOFF)
+        self._abs_slack = (4 * self._longest + 4) * _SMALLEST_SUBNORMAL
+
+        by_column = np.argsort(columns, kind="stable")
+        self._col_counts = np.bincount(columns, minlength=csr.shape[1])
+        self._col_starts = np.cumsum(self._col_counts) - self._col_counts
+        self._col_rows = csr.row_ids[by_column]
+        self._col_data = data[by_column]
+
+        # A query's filter work: its nonzero products and its n-wide rows.
+        work = np.bincount(csr.row_ids, self._col_counts[columns], minlength=n) + n
+        self._work = np.concatenate(([0], np.cumsum(work)))
+        self._found: dict[int, dict[int, np.ndarray]] = {}  # k -> query -> neighbors
+        self._block_size: dict[int, int] = {}  # k -> queries in the next block
 
     def __len__(self) -> int:
-        return len(self.points)
+        return self._csr.shape[0]
 
     def query(self, query_index: int, k: int) -> list[int]:
-        """Indices of the k nearest points to points[query_index]; see `knn`."""
-        n = len(self.points)
+        """Indices of the k nearest points to point query_index; see `knn`."""
+        n = len(self)
         if not 0 <= query_index < n:
             raise ValueError(f"query_index {query_index} outside [0, {n})")
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
         k = min(k, n - 1)
-        csr = self._csr
-        lo, hi = csr.indptr[query_index], csr.indptr[query_index + 1]
-        dense_query = np.zeros(csr.shape[1])
-        dense_query[csr.indices[lo:hi]] = csr.data[lo:hi]
+        found = self._found.setdefault(k, {})
+        if query_index not in found:
+            start, work = query_index, self._work
+            within = int(np.searchsorted(work, work[start] + _BLOCK_ENTRIES, side="right")) - 1
+            stop = max(start + 1, min(within, start + self._block_size.get(k, 1)))
+            self._block_size[k] = 2 * (stop - start)
+            found.update(zip(range(start, stop), self._solve(start, stop, k)))
+        return found[query_index].tolist()
 
+    def _solve(self, start: int, stop: int, k: int) -> np.ndarray:
+        """The k nearest points of queries start..stop-1, one row each."""
+        csr, n = self._csr, len(self)
+        lo, hi = csr.indptr[start], csr.indptr[stop]
+        columns = csr.indices[lo:hi]
+        counts = self._col_counts[columns]  # each query entry meets its column's points
+        pos = _segments(self._col_starts[columns], counts)
+        queries = np.arange(start, stop)
+        own = (queries - start, queries)
         with np.errstate(over="ignore", invalid="ignore"):  # unsafe pairs, below
-            norm_sum = self._sq_norms[query_index] + self._sq_norms
-            gram = norm_sum - 2.0 * (csr @ dense_query)
+            dots = np.bincount(
+                np.repeat((csr.row_ids[lo:hi] - start) * n, counts) + self._col_rows[pos],
+                np.repeat(csr.data[lo:hi], counts) * self._col_data[pos],
+                minlength=(stop - start) * n,
+            ).reshape(-1, n)
+            norm_sum = self._sq_norms[queries, None] + self._sq_norms
+            gram = norm_sum - 2.0 * dots
             slack = self._rel_slack * norm_sum + self._abs_slack
             lower = gram - slack
             upper = gram + slack
         unsafe = ~(norm_sum <= _SAFE_NORM_SUM)
         lower[unsafe] = -np.inf
         upper[unsafe] = np.inf
-        upper[query_index] = np.inf
-        bound = np.partition(upper, k - 1)[k - 1]
+        upper[own] = np.inf
+        bound = np.partition(upper, k - 1, axis=1)[:, k - 1]
+        candidate = lower <= bound[:, None]
+        candidate[own] = False
 
-        candidates = np.flatnonzero(lower <= bound)
-        query = self.points[query_index]
-        ranked = sorted(
-            (euclidean_distance(query, self.points[i]), i)
-            for i in candidates.tolist()
-            if i != query_index
-        )
-        return [i for _, i in ranked[:k]]
+        which, points = np.nonzero(candidate)  # grouped by query, at least k each
+        distance = np.sqrt(self._squared_distances(which + start, points))
+        ranked = points[np.lexsort((points, distance, which))]
+        firsts = np.searchsorted(which, queries - start)
+        return ranked[firsts[:, None] + np.arange(k)]
+
+    def _squared_distances(self, a_rows: np.ndarray, b_rows: np.ndarray) -> np.ndarray:
+        """Per pair, the sum `euclidean_distance` takes the square root of."""
+        sums = np.empty(a_rows.size)
+        step = max(1, _BLOCK_ENTRIES // (2 * self._longest + 1))
+        for lo in range(0, a_rows.size, step):
+            pair, _, a, b = _union(self._csr, a_rows[lo : lo + step], b_rows[lo : lo + step])
+            with np.errstate(over="ignore"):
+                d = a - b
+                sums[lo : lo + step] = _sequential_sums(pair, d * d, min(step, a_rows.size - lo))
+        return sums
 
 
 def knn(points: Sequence[SparseVector] | NeighborIndex, query_index: int, k: int) -> list[int]:
@@ -217,11 +344,33 @@ def knn(points: Sequence[SparseVector] | NeighborIndex, query_index: int, k: int
     return index.query(query_index, k)
 
 
-def smote_trace(
-    minority: list[SparseVector], majority_count: int, config: SmoteConfig
-) -> list[SyntheticSample]:
-    """Generate majority_count - len(minority) synthetic samples with provenance."""
-    t = len(minority)
+def _interpolate_rows(
+    points: CsrView, bases: np.ndarray, others: np.ndarray, gaps: np.ndarray
+) -> CsrView:
+    """Row s is base + gaps[s] * (other - base) for rows bases[s] and
+    others[s] of ``points``, over their union support with zeros dropped:
+    the operations of `interpolate`, bit for bit.  Rows are built in
+    chunks of at most `_BLOCK_ENTRIES` union entries."""
+    used, compact = _compact(points)
+    counts, indices, data = [np.zeros(0, dtype=np.int64)], [used[:0]], [points.data[:0]]
+    step = max(1, _BLOCK_ENTRIES // (2 * _longest_row(points) + 1))
+    for lo in range(0, bases.size, step):
+        pair, col, base, other = _union(compact, bases[lo : lo + step], others[lo : lo + step])
+        values = base + gaps[lo : lo + step][pair] * (other - base)
+        kept = values != 0.0
+        counts.append(np.bincount(pair[kept], minlength=min(step, bases.size - lo)))
+        indices.append(used[col[kept]])
+        data.append(values[kept])
+    indptr = np.concatenate(([0], np.cumsum(np.concatenate(counts))))
+    return CsrView(indptr, np.concatenate(indices), np.concatenate(data), points.shape[1])
+
+
+def _synthesize(
+    minority: CsrView, majority_count: int, config: SmoteConfig
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, CsrView]:
+    """The (base, neighbor, gap) of each of the majority_count - len(minority)
+    synthetic rows, and those rows."""
+    t = minority.shape[0]
     if t < 1:
         raise ValueError("minority set is empty")
     if majority_count < t:
@@ -229,29 +378,31 @@ def smote_trace(
             f"majority_count {majority_count} smaller than minority count {t}"
         )
     n_new = majority_count - t
-    if n_new == 0:
-        return []
-
+    bases = np.arange(n_new) % t
     if t == 1:
-        # No neighbor exists: interpolation collapses to duplication.
-        lone = minority[0]
-        return [SyntheticSample(lone, 0, 0, 0.0) for _ in range(n_new)]
+        # No neighbor exists: base + 0.0 * (base - base) is the finite row itself.
+        neighbors, gaps = bases, np.zeros(n_new)
+    else:
+        k = min(config.k, t - 1)
+        index = NeighborIndex(minority)
+        nearest = [knn(index, i, k) for i in range(min(n_new, t))]
+        pick = derive_stream(config.seed, STREAM_NEIGHBOR).next_below
+        draw_gap = derive_stream(config.seed, STREAM_GAP).next_float
+        neighbors = np.array([nearest[i][pick(k)] for i in bases.tolist()], dtype=np.int64)
+        gaps = np.array([draw_gap() for _ in range(n_new)], dtype=np.float64)
+    return bases, neighbors, gaps, _interpolate_rows(minority, bases, neighbors, gaps)
 
-    k_eff = min(config.k, t - 1)
-    neighbor_rng = derive_stream(config.seed, STREAM_NEIGHBOR)
-    gap_rng = derive_stream(config.seed, STREAM_GAP)
-    index = NeighborIndex(minority)
-    neighbors: dict[int, list[int]] = {}
-    samples: list[SyntheticSample] = []
-    for j in range(n_new):
-        i = j % t
-        if i not in neighbors:
-            neighbors[i] = knn(index, i, k_eff)
-        nn_list = neighbors[i]
-        nn = nn_list[neighbor_rng.next_below(len(nn_list))]
-        gap = gap_rng.next_float()
-        samples.append(SyntheticSample(interpolate(minority[i], minority[nn], gap), i, nn, gap))
-    return samples
+
+def smote_trace(
+    minority: list[SparseVector], majority_count: int, config: SmoteConfig
+) -> list[SyntheticSample]:
+    """Generate majority_count - len(minority) synthetic samples with provenance."""
+    points = CsrView.from_rows(minority, minority[0].dim if minority else 0)
+    bases, neighbors, gaps, rows = _synthesize(points, majority_count, config)
+    return [
+        SyntheticSample(*sample)
+        for sample in zip(rows.rows(), bases.tolist(), neighbors.tolist(), gaps.tolist())
+    ]
 
 
 def smote(
@@ -286,26 +437,21 @@ def balance_training_set(
     minority_label = label_a if count_a < count_b else label_b
     majority_count = max(count_a, count_b)
     is_minority = matrix.labels_array() == minority_label
-    minority_rows = np.flatnonzero(is_minority).tolist()
-    minority = matrix.csr.select(is_minority).rows()
-
-    trace = smote_trace(minority, majority_count, config)
-    usage = {row: 0 for row in minority_rows}
-    for sample in trace:
-        usage[minority_rows[sample.base_index]] += 1
+    minority_rows = np.flatnonzero(is_minority)
+    bases, _, _, synthetic = _synthesize(matrix.csr.select(is_minority), majority_count, config)
+    usage = np.bincount(bases, minlength=minority_rows.size)
 
     report = ResampleReport(
-        minority_before=len(minority),
+        minority_before=minority_rows.size,
         majority=majority_count,
-        synthetic_created=len(trace),
-        per_sample_usage=usage,
+        synthetic_created=bases.size,
+        per_sample_usage=dict(zip(minority_rows.tolist(), usage.tolist())),
         minority_label=minority_label,
     )
-    if len(minority) == 1:
+    if minority_rows.size == 1:
         report.warnings.append(
             "single minority sample: synthetic rows are exact duplicates"
         )
 
-    synthetic = CsrView.from_rows([s.vector for s in trace], matrix.dim)
-    labels = matrix.labels + (minority_label,) * len(trace)
+    labels = matrix.labels + (minority_label,) * bases.size
     return FeatureMatrix.from_csr(matrix.csr.stack(synthetic), labels), report

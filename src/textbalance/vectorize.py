@@ -139,9 +139,11 @@ class CsrView:
         return CsrView(indptr, indices, data, self.shape[1])
 
     def __matmul__(self, weights: np.ndarray) -> np.ndarray:
-        return np.bincount(
-            self.row_ids, self.data * weights[self.indices], minlength=self.shape[0]
-        )
+        # One nnz-sized temporary, not two: fits call this every epoch, and
+        # two at once can make malloc trim and re-fault the heap each call.
+        products = weights[self.indices]
+        products *= self.data
+        return np.bincount(self.row_ids, products, minlength=self.shape[0])
 
     @property
     def T(self) -> "_CsrTranspose":
@@ -156,9 +158,9 @@ class _CsrTranspose:
 
     def __matmul__(self, residuals: np.ndarray) -> np.ndarray:
         csr = self._csr
-        return np.bincount(
-            csr.indices, csr.data * residuals[csr.row_ids], minlength=csr.shape[1]
-        )
+        products = residuals[csr.row_ids]
+        products *= csr.data
+        return np.bincount(csr.indices, products, minlength=csr.shape[1])
 
 
 class FeatureMatrix:

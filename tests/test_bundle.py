@@ -21,6 +21,7 @@ from textbalance.bundle import (
     tfidf_from_dict,
     tfidf_to_dict,
 )
+from textbalance import matrixio
 from textbalance.classify import ALGORITHMS, TrainConfig, predict_batch, train
 from textbalance.matrixio import (
     MatrixFormatError,
@@ -248,3 +249,101 @@ class TestMatrixIo:
         path = tmp_path / "empty.mtx"
         write_matrix(matrix, path)
         assert read_matrix(path) == matrix
+
+
+def _outcome(path):
+    """A matrix's arrays, dim and labels, or the error message."""
+    try:
+        matrix = read_matrix(path)
+    except MatrixFormatError as exc:
+        return str(exc)
+    csr = matrix.csr
+    values = [repr(v) for v in csr.data.tolist()]
+    return csr.indptr.tolist(), csr.indices.tolist(), values, matrix.dim, matrix.labels
+
+
+# Accepted by the chunked fast path as well as by the line-by-line checker.
+VALID_BODIES = {
+    "signs_underscores_nonascii_digits": "4 20 4\n+2 1_0 1.5\n0 \u0663 -2.5\n\u0661 0 1_000.5\n3 +19 +7e-3\n",
+    "subnormals_and_dropped_zeros": (
+        "3 3 5\n0 0 5e-324\n0 1 0.0\n1 1 -0.0\n2 2 2.2250738585072014e-308\n2 0 -4.9e-324\n"
+    ),
+    "unsorted_with_blank_lines": "3 3 4\n\n2 1 0.5\n   \n0 2 2.0\n\t\n1 0 1.0\n0 0 3.0\n",
+    "vt_fs_crlf_no_final_newline": "3 3 3\x0b0 0 1.0\x1c1 1 2.0\r\n2 2 3.0",
+    "tabs_and_unit_separator": "2 2 2\n0\t0  1.0 \n 1 1\x1f2.0\n",
+}
+# Rejected: the checker words the error and names the line.
+INVALID_BODIES = {
+    "vt_splits_a_line": "2 2 1\n0\x0b1 1.0\n",
+    "unparsable": "2 2 1\n0 x 1.0\n",
+    "non_finite": "2 2 2\n0 0 1.0\n1 1 nan\n",
+    "out_of_bounds": "2 2 1\n2 0 1.0\n",
+    "beyond_int64": "2 2 1\n0 99999999999999999999 1.0\n",
+    "duplicate": "2 2 3\n0 0 1.0\n1 1 2.0\n0 0 3.0\n",
+    "nnz_mismatch": "2 2 3\n0 0 1.0\n",
+    "two_fields": "2 2 1\n0 0\n",
+    "missing_header": "\n0 0 1.0\n",
+    "empty_file": "",
+}
+
+
+class TestReaderFastPath:
+    """`read_matrix` parses in chunks and checks with arrays, falling back
+    to the line-by-line checker on any fault; both must agree on every
+    input, matrix for matrix and message for message."""
+
+    @staticmethod
+    def write(tmp_path, body, n_rows):
+        path = tmp_path / "m.mtx"
+        path.write_text(body, encoding="utf-8", newline="")
+        (tmp_path / "m.mtx.labels").write_text("".join(f"{i % 2}\n" for i in range(n_rows)))
+        return path
+
+    @staticmethod
+    def assert_same_as_checker(path, monkeypatch):
+        fast = _outcome(path)
+        with monkeypatch.context() as patch:
+            patch.setattr(matrixio, "_parse_fast", lambda path, text: None)
+            checked = _outcome(path)
+        assert fast == checked
+        return fast
+
+    @pytest.mark.parametrize("name", sorted(VALID_BODIES))
+    def test_valid_inputs_take_the_fast_path(self, tmp_path, monkeypatch, name):
+        body = VALID_BODIES[name]
+        path = self.write(tmp_path, body, int(body.split()[0]))
+        assert matrixio._parse_fast(path, body) is not None
+        assert not isinstance(self.assert_same_as_checker(path, monkeypatch), str)
+
+    @pytest.mark.parametrize("name", sorted(INVALID_BODIES))
+    def test_invalid_inputs_get_the_checker_message(self, tmp_path, monkeypatch, name):
+        body = INVALID_BODIES[name]
+        path = self.write(tmp_path, body, 2)
+        assert isinstance(self.assert_same_as_checker(path, monkeypatch), str)
+
+    def test_explicit_zeros_and_order(self, tmp_path, monkeypatch):
+        body = VALID_BODIES["subnormals_and_dropped_zeros"]
+        indptr, indices, values, _, _ = self.assert_same_as_checker(
+            self.write(tmp_path, body, 3), monkeypatch
+        )
+        assert (indptr, indices, values) == ([0, 1, 1, 3], [0, 0, 2], ["5e-324", "-5e-324", "2.2250738585072014e-308"])
+
+    @pytest.mark.parametrize(
+        "fault, message",
+        [("7 7 oops", "unparsable triple"), ("0 0 9.0", "duplicate entry (0, 0)")],
+        ids=["bad_line", "duplicate"],
+    )
+    def test_fault_in_a_later_chunk_names_its_line(self, tmp_path, monkeypatch, fault, message):
+        n_rows = 3000
+        lines = [f"{r} {c} {r + c + 0.5!r}" for r in range(n_rows) for c in range(3)]
+        at = len(lines) - 5
+        lines.insert(at, fault)
+        body = f"{n_rows} 8 {len(lines)}\n" + "\n".join(lines) + "\n"
+        first_chunk_lines = body[: matrixio._CHUNK_CHARS].count("\n")
+        fault_line = at + 2  # 1-based, after the header
+        assert fault_line > first_chunk_lines + 1
+        path = self.write(tmp_path, body, n_rows)
+        assert self.assert_same_as_checker(path, monkeypatch) == f"{path}:{fault_line}: {message}"
+        lines.remove(fault)
+        path = self.write(tmp_path, f"{n_rows} 8 {len(lines)}\n" + "\n".join(lines), n_rows)
+        assert len(self.assert_same_as_checker(path, monkeypatch)[1]) == len(lines)

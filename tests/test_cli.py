@@ -353,6 +353,10 @@ def _infinite_prior(c):
     c["class_log_prior"][0] = float("inf")
 
 
+def _huge_integer_weight(c):
+    c["weights"][0] = 10**400  # a JSON integer that float() cannot convert
+
+
 def _first_split(c):
     return next(i for i, node in enumerate(c["nodes"]) if "left" in node)
 
@@ -429,6 +433,7 @@ class TestCorruptBundles:
             ("nb", _short_nb_row),
             ("nb", _one_nb_row),
             ("nb", _infinite_prior),
+            ("logistic", _huge_integer_weight),
         ],
     )
     def test_corrupt_linear_and_nb_bundles_exit_2(self, dataset, tmp_path, capsys, algo, edit):
@@ -483,6 +488,7 @@ class TestCorruptBundles:
             _set("tfidf", "doc_freq", lambda df: [df[0] + 0.5] + df[1:]),
             _set("tfidf", "n_docs", lambda n: n + 0.5),
             _set("tfidf", "n_docs", float),
+            _set("tfidf", "n_docs", lambda n: 10**400),
             # Terms the bundle's own preprocessing could not have kept.
             _first_term("ab"),
             _first_term("the"),
@@ -491,7 +497,7 @@ class TestCorruptBundles:
         ids=[
             "min_len_string", "min_len_zero", "min_len_bool", "min_len_float",
             "stop_name_int", "stop_sha_null", "duplicate_term", "integer_term",
-            "fractional_doc_freq", "fractional_n_docs", "float_n_docs",
+            "fractional_doc_freq", "fractional_n_docs", "float_n_docs", "huge_n_docs",
             "short_term", "stop_word_term", "multi_token_term",
         ],
     )
@@ -566,7 +572,7 @@ class TestOversample:
         matrix = read_matrix(src)
         assert [row.entries for row in matrix.rows] == [((0, 1.0), (1, 2.0)), (), ((1, 0.5),)]
 
-    def test_builds_vectors_for_minority_and_synthetic_rows_only(self, tmp_path, monkeypatch):
+    def test_builds_no_vectors(self, tmp_path, monkeypatch):
         src = tmp_path / "train.mtx"
         write_matrix(rand_matrix(np.random.default_rng(51), n0=12, n1=5, dim=6), src)
         built = []
@@ -584,7 +590,7 @@ class TestOversample:
         monkeypatch.setattr(vectorize.SparseVector, "__post_init__", counted_post_init)
         monkeypatch.setattr(vectorize.SparseVector, "_unchecked", classmethod(counted_unchecked))
         assert run(["oversample", "--matrix", src, "--out", tmp_path / "out.mtx"]) == 0
-        assert len(built) == 5 + 7  # minority rows, then synthetic rows
+        assert built == []  # reading, balancing and writing all stay on the CSR arrays
 
     def test_header_beyond_int64_exits_2(self, tmp_path, capsys):
         src = tmp_path / "wide.mtx"
@@ -592,6 +598,20 @@ class TestOversample:
         (tmp_path / "wide.mtx.labels").write_text("0\n0\n0\n1\n1\n")
         assert run(["oversample", "--matrix", src, "--out", tmp_path / "out.mtx"]) == 2
         assert capsys.readouterr().err.startswith("error [read]")
+
+    @pytest.mark.parametrize("width", [10**12, 2**62], ids=["1e12", "2^62"])
+    def test_huge_column_count_balances_and_keeps_its_width(self, tmp_path, capsys, width):
+        src = tmp_path / "wide.mtx"
+        src.write_text(f"5 {width} 4\n0 0 1.0\n1 3 2.0\n3 0 0.5\n4 {width - 1} 1.5\n")
+        (tmp_path / "wide.mtx.labels").write_text("0\n0\n0\n1\n1\n")
+        dst = tmp_path / "out.mtx"
+        assert run(["oversample", "--matrix", src, "--out", dst]) == 0
+        assert "2/3 -> 3/3" in capsys.readouterr().out
+        lines = dst.read_text().splitlines()
+        assert lines[0].split()[:2] == ["6", str(width)]
+        balanced = read_matrix(dst)
+        assert balanced.dim == width
+        assert set(balanced.csr.indices[balanced.csr.indptr[5] :].tolist()) <= {0, width - 1}
 
     def test_huge_row_count_is_rejected_before_allocating(self, tmp_path, capsys):
         src = tmp_path / "huge.mtx"

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import rand_matrix, rand_sparse, to_dense
+from textbalance import resample
 from textbalance.fixtures import two_vocab_corpus
 from textbalance.preprocess import preprocess_corpus
 from textbalance.resample import (
@@ -20,6 +21,7 @@ from textbalance.resample import (
     smote,
     smote_trace,
 )
+from textbalance.rng import STREAM_GAP, STREAM_NEIGHBOR, derive_stream
 from textbalance.stopwords import default_stopwords
 from textbalance.vectorize import FeatureMatrix, SparseVector, fit, transform_corpus
 
@@ -352,6 +354,112 @@ class TestBalanceTrainingSet:
         assert data["minority_before"] == 3
         assert data["synthetic_created"] == 3
         assert all(isinstance(k, str) for k in data["per_sample_usage"])
+
+
+def reference_balance(matrix: FeatureMatrix, config: SmoteConfig) -> FeatureMatrix:
+    """SMOTE one sample at a time: the exhaustive scan, the single-vector
+    `interpolate` and the two seeded streams, as the method defines it."""
+    counts = matrix.class_counts()
+    minority_label = min(counts, key=lambda label: (counts[label], label))
+    majority = max(counts.values())
+    minority = [row for row, lb in zip(matrix.rows, matrix.labels) if lb == minority_label]
+    t = len(minority)
+    pick = derive_stream(config.seed, STREAM_NEIGHBOR)
+    gap = derive_stream(config.seed, STREAM_GAP)
+    synthetic = []
+    for j in range(majority - t):
+        if t == 1:
+            synthetic.append(minority[0])
+            continue
+        nearest = exhaustive_knn(minority, j % t, config.k)
+        other = nearest[pick.next_below(len(nearest))]
+        synthetic.append(interpolate(minority[j % t], minority[other], gap.next_float()))
+    labels = matrix.labels + (minority_label,) * len(synthetic)
+    return FeatureMatrix(matrix.rows + tuple(synthetic), labels, matrix.dim)
+
+
+class TestArraySmoteOracle:
+    """The array path of `balance_training_set` against `reference_balance`."""
+
+    @staticmethod
+    def assert_matches_reference(matrix, config):
+        balanced, _ = balance_training_set(matrix, config)
+        assert balanced.digest() == reference_balance(matrix, config).digest()
+
+    def test_empty_rows_duplicates_and_ties(self):
+        rng = np.random.default_rng(60)
+        zero = SparseVector(dim=15, entries=())
+        a, b = rand_sparse(rng, 15, density=0.5), rand_sparse(rng, 15, density=0.5)
+        minority = [zero, a, a, rand_sparse(rng, 15), zero, b, a, b, zero, rand_sparse(rng, 15)]
+        majority = [rand_sparse(rng, 15) for _ in range(27)]
+        matrix = FeatureMatrix(tuple(majority + minority), (0,) * 27 + (1,) * 10, 15)
+        for k in (1, 2, 5):
+            self.assert_matches_reference(matrix, SmoteConfig(k=k, seed=k))
+
+    @pytest.mark.parametrize("t", [1, 2, 3])
+    def test_tiny_minorities_and_k_beyond_them(self, t):
+        rng = np.random.default_rng(61 + t)
+        matrix = rand_matrix(rng, n0=9, n1=t, dim=7)
+        for k in (1, t, t + 4):
+            self.assert_matches_reference(matrix, SmoteConfig(k=k, seed=3))
+
+    def test_many_blocks_and_chunks(self, monkeypatch):
+        rng = np.random.default_rng(64)
+        matrix = rand_matrix(rng, n0=150, n1=70, dim=40, density=0.3)
+        config = SmoteConfig(k=4, seed=11)
+        self.assert_matches_reference(matrix, config)
+        # A small budget splits the queries, the recheck and the
+        # interpolation into many pieces; the result must not move.
+        monkeypatch.setattr(resample, "_BLOCK_ENTRIES", 64)
+        blocks = []
+        real_solve = NeighborIndex._solve
+
+        def counted(index, start, stop, k):
+            blocks.append(stop - start)
+            return real_solve(index, start, stop, k)
+
+        monkeypatch.setattr(NeighborIndex, "_solve", counted)
+        self.assert_matches_reference(matrix, config)
+        assert sum(blocks) == 70 and len(blocks) > 10
+
+    def test_interpolation_that_cancels_to_zero(self):
+        # base + gap * (0 - base) rounds to 0 for a subnormal base when
+        # gap > 1/2, and gap * other rounds to 0 when gap < 1/2.
+        rng = np.random.default_rng(65)
+        tiny = 5e-324
+        rows = [
+            SparseVector.from_pairs(6, [(i, tiny * float(rng.integers(1, 3))) for i in range(6) if rng.random() < 0.5])
+            for _ in range(12)
+        ]
+        matrix = FeatureMatrix(tuple(rows), (0,) * 8 + (1,) * 4, 6)
+        balanced, _ = balance_training_set(matrix, SmoteConfig(k=3, seed=2))
+        expected = reference_balance(matrix, SmoteConfig(k=3, seed=2))
+        assert balanced.digest() == expected.digest()
+        minority = matrix.rows[8:]
+        trace = smote_trace(list(minority), 8, SmoteConfig(k=3, seed=2))
+        union = [
+            {i for i, _ in minority[s.base_index].entries} | {i for i, _ in minority[s.neighbor_index].entries}
+            for s in trace
+        ]
+        assert any(s.vector.nnz < len(u) for s, u in zip(trace, union))
+
+    def test_knn_is_called_once_per_distinct_base(self, monkeypatch):
+        calls = []
+        real_knn = resample.knn
+
+        def counted(index, query, k):
+            calls.append((query, k))
+            return real_knn(index, query, k)
+
+        monkeypatch.setattr(resample, "knn", counted)
+        rng = np.random.default_rng(66)
+        few = rand_matrix(rng, n0=20, n1=6, dim=9)  # 14 synthetic rows over 6 bases
+        balance_training_set(few, SmoteConfig(k=3, seed=1))
+        assert calls == [(i, 3) for i in range(6)]
+        calls.clear()
+        many = rand_matrix(rng, n0=12, n1=9, dim=9)  # 3 synthetic rows over 3 bases
+        balance_training_set(many, SmoteConfig(k=20, seed=1))
+        assert calls == [(0, 8), (1, 8), (2, 8)]
 
 
 class TestPinnedOutputs:
