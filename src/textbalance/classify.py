@@ -86,10 +86,6 @@ class MultinomialNBModel:
     class_log_prior: tuple[float, ...]
     feature_log_prob: tuple[tuple[float, ...], ...]
 
-    def decision_score(self, vector: SparseVector) -> float | None:
-        """Log-posterior difference (class 1 minus class 0), if both present."""
-        return predict_scored(self, vector)[1]
-
     @cached_property
     def _log_prob_table(self) -> np.ndarray:
         return np.array(self.feature_log_prob, dtype=np.float64)
@@ -103,9 +99,6 @@ class LinearModel:
     dim: int
     weights: tuple[float, ...]
     bias: float
-
-    def decision_score(self, vector: SparseVector) -> float:
-        return vector.dot(self.weights) + self.bias
 
     @cached_property
     def _weight_array(self) -> np.ndarray:
@@ -131,9 +124,6 @@ class TreeNode:
 class DecisionTreeModel:
     dim: int
     nodes: tuple[TreeNode, ...]
-
-    def decision_score(self, vector: SparseVector) -> None:
-        return None
 
     @cached_property
     def _arrays(self) -> tuple[np.ndarray, ...]:
@@ -417,8 +407,10 @@ def _nb_scores(model: MultinomialNBModel, vector: SparseVector) -> list[float]:
 
 
 def predict_scored(model: TrainedClassifier, vector: SparseVector) -> tuple[int, float | None]:
-    """Predicted binary label and the model's ``decision_score``, from one
-    pass over the vector; ties everywhere resolve to label 0."""
+    """Predicted binary label and decision score, from one pass over the
+    vector: the log-posterior difference (class 1 minus class 0) for NB
+    with both classes, ``w . x + b`` for linear models, else None.  Ties
+    everywhere resolve to label 0."""
     if vector.dim != model.dim:
         raise ValueError(f"dimension mismatch: vector {vector.dim}, model {model.dim}")
     if isinstance(model, MultinomialNBModel):
@@ -430,7 +422,7 @@ def predict_scored(model: TrainedClassifier, vector: SparseVector) -> tuple[int,
         score = scores[1] - scores[0] if model.class_labels == (0, 1) else None
         return model.class_labels[best], score
     if isinstance(model, LinearModel):
-        score = model.decision_score(vector)
+        score = vector.dot(model.weights) + model.bias
         return (1 if score >= 0.0 else 0), score
     node = model.nodes[0]
     while not node.is_leaf:
@@ -446,7 +438,7 @@ def predict(model: TrainedClassifier, vector: SparseVector) -> int:
 
 class Predictions(list):
     """Predicted labels, one per row, carrying each row's
-    ``decision_score`` as ``scores`` (None for trees and single-class NB)."""
+    `predict_scored` score as ``scores`` (None for trees and single-class NB)."""
 
     def __init__(self, labels: list[int], scores: list):
         super().__init__(labels)

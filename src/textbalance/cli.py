@@ -17,6 +17,8 @@ from contextlib import contextmanager
 from datetime import datetime, timezone
 from pathlib import Path
 
+import numpy as np
+
 from . import bundle as bundle_mod
 from . import classify, evaluate, ingest, matrixio, preprocess, resample, stopwords, vectorize
 from .rng import STREAM_PROJECTION, derive_stream
@@ -84,28 +86,29 @@ def _seed(text: str) -> int:
     return value
 
 
-def _common_parent() -> argparse.ArgumentParser:
-    parent = argparse.ArgumentParser(add_help=False)
-    parent.add_argument("--seed", type=_seed, default=0, help="RNG seed (u64, default 0)")
-    parent.add_argument("--stopwords", metavar="PATH", help="stop-word override file")
-    parent.add_argument(
-        "--min-token-len",
-        type=int,
-        default=preprocess.DEFAULT_MIN_TOKEN_LEN,
-        metavar="N",
-        help="minimum surviving token length (default 3)",
-    )
-    parent.add_argument(
-        "--format", choices=("csv", "jsonl"), default="csv", help="dataset file format"
-    )
-    return parent
+# Every flag that two or more commands take, stated once; each command
+# names the ones it reads in `build_parser`.
+_SHARED_FLAGS = {
+    "--seed": dict(type=_seed, default=0, help="RNG seed (u64, default 0)"),
+    "--stopwords": dict(metavar="PATH", help="stop-word override file"),
+    "--min-token-len": dict(type=int, default=preprocess.DEFAULT_MIN_TOKEN_LEN, metavar="N",
+                            help="minimum surviving token length (default 3)"),
+    "--format": dict(choices=("csv", "jsonl"), default="csv", help="dataset file format"),
+    "--smote-k": dict(type=int, default=resample.SmoteConfig.k, help="SMOTE neighbor count"),
+    "--data": dict(required=True, metavar="PATH"),
+    "--split": dict(type=_fraction, default=0.8, metavar="FRACTION"),
+    "--split-manifest": dict(metavar="PATH"),
+    "--smote": dict(choices=("on", "off"), default="off"),
+    "--bundle": dict(required=True, metavar="PATH"),
+}
+# What train, report and scatter read to featurize a corpus and balance it.
+_CORPUS_FLAGS = ("--seed", "--stopwords", "--min-token-len", "--format", "--smote-k", "--data")
 
 
-def _hyper_parent() -> argparse.ArgumentParser:
+def _add_hyper_flags(parser: argparse.ArgumentParser) -> None:
     """One flag per `TrainConfig` hyperparameter: svm_C gives --svm-c, with
     the field's default and the default's type (int for a None default)."""
-    parent = argparse.ArgumentParser(add_help=False)
-    group = parent.add_argument_group("hyperparameters")
+    group = parser.add_argument_group("hyperparameters")
     for field in _HYPER_FIELDS:
         group.add_argument(
             "--" + field.name.lower().replace("_", "-"),
@@ -113,69 +116,51 @@ def _hyper_parent() -> argparse.ArgumentParser:
             type=int if field.default is None else type(field.default),
             default=field.default,
         )
-    return parent
-
-
-def _smote_parent() -> argparse.ArgumentParser:
-    parent = argparse.ArgumentParser(add_help=False)
-    parent.add_argument(
-        "--smote-k", type=int, default=resample.SmoteConfig.k, help="SMOTE neighbor count"
-    )
-    return parent
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="textbalance", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-    common = _common_parent()
-    hyper = _hyper_parent()
-    smote = _smote_parent()
 
-    p_train = sub.add_parser("train", parents=[common, hyper, smote], help="train one classifier")
-    p_train.add_argument("--data", required=True, metavar="PATH")
+    def command(name, help, *flags):
+        p = sub.add_parser(name, help=help)
+        for flag in flags:
+            p.add_argument(flag, **_SHARED_FLAGS[flag])
+        return p
+
+    p_train = command("train", "train one classifier",
+                      *_CORPUS_FLAGS, "--smote", "--split", "--split-manifest")
+    _add_hyper_flags(p_train)
     p_train.add_argument("--algo", required=True, choices=_ALGO_CHOICES)
-    p_train.add_argument("--smote", choices=("on", "off"), default="off")
-    p_train.add_argument("--split", type=_fraction, default=0.8, metavar="FRACTION")
     p_train.add_argument("--out", default="model.json", metavar="PATH")
-    p_train.add_argument("--split-manifest", metavar="PATH")
     p_train.add_argument("--timestamp", help="provenance timestamp (default: null)")
 
-    p_predict = sub.add_parser("predict", parents=[common], help="label new texts")
-    p_predict.add_argument("--bundle", required=True, metavar="PATH")
+    p_predict = command("predict", "label new texts", "--stopwords", "--bundle")
     p_predict.add_argument("text", nargs="?", help="single text (else --input or stdin)")
     p_predict.add_argument("--input", metavar="PATH", help="file with one text per line")
 
-    p_eval = sub.add_parser("evaluate", parents=[common], help="score a bundle on labeled data")
-    p_eval.add_argument("--bundle", required=True, metavar="PATH")
-    p_eval.add_argument("--data", required=True, metavar="PATH")
+    p_eval = command("evaluate", "score a bundle on labeled data",
+                     "--stopwords", "--format", "--bundle", "--data")
     p_eval.add_argument("--out", metavar="PATH", help="write metrics JSON here")
 
-    p_over = sub.add_parser(
-        "oversample", parents=[common, smote], help="SMOTE-balance a sparse matrix file"
-    )
+    p_over = command("oversample", "SMOTE-balance a sparse matrix file", "--seed", "--smote-k")
     p_over.add_argument("--matrix", required=True, metavar="PATH")
     p_over.add_argument("--labels", metavar="PATH", help="label sidecar (default <matrix>.labels)")
     p_over.add_argument("--out", required=True, metavar="PATH")
     p_over.add_argument("--out-labels", metavar="PATH")
     p_over.add_argument("--report", metavar="PATH", help="write resample report JSON")
 
-    p_report = sub.add_parser(
-        "report", parents=[common, hyper, smote], help="with/without-SMOTE comparison table"
-    )
-    p_report.add_argument("--data", required=True, metavar="PATH")
-    p_report.add_argument("--split", type=_fraction, default=0.8, metavar="FRACTION")
+    p_report = command("report", "with/without-SMOTE comparison table",
+                       *_CORPUS_FLAGS, "--split", "--split-manifest")
+    _add_hyper_flags(p_report)
     p_report.add_argument(
         "--algos", default=",".join(_ALGO_CHOICES), help="comma-separated algorithm list"
     )
     p_report.add_argument("--out", default="comparison", metavar="PREFIX")
     p_report.add_argument("--csv", action="store_true", help="also write PREFIX.csv")
-    p_report.add_argument("--split-manifest", metavar="PATH")
 
-    p_scatter = sub.add_parser(
-        "scatter", parents=[common, smote], help="2-d projection of a training matrix"
-    )
-    p_scatter.add_argument("--data", required=True, metavar="PATH")
-    p_scatter.add_argument("--smote", choices=("on", "off"), default="off")
+    p_scatter = command("scatter", "2-d projection of a training matrix",
+                        *_CORPUS_FLAGS, "--smote")
     p_scatter.add_argument("--out", default="scatter.csv", metavar="PATH")
     p_scatter.add_argument("--svg", metavar="PATH", help="also write a minimal SVG")
 
@@ -194,9 +179,8 @@ def _train_config(args, algorithm: str) -> classify.TrainConfig:
 
 
 def _timestamp(args) -> str | None:
-    explicit = getattr(args, "timestamp", None)
-    if explicit:
-        return explicit
+    if args.timestamp:
+        return args.timestamp
     epoch = os.environ.get("SOURCE_DATE_EPOCH")
     if epoch:
         return datetime.fromtimestamp(int(epoch), tz=timezone.utc).isoformat()
@@ -216,24 +200,44 @@ def _metrics_text(report: evaluate.MetricsReport) -> str:
     return "\n".join(lines)
 
 
-def _prepare_features(args, fraction: float):
-    """Shared train/report/scatter front half: load, split, fit, transform."""
-    with _stage("ingest"):
-        corpus = ingest.load_corpus(args.data, args.format)
-        dataset_split = ingest.split(corpus, fraction, args.seed)
+def _features(args, *corpora: ingest.Corpus):
+    """The train/report/scatter front half: preprocess every corpus, fit
+    TF-IDF on the first, and transform them all, one matrix each."""
     with _stage("preprocess"):
         stops = _resolve_stopwords(args)
-        train_tokens = preprocess.preprocess_corpus(dataset_split.train, stops, args.min_token_len)
-        test_tokens = preprocess.preprocess_corpus(dataset_split.test, stops, args.min_token_len)
+        tokens = [preprocess.preprocess_corpus(c, stops, args.min_token_len) for c in corpora]
     with _stage("vectorize"):
-        tfidf = vectorize.fit(train_tokens)
-        train_matrix = vectorize.transform_corpus(tfidf, train_tokens, dataset_split.train.labels)
-        test_matrix = vectorize.transform_corpus(tfidf, test_tokens, dataset_split.test.labels)
+        tfidf = vectorize.fit(tokens[0])
+        matrices = [
+            vectorize.transform_corpus(tfidf, t, c.labels) for t, c in zip(tokens, corpora)
+        ]
+    return stops, tfidf, matrices
+
+
+def _prepare_features(args):
+    """Load and split the dataset, then featurize its train and test sides."""
+    with _stage("ingest"):
+        corpus = ingest.load_corpus(args.data, args.format)
+        dataset_split = ingest.split(corpus, args.split, args.seed)
+    stops, tfidf, (train_matrix, test_matrix) = _features(
+        args, dataset_split.train, dataset_split.test
+    )
     return corpus, dataset_split, stops, tfidf, train_matrix, test_matrix
 
 
+def _balance(args, matrix):
+    """SMOTE-balance ``matrix`` with --smote-k and --seed, printing each
+    warning; returns the config, the balanced matrix and the report."""
+    with _stage("resample"):
+        config = resample.SmoteConfig(k=args.smote_k, seed=args.seed)
+        balanced, report = resample.balance_training_set(matrix, config)
+        for warning in report.warnings:
+            print(f"warning: {warning}", file=sys.stderr)
+    return config, balanced, report
+
+
 def _write_manifest(args, dataset_split: ingest.DatasetSplit) -> None:
-    if getattr(args, "split_manifest", None):
+    if args.split_manifest:
         with _stage("write"):
             Path(args.split_manifest).write_text(
                 bundle_mod.canonical_json(dataset_split.to_manifest()), encoding="utf-8"
@@ -241,17 +245,11 @@ def _write_manifest(args, dataset_split: ingest.DatasetSplit) -> None:
 
 
 def cmd_train(args) -> int:
-    corpus, dataset_split, stops, tfidf, train_matrix, test_matrix = _prepare_features(
-        args, args.split
-    )
+    corpus, dataset_split, stops, tfidf, train_matrix, test_matrix = _prepare_features(args)
     smote_config = None
     matrix = train_matrix
     if args.smote == "on":
-        with _stage("resample"):
-            smote_config = resample.SmoteConfig(k=args.smote_k, seed=args.seed)
-            matrix, resample_report = resample.balance_training_set(train_matrix, smote_config)
-            for warning in resample_report.warnings:
-                print(f"warning: {warning}", file=sys.stderr)
+        smote_config, matrix, _ = _balance(args, train_matrix)
     with _stage("train"):
         config = _train_config(args, args.algo)
         model = classify.train(matrix, config)
@@ -317,13 +315,23 @@ def _predict_chunks(model_bundle: bundle_mod.ModelBundle, texts: list[str], labe
         yield classify.predict_batch(model_bundle.classifier, matrix)
 
 
+def _lines(text: str) -> list[str]:
+    """The lines of ``text``, each ended by "\n", "\r\n" or "\r" (or the end
+    of the text).  `str.splitlines` would also split at form feeds, U+2028
+    and other separators, and so misalign the output with the input."""
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    return lines
+
+
 def _texts_for_predict(args):
     if args.text is not None:
         return [args.text]
     if args.input:
         with _stage("read"):
-            return Path(args.input).read_text(encoding="utf-8").splitlines()
-    return sys.stdin.read().splitlines()
+            return _lines(Path(args.input).read_text(encoding="utf-8"))
+    return _lines(sys.stdin.read())
 
 
 def cmd_predict(args) -> int:
@@ -367,11 +375,7 @@ def cmd_evaluate(args) -> int:
 def cmd_oversample(args) -> int:
     with _stage("read"):
         matrix = matrixio.read_matrix(args.matrix, args.labels)
-    with _stage("resample"):
-        config = resample.SmoteConfig(k=args.smote_k, seed=args.seed)
-        balanced, report = resample.balance_training_set(matrix, config)
-        for warning in report.warnings:
-            print(f"warning: {warning}", file=sys.stderr)
+    _, balanced, report = _balance(args, matrix)
     with _stage("write"):
         matrixio.write_matrix(balanced, args.out, args.out_labels)
         if args.report:
@@ -386,15 +390,18 @@ def cmd_oversample(args) -> int:
 
 
 def cmd_report(args) -> int:
-    algorithms = [a.strip() for a in args.algos.split(",") if a.strip()]
+    # In order, each once: a repeat would refit to print the same column.
+    algorithms = list(dict.fromkeys(a.strip() for a in args.algos.split(",") if a.strip()))
+    if not algorithms:
+        raise CliRuntimeError("config", ValueError(f"--algos names no algorithm: {args.algos!r}"))
     unknown = [a for a in algorithms if a not in _ALGO_CHOICES]
     if unknown:
         raise CliRuntimeError("config", ValueError(f"unknown algorithms: {unknown}"))
-    _, dataset_split, _, _, train_matrix, test_matrix = _prepare_features(args, args.split)
+    _, dataset_split, _, _, train_matrix, test_matrix = _prepare_features(args)
     with _stage("compare"):
         smote_config = resample.SmoteConfig(k=args.smote_k, seed=args.seed)
-        configs = {algo: _train_config(args, algo) for algo in algorithms}
-        report = evaluate.compare(train_matrix, test_matrix, algorithms, smote_config, configs)
+        configs = [_train_config(args, algo) for algo in algorithms]
+        report = evaluate.compare(train_matrix, test_matrix, configs, smote_config)
         report.metadata["seed"] = args.seed
         report.metadata["train_fraction"] = args.split
         report.metadata["dataset"] = str(args.data)
@@ -417,13 +424,10 @@ def cmd_report(args) -> int:
 
 
 def _project_rows(matrix, seed: int) -> list[tuple[float, float]]:
+    """Each row times two seeded gaussian vectors, drawn interleaved."""
     rng = derive_stream(seed, STREAM_PROJECTION)
-    gx = []
-    gy = []
-    for _ in range(matrix.dim):
-        gx.append(rng.next_gaussian())
-        gy.append(rng.next_gaussian())
-    return [(row.dot(gx), row.dot(gy)) for row in matrix.rows]
+    gx, gy = np.array([rng.next_gaussian() for _ in range(2 * matrix.dim)]).reshape(-1, 2).T
+    return list(zip((matrix.csr @ gx).tolist(), (matrix.csr @ gy).tolist()))
 
 
 def _scatter_svg(points, labels, n_original: int) -> str:
@@ -463,20 +467,10 @@ def cmd_scatter(args) -> int:
     # inspection; no train/test split happens here.
     with _stage("ingest"):
         corpus = ingest.load_corpus(args.data, args.format)
-    with _stage("preprocess"):
-        stops = _resolve_stopwords(args)
-        tokens = preprocess.preprocess_corpus(corpus, stops, args.min_token_len)
-    with _stage("vectorize"):
-        tfidf = vectorize.fit(tokens)
-        train_matrix = vectorize.transform_corpus(tfidf, tokens, corpus.labels)
-    n_original = len(train_matrix)
-    matrix = train_matrix
+    _, _, (matrix,) = _features(args, corpus)
+    n_original = len(matrix)
     if args.smote == "on":
-        with _stage("resample"):
-            config = resample.SmoteConfig(k=args.smote_k, seed=args.seed)
-            matrix, report = resample.balance_training_set(train_matrix, config)
-            for warning in report.warnings:
-                print(f"warning: {warning}", file=sys.stderr)
+        _, matrix, _ = _balance(args, matrix)
     with _stage("project"):
         points = _project_rows(matrix, args.seed)
     with _stage("write"):

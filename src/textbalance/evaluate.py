@@ -185,34 +185,27 @@ class ComparisonReport:
 def compare(
     train_matrix: FeatureMatrix,
     test_matrix: FeatureMatrix,
-    algorithms: list[str],
+    configs: list[TrainConfig],
     smote_config: SmoteConfig,
-    train_configs: dict[str, TrainConfig] | None = None,
 ) -> ComparisonReport:
-    """Train each algorithm with and without SMOTE-balanced training data
-    and evaluate both arms on the untouched test matrix."""
+    """Train each config's algorithm with and without SMOTE-balanced
+    training data and evaluate both arms on the untouched test matrix."""
     if train_matrix.dim != test_matrix.dim:
         raise ValueError(
             f"train dim {train_matrix.dim} != test dim {test_matrix.dim}"
         )
-    train_configs = train_configs or {}
     balanced, resample_report = balance_training_set(train_matrix, smote_config)
 
     cells: dict[str, dict[str, MetricsReport]] = {}
     configs_used: dict[str, dict] = {}
-    for algo in algorithms:
-        config = train_configs.get(algo, TrainConfig(algorithm=algo))
-        if config.algorithm != algo:
-            raise ValueError(
-                f"config for {algo!r} carries algorithm {config.algorithm!r}"
-            )
+    for config in configs:
         with_model = train(balanced, config)
         without_model = train(train_matrix, config)
-        cells[algo] = {
+        cells[config.algorithm] = {
             "with_smote": evaluate_model(with_model, test_matrix),
             "without_smote": evaluate_model(without_model, test_matrix),
         }
-        configs_used[algo] = config.to_dict()
+        configs_used[config.algorithm] = config.to_dict()
 
     metadata = {
         "smote_config": smote_config.to_dict(),

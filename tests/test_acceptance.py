@@ -258,9 +258,8 @@ def test_criterion_09_directional_smote_benefit():
             tfidf = fit(train_tokens)
             train_m = transform_corpus(tfidf, train_tokens, train_corpus.labels)
             test_m = transform_corpus(tfidf, test_tokens, test_corpus.labels)
-            report = compare(
-                train_m, test_m, ["nb", "svm"], SmoteConfig(k=5, seed=seed), None
-            )
+            configs = [TrainConfig(algorithm=algo) for algo in ("nb", "svm")]
+            report = compare(train_m, test_m, configs, SmoteConfig(k=5, seed=seed))
             seed_ok = True
             for algo in ("nb", "svm"):
                 with_f1 = report.cells[algo]["with_smote"].rendered("f1")

@@ -119,7 +119,7 @@ class TestNaiveBayes:
         matrix = dense_to_matrix([[1.0], [2.0]], [1, 1])
         model = train(matrix, TrainConfig(algorithm="nb"))
         assert predict(model, matrix.rows[0]) == 1
-        assert model.decision_score(matrix.rows[0]) is None
+        assert predict_scored(model, matrix.rows[0])[1] is None
 
     def test_negative_feature_values_rejected(self):
         matrix = dense_to_matrix([[1.0], [-0.5]], [0, 1])
@@ -187,7 +187,7 @@ class TestLogistic:
         matrix = separable_matrix()
         model = train(matrix, TrainConfig(algorithm="logistic"))
         for row in matrix.rows:
-            assert predict(model, row) == (1 if model.decision_score(row) >= 0 else 0)
+            assert predict(model, row) == (1 if predict_scored(model, row)[1] >= 0 else 0)
 
 
 class TestSvm:
@@ -220,7 +220,7 @@ class TestSvm:
         matrix = separable_matrix()
         model = train(matrix, TrainConfig(algorithm="svm"))
         for row in matrix.rows:
-            assert predict(model, row) == (1 if model.decision_score(row) >= 0 else 0)
+            assert predict(model, row) == (1 if predict_scored(model, row)[1] >= 0 else 0)
 
 
 class TestDecisionTree:
@@ -355,7 +355,7 @@ class TestTrainValidation:
             for row in matrix.rows:
                 assert predict_scored(model, row) == (
                     predict(model, row),
-                    model.decision_score(row),
+                    predict_scored(model, row)[1],
                 ), algo
         nb_tie = train(tie, TrainConfig(algorithm="nb"))
         assert predict_scored(nb_tie, tie.rows[0]) == (0, 0.0)
@@ -365,14 +365,14 @@ class TestTrainValidation:
         weights = (1e16, 1.0, -1e16)
         for algo in ("logistic", "svm"):
             model = LinearModel(algorithm=algo, dim=3, weights=weights, bias=0.25)
-            assert model.decision_score(ones) == 0.25
+            assert predict_scored(model, ones)[1] == 0.25
         nb = MultinomialNBModel(
             dim=3,
             class_labels=(0, 1),
             class_log_prior=(-1.0, 0.0),
             feature_log_prob=((0.0, 0.0, 0.0), weights),
         )
-        assert nb.decision_score(ones) == 1.0  # (0 + 0.0) - (-1 + 0.0)
+        assert predict_scored(nb, ones)[1] == 1.0  # (0 + 0.0) - (-1 + 0.0)
 
 
 def _scored(model, matrix: FeatureMatrix) -> list:

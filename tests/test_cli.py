@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import subprocess
@@ -22,6 +23,7 @@ from textbalance.fixtures import two_vocab_corpus
 from textbalance.ingest import Corpus, LabeledDocument, write_corpus
 from textbalance.matrixio import read_matrix, write_matrix
 from textbalance.resample import SmoteConfig
+from textbalance.rng import STREAM_PROJECTION, derive_stream
 
 
 @pytest.fixture()
@@ -182,6 +184,29 @@ class TestPredictAndEvaluate:
         lines = capsys.readouterr().out.strip().split("\n")
         assert len(lines) == 2
 
+    @pytest.mark.parametrize("source", ["input", "stdin"])
+    def test_one_output_line_per_newline_terminated_line(
+        self, bundle, tmp_path, capsys, monkeypatch, source
+    ):
+        # str.splitlines() would also split at each of these.
+        separators = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+        texts = [f"free{sep}money offer" for sep in separators] + ["click now"]
+        capsys.readouterr()
+        expected = []
+        for text in texts:
+            assert run(["predict", "--bundle", bundle, text]) == 0
+            expected.append(capsys.readouterr().out)
+        content = "".join(text + "\n" for text in texts[:-1]) + texts[-1] + "\r\n"
+        if source == "input":
+            inputs = tmp_path / "texts.txt"
+            inputs.write_text(content, encoding="utf-8", newline="")
+            argv = ["predict", "--bundle", bundle, "--input", inputs]
+        else:
+            monkeypatch.setattr(sys, "stdin", io.StringIO(content))
+            argv = ["predict", "--bundle", bundle]
+        assert run(argv) == 0
+        assert capsys.readouterr().out == "".join(expected)
+
     def test_evaluate_prints_and_writes_metrics(self, bundle, dataset, tmp_path, capsys):
         capsys.readouterr()
         out = tmp_path / "metrics.json"
@@ -326,6 +351,73 @@ class TestHyperparameterFlags:
     def test_smote_k_default_is_smote_configs(self, command):
         assert _parse(command).smote_k == SmoteConfig().k
         assert _parse(command, "--smote-k", "2").smote_k == 2
+
+
+_HYPER_FLAGS = {
+    "--svm-c", "--tree-max-features", "--lr-learning-rate", "--lr-epochs", "--l2",
+    "--svm-epochs", "--nb-alpha", "--tree-max-depth", "--tree-min-samples-split",
+}
+_CORPUS_FLAGS = {"--seed", "--stopwords", "--min-token-len", "--format", "--smote-k", "--data"}
+
+
+class TestCommandFlags:
+    """Each command takes exactly the flags it reads."""
+
+    OPTIONS = {
+        "train": _CORPUS_FLAGS | _HYPER_FLAGS | {
+            "--algo", "--smote", "--split", "--out", "--split-manifest", "--timestamp",
+        },
+        "predict": {"--stopwords", "--bundle", "--input"},
+        "evaluate": {"--stopwords", "--format", "--bundle", "--data", "--out"},
+        "oversample": {
+            "--seed", "--smote-k", "--matrix", "--labels", "--out", "--out-labels", "--report",
+        },
+        "report": _CORPUS_FLAGS | _HYPER_FLAGS | {
+            "--split", "--algos", "--out", "--csv", "--split-manifest",
+        },
+        "scatter": _CORPUS_FLAGS | {"--smote", "--out", "--svg"},
+    }
+    REQUIRED = {
+        "predict": ["--bundle", "b.json", "text"],
+        "evaluate": ["--bundle", "b.json", "--data", "d.csv"],
+        "oversample": ["--matrix", "m.mtx", "--out", "o.mtx"],
+    }
+
+    def test_option_strings_per_command(self):
+        commands = build_parser()._subparsers._group_actions[0].choices
+        assert set(commands) == set(self.OPTIONS)
+        for name, command in commands.items():
+            options = {s for action in command._actions for s in action.option_strings}
+            assert options - {"-h", "--help"} == self.OPTIONS[name], name
+
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            ("predict", "--seed", "1"),
+            ("predict", "--min-token-len", "2"),
+            ("predict", "--format", "jsonl"),
+            ("evaluate", "--seed", "1"),
+            ("evaluate", "--min-token-len", "2"),
+            ("oversample", "--stopwords", "s.txt"),
+            ("oversample", "--min-token-len", "2"),
+            ("oversample", "--format", "csv"),
+        ],
+    )
+    def test_flag_a_command_does_not_read_is_a_usage_error(self, command, flag, value, capsys):
+        assert run([command, *self.REQUIRED[command], flag, value]) == 1
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["report", "--data", "posts.csv", "--out", "comparison", "--seed", "3"],
+            ["predict", "--bundle", "bundle.json", "--input", "posts.txt"],
+            ["train", "--algo", "logistic", "--data", "train.csv", "--out", "bundle.json"],
+            ["oversample", "--matrix", "matrix.txt", "--out", "balanced.txt", "--seed", "3"],
+        ],
+    )
+    def test_benchmark_argv_shapes_parse(self, argv):
+        assert build_parser().parse_args(argv).command == argv[0]
 
 
 def _truncate_weights(c):
@@ -680,6 +772,36 @@ class TestReport:
         assert code == 2
         assert "quantum" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("algos", [",", " , ", ""])
+    def test_empty_algorithm_list_exits_2_before_any_work(
+        self, dataset, tmp_path, capsys, monkeypatch, algos
+    ):
+        def no_balance(*args):
+            raise AssertionError("SMOTE ran")
+
+        monkeypatch.setattr(evaluate, "balance_training_set", no_balance)
+        prefix = tmp_path / "cmp"
+        assert run(["report", "--data", dataset, "--algos", algos, "--out", prefix]) == 2
+        assert capsys.readouterr().err.startswith("error [config]")
+        assert not Path(f"{prefix}.json").exists()
+
+    def test_repeated_algorithm_is_fitted_once_per_arm(self, dataset, tmp_path, monkeypatch):
+        fits = []
+
+        def counting_train(matrix, config):
+            fits.append(config.algorithm)
+            return classify.train(matrix, config)
+
+        monkeypatch.setattr(evaluate, "train", counting_train)
+        for prefix, algos in (("once", "nb"), ("twice", "nb, nb,nb")):
+            fits.clear()
+            assert run(["report", "--data", dataset, "--algos", algos, "--seed", 4,
+                        "--out", tmp_path / prefix]) == 0
+            assert fits == ["nb", "nb"]
+        for suffix in (".json", ".txt"):
+            once = (tmp_path / f"once{suffix}").read_bytes()
+            assert (tmp_path / f"twice{suffix}").read_bytes() == once
+
 
 class TestScatter:
     def test_projects_every_input_row(self, dataset, tmp_path):
@@ -739,6 +861,28 @@ class TestScatter:
         assert run(["scatter", "--data", data, "--smote", "on", "--out", out]) == 0
         assert "warning: single minority sample" in capsys.readouterr().err
         assert len(out.read_text().strip().split("\n")[2:]) == 6
+
+    def test_projection_matches_per_row_reference(self, tmp_path):
+        # Row 1 keeps no token, so it is empty and projects to 0.0, not
+        # the int 0 that `dot`'s default start would give.
+        texts = ["cheap pills offer", "the of and", "python tutorial lesson", "cheap offer"]
+        docs = [LabeledDocument(id=f"d{i}", text=t, label=i % 2) for i, t in enumerate(texts)]
+        corpus = Corpus.from_documents(docs)
+        data = tmp_path / "tiny.csv"
+        write_corpus(corpus, data, "csv")
+        out = tmp_path / "points.csv"
+        assert run(["scatter", "--data", data, "--out", out, "--seed", 6]) == 0
+        tokens = preprocess.preprocess_corpus(corpus, stopwords.default_stopwords())
+        matrix = vectorize.transform_corpus(vectorize.fit(tokens), tokens, corpus.labels)
+        rng = derive_stream(6, STREAM_PROJECTION)
+        g = [(rng.next_gaussian(), rng.next_gaussian()) for _ in range(matrix.dim)]
+        gx, gy = [x for x, _ in g], [y for _, y in g]
+        expected = [
+            f"{row.dot(gx, start=0.0)!r},{row.dot(gy, start=0.0)!r},{label},false"
+            for row, label in zip(matrix.rows, matrix.labels)
+        ]
+        assert out.read_text().split("\n")[2:-1] == expected
+        assert expected[1] == "0.0,0.0,1,false"
 
     def test_deterministic_output(self, dataset, tmp_path):
         a = tmp_path / "a.csv"

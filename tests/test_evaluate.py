@@ -158,10 +158,14 @@ class TestEvaluateModel:
         assert 0.0 <= report.accuracy <= 1.0
 
 
+def _configs(*algorithms):
+    return [TrainConfig(algorithm=algo) for algo in algorithms]
+
+
 class TestCompare:
     def test_structure_and_metadata(self):
         train_m, test_m = two_cluster_matrices()
-        report = compare(train_m, test_m, ["nb", "svm"], SmoteConfig(k=3, seed=1), None)
+        report = compare(train_m, test_m, _configs("nb", "svm"), SmoteConfig(k=3, seed=1))
         assert set(report.cells) == {"nb", "svm"}
         for arms in report.cells.values():
             assert set(arms) == set(ComparisonReport.ARMS)
@@ -177,7 +181,7 @@ class TestCompare:
     def test_without_arm_ignores_oversampling(self):
         # The without-SMOTE arm must equal training directly on the input.
         train_m, test_m = two_cluster_matrices()
-        report = compare(train_m, test_m, ["nb"], SmoteConfig(seed=5), None)
+        report = compare(train_m, test_m, _configs("nb"), SmoteConfig(seed=5))
         direct = evaluate_model(train(train_m, TrainConfig(algorithm="nb")), test_m)
         assert report.cells["nb"]["without_smote"] == direct
 
@@ -187,7 +191,7 @@ class TestCompare:
         balanced = dense_to_matrix(
             [[1.0, 0.1], [0.9, 0.0], [0.1, 1.0], [0.0, 0.9]], [0, 0, 1, 1]
         )
-        report = compare(balanced, test_m, ["nb", "tree"], SmoteConfig(seed=2), None)
+        report = compare(balanced, test_m, _configs("nb", "tree"), SmoteConfig(seed=2))
         assert report.resample.synthetic_created == 0
         for arms in report.cells.values():
             assert arms["with_smote"] == arms["without_smote"]
@@ -195,29 +199,18 @@ class TestCompare:
     def test_test_matrix_never_mutated(self):
         train_m, test_m = two_cluster_matrices()
         before = test_m.digest()
-        compare(train_m, test_m, ["nb", "logistic", "svm", "tree"], SmoteConfig(seed=9), None)
+        compare(train_m, test_m, _configs("nb", "logistic", "svm", "tree"), SmoteConfig(seed=9))
         assert test_m.digest() == before
 
     def test_dim_mismatch_rejected(self):
         train_m, _ = two_cluster_matrices()
         bad_test = dense_to_matrix([[1.0, 0.0, 0.0]], [0])
         with pytest.raises(ValueError):
-            compare(train_m, bad_test, ["nb"], SmoteConfig(), None)
-
-    def test_config_algorithm_mismatch_rejected(self):
-        train_m, test_m = two_cluster_matrices()
-        with pytest.raises(ValueError):
-            compare(
-                train_m,
-                test_m,
-                ["nb"],
-                SmoteConfig(),
-                {"nb": TrainConfig(algorithm="svm")},
-            )
+            compare(train_m, bad_test, _configs("nb"), SmoteConfig())
 
     def test_text_table_shape(self):
         train_m, test_m = two_cluster_matrices()
-        report = compare(train_m, test_m, ["nb"], SmoteConfig(seed=2), None)
+        report = compare(train_m, test_m, _configs("nb"), SmoteConfig(seed=2))
         table = report.to_text_table()
         lines = table.strip("\n").split("\n")
         assert lines[0].startswith("Metric")
@@ -240,7 +233,7 @@ class TestCompare:
 
     def test_csv_rows(self):
         train_m, test_m = two_cluster_matrices()
-        report = compare(train_m, test_m, ["nb", "tree"], SmoteConfig(seed=3), None)
+        report = compare(train_m, test_m, _configs("nb", "tree"), SmoteConfig(seed=3))
         lines = report.to_csv().strip().split("\n")
         assert lines[0] == "algorithm,arm,accuracy,precision,recall,f1"
         assert len(lines) == 1 + 2 * 2
