@@ -6,7 +6,7 @@ from .bundle import ModelBundle, PreprocessConfig, load_bundle, save_bundle
 from .classify import ALGORITHMS, TrainConfig, predict, predict_batch, train
 from .evaluate import ComparisonReport, ConfusionMatrix, MetricsReport, compare, evaluate_model
 from .ingest import Corpus, DatasetSplit, LabeledDocument, load_corpus, split, write_corpus
-from .preprocess import filter_tokens, preprocess_corpus, preprocess_document, strip_html, tokenize
+from .preprocess import filter_tokens, preprocess_corpus, strip_html, tokenize
 from .resample import ResampleReport, SmoteConfig, balance_training_set, knn, smote
 from .rng import SplitMix64, derive_stream
 from .stopwords import StopWordList, default_stopwords, load_stopwords
@@ -47,7 +47,6 @@ __all__ = [
     "predict",
     "predict_batch",
     "preprocess_corpus",
-    "preprocess_document",
     "save_bundle",
     "smote",
     "split",

@@ -21,7 +21,7 @@ from .classify import (
     TrainedClassifier,
     TreeNode,
 )
-from .preprocess import tokenize
+from .preprocess import filter_tokens, tokenize
 from .stopwords import StopWordList
 from .vectorize import TfIdfModel
 
@@ -107,13 +107,13 @@ class ModelBundle:
 
     def check_vocabulary(self, stops: StopWordList) -> None:
         """Require every term to be a token that `preprocess.filter_tokens`
-        keeps: at least min_token_len long, not on ``stops`` (the bundle's
-        own list) and its own `tokenize` output.  Filtering then changes no
-        vector, so serving may skip it."""
+        keeps, under min_token_len and ``stops`` (the bundle's own list), and
+        its own `tokenize` output.  Filtering then changes no vector, so
+        serving may skip it."""
         min_len = self.preprocess_config.min_token_len
+        kept = set(filter_tokens(self.tfidf.terms, stops, min_len))
         for term in self.tfidf.terms:
-            _require(len(term) >= min_len, f"term {term!r} is shorter than {min_len}")
-            _require(term not in stops, f"term {term!r} is on the stop list")
+            _require(term in kept, f"term {term!r} is shorter than {min_len} or a stop word")
             _require(tokenize(term) == [term], f"term {term!r} is not a single token")
 
 

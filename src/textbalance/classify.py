@@ -409,8 +409,9 @@ def _nb_scores(model: MultinomialNBModel, vector: SparseVector) -> list[float]:
 def predict_scored(model: TrainedClassifier, vector: SparseVector) -> tuple[int, float | None]:
     """Predicted binary label and decision score, from one pass over the
     vector: the log-posterior difference (class 1 minus class 0) for NB
-    with both classes, ``w . x + b`` for linear models, else None.  Ties
-    everywhere resolve to label 0."""
+    with both classes, ``w . x + b`` for linear models, else None.  Equal
+    NB class scores give label 0; a linear score of exactly 0.0 gives
+    label 1."""
     if vector.dim != model.dim:
         raise ValueError(f"dimension mismatch: vector {vector.dim}, model {model.dim}")
     if isinstance(model, MultinomialNBModel):
@@ -432,7 +433,8 @@ def predict_scored(model: TrainedClassifier, vector: SparseVector) -> tuple[int,
 
 
 def predict(model: TrainedClassifier, vector: SparseVector) -> int:
-    """Predicted binary label; ties everywhere resolve to label 0."""
+    """Predicted binary label.  Equal NB class scores give label 0; a
+    linear score of exactly 0.0 gives label 1."""
     return predict_scored(model, vector)[0]
 
 

@@ -136,8 +136,9 @@ def build_parser() -> _Parser:
     p_train.add_argument("--timestamp", help="provenance timestamp (default: null)")
 
     p_predict = command("predict", "label new texts", "--stopwords", "--bundle")
-    p_predict.add_argument("text", nargs="?", help="single text (else --input or stdin)")
-    p_predict.add_argument("--input", metavar="PATH", help="file with one text per line")
+    source = p_predict.add_mutually_exclusive_group()
+    source.add_argument("text", nargs="?", help="single text (else --input or stdin)")
+    source.add_argument("--input", metavar="PATH", help="file with one text per line")
 
     p_eval = command("evaluate", "score a bundle on labeled data",
                      "--stopwords", "--format", "--bundle", "--data")

@@ -189,11 +189,17 @@ def compare(
     smote_config: SmoteConfig,
 ) -> ComparisonReport:
     """Train each config's algorithm with and without SMOTE-balanced
-    training data and evaluate both arms on the untouched test matrix."""
+    training data and evaluate both arms on the untouched test matrix.
+    Each algorithm may appear at most once: the report has one cell per
+    algorithm."""
     if train_matrix.dim != test_matrix.dim:
         raise ValueError(
             f"train dim {train_matrix.dim} != test dim {test_matrix.dim}"
         )
+    algorithms = [config.algorithm for config in configs]
+    for i, algorithm in enumerate(algorithms):
+        if algorithm in algorithms[:i]:
+            raise ValueError(f"algorithm {algorithm!r} appears in more than one config")
     balanced, resample_report = balance_training_set(train_matrix, smote_config)
 
     cells: dict[str, dict[str, MetricsReport]] = {}

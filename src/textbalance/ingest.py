@@ -6,7 +6,8 @@ import csv
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 from pathlib import Path
 
 from .rng import STREAM_SPLIT, derive_stream
@@ -36,20 +37,17 @@ class Corpus:
     """An ordered collection of labeled documents with unique ids."""
 
     documents: tuple[LabeledDocument, ...]
-    class_counts: dict[int, int] = field(default_factory=dict)
 
-    @classmethod
-    def from_documents(cls, documents) -> "Corpus":
-        docs = tuple(documents)
+    def __post_init__(self):
         seen: set[str] = set()
-        for doc in docs:
+        for doc in self.documents:
             if doc.id in seen:
                 raise DatasetError(f"duplicate document id {doc.id!r}")
             seen.add(doc.id)
-        counts: dict[int, int] = {}
-        for doc in docs:
-            counts[doc.label] = counts.get(doc.label, 0) + 1
-        return cls(documents=docs, class_counts=counts)
+
+    @classmethod
+    def from_documents(cls, documents) -> "Corpus":
+        return cls(documents=tuple(documents))
 
     def __len__(self) -> int:
         return len(self.documents)
@@ -57,6 +55,11 @@ class Corpus:
     @property
     def labels(self) -> list[int]:
         return [doc.label for doc in self.documents]
+
+    @property
+    def class_counts(self) -> dict[int, int]:
+        """Documents per label, in order of each label's first appearance."""
+        return dict(Counter(self.labels))
 
     @property
     def ids(self) -> list[str]:
@@ -105,7 +108,7 @@ def _parse_label(raw, where: str) -> int:
     return value
 
 
-def _make_document(record: dict, index: int, where: str, allow_empty: bool) -> LabeledDocument:
+def _make_document(record: dict, index: int, where: str) -> LabeledDocument:
     if "text" not in record or record["text"] is None:
         raise DatasetError(f"{where}: missing 'text' field")
     if "label" not in record or record["label"] is None:
@@ -113,8 +116,8 @@ def _make_document(record: dict, index: int, where: str, allow_empty: bool) -> L
     text = record["text"]
     if not isinstance(text, str):
         raise DatasetError(f"{where}: 'text' must be a string")
-    if text == "" and not allow_empty:
-        raise DatasetError(f"{where}: empty text (pass allow_empty to accept)")
+    if text == "":
+        raise DatasetError(f"{where}: empty text")
     label = _parse_label(record["label"], where)
     explicit = record.get("id")
     if explicit is not None and not isinstance(explicit, str):
@@ -160,11 +163,11 @@ def _iter_jsonl_records(path: Path):
             yield obj
 
 
-def load_corpus(path, format: str = "csv", allow_empty: bool = False) -> Corpus:
+def load_corpus(path, format: str = "csv") -> Corpus:
     """Load a labeled corpus from a CSV (RFC-4180) or JSONL file.
 
-    Each record needs ``text`` and ``label`` fields; an explicit ``id`` is
-    used when present, otherwise ids are assigned as ``row-<index>``.
+    Each record needs a non-empty ``text`` and a ``label``; an explicit
+    ``id`` is used when present, otherwise ids are assigned as ``row-<index>``.
     """
     path = Path(path)
     if format == "csv":
@@ -177,7 +180,7 @@ def load_corpus(path, format: str = "csv", allow_empty: bool = False) -> Corpus:
     documents = []
     for index, record in enumerate(records):
         where = f"record {index + 1}"
-        documents.append(_make_document(record, index, where, allow_empty))
+        documents.append(_make_document(record, index, where))
     if not documents:
         raise DatasetError(f"{path}: empty dataset (no records)")
     return Corpus.from_documents(documents)

@@ -1,16 +1,17 @@
-"""Raw text to clean token sequences.
+"""Raw text to clean token lists.
 
 The cleaning pipeline is the same for training, evaluation, and
 prediction-time inputs: strip HTML markup, lowercase and tokenize on
-non-alphanumeric runs, then drop short tokens and stop words.
+non-alphanumeric runs, then drop short tokens and stop words.  A
+document's tokens are a plain ``list[str]`` from here to `vectorize`.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections.abc import Iterable
 
-from .ingest import Corpus, LabeledDocument
+from .ingest import Corpus
 from .stopwords import StopWordList
 
 DEFAULT_MIN_TOKEN_LEN = 3
@@ -32,20 +33,6 @@ _DECIMAL_DIGITS = re.compile("[0-9]+")
 _HEX_DIGITS = re.compile("[0-9A-Fa-f]+")
 # [^\W_] matches exactly the characters for which str.isalnum() is true.
 _TOKEN = re.compile(r"[^\W_]+")
-
-
-@dataclass(frozen=True)
-class TokenSequence:
-    """Ordered lowercase tokens surviving the cleaning pipeline."""
-
-    tokens: tuple[str, ...]
-    source_id: str = ""
-
-    def __len__(self) -> int:
-        return len(self.tokens)
-
-    def __iter__(self):
-        return iter(self.tokens)
 
 
 def _decode_entity(raw: str, pos: int) -> tuple[str, int] | None:
@@ -139,30 +126,23 @@ def tokenize(text: str) -> list[str]:
 
 
 def filter_tokens(
-    tokens: list[str],
+    tokens: Iterable[str],
     stops: StopWordList,
     min_len: int = DEFAULT_MIN_TOKEN_LEN,
-    source_id: str = "",
-) -> TokenSequence:
+) -> list[str]:
     """Drop tokens shorter than ``min_len`` and stop-list members."""
     if min_len < 1:
         raise ValueError(f"min_len must be >= 1, got {min_len}")
-    kept = tuple(t for t in tokens if len(t) >= min_len and t not in stops.words)
-    return TokenSequence(tokens=kept, source_id=source_id)
-
-
-def preprocess_document(
-    doc: LabeledDocument,
-    stops: StopWordList,
-    min_len: int = DEFAULT_MIN_TOKEN_LEN,
-) -> TokenSequence:
-    """Full cleaning pipeline for one document; may yield no tokens."""
-    return filter_tokens(tokenize(strip_html(doc.text)), stops, min_len, source_id=doc.id)
+    return [t for t in tokens if len(t) >= min_len and t not in stops.words]
 
 
 def preprocess_corpus(
     corpus: Corpus,
     stops: StopWordList,
     min_len: int = DEFAULT_MIN_TOKEN_LEN,
-) -> list[TokenSequence]:
-    return [preprocess_document(doc, stops, min_len) for doc in corpus.documents]
+) -> list[list[str]]:
+    """Strip, tokenize and filter each document, in corpus order; a
+    document may yield no tokens."""
+    return [
+        filter_tokens(tokenize(strip_html(doc.text)), stops, min_len) for doc in corpus.documents
+    ]

@@ -1,4 +1,5 @@
-"""TF-IDF vectorization over token sequences.
+"""TF-IDF vectorization over documents given as iterables of token
+strings, such as the lists `preprocess.preprocess_corpus` returns.
 
 Term weight = (term count / total in-vocabulary tokens of the document)
 * ln(training docs / docs containing the term).  Fitting reads training
@@ -22,8 +23,6 @@ from functools import cached_property
 from itertools import repeat
 
 import numpy as np
-
-from .preprocess import TokenSequence
 
 
 @dataclass(frozen=True)
@@ -247,20 +246,20 @@ class TfIdfModel:
         return len(self.terms)
 
 
-def fit(train_docs: list[TokenSequence]) -> TfIdfModel:
+def fit(train_docs: list[Iterable[str]]) -> TfIdfModel:
     """Build vocabulary and document frequencies from training docs only."""
     if not train_docs:
         raise ValueError("cannot fit TF-IDF on an empty training set")
     doc_freq: dict[str, int] = {}  # insertion order is first appearance
     for doc in train_docs:
-        for term in dict.fromkeys(doc.tokens):
+        for term in dict.fromkeys(doc):
             doc_freq[term] = doc_freq.get(term, 0) + 1
     return TfIdfModel(
         terms=tuple(doc_freq), doc_freq=tuple(doc_freq.values()), n_docs=len(train_docs)
     )
 
 
-def transform(model: TfIdfModel, doc: TokenSequence) -> SparseVector:
+def transform(model: TfIdfModel, doc: Iterable[str]) -> SparseVector:
     """TF-IDF vector of one document under a fitted model.
 
     Out-of-vocabulary tokens are ignored entirely: they do not contribute
@@ -269,7 +268,7 @@ def transform(model: TfIdfModel, doc: TokenSequence) -> SparseVector:
     vocab = model.vocabulary
     counts: dict[int, int] = {}
     total = 0
-    for token in doc.tokens:
+    for token in doc:
         idx = vocab.get(token)
         if idx is None:
             continue
@@ -290,16 +289,14 @@ def transform(model: TfIdfModel, doc: TokenSequence) -> SparseVector:
 def transform_corpus(
     model: TfIdfModel, docs: Iterable[Iterable[str]], labels: list[int]
 ) -> FeatureMatrix:
-    """TF-IDF matrix of many documents (token sequences or plain token
-    lists), built straight into CSR arrays.
+    """TF-IDF matrix of many documents, built straight into CSR arrays.
 
     Each document's tokens become vocabulary ids as it arrives, so the
     token strings of a generator's documents are never held all at once.
-    One ``np.unique``
-    over ``doc * dim + term`` keys then counts every (doc, term) pair;
-    row r equals ``transform(model, docs[r])`` bit for bit, because
-    count / in-vocabulary total and the product with the idf table are
-    the same IEEE operations.
+    One ``np.unique`` over ``doc * dim + term`` keys then counts every
+    (doc, term) pair; row r equals ``transform(model, docs[r])`` bit for
+    bit, because count / in-vocabulary total and the product with the idf
+    table are the same IEEE operations.
     """
     lookup = model.vocabulary.get
     ids: list[int] = []  # -1 marks an out-of-vocabulary token

@@ -18,7 +18,7 @@ from textbalance.cli import main as cli_main
 from textbalance.evaluate import ConfusionMatrix, compare, confusion, metrics
 from textbalance.fixtures import two_vocab_corpus
 from textbalance.ingest import Corpus, write_corpus
-from textbalance.preprocess import TokenSequence, preprocess_corpus
+from textbalance.preprocess import preprocess_corpus
 from textbalance.resample import SmoteConfig, balance_training_set, knn, smote_trace
 from textbalance.stopwords import default_stopwords
 from textbalance.vectorize import fit, transform, transform_corpus
@@ -117,7 +117,7 @@ def test_criterion_04_tfidf_oracle():
             ]
             if not any(docs):
                 docs[0] = ("w0",)
-            model = fit([TokenSequence(tokens=d, source_id="") for d in docs])
+            model = fit(docs)
             # Dense brute-force evaluation of the same weighting.
             col = {t: j for j, t in enumerate(model.terms)}
             df = np.zeros(len(model.terms))
@@ -130,7 +130,7 @@ def test_criterion_04_tfidf_oracle():
                     expected[col[tok]] += 1
                 if d:
                     expected = expected / len(d) * np.log(n_docs / df)
-                got = to_dense(transform(model, TokenSequence(tokens=d, source_id="")))
+                got = to_dense(transform(model, d))
                 np.testing.assert_allclose(got, expected, atol=1e-9)
         elapsed = time.perf_counter() - started
         assert elapsed < 10.0, f"took {elapsed:.2f}s"

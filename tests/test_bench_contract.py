@@ -1,0 +1,90 @@
+"""The package API the benchmark under ``bench/`` calls.
+
+The benchmark wraps the functions `bench/spans.py` lists in ``TARGETS`` and
+runs two call chains through the public modules: `bench/gen.py` builds a
+matrix file, and `bench/workloads.py` labels posts one at a time to check
+`predict`'s output.  A rename or a type change in those names would first
+show up as a failed benchmark run; these tests catch it in the suite.
+The span observers are not called here.
+"""
+
+from __future__ import annotations
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+from textbalance import bundle, classify, cli, ingest, matrixio, preprocess, stopwords, vectorize
+from textbalance.fixtures import two_vocab_corpus
+
+SPANS_PATH = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+
+
+def _load_spans():
+    spec = importlib.util.spec_from_file_location("bench_spans", SPANS_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_target_exists():
+    targets = _load_spans().TARGETS
+    assert targets
+    for module_name, func_name, _, _ in targets:
+        module = importlib.import_module(f"textbalance.{module_name}")
+        assert callable(getattr(module, func_name, None)), f"{module_name}.{func_name}"
+
+
+@pytest.fixture(scope="module")
+def corpora():
+    return two_vocab_corpus(seed=4, n_train_nonspam=40, n_train_spam=10)
+
+
+def test_matrix_chain(corpora, tmp_path):
+    """preprocess_corpus -> fit -> transform_corpus -> write_matrix, as
+    `bench/gen.py` writes the oversample input."""
+    train, _ = corpora
+    docs = ingest.Corpus.from_documents(iter(train.documents))
+    tokens = preprocess.preprocess_corpus(docs, stopwords.default_stopwords())
+    model = vectorize.fit(tokens)
+    matrix = vectorize.transform_corpus(model, tokens, docs.labels)
+    path = tmp_path / "matrix.txt"
+    matrixio.write_matrix(matrix, path)
+    assert len(matrix) == len(docs)
+    assert matrixio.read_matrix(path) == matrix
+
+
+def test_per_post_chain_agrees_with_predict(corpora, tmp_path, capsys):
+    """filter_tokens(tokenize(strip_html(text))) -> transform -> predict per
+    post, as `bench/workloads.py` checks `predict --input`, against
+    `predict_batch` and the command's own output."""
+    train, test = corpora
+    data = tmp_path / "train.csv"
+    ingest.write_corpus(train, data)
+    assert cli.main(["train", "--algo", "logistic", "--data", str(data),
+                     "--out", str(tmp_path / "bundle.json")]) == 0
+    model = bundle.load_bundle(tmp_path / "bundle.json")
+    stops = stopwords.default_stopwords()
+    min_len = model.preprocess_config.min_token_len
+    texts = ["<p>Cheap &amp; <b>cash</b></p>", "", *(doc.text for doc in test.documents)]
+
+    tokens = [
+        preprocess.filter_tokens(preprocess.tokenize(preprocess.strip_html(t)), stops, min_len)
+        for t in texts
+    ]
+    labels = [
+        classify.predict(model.classifier, vectorize.transform(model.tfidf, doc))
+        for doc in tokens
+    ]
+    matrix = vectorize.transform_corpus(model.tfidf, tokens, [0] * len(texts))
+    assert classify.predict_batch(model.classifier, matrix) == labels
+
+    posts = tmp_path / "posts.txt"
+    posts.write_text("".join(text + "\n" for text in texts), encoding="utf-8")
+    capsys.readouterr()
+    assert cli.main(["predict", "--bundle", str(tmp_path / "bundle.json"),
+                     "--input", str(posts)]) == 0
+    printed = [int(line.split("\t", 1)[0]) for line in capsys.readouterr().out.splitlines()]
+    assert printed == labels

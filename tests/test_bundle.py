@@ -29,17 +29,12 @@ from textbalance.matrixio import (
     read_matrix,
     write_matrix,
 )
-from textbalance.preprocess import TokenSequence
 from textbalance.stopwords import default_stopwords
 from textbalance.vectorize import FeatureMatrix, SparseVector, fit
 
 
 def fitted_tfidf():
-    docs = [
-        TokenSequence(tokens=("offer", "free", "money"), source_id="a"),
-        TokenSequence(tokens=("meeting", "notes", "free"), source_id="b"),
-        TokenSequence(tokens=("money", "now",), source_id="c"),
-    ]
+    docs = [["offer", "free", "money"], ["meeting", "notes", "free"], ["money", "now"]]
     return fit(docs)
 
 
@@ -63,10 +58,7 @@ def make_bundle(algorithm: str) -> tuple[ModelBundle, FeatureMatrix]:
 
 def _fixed_dim_tfidf():
     # Five terms so tfidf.dim matches the 5-column training matrices here.
-    docs = [
-        TokenSequence(tokens=("alpha", "beta", "gamma"), source_id="a"),
-        TokenSequence(tokens=("delta", "epsilon"), source_id="b"),
-    ]
+    docs = [["alpha", "beta", "gamma"], ["delta", "epsilon"]]
     return fit(docs)
 
 

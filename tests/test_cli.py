@@ -184,6 +184,18 @@ class TestPredictAndEvaluate:
         lines = capsys.readouterr().out.strip().split("\n")
         assert len(lines) == 2
 
+    @pytest.mark.parametrize("text_first", [True, False])
+    def test_text_with_input_is_a_usage_error(self, bundle, tmp_path, capsys, text_first):
+        inputs = tmp_path / "texts.txt"
+        inputs.write_text("first message\nsecond message\n")
+        sources = [["cheap casino"], ["--input", inputs]]
+        if not text_first:
+            sources.reverse()
+        capsys.readouterr()
+        assert run(["predict", "--bundle", bundle, *sources[0], *sources[1]]) == 1
+        out = capsys.readouterr()
+        assert out.out == "" and "not allowed with argument" in out.err
+
     @pytest.mark.parametrize("source", ["input", "stdin"])
     def test_one_output_line_per_newline_terminated_line(
         self, bundle, tmp_path, capsys, monkeypatch, source

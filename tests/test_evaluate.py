@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import dense_to_matrix
+from textbalance import evaluate as evaluate_mod
 from textbalance.classify import TrainConfig, train
 from textbalance.evaluate import (
     ComparisonReport,
@@ -207,6 +208,19 @@ class TestCompare:
         bad_test = dense_to_matrix([[1.0, 0.0, 0.0]], [0])
         with pytest.raises(ValueError):
             compare(train_m, bad_test, _configs("nb"), SmoteConfig())
+
+    def test_repeated_algorithm_rejected_before_any_fit(self, monkeypatch):
+        # One cell per algorithm: a second nb config would overwrite the first.
+        train_m, test_m = two_cluster_matrices()
+
+        def never(*args):
+            raise AssertionError("balanced or fitted before the configs were checked")
+
+        monkeypatch.setattr(evaluate_mod, "balance_training_set", never)
+        monkeypatch.setattr(evaluate_mod, "train", never)
+        configs = [TrainConfig("nb"), TrainConfig("svm"), TrainConfig("nb", nb_alpha=5.0)]
+        with pytest.raises(ValueError, match="algorithm 'nb' appears in more than one config"):
+            compare(train_m, test_m, configs, SmoteConfig())
 
     def test_text_table_shape(self):
         train_m, test_m = two_cluster_matrices()

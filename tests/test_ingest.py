@@ -38,6 +38,9 @@ class TestCorpus:
         corpus = make_corpus(3, 2)
         assert corpus.class_counts == {0: 3, 1: 2}
         assert len(corpus) == 5
+        # Direct construction is the same corpus, counts included.
+        direct = Corpus(documents=corpus.documents)
+        assert direct == corpus and direct.class_counts == {0: 3, 1: 2}
 
     def test_duplicate_ids_rejected(self):
         docs = [
@@ -46,6 +49,8 @@ class TestCorpus:
         ]
         with pytest.raises(DatasetError, match="dup"):
             Corpus.from_documents(docs)
+        with pytest.raises(DatasetError, match="dup"):
+            Corpus(documents=tuple(docs))
 
     def test_digest_is_content_sensitive(self):
         a = make_corpus(2, 2)
@@ -113,13 +118,11 @@ class TestLoadCorpus:
         with pytest.raises(DatasetError, match="text"):
             load_corpus(path, "jsonl")
 
-    def test_empty_text_rejected_unless_allowed(self, tmp_path):
+    def test_empty_text_rejected(self, tmp_path):
         path = tmp_path / "empty.jsonl"
         path.write_text(json.dumps({"text": "", "label": 0}) + "\n")
-        with pytest.raises(DatasetError, match="empty text"):
+        with pytest.raises(DatasetError, match="^record 1: empty text$"):
             load_corpus(path, "jsonl")
-        loaded = load_corpus(path, "jsonl", allow_empty=True)
-        assert loaded.documents[0].text == ""
 
     def test_invalid_json_line(self, tmp_path):
         path = tmp_path / "broken.jsonl"

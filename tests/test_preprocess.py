@@ -7,14 +7,7 @@ import random
 import pytest
 
 from textbalance.ingest import Corpus, LabeledDocument
-from textbalance.preprocess import (
-    TokenSequence,
-    filter_tokens,
-    preprocess_corpus,
-    preprocess_document,
-    strip_html,
-    tokenize,
-)
+from textbalance.preprocess import filter_tokens, preprocess_corpus, strip_html, tokenize
 from textbalance.stopwords import StopWordList, default_stopwords, load_stopwords
 
 
@@ -190,23 +183,18 @@ class TestFilterTokens:
     def test_drops_stop_words_and_short_tokens(self):
         stops = StopWordList(words=frozenset({"the", "visit"}), name="tiny")
         out = filter_tokens(["the", "ab", "visit", "offer", "xyz"], stops, min_len=3)
-        assert out.tokens == ("offer", "xyz")
+        assert out == ["offer", "xyz"]
 
     def test_min_len_boundary(self):
         stops = StopWordList(words=frozenset(), name="none")
-        assert filter_tokens(["ab", "abc"], stops, min_len=3).tokens == ("abc",)
-        assert filter_tokens(["ab", "abc"], stops, min_len=2).tokens == ("ab", "abc")
-
-    def test_source_id_carried(self):
-        stops = StopWordList(words=frozenset(), name="none")
-        out = filter_tokens(["abc"], stops, min_len=3, source_id="doc-9")
-        assert out.source_id == "doc-9"
+        assert filter_tokens(["ab", "abc"], stops, min_len=3) == ["abc"]
+        assert filter_tokens(["ab", "abc"], stops, min_len=2) == ["ab", "abc"]
 
     def test_default_list_drops_common_function_words(self):
         stops = default_stopwords()
         out = filter_tokens(["is", "to", "installation", "this", "guide"], stops, min_len=3)
-        assert out.tokens == ("installation", "guide")
-        assert filter_tokens(["they", "are", "spam"], stops, min_len=3).tokens == ("spam",)
+        assert out == ["installation", "guide"]
+        assert filter_tokens(["they", "are", "spam"], stops, min_len=3) == ["spam"]
 
 
 class TestPipeline:
@@ -216,12 +204,9 @@ class TestPipeline:
             text="<p>Free <b>Money</b> &amp; prizes!!! Visit http://spam.example now</p>",
             label=1,
         )
-        out = preprocess_document(doc, default_stopwords())
+        (out,) = preprocess_corpus(Corpus.from_documents([doc]), default_stopwords())
         # "now" is a stop word; "&" and "!!!" are punctuation; tags vanish.
-        assert out == TokenSequence(
-            tokens=("free", "money", "prizes", "visit", "http", "spam", "example"),
-            source_id="d1",
-        )
+        assert out == ["free", "money", "prizes", "visit", "http", "spam", "example"]
 
     def test_corpus_order_preserved(self):
         corpus = Corpus.from_documents(
@@ -232,17 +217,14 @@ class TestPipeline:
         )
         stops = StopWordList(words=frozenset(), name="none")
         out = preprocess_corpus(corpus, stops)
-        assert [seq.source_id for seq in out] == ["a", "b"]
-        assert out[0].tokens == ("alpha", "beta", "gamma")
+        assert out == [["alpha", "beta", "gamma"], ["delta", "epsilon"]]
 
     def test_identical_pipeline_for_any_input_stage(self):
-        # preprocess_document must equal the composed three steps.
+        # preprocess_corpus must equal the composed three steps.
         doc = LabeledDocument(id="x", text="<i>Deals</i> &gt; none? Act fast!!", label=1)
         stops = default_stopwords()
-        composed = filter_tokens(
-            tokenize(strip_html(doc.text)), stops, min_len=3, source_id="x"
-        )
-        assert preprocess_document(doc, stops) == composed
+        composed = filter_tokens(tokenize(strip_html(doc.text)), stops, min_len=3)
+        assert preprocess_corpus(Corpus.from_documents([doc]), stops) == [composed]
 
 
 class TestStopWords:

@@ -9,7 +9,7 @@ import pytest
 
 from conftest import rand_sparse, to_dense
 from textbalance.fixtures import two_vocab_corpus
-from textbalance.preprocess import TokenSequence, preprocess_corpus
+from textbalance.preprocess import preprocess_corpus
 from textbalance.stopwords import default_stopwords
 from textbalance.vectorize import (
     CsrView,
@@ -22,8 +22,8 @@ from textbalance.vectorize import (
 )
 
 
-def seq(*tokens: str) -> TokenSequence:
-    return TokenSequence(tokens=tuple(tokens), source_id="")
+def seq(*tokens: str) -> list[str]:
+    return list(tokens)
 
 
 def dense_tfidf(docs: list[tuple[str, ...]]) -> tuple[list[str], np.ndarray]:
@@ -229,11 +229,11 @@ class TestTransformCorpusOracle:
     the per-document `transform`, entry for entry and bit for bit."""
 
     @staticmethod
-    def check(model: TfIdfModel, docs: list[TokenSequence]):
+    def check(model: TfIdfModel, docs: list[list[str]]):
         matrix = transform_corpus(model, docs, [0] * len(docs))
         assert len(matrix) == len(docs) and matrix.dim == model.dim
         for row, doc in zip(matrix.rows, docs):
-            assert _bits(row) == _bits(transform(model, doc)), doc.tokens
+            assert _bits(row) == _bits(transform(model, doc)), doc
         # The derived rows are valid vectors and give back the same view.
         again = FeatureMatrix(
             rows=tuple(SparseVector(r.dim, r.entries) for r in matrix.rows),
@@ -268,6 +268,15 @@ class TestTransformCorpusOracle:
     def test_no_documents_and_empty_vocabulary(self):
         self.check(fit([seq("alpha")]), [])
         self.check(fit([seq(), seq()]), [seq("alpha"), seq()])
+
+    def test_fit_and_transform_read_lists_and_tuples(self):
+        docs = [["offer", "cash", "offer"], ("cash", "now"), [], ("zzz",)]
+        model = fit(docs)
+        assert model == fit([list(doc) for doc in docs]) == fit([tuple(doc) for doc in docs])
+        matrix = transform_corpus(model, docs, [1, 0, 0, 0])
+        for row, doc in zip(matrix.rows, docs):
+            assert _bits(transform(model, list(doc))) == _bits(row)
+            assert _bits(transform(model, tuple(doc))) == _bits(row)
 
     def test_accepts_a_generator_of_token_lists(self):
         model = fit([seq("alpha", "beta"), seq("beta")])
