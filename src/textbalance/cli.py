@@ -86,6 +86,16 @@ def _seed(text: str) -> int:
     return value
 
 
+def _neighbor_count(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {text}")
+    return value
+
+
 # Every flag that two or more commands take, stated once; each command
 # names the ones it reads in `build_parser`.
 _SHARED_FLAGS = {
@@ -94,7 +104,8 @@ _SHARED_FLAGS = {
     "--min-token-len": dict(type=int, default=preprocess.DEFAULT_MIN_TOKEN_LEN, metavar="N",
                             help="minimum surviving token length (default 3)"),
     "--format": dict(choices=("csv", "jsonl"), default="csv", help="dataset file format"),
-    "--smote-k": dict(type=int, default=resample.SmoteConfig.k, help="SMOTE neighbor count"),
+    "--smote-k": dict(type=_neighbor_count, default=resample.SmoteConfig.k,
+                      help="SMOTE neighbor count (>= 1)"),
     "--data": dict(required=True, metavar="PATH"),
     "--split": dict(type=_fraction, default=0.8, metavar="FRACTION"),
     "--split-manifest": dict(metavar="PATH"),

@@ -35,6 +35,43 @@ _HEX_DIGITS = re.compile("[0-9A-Fa-f]+")
 _TOKEN = re.compile(r"[^\W_]+")
 
 
+def _element(name: str) -> str:
+    """A script or style element as the scanner skips it.  An opening tag
+    whose body rstrips to a trailing "/" is the tag alone; any other runs
+    through the first closing ``</name`` (whole name, any case) and on to
+    the next '>', or to the end of input.  On ASCII, ``\\s`` matches exactly
+    what ``str.rstrip`` strips."""
+    closing = rf"/(?i:{name})(?![A-Za-z])"
+    # Text up to the first closing tag, one run of non-'<' at a time.
+    body = rf"[^<]*(?:<(?!{closing})[^<]*)*(?:<{closing}[^>]*>?)?"
+    return rf"<(?i:{name})(?![A-Za-z])(?:[^>]*/\s*(?:>|\Z)|[^>]*>?{body})"
+
+
+# strip_html's markup on ASCII input: script and style elements, any other
+# tag, then the entities _decode_entity accepts within _MAX_ENTITY_BODY.
+_ASCII_MARKUP = re.compile(
+    "|".join(
+        (
+            _element("script"),
+            _element("style"),
+            r"<[A-Za-z/!][^>]*>?",
+            r"&(?:(?P<named>nbsp|amp|lt|gt|quot)"
+            r"|#(?P<dec>[0-9]{1,7})|#[xX](?P<hex>[0-9A-Fa-f]{1,6}));",
+        )
+    )
+)
+
+
+def _ascii_replacement(m: re.Match) -> str:
+    kind = m.lastgroup
+    if kind is None:  # a tag or element
+        return ""
+    if kind == "named":
+        return _NAMED_ENTITIES[m[kind]]
+    code = int(m[kind], 16 if kind == "hex" else 10)
+    return chr(code) if code <= 0x10FFFF else m[0]
+
+
 def _decode_entity(raw: str, pos: int) -> tuple[str, int] | None:
     """Decode an entity starting at raw[pos] == '&'.
 
@@ -78,20 +115,9 @@ def _skip_body(raw: str, i: int, name: str) -> int:
     return len(raw)
 
 
-def strip_html(raw: str) -> str:
-    """Remove tags and script/style bodies from (possibly malformed) markup.
-
-    A hand-written scanner rather than a regex parser: it copies the text
-    between markup characters in one slice, skips everything inside
-    <script> and <style> elements and survives unclosed tags.  A tag
-    consumes input up to the next '>' (or end of input); a lone '<' not
-    followed by a letter, '/', or '!' is literal text.  The five common
-    named entities and numeric character references (ASCII decimal digits
-    after ``&#``, ASCII hex digits after ``&#x``) are decoded; decoded
-    characters are emitted directly and never rescanned as markup.
-    Each newline, carriage return and tab, decoded ones included, becomes
-    a space.
-    """
+def _strip_scanned(raw: str) -> str:
+    """`strip_html` for any input: the reference scanner, and the path
+    every post that is not pure ASCII takes."""
     out: list[str] = []
     i = 0
     while (m := _MARKUP.search(raw, i)) is not None:
@@ -118,6 +144,32 @@ def strip_html(raw: str) -> str:
             i = _skip_body(raw, i, name)
     out.append(raw[i:])
     return "".join(out).replace("\n", " ").replace("\r", " ").replace("\t", " ")
+
+
+def strip_html(raw: str) -> str:
+    """Remove tags and script/style bodies from (possibly malformed) markup.
+
+    Survives unclosed tags and skips everything inside <script> and
+    <style> elements.  A tag consumes input up to the next '>' (or end of
+    input); a lone '<' not followed by a letter, '/', or '!' is literal
+    text.  The five common named entities and numeric character references
+    (ASCII decimal digits after ``&#``, ASCII hex digits after ``&#x``) are
+    decoded; decoded characters are emitted directly and never rescanned as
+    markup.  Each newline, carriage return and tab, decoded ones included,
+    becomes a space.
+
+    Two paths give identical output.  An ASCII post goes through one
+    compiled pattern and ``re.sub``; any other post goes through the
+    hand-written scanner `_strip_scanned`, which copies the text between
+    markup characters in one slice.  The pattern holds only on ASCII:
+    off ASCII, ``(?i:script)`` also matches "ſcript" (long s), the scanner
+    opens a tag at any ``str.isalpha`` character, and ``"İ".lower()``
+    changes length.
+    """
+    if not raw.isascii():
+        return _strip_scanned(raw)
+    stripped = _ASCII_MARKUP.sub(_ascii_replacement, raw)
+    return stripped.replace("\n", " ").replace("\r", " ").replace("\t", " ")
 
 
 def tokenize(text: str) -> list[str]:

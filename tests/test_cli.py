@@ -53,6 +53,22 @@ class TestUsageErrors:
     def test_bad_split_fraction_exits_1(self, dataset):
         assert run(["train", "--data", dataset, "--algo", "nb", "--split", "1.5"]) == 1
 
+    @pytest.mark.parametrize(
+        "command, required",
+        [
+            ("train", ["--algo", "nb", "--smote", "off", "--data", "missing.csv"]),
+            ("report", ["--data", "missing.csv"]),
+            ("scatter", ["--data", "missing.csv"]),
+            ("oversample", ["--matrix", "missing.mtx", "--out", "o.mtx"]),
+        ],
+    )
+    @pytest.mark.parametrize("k", ["0", "-3", "two"])
+    def test_bad_smote_k_exits_1_before_reading_input(self, command, required, k, capsys):
+        # The input does not exist, so a check made after parsing would exit 2.
+        assert run([command, *required, "--smote-k", k]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage:") and "argument --smote-k:" in err
+
     def test_bad_algo_exits_1(self, dataset):
         assert run(["train", "--data", dataset, "--algo", "forest"]) == 1
 

@@ -6,8 +6,15 @@ import random
 
 import pytest
 
+from textbalance import preprocess
 from textbalance.ingest import Corpus, LabeledDocument
-from textbalance.preprocess import filter_tokens, preprocess_corpus, strip_html, tokenize
+from textbalance.preprocess import (
+    _strip_scanned,
+    filter_tokens,
+    preprocess_corpus,
+    strip_html,
+    tokenize,
+)
 from textbalance.stopwords import StopWordList, default_stopwords, load_stopwords
 
 
@@ -89,42 +96,61 @@ class TestTokenize:
 
 
 class TestScannerEdgeCases:
-    """Tag, script-body and entity rules at their boundaries."""
+    """Tag, script-body and entity rules at their boundaries, for both the
+    ASCII pattern (`strip_html`) and the scanner it must agree with."""
 
-    @pytest.mark.parametrize(
-        "raw, expected",
-        [
-            ("a<script/>b", "ab"),  # self-closing: no body to skip
-            ("<script  / >visible", "visible"),
-            ("a<script>x</scriptx>y</script>z", "az"),  # whole name must match
-            ("a<script>x</script", "a"),  # unterminated closing tag
-            ("a<STYLE>p{}</Style >b", "ab"),
-            ("a<script>x</SCRİPT>y", "a"),  # "İ".lower() is two characters
-            ("a<script>1<2</script>b", "ab"),
-            ("<é>b", "b"),  # any isalpha character opens a tag
-            ("<²>b", "<²>b"),  # "²" is not alphabetic
-            ("<!x>y", "y"),
-            ("</>z", "z"),
-            ("a<b", "a"),
-            ("<", "<"),
-            ("x &amp", "x &amp"),  # no ';'
-            ("&#x110000;", "&#x110000;"),  # beyond the last code point
-            ("&#x10FFFF;", "\U0010ffff"),
-            # Numeric references take ASCII digits only; anything else,
-            # even what int() would parse, passes through literally.
-            ("&#1_0;z", "&#1_0;z"),
-            ("&#x0x41;", "&#x0x41;"),
-            ("&# 65;", "&# 65;"),
-            ("&#+65;", "&#+65;"),
-            ("&#\u0663;", "&#\u0663;"),  # ARABIC-INDIC DIGIT THREE
-            ("&#65;&#x41;&#X4a;", "AAJ"),
-            ("&#9;a&#10;b", " a b"),  # decoded tab and newline become spaces
-            ("&#13;\r\n", "   "),
-            ("a&amp;&lt;b", "a&<b"),
-        ],
-    )
+    CASES = [
+        ("a<script/>b", "ab"),  # self-closing: no body to skip
+        ("<script  / >visible", "visible"),
+        ("a<script>x</scriptx>y</script>z", "az"),  # whole name must match
+        ("a<script>x</script", "a"),  # unterminated closing tag
+        ("a<STYLE>p{}</Style >b", "ab"),
+        ("a<script>x</SCRİPT>y", "a"),  # "İ".lower() is two characters
+        ("a<script>1<2</script>b", "ab"),
+        ("<é>b", "b"),  # any isalpha character opens a tag
+        ("<²>b", "<²>b"),  # "²" is not alphabetic
+        ("<!x>y", "y"),
+        ("</>z", "z"),
+        ("a<b", "a"),
+        ("<", "<"),
+        ("x &amp", "x &amp"),  # no ';'
+        ("&#x110000;", "&#x110000;"),  # beyond the last code point
+        ("&#x10FFFF;", "\U0010ffff"),
+        # Numeric references take ASCII digits only; anything else,
+        # even what int() would parse, passes through literally.
+        ("&#1_0;z", "&#1_0;z"),
+        ("&#x0x41;", "&#x0x41;"),
+        ("&# 65;", "&# 65;"),
+        ("&#+65;", "&#+65;"),
+        ("&#\u0663;", "&#\u0663;"),  # ARABIC-INDIC DIGIT THREE
+        ("&#65;&#x41;&#X4a;", "AAJ"),
+        ("&#9;a&#10;b", " a b"),  # decoded tab and newline become spaces
+        ("&#13;\r\n", "   "),
+        ("a&amp;&lt;b", "a&<b"),
+        # Traps for the ASCII pattern; each expected value is the scanner's.
+        ("<script/\x1c>x", "x"),  # rstrip() strips \x1c-\x1f, \x0b and \x0c
+        ("<script /\x0b>x", "x"),
+        ("a<script>x</script1>b", "ab"),  # a digit ends the name
+        ("a<script", "a"),
+        ("a<script>x", "a"),
+        ("a<b\n", "a"),  # a tag that runs to the end takes the final newline
+        ("&AMP;", "&AMP;"),  # named entities are case-sensitive
+        ("&#1114111;", "\U0010ffff"),
+        ("&#1114112;", "&#1114112;"),
+        ("&#12345678;", "&#12345678;"),  # longer than the entity window
+        ("&#0000065;&#00000065;", "A&#00000065;"),  # at most 7 decimal digits
+        ("&#x000041;&#x0000041;", "A&#x0000041;"),  # at most 6 hex digits
+        ("&#x3c;script>x", "<script>x"),  # decoded text is not rescanned
+        ("&&amp;", "&&"),
+    ]
+
+    @pytest.mark.parametrize("raw, expected", CASES)
     def test_strip_html(self, raw, expected):
         assert strip_html(raw) == expected
+
+    @pytest.mark.parametrize("raw, expected", CASES)
+    def test_scanner(self, raw, expected):
+        assert _strip_scanned(raw) == expected
 
     def test_tokenize_follows_isalnum(self):
         assert tokenize("Ǆemo_x²½ İstanbul ß") == ["ǆemo", "x²½", "i", "stanbul", "ß"]
@@ -137,30 +163,63 @@ MARKUP_PIECES = (
     "<p>", "</p>", "<b>", "</b>", "<br/>", "<hr>", "<a href='x?a=1&b=2'>", "</a>",
     "<div class=\"c\">", "</div>", "<!-- c -->", "<!x>", "</>", "<", ">", "<<", "a<b",
     "<é>", "<²>", "<1>", "< p>", "<p", "</p", "<script>", "</script>", "<SCRIPT>",
-    "</SCRIPT>", "<script/>", "<script  / >", "</scriptx>", "</script", "<style>",
-    "</style>", "<STYLE>", "</Style >", "<style/>", "</SCRİPT>", "&amp;", "&lt;", "&gt;",
-    "&quot;", "&nbsp;", "&amp", "&copy;", "&mdash;", "&;", "&#;", "&#x;", "&#65;",
-    "&#x41;", "&#X4a;", "&#169;", "&#x2014;", "&#1_0;", "&# 65;", "&#+65;", "&#-65;",
-    "&#x0x41;", "&#\u0663;", "&#x110000;", "&#x10FFFF;", "&#0;", "&#9;", "&#10;",
-    "&#13;", "&#1234567;", "&#12345678;", "&&", "&", "#", ";", "\r", "\n", "\t",
-    "\r\n", " ", "  ", ".", ",", "!", "?", "_", "-", "'", "\"", "/", "²", "½", "İ",
-    "ı", "ſ", "\u212a", "ß", "ẞ", "Ǆ", "ǅ", "ǆ", "Σ", "ΑΣ", "ς", "ﬁ", "Ⅻ", "①",
+    "</SCRIPT>", "<script/>", "<script  / >", "</scriptx>", "</script", "</script1>",
+    "<script", "<style", "<style>", "</style>", "<STYLE>", "</Style >", "<style/>",
+    "</SCRİPT>", "&amp;", "&lt;", "&gt;", "&quot;", "&nbsp;", "&amp", "&AMP;", "&copy;",
+    "&mdash;", "&;", "&#;", "&#x;", "&#65;", "&#x41;", "&#X4a;", "&#x3c;", "&#169;",
+    "&#x2014;", "&#1_0;", "&# 65;", "&#+65;", "&#-65;", "&#x0x41;", "&#\u0663;",
+    "&#x110000;", "&#x10FFFF;", "&#0;", "&#9;", "&#10;", "&#13;", "&#1234567;",
+    "&#12345678;", "&#1114112;", "&#00000065;", "&#x0000041;", "&&", "&", "#", ";",
+    "\r", "\n", "\t", "\r\n", " ", "  ", ".", ",", "!", "?", "_", "-", "'", "\"", "/",
+    "²", "½", "İ", "ı", "ſ", "\u212a", "ß", "ẞ", "Ǆ", "ǅ", "ǆ", "Σ", "ΑΣ", "ς", "ﬁ", "Ⅻ", "①",
     "٣", "١٢", "x²", "Ab", "ab", "AB", "free", "Money", "OFFER", "click", "now", "the",
     "a", "an", "of", "linux", "Ubuntu", "x1", "2024", "naïve", "Straße", "Istanbul",
     "\u0307", "\u00a0", "\u3000", "\ufeff",
 )
 
 
-def _differential_strings(seed: int, count: int):
+ASCII_PIECES = tuple(piece for piece in MARKUP_PIECES if piece.isascii())
+
+
+def _differential_strings(seed: int, count: int, pieces=MARKUP_PIECES, codes=range(0x20, 0x3000)):
+    """Seeded strings of up to 40 draws; a draw is one of ``pieces``, or
+    (one time in 12.5) the character of a random code from ``codes``."""
     rng = random.Random(seed)
     for _ in range(count):
         parts = []
         for _ in range(rng.randrange(40)):
             if rng.random() < 0.08:
-                parts.append(chr(rng.randrange(0x20, 0x3000)))
+                parts.append(chr(rng.choice(codes)))
             else:
-                parts.append(rng.choice(MARKUP_PIECES))
+                parts.append(rng.choice(pieces))
         yield "".join(parts)
+
+
+class TestAsciiPatternMatchesScanner:
+    """`strip_html` runs ASCII posts through one compiled pattern and every
+    other post through the scanner `_strip_scanned`; both give the same
+    output."""
+
+    def test_differential_ascii_strings(self):
+        texts = list(_differential_strings(11, 4000, ASCII_PIECES, range(0x80)))
+        assert all(text.isascii() for text in texts)
+        for text in texts:
+            assert strip_html(text) == _strip_scanned(text), text
+
+    def test_only_non_ascii_posts_reach_the_scanner(self, monkeypatch):
+        calls = []
+
+        def counted(raw):
+            calls.append(raw)
+            return _strip_scanned(raw)
+
+        monkeypatch.setattr(preprocess, "_strip_scanned", counted)
+        for text in ("<p>caf&eacute;</p>", "a<script>x</script>b", "", "&amp;\x7f"):
+            strip_html(text)
+        assert calls == []
+        for text in ("<p>café</p>", "a<ſcript>x</script>b", "\x80"):
+            assert strip_html(text) == _strip_scanned(text)
+        assert calls == ["<p>café</p>", "a<ſcript>x</script>b", "\x80"]
 
 
 class TestTokensAreFixedPoints:
