@@ -86,7 +86,7 @@ def _seed(text: str) -> int:
     return value
 
 
-def _neighbor_count(text: str) -> int:
+def _positive_int(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
@@ -101,10 +101,10 @@ def _neighbor_count(text: str) -> int:
 _SHARED_FLAGS = {
     "--seed": dict(type=_seed, default=0, help="RNG seed (u64, default 0)"),
     "--stopwords": dict(metavar="PATH", help="stop-word override file"),
-    "--min-token-len": dict(type=int, default=preprocess.DEFAULT_MIN_TOKEN_LEN, metavar="N",
-                            help="minimum surviving token length (default 3)"),
+    "--min-token-len": dict(type=_positive_int, default=preprocess.DEFAULT_MIN_TOKEN_LEN,
+                            metavar="N", help="minimum surviving token length (default 3)"),
     "--format": dict(choices=("csv", "jsonl"), default="csv", help="dataset file format"),
-    "--smote-k": dict(type=_neighbor_count, default=resample.SmoteConfig.k,
+    "--smote-k": dict(type=_positive_int, default=resample.SmoteConfig.k,
                       help="SMOTE neighbor count (>= 1)"),
     "--data": dict(required=True, metavar="PATH"),
     "--split": dict(type=_fraction, default=0.8, metavar="FRACTION"),
@@ -257,13 +257,14 @@ def _write_manifest(args, dataset_split: ingest.DatasetSplit) -> None:
 
 
 def cmd_train(args) -> int:
+    with _stage("train"):  # a bad hyperparameter fails before any file is read
+        config = _train_config(args, args.algo)
     corpus, dataset_split, stops, tfidf, train_matrix, test_matrix = _prepare_features(args)
     smote_config = None
     matrix = train_matrix
     if args.smote == "on":
         smote_config, matrix, _ = _balance(args, train_matrix)
     with _stage("train"):
-        config = _train_config(args, args.algo)
         model = classify.train(matrix, config)
     with _stage("evaluate"):
         held_out = evaluate.evaluate_model(model, test_matrix)
@@ -409,10 +410,11 @@ def cmd_report(args) -> int:
     unknown = [a for a in algorithms if a not in _ALGO_CHOICES]
     if unknown:
         raise CliRuntimeError("config", ValueError(f"unknown algorithms: {unknown}"))
+    with _stage("compare"):  # a bad hyperparameter fails before any file is read
+        configs = [_train_config(args, algo) for algo in algorithms]
     _, dataset_split, _, _, train_matrix, test_matrix = _prepare_features(args)
     with _stage("compare"):
         smote_config = resample.SmoteConfig(k=args.smote_k, seed=args.seed)
-        configs = [_train_config(args, algo) for algo in algorithms]
         report = evaluate.compare(train_matrix, test_matrix, configs, smote_config)
         report.metadata["seed"] = args.seed
         report.metadata["train_fraction"] = args.split

@@ -11,13 +11,17 @@ contributes nothing.
 matrix in one pass straight into CSR arrays, entry for entry and bit for
 bit the rows `transform` gives.  A `FeatureMatrix` stores only its CSR
 view; its rows as `SparseVector`s are derived on first access.
+
+`_entry_texts` turns stored entries into text a chunk at a time and
+formats each distinct value once; `FeatureMatrix.digest` and
+`matrixio.write_matrix` both go through it.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
@@ -80,6 +84,31 @@ class SparseVector:
         for i, v in self.entries:
             total += v * weights[i]
         return total
+
+
+_DIGEST_ENTRIES = 1 << 13  # stored entries `FeatureMatrix.digest` formats per chunk
+
+
+def _format_distinct(values: np.ndarray, form: Callable) -> np.ndarray:
+    """``form(v)`` for each item ``v`` of ``values``, as an object array,
+    with ``form`` called once per distinct bit pattern.  Bit patterns, not
+    ``==``, tell values apart: ``-0.0 == 0.0``, but their reprs differ."""
+    distinct, inverse = np.unique(values.view(f"i{values.itemsize}"), return_inverse=True)
+    texts = np.array(list(map(form, distinct.view(values.dtype).tolist())), dtype=object)
+    return texts[inverse]
+
+
+def _entry_texts(columns: list[tuple[np.ndarray, Callable]], chunk: int) -> Iterator[str]:
+    """The text of every stored entry, joined ``chunk`` entries at a time.
+    Each (array, form) column gives one item per entry, and an entry's text
+    is its columns' ``form(item)`` in order.  Every table is sized by the
+    chunk, never by a matrix's row count or dim."""
+    n = columns[0][0].size
+    for lo in range(0, n, chunk):
+        table = np.stack(
+            [_format_distinct(items[lo : lo + chunk], form) for items, form in columns], axis=1
+        )
+        yield "".join(table.ravel().tolist())
 
 
 class CsrView:
@@ -208,12 +237,24 @@ class FeatureMatrix:
         return np.asarray(self.labels, dtype=np.int64)
 
     def digest(self) -> str:
-        """SHA-256 over dim, labels, and every (index, repr(value)) entry."""
+        """SHA-256 over dim, labels, and every (index, repr(value)) entry:
+        one line per row, its entries written ``index:value`` and joined by
+        ";"."""
         h = hashlib.sha256()
         h.update(f"{self.dim};{','.join(map(str, self.labels))}\n".encode())
-        for entries in self.csr.entries():
-            h.update(";".join(f"{i}:{v!r}" for i, v in entries).encode())
-            h.update(b"\n")
+        rows, n_rows = self.csr.row_ids, self.csr.shape[0]
+        # A newline ends each row, so one precedes the first entry per empty
+        # row before it, and each entry is followed by ";" when the next one
+        # shares its row, else by one newline per row ending before the next.
+        h.update(b"\n" * int(rows[0] if rows.size else n_rows))
+        ends = np.diff(rows, append=n_rows)
+        columns = [
+            (self.csr.indices, "{}:".format),
+            (self.csr.data, repr),
+            (ends, lambda n: "\n" * n or ";"),
+        ]
+        for text in _entry_texts(columns, _DIGEST_ENTRIES):
+            h.update(text.encode())
         return h.hexdigest()
 
 

@@ -69,6 +69,41 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert err.startswith("usage:") and "argument --smote-k:" in err
 
+    @pytest.mark.parametrize(
+        "command, required",
+        [
+            ("train", ["--data", "missing.csv", "--algo", "nb"]),
+            ("report", ["--data", "missing.csv"]),
+            ("scatter", ["--data", "missing.csv"]),
+        ],
+    )
+    @pytest.mark.parametrize("length", ["0", "-2", "three"])
+    def test_bad_min_token_len_exits_1_before_reading_input(
+        self, command, required, length, capsys
+    ):
+        assert run([command, *required, "--min-token-len", length]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage:") and "argument --min-token-len:" in err
+
+    @pytest.mark.parametrize(
+        "command, stage",
+        [(["train", "--algo", "nb"], "train"), (["report", "--algos", "nb"], "compare")],
+    )
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [("--svm-epochs", "0", "svm_epochs must be positive"),
+         ("--lr-epochs", "-1", "lr_epochs must be positive"),
+         ("--tree-max-depth", "-2", "tree_max_depth must be positive"),
+         ("--svm-c", "nan", "svm_C must be finite")],
+    )
+    def test_bad_hyperparameter_exits_2_before_reading_input(
+        self, command, stage, flag, value, message, capsys
+    ):
+        # The dataset does not exist, so reading it first would fail in ingest.
+        assert run([*command, "--data", "missing.csv", flag, value]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error [{stage}]") and message in err
+
     def test_bad_algo_exits_1(self, dataset):
         assert run(["train", "--data", dataset, "--algo", "forest"]) == 1
 
