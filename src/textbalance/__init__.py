@@ -7,7 +7,7 @@ from .classify import ALGORITHMS, TrainConfig, predict, predict_batch, train
 from .evaluate import ComparisonReport, ConfusionMatrix, MetricsReport, compare, evaluate_model
 from .ingest import Corpus, DatasetSplit, LabeledDocument, load_corpus, split, write_corpus
 from .preprocess import filter_tokens, preprocess_corpus, strip_html, tokenize
-from .resample import ResampleReport, SmoteConfig, balance_training_set, knn, smote
+from .resample import ResampleReport, SmoteConfig, balance_training_set
 from .rng import SplitMix64, derive_stream
 from .stopwords import StopWordList, default_stopwords, load_stopwords
 from .vectorize import FeatureMatrix, SparseVector, TfIdfModel, fit, transform, transform_corpus
@@ -40,7 +40,6 @@ __all__ = [
     "evaluate_model",
     "filter_tokens",
     "fit",
-    "knn",
     "load_bundle",
     "load_corpus",
     "load_stopwords",
@@ -48,7 +47,6 @@ __all__ = [
     "predict_batch",
     "preprocess_corpus",
     "save_bundle",
-    "smote",
     "split",
     "strip_html",
     "tokenize",

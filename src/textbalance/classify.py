@@ -8,9 +8,9 @@ greedy Gini CART tree.  Matrix-vector products are ``np.bincount`` sums
 in a fixed order.  Training is deterministic: same matrix and config,
 same model.
 
-`predict_scored` labels and scores one vector; `predict_batch` does a
-whole matrix from its CSR view at once, bit for bit the same labels and
-scores.
+`predict_batch` labels and scores a whole matrix from its CSR view at
+once, and `predict` is its one-row case.  The tests check its labels and
+scores, bit for bit, against the per-vector scorer in `tests/oracles.py`.
 """
 
 from __future__ import annotations
@@ -183,10 +183,12 @@ def _fit_logistic(matrix: FeatureMatrix, config: TrainConfig) -> LinearModel:
     y = matrix.labels_array().astype(np.float64)
     w = np.zeros(matrix.dim)
     b = 0.0
-    for _ in range(config.lr_epochs):
-        _, grad_w, grad_b = logistic_loss_and_grad(w, b, X, y, config.l2)
-        w -= config.lr_learning_rate * grad_w
-        b -= config.lr_learning_rate * grad_b
+    # A diverging fit overflows to inf or NaN weights, which `train` rejects.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(config.lr_epochs):
+            _, grad_w, grad_b = logistic_loss_and_grad(w, b, X, y, config.l2)
+            w -= config.lr_learning_rate * grad_w
+            b -= config.lr_learning_rate * grad_b
     return LinearModel("logistic", matrix.dim, tuple(float(v) for v in w), float(b))
 
 
@@ -209,18 +211,25 @@ def _fit_svm(
     X = matrix.csr
     y_pm = 2.0 * matrix.labels_array().astype(np.float64) - 1.0
     lam = 1.0 / (config.svm_C * n)
+    if not 0.0 < lam < math.inf:
+        raise ValueError(
+            f"svm_C {config.svm_C} with {n} rows gives lam = 1/(C*n) = {lam}, "
+            "which must be finite and positive"
+        )
     w = np.zeros(matrix.dim + 1)
     radius = 1.0 / math.sqrt(lam)
     objectives: list[float] = []
-    for t in range(1, config.svm_epochs + 1):
-        margins = y_pm * (X @ w[:-1] + w[-1])
-        objectives.append(svm_objective(w, margins, lam))
-        pull = np.where(margins < 1.0, y_pm, 0.0)  # y of each margin violator
-        grad = lam * w - np.append(X.T @ pull, pull.sum()) / n
-        w -= (1.0 / (lam * t)) * grad
-        norm = float(np.linalg.norm(w))
-        if norm > radius:
-            w *= radius / norm
+    # A diverging fit overflows to inf or NaN weights, which `train` rejects.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(1, config.svm_epochs + 1):
+            margins = y_pm * (X @ w[:-1] + w[-1])
+            objectives.append(svm_objective(w, margins, lam))
+            pull = np.where(margins < 1.0, y_pm, 0.0)  # y of each margin violator
+            grad = lam * w - np.append(X.T @ pull, pull.sum()) / n
+            w -= (1.0 / (lam * t)) * grad
+            norm = float(np.linalg.norm(w))
+            if norm > radius:
+                w *= radius / norm
     model = LinearModel("svm", matrix.dim, tuple(float(v) for v in w[:-1]), float(w[-1]))
     return model, objectives
 
@@ -391,56 +400,23 @@ def train(matrix: FeatureMatrix, config: TrainConfig) -> TrainedClassifier:
     if config.algorithm == "nb":
         return _fit_nb(matrix, config)
     _require_both_classes(matrix, config.algorithm)
+    if config.algorithm == "tree":
+        return _fit_tree(matrix, config)
     if config.algorithm == "logistic":
-        return _fit_logistic(matrix, config)
-    if config.algorithm == "svm":
+        model = _fit_logistic(matrix, config)
+    else:
         model, _ = _fit_svm(matrix, config)
-        return model
-    return _fit_tree(matrix, config)
-
-
-def _nb_scores(model: MultinomialNBModel, vector: SparseVector) -> list[float]:
-    return [
-        vector.dot(log_prob, start=prior)
-        for prior, log_prob in zip(model.class_log_prior, model.feature_log_prob)
-    ]
-
-
-def predict_scored(model: TrainedClassifier, vector: SparseVector) -> tuple[int, float | None]:
-    """Predicted binary label and decision score, from one pass over the
-    vector: the log-posterior difference (class 1 minus class 0) for NB
-    with both classes, ``w . x + b`` for linear models, else None.  Equal
-    NB class scores give label 0; a linear score of exactly 0.0 gives
-    label 1."""
-    if vector.dim != model.dim:
-        raise ValueError(f"dimension mismatch: vector {vector.dim}, model {model.dim}")
-    if isinstance(model, MultinomialNBModel):
-        scores = _nb_scores(model, vector)
-        best = 0
-        for c in range(1, len(scores)):
-            if scores[c] > scores[best]:
-                best = c
-        score = scores[1] - scores[0] if model.class_labels == (0, 1) else None
-        return model.class_labels[best], score
-    if isinstance(model, LinearModel):
-        score = vector.dot(model.weights) + model.bias
-        return (1 if score >= 0.0 else 0), score
-    node = model.nodes[0]
-    while not node.is_leaf:
-        value = vector.get(node.feature)
-        node = model.nodes[node.left if value <= node.threshold else node.right]
-    return node.label, None
-
-
-def predict(model: TrainedClassifier, vector: SparseVector) -> int:
-    """Predicted binary label.  Equal NB class scores give label 0; a
-    linear score of exactly 0.0 gives label 1."""
-    return predict_scored(model, vector)[0]
+    if not (np.isfinite(model._weight_array).all() and math.isfinite(model.bias)):
+        raise ValueError(
+            f"{config.algorithm} fit diverged: a weight or the bias is not finite"
+        )
+    return model
 
 
 class Predictions(list):
-    """Predicted labels, one per row, carrying each row's
-    `predict_scored` score as ``scores`` (None for trees and single-class NB)."""
+    """Predicted labels, one per row, carrying each row's decision score as
+    ``scores``: the log-posterior difference (class 1 minus class 0) for
+    NB with both classes, ``w . x + b`` for linear models, else None."""
 
     def __init__(self, labels: list[int], scores: list):
         super().__init__(labels)
@@ -449,8 +425,9 @@ class Predictions(list):
 
 def _batch_nb(model: MultinomialNBModel, X: CsrView) -> Predictions:
     n = X.shape[0]
-    # `SparseVector.dot` starts each class score from its prior, so the
-    # prior is a leading pseudo-entry of its row: bincount adds in order.
+    # A class score starts from its prior and adds the row's products left
+    # to right, so the prior is a leading pseudo-entry of its row:
+    # bincount adds in order.
     rows = np.concatenate((np.arange(n), X.row_ids))
     scores = [
         np.bincount(
@@ -487,15 +464,24 @@ def _batch_tree(model: DecisionTreeModel, X: CsrView) -> Predictions:
 
 
 def predict_batch(model: TrainedClassifier, matrix: FeatureMatrix) -> Predictions:
-    """Labels and decision scores of every row, from the matrix's CSR view;
-    bit for bit those of `predict_scored` on each row."""
+    """Labels and decision scores of every row, from the matrix's CSR view.
+
+    Equal NB class scores give the first class label; a linear score of
+    exactly 0.0 gives label 1.  Each score adds its row's products in
+    entry order, so it is bit for bit the score of the per-vector scorer
+    in `tests/oracles.py`."""
     if matrix.dim != model.dim:
         raise ValueError(f"dimension mismatch: matrix {matrix.dim}, model {model.dim}")
     X = matrix.csr
     if isinstance(model, MultinomialNBModel):
         return _batch_nb(model, X)
     if isinstance(model, LinearModel):
-        # bincount adds each row's products in order from 0.0, as `dot` does.
+        # bincount adds each row's products in order from 0.0.
         scores = X @ model._weight_array + model.bias
         return Predictions((scores >= 0.0).astype(np.int64).tolist(), scores.tolist())
     return _batch_tree(model, X)
+
+
+def predict(model: TrainedClassifier, vector: SparseVector) -> int:
+    """Predicted binary label of one vector: `predict_batch` on a one-row matrix."""
+    return predict_batch(model, FeatureMatrix(CsrView.from_rows([vector], vector.dim), (0,)))[0]

@@ -191,12 +191,18 @@ def _train_config(args, algorithm: str) -> classify.TrainConfig:
 
 
 def _timestamp(args) -> str | None:
+    """--timestamp, else $SOURCE_DATE_EPOCH as an ISO date, else None."""
     if args.timestamp:
         return args.timestamp
     epoch = os.environ.get("SOURCE_DATE_EPOCH")
-    if epoch:
+    if not epoch:
+        return None
+    try:
         return datetime.fromtimestamp(int(epoch), tz=timezone.utc).isoformat()
-    return None
+    except (ValueError, OverflowError, OSError) as exc:
+        raise CliRuntimeError(
+            "config", ValueError(f"SOURCE_DATE_EPOCH {epoch!r} is not a usable Unix time: {exc}")
+        ) from exc
 
 
 def _metrics_text(report: evaluate.MetricsReport) -> str:
@@ -259,6 +265,7 @@ def _write_manifest(args, dataset_split: ingest.DatasetSplit) -> None:
 def cmd_train(args) -> int:
     with _stage("train"):  # a bad hyperparameter fails before any file is read
         config = _train_config(args, args.algo)
+    timestamp = _timestamp(args)  # so does a bad $SOURCE_DATE_EPOCH
     corpus, dataset_split, stops, tfidf, train_matrix, test_matrix = _prepare_features(args)
     smote_config = None
     matrix = train_matrix
@@ -283,7 +290,7 @@ def cmd_train(args) -> int:
                 "train_config": config.to_dict(),
                 "smote_config": smote_config.to_dict() if smote_config else None,
                 "dataset_digest": corpus.digest(),
-                "timestamp": _timestamp(args),
+                "timestamp": timestamp,
             },
         )
         bundle_mod.save_bundle(model_bundle, args.out)
@@ -341,10 +348,10 @@ def _lines(text: str) -> list[str]:
 def _texts_for_predict(args):
     if args.text is not None:
         return [args.text]
-    if args.input:
-        with _stage("read"):
+    with _stage("read"):  # strict UTF-8 from either source, whatever the locale
+        if args.input:
             return _lines(Path(args.input).read_text(encoding="utf-8"))
-    return _lines(sys.stdin.read())
+        return _lines(sys.stdin.buffer.read().decode("utf-8"))
 
 
 def cmd_predict(args) -> int:

@@ -71,7 +71,7 @@ def read_matrix(path, labels_path=None) -> FeatureMatrix:
     labels = _read_labels(labels_path, n_rows)
     # Only now has the label file backed up the header's row count.
     indptr = np.searchsorted(rows, np.arange(n_rows + 1))
-    return FeatureMatrix.from_csr(CsrView(indptr, cols, data, n_cols), labels)
+    return FeatureMatrix(CsrView(indptr, cols, data, n_cols), labels)
 
 
 def _header(path: Path, line: str) -> tuple[int, int, int]:

@@ -8,18 +8,17 @@ come from two independent seeded streams, so changing k never perturbs
 the gap sequence.  Oversampling is a training-set operation only.
 
 SMOTE runs on CSR arrays: the neighbor search and the interpolation each
-take whole blocks of rows, and every sum and product is the IEEE operation
-that `euclidean_distance` and `interpolate` perform on one pair, in the
-same order, so the synthetic rows are theirs bit for bit.  Those two
-single-vector functions stay as the references the tests check against.
-`balance_training_set` builds no `SparseVector`; `smote_trace` and `smote`
-convert their vectors to arrays and back.
+take whole blocks of rows, and `knn` and `interpolate` are their
+one-query and one-pair cases.  Each sum and product is the IEEE
+operation a per-pair loop performs, in the same order: a distance adds
+the squared differences over the union of both supports in column order,
+and an interpolated entry is b + gap * (o - b).  The tests check the
+neighbors and the synthetic rows, bit for bit, against such loops in
+`tests/oracles.py`.  `balance_training_set` builds no `SparseVector`.
 """
 
 from __future__ import annotations
 
-import math
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,16 +47,6 @@ class SmoteConfig:
         return {"k": self.k, "seed": self.seed, "target": "equalize"}
 
 
-@dataclass(frozen=True)
-class SyntheticSample:
-    """A synthetic vector plus the (base, neighbor, gap) that produced it."""
-
-    vector: SparseVector
-    base_index: int
-    neighbor_index: int
-    gap: float
-
-
 @dataclass
 class ResampleReport:
     minority_before: int
@@ -76,47 +65,6 @@ class ResampleReport:
             "minority_label": self.minority_label,
             "warnings": list(self.warnings),
         }
-
-
-def euclidean_distance(a: SparseVector, b: SparseVector) -> float:
-    """Euclidean distance computed over the union of supports."""
-    if a.dim != b.dim:
-        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    acc = 0.0
-    ai, bi = 0, 0
-    ae, be = a.entries, b.entries
-    while ai < len(ae) and bi < len(be):
-        ia, va = ae[ai]
-        ib, vb = be[bi]
-        if ia == ib:
-            d = va - vb
-            acc += d * d
-            ai += 1
-            bi += 1
-        elif ia < ib:
-            acc += va * va
-            ai += 1
-        else:
-            acc += vb * vb
-            bi += 1
-    for i in range(ai, len(ae)):
-        acc += ae[i][1] * ae[i][1]
-    for i in range(bi, len(be)):
-        acc += be[i][1] * be[i][1]
-    return math.sqrt(acc)
-
-
-def interpolate(base: SparseVector, other: SparseVector, gap: float) -> SparseVector:
-    """base + gap * (other - base), evaluated over the union of supports."""
-    if base.dim != other.dim:
-        raise ValueError(f"dimension mismatch: {base.dim} vs {other.dim}")
-    base_map = dict(base.entries)
-    other_map = dict(other.entries)
-    values = {}
-    for i in base_map.keys() | other_map.keys():
-        b = base_map.get(i, 0.0)
-        values[i] = b + gap * (other_map.get(i, 0.0) - b)
-    return SparseVector.from_pairs(base.dim, values.items())
 
 
 def _segments(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -175,7 +123,7 @@ def _longest_row(csr: CsrView) -> int:
 
 class NeighborIndex:
     """Exact k-nearest-neighbor search over one fixed set of sparse points,
-    given as a `CsrView` or as `SparseVector`s.
+    the rows of a `CsrView`.
 
     The points' columns are renumbered, in order, to the ones they use, so
     no buffer grows with the dimension.  Queries are answered a block of
@@ -191,15 +139,18 @@ class NeighborIndex:
     `np.bincount` over the block's nonzero products (columns joined through
     a column-major copy of the points, added in column order); the points
     are never densified.  Each G carries a slack e >= |G - M|, where M is
-    the sum that `euclidean_distance` takes the square root of.  The exact
-    recheck then ranks by (distance, index), as an exhaustive scan does,
-    every point whose lower bound G - e is at most the query's k-th
-    smallest upper bound G + e.  At least k points have M at most that
-    upper bound, so every point the scan would return is rechecked, and
-    the result is the scan's, ties included.  The recheck computes M
-    itself: the squared differences over the union of both supports,
-    padded into one row per pair and added by `np.cumsum` in column order,
-    which is the sum `euclidean_distance` forms, bit for bit.
+    the computed squared distance: each squared difference (a_i - b_i)^2
+    over the union of both supports (a missing entry reads 0.0), added in
+    column order from 0.0, one rounding per operation.  The distance is
+    sqrt(M).  The exact recheck then ranks by (distance, index), as an
+    exhaustive scan does, every point whose lower bound G - e is at most
+    the query's k-th smallest upper bound G + e.  At least k points have M
+    at most that upper bound, so every point the scan would return is
+    rechecked, and the result is the scan's, ties included.  The recheck
+    computes M itself, padded into one row per pair and added by
+    `np.cumsum` in column order.  The tests check the neighbors against
+    an exhaustive scan in `tests/oracles.py` whose distance is a merge
+    loop over both rows' sorted entries, forming the same M.
 
     The slack.  Let u = 2^-53, g(n) = n u / (1 - n u), L the most entries
     stored in one row, N = |a|^2 + |b|^2 exactly and N' its computed value.
@@ -241,9 +192,7 @@ class NeighborIndex:
     that budget or by one query's share, whatever the point count or k.
     """
 
-    def __init__(self, points: CsrView | Sequence[SparseVector]):
-        if not isinstance(points, CsrView):
-            points = CsrView.from_rows(points, points[0].dim if points else 0)
+    def __init__(self, points: CsrView):
         n = points.shape[0]
         if n < 2:
             raise ValueError("knn requires at least 2 points")
@@ -323,7 +272,7 @@ class NeighborIndex:
         return ranked[firsts[:, None] + np.arange(k)]
 
     def _squared_distances(self, a_rows: np.ndarray, b_rows: np.ndarray) -> np.ndarray:
-        """Per pair, the sum `euclidean_distance` takes the square root of."""
+        """Per pair, M: the squared distance as the class docstring defines it."""
         sums = np.empty(a_rows.size)
         step = max(1, _BLOCK_ENTRIES // (2 * self._longest + 1))
         for lo in range(0, a_rows.size, step):
@@ -334,13 +283,10 @@ class NeighborIndex:
         return sums
 
 
-def knn(points: Sequence[SparseVector] | NeighborIndex, query_index: int, k: int) -> list[int]:
-    """Indices of the k nearest points to points[query_index] (self excluded).
-
-    Sorted by (distance, index); distance ties resolve to the smaller index.
-    Pass a `NeighborIndex` to reuse its set-up across queries on one set.
-    """
-    index = points if isinstance(points, NeighborIndex) else NeighborIndex(points)
+def knn(index: NeighborIndex, query_index: int, k: int) -> list[int]:
+    """Indices of the k nearest points to point query_index of the index's
+    set (self excluded), sorted by (distance, index): distance ties resolve
+    to the smaller index."""
     return index.query(query_index, k)
 
 
@@ -348,9 +294,9 @@ def _interpolate_rows(
     points: CsrView, bases: np.ndarray, others: np.ndarray, gaps: np.ndarray
 ) -> CsrView:
     """Row s is base + gaps[s] * (other - base) for rows bases[s] and
-    others[s] of ``points``, over their union support with zeros dropped:
-    the operations of `interpolate`, bit for bit.  Rows are built in
-    chunks of at most `_BLOCK_ENTRIES` union entries."""
+    others[s] of ``points``, over their union support (a missing entry
+    reads 0.0) with zeros dropped, one rounding per operation.  Rows are
+    built in chunks of at most `_BLOCK_ENTRIES` union entries."""
     used, compact = _compact(points)
     counts, indices, data = [np.zeros(0, dtype=np.int64)], [used[:0]], [points.data[:0]]
     step = max(1, _BLOCK_ENTRIES // (2 * _longest_row(points) + 1))
@@ -363,6 +309,13 @@ def _interpolate_rows(
         data.append(values[kept])
     indptr = np.concatenate(([0], np.cumsum(np.concatenate(counts))))
     return CsrView(indptr, np.concatenate(indices), np.concatenate(data), points.shape[1])
+
+
+def interpolate(base: SparseVector, other: SparseVector, gap: float) -> SparseVector:
+    """base + gap * (other - base) over the union of supports, zeros
+    dropped: `_interpolate_rows` on the one pair."""
+    pair = CsrView.from_rows([base, other], base.dim)
+    return _interpolate_rows(pair, np.array([0]), np.array([1]), np.array([float(gap)])).rows()[0]
 
 
 def _synthesize(
@@ -391,25 +344,6 @@ def _synthesize(
         neighbors = np.array([nearest[i][pick(k)] for i in bases.tolist()], dtype=np.int64)
         gaps = np.array([draw_gap() for _ in range(n_new)], dtype=np.float64)
     return bases, neighbors, gaps, _interpolate_rows(minority, bases, neighbors, gaps)
-
-
-def smote_trace(
-    minority: list[SparseVector], majority_count: int, config: SmoteConfig
-) -> list[SyntheticSample]:
-    """Generate majority_count - len(minority) synthetic samples with provenance."""
-    points = CsrView.from_rows(minority, minority[0].dim if minority else 0)
-    bases, neighbors, gaps, rows = _synthesize(points, majority_count, config)
-    return [
-        SyntheticSample(*sample)
-        for sample in zip(rows.rows(), bases.tolist(), neighbors.tolist(), gaps.tolist())
-    ]
-
-
-def smote(
-    minority: list[SparseVector], majority_count: int, config: SmoteConfig
-) -> list[SparseVector]:
-    """Synthetic minority vectors only; see smote_trace for provenance."""
-    return [s.vector for s in smote_trace(minority, majority_count, config)]
 
 
 def balance_training_set(
@@ -454,4 +388,4 @@ def balance_training_set(
         )
 
     labels = matrix.labels + (minority_label,) * bases.size
-    return FeatureMatrix.from_csr(matrix.csr.stack(synthetic), labels), report
+    return FeatureMatrix(matrix.csr.stack(synthetic), labels), report

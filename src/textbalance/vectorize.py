@@ -7,10 +7,11 @@ documents only; transform drops out-of-vocabulary tokens and never stores
 zero products, so a term present in every training document (idf = 0)
 contributes nothing.
 
-`transform` vectorizes one document; `transform_corpus` builds a whole
-matrix in one pass straight into CSR arrays, entry for entry and bit for
-bit the rows `transform` gives.  A `FeatureMatrix` stores only its CSR
-view; its rows as `SparseVector`s are derived on first access.
+`transform_corpus` builds a whole matrix in one pass straight into CSR
+arrays, and `transform` is its one-document case.  The tests check it,
+entry for entry and bit for bit, against the dict-counting transform of
+one document in `tests/oracles.py`.  A `FeatureMatrix` stores only its
+CSR view; its rows as `SparseVector`s are derived on first access.
 
 `_entry_texts` turns stored entries into text a chunk at a time and
 formats each distinct value once; `FeatureMatrix.digest` and
@@ -55,35 +56,9 @@ class SparseVector:
         object.__setattr__(vector, "entries", entries)
         return vector
 
-    @classmethod
-    def from_pairs(cls, dim: int, pairs) -> "SparseVector":
-        """Build from unordered (index, value) pairs, dropping zeros."""
-        kept = sorted((i, float(v)) for i, v in pairs if v != 0.0)
-        return cls(dim=dim, entries=tuple(kept))
-
-    def get(self, index: int) -> float:
-        for i, v in self.entries:
-            if i == index:
-                return v
-            if i > index:
-                break
-        return 0.0
-
     @property
     def nnz(self) -> int:
         return len(self.entries)
-
-    def dot(self, weights, start=0):
-        """``start`` plus each ``value * weights[index]``, added left to right.
-
-        The built-in ``sum()`` adds floats with compensation from Python 3.12
-        on, so its last bits depend on the Python version.  Like ``sum()``,
-        an empty vector gives ``start`` unchanged (the int 0 by default).
-        """
-        total = start
-        for i, v in self.entries:
-            total += v * weights[i]
-        return total
 
 
 _DIGEST_ENTRIES = 1 << 13  # stored entries `FeatureMatrix.digest` formats per chunk
@@ -195,16 +170,7 @@ class FeatureMatrix:
     """Sparse rows aligned with binary labels, stored as one CSR view;
     ``rows`` derives them from the view on first access and caches them."""
 
-    def __init__(self, rows: tuple[SparseVector, ...], labels: tuple[int, ...], dim: int):
-        self._store(CsrView.from_rows(rows, dim), labels)
-
-    @classmethod
-    def from_csr(cls, csr: CsrView, labels: tuple[int, ...]) -> "FeatureMatrix":
-        matrix = cls.__new__(cls)
-        matrix._store(csr, labels)
-        return matrix
-
-    def _store(self, csr: CsrView, labels: tuple[int, ...]) -> None:
+    def __init__(self, csr: CsrView, labels: tuple[int, ...]):
         if csr.shape[0] != len(labels):
             raise ValueError(f"{csr.shape[0]} rows but {len(labels)} labels")
         self.csr = csr
@@ -225,7 +191,14 @@ class FeatureMatrix:
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.rows, self.labels, self.dim) == (other.rows, other.labels, other.dim)
+        a, b = self.csr, other.csr
+        return (
+            self.labels == other.labels
+            and a.shape == b.shape
+            and np.array_equal(a.indptr, b.indptr)
+            and np.array_equal(a.indices, b.indices)
+            and np.array_equal(a.data, b.data)
+        )
 
     def class_counts(self) -> dict[int, int]:
         counts: dict[int, int] = {}
@@ -279,7 +252,7 @@ class TfIdfModel:
 
     @cached_property
     def idf(self) -> np.ndarray:
-        """ln(n_docs / doc_freq) per term, the same `math.log` calls as `transform`."""
+        """ln(n_docs / doc_freq) per term, one `math.log` call each."""
         return np.array([math.log(self.n_docs / df) for df in self.doc_freq], dtype=np.float64)
 
     @property
@@ -301,30 +274,9 @@ def fit(train_docs: list[Iterable[str]]) -> TfIdfModel:
 
 
 def transform(model: TfIdfModel, doc: Iterable[str]) -> SparseVector:
-    """TF-IDF vector of one document under a fitted model.
-
-    Out-of-vocabulary tokens are ignored entirely: they do not contribute
-    entries and are excluded from the term-frequency denominator.
-    """
-    vocab = model.vocabulary
-    counts: dict[int, int] = {}
-    total = 0
-    for token in doc:
-        idx = vocab.get(token)
-        if idx is None:
-            continue
-        counts[idx] = counts.get(idx, 0) + 1
-        total += 1
-    if total == 0:
-        return SparseVector(dim=model.dim, entries=())
-    entries = []
-    for idx in sorted(counts):
-        tf = counts[idx] / total
-        idf = math.log(model.n_docs / model.doc_freq[idx])
-        value = tf * idf
-        if value != 0.0:
-            entries.append((idx, value))
-    return SparseVector(dim=model.dim, entries=tuple(entries))
+    """TF-IDF vector of one document under a fitted model: the one row of
+    `transform_corpus` on that document alone."""
+    return transform_corpus(model, [doc], [0]).rows[0]
 
 
 def transform_corpus(
@@ -335,9 +287,9 @@ def transform_corpus(
     Each document's tokens become vocabulary ids as it arrives, so the
     token strings of a generator's documents are never held all at once.
     One ``np.unique`` over ``doc * dim + term`` keys then counts every
-    (doc, term) pair; row r equals ``transform(model, docs[r])`` bit for
-    bit, because count / in-vocabulary total and the product with the idf
-    table are the same IEEE operations.
+    (doc, term) pair.  A weight is (count / in-vocabulary total) * idf,
+    each operation one IEEE rounding, as a per-document loop over a
+    count dict computes it; zero products are dropped.
     """
     lookup = model.vocabulary.get
     ids: list[int] = []  # -1 marks an out-of-vocabulary token
@@ -359,4 +311,4 @@ def transform_corpus(
     stored = values != 0.0
     rows, terms, values = rows[stored], terms[stored], values[stored]
     indptr = np.searchsorted(rows, np.arange(n_docs + 1))
-    return FeatureMatrix.from_csr(CsrView(indptr, terms, values, model.dim), tuple(labels))
+    return FeatureMatrix(CsrView(indptr, terms, values, model.dim), tuple(labels))

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from textbalance.vectorize import FeatureMatrix, SparseVector
+from oracles import from_pairs
+from textbalance.vectorize import CsrView, FeatureMatrix, SparseVector
 
 
 def rand_sparse(
@@ -19,7 +20,12 @@ def rand_sparse(
                 value = abs(value)
             if value != 0.0:
                 pairs.append((i, value))
-    return SparseVector.from_pairs(dim, pairs)
+    return from_pairs(dim, pairs)
+
+
+def matrix_of(rows, labels, dim: int) -> FeatureMatrix:
+    """The matrix of the given sparse rows, in order, and their labels."""
+    return FeatureMatrix(CsrView.from_rows(rows, dim), tuple(labels))
 
 
 def rand_matrix(
@@ -33,7 +39,7 @@ def rand_matrix(
     """Random matrix with n0 label-0 rows followed by n1 label-1 rows."""
     rows = [rand_sparse(rng, dim, density, nonneg) for _ in range(n0 + n1)]
     labels = [0] * n0 + [1] * n1
-    return FeatureMatrix(rows=tuple(rows), labels=tuple(labels), dim=dim)
+    return matrix_of(rows, labels, dim)
 
 
 def to_dense(x: SparseVector | FeatureMatrix) -> np.ndarray:
@@ -51,8 +57,8 @@ def to_dense(x: SparseVector | FeatureMatrix) -> np.ndarray:
 def dense_to_matrix(X, y) -> FeatureMatrix:
     """Exact conversion of a dense array + labels into a FeatureMatrix."""
     X = np.asarray(X, dtype=np.float64)
-    rows = tuple(
-        SparseVector.from_pairs(X.shape[1], [(j, X[i, j]) for j in range(X.shape[1])])
+    rows = [
+        from_pairs(X.shape[1], [(j, X[i, j]) for j in range(X.shape[1])])
         for i in range(X.shape[0])
-    )
-    return FeatureMatrix(rows=rows, labels=tuple(int(v) for v in y), dim=X.shape[1])
+    ]
+    return matrix_of(rows, [int(v) for v in y], X.shape[1])

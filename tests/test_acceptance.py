@@ -19,9 +19,9 @@ from textbalance.evaluate import ConfusionMatrix, compare, confusion, metrics
 from textbalance.fixtures import two_vocab_corpus
 from textbalance.ingest import Corpus, write_corpus
 from textbalance.preprocess import preprocess_corpus
-from textbalance.resample import SmoteConfig, balance_training_set, knn, smote_trace
+from textbalance.resample import NeighborIndex, SmoteConfig, _synthesize, balance_training_set, knn
 from textbalance.stopwords import default_stopwords
-from textbalance.vectorize import fit, transform, transform_corpus
+from textbalance.vectorize import CsrView, fit, transform, transform_corpus
 
 
 def _criterion(number: int, description: str, body) -> None:
@@ -59,19 +59,20 @@ def test_criterion_02_smote_geometry():
             minority = [rand_sparse(rng, dim, density=0.5) for _ in range(t)]
             extra = int(rng.integers(1, 13))
             config = SmoteConfig(k=int(rng.integers(1, 8)), seed=trial)
-            trace = smote_trace(minority, t + extra, config)
-            assert len(trace) == extra
-            for sample in trace:
-                base = to_dense(minority[sample.base_index])
-                neighbor = to_dense(minority[sample.neighbor_index])
-                got = to_dense(sample.vector)
+            points = CsrView.from_rows(minority, dim)
+            bases, neighbors, _, rows = _synthesize(points, t + extra, config)
+            assert rows.shape[0] == extra
+            for b, n, vector in zip(bases.tolist(), neighbors.tolist(), rows.rows()):
+                base = to_dense(minority[b])
+                neighbor = to_dense(minority[n])
+                got = to_dense(vector)
                 # Betweenness within 1e-12, coordinatewise.
                 assert np.all(got >= np.minimum(base, neighbor) - 1e-12)
                 assert np.all(got <= np.maximum(base, neighbor) + 1e-12)
                 # Support is a subset of the union of parent supports.
-                parents = {i for i, _ in minority[sample.base_index].entries}
-                parents |= {i for i, _ in minority[sample.neighbor_index].entries}
-                assert {i for i, _ in sample.vector.entries} <= parents
+                parents = {i for i, _ in minority[b].entries}
+                parents |= {i for i, _ in minority[n].entries}
+                assert {i for i, _ in vector.entries} <= parents
                 checked += 1
         elapsed = time.perf_counter() - started
         assert checked >= 1000
@@ -89,6 +90,7 @@ def test_criterion_03_knn_oracle():
             dim = int(rng.integers(1, 26))
             points = [rand_sparse(rng, dim, density=0.4) for _ in range(n)]
             dense = np.vstack([to_dense(p) for p in points])
+            index = NeighborIndex(CsrView.from_rows(points, dim))
             for _ in range(3):
                 query = int(rng.integers(0, n))
                 k = int(rng.integers(1, n + 2))
@@ -97,7 +99,7 @@ def test_criterion_03_knn_oracle():
                     (float(dist[i]), i) for i in range(n) if i != query
                 )
                 expected = [i for _, i in order[: min(k, n - 1)]]
-                assert knn(points, query, k) == expected
+                assert knn(index, query, k) == expected
         elapsed = time.perf_counter() - started
         assert elapsed < 30.0, f"took {elapsed:.2f}s"
 

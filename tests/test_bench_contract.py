@@ -16,7 +16,17 @@ from pathlib import Path
 
 import pytest
 
-from textbalance import bundle, classify, cli, ingest, matrixio, preprocess, stopwords, vectorize
+from textbalance import (
+    bundle,
+    classify,
+    cli,
+    ingest,
+    matrixio,
+    preprocess,
+    resample,
+    stopwords,
+    vectorize,
+)
 from textbalance.fixtures import two_vocab_corpus
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
@@ -88,3 +98,33 @@ def test_per_post_chain_agrees_with_predict(corpora, tmp_path, capsys):
                      "--input", str(posts)]) == 0
     printed = [int(line.split("\t", 1)[0]) for line in capsys.readouterr().out.splitlines()]
     assert printed == labels
+
+
+def test_per_row_results_have_the_types_the_benchmark_reads(corpora, tmp_path):
+    """What the span observers and the reference loop read from the
+    per-row names: ``transform(...).nnz`` fed to ``predict``,
+    ``len(NeighborIndex)`` and a ``list[int]`` from ``knn``,
+    ``interpolate(...).nnz``, and ``read_matrix(...).rows[i].nnz``."""
+    train, _ = corpora
+    tokens = preprocess.preprocess_corpus(train, stopwords.default_stopwords())
+    model = vectorize.fit(tokens)
+    matrix = vectorize.transform_corpus(model, tokens, train.labels)
+
+    vector = vectorize.transform(model, tokens[0])
+    assert vector.nnz == matrix.rows[0].nnz > 0
+    classifier = classify.train(matrix, classify.TrainConfig(algorithm="logistic"))
+    assert classify.predict(classifier, vector) in (0, 1)
+
+    index = resample.NeighborIndex(matrix.csr)
+    assert len(index) == len(matrix)
+    neighbors = resample.knn(index, 0, 3)
+    assert type(neighbors) is list and len(neighbors) == 3
+    assert all(type(i) is int for i in neighbors)
+
+    row = resample.interpolate(matrix.rows[0], matrix.rows[neighbors[0]], 0.5)
+    assert row.nnz >= max(matrix.rows[0].nnz, matrix.rows[neighbors[0]].nnz)
+
+    path = tmp_path / "matrix.txt"
+    matrixio.write_matrix(matrix, path)
+    read = matrixio.read_matrix(path)
+    assert sum(r.nnz for r in read.rows) == read.csr.data.size == matrix.csr.data.size

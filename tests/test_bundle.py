@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import dense_to_matrix, rand_matrix
+from conftest import matrix_of, rand_matrix
 from textbalance.bundle import (
     BundleError,
     ModelBundle,
@@ -30,7 +30,7 @@ from textbalance.matrixio import (
     write_matrix,
 )
 from textbalance.stopwords import default_stopwords
-from textbalance.vectorize import FeatureMatrix, SparseVector, fit
+from textbalance.vectorize import FeatureMatrix, fit
 
 
 def fitted_tfidf():
@@ -237,7 +237,7 @@ class TestMatrixIo:
             read_matrix(path)
 
     def test_zero_row_matrix(self, tmp_path):
-        matrix = FeatureMatrix(rows=(), labels=(), dim=4)
+        matrix = matrix_of((), (), 4)
         path = tmp_path / "empty.mtx"
         write_matrix(matrix, path)
         assert read_matrix(path) == matrix

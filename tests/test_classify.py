@@ -7,7 +7,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import dense_to_matrix, rand_matrix, to_dense
+from conftest import dense_to_matrix, matrix_of, rand_matrix, to_dense
+from oracles import from_pairs, predict_scored
 from textbalance.classify import (
     ALGORITHMS,
     DecisionTreeModel,
@@ -18,7 +19,6 @@ from textbalance.classify import (
     logistic_loss_and_grad,
     predict,
     predict_batch,
-    predict_scored,
     svm_training_objectives,
     train,
 )
@@ -315,13 +315,13 @@ class TestDecisionTree:
 
 class TestTrainValidation:
     def test_empty_matrix_rejected(self):
-        empty = FeatureMatrix(rows=(), labels=(), dim=3)
+        empty = matrix_of((), (), 3)
         for algo in ALGORITHMS:
             with pytest.raises(ValueError):
                 train(empty, TrainConfig(algorithm=algo))
 
     def test_zero_dim_rejected(self):
-        matrix = FeatureMatrix(rows=(SparseVector(dim=0, entries=()),), labels=(0,), dim=0)
+        matrix = matrix_of((SparseVector(dim=0, entries=()),), (0,), 0)
         with pytest.raises(ValueError):
             train(matrix, TrainConfig(algorithm="nb"))
 
@@ -331,11 +331,29 @@ class TestTrainValidation:
             with pytest.raises(ValueError, match="both classes"):
                 train(matrix, TrainConfig(algorithm=algo))
 
+    def test_svm_lam_must_be_finite_and_positive(self):
+        # C * n overflows to inf (lam 0.0), or C is so small that lam is inf.
+        matrix = separable_matrix()
+        for svm_c, lam in ((1e308, "0.0"), (1e-320, "inf")):
+            with pytest.raises(ValueError, match=rf"lam = 1/\(C\*n\) = {lam}"):
+                train(matrix, TrainConfig(algorithm="svm", svm_C=svm_c))
+
+    def test_diverging_fit_is_rejected_without_warnings(self):
+        # pytest turns warnings into errors, so no RuntimeWarning escapes.
+        matrix = separable_matrix()
+        for hyper in (dict(lr_learning_rate=1e308), dict(l2=1e308)):
+            with pytest.raises(ValueError, match="logistic fit diverged"):
+                train(matrix, TrainConfig(algorithm="logistic", **hyper))
+        # lam = 1e-308 is finite, but the first step of size 1/lam overflows.
+        two = dense_to_matrix([[10.0], [20.0]], [0, 1])
+        with pytest.raises(ValueError, match="svm fit diverged"):
+            train(two, TrainConfig(algorithm="svm", svm_C=5e307))
+
     def test_predict_dimension_mismatch(self):
         matrix = separable_matrix()
         model = train(matrix, TrainConfig(algorithm="logistic"))
         with pytest.raises(ValueError):
-            predict(model, SparseVector.from_pairs(99, [(0, 1.0)]))
+            predict(model, from_pairs(99, [(0, 1.0)]))
 
     def test_predict_batch_matches_per_row_predict(self):
         matrix = separable_matrix()
@@ -366,6 +384,7 @@ class TestTrainValidation:
         for algo in ("logistic", "svm"):
             model = LinearModel(algorithm=algo, dim=3, weights=weights, bias=0.25)
             assert predict_scored(model, ones)[1] == 0.25
+            assert predict_batch(model, matrix_of((ones,), (0,), 3)).scores == [0.25]
         nb = MultinomialNBModel(
             dim=3,
             class_labels=(0, 1),
@@ -394,7 +413,8 @@ def _reference(model, matrix: FeatureMatrix) -> list:
 
 class TestPredictBatchOracle:
     """`predict_batch` scores a whole CSR view at once; its labels and
-    scores must be those of `predict_scored`, bit for bit."""
+    scores must be those of the per-vector `oracles.predict_scored`, bit
+    for bit."""
 
     @pytest.mark.parametrize("algo", ALGORITHMS)
     def test_matches_per_row_reference(self, algo):
@@ -439,27 +459,25 @@ class TestPredictBatchOracle:
             dim=2, class_labels=(0, 1), class_log_prior=(-0.1, -2.3),
             feature_log_prob=((-0.7, -1.3), (-1e-17, -0.3)),
         )
-        matrix = FeatureMatrix(
-            rows=(SparseVector(2, ((0, 0.1), (1, 0.2))), SparseVector(2, ((0, 3.0),))),
-            labels=(0, 1),
-            dim=2,
+        matrix = matrix_of(
+            (SparseVector(2, ((0, 0.1), (1, 0.2))), SparseVector(2, ((0, 3.0),))), (0, 1), 2
         )
         assert _scored(model, matrix) == _reference(model, matrix)
 
     def test_empty_row_scores_the_bias(self):
         for algo in ("logistic", "svm"):
             model = LinearModel(algo, dim=3, weights=(0.5, -2.0, 1.0), bias=-0.125)
-            matrix = FeatureMatrix(
-                rows=(SparseVector(3, ()), SparseVector(3, ((1, 0.25),)), SparseVector(3, ())),
-                labels=(0, 0, 0),
-                dim=3,
+            matrix = matrix_of(
+                (SparseVector(3, ()), SparseVector(3, ((1, 0.25),)), SparseVector(3, ())),
+                (0, 0, 0),
+                3,
             )
             predictions = predict_batch(model, matrix)
             assert predictions == [0, 0, 0]
             assert predictions.scores[0] == predictions.scores[2] == -0.125
             assert _scored(model, matrix) == _reference(model, matrix)
         zero_bias = LinearModel("svm", dim=1, weights=(1.0,), bias=0.0)
-        empty = FeatureMatrix(rows=(SparseVector(1, ()),), labels=(0,), dim=1)
+        empty = matrix_of((SparseVector(1, ()),), (0,), 1)
         assert predict_batch(zero_bias, empty) == [1]  # score 0.0 >= 0.0
 
     def test_tree_rows_without_the_split_feature(self):
@@ -481,7 +499,7 @@ class TestPredictBatchOracle:
             SparseVector(3, ((2, 0.75),)),
             SparseVector(3, ((0, -2.0), (2, 3.0))),
         )
-        matrix = FeatureMatrix(rows=rows, labels=(0,) * 6, dim=3)
+        matrix = matrix_of(rows, (0,) * 6, 3)
         predictions = predict_batch(model, matrix)
         assert predictions == [0, 1, 0, 0, 1, 1]
         assert predictions.scores == [None] * 6
@@ -489,9 +507,9 @@ class TestPredictBatchOracle:
 
     def test_leaf_only_tree_and_empty_matrix(self):
         leaf = DecisionTreeModel(dim=2, nodes=(TreeNode(label=1),))
-        matrix = FeatureMatrix(rows=(SparseVector(2, ((0, 1.0),)),), labels=(0,), dim=2)
+        matrix = matrix_of((SparseVector(2, ((0, 1.0),)),), (0,), 2)
         assert predict_batch(leaf, matrix) == [1]
-        empty = FeatureMatrix(rows=(), labels=(), dim=2)
+        empty = matrix_of((), (), 2)
         for model in (leaf, LinearModel("svm", 2, (1.0, 1.0), 0.0)):
             predictions = predict_batch(model, empty)
             assert predictions == [] and predictions.scores == []
@@ -499,7 +517,7 @@ class TestPredictBatchOracle:
     def test_dimension_mismatch(self):
         model = LinearModel("svm", 2, (1.0, 1.0), 0.0)
         with pytest.raises(ValueError, match="dimension mismatch"):
-            predict_batch(model, FeatureMatrix(rows=(), labels=(), dim=3))
+            predict_batch(model, matrix_of((), (), 3))
 
 
 # -- dense reference implementations ---------------------------------------

@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import oracles
 import textbalance
 from conftest import rand_matrix
 from textbalance import bundle as bundle_mod
@@ -181,6 +182,38 @@ class TestTrain:
         payload = json.loads(out.read_text())
         assert payload["provenance"]["timestamp"] == "2023-11-14T22:13:20+00:00"
 
+    @pytest.mark.parametrize("epoch", ["abc", "1e9", "99999999999999999999", "-99999999999999"])
+    def test_bad_source_date_epoch_exits_2_before_any_read(
+        self, dataset, tmp_path, capsys, monkeypatch, epoch
+    ):
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", epoch)
+        out = tmp_path / "model.json"
+        # The dataset does not exist, so reaching ingest would say [ingest].
+        assert run(["train", "--data", tmp_path / "nope.csv", "--algo", "nb", "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error [config]") and f"SOURCE_DATE_EPOCH {epoch!r}" in err
+        assert not out.exists()
+        # --timestamp wins, so the variable is never read.
+        argv = ["train", "--data", dataset, "--algo", "nb", "--out", out, "--timestamp", "t0"]
+        assert run(argv) == 0
+        assert json.loads(out.read_text())["provenance"]["timestamp"] == "t0"
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--algo", "svm", "--svm-c", "1e308"], "lam = 1/(C*n) = 0.0"),
+            (["--algo", "svm", "--svm-c", "1e-320"], "lam = 1/(C*n) = inf"),
+            (["--algo", "logistic", "--lr-learning-rate", "1e308"], "logistic fit diverged"),
+            (["--algo", "logistic", "--l2", "1e308"], "logistic fit diverged"),
+        ],
+    )
+    def test_unusable_fit_exits_2_at_train(self, dataset, tmp_path, capsys, flags, message):
+        out = tmp_path / "model.json"
+        assert run(["train", "--data", dataset, *flags, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error [train]") and message in err
+        assert not out.exists()
+
     def test_split_manifest_written(self, dataset, tmp_path):
         out = tmp_path / "model.json"
         manifest_path = tmp_path / "split.json"
@@ -265,10 +298,28 @@ class TestPredictAndEvaluate:
             inputs.write_text(content, encoding="utf-8", newline="")
             argv = ["predict", "--bundle", bundle, "--input", inputs]
         else:
-            monkeypatch.setattr(sys, "stdin", io.StringIO(content))
+            monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(content.encode())))
             argv = ["predict", "--bundle", bundle]
         assert run(argv) == 0
         assert capsys.readouterr().out == "".join(expected)
+
+    @pytest.mark.parametrize("source", ["input", "stdin"])
+    def test_invalid_utf8_exits_2_at_read(self, bundle, tmp_path, capsys, monkeypatch, source):
+        content = b"cheap casino\n\xff offer\n"
+        if source == "input":
+            inputs = tmp_path / "texts.txt"
+            inputs.write_bytes(content)
+            argv = ["predict", "--bundle", bundle, "--input", inputs]
+        else:
+            # As under a C.UTF-8 locale: reading stdin as text would let 0xff through.
+            stdin = io.BytesIO(content)
+            monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(stdin, "utf-8", "surrogateescape"))
+            argv = ["predict", "--bundle", bundle]
+        capsys.readouterr()
+        assert run(argv) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("error [read]") and "can't decode byte 0xff" in out.err
 
     def test_evaluate_prints_and_writes_metrics(self, bundle, dataset, tmp_path, capsys):
         capsys.readouterr()
@@ -322,7 +373,7 @@ def _reference_predict(bundle_path, texts) -> str:
             stops,
             model.preprocess_config.min_token_len,
         )
-        label, score = classify.predict_scored(model.classifier, vectorize.transform(model.tfidf, tokens))
+        label, score = oracles.predict_scored(model.classifier, oracles.transform(model.tfidf, tokens))
         lines.append(f"{label}\n" if score is None else f"{label}\t{score!r}\n")
     return "".join(lines)
 
@@ -800,6 +851,20 @@ class TestReport:
         assert f"{field} must be finite" in err
         assert not Path(f"{prefix}.json").exists()
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--algos", "svm", "--svm-c", "1e308"], "lam = 1/(C*n) = 0.0"),
+            (["--algos", "nb,logistic", "--lr-learning-rate", "1e308"], "logistic fit diverged"),
+        ],
+    )
+    def test_unusable_fit_exits_2_at_compare(self, dataset, tmp_path, capsys, flags, message):
+        prefix = tmp_path / "cmp"
+        assert run(["report", "--data", dataset, *flags, "--out", prefix]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error [compare]") and message in err
+        assert not Path(f"{prefix}.json").exists()
+
     def test_writes_json_text_csv(self, dataset, tmp_path, capsys):
         prefix = tmp_path / "cmp"
         code = run(
@@ -941,7 +1006,7 @@ class TestScatter:
         g = [(rng.next_gaussian(), rng.next_gaussian()) for _ in range(matrix.dim)]
         gx, gy = [x for x, _ in g], [y for _, y in g]
         expected = [
-            f"{row.dot(gx, start=0.0)!r},{row.dot(gy, start=0.0)!r},{label},false"
+            f"{oracles.dot(row, gx, start=0.0)!r},{oracles.dot(row, gy, start=0.0)!r},{label},false"
             for row, label in zip(matrix.rows, matrix.labels)
         ]
         assert out.read_text().split("\n")[2:-1] == expected

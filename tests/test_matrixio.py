@@ -64,7 +64,7 @@ def random_matrix(seed: int, n_rows: int, dim: int) -> FeatureMatrix:
     indices = np.concatenate([cols for cols, _ in rows] or [np.zeros(0, np.int64)])
     data = np.concatenate([vals for _, vals in rows] or [np.zeros(0)])
     labels = tuple(int(v) for v in rng.integers(0, 2, size=n_rows))
-    return FeatureMatrix.from_csr(CsrView(indptr, indices, data, dim), labels)
+    return FeatureMatrix(CsrView(indptr, indices, data, dim), labels)
 
 
 # (seed, n_rows, dim): 0 rows, dim 0 and 1, and wider random matrices.
@@ -103,7 +103,7 @@ class TestWriterOracle:
     def test_signed_zeros_keep_their_text(self, tmp_path, monkeypatch):
         monkeypatch.setattr(matrixio, "_WRITE_ENTRIES", 2)
         csr = CsrView(np.array([0, 3, 3]), np.array([0, 1, 2]), np.array([0.0, -0.0, 0.0]), 3)
-        matrix = FeatureMatrix.from_csr(csr, (0, 1))
+        matrix = FeatureMatrix(csr, (0, 1))
         text, labels = written(matrix, tmp_path, "zeros", write_matrix)
         assert text == b"2 3 3\n0 0 0.0\n0 1 -0.0\n0 2 0.0\n"
         assert labels == b"0\n1\n"
@@ -116,7 +116,7 @@ class TestHugeDim:
         indptr = np.array([0, 2, 2, 4])
         indices = np.array([0, self.DIM - 1, 5, 2**40])
         data = np.array([1.5, -0.25, 1e-7, 3.0])
-        return FeatureMatrix.from_csr(CsrView(indptr, indices, data, self.DIM), (1, 0, 1))
+        return FeatureMatrix(CsrView(indptr, indices, data, self.DIM), (1, 0, 1))
 
     def test_round_trip_without_dim_sized_tables(self, tmp_path):
         matrix = self.matrix()
@@ -170,6 +170,6 @@ class TestDigestOracle:
     def test_signed_zero_changes_the_digest(self):
         def digest(value):
             csr = CsrView(np.array([0, 1]), np.array([0]), np.array([value]), 1)
-            return FeatureMatrix.from_csr(csr, (0,)).digest()
+            return FeatureMatrix(csr, (0,)).digest()
 
         assert digest(0.0) != digest(-0.0)

@@ -7,23 +7,37 @@ import hashlib
 import numpy as np
 import pytest
 
-from conftest import rand_matrix, rand_sparse, to_dense
+import oracles
+from conftest import matrix_of, rand_matrix, rand_sparse, to_dense
+from oracles import SyntheticSample, euclidean_distance, exhaustive_knn, from_pairs
 from textbalance import resample
 from textbalance.fixtures import two_vocab_corpus
 from textbalance.preprocess import preprocess_corpus
 from textbalance.resample import (
     NeighborIndex,
     SmoteConfig,
+    _synthesize,
     balance_training_set,
-    euclidean_distance,
     interpolate,
     knn,
-    smote,
-    smote_trace,
 )
-from textbalance.rng import STREAM_GAP, STREAM_NEIGHBOR, derive_stream
 from textbalance.stopwords import default_stopwords
-from textbalance.vectorize import FeatureMatrix, SparseVector, fit, transform_corpus
+from textbalance.vectorize import CsrView, FeatureMatrix, SparseVector, fit, transform_corpus
+
+
+def _points(rows: list[SparseVector]) -> CsrView:
+    return CsrView.from_rows(rows, rows[0].dim if rows else 0)
+
+
+def index_of(points: list[SparseVector]) -> NeighborIndex:
+    return NeighborIndex(_points(points))
+
+
+def batch_trace(minority: list[SparseVector], majority_count: int, config: SmoteConfig) -> list:
+    """`_synthesize` on the minority rows, one `SyntheticSample` per row."""
+    bases, neighbors, gaps, rows = _synthesize(_points(minority), majority_count, config)
+    samples = zip(rows.rows(), bases.tolist(), neighbors.tolist(), gaps.tolist())
+    return [SyntheticSample(*sample) for sample in samples]
 
 
 def brute_force_knn(points: list[SparseVector], query: int, k: int) -> list[int]:
@@ -35,25 +49,16 @@ def brute_force_knn(points: list[SparseVector], query: int, k: int) -> list[int]
     return [i for _, i in order[: min(k, len(points) - 1)]]
 
 
-def exhaustive_knn(points: list[SparseVector], query: int, k: int) -> list[int]:
-    """Reference scan: the exact merge distance to every point, ranked by
-    (distance, index), self excluded."""
-    ranked = sorted(
-        (euclidean_distance(points[query], points[i]), i)
-        for i in range(len(points))
-        if i != query
-    )
-    return [i for _, i in ranked[: min(k, len(points) - 1)]]
-
-
 class TestEuclideanDistance:
+    """The oracles' merge distance, which ranks `exhaustive_knn`'s scan."""
+
     def test_hand_case(self):
-        a = SparseVector.from_pairs(3, [(0, 3.0)])
-        b = SparseVector.from_pairs(3, [(1, 4.0)])
+        a = from_pairs(3, [(0, 3.0)])
+        b = from_pairs(3, [(1, 4.0)])
         assert euclidean_distance(a, b) == pytest.approx(5.0, abs=1e-12)
 
     def test_zero_for_identical(self):
-        a = SparseVector.from_pairs(4, [(1, 1.5), (3, -2.0)])
+        a = from_pairs(4, [(1, 1.5), (3, -2.0)])
         assert euclidean_distance(a, a) == 0.0
 
     def test_matches_dense_oracle(self):
@@ -67,15 +72,13 @@ class TestEuclideanDistance:
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            euclidean_distance(
-                SparseVector.from_pairs(2, []), SparseVector.from_pairs(3, [])
-            )
+            euclidean_distance(from_pairs(2, []), from_pairs(3, []))
 
 
 class TestInterpolate:
     def test_union_of_supports(self):
-        base = SparseVector.from_pairs(3, [(0, 1.0)])
-        other = SparseVector.from_pairs(3, [(1, 2.0)])
+        base = from_pairs(3, [(0, 1.0)])
+        other = from_pairs(3, [(1, 2.0)])
         mid = interpolate(base, other, 0.5)
         assert mid.entries == ((0, 0.5), (1, 1.0))
 
@@ -100,6 +103,24 @@ class TestInterpolate:
                 to_dense(interpolate(base, other, gap)), expected, atol=1e-15
             )
 
+    def test_matches_the_dict_oracle_bit_for_bit(self):
+        rng = np.random.default_rng(20)
+        tiny = 5e-324  # base + gap * (0 - base) rounds to 0.0 here when gap > 1/2
+        dims = rng.integers(1, 25, 100).tolist()
+        pairs = [(rand_sparse(rng, dim), rand_sparse(rng, dim)) for dim in dims]
+        pairs.append((from_pairs(3, [(0, tiny), (1, tiny)]), from_pairs(3, [(2, 2 * tiny)])))
+        for base, other in pairs:
+            for gap in (0.0, float(rng.random()), 0.75, 1.0):
+                got = interpolate(base, other, gap)
+                want = oracles.interpolate(base, other, gap)
+                assert [(i, v.hex()) for i, v in got.entries] == [
+                    (i, v.hex()) for i, v in want.entries
+                ]
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(ValueError):
+            interpolate(from_pairs(2, []), from_pairs(3, []), 0.5)
+
 
 class TestKnn:
     def test_matches_brute_force(self):
@@ -110,24 +131,24 @@ class TestKnn:
             points = [rand_sparse(rng, dim) for _ in range(n)]
             query = int(rng.integers(0, n))
             k = int(rng.integers(1, n + 3))  # may exceed n-1; clamps
-            assert knn(points, query, k) == brute_force_knn(points, query, k)
+            assert knn(index_of(points), query, k) == brute_force_knn(points, query, k)
 
     def test_distance_ties_resolve_to_smaller_index(self):
         # Three identical candidates: order must be by index.
-        same = SparseVector.from_pairs(2, [(0, 1.0)])
-        query = SparseVector.from_pairs(2, [(1, 1.0)])
+        same = from_pairs(2, [(0, 1.0)])
+        query = from_pairs(2, [(1, 1.0)])
         points = [query, same, same, same]
-        assert knn(points, 0, 3) == [1, 2, 3]
+        assert knn(index_of(points), 0, 3) == [1, 2, 3]
 
     def test_k_clamped_to_n_minus_one(self):
         points = [rand_sparse(np.random.default_rng(i), 4) for i in range(3)]
-        assert len(knn(points, 0, 99)) == 2
+        assert len(knn(index_of(points), 0, 99)) == 2
 
     def test_validation(self):
-        points = [SparseVector.from_pairs(2, [(0, 1.0)])]
-        with pytest.raises(ValueError):
-            knn(points, 0, 1)  # fewer than 2 points
-        two = points + [SparseVector.from_pairs(2, [(1, 1.0)])]
+        points = [from_pairs(2, [(0, 1.0)])]
+        with pytest.raises(ValueError, match="at least 2 points"):
+            index_of(points)
+        two = index_of(points + [from_pairs(2, [(1, 1.0)])])
         with pytest.raises(ValueError):
             knn(two, 5, 1)
         with pytest.raises(ValueError):
@@ -139,12 +160,13 @@ class TestKnnAdversarial:
 
     @staticmethod
     def assert_every_query_matches_scan(points, ks=(1, 2, 3, 5)):
-        index = NeighborIndex(points)
+        index = index_of(points)
         for query in range(len(points)):
             for k in set(ks) | {len(points) - 1, len(points) + 2}:
                 expected = exhaustive_knn(points, query, k)
                 assert knn(index, query, k) == expected, (query, k)
-                assert knn(points, query, k) == expected, (query, k)
+                # A fresh index solves this query alone, in a block of one.
+                assert knn(index_of(points), query, k) == expected, (query, k)
 
     def test_exact_duplicates_tie_break_by_index(self):
         rng = np.random.default_rng(30)
@@ -175,8 +197,8 @@ class TestKnnAdversarial:
                     if rng.random() < 0.3:
                         v *= 1.0 + float(rng.integers(-4, 5)) * 2.0**-50
                     pairs.append((i, scale * v))
-                points.append(SparseVector.from_pairs(dim, pairs))
-            points.append(SparseVector.from_pairs(dim, [(i, scale * v) for i, v in base.entries]))
+                points.append(from_pairs(dim, pairs))
+            points.append(from_pairs(dim, [(i, scale * v) for i, v in base.entries]))
         points.append(SparseVector(dim=dim, entries=()))
         order = rng.permutation(len(points))
         self.assert_every_query_matches_scan([points[i] for i in order])
@@ -186,7 +208,7 @@ class TestKnnAdversarial:
         rng = np.random.default_rng(34)
         points = [rand_sparse(rng, 8) for _ in range(6)]
         for scale in (1e155, 1e200, 1e155):
-            points.append(SparseVector.from_pairs(8, [(i, scale * v) for i, v in rand_sparse(rng, 8).entries]))
+            points.append(from_pairs(8, [(i, scale * v) for i, v in rand_sparse(rng, 8).entries]))
         points.insert(2, points[-1])
         self.assert_every_query_matches_scan(points)
 
@@ -206,7 +228,7 @@ class TestSmote:
     def test_count_and_round_robin_usage(self):
         rng = np.random.default_rng(4)
         minority = [rand_sparse(rng, 8) for _ in range(33)]
-        trace = smote_trace(minority, 201, SmoteConfig(k=5, seed=0))
+        trace = batch_trace(minority, 201, SmoteConfig(k=5, seed=0))
         assert len(trace) == 168
         usage = [0] * 33
         for sample in trace:
@@ -217,7 +239,7 @@ class TestSmote:
     def test_synthetic_on_segment_between_parents(self):
         rng = np.random.default_rng(5)
         minority = [rand_sparse(rng, 12) for _ in range(9)]
-        trace = smote_trace(minority, 30, SmoteConfig(k=3, seed=8))
+        trace = batch_trace(minority, 30, SmoteConfig(k=3, seed=8))
         for sample in trace:
             base = to_dense(minority[sample.base_index])
             neighbor = to_dense(minority[sample.neighbor_index])
@@ -232,46 +254,56 @@ class TestSmote:
         rng = np.random.default_rng(6)
         minority = [rand_sparse(rng, 10) for _ in range(12)]
         k = 4
-        trace = smote_trace(minority, 40, SmoteConfig(k=k, seed=1))
+        trace = batch_trace(minority, 40, SmoteConfig(k=k, seed=1))
         for sample in trace:
-            assert sample.neighbor_index in knn(minority, sample.base_index, k)
+            assert sample.neighbor_index in exhaustive_knn(minority, sample.base_index, k)
             assert sample.neighbor_index != sample.base_index
 
     def test_gap_sequence_independent_of_k(self):
         rng = np.random.default_rng(7)
         minority = [rand_sparse(rng, 6) for _ in range(10)]
-        gaps_k1 = [s.gap for s in smote_trace(minority, 25, SmoteConfig(k=1, seed=3))]
-        gaps_k5 = [s.gap for s in smote_trace(minority, 25, SmoteConfig(k=5, seed=3))]
+        gaps_k1 = [s.gap for s in batch_trace(minority, 25, SmoteConfig(k=1, seed=3))]
+        gaps_k5 = [s.gap for s in batch_trace(minority, 25, SmoteConfig(k=5, seed=3))]
         assert gaps_k1 == gaps_k5
+
+    def test_matches_the_per_sample_oracle(self):
+        rng = np.random.default_rng(19)
+        for trial in range(60):
+            dim, t = int(rng.integers(1, 20)), int(rng.integers(1, 12))
+            minority = [rand_sparse(rng, dim, density=float(rng.uniform(0, 1))) for _ in range(t)]
+            majority = t + int(rng.integers(0, 30))
+            config = SmoteConfig(k=int(rng.integers(1, 8)), seed=trial)
+            expected = oracles.smote_trace(minority, majority, config)
+            assert batch_trace(minority, majority, config) == expected, trial
 
     def test_same_seed_reproduces_different_seed_differs(self):
         rng = np.random.default_rng(8)
         minority = [rand_sparse(rng, 6) for _ in range(8)]
-        a = smote(minority, 20, SmoteConfig(k=3, seed=5))
-        b = smote(minority, 20, SmoteConfig(k=3, seed=5))
-        c = smote(minority, 20, SmoteConfig(k=3, seed=6))
+        a = batch_trace(minority, 20, SmoteConfig(k=3, seed=5))
+        b = batch_trace(minority, 20, SmoteConfig(k=3, seed=5))
+        c = batch_trace(minority, 20, SmoteConfig(k=3, seed=6))
         assert a == b
         assert a != c
 
     def test_k_clamps_to_minority_size(self):
         rng = np.random.default_rng(9)
         minority = [rand_sparse(rng, 5) for _ in range(3)]
-        trace = smote_trace(minority, 9, SmoteConfig(k=50, seed=0))
+        trace = batch_trace(minority, 9, SmoteConfig(k=50, seed=0))
         for sample in trace:
-            assert sample.neighbor_index in knn(minority, sample.base_index, 2)
+            assert sample.neighbor_index in exhaustive_knn(minority, sample.base_index, 2)
 
     def test_no_new_samples_when_already_equal(self):
         rng = np.random.default_rng(10)
         minority = [rand_sparse(rng, 4) for _ in range(5)]
-        assert smote(minority, 5, SmoteConfig()) == []
+        assert batch_trace(minority, 5, SmoteConfig()) == []
 
     def test_validation(self):
         rng = np.random.default_rng(11)
         minority = [rand_sparse(rng, 4) for _ in range(5)]
         with pytest.raises(ValueError):
-            smote([], 5, SmoteConfig())
+            batch_trace([], 5, SmoteConfig())
         with pytest.raises(ValueError):
-            smote(minority, 4, SmoteConfig())
+            batch_trace(minority, 4, SmoteConfig())
         with pytest.raises(ValueError):
             SmoteConfig(k=0)
         assert SmoteConfig().to_dict()["target"] == "equalize"
@@ -299,7 +331,7 @@ class TestBalanceTrainingSet:
     def test_minority_can_be_label_zero(self):
         rng = np.random.default_rng(13)
         rows = [rand_sparse(rng, 6) for _ in range(10)]
-        matrix = FeatureMatrix(rows=tuple(rows), labels=(0, 0) + (1,) * 8, dim=6)
+        matrix = matrix_of(rows, (0, 0) + (1,) * 8, 6)
         balanced, report = balance_training_set(matrix, SmoteConfig(k=1, seed=0))
         assert report.minority_label == 0
         assert balanced.class_counts() == {0: 8, 1: 8}
@@ -316,9 +348,7 @@ class TestBalanceTrainingSet:
         rng = np.random.default_rng(15)
         rows = [rand_sparse(rng, 6) for _ in range(4)]
         lone = rand_sparse(rng, 6)
-        matrix = FeatureMatrix(
-            rows=tuple(rows) + (lone,), labels=(0, 0, 0, 0, 1), dim=6
-        )
+        matrix = matrix_of(rows + [lone], (0, 0, 0, 0, 1), 6)
         balanced, report = balance_training_set(matrix, SmoteConfig(seed=9))
         assert balanced.class_counts() == {0: 4, 1: 4}
         assert all(row == lone for row in balanced.rows[5:])
@@ -327,7 +357,7 @@ class TestBalanceTrainingSet:
     def test_single_class_matrix_rejected(self):
         rng = np.random.default_rng(16)
         rows = tuple(rand_sparse(rng, 4) for _ in range(3))
-        matrix = FeatureMatrix(rows=rows, labels=(1, 1, 1), dim=4)
+        matrix = matrix_of(rows, (1, 1, 1), 4)
         with pytest.raises(ValueError):
             balance_training_set(matrix, SmoteConfig())
 
@@ -343,7 +373,7 @@ class TestBalanceTrainingSet:
         assert np.array_equal(stacked.indices[: original.indices.size], original.indices)
         assert np.array_equal(stacked.data[: original.data.size], original.data)
         minority = [row for row, label in zip(matrix.rows, matrix.labels) if label == 1]
-        synthetic = smote(minority, 9, config)
+        synthetic = [s.vector for s in oracles.smote_trace(minority, 9, config)]
         assert balanced.rows[len(matrix) :] == tuple(synthetic)
 
     def test_report_to_dict_is_json_shaped(self):
@@ -357,25 +387,14 @@ class TestBalanceTrainingSet:
 
 
 def reference_balance(matrix: FeatureMatrix, config: SmoteConfig) -> FeatureMatrix:
-    """SMOTE one sample at a time: the exhaustive scan, the single-vector
-    `interpolate` and the two seeded streams, as the method defines it."""
+    """SMOTE one sample at a time: `oracles.smote_trace` over the minority
+    rows, its vectors appended below the matrix."""
     counts = matrix.class_counts()
     minority_label = min(counts, key=lambda label: (counts[label], label))
-    majority = max(counts.values())
     minority = [row for row, lb in zip(matrix.rows, matrix.labels) if lb == minority_label]
-    t = len(minority)
-    pick = derive_stream(config.seed, STREAM_NEIGHBOR)
-    gap = derive_stream(config.seed, STREAM_GAP)
-    synthetic = []
-    for j in range(majority - t):
-        if t == 1:
-            synthetic.append(minority[0])
-            continue
-        nearest = exhaustive_knn(minority, j % t, config.k)
-        other = nearest[pick.next_below(len(nearest))]
-        synthetic.append(interpolate(minority[j % t], minority[other], gap.next_float()))
+    synthetic = [s.vector for s in oracles.smote_trace(minority, max(counts.values()), config)]
     labels = matrix.labels + (minority_label,) * len(synthetic)
-    return FeatureMatrix(matrix.rows + tuple(synthetic), labels, matrix.dim)
+    return matrix_of(matrix.rows + tuple(synthetic), labels, matrix.dim)
 
 
 class TestArraySmoteOracle:
@@ -392,7 +411,7 @@ class TestArraySmoteOracle:
         a, b = rand_sparse(rng, 15, density=0.5), rand_sparse(rng, 15, density=0.5)
         minority = [zero, a, a, rand_sparse(rng, 15), zero, b, a, b, zero, rand_sparse(rng, 15)]
         majority = [rand_sparse(rng, 15) for _ in range(27)]
-        matrix = FeatureMatrix(tuple(majority + minority), (0,) * 27 + (1,) * 10, 15)
+        matrix = matrix_of(majority + minority, (0,) * 27 + (1,) * 10, 15)
         for k in (1, 2, 5):
             self.assert_matches_reference(matrix, SmoteConfig(k=k, seed=k))
 
@@ -428,15 +447,15 @@ class TestArraySmoteOracle:
         rng = np.random.default_rng(65)
         tiny = 5e-324
         rows = [
-            SparseVector.from_pairs(6, [(i, tiny * float(rng.integers(1, 3))) for i in range(6) if rng.random() < 0.5])
+            from_pairs(6, [(i, tiny * float(rng.integers(1, 3))) for i in range(6) if rng.random() < 0.5])
             for _ in range(12)
         ]
-        matrix = FeatureMatrix(tuple(rows), (0,) * 8 + (1,) * 4, 6)
+        matrix = matrix_of(rows, (0,) * 8 + (1,) * 4, 6)
         balanced, _ = balance_training_set(matrix, SmoteConfig(k=3, seed=2))
         expected = reference_balance(matrix, SmoteConfig(k=3, seed=2))
         assert balanced.digest() == expected.digest()
         minority = matrix.rows[8:]
-        trace = smote_trace(list(minority), 8, SmoteConfig(k=3, seed=2))
+        trace = batch_trace(list(minority), 8, SmoteConfig(k=3, seed=2))
         union = [
             {i for i, _ in minority[s.base_index].entries} | {i for i, _ in minority[s.neighbor_index].entries}
             for s in trace
@@ -489,7 +508,8 @@ class TestPinnedOutputs:
         config = SmoteConfig(k=5, seed=seed)
         balanced, report = balance_training_set(matrix, config)
         minority = [row for row, lb in zip(matrix.rows, matrix.labels) if lb == 1]
-        trace = smote_trace(minority, report.majority, config)
+        trace = batch_trace(minority, report.majority, config)
+        assert trace == oracles.smote_trace(minority, report.majority, config)
         provenance = "".join(
             f"{s.base_index},{s.neighbor_index},{s.gap!r}\n" for s in trace
         )

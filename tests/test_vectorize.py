@@ -7,7 +7,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import rand_sparse, to_dense
+import oracles
+from conftest import matrix_of, rand_sparse, to_dense
 from textbalance.fixtures import two_vocab_corpus
 from textbalance.preprocess import preprocess_corpus
 from textbalance.stopwords import default_stopwords
@@ -53,8 +54,8 @@ class TestSparseVector:
     def test_valid_construction(self):
         v = SparseVector(dim=5, entries=((1, 2.0), (4, -1.0)))
         assert v.nnz == 2
-        assert v.get(1) == 2.0
-        assert v.get(0) == 0.0
+        assert oracles.get(v, 1) == 2.0
+        assert oracles.get(v, 0) == 0.0
         assert list(to_dense(v)) == [0.0, 2.0, 0.0, 0.0, -1.0]
 
     def test_rejects_unsorted_or_duplicate_indices(self):
@@ -72,47 +73,60 @@ class TestSparseVector:
             SparseVector(dim=3, entries=((3, 1.0),))
 
     def test_from_pairs_sorts_and_drops_zeros(self):
-        v = SparseVector.from_pairs(4, [(2, 0.0), (3, 1.5), (0, -2.0)])
+        v = oracles.from_pairs(4, [(2, 0.0), (3, 1.5), (0, -2.0)])
         assert v.entries == ((0, -2.0), (3, 1.5))
 
     def test_dot_adds_left_to_right_without_compensation(self):
         ones = SparseVector(dim=3, entries=((0, 1.0), (1, 1.0), (2, 1.0)))
         # 1e16 + 1.0 rounds back to 1e16, so plain left-to-right addition
         # gives 0.0; a compensated sum would give 1.0.
-        assert ones.dot((1e16, 1.0, -1e16)) == 0.0
-        assert ones.dot((1.0, 2.0, 4.0), start=0.5) == 7.5
+        assert oracles.dot(ones, (1e16, 1.0, -1e16)) == 0.0
+        assert oracles.dot(ones, (1.0, 2.0, 4.0), start=0.5) == 7.5
         empty = SparseVector(dim=3, entries=())
-        assert empty.dot((1.0, 2.0, 3.0)) == 0 and type(empty.dot((1.0,))) is int
+        assert oracles.dot(empty, (1.0, 2.0, 3.0)) == 0 and type(oracles.dot(empty, (1.0,))) is int
 
 
 class TestFeatureMatrix:
     def test_row_label_alignment(self):
-        row = SparseVector(dim=2, entries=((0, 1.0),))
-        with pytest.raises(ValueError):
-            FeatureMatrix(rows=(row,), labels=(0, 1), dim=2)
+        csr = CsrView.from_rows([SparseVector(dim=2, entries=((0, 1.0),))], 2)
+        with pytest.raises(ValueError, match="1 rows but 2 labels"):
+            FeatureMatrix(csr, (0, 1))
 
     def test_dim_consistency(self):
         row = SparseVector(dim=3, entries=())
         with pytest.raises(ValueError):
-            FeatureMatrix(rows=(row,), labels=(0,), dim=2)
+            matrix_of((row,), (0,), 2)
 
     def test_digest_changes_with_labels_and_values(self):
         row = SparseVector(dim=2, entries=((0, 1.0),))
-        a = FeatureMatrix(rows=(row,), labels=(0,), dim=2)
-        b = FeatureMatrix(rows=(row,), labels=(1,), dim=2)
-        c = FeatureMatrix(rows=(SparseVector(dim=2, entries=((0, 1.5),)),), labels=(0,), dim=2)
+        a = matrix_of((row,), (0,), 2)
+        b = matrix_of((row,), (1,), 2)
+        c = matrix_of((SparseVector(dim=2, entries=((0, 1.5),)),), (0,), 2)
         assert a.digest() != b.digest()
         assert a.digest() != c.digest()
-        assert a.digest() == FeatureMatrix(rows=(row,), labels=(0,), dim=2).digest()
+        assert a.digest() == matrix_of((row,), (0,), 2).digest()
 
     def test_stores_only_the_csr_view(self):
         rows = (SparseVector(dim=3, entries=((0, 1.0), (2, -2.0))), SparseVector(dim=3, entries=()))
-        matrix = FeatureMatrix(rows=rows, labels=(0, 1), dim=3)
+        matrix = matrix_of(rows, (0, 1), 3)
         assert "rows" not in vars(matrix)
         assert matrix.dim == 3
         assert matrix.csr.indptr.tolist() == [0, 2, 2]
         assert matrix.rows == rows
         assert "rows" in vars(matrix)
+
+    def test_equality_compares_labels_shape_and_arrays_without_rows(self):
+        full, empty = SparseVector(3, ((0, 1.0), (2, -2.0))), SparseVector(3, ())
+        a = matrix_of((full, empty), (0, 1), 3)
+        assert a == matrix_of((full, empty), (0, 1), 3)
+        assert "rows" not in vars(a)
+        assert a != matrix_of((full, empty), (1, 1), 3)  # labels
+        assert a != matrix_of((empty, full), (0, 1), 3)  # indptr only
+        assert a != matrix_of((SparseVector(3, ((1, 1.0), (2, -2.0))), empty), (0, 1), 3)
+        assert a != matrix_of((SparseVector(3, ((0, 1.0), (2, -2.5))), empty), (0, 1), 3)
+        assert a != matrix_of((SparseVector(4, full.entries), SparseVector(4, ())), (0, 1), 4)
+        assert a != matrix_of((full, empty, empty), (0, 1, 1), 3)
+        assert a.__eq__(a.csr) is NotImplemented
 
 
 class TestCsrView:
@@ -170,7 +184,7 @@ class TestTransform:
         model = fit([seq("alpha"), seq("beta")])
         vec = transform(model, seq("alpha", "zzz", "zzz"))
         # In-vocab total is 1, so tf(alpha) = 1/1, weight = ln 2.
-        assert vec.get(model.vocabulary["alpha"]) == pytest.approx(math.log(2), abs=1e-12)
+        assert oracles.get(vec, model.vocabulary["alpha"]) == pytest.approx(math.log(2), abs=1e-12)
 
     def test_all_oov_gives_zero_vector(self):
         model = fit([seq("alpha"), seq("beta")])
@@ -226,19 +240,19 @@ def _bits(vector: SparseVector) -> list[tuple[int, str]]:
 
 class TestTransformCorpusOracle:
     """`transform_corpus` builds CSR arrays directly; every row must equal
-    the per-document `transform`, entry for entry and bit for bit."""
+    the dict-counting `oracles.transform` of its document, entry for entry
+    and bit for bit, and so must the one-document `transform`."""
 
     @staticmethod
     def check(model: TfIdfModel, docs: list[list[str]]):
         matrix = transform_corpus(model, docs, [0] * len(docs))
         assert len(matrix) == len(docs) and matrix.dim == model.dim
         for row, doc in zip(matrix.rows, docs):
+            assert _bits(row) == _bits(oracles.transform(model, doc)), doc
             assert _bits(row) == _bits(transform(model, doc)), doc
         # The derived rows are valid vectors and give back the same view.
-        again = FeatureMatrix(
-            rows=tuple(SparseVector(r.dim, r.entries) for r in matrix.rows),
-            labels=matrix.labels,
-            dim=matrix.dim,
+        again = matrix_of(
+            [SparseVector(r.dim, r.entries) for r in matrix.rows], matrix.labels, matrix.dim
         )
         for name in ("indptr", "indices", "data"):
             np.testing.assert_array_equal(getattr(again.csr, name), getattr(matrix.csr, name))
