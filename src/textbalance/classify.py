@@ -4,9 +4,19 @@ All four are trained from scratch on the matrix's CSR view, without
 dense copies: multinomial naive Bayes with Laplace smoothing (fractional
 feature mass is allowed), full-batch gradient-descent logistic
 regression, a primal linear SVM with the Pegasos step schedule, and a
-greedy Gini CART tree.  Matrix-vector products are ``np.bincount`` sums
-in a fixed order.  Training is deterministic: same matrix and config,
-same model.
+greedy Gini CART tree.  Training is deterministic: same matrix and
+config, same model, bit for bit.  Every matrix-vector product and every
+mean has one fixed summation order:
+
+- ``X @ w`` adds each row's products in entry order, starting from 0.0;
+- ``X.T @ r`` adds each column's products in row-major order, from 0.0;
+- a mean is ``np.add.reduce`` of the values divided by n, as ``np.mean``
+  computes it.
+
+The tree sorts the stored entries of its candidate columns by (column,
+value) once per fit; each node keeps its entries in that order, so no
+node sorts again.  Split counts are integers, so they do not depend on
+the order of equal values.
 
 `predict_batch` labels and scores a whole matrix from its CSR view at
 once, and `predict` is its one-row case.  The tests check its labels and
@@ -153,13 +163,24 @@ def _require_both_classes(matrix: FeatureMatrix, algorithm: str) -> None:
         raise ValueError(f"{algorithm} requires both classes in the training data")
 
 
+def _mean(x: np.ndarray) -> float:
+    """``np.mean`` of a 1-D float array: its ``add.reduce``, divided by n."""
+    return float(np.add.reduce(x)) / len(x)
+
+
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    """1/(1 + e^-z) for z >= 0 and e^z/(1 + e^z) below, from one exp that
+    never overflows; NaN stays NaN."""
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
+
+
+def _logistic_grad(
+    z: np.ndarray, weights: np.ndarray, X, y: np.ndarray, l2: float
+) -> tuple[np.ndarray, float]:
+    """Gradient of the log loss at the scores ``z = Xw + b``."""
+    residuals = _sigmoid(z) - y
+    return X.T @ residuals / len(y) + l2 * weights, _mean(residuals)
 
 
 def logistic_loss_and_grad(
@@ -171,11 +192,8 @@ def logistic_loss_and_grad(
     The bias is not regularized.  X is a dense array or a `CsrView`.
     """
     z = X @ weights + bias
-    loss = float(np.mean(np.logaddexp(0.0, z) - y * z)) + 0.5 * l2 * float(weights @ weights)
-    p = _sigmoid(z)
-    grad_w = X.T @ (p - y) / len(y) + l2 * weights
-    grad_b = float(np.mean(p - y))
-    return loss, grad_w, grad_b
+    loss = _mean(np.logaddexp(0.0, z) - y * z) + 0.5 * l2 * float(weights @ weights)
+    return loss, *_logistic_grad(z, weights, X, y, l2)
 
 
 def _fit_logistic(matrix: FeatureMatrix, config: TrainConfig) -> LinearModel:
@@ -186,7 +204,7 @@ def _fit_logistic(matrix: FeatureMatrix, config: TrainConfig) -> LinearModel:
     # A diverging fit overflows to inf or NaN weights, which `train` rejects.
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(config.lr_epochs):
-            _, grad_w, grad_b = logistic_loss_and_grad(w, b, X, y, config.l2)
+            grad_w, grad_b = _logistic_grad(X @ w + b, w, X, y, config.l2)
             w -= config.lr_learning_rate * grad_w
             b -= config.lr_learning_rate * grad_b
     return LinearModel("logistic", matrix.dim, tuple(float(v) for v in w), float(b))
@@ -195,7 +213,18 @@ def _fit_logistic(matrix: FeatureMatrix, config: TrainConfig) -> LinearModel:
 def svm_objective(weights: np.ndarray, margins: np.ndarray, lam: float) -> float:
     """Primal objective: lam/2 * ||w||^2 + mean hinge loss of the margins."""
     hinge = np.maximum(0.0, 1.0 - margins)
-    return 0.5 * lam * float(weights @ weights) + float(np.mean(hinge))
+    return 0.5 * lam * float(weights @ weights) + _mean(hinge)
+
+
+def _norm(w: np.ndarray) -> float:
+    """Euclidean norm of ``w``.  Past about 1e154, ``w @ w`` overflows, so
+    a finite ``w`` with an infinite norm is measured again scaled by its
+    largest magnitude."""
+    norm = float(np.linalg.norm(w))
+    if norm == math.inf and np.isfinite(w).all():
+        scale = float(np.abs(w).max())
+        norm = scale * float(np.linalg.norm(w / scale))
+    return norm
 
 
 def _fit_svm(
@@ -227,7 +256,7 @@ def _fit_svm(
             pull = np.where(margins < 1.0, y_pm, 0.0)  # y of each margin violator
             grad = lam * w - np.append(X.T @ pull, pull.sum()) / n
             w -= (1.0 / (lam * t)) * grad
-            norm = float(np.linalg.norm(w))
+            norm = _norm(w)
             if norm > radius:
                 w *= radius / norm
     model = LinearModel("svm", matrix.dim, tuple(float(v) for v in w[:-1]), float(w[-1]))
@@ -306,25 +335,30 @@ def _best_split(
     """Best (feature, threshold) split of a node, from its stored entries.
 
     ``columns``/``values``/``entry_y`` hold the node's non-zero entries
-    (column, value, label of the entry's row); ``y`` holds the labels of all
-    the node's rows.  Thresholds are midpoints of sorted unique column
-    values, zeros included.  Zero-gain splits are allowed so impure nodes
-    of distinguishable points always split (ties: smaller feature, then
-    smaller threshold).  Returns None when no column has two values.
+    (column, value, label of the entry's row), sorted by (column, value);
+    ``y`` holds the labels of all the node's rows.  Thresholds are
+    midpoints of sorted unique column values, zeros included.  Zero-gain
+    splits are allowed so impure nodes of distinguishable points always
+    split (ties: smaller feature, then smaller threshold).  Returns None
+    when no column has two values.
     """
     n = len(y)
     parent_n1 = int(y.sum())
     parent_gini = _gini_from_counts(n - parent_n1, parent_n1)
     # One aggregated zero entry per column with both zeros and non-zeros.
+    # Stored values are never zero, so it goes after the column's negative
+    # values: the sorted order holds without sorting again.
     col_nnz = np.bincount(columns, minlength=dim)
     col_ones = np.bincount(columns[entry_y == 1], minlength=dim)
     zero_cols = np.flatnonzero((col_nnz > 0) & (col_nnz < n))
-    columns = np.concatenate((columns, zero_cols))
-    values = np.concatenate((values, np.zeros(len(zero_cols))))
-    counts = np.concatenate((np.ones(len(entry_y), dtype=np.int64), n - col_nnz[zero_cols]))
-    ones = np.concatenate((entry_y, parent_n1 - col_ones[zero_cols]))
-    order = np.lexsort((values, columns))
-    columns, values = columns[order], values[order]
+    col_negatives = np.bincount(columns[values < 0.0], minlength=dim)[zero_cols]
+    at = np.searchsorted(columns, zero_cols) + col_negatives
+    m = len(columns)
+    order = np.insert(np.arange(m), at, np.arange(m, m + len(zero_cols)))
+    columns = np.concatenate((columns, zero_cols))[order]
+    values = np.concatenate((values, np.zeros(len(zero_cols))))[order]
+    counts = np.concatenate((np.ones(m, dtype=np.int64), n - col_nnz[zero_cols]))[order]
+    ones = np.concatenate((entry_y, parent_n1 - col_ones[zero_cols]))[order]
     # Split between consecutive distinct values of one column only.
     boundaries = np.flatnonzero((columns[1:] == columns[:-1]) & (values[1:] > values[:-1]))
     if len(boundaries) == 0:
@@ -332,8 +366,8 @@ def _best_split(
     # Every column here covers all n rows and all parent_n1 ones, so the
     # counts left of a boundary are global prefix sums minus whole columns.
     group = np.cumsum(np.concatenate(([True], columns[1:] != columns[:-1]))) - 1
-    left_n = (np.cumsum(counts[order]) - group * n)[boundaries]
-    left_n1 = (np.cumsum(ones[order]) - group * parent_n1)[boundaries]
+    left_n = (np.cumsum(counts) - group * n)[boundaries]
+    left_n1 = (np.cumsum(ones) - group * parent_n1)[boundaries]
     right_n = n - left_n
     right_n1 = parent_n1 - left_n1
     weighted = (
@@ -355,6 +389,14 @@ def _majority_label(y: np.ndarray) -> int:
     return 0  # ties resolve to the non-spam label
 
 
+def _sorted_entries(X: CsrView, features: np.ndarray) -> np.ndarray:
+    """Positions of the stored entries in the ``features`` columns, sorted
+    by (column, value).  A node's entries keep this order when it splits,
+    so `_best_split` never sorts."""
+    order = np.lexsort((X.data, X.indices))
+    return order[np.isin(X.indices[order], features)]
+
+
 def _fit_tree(matrix: FeatureMatrix, config: TrainConfig) -> DecisionTreeModel:
     X = matrix.csr
     y = matrix.labels_array()
@@ -362,9 +404,10 @@ def _fit_tree(matrix: FeatureMatrix, config: TrainConfig) -> DecisionTreeModel:
     nodes: list[TreeNode] = []
     # Nodes are numbered in pre-order: a node, its left subtree, then its
     # right subtree.  Each pending subtree holds its rows, their stored
-    # entries in candidate columns (as positions into ``X``), its depth,
-    # and the parent field that must point at it.
-    pending = [(np.arange(len(matrix)), np.flatnonzero(np.isin(X.indices, features)), 0, -1, "")]
+    # entries in candidate columns (as positions into ``X``, in the order
+    # of `_sorted_entries`), its depth, and the parent field that must
+    # point at it.
+    pending = [(np.arange(len(matrix)), _sorted_entries(X, features), 0, -1, "")]
     while pending:
         rows, entries, depth, parent, side = pending.pop()
         node_id = len(nodes)

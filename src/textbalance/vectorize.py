@@ -88,8 +88,8 @@ def _entry_texts(columns: list[tuple[np.ndarray, Callable]], chunk: int) -> Iter
 
 class CsrView:
     """Compressed sparse rows: row r holds ``indices[indptr[r]:indptr[r+1]]``
-    (strictly increasing) with values ``data[...]``; ``row_ids`` gives each
-    entry's row.
+    (strictly increasing) with values ``data[...]``; ``row_lengths`` gives
+    each row's entry count and ``row_ids`` each entry's row.
 
     ``X @ w`` and ``X.T @ r`` are ``np.bincount`` sums over the stored
     entries in row-major order, so their summation order is fixed and no
@@ -101,7 +101,8 @@ class CsrView:
         self.indices = indices
         self.data = data
         self.shape = (len(indptr) - 1, dim)
-        self.row_ids = np.repeat(np.arange(self.shape[0]), np.diff(indptr))
+        self.row_lengths = np.diff(indptr)
+        self.row_ids = np.repeat(np.arange(self.shape[0]), self.row_lengths)
 
     @classmethod
     def from_rows(cls, rows, dim: int) -> "CsrView":
@@ -131,7 +132,7 @@ class CsrView:
     def select(self, keep: np.ndarray) -> "CsrView":
         """The rows where the boolean array ``keep`` is true, in order."""
         kept = keep[self.row_ids]
-        indptr = np.concatenate(([0], np.cumsum(np.diff(self.indptr)[keep])))
+        indptr = np.concatenate(([0], np.cumsum(self.row_lengths[keep])))
         return CsrView(indptr, self.indices[kept], self.data[kept], self.shape[1])
 
     def stack(self, below: "CsrView") -> "CsrView":
@@ -154,14 +155,19 @@ class CsrView:
 
 
 class _CsrTranspose:
-    """``X.T`` of a `CsrView`; supports ``X.T @ r`` only."""
+    """``X.T`` of a `CsrView`; supports ``X.T @ r`` only.
+
+    Entry k's product is ``r[row] * data[k]``, with ``r`` spread over the
+    entries by ``np.repeat`` (the same values a gather by ``row_ids``
+    reads, without the gather).  Each column sum starts from 0.0 and adds
+    its products in row-major order."""
 
     def __init__(self, csr: CsrView):
         self._csr = csr
 
     def __matmul__(self, residuals: np.ndarray) -> np.ndarray:
         csr = self._csr
-        products = residuals[csr.row_ids]
+        products = np.repeat(residuals, csr.row_lengths)
         products *= csr.data
         return np.bincount(csr.indices, products, minlength=csr.shape[1])
 

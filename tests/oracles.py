@@ -1,22 +1,36 @@
-"""Per-row reference implementations that the batch code is tested against.
+"""Reference implementations that the batch code is tested against.
 
 The package runs TF-IDF, scoring, kNN distance, interpolation and SMOTE on
-CSR arrays, one block of rows at a time.  Each function here is the
+CSR arrays, one block of rows at a time.  Most functions here are the
 single-vector form of one of those algorithms, written over a
 `SparseVector`'s sorted (index, value) pairs with plain Python loops and
 dicts.  None of them calls the batch code, so a test comparing the two
 checks one implementation against an independent one.  Every float
 operation happens in the order the batch code documents, so the
 comparisons are bit for bit.
+
+The fit references at the end (logistic, SVM, tree) run the package's
+fits in their plainest loop form: every matrix product is an explicit
+gather and one ``np.bincount``, the sigmoid masks its two halves, means
+are ``np.mean``, and the tree sorts each node's entries with
+``np.lexsort``.  The fits must reproduce them exactly.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Iterable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from textbalance.classify import LinearModel, MultinomialNBModel, TrainedClassifier
+import numpy as np
+
+from textbalance.classify import (
+    LinearModel,
+    MultinomialNBModel,
+    TrainConfig,
+    TrainedClassifier,
+    TreeNode,
+)
 from textbalance.resample import SmoteConfig
 from textbalance.rng import STREAM_GAP, STREAM_NEIGHBOR, derive_stream
 from textbalance.vectorize import SparseVector, TfIdfModel
@@ -207,3 +221,167 @@ def smote_trace(
         gap = gap_rng.next_float()
         samples.append(SyntheticSample(interpolate(minority[i], minority[nn], gap), i, nn, gap))
     return samples
+
+
+# -- classifier fits --------------------------------------------------------
+
+
+def _entries(matrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row, column and value of every stored entry, in row-major order."""
+    X = matrix.csr
+    return np.repeat(np.arange(len(matrix)), np.diff(X.indptr)), X.indices, X.data
+
+
+def matvec(matrix, weights: np.ndarray) -> np.ndarray:
+    """``X @ w``: each row's products added in entry order from 0.0."""
+    rows, columns, values = _entries(matrix)
+    return np.bincount(rows, weights[columns] * values, minlength=len(matrix))
+
+
+def rmatvec(matrix, residuals: np.ndarray) -> np.ndarray:
+    """``X.T @ r``: each column's products added in row-major order from 0.0."""
+    rows, columns, values = _entries(matrix)
+    return np.bincount(columns, residuals[rows] * values, minlength=matrix.dim)
+
+
+def masked_sigmoid(z: np.ndarray) -> np.ndarray:
+    """1/(1 + e^-z) where z >= 0 and e^z/(1 + e^z) elsewhere, one exp per half."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def logistic_loss_and_grad(
+    matrix, weights: np.ndarray, bias: float, l2: float
+) -> tuple[float, np.ndarray, float]:
+    """Mean L2-regularized log loss and its gradient at (weights, bias)."""
+    y = np.asarray(matrix.labels, dtype=np.float64)
+    z = matvec(matrix, weights) + bias
+    loss = float(np.mean(np.logaddexp(0.0, z) - y * z)) + 0.5 * l2 * float(weights @ weights)
+    p = masked_sigmoid(z)
+    grad_w = rmatvec(matrix, p - y) / len(y) + l2 * weights
+    return loss, grad_w, float(np.mean(p - y))
+
+
+def logistic_fit(matrix, config: TrainConfig) -> tuple[np.ndarray, float]:
+    """Full-batch gradient descent from zero; (weights, bias)."""
+    w = np.zeros(matrix.dim)
+    b = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(config.lr_epochs):
+            _, grad_w, grad_b = logistic_loss_and_grad(matrix, w, b, config.l2)
+            w -= config.lr_learning_rate * grad_w
+            b -= config.lr_learning_rate * grad_b
+    return w, b
+
+
+def svm_fit(matrix, config: TrainConfig) -> tuple[np.ndarray, list[float]]:
+    """Full-batch Pegasos with the bias as a last, regularized weight;
+    (weights with the bias last, objective before each step)."""
+    n = len(matrix)
+    y_pm = 2.0 * np.asarray(matrix.labels, dtype=np.float64) - 1.0
+    lam = 1.0 / (config.svm_C * n)
+    w = np.zeros(matrix.dim + 1)
+    radius = 1.0 / math.sqrt(lam)
+    objectives = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(1, config.svm_epochs + 1):
+            margins = y_pm * (matvec(matrix, w[:-1]) + w[-1])
+            hinge = np.maximum(0.0, 1.0 - margins)
+            objectives.append(0.5 * lam * float(w @ w) + float(np.mean(hinge)))
+            pull = np.where(margins < 1.0, y_pm, 0.0)
+            grad = lam * w - np.append(rmatvec(matrix, pull), pull.sum()) / n
+            w -= (1.0 / (lam * t)) * grad
+            norm = float(np.linalg.norm(w))
+            if norm == math.inf and np.isfinite(w).all():
+                scale = float(np.abs(w).max())
+                norm = scale * float(np.linalg.norm(w / scale))
+            if norm > radius:
+                w *= radius / norm
+    return w, objectives
+
+
+def _gini(n0, n1):
+    total = n0 + n1
+    p0 = n0 / total
+    p1 = n1 / total
+    return 1.0 - p0 * p0 - p1 * p1
+
+
+def best_split(columns, values, entry_y, y, dim):
+    """Best (feature, threshold) of a node from its stored entries in any
+    order: the entries plus one zero entry per partly-zero column are
+    sorted by (column, value), and every boundary between distinct values
+    of one column is scored from prefix counts.  None if no column has
+    two values."""
+    n = len(y)
+    parent_n1 = int(y.sum())
+    col_nnz = np.bincount(columns, minlength=dim)
+    col_ones = np.bincount(columns[entry_y == 1], minlength=dim)
+    zero_cols = np.flatnonzero((col_nnz > 0) & (col_nnz < n))
+    columns = np.concatenate((columns, zero_cols))
+    values = np.concatenate((values, np.zeros(len(zero_cols))))
+    counts = np.concatenate((np.ones(len(entry_y), dtype=np.int64), n - col_nnz[zero_cols]))
+    ones = np.concatenate((entry_y, parent_n1 - col_ones[zero_cols]))
+    order = np.lexsort((values, columns))
+    columns, values = columns[order], values[order]
+    boundaries = np.flatnonzero((columns[1:] == columns[:-1]) & (values[1:] > values[:-1]))
+    if len(boundaries) == 0:
+        return None
+    group = np.cumsum(np.concatenate(([True], columns[1:] != columns[:-1]))) - 1
+    left_n = (np.cumsum(counts[order]) - group * n)[boundaries]
+    left_n1 = (np.cumsum(ones[order]) - group * parent_n1)[boundaries]
+    right_n = n - left_n
+    right_n1 = parent_n1 - left_n1
+    weighted = (
+        left_n * _gini(left_n - left_n1, left_n1) + right_n * _gini(right_n - right_n1, right_n1)
+    ) / n
+    b = boundaries[int(np.argmax(_gini(n - parent_n1, parent_n1) - weighted))]
+    return int(columns[b]), (float(values[b]) + float(values[b + 1])) / 2.0
+
+
+def tree_fit(matrix, config: TrainConfig) -> tuple[TreeNode, ...]:
+    """Greedy Gini CART in pre-order; each node's entries are in row-major
+    order and `best_split` sorts them.  A feature cap keeps the columns of
+    highest variance (over a dense copy), ties by index."""
+    rows_of, columns_of, values_of = _entries(matrix)
+    y = np.asarray(matrix.labels, dtype=np.int64)
+    n, d = len(matrix), matrix.dim
+    features = np.arange(d)
+    if config.tree_max_features is not None and config.tree_max_features < d:
+        dense = np.zeros((n, d))
+        dense[rows_of, columns_of] = values_of
+        features = np.sort(np.lexsort((np.arange(d), -dense.var(axis=0)))[: config.tree_max_features])
+    nodes: list[TreeNode] = []
+    pending = [(np.arange(n), np.flatnonzero(np.isin(columns_of, features)), 0, -1, "")]
+    while pending:
+        rows, entries, depth, parent, side = pending.pop()
+        node_id = len(nodes)
+        if parent >= 0:
+            nodes[parent] = replace(nodes[parent], **{side: node_id})
+        sub_y = y[rows]
+        found = None
+        if (
+            sub_y.min() != sub_y.max()
+            and depth < config.tree_max_depth
+            and len(rows) >= config.tree_min_samples_split
+        ):
+            columns = columns_of[entries]
+            found = best_split(columns, values_of[entries], y[rows_of[entries]], sub_y, d)
+        if found is None:
+            n1 = int(sub_y.sum())
+            nodes.append(TreeNode(label=1 if n1 > len(sub_y) - n1 else 0))
+            continue
+        feature, threshold = found
+        nodes.append(TreeNode(feature=feature, threshold=threshold))
+        on_feature = entries[columns == feature]
+        goes_left = np.full(n, 0.0 <= threshold)
+        goes_left[rows_of[on_feature]] = values_of[on_feature] <= threshold
+        row_left = goes_left[rows]
+        entry_left = goes_left[rows_of[entries]]
+        pending.append((rows[~row_left], entries[~entry_left], depth + 1, node_id, "right"))
+        pending.append((rows[row_left], entries[entry_left], depth + 1, node_id, "left"))
+    return tuple(nodes)

@@ -7,8 +7,10 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from conftest import dense_to_matrix, matrix_of, rand_matrix, to_dense
 from oracles import from_pairs, predict_scored
+from textbalance import classify
 from textbalance.classify import (
     ALGORITHMS,
     DecisionTreeModel,
@@ -570,6 +572,9 @@ def dense_svm(matrix: FeatureMatrix, config: TrainConfig):
         grad = lam * w - (X_aug[violators] * y_pm[violators, None]).sum(axis=0) / n
         w -= (1.0 / (lam * t)) * grad
         norm = float(np.linalg.norm(w))
+        if norm == math.inf and np.isfinite(w).all():  # w @ w overflowed, w did not
+            scale = float(np.abs(w).max())
+            norm = scale * float(np.linalg.norm(w / scale))
         if norm > radius:
             w *= radius / norm
     return w, objectives
@@ -759,3 +764,113 @@ class TestDenseOracles:
             priors, tables = dense_nb(matrix, alpha)
             assert model.class_log_prior == priors
             assert model.feature_log_prob == tables
+
+
+def _bits(values) -> np.ndarray:
+    """The IEEE bit patterns of float values: equal bits, not just ``==``."""
+    return np.asarray(values, dtype=np.float64).view(np.int64)
+
+
+def fit_matrices(rng: np.random.Generator, count: int):
+    """`oracle_matrix` draws (negative and repeated values, all-zero columns,
+    2 to 39 rows), with every fifth one wider and sparser."""
+    for trial in range(count):
+        if trial % 5 == 4:
+            n0, n1 = int(rng.integers(1, 30)), int(rng.integers(1, 30))
+            yield rand_matrix(rng, n0=n0, n1=n1, dim=int(rng.integers(20, 300)), density=0.05)
+        else:
+            yield oracle_matrix(rng)
+
+
+class TestExactFitReferences:
+    """Each fit equals, bit for bit, its plain loop form in `tests/oracles.py`."""
+
+    def test_logistic_loss_and_grad_on_csr_view_equals_reference(self):
+        rng = np.random.default_rng(80)
+        for matrix in fit_matrices(rng, 80):
+            y = matrix.labels_array().astype(np.float64)
+            w = rng.normal(size=matrix.dim) * (rng.random(matrix.dim) < 0.7)
+            b, l2 = float(rng.normal()), float(rng.uniform(0, 0.1))
+            loss, grad_w, grad_b = logistic_loss_and_grad(w, b, matrix.csr, y, l2)
+            ref_loss, ref_grad_w, ref_grad_b = oracles.logistic_loss_and_grad(matrix, w, b, l2)
+            assert _bits(loss) == _bits(ref_loss)
+            assert np.array_equal(_bits(grad_w), _bits(ref_grad_w))
+            assert _bits(grad_b) == _bits(ref_grad_b)
+
+    def test_logistic_fit_equals_reference(self):
+        rng = np.random.default_rng(81)
+        for trial, matrix in enumerate(fit_matrices(rng, 80)):
+            config = TrainConfig(
+                algorithm="logistic",
+                lr_epochs=30,
+                lr_learning_rate=(0.1, 1.0, 4.0)[trial % 3],
+                l2=(1e-4, 0.0, 0.05)[trial % 3],
+            )
+            model = train(matrix, config)
+            w, b = oracles.logistic_fit(matrix, config)
+            assert np.array_equal(_bits(model.weights), _bits(w)), trial
+            assert _bits(model.bias) == _bits(b), trial
+
+    def test_svm_fit_and_objectives_equal_reference(self):
+        rng = np.random.default_rng(82)
+        for trial, matrix in enumerate(fit_matrices(rng, 80)):
+            c = (0.5, 1.0, 10.0, 1e160)[trial % 4]
+            config = TrainConfig(algorithm="svm", svm_C=c, svm_epochs=30)
+            model = train(matrix, config)
+            w, objectives = oracles.svm_fit(matrix, config)
+            assert np.array_equal(_bits(model.weights), _bits(w[:-1])), trial
+            assert _bits(model.bias) == _bits(w[-1]), trial
+            assert np.array_equal(
+                _bits(svm_training_objectives(matrix, config)), _bits(objectives)
+            ), trial
+
+    def test_tree_fit_equals_reference(self):
+        rng = np.random.default_rng(83)
+        combos = [(depth, cap) for depth in (1, 3, 10) for cap in (None, 1, 2, 5)]
+        for trial, matrix in enumerate(fit_matrices(rng, 96)):
+            depth, cap = combos[trial % len(combos)]
+            config = TrainConfig(
+                algorithm="tree",
+                tree_max_depth=depth,
+                tree_min_samples_split=(2, 3)[trial % 2],
+                tree_max_features=cap,
+            )
+            assert train(matrix, config).nodes == oracles.tree_fit(matrix, config), trial
+
+    def test_tree_split_ties_on_negative_and_repeated_values(self):
+        # Columns of a few repeated levels on both sides of zero, in every
+        # pattern of zeros: the zero entry must land between the negatives
+        # and the positives of its column.
+        rng = np.random.default_rng(84)
+        levels = np.array([-3.0, -1.0, -0.5, 0.5, 1.0, 3.0])
+        for trial in range(40):
+            n, dim = int(rng.integers(2, 30)), int(rng.integers(1, 6))
+            X = rng.choice(levels, size=(n, dim)) * (rng.random((n, dim)) < rng.uniform(0.2, 1.0))
+            X[:, rng.random(dim) < 0.3] = rng.choice(levels[:3])  # all-negative columns
+            y = rng.integers(0, 2, size=n)
+            y[:2] = (0, 1)
+            matrix = dense_to_matrix(X + 0.0, y)
+            config = TrainConfig(algorithm="tree")
+            nodes = train(matrix, config).nodes
+            assert nodes == oracles.tree_fit(matrix, config) == dense_tree(matrix, config), trial
+
+
+class TestSigmoid:
+    """The one-exp sigmoid equals the masked two-exp form bit for bit."""
+
+    def test_edge_values(self):
+        tiny = np.nextafter(0.0, 1.0)
+        edges = np.array(
+            [0.0, -0.0, np.inf, -np.inf, tiny, -tiny, 1e-310, -1e-310, 2.2250738585072014e-308,
+             709.78, -709.78, 745.2, -745.2, 1e308, -1e308, 36.7, -36.7]
+        )
+        assert np.array_equal(_bits(classify._sigmoid(edges)), _bits(oracles.masked_sigmoid(edges)))
+
+    @pytest.mark.parametrize("scale", [10.0, 800.0])
+    def test_random_values(self, scale):
+        z = np.random.default_rng(int(scale)).normal(size=100_000) * scale
+        assert np.array_equal(_bits(classify._sigmoid(z)), _bits(oracles.masked_sigmoid(z)))
+
+    def test_nan_stays_nan(self):
+        out = classify._sigmoid(np.array([np.nan, 1.0, -np.nan, -1.0]))
+        assert np.isnan(out[[0, 2]]).all() and not np.isnan(out[[1, 3]]).any()

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -213,6 +214,21 @@ class TestTrain:
         err = capsys.readouterr().err
         assert err.startswith("error [train]") and message in err
         assert not out.exists()
+
+    def test_svm_at_huge_c_keeps_a_nonzero_model_inside_the_ball(self, dataset, tmp_path):
+        # Past C of about 1e154 the squared norm of the first steps overflows;
+        # the projection must still shrink w onto the ball, not to zero.
+        out, manifest = tmp_path / "model.json", tmp_path / "split.json"
+        argv = ["train", "--data", dataset, "--algo", "svm", "--svm-c", "1e160",
+                "--out", out, "--split-manifest", manifest]
+        assert run(argv) == 0
+        classifier = json.loads(out.read_text())["classifier"]
+        w = np.array(classifier["weights"] + [classifier["bias"]])
+        assert np.isfinite(w).all() and np.count_nonzero(w[:-1]) > 0
+        n = len(json.loads(manifest.read_text())["train_ids"])
+        scale = np.abs(w).max()
+        radius = math.sqrt(1e160 * n)  # 1/sqrt(lam), lam = 1/(C*n)
+        assert scale * np.linalg.norm(w / scale) <= radius * (1 + 1e-12)
 
     def test_split_manifest_written(self, dataset, tmp_path):
         out = tmp_path / "model.json"
