@@ -13,6 +13,12 @@ mean has one fixed summation order:
 - a mean is ``np.add.reduce`` of the values divided by n, as ``np.mean``
   computes it.
 
+The logistic and SVM fits form ``X @ w`` every epoch, so each builds
+``Xt = X.transpose()`` once and computes ``Xt.T @ w``: ``w`` spread over
+Xt's entries by ``np.repeat``, then one ``np.bincount`` over their rows.
+Xt keeps each row's entries in column order, so the sums are those of
+``X @ w``, bit for bit, without its gather and per-row chain.
+
 The tree sorts the stored entries of its candidate columns by (column,
 value) once per fit; each node keeps its entries in that order, so no
 node sorts again.  Split counts are integers, so they do not depend on
@@ -198,13 +204,14 @@ def logistic_loss_and_grad(
 
 def _fit_logistic(matrix: FeatureMatrix, config: TrainConfig) -> LinearModel:
     X = matrix.csr
+    Xt = X.transpose()  # Xt.T @ w is X @ w, bit for bit
     y = matrix.labels_array().astype(np.float64)
     w = np.zeros(matrix.dim)
     b = 0.0
     # A diverging fit overflows to inf or NaN weights, which `train` rejects.
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(config.lr_epochs):
-            grad_w, grad_b = _logistic_grad(X @ w + b, w, X, y, config.l2)
+            grad_w, grad_b = _logistic_grad(Xt.T @ w + b, w, X, y, config.l2)
             w -= config.lr_learning_rate * grad_w
             b -= config.lr_learning_rate * grad_b
     return LinearModel("logistic", matrix.dim, tuple(float(v) for v in w), float(b))
@@ -238,6 +245,7 @@ def _fit_svm(
     """
     n = len(matrix)
     X = matrix.csr
+    Xt = X.transpose()  # Xt.T @ w is X @ w, bit for bit
     y_pm = 2.0 * matrix.labels_array().astype(np.float64) - 1.0
     lam = 1.0 / (config.svm_C * n)
     if not 0.0 < lam < math.inf:
@@ -251,7 +259,7 @@ def _fit_svm(
     # A diverging fit overflows to inf or NaN weights, which `train` rejects.
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(1, config.svm_epochs + 1):
-            margins = y_pm * (X @ w[:-1] + w[-1])
+            margins = y_pm * (Xt.T @ w[:-1] + w[-1])
             objectives.append(svm_objective(w, margins, lam))
             pull = np.where(margins < 1.0, y_pm, 0.0)  # y of each margin violator
             grad = lam * w - np.append(X.T @ pull, pull.sum()) / n

@@ -137,7 +137,7 @@ class NeighborIndex:
     the Gram form G = (|a|^2 + |b|^2) - 2 a.b of the squared distance,
     from squared row norms taken once and dot products summed with one
     `np.bincount` over the block's nonzero products (columns joined through
-    a column-major copy of the points, added in column order); the points
+    the points' `CsrView.transpose`, added in column order); the points
     are never densified.  Each G carries a slack e >= |G - M|, where M is
     the computed squared distance: each squared difference (a_i - b_i)^2
     over the union of both supports (a missing entry reads 0.0), added in
@@ -205,14 +205,10 @@ class NeighborIndex:
         self._rel_slack = m * _UNIT_ROUNDOFF / (1.0 - m * _UNIT_ROUNDOFF)
         self._abs_slack = (4 * self._longest + 4) * _SMALLEST_SUBNORMAL
 
-        by_column = np.argsort(columns, kind="stable")
-        self._col_counts = np.bincount(columns, minlength=csr.shape[1])
-        self._col_starts = np.cumsum(self._col_counts) - self._col_counts
-        self._col_rows = csr.row_ids[by_column]
-        self._col_data = data[by_column]
+        self._by_column = by_column = csr.transpose()
 
         # A query's filter work: its nonzero products and its n-wide rows.
-        work = np.bincount(csr.row_ids, self._col_counts[columns], minlength=n) + n
+        work = np.bincount(csr.row_ids, by_column.row_lengths[columns], minlength=n) + n
         self._work = np.concatenate(([0], np.cumsum(work)))
         self._found: dict[int, dict[int, np.ndarray]] = {}  # k -> query -> neighbors
         self._block_size: dict[int, int] = {}  # k -> queries in the next block
@@ -239,17 +235,17 @@ class NeighborIndex:
 
     def _solve(self, start: int, stop: int, k: int) -> np.ndarray:
         """The k nearest points of queries start..stop-1, one row each."""
-        csr, n = self._csr, len(self)
+        csr, by_column, n = self._csr, self._by_column, len(self)
         lo, hi = csr.indptr[start], csr.indptr[stop]
         columns = csr.indices[lo:hi]
-        counts = self._col_counts[columns]  # each query entry meets its column's points
-        pos = _segments(self._col_starts[columns], counts)
+        counts = by_column.row_lengths[columns]  # each query entry meets its column's points
+        pos = _segments(by_column.indptr[columns], counts)
         queries = np.arange(start, stop)
         own = (queries - start, queries)
         with np.errstate(over="ignore", invalid="ignore"):  # unsafe pairs, below
             dots = np.bincount(
-                np.repeat((csr.row_ids[lo:hi] - start) * n, counts) + self._col_rows[pos],
-                np.repeat(csr.data[lo:hi], counts) * self._col_data[pos],
+                np.repeat((csr.row_ids[lo:hi] - start) * n, counts) + by_column.indices[pos],
+                np.repeat(csr.data[lo:hi], counts) * by_column.data[pos],
                 minlength=(stop - start) * n,
             ).reshape(-1, n)
             norm_sum = self._sq_norms[queries, None] + self._sq_norms

@@ -93,7 +93,11 @@ class CsrView:
 
     ``X @ w`` and ``X.T @ r`` are ``np.bincount`` sums over the stored
     entries in row-major order, so their summation order is fixed and no
-    BLAS call is involved.
+    BLAS call is involved.  ``X @ w`` gathers ``w[indices]`` and adds each
+    row's products in one serial chain; a caller that forms it many times
+    over one matrix builds ``Xt = X.transpose()`` once and computes
+    ``Xt.T @ w`` instead, which adds the same products in the same order
+    (see `_CsrTranspose`).
     """
 
     def __init__(self, indptr: np.ndarray, indices: np.ndarray, data: np.ndarray, dim: int):
@@ -142,6 +146,15 @@ class CsrView:
         data = np.concatenate((self.data, below.data))
         return CsrView(indptr, indices, data, self.shape[1])
 
+    def transpose(self) -> "CsrView":
+        """Xᵀ as a view: row c holds column c's entries, their rows
+        ascending.  One stable sort of ``indices`` keeps row-major order
+        within each column."""
+        by_column = np.argsort(self.indices, kind="stable")
+        counts = np.bincount(self.indices, minlength=self.shape[1])
+        indptr = np.concatenate(([0], np.cumsum(counts)))
+        return CsrView(indptr, self.row_ids[by_column], self.data[by_column], self.shape[0])
+
     def __matmul__(self, weights: np.ndarray) -> np.ndarray:
         # One nnz-sized temporary, not two: fits call this every epoch, and
         # two at once can make malloc trim and re-fault the heap each call.
@@ -160,7 +173,14 @@ class _CsrTranspose:
     Entry k's product is ``r[row] * data[k]``, with ``r`` spread over the
     entries by ``np.repeat`` (the same values a gather by ``row_ids``
     reads, without the gather).  Each column sum starts from 0.0 and adds
-    its products in row-major order."""
+    its products in row-major order.
+
+    The linear fits also form ``X @ w`` this way, as ``Xt.T @ w`` with
+    ``Xt = X.transpose()``: for one row of X, Xt's entries come in
+    ascending column order, which is X's entry order, so each row sum adds
+    the same products in the same order as ``X @ w``, bit for bit.  The
+    spread and the column-sorted sums avoid the gather and the one long
+    chain of additions per row."""
 
     def __init__(self, csr: CsrView):
         self._csr = csr

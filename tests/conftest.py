@@ -62,3 +62,22 @@ def dense_to_matrix(X, y) -> FeatureMatrix:
         for i in range(X.shape[0])
     ]
     return matrix_of(rows, [int(v) for v in y], X.shape[1])
+
+
+def oracle_matrix(rng: np.random.Generator, nonneg: bool = False) -> FeatureMatrix:
+    """Small random matrix with repeated values, all-zero columns, both classes
+    and, unless ``nonneg``, negative values."""
+    n = int(rng.integers(2, 40))
+    dim = int(rng.integers(1, 9))
+    if rng.random() < 0.5:
+        levels = np.array([-2.0, -0.5, 0.25, 0.5, 1.0, 3.0])  # many repeated values
+        X = rng.choice(levels, size=(n, dim))
+    else:
+        X = rng.normal(size=(n, dim))
+    X *= rng.random((n, dim)) < rng.uniform(0.1, 1.0)
+    X[:, rng.random(dim) < 0.2] = 0.0  # all-zero columns
+    if nonneg:
+        X = np.abs(X)
+    y = rng.integers(0, 2, size=n)
+    y[: 2] = (0, 1)
+    return dense_to_matrix(X + 0.0, y)  # + 0.0 turns -0.0 into 0.0

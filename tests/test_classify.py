@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import dense_to_matrix, matrix_of, rand_matrix, to_dense
+from conftest import dense_to_matrix, matrix_of, oracle_matrix, rand_matrix, to_dense
 from oracles import from_pairs, predict_scored
 from textbalance import classify
 from textbalance.classify import (
@@ -24,7 +24,7 @@ from textbalance.classify import (
     svm_training_objectives,
     train,
 )
-from textbalance.vectorize import FeatureMatrix, SparseVector
+from textbalance.vectorize import CsrView, FeatureMatrix, SparseVector
 
 
 def separable_matrix() -> FeatureMatrix:
@@ -659,25 +659,6 @@ def dense_tree(matrix: FeatureMatrix, config: TrainConfig) -> tuple[TreeNode, ..
     return tuple(nodes)
 
 
-def oracle_matrix(rng: np.random.Generator, nonneg: bool = False) -> FeatureMatrix:
-    """Small random matrix with repeated values, all-zero columns, both classes
-    and, unless ``nonneg``, negative values."""
-    n = int(rng.integers(2, 40))
-    dim = int(rng.integers(1, 9))
-    if rng.random() < 0.5:
-        levels = np.array([-2.0, -0.5, 0.25, 0.5, 1.0, 3.0])  # many repeated values
-        X = rng.choice(levels, size=(n, dim))
-    else:
-        X = rng.normal(size=(n, dim))
-    X *= rng.random((n, dim)) < rng.uniform(0.1, 1.0)
-    X[:, rng.random(dim) < 0.2] = 0.0  # all-zero columns
-    if nonneg:
-        X = np.abs(X)
-    y = rng.integers(0, 2, size=n)
-    y[: 2] = (0, 1)
-    return dense_to_matrix(X + 0.0, y)  # + 0.0 turns -0.0 into 0.0
-
-
 class TestDenseOracles:
     def test_tree_matches_dense_reference(self):
         rng = np.random.default_rng(70)
@@ -853,6 +834,38 @@ class TestExactFitReferences:
             config = TrainConfig(algorithm="tree")
             nodes = train(matrix, config).nodes
             assert nodes == oracles.tree_fit(matrix, config) == dense_tree(matrix, config), trial
+
+
+class TestLinearFitProducts:
+    """Each linear fit transposes X once and forms every ``X @ w`` as
+    ``Xt.T @ w``; the gather-and-chain `CsrView.__matmul__` never runs."""
+
+    @pytest.mark.parametrize(
+        "fit",
+        [
+            lambda m: train(m, TrainConfig(algorithm="logistic", lr_epochs=7)),
+            lambda m: train(m, TrainConfig(algorithm="svm", svm_epochs=7)),
+            lambda m: svm_training_objectives(m, TrainConfig(algorithm="svm", svm_epochs=7)),
+        ],
+        ids=["logistic", "svm", "svm-objectives"],
+    )
+    def test_one_transpose_and_no_row_matmul_per_fit(self, monkeypatch, fit):
+        matrix = rand_matrix(np.random.default_rng(85), n0=12, n1=9, dim=15)
+        calls = {"transpose": 0, "matmul": 0}
+        transpose, matmul = CsrView.transpose, CsrView.__matmul__
+
+        def counted_transpose(self):
+            calls["transpose"] += 1
+            return transpose(self)
+
+        def counted_matmul(self, weights):
+            calls["matmul"] += 1
+            return matmul(self, weights)
+
+        monkeypatch.setattr(CsrView, "transpose", counted_transpose)
+        monkeypatch.setattr(CsrView, "__matmul__", counted_matmul)
+        fit(matrix)
+        assert calls == {"transpose": 1, "matmul": 0}
 
 
 class TestSigmoid:

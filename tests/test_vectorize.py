@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import matrix_of, rand_sparse, to_dense
+from conftest import dense_to_matrix, matrix_of, oracle_matrix, rand_sparse, to_dense
 from textbalance.fixtures import two_vocab_corpus
 from textbalance.preprocess import preprocess_corpus
 from textbalance.stopwords import default_stopwords
@@ -144,6 +144,83 @@ class TestCsrView:
         rows = [SparseVector(dim=2, entries=()), SparseVector(dim=3, entries=())]
         with pytest.raises(ValueError, match="row dim 3 != matrix dim 2"):
             CsrView.from_rows(rows, 2)
+
+
+def _csr_of(dense: np.ndarray) -> CsrView:
+    """The view of a dense array's non-zero entries, row-major."""
+    rows, columns = np.nonzero(dense)
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=dense.shape[0]))))
+    return CsrView(indptr, columns, dense[rows, columns], dense.shape[1])
+
+
+def _transpose_cases() -> list[np.ndarray]:
+    """Dense arrays: 0 rows, dim 0 and 1, empty rows and columns, columns
+    of many more than 16 rows, and random fills."""
+    rng = np.random.default_rng(90)
+    tall = rng.normal(size=(300, 7)) * (rng.random((300, 7)) < 0.8)
+    tall[:, 3] = 0.0  # an empty column
+    tall[::11] = 0.0  # empty rows
+    cases = [
+        np.zeros((0, 4)),
+        np.zeros((3, 0)),
+        np.zeros((0, 0)),
+        np.array([[1.5], [0.0], [-2.0]]),
+        np.zeros((5, 3)),
+        tall,
+        np.ones((40, 1)),
+    ]
+    for _ in range(20):
+        n, dim = int(rng.integers(0, 60)), int(rng.integers(0, 12))
+        cases.append(rng.normal(size=(n, dim)) * (rng.random((n, dim)) < rng.uniform(0.05, 1.0)))
+    return cases
+
+
+class TestCsrTranspose:
+    """`CsrView.transpose` lists each column's rows in ascending order, and
+    ``X.transpose().T @ w`` is ``X @ w`` bit for bit."""
+
+    @pytest.mark.parametrize("dense", _transpose_cases())
+    def test_shape_and_ascending_rows_per_column(self, dense):
+        X = _csr_of(dense)
+        Xt = X.transpose()
+        assert Xt.shape == (dense.shape[1], dense.shape[0])
+        for column in range(dense.shape[1]):
+            lo, hi = Xt.indptr[column], Xt.indptr[column + 1]
+            rows = np.flatnonzero(dense[:, column])
+            assert Xt.indices[lo:hi].tolist() == rows.tolist()
+            assert Xt.data[lo:hi].tolist() == dense[rows, column].tolist()
+        assert np.array_equal(Xt.row_lengths, (dense != 0).sum(axis=0))
+
+    @pytest.mark.parametrize("dense", _transpose_cases())
+    def test_transpose_twice_gives_the_original_arrays(self, dense):
+        X = _csr_of(dense)
+        back = X.transpose().transpose()
+        assert back.shape == X.shape
+        assert np.array_equal(back.indptr, X.indptr)
+        assert np.array_equal(back.indices, X.indices)
+        assert np.array_equal(back.data.view(np.int64), X.data.view(np.int64))
+
+    def test_transposed_product_equals_matvec_bits(self):
+        rng = np.random.default_rng(91)
+        specials = np.array(
+            [0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e308, -1e308, np.inf, -np.inf, np.nan]
+        )
+        for trial in range(200):
+            matrix = oracle_matrix(rng)
+            if trial % 4 == 3:  # columns of more than 16 rows
+                n = int(rng.integers(17, 120))
+                dense = rng.normal(size=(n, 3)) * (rng.random((n, 3)) < 0.9)
+                matrix = dense_to_matrix(dense + 0.0, np.arange(n) % 2)
+            Xt = matrix.csr.transpose()
+            with np.errstate(over="ignore", invalid="ignore"):
+                for _ in range(5):
+                    w = rng.normal(size=matrix.dim) * 10.0 ** rng.integers(-5, 6, size=matrix.dim)
+                    special = rng.random(matrix.dim) < 0.5
+                    w[special] = rng.choice(specials, size=int(special.sum()))
+                    got, want = Xt.T @ w, oracles.matvec(matrix, w)
+                    assert np.array_equal(np.isnan(got), np.isnan(want)), trial
+                    finite = ~np.isnan(want)
+                    assert np.array_equal(got[finite].view(np.int64), want[finite].view(np.int64)), trial
 
 
 class TestFit:
