@@ -10,6 +10,8 @@ mean has one fixed summation order:
 
 - ``X @ w`` adds each row's products in entry order, starting from 0.0;
 - ``X.T @ r`` adds each column's products in row-major order, from 0.0;
+- a squared norm ``||w||^2`` is ``np.add.reduce(w * w)``, not a BLAS dot,
+  whose kernel, and so whose summation order, is picked per CPU;
 - a mean is ``np.add.reduce`` of the values divided by n, as ``np.mean``
   computes it.
 
@@ -174,6 +176,11 @@ def _mean(x: np.ndarray) -> float:
     return float(np.add.reduce(x)) / len(x)
 
 
+def _squared_norm(w: np.ndarray) -> float:
+    """``||w||^2`` as ``np.add.reduce(w * w)``: the same order on every CPU."""
+    return float(np.add.reduce(w * w))
+
+
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     """1/(1 + e^-z) for z >= 0 and e^z/(1 + e^z) below, from one exp that
     never overflows; NaN stays NaN."""
@@ -198,7 +205,7 @@ def logistic_loss_and_grad(
     The bias is not regularized.  X is a dense array or a `CsrView`.
     """
     z = X @ weights + bias
-    loss = _mean(np.logaddexp(0.0, z) - y * z) + 0.5 * l2 * float(weights @ weights)
+    loss = _mean(np.logaddexp(0.0, z) - y * z) + 0.5 * l2 * _squared_norm(weights)
     return loss, *_logistic_grad(z, weights, X, y, l2)
 
 
@@ -220,17 +227,17 @@ def _fit_logistic(matrix: FeatureMatrix, config: TrainConfig) -> LinearModel:
 def svm_objective(weights: np.ndarray, margins: np.ndarray, lam: float) -> float:
     """Primal objective: lam/2 * ||w||^2 + mean hinge loss of the margins."""
     hinge = np.maximum(0.0, 1.0 - margins)
-    return 0.5 * lam * float(weights @ weights) + _mean(hinge)
+    return 0.5 * lam * _squared_norm(weights) + _mean(hinge)
 
 
 def _norm(w: np.ndarray) -> float:
-    """Euclidean norm of ``w``.  Past about 1e154, ``w @ w`` overflows, so
+    """Euclidean norm of ``w``.  Past about 1e154, ``w * w`` overflows, so
     a finite ``w`` with an infinite norm is measured again scaled by its
     largest magnitude."""
-    norm = float(np.linalg.norm(w))
+    norm = math.sqrt(_squared_norm(w))
     if norm == math.inf and np.isfinite(w).all():
         scale = float(np.abs(w).max())
-        norm = scale * float(np.linalg.norm(w / scale))
+        norm = scale * math.sqrt(_squared_norm(w / scale))
     return norm
 
 

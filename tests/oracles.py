@@ -12,8 +12,8 @@ comparisons are bit for bit.
 The fit references at the end (logistic, SVM, tree) run the package's
 fits in their plainest loop form: every matrix product is an explicit
 gather and one ``np.bincount``, the sigmoid masks its two halves, means
-are ``np.mean``, and the tree sorts each node's entries with
-``np.lexsort``.  The fits must reproduce them exactly.
+are ``np.mean``, squared norms are ``np.add.reduce(w * w)``, and the tree
+sorts each node's entries with ``np.lexsort``.  The fits must reproduce them exactly.
 """
 
 from __future__ import annotations
@@ -260,7 +260,7 @@ def logistic_loss_and_grad(
     """Mean L2-regularized log loss and its gradient at (weights, bias)."""
     y = np.asarray(matrix.labels, dtype=np.float64)
     z = matvec(matrix, weights) + bias
-    loss = float(np.mean(np.logaddexp(0.0, z) - y * z)) + 0.5 * l2 * float(weights @ weights)
+    loss = float(np.mean(np.logaddexp(0.0, z) - y * z)) + 0.5 * l2 * float(np.add.reduce(weights * weights))
     p = masked_sigmoid(z)
     grad_w = rmatvec(matrix, p - y) / len(y) + l2 * weights
     return loss, grad_w, float(np.mean(p - y))
@@ -291,14 +291,14 @@ def svm_fit(matrix, config: TrainConfig) -> tuple[np.ndarray, list[float]]:
         for t in range(1, config.svm_epochs + 1):
             margins = y_pm * (matvec(matrix, w[:-1]) + w[-1])
             hinge = np.maximum(0.0, 1.0 - margins)
-            objectives.append(0.5 * lam * float(w @ w) + float(np.mean(hinge)))
+            objectives.append(0.5 * lam * float(np.add.reduce(w * w)) + float(np.mean(hinge)))
             pull = np.where(margins < 1.0, y_pm, 0.0)
             grad = lam * w - np.append(rmatvec(matrix, pull), pull.sum()) / n
             w -= (1.0 / (lam * t)) * grad
-            norm = float(np.linalg.norm(w))
+            norm = math.sqrt(float(np.add.reduce(w * w)))
             if norm == math.inf and np.isfinite(w).all():
                 scale = float(np.abs(w).max())
-                norm = scale * float(np.linalg.norm(w / scale))
+                norm = scale * math.sqrt(float(np.add.reduce((w / scale) ** 2)))
             if norm > radius:
                 w *= radius / norm
     return w, objectives

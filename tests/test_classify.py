@@ -805,6 +805,28 @@ class TestExactFitReferences:
                 _bits(svm_training_objectives(matrix, config)), _bits(objectives)
             ), trial
 
+    def test_svm_fit_with_projection_on_wide_matrices_equals_reference(self):
+        # Wide weight vectors, where a BLAS dot product may add in another
+        # order than np.add.reduce; a small C keeps the projection firing.
+        rng = np.random.default_rng(86)
+        for trial in range(4):
+            matrix = rand_matrix(rng, n0=40, n1=25, dim=1500, density=0.02)
+            config = TrainConfig(algorithm="svm", svm_C=(0.05, 0.5)[trial % 2], svm_epochs=40)
+            model = train(matrix, config)
+            w, _ = oracles.svm_fit(matrix, config)
+            assert np.array_equal(_bits(model.weights), _bits(w[:-1])), trial
+            assert _bits(model.bias) == _bits(w[-1]), trial
+
+    def test_norm_adds_squares_in_add_reduce_order(self):
+        rng = np.random.default_rng(87)
+        for size in (1, 7, 100, 1501, 4000):
+            w = rng.normal(size=size) * 10.0 ** rng.integers(-3, 4, size=size)
+            assert _bits(classify._norm(w)) == _bits(math.sqrt(float(np.add.reduce(w * w))))
+        huge = np.array([3e200, -4e200, 0.0])  # w * w overflows; the scaled form does not
+        with np.errstate(over="ignore"):
+            norm = classify._norm(huge)
+        assert norm == 4e200 * math.sqrt(float(np.add.reduce((huge / 4e200) ** 2)))
+
     def test_tree_fit_equals_reference(self):
         rng = np.random.default_rng(83)
         combos = [(depth, cap) for depth in (1, 3, 10) for cap in (None, 1, 2, 5)]

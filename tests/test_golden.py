@@ -46,8 +46,8 @@ MARKUP_POSTS = (
 )
 
 GOLDEN = {
-    "seed7-train": "6db5571628cd6ee2ca8edd79316d896b9cb05b8ad17bd3e286662ef3ec16981b",
-    "seed7-predict": "1beb6616ca09f5073ddb1d40b40cbaa103e0edc8fa078f7267bfca82030d8dc5",
+    "seed7-train": "e6045043702c9f7910fea43cfd764b83119ab98170a1c5c4053181b78b55b90f",
+    "seed7-predict": "da3ed4de10450037c85b9b6514eb522a7be246cf35dc433cacb5e6a3cfb11870",
     "seed7-evaluate": "235726709270f21bae88fd46201e1effc5a5bdff99211359988a5d92a69bfc1d",
     "seed7-report": "dabf6e1de9bba5b7b35d2be280c38934cae3f6fdbbe722c6e9c90b50a0a018c2",
     "seed7-scatter": "0de601e14eae7f3e7ad2b64879c163ad374248e37463df949ce6d58bd4355a61",
