@@ -95,9 +95,8 @@ class CsrView:
     entries in row-major order, so their summation order is fixed and no
     BLAS call is involved.  ``X @ w`` gathers ``w[indices]`` and adds each
     row's products in one serial chain; a caller that forms it many times
-    over one matrix builds ``Xt = X.transpose()`` once and computes
-    ``Xt.T @ w`` instead, which adds the same products in the same order
-    (see `_CsrTranspose`).
+    over one matrix computes ``X.transpose().T @ w`` instead, which gives
+    the same bits faster (see `_CsrTranspose`).
     """
 
     def __init__(self, indptr: np.ndarray, indices: np.ndarray, data: np.ndarray, dim: int):
@@ -156,8 +155,8 @@ class CsrView:
         return CsrView(indptr, self.row_ids[by_column], self.data[by_column], self.shape[0])
 
     def __matmul__(self, weights: np.ndarray) -> np.ndarray:
-        # One nnz-sized temporary, not two: fits call this every epoch, and
-        # two at once can make malloc trim and re-fault the heap each call.
+        # One nnz-sized temporary, not two: two at once can make malloc
+        # trim and re-fault the heap on every call.
         products = weights[self.indices]
         products *= self.data
         return np.bincount(self.row_ids, products, minlength=self.shape[0])

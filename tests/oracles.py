@@ -13,7 +13,8 @@ The fit references at the end (logistic, SVM, tree) run the package's
 fits in their plainest loop form: every matrix product is an explicit
 gather and one ``np.bincount``, the sigmoid masks its two halves, means
 are ``np.mean``, squared norms are ``np.add.reduce(w * w)``, and the tree
-sorts each node's entries with ``np.lexsort``.  The fits must reproduce them exactly.
+sorts each node's entries with ``np.lexsort``.  The fits must reproduce
+them exactly.
 """
 
 from __future__ import annotations
@@ -260,7 +261,8 @@ def logistic_loss_and_grad(
     """Mean L2-regularized log loss and its gradient at (weights, bias)."""
     y = np.asarray(matrix.labels, dtype=np.float64)
     z = matvec(matrix, weights) + bias
-    loss = float(np.mean(np.logaddexp(0.0, z) - y * z)) + 0.5 * l2 * float(np.add.reduce(weights * weights))
+    penalty = 0.5 * l2 * float(np.add.reduce(weights * weights))
+    loss = float(np.mean(np.logaddexp(0.0, z) - y * z)) + penalty
     p = masked_sigmoid(z)
     grad_w = rmatvec(matrix, p - y) / len(y) + l2 * weights
     return loss, grad_w, float(np.mean(p - y))
