@@ -4,13 +4,20 @@ Bundles are single JSON documents with sorted keys and shortest
 round-trip number encoding, so loading a bundle and re-serializing it is
 byte-identical and bundles diff cleanly.  An unexpected format_version is
 rejected, never migrated.
+
+Each record's keys are its dataclass's field names, read by `_fields`,
+which shares the model's tuples rather than copying them (JSON writes a
+tuple as a list).  The NB record adds its ``algorithm`` tag, and a tree
+writes its tag, dim and nodes, each node its label or its split.
+`write_json` writes every JSON file the package produces: bundles, split
+manifests, and metric, resample and comparison reports.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .classify import (
@@ -38,20 +45,9 @@ class PreprocessConfig:
     stopwords_name: str
     stopwords_sha256: str
 
-    def to_dict(self) -> dict:
-        return {
-            "min_token_len": self.min_token_len,
-            "stopwords_name": self.stopwords_name,
-            "stopwords_sha256": self.stopwords_sha256,
-        }
-
     @classmethod
     def from_dict(cls, data: dict) -> "PreprocessConfig":
-        config = cls(
-            min_token_len=data["min_token_len"],
-            stopwords_name=data["stopwords_name"],
-            stopwords_sha256=data["stopwords_sha256"],
-        )
+        config = cls(**{f.name: data[f.name] for f in fields(cls)})
         _require(
             type(config.min_token_len) is int and config.min_token_len >= 1,
             f"min_token_len {config.min_token_len!r} is not an integer >= 1",
@@ -73,11 +69,10 @@ class ModelBundle:
 
     def to_dict(self) -> dict:
         return {
-            "format_version": self.format_version,
+            **_fields(self),
             "tfidf": tfidf_to_dict(self.tfidf),
             "classifier": classifier_to_dict(self.classifier),
-            "preprocess_config": self.preprocess_config.to_dict(),
-            "provenance": self.provenance,
+            "preprocess_config": _fields(self.preprocess_config),
         }
 
     @classmethod
@@ -122,12 +117,19 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False, allow_nan=False) + "\n"
 
 
+def write_json(obj, path) -> None:
+    """Write ``obj`` to ``path`` as UTF-8 `canonical_json`."""
+    Path(path).write_text(canonical_json(obj), encoding="utf-8")
+
+
+def _fields(record) -> dict:
+    """A dataclass's fields by name; the values are shared, not copied
+    (`dataclasses.asdict` would deep-copy every table entry)."""
+    return {f.name: getattr(record, f.name) for f in fields(record)}
+
+
 def tfidf_to_dict(model: TfIdfModel) -> dict:
-    return {
-        "terms": list(model.terms),
-        "doc_freq": list(model.doc_freq),
-        "n_docs": model.n_docs,
-    }
+    return _fields(model)
 
 
 def tfidf_from_dict(data: dict) -> TfIdfModel:
@@ -146,34 +148,16 @@ def tfidf_from_dict(data: dict) -> TfIdfModel:
 
 def classifier_to_dict(model: TrainedClassifier) -> dict:
     if isinstance(model, MultinomialNBModel):
-        return {
-            "algorithm": "nb",
-            "dim": model.dim,
-            "class_labels": list(model.class_labels),
-            "class_log_prior": list(model.class_log_prior),
-            "feature_log_prob": [list(row) for row in model.feature_log_prob],
-        }
+        return {"algorithm": "nb", **_fields(model)}
     if isinstance(model, LinearModel):
-        return {
-            "algorithm": model.algorithm,
-            "dim": model.dim,
-            "weights": list(model.weights),
-            "bias": model.bias,
-        }
+        return _fields(model)
     if isinstance(model, DecisionTreeModel):
-        nodes = []
-        for node in model.nodes:
-            if node.is_leaf:
-                nodes.append({"label": node.label})
-            else:
-                nodes.append(
-                    {
-                        "feature": node.feature,
-                        "threshold": node.threshold,
-                        "left": node.left,
-                        "right": node.right,
-                    }
-                )
+        nodes = [
+            {"label": n.label}
+            if n.is_leaf
+            else {"feature": n.feature, "threshold": n.threshold, "left": n.left, "right": n.right}
+            for n in model.nodes
+        ]
         return {"algorithm": "tree", "dim": model.dim, "nodes": nodes}
     raise BundleError(f"unknown classifier type {type(model).__name__}")
 
@@ -261,7 +245,7 @@ def classifier_from_dict(data: dict) -> TrainedClassifier:
 
 
 def save_bundle(bundle: ModelBundle, path) -> None:
-    Path(path).write_text(canonical_json(bundle.to_dict()), encoding="utf-8")
+    write_json(bundle.to_dict(), path)
 
 
 def load_bundle(path) -> ModelBundle:

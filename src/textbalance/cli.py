@@ -32,7 +32,6 @@ EXIT_RUNTIME = 2
 # 4096-post chunks raised peak RSS from 46.7 MB to 66.5 MB.
 CHUNK_POSTS = 1024
 
-_ALGO_CHOICES = classify.ALGORITHMS
 _HYPER_FIELDS = tuple(
     field
     for field in dataclasses.fields(classify.TrainConfig)
@@ -142,7 +141,7 @@ def build_parser() -> _Parser:
     p_train = command("train", "train one classifier",
                       *_CORPUS_FLAGS, "--smote", "--split", "--split-manifest")
     _add_hyper_flags(p_train)
-    p_train.add_argument("--algo", required=True, choices=_ALGO_CHOICES)
+    p_train.add_argument("--algo", required=True, choices=classify.ALGORITHMS)
     p_train.add_argument("--out", default="model.json", metavar="PATH")
     p_train.add_argument("--timestamp", help="provenance timestamp (default: null)")
 
@@ -166,7 +165,7 @@ def build_parser() -> _Parser:
                        *_CORPUS_FLAGS, "--split", "--split-manifest")
     _add_hyper_flags(p_report)
     p_report.add_argument(
-        "--algos", default=",".join(_ALGO_CHOICES), help="comma-separated algorithm list"
+        "--algos", default=",".join(classify.ALGORITHMS), help="comma-separated algorithm list"
     )
     p_report.add_argument("--out", default="comparison", metavar="PREFIX")
     p_report.add_argument("--csv", action="store_true", help="also write PREFIX.csv")
@@ -257,9 +256,7 @@ def _balance(args, matrix):
 def _write_manifest(args, dataset_split: ingest.DatasetSplit) -> None:
     if args.split_manifest:
         with _stage("write"):
-            Path(args.split_manifest).write_text(
-                bundle_mod.canonical_json(dataset_split.to_manifest()), encoding="utf-8"
-            )
+            bundle_mod.write_json(dataset_split.to_manifest(), args.split_manifest)
 
 
 def cmd_train(args) -> int:
@@ -385,9 +382,7 @@ def cmd_evaluate(args) -> int:
     print(_metrics_text(report))
     if args.out:
         with _stage("write"):
-            Path(args.out).write_text(
-                bundle_mod.canonical_json(report.to_dict()), encoding="utf-8"
-            )
+            bundle_mod.write_json(report.to_dict(), args.out)
         print(f"wrote metrics to {args.out}")
     return EXIT_OK
 
@@ -399,9 +394,7 @@ def cmd_oversample(args) -> int:
     with _stage("write"):
         matrixio.write_matrix(balanced, args.out, args.out_labels)
         if args.report:
-            Path(args.report).write_text(
-                bundle_mod.canonical_json(report.to_dict()), encoding="utf-8"
-            )
+            bundle_mod.write_json(report.to_dict(), args.report)
     print(
         f"balanced {report.minority_before}/{report.majority} -> "
         f"{report.majority}/{report.majority} ({report.synthetic_created} synthetic rows)"
@@ -414,7 +407,7 @@ def cmd_report(args) -> int:
     algorithms = list(dict.fromkeys(a.strip() for a in args.algos.split(",") if a.strip()))
     if not algorithms:
         raise CliRuntimeError("config", ValueError(f"--algos names no algorithm: {args.algos!r}"))
-    unknown = [a for a in algorithms if a not in _ALGO_CHOICES]
+    unknown = [a for a in algorithms if a not in classify.ALGORITHMS]
     if unknown:
         raise CliRuntimeError("config", ValueError(f"unknown algorithms: {unknown}"))
     with _stage("compare"):  # a bad hyperparameter fails before any file is read
@@ -430,7 +423,7 @@ def cmd_report(args) -> int:
     with _stage("write"):
         json_path = Path(f"{args.out}.json")
         text_path = Path(f"{args.out}.txt")
-        json_path.write_text(bundle_mod.canonical_json(report.to_dict()), encoding="utf-8")
+        bundle_mod.write_json(report.to_dict(), json_path)
         table = report.to_text_table()
         text_path.write_text(table, encoding="utf-8")
         written = [json_path, text_path]

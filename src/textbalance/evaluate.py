@@ -7,7 +7,7 @@ undefined flag and render such cells as 0.0 in table output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .classify import ALGORITHM_TITLES, TrainConfig, predict_batch, train
 from .resample import ResampleReport, SmoteConfig, balance_training_set
@@ -33,7 +33,7 @@ class ConfusionMatrix:
         return self.tp + self.fp + self.fn + self.tn
 
     def to_dict(self) -> dict:
-        return {"tp": self.tp, "fp": self.fp, "fn": self.fn, "tn": self.tn}
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -60,15 +60,10 @@ class MetricsReport:
         return 0.0 if value is None else value
 
     def to_dict(self) -> dict:
-        return {
-            "accuracy": self.accuracy,
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "undefined": self.undefined_metrics(),
-            "confusion": self.matrix.to_dict(),
-            "positive_class": self.positive_class,
-        }
+        record = asdict(self)
+        record["confusion"] = record.pop("matrix")
+        record["undefined"] = self.undefined_metrics()
+        return record
 
 
 def confusion(predicted: list[int], actual: list[int]) -> ConfusionMatrix:

@@ -19,7 +19,7 @@ neighbors and the synthetic rows, bit for bit, against such loops in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -57,14 +57,10 @@ class ResampleReport:
     warnings: list[str] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "minority_before": self.minority_before,
-            "majority": self.majority,
-            "synthetic_created": self.synthetic_created,
-            "per_sample_usage": {str(k): v for k, v in sorted(self.per_sample_usage.items())},
-            "minority_label": self.minority_label,
-            "warnings": list(self.warnings),
-        }
+        # String keys: canonical JSON sorts int keys as numbers (2 before 10)
+        # but str keys as text ("10" before "2"), the order reports keep.
+        usage = {str(k): v for k, v in self.per_sample_usage.items()}
+        return {**asdict(self), "per_sample_usage": usage}
 
 
 def _segments(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:

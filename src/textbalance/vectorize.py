@@ -105,7 +105,12 @@ class CsrView:
         self.data = data
         self.shape = (len(indptr) - 1, dim)
         self.row_lengths = np.diff(indptr)
-        self.row_ids = np.repeat(np.arange(self.shape[0]), self.row_lengths)
+
+    @cached_property
+    def row_ids(self) -> np.ndarray:
+        """Each entry's row; built on first use, which a fit's transpose
+        never makes."""
+        return np.repeat(np.arange(self.shape[0]), self.row_lengths)
 
     @classmethod
     def from_rows(cls, rows, dim: int) -> "CsrView":

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import json
 import math
+import re
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -157,6 +160,38 @@ class TestModelBundle:
         path.write_text("{not json")
         with pytest.raises((BundleError, ValueError)):
             load_bundle(path)
+
+
+class TestRecordFields:
+    """Each record's keys are its dataclass's fields, and `to_dict` shares the
+    model's tuples: `dataclasses.asdict` would copy every table entry."""
+
+    @pytest.mark.parametrize("algo", ALGORITHMS)
+    def test_to_dict_shares_tables_and_keys_are_fields(self, algo):
+        bundle, _ = make_bundle(algo)
+        data = bundle.to_dict()
+        assert set(data) == {f.name for f in fields(ModelBundle)}
+        assert set(data["tfidf"]) == {f.name for f in fields(bundle.tfidf)}
+        assert set(data["preprocess_config"]) == {f.name for f in fields(PreprocessConfig)}
+        assert data["tfidf"]["terms"] is bundle.tfidf.terms
+        assert data["tfidf"]["doc_freq"] is bundle.tfidf.doc_freq
+        model, record = bundle.classifier, data["classifier"]
+        if algo == "tree":
+            assert set(record) == {"algorithm", "dim", "nodes"}
+            return
+        extra = {"algorithm"} if algo == "nb" else set()
+        assert set(record) == {f.name for f in fields(model)} | extra
+        tables = ("class_log_prior", "feature_log_prob") if algo == "nb" else ("weights",)
+        for name in tables:
+            assert record[name] is getattr(model, name), name
+
+    def test_readme_bundle_block_names_the_fields(self):
+        """The README's "Model bundle" block lists one top-level key per
+        unindented line; they must be `ModelBundle`'s fields."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        block = re.search(r"\*\*Model bundle\*\*.*?```\n(.*?)```", readme, re.S).group(1)
+        keys = {line.split()[0] for line in block.splitlines() if line[:1].strip()}
+        assert keys == {f.name for f in fields(ModelBundle)}
 
 
 class TestMatrixIo:

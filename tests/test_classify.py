@@ -874,11 +874,13 @@ class TestLinearFitProducts:
     def test_one_transpose_and_no_row_matmul_per_fit(self, monkeypatch, fit):
         matrix = rand_matrix(np.random.default_rng(85), n0=12, n1=9, dim=15)
         calls = {"transpose": 0, "matmul": 0}
+        transposes = []
         transpose, matmul = CsrView.transpose, CsrView.__matmul__
 
         def counted_transpose(self):
             calls["transpose"] += 1
-            return transpose(self)
+            transposes.append(transpose(self))
+            return transposes[-1]
 
         def counted_matmul(self, weights):
             calls["matmul"] += 1
@@ -888,6 +890,8 @@ class TestLinearFitProducts:
         monkeypatch.setattr(CsrView, "__matmul__", counted_matmul)
         fit(matrix)
         assert calls == {"transpose": 1, "matmul": 0}
+        # The fit reads no entry's row of the transpose, so it never builds them.
+        assert "row_ids" not in vars(transposes[0])
 
 
 class TestSigmoid:

@@ -11,10 +11,12 @@ import oracles
 from conftest import matrix_of, rand_matrix, rand_sparse, to_dense
 from oracles import SyntheticSample, euclidean_distance, exhaustive_knn, from_pairs
 from textbalance import resample
+from textbalance.bundle import canonical_json
 from textbalance.fixtures import two_vocab_corpus
 from textbalance.preprocess import preprocess_corpus
 from textbalance.resample import (
     NeighborIndex,
+    ResampleReport,
     SmoteConfig,
     _synthesize,
     balance_training_set,
@@ -384,6 +386,15 @@ class TestBalanceTrainingSet:
         assert data["minority_before"] == 3
         assert data["synthetic_created"] == 3
         assert all(isinstance(k, str) for k in data["per_sample_usage"])
+
+    def test_report_usage_keys_sort_as_text(self):
+        """Canonical JSON sorts str keys as text, so "10" precedes "2"; int
+        keys would sort as numbers and change the report's bytes."""
+        report = ResampleReport(
+            minority_before=2, majority=4, synthetic_created=2, per_sample_usage={2: 1, 10: 1}
+        )
+        text = canonical_json(report.to_dict())
+        assert text.index('"10"') < text.index('"2"')
 
 
 def reference_balance(matrix: FeatureMatrix, config: SmoteConfig) -> FeatureMatrix:
