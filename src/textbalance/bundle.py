@@ -216,6 +216,7 @@ def _require_tree_shape(nodes: tuple[TreeNode, ...]) -> None:
 def classifier_from_dict(data: dict) -> TrainedClassifier:
     """Rebuild a classifier, checking that its tables fit its dim, that every
     float is finite and that a tree is a tree."""
+    _require(isinstance(data, dict), "classifier must be a JSON object")
     algorithm = data.get("algorithm")
     if algorithm not in ALGORITHMS:
         raise BundleError(f"unknown classifier algorithm {algorithm!r}")

@@ -10,8 +10,9 @@ mean has one fixed summation order:
 
 - ``X @ w`` adds each row's products in entry order, starting from 0.0;
 - ``X.T @ r`` adds each column's products in row-major order, from 0.0;
-- a squared norm ``||w||^2`` is ``np.add.reduce(w * w)``, not a BLAS dot,
-  whose kernel, and so whose summation order, is picked per CPU;
+- a squared norm ``||w||^2`` (the L2 penalty and the SVM projection) is
+  ``np.add.reduce(w * w)``, not a BLAS dot, whose kernel, and so whose
+  summation order, is picked per CPU;
 - a mean is ``np.add.reduce`` of the values divided by n, as ``np.mean``
   computes it.
 
@@ -159,18 +160,6 @@ class DecisionTreeModel:
 TrainedClassifier = MultinomialNBModel | LinearModel | DecisionTreeModel
 
 
-def _require_non_empty(matrix: FeatureMatrix) -> None:
-    if len(matrix) == 0:
-        raise ValueError("cannot train on an empty matrix")
-    if matrix.dim == 0:
-        raise ValueError("cannot train on a dimension-0 matrix")
-
-
-def _require_both_classes(matrix: FeatureMatrix, algorithm: str) -> None:
-    if len(set(matrix.labels)) < 2:
-        raise ValueError(f"{algorithm} requires both classes in the training data")
-
-
 def _mean(x: np.ndarray) -> float:
     """``np.mean`` of a 1-D float array: its ``add.reduce``, divided by n."""
     return float(np.add.reduce(x)) / len(x)
@@ -224,12 +213,6 @@ def _fit_logistic(matrix: FeatureMatrix, config: TrainConfig) -> LinearModel:
     return LinearModel("logistic", matrix.dim, tuple(float(v) for v in w), float(b))
 
 
-def svm_objective(weights: np.ndarray, margins: np.ndarray, lam: float) -> float:
-    """Primal objective: lam/2 * ||w||^2 + mean hinge loss of the margins."""
-    hinge = np.maximum(0.0, 1.0 - margins)
-    return 0.5 * lam * _squared_norm(weights) + _mean(hinge)
-
-
 def _norm(w: np.ndarray) -> float:
     """Euclidean norm of ``w``.  Past about 1e154, ``w * w`` overflows, so
     a finite ``w`` with an infinite norm is measured again scaled by its
@@ -241,14 +224,14 @@ def _norm(w: np.ndarray) -> float:
     return norm
 
 
-def _fit_svm(
-    matrix: FeatureMatrix, config: TrainConfig
-) -> tuple[LinearModel, list[float]]:
+def _fit_svm(matrix: FeatureMatrix, config: TrainConfig) -> LinearModel:
     """Full-batch Pegasos on an augmented (regularized) bias feature.
 
     Step t uses eta = 1/(lam*t) with lam = 1/(C*n), followed by the
     Pegasos projection onto the ball of radius 1/sqrt(lam).  The last
     entry of w is the bias, the weight of an implicit all-ones column.
+    The fit needs only the step and the projection, so it never computes
+    the primal objective.
     """
     n = len(matrix)
     X = matrix.csr
@@ -262,28 +245,17 @@ def _fit_svm(
         )
     w = np.zeros(matrix.dim + 1)
     radius = 1.0 / math.sqrt(lam)
-    objectives: list[float] = []
     # A diverging fit overflows to inf or NaN weights, which `train` rejects.
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(1, config.svm_epochs + 1):
             margins = y_pm * (Xt.T @ w[:-1] + w[-1])
-            objectives.append(svm_objective(w, margins, lam))
             pull = np.where(margins < 1.0, y_pm, 0.0)  # y of each margin violator
             grad = lam * w - np.append(X.T @ pull, pull.sum()) / n
             w -= (1.0 / (lam * t)) * grad
             norm = _norm(w)
             if norm > radius:
                 w *= radius / norm
-    model = LinearModel("svm", matrix.dim, tuple(float(v) for v in w[:-1]), float(w[-1]))
-    return model, objectives
-
-
-def svm_training_objectives(matrix: FeatureMatrix, config: TrainConfig) -> list[float]:
-    """Per-epoch primal objective values (diagnostic; same run as train)."""
-    _require_non_empty(matrix)
-    _require_both_classes(matrix, "svm")
-    _, objectives = _fit_svm(matrix, config)
-    return objectives
+    return LinearModel("svm", matrix.dim, tuple(float(v) for v in w[:-1]), float(w[-1]))
 
 
 def _fit_nb(matrix: FeatureMatrix, config: TrainConfig) -> MultinomialNBModel:
@@ -453,21 +425,21 @@ def _fit_tree(matrix: FeatureMatrix, config: TrainConfig) -> DecisionTreeModel:
 
 
 def train(matrix: FeatureMatrix, config: TrainConfig) -> TrainedClassifier:
-    """Fit the configured algorithm; deterministic given (matrix, config)."""
-    _require_non_empty(matrix)
-    if config.algorithm == "nb":
-        return _fit_nb(matrix, config)
-    _require_both_classes(matrix, config.algorithm)
-    if config.algorithm == "tree":
-        return _fit_tree(matrix, config)
-    if config.algorithm == "logistic":
-        model = _fit_logistic(matrix, config)
-    else:
-        model, _ = _fit_svm(matrix, config)
-    if not (np.isfinite(model._weight_array).all() and math.isfinite(model.bias)):
-        raise ValueError(
-            f"{config.algorithm} fit diverged: a weight or the bias is not finite"
-        )
+    """Fit the configured algorithm and return its model; deterministic
+    given (matrix, config).  Every algorithm but NB needs both classes, and
+    a linear fit whose weights or bias are not finite is rejected."""
+    if len(matrix) == 0:
+        raise ValueError("cannot train on an empty matrix")
+    if matrix.dim == 0:
+        raise ValueError("cannot train on a dimension-0 matrix")
+    if config.algorithm != "nb" and len(set(matrix.labels)) < 2:
+        raise ValueError(f"{config.algorithm} requires both classes in the training data")
+    fit = {"nb": _fit_nb, "logistic": _fit_logistic, "svm": _fit_svm, "tree": _fit_tree}
+    model = fit[config.algorithm](matrix, config)
+    if isinstance(model, LinearModel) and not (
+        np.isfinite(model._weight_array).all() and math.isfinite(model.bias)
+    ):
+        raise ValueError(f"{config.algorithm} fit diverged: a weight or the bias is not finite")
     return model
 
 

@@ -242,14 +242,18 @@ def _prepare_features(args):
     return corpus, dataset_split, stops, tfidf, train_matrix, test_matrix
 
 
+def _print_warnings(report: resample.ResampleReport) -> None:
+    for warning in report.warnings:
+        print(f"warning: {warning}", file=sys.stderr)
+
+
 def _balance(args, matrix):
     """SMOTE-balance ``matrix`` with --smote-k and --seed, printing each
     warning; returns the config, the balanced matrix and the report."""
     with _stage("resample"):
         config = resample.SmoteConfig(k=args.smote_k, seed=args.seed)
         balanced, report = resample.balance_training_set(matrix, config)
-        for warning in report.warnings:
-            print(f"warning: {warning}", file=sys.stderr)
+        _print_warnings(report)
     return config, balanced, report
 
 
@@ -416,6 +420,7 @@ def cmd_report(args) -> int:
     with _stage("compare"):
         smote_config = resample.SmoteConfig(k=args.smote_k, seed=args.seed)
         report = evaluate.compare(train_matrix, test_matrix, configs, smote_config)
+        _print_warnings(report.resample)
         report.metadata["seed"] = args.seed
         report.metadata["train_fraction"] = args.split
         report.metadata["dataset"] = str(args.data)

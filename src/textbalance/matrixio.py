@@ -7,12 +7,13 @@ may appear only once.  Row labels live in a sidecar file (default
 ``<matrix>.labels``) holding a single column, one label per row.  Reading
 builds a `FeatureMatrix`'s CSR arrays directly.
 
-Writing works on the CSR arrays in chunks of `_WRITE_ENTRIES` stored
-entries.  In each chunk every distinct value is formatted once, told apart
-by bit pattern so ``-0.0`` keeps its sign, and so is every distinct row and
-column id; the entries' lines are then gathered from those texts and
-written as one string.  The bytes are those of one ``f"{r} {c} {v!r}\n"``
-per entry, and memory follows the chunk, not the matrix's row count or dim.
+Writing works on the CSR arrays in chunks of `vectorize._CHUNK_ENTRIES`
+stored entries.  In each chunk every distinct value is formatted once,
+told apart by bit pattern so ``-0.0`` keeps its sign, and so is every
+distinct row and column id; the entries' lines are then gathered from
+those texts and written as one string.  The bytes are those of one
+``f"{r} {c} {v!r}\n"`` per entry, and memory follows the chunk, not the
+matrix's row count or dim.
 
 Reading has a fast path and a checker.  The fast path parses chunks of
 about 64 KiB of lines with ``str.split`` and the same ``int()`` and
@@ -34,7 +35,6 @@ import numpy as np
 from .vectorize import CsrView, FeatureMatrix, _entry_texts
 
 _CHUNK_CHARS = 1 << 16  # text parsed per chunk by the fast path
-_WRITE_ENTRIES = 1 << 13  # stored entries formatted and written per chunk
 
 
 class MatrixFormatError(ValueError):
@@ -55,7 +55,7 @@ def write_matrix(matrix: FeatureMatrix, path, labels_path=None) -> None:
     columns = [(csr.row_ids, "\n{} ".format), (csr.indices, "{} ".format), (csr.data, repr)]
     with path.open("w", encoding="utf-8") as out:
         out.write(f"{len(matrix)} {matrix.dim} {csr.data.size}")
-        out.writelines(_entry_texts(columns, _WRITE_ENTRIES))
+        out.writelines(_entry_texts(columns))
         out.write("\n")
     labels_path.write_text("".join(f"{lb}\n" for lb in matrix.labels), encoding="utf-8")
 

@@ -19,7 +19,7 @@ neighbors and the synthetic rows, bit for bit, against such loops in
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -60,7 +60,7 @@ class ResampleReport:
         # String keys: canonical JSON sorts int keys as numbers (2 before 10)
         # but str keys as text ("10" before "2"), the order reports keep.
         usage = {str(k): v for k, v in self.per_sample_usage.items()}
-        return {**asdict(self), "per_sample_usage": usage}
+        return {**vars(self), "per_sample_usage": usage}
 
 
 def _segments(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:

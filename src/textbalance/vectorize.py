@@ -61,7 +61,7 @@ class SparseVector:
         return len(self.entries)
 
 
-_DIGEST_ENTRIES = 1 << 13  # stored entries `FeatureMatrix.digest` formats per chunk
+_CHUNK_ENTRIES = 1 << 13  # stored entries `_entry_texts` formats and joins per chunk
 
 
 def _format_distinct(values: np.ndarray, form: Callable) -> np.ndarray:
@@ -73,12 +73,12 @@ def _format_distinct(values: np.ndarray, form: Callable) -> np.ndarray:
     return texts[inverse]
 
 
-def _entry_texts(columns: list[tuple[np.ndarray, Callable]], chunk: int) -> Iterator[str]:
-    """The text of every stored entry, joined ``chunk`` entries at a time.
+def _entry_texts(columns: list[tuple[np.ndarray, Callable]]) -> Iterator[str]:
+    """The text of every stored entry, joined `_CHUNK_ENTRIES` at a time.
     Each (array, form) column gives one item per entry, and an entry's text
     is its columns' ``form(item)`` in order.  Every table is sized by the
     chunk, never by a matrix's row count or dim."""
-    n = columns[0][0].size
+    n, chunk = columns[0][0].size, _CHUNK_ENTRIES
     for lo in range(0, n, chunk):
         table = np.stack(
             [_format_distinct(items[lo : lo + chunk], form) for items, form in columns], axis=1
@@ -256,7 +256,7 @@ class FeatureMatrix:
             (self.csr.data, repr),
             (ends, lambda n: "\n" * n or ";"),
         ]
-        for text in _entry_texts(columns, _DIGEST_ENTRIES):
+        for text in _entry_texts(columns):
             h.update(text.encode())
         return h.hexdigest()
 

@@ -21,7 +21,6 @@ from textbalance.classify import (
     logistic_loss_and_grad,
     predict,
     predict_batch,
-    svm_training_objectives,
     train,
 )
 from textbalance.vectorize import CsrView, FeatureMatrix, SparseVector
@@ -194,8 +193,12 @@ class TestLogistic:
 
 class TestSvm:
     def test_objective_decreases(self):
+        # The fit computes no objective; the oracle's run has the fit's bits.
         matrix = separable_matrix()
-        objectives = svm_training_objectives(matrix, TrainConfig(algorithm="svm"))
+        config = TrainConfig(algorithm="svm")
+        w, objectives = oracles.svm_fit(matrix, config)
+        model = train(matrix, config)
+        assert _bits(model.weights + (model.bias,)).tolist() == _bits(w).tolist()
         assert len(objectives) == 300
         # Pegasos objectives are noisy epoch to epoch; compare averaged windows.
         assert np.mean(objectives[-10:]) <= np.mean(objectives[:10])
@@ -555,19 +558,15 @@ def dense_logistic(matrix: FeatureMatrix, config: TrainConfig):
 
 
 def dense_svm(matrix: FeatureMatrix, config: TrainConfig):
-    """Pegasos on an explicit all-ones bias column; (w with bias last, objectives)."""
+    """Pegasos on an explicit all-ones bias column; w with the bias last."""
     n = len(matrix)
     X_aug = np.hstack([to_dense(matrix), np.ones((n, 1))])
     y_pm = 2.0 * matrix.labels_array().astype(np.float64) - 1.0
     lam = 1.0 / (config.svm_C * n)
     w = np.zeros(matrix.dim + 1)
     radius = 1.0 / math.sqrt(lam)
-    objectives = []
     for t in range(1, config.svm_epochs + 1):
         margins = y_pm * (X_aug @ w)
-        objectives.append(
-            0.5 * lam * float(w @ w) + float(np.mean(np.maximum(0.0, 1.0 - margins)))
-        )
         violators = margins < 1.0
         grad = lam * w - (X_aug[violators] * y_pm[violators, None]).sum(axis=0) / n
         w -= (1.0 / (lam * t)) * grad
@@ -577,7 +576,7 @@ def dense_svm(matrix: FeatureMatrix, config: TrainConfig):
             norm = scale * float(np.linalg.norm(w / scale))
         if norm > radius:
             w *= radius / norm
-    return w, objectives
+    return w
 
 
 def _dense_gini(n0: float, n1: float) -> float:
@@ -723,18 +722,15 @@ class TestDenseOracles:
             np.testing.assert_allclose(model.weights, w, rtol=0, atol=1e-12)
             assert abs(model.bias - b) <= 1e-12
 
-    def test_svm_weights_and_objectives_match_dense_reference(self):
+    def test_svm_weights_match_dense_reference(self):
         rng = np.random.default_rng(74)
         for trial in range(40):
             matrix = oracle_matrix(rng)
             config = TrainConfig(algorithm="svm", svm_C=(0.5, 1.0, 10.0)[trial % 3], svm_epochs=60)
             model = train(matrix, config)
-            w, objectives = dense_svm(matrix, config)
+            w = dense_svm(matrix, config)
             np.testing.assert_allclose(model.weights, w[:-1], rtol=0, atol=1e-12)
             assert abs(model.bias - w[-1]) <= 1e-12
-            np.testing.assert_allclose(
-                svm_training_objectives(matrix, config), objectives, rtol=0, atol=1e-12
-            )
 
     def test_nb_tables_equal_dense_reference(self):
         rng = np.random.default_rng(75)
@@ -792,18 +788,15 @@ class TestExactFitReferences:
             assert np.array_equal(_bits(model.weights), _bits(w)), trial
             assert _bits(model.bias) == _bits(b), trial
 
-    def test_svm_fit_and_objectives_equal_reference(self):
+    def test_svm_fit_equals_reference(self):
         rng = np.random.default_rng(82)
         for trial, matrix in enumerate(fit_matrices(rng, 80)):
             c = (0.5, 1.0, 10.0, 1e160)[trial % 4]
             config = TrainConfig(algorithm="svm", svm_C=c, svm_epochs=30)
             model = train(matrix, config)
-            w, objectives = oracles.svm_fit(matrix, config)
+            w, _ = oracles.svm_fit(matrix, config)
             assert np.array_equal(_bits(model.weights), _bits(w[:-1])), trial
             assert _bits(model.bias) == _bits(w[-1]), trial
-            assert np.array_equal(
-                _bits(svm_training_objectives(matrix, config)), _bits(objectives)
-            ), trial
 
     def test_svm_fit_with_projection_on_wide_matrices_equals_reference(self):
         # Wide weight vectors, where a BLAS dot product may add in another
@@ -867,9 +860,8 @@ class TestLinearFitProducts:
         [
             lambda m: train(m, TrainConfig(algorithm="logistic", lr_epochs=7)),
             lambda m: train(m, TrainConfig(algorithm="svm", svm_epochs=7)),
-            lambda m: svm_training_objectives(m, TrainConfig(algorithm="svm", svm_epochs=7)),
         ],
-        ids=["logistic", "svm", "svm-objectives"],
+        ids=["logistic", "svm"],
     )
     def test_one_transpose_and_no_row_matmul_per_fit(self, monkeypatch, fit):
         matrix = rand_matrix(np.random.default_rng(85), n0=12, n1=9, dim=15)

@@ -946,6 +946,24 @@ class TestReport:
             once = (tmp_path / f"once{suffix}").read_bytes()
             assert (tmp_path / f"twice{suffix}").read_bytes() == once
 
+    def test_smote_warnings_reach_stderr_as_in_train(self, tmp_path, capsys):
+        # Two spam posts split one to each side, so SMOTE sees one minority row.
+        docs = [
+            LabeledDocument(id=f"h{i}", text=f"tutorial lesson {word}", label=0)
+            for i, word in enumerate("python scilab latex numpy octave julia rust golang".split())
+        ]
+        docs += [LabeledDocument(id=f"s{i}", text="cheap pills offer", label=1) for i in range(2)]
+        data = tmp_path / "tiny.csv"
+        write_corpus(Corpus.from_documents(docs), data, "csv")
+        warning = "warning: single minority sample: synthetic rows are exact duplicates\n"
+        assert run(["train", "--data", data, "--algo", "nb", "--smote", "on",
+                    "--out", tmp_path / "m.json"]) == 0
+        assert capsys.readouterr().err == warning
+        assert run(["report", "--data", data, "--algos", "nb", "--out", tmp_path / "cmp"]) == 0
+        assert capsys.readouterr().err == warning
+        recorded = json.loads((tmp_path / "cmp.json").read_text())["resample"]["warnings"]
+        assert recorded == [warning[len("warning: ") : -1]]
+
 
 class TestScatter:
     def test_projects_every_input_row(self, dataset, tmp_path):

@@ -5,8 +5,9 @@ corrupted by a SplitMix64-driven mutator: bit flips, truncation, duplicated
 or deleted lines, numbers swapped for out-of-type values, and deep nesting.
 Fast commands then read them in process.  Every case must end in exit 0, 1
 or 2, exit 2 must print an ``error [stage]`` message, and no exception may
-escape `cli.main`.  Bundles also get a sweep: every numeric key, each swap
-value, at a seeded leaf under that key.
+escape `cli.main`.  Bundles also get two sweeps: every numeric key, each
+swap value, at a seeded leaf under that key; and every object- or
+array-valued key, its whole value replaced by each of ``STRUCTURES``.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from textbalance.rng import SplitMix64
 
 DEEP = "[" * 100_000
 SWAPS = ("1e400", "-1", "2.5", "true", '"1"', "null")
+STRUCTURES = ([], {}, "x", 3, None, True)
 NUMBER = re.compile(rb"-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")
 CASES = 40
 CASE_SECONDS = 5.0
@@ -90,6 +92,29 @@ def key_sweep(data: bytes, rng: SplitMix64):
             container, slot = leaves[rng.next_below(len(leaves))]
             container[slot] = marker
             yield f"{key}={value[:8]}", json.dumps(doc).replace(json.dumps(marker), value).encode()
+
+
+def _container_keys(value, path: tuple = ()):
+    """The path of every object- or array-valued key under ``value``."""
+    slots = value.items() if isinstance(value, dict) else enumerate(value)
+    for slot, item in slots:
+        if isinstance(item, (dict, list)):
+            if isinstance(value, dict):
+                yield (*path, slot)
+            yield from _container_keys(item, (*path, slot))
+
+
+def structure_sweep(data: bytes):
+    """Per object- or array-valued key and structure, the document with
+    that key's value replaced by the structure."""
+    for path in _container_keys(json.loads(data)):
+        for value in STRUCTURES:
+            doc = json.loads(data)
+            parent = doc
+            for slot in path[:-1]:
+                parent = parent[slot]
+            parent[path[-1]] = value
+            yield f"{'.'.join(map(str, path))}={json.dumps(value)}", json.dumps(doc).encode()
 
 
 def _expire(signum, frame):
@@ -174,19 +199,34 @@ def _cases(kind: str, data: bytes, seed: int):
             yield f"{kind}:{name}", mutated
 
 
+def _problems(kind: str, cases, inputs, tmp_path) -> list[str]:
+    """What went wrong, case by case, when the commands read each case's file."""
+    path = tmp_path / inputs[kind].name
+    problems = []
+    for name, mutated in cases:
+        path.write_bytes(mutated)
+        for argv in commands(kind, path, inputs, tmp_path):
+            problem = check_case(name, argv)
+            if problem:
+                problems.append(problem)
+    return problems
+
+
 @pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs SIGALRM timers")
 @pytest.mark.parametrize(
     "kind, seed",
     [("nb", 1), ("tree", 2), ("csv", 3), ("jsonl", 4), ("matrix", 5), ("labels", 6), ("stops", 7)],
 )
 def test_mutated_inputs_exit_cleanly(inputs, tmp_path, kind, seed):
-    data = inputs[kind].read_bytes()
-    path = tmp_path / inputs[kind].name
-    problems = []
-    for name, mutated in _cases(kind, data, seed):
-        path.write_bytes(mutated)
-        for argv in commands(kind, path, inputs, tmp_path):
-            problem = check_case(name, argv)
-            if problem:
-                problems.append(problem)
+    cases = _cases(kind, inputs[kind].read_bytes(), seed)
+    problems = _problems(kind, cases, inputs, tmp_path)
     assert not problems, "\n".join(problems[:10])
+
+
+@pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs SIGALRM timers")
+@pytest.mark.parametrize("kind", ["nb", "tree"])
+def test_bundle_structures_exit_cleanly(inputs, tmp_path, kind):
+    cases = ((f"{kind}:{name}", doc) for name, doc in structure_sweep(inputs[kind].read_bytes()))
+    problems = _problems(kind, cases, inputs, tmp_path)
+    assert not problems, "\n".join(problems[:10])
+

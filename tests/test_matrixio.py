@@ -72,7 +72,7 @@ SHAPES = [
     (0, 0, 0), (1, 0, 1), (2, 0, 7), (3, 4, 0), (4, 5, 1), (5, 1, 1),
     (6, 9, 4), (7, 30, 12), (8, 60, 40), (9, 200, 25),
 ]
-CHUNKS = [1, 2, 3, 7, matrixio._WRITE_ENTRIES]
+CHUNKS = [1, 2, 3, 7, vectorize._CHUNK_ENTRIES]
 
 
 def written(matrix: FeatureMatrix, tmp_path, name: str, writer) -> tuple[bytes, bytes]:
@@ -85,7 +85,7 @@ class TestWriterOracle:
     @pytest.mark.parametrize("chunk", CHUNKS)
     @pytest.mark.parametrize("shape", SHAPES)
     def test_byte_identical_to_per_entry_writer(self, tmp_path, monkeypatch, shape, chunk):
-        monkeypatch.setattr(matrixio, "_WRITE_ENTRIES", chunk)
+        monkeypatch.setattr(vectorize, "_CHUNK_ENTRIES", chunk)
         matrix = random_matrix(*shape)
         assert written(matrix, tmp_path, "new", write_matrix) == written(
             matrix, tmp_path, "old", reference_write
@@ -101,7 +101,7 @@ class TestWriterOracle:
         assert (lengths == 0).any() and (lengths > 1).any()
 
     def test_signed_zeros_keep_their_text(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(matrixio, "_WRITE_ENTRIES", 2)
+        monkeypatch.setattr(vectorize, "_CHUNK_ENTRIES", 2)
         csr = CsrView(np.array([0, 3, 3]), np.array([0, 1, 2]), np.array([0.0, -0.0, 0.0]), 3)
         matrix = FeatureMatrix(csr, (0, 1))
         text, labels = written(matrix, tmp_path, "zeros", write_matrix)
@@ -163,7 +163,7 @@ class TestDigestOracle:
     @pytest.mark.parametrize("chunk", CHUNKS)
     @pytest.mark.parametrize("shape", SHAPES)
     def test_same_hash_as_per_row_loop(self, monkeypatch, shape, chunk):
-        monkeypatch.setattr(vectorize, "_DIGEST_ENTRIES", chunk)
+        monkeypatch.setattr(vectorize, "_CHUNK_ENTRIES", chunk)
         matrix = random_matrix(*shape)
         assert matrix.digest() == reference_digest(matrix)
 
