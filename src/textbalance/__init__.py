@@ -10,7 +10,7 @@ from .preprocess import filter_tokens, preprocess_corpus, strip_html, tokenize
 from .resample import ResampleReport, SmoteConfig, balance_training_set
 from .rng import SplitMix64, derive_stream
 from .stopwords import StopWordList, default_stopwords, load_stopwords
-from .vectorize import FeatureMatrix, SparseVector, TfIdfModel, fit, transform, transform_corpus
+from .vectorize import FeatureMatrix, TfIdfModel, fit, transform, transform_corpus
 
 __version__ = "0.1.0"
 
@@ -27,7 +27,6 @@ __all__ = [
     "PreprocessConfig",
     "ResampleReport",
     "SmoteConfig",
-    "SparseVector",
     "SplitMix64",
     "StopWordList",
     "TfIdfModel",

@@ -40,7 +40,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .vectorize import CsrView, FeatureMatrix, SparseVector
+from .vectorize import CsrView, FeatureMatrix
 
 ALGORITHMS = ("nb", "logistic", "svm", "tree")
 
@@ -276,6 +276,11 @@ def _fit_nb(matrix: FeatureMatrix, config: TrainConfig) -> MultinomialNBModel:
         mine = entry_labels == label
         mass = np.bincount(X.indices[mine], X.data[mine], minlength=matrix.dim)
         denom = float(mass.sum()) + alpha * matrix.dim
+        if not (math.isfinite(denom) and ((mass + alpha) / denom).all()):
+            raise ValueError(
+                f"nb_alpha {alpha!r}: a smoothed probability is zero "
+                f"or the denominator {denom!r} is not finite"
+            )
         log_probs.append(tuple(float(math.log((m + alpha) / denom)) for m in mass))
     return MultinomialNBModel(
         dim=matrix.dim,
@@ -512,6 +517,6 @@ def predict_batch(model: TrainedClassifier, matrix: FeatureMatrix) -> Prediction
     return _batch_tree(model, X)
 
 
-def predict(model: TrainedClassifier, vector: SparseVector) -> int:
-    """Predicted binary label of one vector: `predict_batch` on a one-row matrix."""
-    return predict_batch(model, FeatureMatrix(CsrView.from_rows([vector], vector.dim), (0,)))[0]
+def predict(model: TrainedClassifier, row: CsrView) -> int:
+    """Predicted binary label of a one-row view: `predict_batch` on it."""
+    return predict_batch(model, FeatureMatrix(row, (0,)))[0]

@@ -14,7 +14,7 @@ operation a per-pair loop performs, in the same order: a distance adds
 the squared differences over the union of both supports in column order,
 and an interpolated entry is b + gap * (o - b).  The tests check the
 neighbors and the synthetic rows, bit for bit, against such loops in
-`tests/oracles.py`.  `balance_training_set` builds no `SparseVector`.
+`tests/oracles.py`.  `balance_training_set` builds no one-row view.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .rng import STREAM_GAP, STREAM_NEIGHBOR, derive_stream
-from .vectorize import CsrView, FeatureMatrix, SparseVector
+from .vectorize import CsrView, FeatureMatrix
 
 _UNIT_ROUNDOFF = 2.0**-53
 _SMALLEST_SUBNORMAL = 2.0**-1074
@@ -303,11 +303,13 @@ def _interpolate_rows(
     return CsrView(indptr, np.concatenate(indices), np.concatenate(data), points.shape[1])
 
 
-def interpolate(base: SparseVector, other: SparseVector, gap: float) -> SparseVector:
-    """base + gap * (other - base) over the union of supports, zeros
-    dropped: `_interpolate_rows` on the one pair."""
-    pair = CsrView.from_rows([base, other], base.dim)
-    return _interpolate_rows(pair, np.array([0]), np.array([1]), np.array([float(gap)])).rows()[0]
+def interpolate(base: CsrView, other: CsrView, gap: float) -> CsrView:
+    """base + gap * (other - base) for two one-row views, over the union of
+    supports, zeros dropped: `_interpolate_rows` on the one pair."""
+    if base.shape[0] != 1 or other.shape[0] != 1:
+        raise ValueError(f"one-row views expected, got {base.shape[0]} and {other.shape[0]} rows")
+    gaps = np.array([float(gap)])
+    return _interpolate_rows(base.stack(other), np.array([0]), np.array([1]), gaps)
 
 
 def _synthesize(

@@ -10,8 +10,9 @@ contributes nothing.
 `transform_corpus` builds a whole matrix in one pass straight into CSR
 arrays, and `transform` is its one-document case.  The tests check it,
 entry for entry and bit for bit, against the dict-counting transform of
-one document in `tests/oracles.py`.  A `FeatureMatrix` stores only its
-CSR view; its rows as `SparseVector`s are derived on first access.
+one document in `tests/oracles.py`.  `CsrView` is the one sparse type: a
+row is a one-row view, and a `FeatureMatrix` stores one view of all its
+rows.
 
 `_entry_texts` turns stored entries into text a chunk at a time and
 formats each distinct value once; `FeatureMatrix.digest` and
@@ -28,37 +29,6 @@ from functools import cached_property
 from itertools import repeat
 
 import numpy as np
-
-
-@dataclass(frozen=True)
-class SparseVector:
-    """Sorted (index, value) pairs; zeros are never stored."""
-
-    dim: int
-    entries: tuple[tuple[int, float], ...]
-
-    def __post_init__(self):
-        last = -1
-        for index, value in self.entries:
-            if not 0 <= index < self.dim:
-                raise ValueError(f"index {index} outside [0, {self.dim})")
-            if index <= last:
-                raise ValueError("entry indices must be strictly increasing")
-            if value == 0.0:
-                raise ValueError(f"zero value stored at index {index}")
-            last = index
-
-    @classmethod
-    def _unchecked(cls, dim: int, entries: tuple) -> "SparseVector":
-        """A vector from entries known to be valid; skips `__post_init__`."""
-        vector = object.__new__(cls)
-        object.__setattr__(vector, "dim", dim)
-        object.__setattr__(vector, "entries", entries)
-        return vector
-
-    @property
-    def nnz(self) -> int:
-        return len(self.entries)
 
 
 _CHUNK_ENTRIES = 1 << 13  # stored entries `_entry_texts` formats and joins per chunk
@@ -112,30 +82,17 @@ class CsrView:
         never makes."""
         return np.repeat(np.arange(self.shape[0]), self.row_lengths)
 
-    @classmethod
-    def from_rows(cls, rows, dim: int) -> "CsrView":
-        """Stack sparse vectors of one dim into a view, in order."""
-        for row in rows:
-            if row.dim != dim:
-                raise ValueError(f"row dim {row.dim} != matrix dim {dim}")
-        lengths = [row.nnz for row in rows]
-        indptr = np.concatenate(([0], np.cumsum(lengths, dtype=np.int64)))
-        nnz = int(indptr[-1])
-        entries = [entry for row in rows for entry in row.entries]
-        indices = np.fromiter((i for i, _ in entries), dtype=np.int64, count=nnz)
-        data = np.fromiter((v for _, v in entries), dtype=np.float64, count=nnz)
-        return cls(indptr, indices, data, dim)
+    @property
+    def nnz(self) -> int:
+        return self.data.size
 
-    def entries(self):
-        """Each row's (index, value) pairs, converted one row at a time."""
-        bounds = self.indptr.tolist()
-        for lo, hi in zip(bounds, bounds[1:]):
-            yield zip(self.indices[lo:hi].tolist(), self.data[lo:hi].tolist())
-
-    def rows(self) -> tuple[SparseVector, ...]:
-        """The rows as sparse vectors.  A view's rows are valid by
-        construction, so they are not checked again."""
-        return tuple(SparseVector._unchecked(self.shape[1], tuple(e)) for e in self.entries())
+    def row(self, r: int) -> "CsrView":
+        """Row r as a one-row view that slices this view's arrays, no copy."""
+        if not 0 <= r < self.shape[0]:
+            raise IndexError(f"row {r} outside [0, {self.shape[0]})")
+        lo, hi = int(self.indptr[r]), int(self.indptr[r + 1])
+        indptr = np.array([0, hi - lo], dtype=np.int64)
+        return CsrView(indptr, self.indices[lo:hi], self.data[lo:hi], self.shape[1])
 
     def select(self, keep: np.ndarray) -> "CsrView":
         """The rows where the boolean array ``keep`` is true, in order."""
@@ -144,7 +101,9 @@ class CsrView:
         return CsrView(indptr, self.indices[kept], self.data[kept], self.shape[1])
 
     def stack(self, below: "CsrView") -> "CsrView":
-        """This view's rows followed by ``below``'s, which share its dim."""
+        """This view's rows followed by ``below``'s, which must share its dim."""
+        if below.shape[1] != self.shape[1]:
+            raise ValueError(f"stacked dim {below.shape[1]} != dim {self.shape[1]}")
         indptr = np.concatenate((self.indptr, below.indptr[1:] + self.indptr[-1]))
         indices = np.concatenate((self.indices, below.indices))
         data = np.concatenate((self.data, below.data))
@@ -198,7 +157,7 @@ class _CsrTranspose:
 
 class FeatureMatrix:
     """Sparse rows aligned with binary labels, stored as one CSR view;
-    ``rows`` derives them from the view on first access and caches them."""
+    ``rows`` gives them as one-row views of it."""
 
     def __init__(self, csr: CsrView, labels: tuple[int, ...]):
         if csr.shape[0] != len(labels):
@@ -211,9 +170,9 @@ class FeatureMatrix:
         return self.csr.shape[1]
 
     @cached_property
-    def rows(self) -> tuple[SparseVector, ...]:
-        """The rows as sparse vectors, derived from the CSR view and cached."""
-        return self.csr.rows()
+    def rows(self) -> tuple[CsrView, ...]:
+        """The rows as one-row views of the CSR arrays, built once."""
+        return tuple(map(self.csr.row, range(len(self))))
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -303,10 +262,10 @@ def fit(train_docs: list[Iterable[str]]) -> TfIdfModel:
     )
 
 
-def transform(model: TfIdfModel, doc: Iterable[str]) -> SparseVector:
-    """TF-IDF vector of one document under a fitted model: the one row of
-    `transform_corpus` on that document alone."""
-    return transform_corpus(model, [doc], [0]).rows[0]
+def transform(model: TfIdfModel, doc: Iterable[str]) -> CsrView:
+    """TF-IDF row of one document under a fitted model: the one-row view
+    `transform_corpus` builds for that document alone."""
+    return transform_corpus(model, [doc], [0]).csr
 
 
 def transform_corpus(

@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from oracles import from_pairs
-from textbalance.vectorize import CsrView, FeatureMatrix, SparseVector
+from oracles import SparseVector, csr_of, from_pairs, rows_of
+from textbalance.vectorize import CsrView, FeatureMatrix
 
 
 def rand_sparse(
@@ -25,7 +25,7 @@ def rand_sparse(
 
 def matrix_of(rows, labels, dim: int) -> FeatureMatrix:
     """The matrix of the given sparse rows, in order, and their labels."""
-    return FeatureMatrix(CsrView.from_rows(rows, dim), tuple(labels))
+    return FeatureMatrix(csr_of(rows, dim), tuple(labels))
 
 
 def rand_matrix(
@@ -42,12 +42,15 @@ def rand_matrix(
     return matrix_of(rows, labels, dim)
 
 
-def to_dense(x: SparseVector | FeatureMatrix) -> np.ndarray:
-    """Dense copy of a sparse vector (1-d) or of a feature matrix (2-d)."""
+def to_dense(x: SparseVector | CsrView | FeatureMatrix) -> np.ndarray:
+    """Dense copy of a sparse vector or a one-row view (1-d), or of a
+    feature matrix (2-d)."""
     if isinstance(x, FeatureMatrix):
         dense = np.zeros(x.csr.shape)
         dense[x.csr.row_ids, x.csr.indices] = x.csr.data
         return dense
+    if isinstance(x, CsrView):
+        (x,) = rows_of(x)
     dense = np.zeros(x.dim)
     for i, v in x.entries:
         dense[i] = v

@@ -9,6 +9,10 @@ checks one implementation against an independent one.  Every float
 operation happens in the order the batch code documents, so the
 comparisons are bit for bit.
 
+`SparseVector` is the tests' row type; the package has none.  `csr_of`
+stacks sparse vectors into a `CsrView`, and `rows_of` splits a view back
+into sparse vectors, checking each.
+
 The fit references at the end (logistic, SVM, tree) run the package's
 fits in their plainest loop form: every matrix product is an explicit
 gather and one ``np.bincount``, the sigmoid masks its two halves, means
@@ -34,7 +38,53 @@ from textbalance.classify import (
 )
 from textbalance.resample import SmoteConfig
 from textbalance.rng import STREAM_GAP, STREAM_NEIGHBOR, derive_stream
-from textbalance.vectorize import SparseVector, TfIdfModel
+from textbalance.vectorize import CsrView, TfIdfModel
+
+
+@dataclass(frozen=True)
+class SparseVector:
+    """Sorted (index, value) pairs; zeros are never stored."""
+
+    dim: int
+    entries: tuple[tuple[int, float], ...]
+
+    def __post_init__(self):
+        last = -1
+        for index, value in self.entries:
+            if not 0 <= index < self.dim:
+                raise ValueError(f"index {index} outside [0, {self.dim})")
+            if index <= last:
+                raise ValueError("entry indices must be strictly increasing")
+            if value == 0.0:
+                raise ValueError(f"zero value stored at index {index}")
+            last = index
+
+    @property
+    def nnz(self) -> int:
+        return len(self.entries)
+
+
+def csr_of(rows, dim: int) -> CsrView:
+    """The view of sparse vectors of one dim, stacked in order."""
+    for row in rows:
+        if row.dim != dim:
+            raise ValueError(f"row dim {row.dim} != matrix dim {dim}")
+    lengths = [row.nnz for row in rows]
+    indptr = np.concatenate(([0], np.cumsum(lengths, dtype=np.int64)))
+    entries = [entry for row in rows for entry in row.entries]
+    indices = np.array([i for i, _ in entries], dtype=np.int64)
+    data = np.array([v for _, v in entries], dtype=np.float64)
+    return CsrView(indptr, indices, data, dim)
+
+
+def rows_of(csr: CsrView) -> tuple[SparseVector, ...]:
+    """A view's rows as sparse vectors, each checked on construction."""
+    bounds = csr.indptr.tolist()
+    indices, data = csr.indices.tolist(), csr.data.tolist()
+    return tuple(
+        SparseVector(csr.shape[1], tuple(zip(indices[lo:hi], data[lo:hi])))
+        for lo, hi in zip(bounds, bounds[1:])
+    )
 
 
 def from_pairs(dim: int, pairs) -> SparseVector:

@@ -13,6 +13,7 @@ import time
 import numpy as np
 
 from conftest import dense_to_matrix, rand_matrix, rand_sparse, to_dense
+from oracles import csr_of, rows_of
 from textbalance.classify import TrainConfig, logistic_loss_and_grad, predict_batch, train
 from textbalance.cli import main as cli_main
 from textbalance.evaluate import ConfusionMatrix, compare, confusion, metrics
@@ -21,7 +22,7 @@ from textbalance.ingest import Corpus, write_corpus
 from textbalance.preprocess import preprocess_corpus
 from textbalance.resample import NeighborIndex, SmoteConfig, _synthesize, balance_training_set, knn
 from textbalance.stopwords import default_stopwords
-from textbalance.vectorize import CsrView, fit, transform, transform_corpus
+from textbalance.vectorize import fit, transform, transform_corpus
 
 
 def _criterion(number: int, description: str, body) -> None:
@@ -59,10 +60,10 @@ def test_criterion_02_smote_geometry():
             minority = [rand_sparse(rng, dim, density=0.5) for _ in range(t)]
             extra = int(rng.integers(1, 13))
             config = SmoteConfig(k=int(rng.integers(1, 8)), seed=trial)
-            points = CsrView.from_rows(minority, dim)
+            points = csr_of(minority, dim)
             bases, neighbors, _, rows = _synthesize(points, t + extra, config)
             assert rows.shape[0] == extra
-            for b, n, vector in zip(bases.tolist(), neighbors.tolist(), rows.rows()):
+            for b, n, vector in zip(bases.tolist(), neighbors.tolist(), rows_of(rows)):
                 base = to_dense(minority[b])
                 neighbor = to_dense(minority[n])
                 got = to_dense(vector)
@@ -90,7 +91,7 @@ def test_criterion_03_knn_oracle():
             dim = int(rng.integers(1, 26))
             points = [rand_sparse(rng, dim, density=0.4) for _ in range(n)]
             dense = np.vstack([to_dense(p) for p in points])
-            index = NeighborIndex(CsrView.from_rows(points, dim))
+            index = NeighborIndex(csr_of(points, dim))
             for _ in range(3):
                 query = int(rng.integers(0, n))
                 k = int(rng.integers(1, n + 2))

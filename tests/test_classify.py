@@ -9,7 +9,7 @@ import pytest
 
 import oracles
 from conftest import dense_to_matrix, matrix_of, oracle_matrix, rand_matrix, to_dense
-from oracles import from_pairs, predict_scored
+from oracles import SparseVector, csr_of, from_pairs, predict_scored, rows_of
 from textbalance import classify
 from textbalance.classify import (
     ALGORITHMS,
@@ -23,7 +23,7 @@ from textbalance.classify import (
     predict_batch,
     train,
 )
-from textbalance.vectorize import CsrView, FeatureMatrix, SparseVector
+from textbalance.vectorize import CsrView, FeatureMatrix
 
 
 def separable_matrix() -> FeatureMatrix:
@@ -120,7 +120,7 @@ class TestNaiveBayes:
         matrix = dense_to_matrix([[1.0], [2.0]], [1, 1])
         model = train(matrix, TrainConfig(algorithm="nb"))
         assert predict(model, matrix.rows[0]) == 1
-        assert predict_scored(model, matrix.rows[0])[1] is None
+        assert predict_scored(model, rows_of(matrix.csr)[0])[1] is None
 
     def test_negative_feature_values_rejected(self):
         matrix = dense_to_matrix([[1.0], [-0.5]], [0, 1])
@@ -187,8 +187,8 @@ class TestLogistic:
     def test_prediction_follows_score_sign(self):
         matrix = separable_matrix()
         model = train(matrix, TrainConfig(algorithm="logistic"))
-        for row in matrix.rows:
-            assert predict(model, row) == (1 if predict_scored(model, row)[1] >= 0 else 0)
+        for row, vector in zip(matrix.rows, rows_of(matrix.csr)):
+            assert predict(model, row) == (1 if predict_scored(model, vector)[1] >= 0 else 0)
 
 
 class TestSvm:
@@ -224,8 +224,8 @@ class TestSvm:
     def test_prediction_follows_score_sign(self):
         matrix = separable_matrix()
         model = train(matrix, TrainConfig(algorithm="svm"))
-        for row in matrix.rows:
-            assert predict(model, row) == (1 if predict_scored(model, row)[1] >= 0 else 0)
+        for row, vector in zip(matrix.rows, rows_of(matrix.csr)):
+            assert predict(model, row) == (1 if predict_scored(model, vector)[1] >= 0 else 0)
 
 
 class TestDecisionTree:
@@ -358,7 +358,14 @@ class TestTrainValidation:
         matrix = separable_matrix()
         model = train(matrix, TrainConfig(algorithm="logistic"))
         with pytest.raises(ValueError):
-            predict(model, from_pairs(99, [(0, 1.0)]))
+            predict(model, csr_of([from_pairs(99, [(0, 1.0)])], 99))
+
+    def test_predict_takes_exactly_one_row(self):
+        matrix = separable_matrix()
+        model = train(matrix, TrainConfig(algorithm="logistic"))
+        for picked in (matrix.csr.select(np.arange(len(matrix)) < 2), matrix.csr, csr_of([], 2)):
+            with pytest.raises(ValueError, match=f"{picked.shape[0]} rows but 1 labels"):
+                predict(model, picked)
 
     def test_predict_batch_matches_per_row_predict(self):
         matrix = separable_matrix()
@@ -375,13 +382,13 @@ class TestTrainValidation:
         cases += [(tie, "nb"), (single, "nb")]
         for matrix, algo in cases:
             model = train(matrix, TrainConfig(algorithm=algo))
-            for row in matrix.rows:
-                assert predict_scored(model, row) == (
+            for row, vector in zip(matrix.rows, rows_of(matrix.csr)):
+                assert predict_scored(model, vector) == (
                     predict(model, row),
-                    predict_scored(model, row)[1],
+                    predict_scored(model, vector)[1],
                 ), algo
         nb_tie = train(tie, TrainConfig(algorithm="nb"))
-        assert predict_scored(nb_tie, tie.rows[0]) == (0, 0.0)
+        assert predict_scored(nb_tie, rows_of(tie.csr)[0]) == (0, 0.0)
 
     def test_scores_add_in_entry_order(self):
         ones = SparseVector(dim=3, entries=((0, 1.0), (1, 1.0), (2, 1.0)))
@@ -410,7 +417,7 @@ def _scored(model, matrix: FeatureMatrix) -> list:
 
 def _reference(model, matrix: FeatureMatrix) -> list:
     out = []
-    for row in matrix.rows:
+    for row in rows_of(matrix.csr):
         label, score = predict_scored(model, row)
         out.append((label, None if score is None else score.hex()))
     return out

@@ -206,6 +206,8 @@ class TestTrain:
             (["--algo", "svm", "--svm-c", "1e-320"], "lam = 1/(C*n) = inf"),
             (["--algo", "logistic", "--lr-learning-rate", "1e308"], "logistic fit diverged"),
             (["--algo", "logistic", "--l2", "1e308"], "logistic fit diverged"),
+            (["--algo", "nb", "--nb-alpha", "5e-324"], "nb_alpha 5e-324: a smoothed probability"),
+            (["--algo", "nb", "--nb-alpha", "1e308"], "nb_alpha 1e+308: a smoothed probability"),
         ],
     )
     def test_unusable_fit_exits_2_at_train(self, dataset, tmp_path, capsys, flags, message):
@@ -758,7 +760,7 @@ class TestOversample:
         assert code == 0
         balanced = read_matrix(dst)
         assert balanced.class_counts() == {0: 12, 1: 12}
-        assert balanced.rows[:17] == matrix.rows
+        assert oracles.rows_of(balanced.csr)[:17] == oracles.rows_of(matrix.csr)
         report = json.loads(report_path.read_text())
         assert report["synthetic_created"] == 7
         assert "12/12" in capsys.readouterr().out
@@ -792,27 +794,8 @@ class TestOversample:
         src.write_text("3 2 3\n2 1 0.5\n0 1 2.0\n0 0 1.0\n")
         (tmp_path / "unsorted.mtx.labels").write_text("0\n0\n1\n")
         matrix = read_matrix(src)
-        assert [row.entries for row in matrix.rows] == [((0, 1.0), (1, 2.0)), (), ((1, 0.5),)]
-
-    def test_builds_no_vectors(self, tmp_path, monkeypatch):
-        src = tmp_path / "train.mtx"
-        write_matrix(rand_matrix(np.random.default_rng(51), n0=12, n1=5, dim=6), src)
-        built = []
-        real_post_init = vectorize.SparseVector.__post_init__
-        real_unchecked = vectorize.SparseVector._unchecked.__func__
-
-        def counted_post_init(vector):
-            built.append(vector)
-            real_post_init(vector)
-
-        def counted_unchecked(cls, dim, entries):
-            built.append(entries)
-            return real_unchecked(cls, dim, entries)
-
-        monkeypatch.setattr(vectorize.SparseVector, "__post_init__", counted_post_init)
-        monkeypatch.setattr(vectorize.SparseVector, "_unchecked", classmethod(counted_unchecked))
-        assert run(["oversample", "--matrix", src, "--out", tmp_path / "out.mtx"]) == 0
-        assert built == []  # reading, balancing and writing all stay on the CSR arrays
+        rows = oracles.rows_of(matrix.csr)
+        assert [row.entries for row in rows] == [((0, 1.0), (1, 2.0)), (), ((1, 0.5),)]
 
     def test_header_beyond_int64_exits_2(self, tmp_path, capsys):
         src = tmp_path / "wide.mtx"
@@ -845,6 +828,30 @@ class TestOversample:
         assert code == 2
         assert capsys.readouterr().err.startswith("error [read]")
         assert elapsed < 1.0
+
+
+class TestRowViews:
+    def test_no_command_builds_a_row_view(self, dataset, tmp_path, monkeypatch):
+        """Every command stays on whole CSR arrays; none slices out one row."""
+        matrix, bundle = tmp_path / "train.mtx", tmp_path / "model.json"
+        write_matrix(rand_matrix(np.random.default_rng(51), n0=12, n1=5, dim=6), matrix)
+
+        def refuse(csr, r):
+            raise AssertionError(f"row {r} of a view was built")
+
+        monkeypatch.setattr(vectorize.CsrView, "row", refuse)
+        with pytest.raises(AssertionError, match="row 0 of a view"):
+            read_matrix(matrix).rows
+        commands = [
+            ["train", "--data", dataset, "--algo", "nb", "--smote", "on", "--out", bundle],
+            ["report", "--data", dataset, "--out", tmp_path / "cmp"],
+            ["predict", "--bundle", bundle, "free money offer click now"],
+            ["evaluate", "--bundle", bundle, "--data", dataset],
+            ["oversample", "--matrix", matrix, "--out", tmp_path / "out.mtx"],
+            ["scatter", "--data", dataset, "--smote", "on", "--out", tmp_path / "points.csv"],
+        ]
+        for argv in commands:
+            assert run(argv) == 0, argv[0]
 
 
 class TestReport:
@@ -1041,7 +1048,7 @@ class TestScatter:
         gx, gy = [x for x, _ in g], [y for _, y in g]
         expected = [
             f"{oracles.dot(row, gx, start=0.0)!r},{oracles.dot(row, gy, start=0.0)!r},{label},false"
-            for row, label in zip(matrix.rows, matrix.labels)
+            for row, label in zip(oracles.rows_of(matrix.csr), matrix.labels)
         ]
         assert out.read_text().split("\n")[2:-1] == expected
         assert expected[1] == "0.0,0.0,1,false"

@@ -9,7 +9,15 @@ import pytest
 
 import oracles
 from conftest import matrix_of, rand_matrix, rand_sparse, to_dense
-from oracles import SyntheticSample, euclidean_distance, exhaustive_knn, from_pairs
+from oracles import (
+    SparseVector,
+    SyntheticSample,
+    csr_of,
+    euclidean_distance,
+    exhaustive_knn,
+    from_pairs,
+    rows_of,
+)
 from textbalance import resample
 from textbalance.bundle import canonical_json
 from textbalance.fixtures import two_vocab_corpus
@@ -24,11 +32,17 @@ from textbalance.resample import (
     knn,
 )
 from textbalance.stopwords import default_stopwords
-from textbalance.vectorize import CsrView, FeatureMatrix, SparseVector, fit, transform_corpus
+from textbalance.vectorize import CsrView, FeatureMatrix, fit, transform_corpus
 
 
 def _points(rows: list[SparseVector]) -> CsrView:
-    return CsrView.from_rows(rows, rows[0].dim if rows else 0)
+    return csr_of(rows, rows[0].dim if rows else 0)
+
+
+def interpolated(base: SparseVector, other: SparseVector, gap: float) -> SparseVector:
+    """`interpolate` on the one-row views of two sparse vectors."""
+    (row,) = rows_of(interpolate(_points([base]), _points([other]), gap))
+    return row
 
 
 def index_of(points: list[SparseVector]) -> NeighborIndex:
@@ -38,7 +52,7 @@ def index_of(points: list[SparseVector]) -> NeighborIndex:
 def batch_trace(minority: list[SparseVector], majority_count: int, config: SmoteConfig) -> list:
     """`_synthesize` on the minority rows, one `SyntheticSample` per row."""
     bases, neighbors, gaps, rows = _synthesize(_points(minority), majority_count, config)
-    samples = zip(rows.rows(), bases.tolist(), neighbors.tolist(), gaps.tolist())
+    samples = zip(rows_of(rows), bases.tolist(), neighbors.tolist(), gaps.tolist())
     return [SyntheticSample(*sample) for sample in samples]
 
 
@@ -81,16 +95,16 @@ class TestInterpolate:
     def test_union_of_supports(self):
         base = from_pairs(3, [(0, 1.0)])
         other = from_pairs(3, [(1, 2.0)])
-        mid = interpolate(base, other, 0.5)
+        mid = interpolated(base, other, 0.5)
         assert mid.entries == ((0, 0.5), (1, 1.0))
 
     def test_endpoints(self):
         rng = np.random.default_rng(1)
         base = rand_sparse(rng, 10)
         other = rand_sparse(rng, 10)
-        assert interpolate(base, other, 0.0).entries == base.entries
+        assert interpolated(base, other, 0.0).entries == base.entries
         np.testing.assert_allclose(
-            to_dense(interpolate(base, other, 1.0)), to_dense(other), atol=1e-15
+            to_dense(interpolated(base, other, 1.0)), to_dense(other), atol=1e-15
         )
 
     def test_matches_dense_formula(self):
@@ -102,7 +116,7 @@ class TestInterpolate:
             gap = float(rng.random())
             expected = to_dense(base) + gap * (to_dense(other) - to_dense(base))
             np.testing.assert_allclose(
-                to_dense(interpolate(base, other, gap)), expected, atol=1e-15
+                to_dense(interpolated(base, other, gap)), expected, atol=1e-15
             )
 
     def test_matches_the_dict_oracle_bit_for_bit(self):
@@ -113,15 +127,24 @@ class TestInterpolate:
         pairs.append((from_pairs(3, [(0, tiny), (1, tiny)]), from_pairs(3, [(2, 2 * tiny)])))
         for base, other in pairs:
             for gap in (0.0, float(rng.random()), 0.75, 1.0):
-                got = interpolate(base, other, gap)
+                got = interpolated(base, other, gap)
                 want = oracles.interpolate(base, other, gap)
                 assert [(i, v.hex()) for i, v in got.entries] == [
                     (i, v.hex()) for i, v in want.entries
                 ]
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            interpolate(from_pairs(2, []), from_pairs(3, []), 0.5)
+        with pytest.raises(ValueError, match="stacked dim 3 != dim 2"):
+            interpolate(_points([from_pairs(2, [])]), _points([from_pairs(3, [])]), 0.5)
+
+    def test_takes_one_row_views_only(self):
+        rng = np.random.default_rng(3)
+        one = _points([rand_sparse(rng, 4)])
+        two = _points([rand_sparse(rng, 4), rand_sparse(rng, 4)])
+        for base, other in ((two, one), (one, two), (one, _points([]))):
+            with pytest.raises(ValueError, match="one-row views expected"):
+                interpolate(base, other, 0.5)
+        assert interpolate(one, one, 0.5).shape == (1, 4)
 
 
 class TestKnn:
@@ -317,7 +340,7 @@ class TestBalanceTrainingSet:
         matrix = rand_matrix(rng, n0=20, n1=6, dim=10)
         balanced, report = balance_training_set(matrix, SmoteConfig(k=3, seed=2))
         assert balanced.class_counts() == {0: 20, 1: 20}
-        assert balanced.rows[: len(matrix)] == matrix.rows
+        assert rows_of(balanced.csr)[: len(matrix)] == rows_of(matrix.csr)
         assert balanced.labels[: len(matrix)] == matrix.labels
         assert set(balanced.labels[len(matrix) :]) == {1}
         assert report.minority_before == 6
@@ -353,7 +376,7 @@ class TestBalanceTrainingSet:
         matrix = matrix_of(rows + [lone], (0, 0, 0, 0, 1), 6)
         balanced, report = balance_training_set(matrix, SmoteConfig(seed=9))
         assert balanced.class_counts() == {0: 4, 1: 4}
-        assert all(row == lone for row in balanced.rows[5:])
+        assert all(row == lone for row in rows_of(balanced.csr)[5:])
         assert any("duplicate" in w for w in report.warnings)
 
     def test_single_class_matrix_rejected(self):
@@ -374,9 +397,9 @@ class TestBalanceTrainingSet:
         assert np.array_equal(stacked.indptr[: len(matrix) + 1], original.indptr)
         assert np.array_equal(stacked.indices[: original.indices.size], original.indices)
         assert np.array_equal(stacked.data[: original.data.size], original.data)
-        minority = [row for row, label in zip(matrix.rows, matrix.labels) if label == 1]
+        minority = [row for row, label in zip(rows_of(matrix.csr), matrix.labels) if label == 1]
         synthetic = [s.vector for s in oracles.smote_trace(minority, 9, config)]
-        assert balanced.rows[len(matrix) :] == tuple(synthetic)
+        assert rows_of(balanced.csr)[len(matrix) :] == tuple(synthetic)
 
     def test_report_to_dict_is_json_shaped(self):
         rng = np.random.default_rng(17)
@@ -402,10 +425,10 @@ def reference_balance(matrix: FeatureMatrix, config: SmoteConfig) -> FeatureMatr
     rows, its vectors appended below the matrix."""
     counts = matrix.class_counts()
     minority_label = min(counts, key=lambda label: (counts[label], label))
-    minority = [row for row, lb in zip(matrix.rows, matrix.labels) if lb == minority_label]
+    minority = [row for row, lb in zip(rows_of(matrix.csr), matrix.labels) if lb == minority_label]
     synthetic = [s.vector for s in oracles.smote_trace(minority, max(counts.values()), config)]
     labels = matrix.labels + (minority_label,) * len(synthetic)
-    return matrix_of(matrix.rows + tuple(synthetic), labels, matrix.dim)
+    return matrix_of(rows_of(matrix.csr) + tuple(synthetic), labels, matrix.dim)
 
 
 class TestArraySmoteOracle:
@@ -465,7 +488,7 @@ class TestArraySmoteOracle:
         balanced, _ = balance_training_set(matrix, SmoteConfig(k=3, seed=2))
         expected = reference_balance(matrix, SmoteConfig(k=3, seed=2))
         assert balanced.digest() == expected.digest()
-        minority = matrix.rows[8:]
+        minority = rows_of(matrix.csr)[8:]
         trace = batch_trace(list(minority), 8, SmoteConfig(k=3, seed=2))
         union = [
             {i for i, _ in minority[s.base_index].entries} | {i for i, _ in minority[s.neighbor_index].entries}
@@ -518,7 +541,7 @@ class TestPinnedOutputs:
         matrix = transform_corpus(fit(tokens), tokens, train_corpus.labels)
         config = SmoteConfig(k=5, seed=seed)
         balanced, report = balance_training_set(matrix, config)
-        minority = [row for row, lb in zip(matrix.rows, matrix.labels) if lb == 1]
+        minority = [row for row, lb in zip(rows_of(matrix.csr), matrix.labels) if lb == 1]
         trace = batch_trace(minority, report.majority, config)
         assert trace == oracles.smote_trace(minority, report.majority, config)
         provenance = "".join(

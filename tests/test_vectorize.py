@@ -9,13 +9,13 @@ import pytest
 
 import oracles
 from conftest import dense_to_matrix, matrix_of, oracle_matrix, rand_sparse, to_dense
+from oracles import SparseVector, csr_of, rows_of
 from textbalance.fixtures import two_vocab_corpus
 from textbalance.preprocess import preprocess_corpus
 from textbalance.stopwords import default_stopwords
 from textbalance.vectorize import (
     CsrView,
     FeatureMatrix,
-    SparseVector,
     TfIdfModel,
     fit,
     transform,
@@ -88,7 +88,7 @@ class TestSparseVector:
 
 class TestFeatureMatrix:
     def test_row_label_alignment(self):
-        csr = CsrView.from_rows([SparseVector(dim=2, entries=((0, 1.0),))], 2)
+        csr = csr_of([SparseVector(dim=2, entries=((0, 1.0),))], 2)
         with pytest.raises(ValueError, match="1 rows but 2 labels"):
             FeatureMatrix(csr, (0, 1))
 
@@ -109,11 +109,14 @@ class TestFeatureMatrix:
     def test_stores_only_the_csr_view(self):
         rows = (SparseVector(dim=3, entries=((0, 1.0), (2, -2.0))), SparseVector(dim=3, entries=()))
         matrix = matrix_of(rows, (0, 1), 3)
+        assert rows_of(matrix.csr) == rows
         assert "rows" not in vars(matrix)
         assert matrix.dim == 3
         assert matrix.csr.indptr.tolist() == [0, 2, 2]
-        assert matrix.rows == rows
+        assert [rows_of(row) for row in matrix.rows] == [(row,) for row in rows]
         assert "rows" in vars(matrix)
+        assert np.shares_memory(matrix.rows[0].data, matrix.csr.data)
+        assert np.shares_memory(matrix.rows[0].indices, matrix.csr.indices)
 
     def test_equality_compares_labels_shape_and_arrays_without_rows(self):
         full, empty = SparseVector(3, ((0, 1.0), (2, -2.0))), SparseVector(3, ())
@@ -133,17 +136,40 @@ class TestCsrView:
     def test_select_and_stack_keep_row_order(self):
         rng = np.random.default_rng(3)
         rows = tuple(rand_sparse(rng, 5) for _ in range(6))
-        csr = CsrView.from_rows(rows, 5)
+        csr = csr_of(rows, 5)
         keep = np.array([True, False, True, True, False, False])
         kept = tuple(row for row, k in zip(rows, keep) if k)
-        assert csr.select(keep).rows() == kept
-        assert csr.select(np.zeros(6, dtype=bool)).rows() == ()
-        assert csr.stack(csr.select(keep)).rows() == rows + kept
+        assert rows_of(csr.select(keep)) == kept
+        assert rows_of(csr.select(np.zeros(6, dtype=bool))) == ()
+        assert rows_of(csr.stack(csr.select(keep))) == rows + kept
 
-    def test_from_rows_checks_every_row_dim(self):
+    def test_csr_of_checks_every_row_dim(self):
         rows = [SparseVector(dim=2, entries=()), SparseVector(dim=3, entries=())]
         with pytest.raises(ValueError, match="row dim 3 != matrix dim 2"):
-            CsrView.from_rows(rows, 2)
+            csr_of(rows, 2)
+
+    def test_stack_checks_the_dim(self):
+        two, three = csr_of([SparseVector(2, ((1, 1.0),))], 2), csr_of([SparseVector(3, ())], 3)
+        with pytest.raises(ValueError, match="stacked dim 3 != dim 2"):
+            two.stack(three)
+        with pytest.raises(ValueError, match="stacked dim 2 != dim 3"):
+            three.stack(two)
+
+    def test_row_is_a_one_row_view_of_the_parent_arrays(self):
+        rng = np.random.default_rng(5)
+        rows = tuple(rand_sparse(rng, 6) for _ in range(5)) + (SparseVector(6, ()),)
+        csr = csr_of(rows, 6)
+        assert csr.nnz == sum(row.nnz for row in rows)
+        for r, want in enumerate(rows):
+            row = csr.row(r)
+            assert row.shape == (1, 6) and row.nnz == want.nnz
+            assert rows_of(row) == (want,)
+            if want.nnz:
+                assert np.shares_memory(row.indices, csr.indices)
+                assert np.shares_memory(row.data, csr.data)
+        for r in (-1, len(rows)):
+            with pytest.raises(IndexError):
+                csr.row(r)
 
 
 def _transpose_cases() -> list[np.ndarray]:
@@ -243,7 +269,7 @@ class TestTransform:
         # Two docs; "alpha" appears only in the first (idf = ln 2), "beta"
         # in both (idf = 0, so it is never stored).
         model = fit([seq("alpha", "alpha", "beta"), seq("beta")])
-        vec = transform(model, seq("alpha", "alpha", "beta"))
+        (vec,) = rows_of(transform(model, seq("alpha", "alpha", "beta")))
         assert len(vec.entries) == 1
         index, value = vec.entries[0]
         assert model.terms[index] == "alpha"
@@ -251,7 +277,7 @@ class TestTransform:
 
     def test_oov_excluded_from_denominator(self):
         model = fit([seq("alpha"), seq("beta")])
-        vec = transform(model, seq("alpha", "zzz", "zzz"))
+        (vec,) = rows_of(transform(model, seq("alpha", "zzz", "zzz")))
         # In-vocab total is 1, so tf(alpha) = 1/1, weight = ln 2.
         assert oracles.get(vec, model.vocabulary["alpha"]) == pytest.approx(math.log(2), abs=1e-12)
 
@@ -259,7 +285,7 @@ class TestTransform:
         model = fit([seq("alpha"), seq("beta")])
         vec = transform(model, seq("zzz", "qqq"))
         assert vec.nnz == 0
-        assert vec.dim == model.dim
+        assert vec.shape == (1, model.dim)
 
     def test_empty_document_gives_zero_vector(self):
         model = fit([seq("alpha"), seq("beta")])
@@ -303,8 +329,11 @@ class TestTransform:
             transform_corpus(model, [seq("alpha")], [0, 1])
 
 
-def _bits(vector: SparseVector) -> list[tuple[int, str]]:
-    return [(i, v.hex()) for i, v in vector.entries]
+def _bits(row: SparseVector | CsrView) -> list[tuple[int, str]]:
+    """(index, value.hex()) of each entry of a sparse vector or a one-row view."""
+    if isinstance(row, CsrView):
+        (row,) = rows_of(row)
+    return [(i, v.hex()) for i, v in row.entries]
 
 
 class TestTransformCorpusOracle:
@@ -320,9 +349,7 @@ class TestTransformCorpusOracle:
             assert _bits(row) == _bits(oracles.transform(model, doc)), doc
             assert _bits(row) == _bits(transform(model, doc)), doc
         # The derived rows are valid vectors and give back the same view.
-        again = matrix_of(
-            [SparseVector(r.dim, r.entries) for r in matrix.rows], matrix.labels, matrix.dim
-        )
+        again = matrix_of(rows_of(matrix.csr), matrix.labels, matrix.dim)
         for name in ("indptr", "indices", "data"):
             np.testing.assert_array_equal(getattr(again.csr, name), getattr(matrix.csr, name))
 
