@@ -212,7 +212,7 @@ def _metrics_text(report: evaluate.MetricsReport) -> str:
             lines.append(f"{name:<10} 0.000  (undefined: zero denominator)")
         else:
             lines.append(f"{name:<10} {value:.3f}")
-    m = report.matrix
+    m = report.confusion
     lines.append(f"confusion  tp={m.tp} fp={m.fp} fn={m.fn} tn={m.tn}")
     return "\n".join(lines)
 

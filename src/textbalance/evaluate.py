@@ -44,7 +44,7 @@ class MetricsReport:
     precision: float | None
     recall: float | None
     f1: float | None
-    matrix: ConfusionMatrix
+    confusion: ConfusionMatrix
     positive_class: int = POSITIVE_CLASS
 
     def undefined_metrics(self) -> list[str]:
@@ -60,10 +60,7 @@ class MetricsReport:
         return 0.0 if value is None else value
 
     def to_dict(self) -> dict:
-        record = asdict(self)
-        record["confusion"] = record.pop("matrix")
-        record["undefined"] = self.undefined_metrics()
-        return record
+        return {**asdict(self), "undefined": self.undefined_metrics()}
 
 
 def confusion(predicted: list[int], actual: list[int]) -> ConfusionMatrix:
@@ -100,7 +97,7 @@ def metrics(matrix: ConfusionMatrix) -> MetricsReport:
     else:
         f1 = 2.0 * precision * recall / (precision + recall)
     return MetricsReport(
-        accuracy=accuracy, precision=precision, recall=recall, f1=f1, matrix=matrix
+        accuracy=accuracy, precision=precision, recall=recall, f1=f1, confusion=matrix
     )
 
 

@@ -129,7 +129,7 @@ def _make_document(record: dict, index: int, where: str) -> LabeledDocument:
 
 
 def _iter_csv_records(path: Path):
-    with path.open("r", encoding="utf-8", newline="") as handle:
+    with path.open("r", encoding="utf-8-sig", newline="") as handle:
         reader = csv.DictReader(handle)
         try:
             if reader.fieldnames is None:
@@ -148,7 +148,7 @@ def _iter_csv_records(path: Path):
 
 
 def _iter_jsonl_records(path: Path):
-    with path.open("r", encoding="utf-8") as handle:
+    with path.open("r", encoding="utf-8-sig") as handle:
         for line_num, line in enumerate(handle, start=1):
             if not line.strip():
                 continue
@@ -168,6 +168,7 @@ def load_corpus(path, format: str = "csv") -> Corpus:
 
     Each record needs a non-empty ``text`` and a ``label``; an explicit
     ``id`` is used when present, otherwise ids are assigned as ``row-<index>``.
+    Both formats are UTF-8; a leading byte-order mark is skipped.
     """
     path = Path(path)
     if format == "csv":

@@ -9,12 +9,14 @@ the gap sequence.  Oversampling is a training-set operation only.
 
 SMOTE runs on CSR arrays: the neighbor search and the interpolation each
 take whole blocks of rows, and `knn` and `interpolate` are their
-one-query and one-pair cases.  Each sum and product is the IEEE
-operation a per-pair loop performs, in the same order: a distance adds
-the squared differences over the union of both supports in column order,
-and an interpolated entry is b + gap * (o - b).  The tests check the
-neighbors and the synthetic rows, bit for bit, against such loops in
-`tests/oracles.py`.  `balance_training_set` builds no one-row view.
+one-query and one-pair cases.  Both walk their row pairs over the union
+of each pair's supports in one chunked loop, `_union_chunks`.  Each sum
+and product is the IEEE operation a per-pair loop performs, in the same
+order: a distance adds the squared differences in column order with
+`np.bincount`, and an interpolated entry is b + gap * (o - b).  The
+tests check the neighbors and the synthetic rows, bit for bit, against
+such loops in `tests/oracles.py`.  `balance_training_set` builds no
+one-row view.
 """
 
 from __future__ import annotations
@@ -81,9 +83,9 @@ def _union(csr: CsrView, a_rows: np.ndarray, b_rows: np.ndarray):
     their supports, for every pair p: (pair, column, a value, b value)
     sorted by (pair, column), with 0.0 where a row stores nothing.
 
-    Entries are sorted on pair * width + column.  Callers pass at most
-    `_BLOCK_ENTRIES` (2^16) pairs and a compacted width is at most the
-    entry count, so the key fits int64 below 2^47 entries."""
+    Entries are sorted on pair * width + column.  `_union_chunks` passes
+    at most `_BLOCK_ENTRIES` (2^16) pairs and a compacted width is at most
+    the entry count, so the key fits int64 below 2^47 entries."""
     indptr, width = csr.indptr, max(1, csr.shape[1])
     a_len, b_len = indptr[a_rows + 1] - indptr[a_rows], indptr[b_rows + 1] - indptr[b_rows]
     a_pos, b_pos = _segments(indptr[a_rows], a_len), _segments(indptr[b_rows], b_len)
@@ -102,19 +104,15 @@ def _union(csr: CsrView, a_rows: np.ndarray, b_rows: np.ndarray):
     return pair, col, a[keep], b[keep]
 
 
-def _sequential_sums(group: np.ndarray, terms: np.ndarray, n_groups: int) -> np.ndarray:
-    """Each group's non-negative terms added left to right from 0.0, as a
-    Python loop adds them; ``group`` is sorted.  ``np.cumsum`` accumulates
-    in order, and the zeros padding each row's end change no sum."""
-    firsts = np.searchsorted(group, np.arange(n_groups))
-    lengths = np.diff(np.append(firsts, group.size))
-    table = np.zeros((n_groups, max(1, int(lengths.max(initial=0)))))
-    table[group, np.arange(group.size) - firsts[group]] = terms
-    return np.cumsum(table, axis=1)[:, -1]
-
-
-def _longest_row(csr: CsrView) -> int:
-    return int(np.diff(csr.indptr).max(initial=0))
+def _union_chunks(csr: CsrView, a_rows: np.ndarray, b_rows: np.ndarray):
+    """`_union` of a compacted ``csr`` over the pairs (a_rows[p], b_rows[p]),
+    in chunks of at most `_BLOCK_ENTRIES` union entries (at least one pair):
+    yields (chunk, pair, col, a, b), where ``chunk`` slices the pairs and
+    ``pair`` counts from the chunk's first."""
+    step = max(1, _BLOCK_ENTRIES // (2 * int(csr.row_lengths.max(initial=0)) + 1))
+    for lo in range(0, a_rows.size, step):
+        chunk = slice(lo, lo + step)
+        yield (chunk, *_union(csr, a_rows[chunk], b_rows[chunk]))
 
 
 class NeighborIndex:
@@ -124,10 +122,8 @@ class NeighborIndex:
     The points' columns are renumbered, in order, to the ones they use, so
     no buffer grows with the dimension.  Queries are answered a block of
     consecutive points at a time: the first time a point is asked for with
-    a given k, it is solved with the points after it, and the neighbor
-    lists are kept per k.  The first block for a k holds one query and each
-    later one up to twice as many as the last, so a lone query costs one
-    query's work while a scan over every point runs in full blocks.
+    a given k, it is solved with as many points after it as fill the
+    block's budget, and the neighbor lists are kept per k.
 
     The filter computes, for every query a of a block and every point b,
     the Gram form G = (|a|^2 + |b|^2) - 2 a.b of the squared distance,
@@ -143,10 +139,10 @@ class NeighborIndex:
     the query's k-th smallest upper bound G + e.  At least k points have M
     at most that upper bound, so every point the scan would return is
     rechecked, and the result is the scan's, ties included.  The recheck
-    computes M itself, padded into one row per pair and added by
-    `np.cumsum` in column order.  The tests check the neighbors against
-    an exhaustive scan in `tests/oracles.py` whose distance is a merge
-    loop over both rows' sorted entries, forming the same M.
+    computes M itself, each pair's terms added by `np.bincount` in column
+    order from 0.0.  The tests check the neighbors against an exhaustive
+    scan in `tests/oracles.py` whose distance is a merge loop over both
+    rows' sorted entries, forming the same M.
 
     The slack.  Let u = 2^-53, g(n) = n u / (1 - n u), L the most entries
     stored in one row, N = |a|^2 + |b|^2 exactly and N' its computed value.
@@ -183,8 +179,8 @@ class NeighborIndex:
 
     Memory.  A block holds as many queries as keep its products plus its
     n-wide filter rows within `_BLOCK_ENTRIES` elements (at least one
-    query), and the recheck takes its pairs in chunks of at most
-    `_BLOCK_ENTRIES` union entries, so every temporary array is bounded by
+    query), and the recheck takes its pairs from `_union_chunks`, at most
+    `_BLOCK_ENTRIES` union entries at a time, so every temporary array is bounded by
     that budget or by one query's share, whatever the point count or k.
     """
 
@@ -196,10 +192,10 @@ class NeighborIndex:
         data, columns = csr.data, csr.indices
         with np.errstate(over="ignore"):  # overflowing rows are caught per query
             self._sq_norms = np.bincount(csr.row_ids, data * data, minlength=n)
-        self._longest = _longest_row(csr)
-        m = 8 * self._longest + 32
+        longest = int(csr.row_lengths.max(initial=0))
+        m = 8 * longest + 32
         self._rel_slack = m * _UNIT_ROUNDOFF / (1.0 - m * _UNIT_ROUNDOFF)
-        self._abs_slack = (4 * self._longest + 4) * _SMALLEST_SUBNORMAL
+        self._abs_slack = (4 * longest + 4) * _SMALLEST_SUBNORMAL
 
         self._by_column = by_column = csr.transpose()
 
@@ -207,7 +203,6 @@ class NeighborIndex:
         work = np.bincount(csr.row_ids, by_column.row_lengths[columns], minlength=n) + n
         self._work = np.concatenate(([0], np.cumsum(work)))
         self._found: dict[int, dict[int, np.ndarray]] = {}  # k -> query -> neighbors
-        self._block_size: dict[int, int] = {}  # k -> queries in the next block
 
     def __len__(self) -> int:
         return self._csr.shape[0]
@@ -224,8 +219,7 @@ class NeighborIndex:
         if query_index not in found:
             start, work = query_index, self._work
             within = int(np.searchsorted(work, work[start] + _BLOCK_ENTRIES, side="right")) - 1
-            stop = max(start + 1, min(within, start + self._block_size.get(k, 1)))
-            self._block_size[k] = 2 * (stop - start)
+            stop = max(start + 1, within)
             found.update(zip(range(start, stop), self._solve(start, stop, k)))
         return found[query_index].tolist()
 
@@ -258,21 +252,14 @@ class NeighborIndex:
         candidate[own] = False
 
         which, points = np.nonzero(candidate)  # grouped by query, at least k each
-        distance = np.sqrt(self._squared_distances(which + start, points))
-        ranked = points[np.lexsort((points, distance, which))]
-        firsts = np.searchsorted(which, queries - start)
-        return ranked[firsts[:, None] + np.arange(k)]
-
-    def _squared_distances(self, a_rows: np.ndarray, b_rows: np.ndarray) -> np.ndarray:
-        """Per pair, M: the squared distance as the class docstring defines it."""
-        sums = np.empty(a_rows.size)
-        step = max(1, _BLOCK_ENTRIES // (2 * self._longest + 1))
-        for lo in range(0, a_rows.size, step):
-            pair, _, a, b = _union(self._csr, a_rows[lo : lo + step], b_rows[lo : lo + step])
+        squared = np.empty(which.size)  # M, as the class docstring defines it
+        for chunk, pair, _, a, b in _union_chunks(csr, which + start, points):
             with np.errstate(over="ignore"):
                 d = a - b
-                sums[lo : lo + step] = _sequential_sums(pair, d * d, min(step, a_rows.size - lo))
-        return sums
+                squared[chunk] = np.bincount(pair, d * d, minlength=squared[chunk].size)
+        ranked = points[np.lexsort((points, np.sqrt(squared), which))]
+        firsts = np.searchsorted(which, queries - start)
+        return ranked[firsts[:, None] + np.arange(k)]
 
 
 def knn(index: NeighborIndex, query_index: int, k: int) -> list[int]:
@@ -287,16 +274,18 @@ def _interpolate_rows(
 ) -> CsrView:
     """Row s is base + gaps[s] * (other - base) for rows bases[s] and
     others[s] of ``points``, over their union support (a missing entry
-    reads 0.0) with zeros dropped, one rounding per operation.  Rows are
-    built in chunks of at most `_BLOCK_ENTRIES` union entries."""
+    reads 0.0) with zeros dropped, one rounding per operation.  A value
+    that is not finite (the difference of two entries can overflow)
+    raises ValueError: no reader accepts it."""
     used, compact = _compact(points)
     counts, indices, data = [np.zeros(0, dtype=np.int64)], [used[:0]], [points.data[:0]]
-    step = max(1, _BLOCK_ENTRIES // (2 * _longest_row(points) + 1))
-    for lo in range(0, bases.size, step):
-        pair, col, base, other = _union(compact, bases[lo : lo + step], others[lo : lo + step])
-        values = base + gaps[lo : lo + step][pair] * (other - base)
+    for chunk, pair, col, base, other in _union_chunks(compact, bases, others):
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = base + gaps[chunk][pair] * (other - base)
+        if not np.isfinite(values).all():
+            raise ValueError("a synthetic value is not finite: interpolation overflows")
         kept = values != 0.0
-        counts.append(np.bincount(pair[kept], minlength=min(step, bases.size - lo)))
+        counts.append(np.bincount(pair[kept], minlength=bases[chunk].size))
         indices.append(used[col[kept]])
         data.append(values[kept])
     indptr = np.concatenate(([0], np.cumsum(np.concatenate(counts))))

@@ -154,7 +154,7 @@ def test_criterion_05_metrics_identities():
             fn = sum(1 for p, a in zip(pred, act) if p == 0 and a == 1)
             tn = sum(1 for p, a in zip(pred, act) if p == 0 and a == 0)
             report = metrics(confusion(pred, act))
-            assert report.matrix.to_dict() == {"tp": tp, "fp": fp, "fn": fn, "tn": tn}
+            assert report.confusion.to_dict() == {"tp": tp, "fp": fp, "fn": fn, "tn": tn}
             assert report.accuracy == (tp + tn) / n
             if tp + fp > 0:
                 assert report.precision == tp / (tp + fp)

@@ -777,6 +777,19 @@ class TestOversample:
         assert f"bad.mtx:3: non-finite value '{value}'" in err
         assert not dst.exists()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_interpolation_exits_2(self, tmp_path, capsys):
+        # The two minority rows are 1e308 and -1e308 in column 0: their
+        # difference overflows, and no reader accepts an infinite value.
+        src = tmp_path / "huge.mtx"
+        src.write_text("6 2 3\n0 0 1e308\n1 0 -1e308\n2 1 1.0\n")
+        (tmp_path / "huge.mtx.labels").write_text("1\n1\n0\n0\n0\n0\n")
+        dst = tmp_path / "out.mtx"
+        assert run(["oversample", "--matrix", src, "--out", dst]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error [resample]") and "not finite" in err
+        assert not dst.exists()
+
     @pytest.mark.parametrize("value", ["1.0", "0.0"])
     def test_duplicate_entry_names_its_line(self, tmp_path, capsys, value):
         src = tmp_path / "dup.mtx"

@@ -155,7 +155,7 @@ class TestEvaluateModel:
         train_m, test_m = two_cluster_matrices()
         model = train(train_m, TrainConfig(algorithm="nb"))
         report = evaluate_model(model, test_m)
-        assert report.matrix.total == len(test_m)
+        assert report.confusion.total == len(test_m)
         assert 0.0 <= report.accuracy <= 1.0
 
 

@@ -146,6 +146,17 @@ class TestLoadCorpus:
         with pytest.raises(DatasetError, match="format"):
             load_corpus(tmp_path / "x.csv", "xml")
 
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbfid,text,label\na1,alpha,0\nb2,beta,1\n")
+        assert load_corpus(path, "csv").ids == ["a1", "b2"]
+        path.write_bytes(b"\xef\xbb\xbftext,label\nalpha,0\n")
+        assert load_corpus(path, "csv").ids == ["row-0"]
+        path = tmp_path / "bom.jsonl"
+        path.write_bytes(b'\xef\xbb\xbf{"id": "a1", "text": "alpha", "label": 1}\n')
+        loaded = load_corpus(path, "jsonl")
+        assert (loaded.ids, loaded.labels) == (["a1"], [1])
+
     def test_csv_header_must_name_text_and_label(self, tmp_path):
         path = tmp_path / "head.csv"
         path.write_text("id,body\n1,hello\n")

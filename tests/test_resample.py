@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -137,6 +138,16 @@ class TestInterpolate:
         with pytest.raises(ValueError, match="stacked dim 3 != dim 2"):
             interpolate(_points([from_pairs(2, [])]), _points([from_pairs(3, [])]), 0.5)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_non_finite_result_raises(self):
+        big, small = _points([from_pairs(2, [(0, 1e308)])]), _points([from_pairs(2, [(0, -1e308)])])
+        with pytest.raises(ValueError, match="not finite"):
+            interpolate(big, small, 0.5)  # -1e308 - 1e308 overflows
+        for gap in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="not finite"):
+                interpolate(big, big, gap)
+        assert rows_of(interpolate(big, big, 0.5)) == rows_of(big)
+
     def test_takes_one_row_views_only(self):
         rng = np.random.default_rng(3)
         one = _points([rand_sparse(rng, 4)])
@@ -190,8 +201,11 @@ class TestKnnAdversarial:
             for k in set(ks) | {len(points) - 1, len(points) + 2}:
                 expected = exhaustive_knn(points, query, k)
                 assert knn(index, query, k) == expected, (query, k)
-                # A fresh index solves this query alone, in a block of one.
-                assert knn(index_of(points), query, k) == expected, (query, k)
+                # With a budget of one element, a fresh index solves this
+                # query alone, in a block of one, one pair per recheck chunk.
+                with pytest.MonkeyPatch.context() as patch:
+                    patch.setattr(resample, "_BLOCK_ENTRIES", 1)
+                    assert knn(index_of(points), query, k) == expected, (query, k)
 
     def test_exact_duplicates_tie_break_by_index(self):
         rng = np.random.default_rng(30)
