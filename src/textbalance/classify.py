@@ -9,7 +9,8 @@ config, same model, bit for bit.  Every matrix-vector product and every
 mean has one fixed summation order:
 
 - ``X @ w`` adds each row's products in entry order, starting from 0.0;
-- ``X.T @ r`` adds each column's products in row-major order, from 0.0;
+- ``X.rmatvec(r)`` (Xᵀr) adds each column's products in row-major order,
+  from 0.0;
 - a squared norm ``||w||^2`` (the L2 penalty and the SVM projection) is
   ``np.add.reduce(w * w)``, not a BLAS dot, whose kernel, and so whose
   summation order, is picked per CPU;
@@ -17,10 +18,11 @@ mean has one fixed summation order:
   computes it.
 
 The logistic and SVM fits form ``X @ w`` every epoch, so each builds
-``Xt = X.transpose()`` once and computes ``Xt.T @ w``: ``w`` spread over
-Xt's entries by ``np.repeat``, then one ``np.bincount`` over their rows.
-Xt keeps each row's entries in column order, so the sums are those of
-``X @ w``, bit for bit, without its gather and per-row chain.
+``Xt = X.transpose()`` once and computes ``Xt.rmatvec(w)``: ``w`` spread
+over Xt's entries by ``np.repeat``, then one ``np.bincount`` over their
+rows.  Xt keeps each row's entries in column order, so the sums are those
+of ``X @ w``, bit for bit, without its gather and per-row chain.  Every
+product of the two fits is therefore one `CsrView.rmatvec` call.
 
 The tree sorts the stored entries of its candidate columns by (column,
 value) once per fit; each node keeps its entries in that order, so no
@@ -177,39 +179,20 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
-def _logistic_grad(
-    z: np.ndarray, weights: np.ndarray, X, y: np.ndarray, l2: float
-) -> tuple[np.ndarray, float]:
-    """Gradient of the log loss at the scores ``z = Xw + b``."""
-    residuals = _sigmoid(z) - y
-    return X.T @ residuals / len(y) + l2 * weights, _mean(residuals)
-
-
-def logistic_loss_and_grad(
-    weights: np.ndarray, bias: float, X, y: np.ndarray, l2: float
-) -> tuple[float, np.ndarray, float]:
-    """Mean L2-regularized log loss and its analytic gradient.
-
-    loss = mean(log(1 + e^z) - y*z) + l2/2 * ||w||^2, z = Xw + b.
-    The bias is not regularized.  X is a dense array or a `CsrView`.
-    """
-    z = X @ weights + bias
-    loss = _mean(np.logaddexp(0.0, z) - y * z) + 0.5 * l2 * _squared_norm(weights)
-    return loss, *_logistic_grad(z, weights, X, y, l2)
-
-
 def _fit_logistic(matrix: FeatureMatrix, config: TrainConfig) -> LinearModel:
+    """Full-batch gradient descent from zero on the mean log loss plus
+    l2/2 * ||w||^2; the bias is not regularized."""
     X = matrix.csr
-    Xt = X.transpose()  # Xt.T @ w is X @ w, bit for bit
+    Xt = X.transpose()  # Xt.rmatvec(w) is X @ w, bit for bit
     y = matrix.labels_array().astype(np.float64)
     w = np.zeros(matrix.dim)
     b = 0.0
     # A diverging fit overflows to inf or NaN weights, which `train` rejects.
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(config.lr_epochs):
-            grad_w, grad_b = _logistic_grad(Xt.T @ w + b, w, X, y, config.l2)
-            w -= config.lr_learning_rate * grad_w
-            b -= config.lr_learning_rate * grad_b
+            residuals = _sigmoid(Xt.rmatvec(w) + b) - y
+            w -= config.lr_learning_rate * (X.rmatvec(residuals) / len(y) + config.l2 * w)
+            b -= config.lr_learning_rate * _mean(residuals)
     return LinearModel("logistic", matrix.dim, tuple(float(v) for v in w), float(b))
 
 
@@ -235,7 +218,7 @@ def _fit_svm(matrix: FeatureMatrix, config: TrainConfig) -> LinearModel:
     """
     n = len(matrix)
     X = matrix.csr
-    Xt = X.transpose()  # Xt.T @ w is X @ w, bit for bit
+    Xt = X.transpose()  # Xt.rmatvec(w) is X @ w, bit for bit
     y_pm = 2.0 * matrix.labels_array().astype(np.float64) - 1.0
     lam = 1.0 / (config.svm_C * n)
     if not 0.0 < lam < math.inf:
@@ -248,9 +231,9 @@ def _fit_svm(matrix: FeatureMatrix, config: TrainConfig) -> LinearModel:
     # A diverging fit overflows to inf or NaN weights, which `train` rejects.
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(1, config.svm_epochs + 1):
-            margins = y_pm * (Xt.T @ w[:-1] + w[-1])
+            margins = y_pm * (Xt.rmatvec(w[:-1]) + w[-1])
             pull = np.where(margins < 1.0, y_pm, 0.0)  # y of each margin violator
-            grad = lam * w - np.append(X.T @ pull, pull.sum()) / n
+            grad = lam * w - np.append(X.rmatvec(pull), pull.sum()) / n
             w -= (1.0 / (lam * t)) * grad
             norm = _norm(w)
             if norm > radius:

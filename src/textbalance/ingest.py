@@ -125,6 +125,12 @@ def _make_document(record: dict, index: int, where: str) -> LabeledDocument:
     if explicit == "":
         raise DatasetError(f"{where}: empty 'id' value")
     doc_id = explicit if explicit is not None else f"row-{index}"
+    for field, value in (("text", text), ("id", doc_id)):
+        try:
+            value.encode("utf-8")
+        except UnicodeEncodeError as exc:  # a lone surrogate from a JSON \ud800 escape
+            message = f"'{field}' does not encode as UTF-8 ({exc.reason})"
+            raise DatasetError(f"{where}: {message}") from exc
     return LabeledDocument(id=doc_id, text=text, label=label)
 
 

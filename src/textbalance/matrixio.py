@@ -4,7 +4,8 @@ Layout: a header line ``nrows ncols nnz`` followed by one ``row col value``
 triple per line, sorted by (row, col), 0-based, values finite and in
 shortest round-trip decimal form.  Any order loads, but a (row, col) pair
 may appear only once.  Row labels live in a sidecar file (default
-``<matrix>.labels``) holding a single column, one label per row.  Reading
+``<matrix>.labels``) holding a single column, one label per row.  Both
+files are UTF-8, and reading skips a leading byte-order mark.  Reading
 builds a `FeatureMatrix`'s CSR arrays directly.
 
 Writing works on the CSR arrays in chunks of `vectorize._CHUNK_ENTRIES`
@@ -63,7 +64,7 @@ def write_matrix(matrix: FeatureMatrix, path, labels_path=None) -> None:
 def read_matrix(path, labels_path=None) -> FeatureMatrix:
     path = Path(path)
     labels_path = default_labels_path(path) if labels_path is None else Path(labels_path)
-    text = path.read_text(encoding="utf-8")
+    text = path.read_text(encoding="utf-8-sig")
     parsed = _parse_fast(path, text)
     if parsed is None:
         parsed = _parse_checked(path, text.splitlines())
@@ -183,7 +184,7 @@ def _read_labels(labels_path: Path, n_rows: int) -> tuple[int, ...]:
     if not labels_path.exists():
         raise MatrixFormatError(f"label sidecar file not found: {labels_path}")
     labels = []
-    for line_num, line in enumerate(labels_path.read_text(encoding="utf-8").splitlines(), 1):
+    for line_num, line in enumerate(labels_path.read_text(encoding="utf-8-sig").splitlines(), 1):
         text = line.strip()
         if not text:
             continue

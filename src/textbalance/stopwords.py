@@ -29,12 +29,6 @@ class StopWordList:
         blob = "\n".join(sorted(self.words)) + "\n"
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
-    def __contains__(self, word: str) -> bool:
-        return word in self.words
-
-    def __len__(self) -> int:
-        return len(self.words)
-
 
 def _parse_lines(lines, name: str) -> StopWordList:
     words = set()
@@ -46,7 +40,8 @@ def _parse_lines(lines, name: str) -> StopWordList:
 
 
 def default_stopwords() -> StopWordList:
-    """The built-in English list; its hash is pinned at import time."""
+    """The built-in English list, checked against its pinned hash on
+    every call."""
     text = resources.files("textbalance").joinpath("stopwords_english.txt").read_text("utf-8")
     stops = _parse_lines(text.splitlines(), BUILTIN_NAME)
     if stops.sha256() != BUILTIN_SHA256:
@@ -55,7 +50,8 @@ def default_stopwords() -> StopWordList:
 
 
 def load_stopwords(path, name: str | None = None) -> StopWordList:
-    """Load an override list: one word per line, '#' starts a comment."""
+    """Load an override list: one word per line, '#' starts a comment.
+    The file is UTF-8; a leading byte-order mark is skipped."""
     path = Path(path)
-    with path.open("r", encoding="utf-8") as handle:
+    with path.open("r", encoding="utf-8-sig") as handle:
         return _parse_lines(handle, name if name is not None else path.name)

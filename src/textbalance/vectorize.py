@@ -61,12 +61,12 @@ class CsrView:
     (strictly increasing) with values ``data[...]``; ``row_lengths`` gives
     each row's entry count and ``row_ids`` each entry's row.
 
-    ``X @ w`` and ``X.T @ r`` are ``np.bincount`` sums over the stored
-    entries in row-major order, so their summation order is fixed and no
-    BLAS call is involved.  ``X @ w`` gathers ``w[indices]`` and adds each
-    row's products in one serial chain; a caller that forms it many times
-    over one matrix computes ``X.transpose().T @ w`` instead, which gives
-    the same bits faster (see `_CsrTranspose`).
+    ``X @ w`` and ``X.rmatvec(r)`` (Xᵀr) are ``np.bincount`` sums over
+    the stored entries in row-major order, so their summation order is
+    fixed and no BLAS call is involved.  ``X @ w`` gathers ``w[indices]``
+    and adds each row's products in one serial chain; a caller that forms
+    it many times over one matrix computes ``X.transpose().rmatvec(w)``
+    instead, which gives the same bits faster (see `rmatvec`).
     """
 
     def __init__(self, indptr: np.ndarray, indices: np.ndarray, data: np.ndarray, dim: int):
@@ -125,34 +125,21 @@ class CsrView:
         products *= self.data
         return np.bincount(self.row_ids, products, minlength=self.shape[0])
 
-    @property
-    def T(self) -> "_CsrTranspose":
-        return _CsrTranspose(self)
+    def rmatvec(self, residuals: np.ndarray) -> np.ndarray:
+        """Xᵀr.  Entry k's product is ``r[row] * data[k]``, with ``r``
+        spread over the entries by ``np.repeat`` (the same values a gather
+        by ``row_ids`` reads, without the gather).  Each column sum starts
+        from 0.0 and adds its products in row-major order.
 
-
-class _CsrTranspose:
-    """``X.T`` of a `CsrView`; supports ``X.T @ r`` only.
-
-    Entry k's product is ``r[row] * data[k]``, with ``r`` spread over the
-    entries by ``np.repeat`` (the same values a gather by ``row_ids``
-    reads, without the gather).  Each column sum starts from 0.0 and adds
-    its products in row-major order.
-
-    The linear fits also form ``X @ w`` this way, as ``Xt.T @ w`` with
-    ``Xt = X.transpose()``: for one row of X, Xt's entries come in
-    ascending column order, which is X's entry order, so each row sum adds
-    the same products in the same order as ``X @ w``, bit for bit.  The
-    spread and the column-sorted sums avoid the gather and the one long
-    chain of additions per row."""
-
-    def __init__(self, csr: CsrView):
-        self._csr = csr
-
-    def __matmul__(self, residuals: np.ndarray) -> np.ndarray:
-        csr = self._csr
-        products = np.repeat(residuals, csr.row_lengths)
-        products *= csr.data
-        return np.bincount(csr.indices, products, minlength=csr.shape[1])
+        The linear fits also form ``X @ w`` this way, as
+        ``Xt.rmatvec(w)`` with ``Xt = X.transpose()``: for one row of X,
+        Xt's entries come in ascending column order, which is X's entry
+        order, so each row sum adds the same products in the same order as
+        ``X @ w``, bit for bit.  The spread and the column-sorted sums
+        avoid the gather and the one long chain of additions per row."""
+        products = np.repeat(residuals, self.row_lengths)
+        products *= self.data
+        return np.bincount(self.indices, products, minlength=self.shape[1])
 
 
 class FeatureMatrix:

@@ -14,7 +14,7 @@ import numpy as np
 
 from conftest import dense_to_matrix, rand_matrix, rand_sparse, to_dense
 from oracles import csr_of, rows_of
-from textbalance.classify import TrainConfig, logistic_loss_and_grad, predict_batch, train
+from textbalance.classify import TrainConfig, predict_batch, train
 from textbalance.cli import main as cli_main
 from textbalance.evaluate import ConfusionMatrix, compare, confusion, metrics
 from textbalance.fixtures import two_vocab_corpus
@@ -190,6 +190,11 @@ def test_criterion_06_degenerate_metric_rendering():
 
 
 def test_criterion_07_logistic_gradient_check():
+    def loss(X, y, w, b, l2):
+        """Mean log loss at z = Xw + b plus l2/2 * ||w||^2 (bias unregularized)."""
+        z = X @ w + b
+        return float(np.mean(np.logaddexp(0.0, z) - y * z)) + 0.5 * l2 * float(w @ w)
+
     def body():
         rng = np.random.default_rng(107)
         started = time.perf_counter()
@@ -198,28 +203,31 @@ def test_criterion_07_logistic_gradient_check():
             dim = int(rng.integers(1, 11))
             X = rng.normal(size=(n, dim))
             y = rng.integers(0, 2, size=n).astype(np.float64)
-            w = rng.normal(size=dim) * 0.5
-            b = float(rng.normal())
+            y[:2] = (0.0, 1.0)  # both classes
             l2 = float(rng.uniform(0, 0.2))
-            _, grad_w, grad_b = logistic_loss_and_grad(w, b, X, y, l2)
+            # At learning rate 1, the second epoch steps from (w1, b1) by
+            # minus the gradient the fit computes there: grad = (w1 - w2, b1 - b2).
+            matrix = dense_to_matrix(X, y)
+            first, second = (
+                train(matrix, TrainConfig("logistic", lr_learning_rate=1.0, lr_epochs=k, l2=l2))
+                for k in (1, 2)
+            )
+            w, b = np.asarray(first.weights), first.bias
+            analytic = np.append(w - np.asarray(second.weights), b - second.bias)
             h = 1e-6
             fd = np.zeros(dim + 1)
-            for j in range(dim):
-                e = np.zeros(dim)
+            for j in range(dim + 1):
+                e = np.zeros(dim + 1)
                 e[j] = h
-                plus, _, _ = logistic_loss_and_grad(w + e, b, X, y, l2)
-                minus, _, _ = logistic_loss_and_grad(w - e, b, X, y, l2)
+                plus = loss(X, y, w + e[:dim], b + e[dim], l2)
+                minus = loss(X, y, w - e[:dim], b - e[dim], l2)
                 fd[j] = (plus - minus) / (2 * h)
-            plus, _, _ = logistic_loss_and_grad(w, b + h, X, y, l2)
-            minus, _, _ = logistic_loss_and_grad(w, b - h, X, y, l2)
-            fd[dim] = (plus - minus) / (2 * h)
-            analytic = np.concatenate([grad_w, [grad_b]])
             rel = np.linalg.norm(analytic - fd) / max(np.linalg.norm(fd), 1e-12)
             assert rel <= 1e-4, f"relative error {rel:.2e}"
         elapsed = time.perf_counter() - started
         assert elapsed < 5.0, f"took {elapsed:.2f}s"
 
-    _criterion(7, "analytic logistic gradient matches finite differences (rel <= 1e-4)", body)
+    _criterion(7, "logistic fit's gradient step matches finite differences (rel <= 1e-4)", body)
 
 
 def test_criterion_08_classifier_sanity():

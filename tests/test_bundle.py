@@ -24,7 +24,7 @@ from textbalance.bundle import (
     tfidf_from_dict,
     tfidf_to_dict,
 )
-from textbalance import matrixio
+from textbalance import cli, matrixio
 from textbalance.classify import ALGORITHMS, TrainConfig, predict_batch, train
 from textbalance.matrixio import (
     MatrixFormatError,
@@ -34,6 +34,10 @@ from textbalance.matrixio import (
 )
 from textbalance.stopwords import default_stopwords
 from textbalance.vectorize import FeatureMatrix, fit
+
+
+def readme() -> str:
+    return (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
 
 
 def fitted_tfidf():
@@ -188,10 +192,38 @@ class TestRecordFields:
     def test_readme_bundle_block_names_the_fields(self):
         """The README's "Model bundle" block lists one top-level key per
         unindented line; they must be `ModelBundle`'s fields."""
-        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-        block = re.search(r"\*\*Model bundle\*\*.*?```\n(.*?)```", readme, re.S).group(1)
+        block = re.search(r"\*\*Model bundle\*\*.*?```\n(.*?)```", readme(), re.S).group(1)
         keys = {line.split()[0] for line in block.splitlines() if line[:1].strip()}
         assert keys == {f.name for f in fields(ModelBundle)}
+
+
+class TestReadmeFlagTables:
+    """The README's flag lists name what the parser builds."""
+
+    def test_shared_flags_rows_match_the_parser(self):
+        table = re.search(r"\| command +\| shared flags +\|\n\|[-| ]+\|\n((?:\|.*\n)+)", readme())
+        rows = {}
+        for line in table.group(1).splitlines():
+            command, flags = (cell.strip().strip("`") for cell in line.strip("|").split("|"))
+            rows[command] = flags.split()
+        commands = cli.build_parser()._subparsers._group_actions[0].choices
+        parsed = {
+            name: [
+                flag
+                for action in command._actions
+                for flag in action.option_strings
+                if flag in cli._SHARED_FLAGS
+            ]
+            for name, command in commands.items()
+        }
+        assert rows == parsed
+
+    def test_hyperparameter_list_matches_train_config(self):
+        pattern = r"hyperparameter flags of `train` and\s+`report` \((.*?)\)"
+        listed = re.search(pattern, readme(), re.S)
+        flags = re.findall(r"`(--[a-z0-9-]+)`", listed.group(1))
+        hyper = [f.name for f in fields(TrainConfig) if f.name not in ("algorithm", "seed")]
+        assert sorted(flags) == sorted("--" + name.lower().replace("_", "-") for name in hyper)
 
 
 class TestMatrixIo:
@@ -218,6 +250,14 @@ class TestMatrixIo:
         lpath = tmp_path / "custom.labels"
         write_matrix(matrix, mpath, lpath)
         assert read_matrix(mpath, lpath) == matrix
+
+    def test_byte_order_marks_are_skipped(self, tmp_path):
+        matrix = rand_matrix(np.random.default_rng(45), n0=3, n1=2, dim=4)
+        path = tmp_path / "m.mtx"
+        write_matrix(matrix, path)
+        for marked in (path, default_labels_path(path)):  # the matrix, then both files
+            marked.write_text("\ufeff" + marked.read_text(encoding="utf-8"), encoding="utf-8")
+            assert read_matrix(path) == matrix
 
     def test_header_shape_enforced(self, tmp_path):
         path = tmp_path / "bad.mtx"
@@ -298,6 +338,7 @@ VALID_BODIES = {
     "unsorted_with_blank_lines": "3 3 4\n\n2 1 0.5\n   \n0 2 2.0\n\t\n1 0 1.0\n0 0 3.0\n",
     "vt_fs_crlf_no_final_newline": "3 3 3\x0b0 0 1.0\x1c1 1 2.0\r\n2 2 3.0",
     "tabs_and_unit_separator": "2 2 2\n0\t0  1.0 \n 1 1\x1f2.0\n",
+    "leading_byte_order_mark": "\ufeff2 2 2\n0 0 1.0\n1 1 2.0\n",
 }
 # Rejected: the checker words the error and names the line.
 INVALID_BODIES = {
@@ -338,8 +379,9 @@ class TestReaderFastPath:
     @pytest.mark.parametrize("name", sorted(VALID_BODIES))
     def test_valid_inputs_take_the_fast_path(self, tmp_path, monkeypatch, name):
         body = VALID_BODIES[name]
-        path = self.write(tmp_path, body, int(body.split()[0]))
-        assert matrixio._parse_fast(path, body) is not None
+        text = body.removeprefix("\ufeff")  # what `read_matrix` decodes
+        path = self.write(tmp_path, body, int(text.split()[0]))
+        assert matrixio._parse_fast(path, text) is not None
         assert not isinstance(self.assert_same_as_checker(path, monkeypatch), str)
 
     @pytest.mark.parametrize("name", sorted(INVALID_BODIES))

@@ -18,7 +18,6 @@ from textbalance.classify import (
     MultinomialNBModel,
     TrainConfig,
     TreeNode,
-    logistic_loss_and_grad,
     predict,
     predict_batch,
     train,
@@ -141,37 +140,37 @@ class TestLogistic:
             w = rng.normal(size=dim)
             b = float(rng.normal())
             l2 = float(rng.uniform(0, 0.1))
-            loss, grad_w, grad_b = logistic_loss_and_grad(w, b, X, y, l2)
+            matrix = dense_to_matrix(X, y)
+            loss, grad_w, grad_b = oracles.logistic_loss_and_grad(matrix, w, b, l2)
             h = 1e-6
             for j in range(dim):
                 e = np.zeros(dim)
                 e[j] = h
-                plus, _, _ = logistic_loss_and_grad(w + e, b, X, y, l2)
-                minus, _, _ = logistic_loss_and_grad(w - e, b, X, y, l2)
+                plus, _, _ = oracles.logistic_loss_and_grad(matrix, w + e, b, l2)
+                minus, _, _ = oracles.logistic_loss_and_grad(matrix, w - e, b, l2)
                 fd = (plus - minus) / (2 * h)
                 assert abs(grad_w[j] - fd) <= 1e-4 * max(1.0, abs(fd))
-            plus, _, _ = logistic_loss_and_grad(w, b + h, X, y, l2)
-            minus, _, _ = logistic_loss_and_grad(w, b - h, X, y, l2)
+            plus, _, _ = oracles.logistic_loss_and_grad(matrix, w, b + h, l2)
+            minus, _, _ = oracles.logistic_loss_and_grad(matrix, w, b - h, l2)
             fd_b = (plus - minus) / (2 * h)
             assert abs(grad_b - fd_b) <= 1e-4 * max(1.0, abs(fd_b))
 
     def test_bias_is_not_regularized(self):
-        X = np.array([[1.0], [-1.0]])
-        y = np.array([1.0, 0.0])
+        matrix = dense_to_matrix([[1.0], [-1.0]], [1, 0])
         w = np.zeros(1)
-        _, _, grad_b_small = logistic_loss_and_grad(w, 5.0, X, y, l2=0.0)
-        _, _, grad_b_large = logistic_loss_and_grad(w, 5.0, X, y, l2=10.0)
+        _, _, grad_b_small = oracles.logistic_loss_and_grad(matrix, w, 5.0, l2=0.0)
+        _, _, grad_b_large = oracles.logistic_loss_and_grad(matrix, w, 5.0, l2=10.0)
         assert grad_b_small == grad_b_large
 
     def test_training_reduces_loss(self):
         matrix = separable_matrix()
-        X = to_dense(matrix)
-        y = matrix.labels_array().astype(np.float64)
         config = TrainConfig(algorithm="logistic")
         model = train(matrix, config)
-        initial, _, _ = logistic_loss_and_grad(np.zeros(matrix.dim), 0.0, X, y, config.l2)
-        final, _, _ = logistic_loss_and_grad(
-            np.asarray(model.weights), model.bias, X, y, config.l2
+        initial, _, _ = oracles.logistic_loss_and_grad(
+            matrix, np.zeros(matrix.dim), 0.0, config.l2
+        )
+        final, _, _ = oracles.logistic_loss_and_grad(
+            matrix, np.asarray(model.weights), model.bias, config.l2
         )
         assert final < initial
 
@@ -558,9 +557,9 @@ def dense_logistic(matrix: FeatureMatrix, config: TrainConfig):
     w = np.zeros(matrix.dim)
     b = 0.0
     for _ in range(config.lr_epochs):
-        _, grad_w, grad_b = logistic_loss_and_grad(w, b, X, y, config.l2)
-        w -= config.lr_learning_rate * grad_w
-        b -= config.lr_learning_rate * grad_b
+        residuals = oracles.masked_sigmoid(X @ w + b) - y
+        w -= config.lr_learning_rate * (X.T @ residuals / len(y) + config.l2 * w)
+        b -= config.lr_learning_rate * float(np.mean(residuals))
     return w, b
 
 
@@ -705,20 +704,6 @@ class TestDenseOracles:
             config = TrainConfig(algorithm="tree", tree_max_depth=2, tree_max_features=3)
             assert train(matrix, config).nodes == dense_tree(matrix, config)
 
-    def test_logistic_loss_and_grad_on_csr_view_matches_dense(self):
-        rng = np.random.default_rng(72)
-        for _ in range(100):
-            matrix = oracle_matrix(rng)
-            y = matrix.labels_array().astype(np.float64)
-            w = rng.normal(size=matrix.dim)
-            b = float(rng.normal())
-            l2 = float(rng.uniform(0, 0.1))
-            dense = logistic_loss_and_grad(w, b, to_dense(matrix), y, l2)
-            sparse = logistic_loss_and_grad(w, b, matrix.csr, y, l2)
-            assert abs(sparse[0] - dense[0]) <= 1e-12
-            np.testing.assert_allclose(sparse[1], dense[1], rtol=0, atol=1e-12)
-            assert abs(sparse[2] - dense[2]) <= 1e-12
-
     def test_logistic_fit_matches_dense_reference(self):
         rng = np.random.default_rng(73)
         config = TrainConfig(algorithm="logistic", lr_epochs=100)
@@ -768,18 +753,6 @@ def fit_matrices(rng: np.random.Generator, count: int):
 
 class TestExactFitReferences:
     """Each fit equals, bit for bit, its plain loop form in `tests/oracles.py`."""
-
-    def test_logistic_loss_and_grad_on_csr_view_equals_reference(self):
-        rng = np.random.default_rng(80)
-        for matrix in fit_matrices(rng, 80):
-            y = matrix.labels_array().astype(np.float64)
-            w = rng.normal(size=matrix.dim) * (rng.random(matrix.dim) < 0.7)
-            b, l2 = float(rng.normal()), float(rng.uniform(0, 0.1))
-            loss, grad_w, grad_b = logistic_loss_and_grad(w, b, matrix.csr, y, l2)
-            ref_loss, ref_grad_w, ref_grad_b = oracles.logistic_loss_and_grad(matrix, w, b, l2)
-            assert _bits(loss) == _bits(ref_loss)
-            assert np.array_equal(_bits(grad_w), _bits(ref_grad_w))
-            assert _bits(grad_b) == _bits(ref_grad_b)
 
     def test_logistic_fit_equals_reference(self):
         rng = np.random.default_rng(81)
@@ -859,8 +832,10 @@ class TestExactFitReferences:
 
 
 class TestLinearFitProducts:
-    """Each linear fit transposes X once and forms every ``X @ w`` as
-    ``Xt.T @ w``; the gather-and-chain `CsrView.__matmul__` never runs."""
+    """Each linear fit transposes X once and forms every product with
+    `CsrView.rmatvec`, two per epoch: ``X @ w`` as ``Xt.rmatvec(w)`` and Xᵀr
+    as ``X.rmatvec(r)``.  The gather-and-chain `CsrView.__matmul__` never
+    runs."""
 
     @pytest.mark.parametrize(
         "fit",
@@ -872,9 +847,9 @@ class TestLinearFitProducts:
     )
     def test_one_transpose_and_no_row_matmul_per_fit(self, monkeypatch, fit):
         matrix = rand_matrix(np.random.default_rng(85), n0=12, n1=9, dim=15)
-        calls = {"transpose": 0, "matmul": 0}
+        calls = {"transpose": 0, "matmul": 0, "rmatvec": 0}
         transposes = []
-        transpose, matmul = CsrView.transpose, CsrView.__matmul__
+        transpose, matmul, rmatvec = CsrView.transpose, CsrView.__matmul__, CsrView.rmatvec
 
         def counted_transpose(self):
             calls["transpose"] += 1
@@ -885,10 +860,15 @@ class TestLinearFitProducts:
             calls["matmul"] += 1
             return matmul(self, weights)
 
+        def counted_rmatvec(self, residuals):
+            calls["rmatvec"] += 1
+            return rmatvec(self, residuals)
+
         monkeypatch.setattr(CsrView, "transpose", counted_transpose)
         monkeypatch.setattr(CsrView, "__matmul__", counted_matmul)
+        monkeypatch.setattr(CsrView, "rmatvec", counted_rmatvec)
         fit(matrix)
-        assert calls == {"transpose": 1, "matmul": 0}
+        assert calls == {"transpose": 1, "matmul": 0, "rmatvec": 2 * 7}
         # The fit reads no entry's row of the transpose, so it never builds them.
         assert "row_ids" not in vars(transposes[0])
 

@@ -130,6 +130,32 @@ class TestRuntimeErrors:
         assert err.startswith("error [ingest]")
         assert "line 3: malformed CSV (field larger than field limit" in err
 
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["train", "--algo", "nb", "--split-manifest", "manifest.json"],
+            ["report", "--algos", "nb"],
+            ["scatter"],
+        ],
+        ids=["train", "report", "scatter"],
+    )
+    @pytest.mark.parametrize("field", ["text", "id"])
+    def test_lone_surrogate_exits_2_in_ingest_and_writes_nothing(
+        self, tmp_path, capsys, monkeypatch, command, field
+    ):
+        # The JSON escape \ud800 spells a lone surrogate, which UTF-8 cannot
+        # encode; every command stops at ingest, before any work.
+        records = [{"text": f"post {i} cheap offer", "label": i % 2} for i in range(60)]
+        records[3][field] = "bad \ud800 value"
+        path = tmp_path / "posts.jsonl"
+        path.write_text("".join(json.dumps(record) + "\n" for record in records))
+        monkeypatch.chdir(tmp_path)
+        code = run([*command, "--data", path, "--format", "jsonl", "--out", "result"])
+        assert code == 2
+        message = f"record 4: '{field}' does not encode as UTF-8 (surrogates not allowed)"
+        assert capsys.readouterr().err == f"error [ingest] {message}\n"
+        assert list(tmp_path.iterdir()) == [path]
+
     def test_missing_bundle_exits_2(self, tmp_path, capsys):
         code = run(["predict", "--bundle", tmp_path / "nope.json", "hello"])
         assert code == 2

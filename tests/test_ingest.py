@@ -157,6 +157,17 @@ class TestLoadCorpus:
         loaded = load_corpus(path, "jsonl")
         assert (loaded.ids, loaded.labels) == (["a1"], [1])
 
+    @pytest.mark.parametrize("field", ["text", "id"])
+    def test_lone_surrogate_rejected(self, tmp_path, field):
+        # The escape \ud800 spells a lone surrogate, which UTF-8 cannot encode.
+        record = {"id": "a1", "text": "alpha", "label": 0, field: "bad \ud800 value"}
+        path = tmp_path / "surrogate.jsonl"
+        path.write_text(json.dumps({"text": "ok", "label": 1}) + "\n" + json.dumps(record) + "\n")
+        assert "\\ud800" in path.read_text()
+        message = f"^record 2: '{field}' does not encode as UTF-8 \\(surrogates not allowed\\)$"
+        with pytest.raises(DatasetError, match=message):
+            load_corpus(path, "jsonl")
+
     def test_csv_header_must_name_text_and_label(self, tmp_path):
         path = tmp_path / "head.csv"
         path.write_text("id,body\n1,hello\n")

@@ -309,3 +309,10 @@ class TestStopWords:
         a.write_text("zebra\napple\n")
         b.write_text("apple\nzebra\n")  # different order, same set
         assert load_stopwords(a).sha256() == load_stopwords(b).sha256()
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+        plain.write_text("cheap\ncash\n", encoding="utf-8")
+        marked.write_text("\ufeffcheap\ncash\n", encoding="utf-8")
+        assert load_stopwords(marked).words == load_stopwords(plain).words == {"cheap", "cash"}
+        assert load_stopwords(marked).sha256() == load_stopwords(plain).sha256()

@@ -195,8 +195,9 @@ def _transpose_cases() -> list[np.ndarray]:
 
 
 class TestCsrTranspose:
-    """`CsrView.transpose` lists each column's rows in ascending order, and
-    ``X.transpose().T @ w`` is ``X @ w`` bit for bit."""
+    """`CsrView.transpose` lists each column's rows in ascending order,
+    ``X.transpose().rmatvec(w)`` is ``X @ w`` and ``X.rmatvec(r)`` is Xᵀr,
+    bit for bit."""
 
     @pytest.mark.parametrize("dense", _transpose_cases())
     def test_shape_and_ascending_rows_per_column(self, dense):
@@ -223,6 +224,13 @@ class TestCsrTranspose:
         specials = np.array(
             [0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e308, -1e308, np.inf, -np.inf, np.nan]
         )
+
+        def draw(size):
+            v = rng.normal(size=size) * 10.0 ** rng.integers(-5, 6, size=size)
+            special = rng.random(size) < 0.5
+            v[special] = rng.choice(specials, size=int(special.sum()))
+            return v
+
         for trial in range(200):
             matrix = oracle_matrix(rng)
             if trial % 4 == 3:  # columns of more than 16 rows
@@ -232,13 +240,16 @@ class TestCsrTranspose:
             Xt = matrix.csr.transpose()
             with np.errstate(over="ignore", invalid="ignore"):
                 for _ in range(5):
-                    w = rng.normal(size=matrix.dim) * 10.0 ** rng.integers(-5, 6, size=matrix.dim)
-                    special = rng.random(matrix.dim) < 0.5
-                    w[special] = rng.choice(specials, size=int(special.sum()))
-                    got, want = Xt.T @ w, oracles.matvec(matrix, w)
-                    nan = np.isnan(want)
-                    assert np.array_equal(np.isnan(got), nan), trial
-                    assert np.array_equal(got[~nan].view(np.int64), want[~nan].view(np.int64)), trial
+                    w, r = draw(matrix.dim), draw(len(matrix))
+                    for got, want in (
+                        (Xt.rmatvec(w), oracles.matvec(matrix, w)),
+                        (matrix.csr.rmatvec(r), oracles.rmatvec(matrix, r)),
+                    ):
+                        nan = np.isnan(want)
+                        assert np.array_equal(np.isnan(got), nan), trial
+                        assert np.array_equal(
+                            got[~nan].view(np.int64), want[~nan].view(np.int64)
+                        ), trial
 
 
 class TestFit:
