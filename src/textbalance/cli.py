@@ -443,9 +443,11 @@ def cmd_report(args) -> int:
 
 
 def _project_rows(matrix, seed: int) -> list[tuple[float, float]]:
-    """Each row times two seeded gaussian vectors, drawn interleaved."""
+    """Each row times two seeded random-sign vectors (Achlioptas 2003),
+    drawn interleaved: draw j's top bit makes entry j +1.0 (0) or -1.0 (1)."""
     rng = derive_stream(seed, STREAM_PROJECTION)
-    gx, gy = np.array([rng.next_gaussian() for _ in range(2 * matrix.dim)]).reshape(-1, 2).T
+    signs = [1.0 - 2.0 * (rng.next_u64() >> 63) for _ in range(2 * matrix.dim)]
+    gx, gy = np.array(signs).reshape(-1, 2).T
     return list(zip((matrix.csr @ gx).tolist(), (matrix.csr @ gy).tolist()))
 
 
@@ -466,7 +468,7 @@ def _scatter_svg(points, labels, n_original: int) -> str:
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
-        "<!-- seeded gaussian random 2-d projection of the training matrix -->",
+        "<!-- seeded random-sign 2-d projection of the training matrix -->",
         f'<rect width="{width}" height="{height}" fill="white"/>',
     ]
     for (x, y), label, idx in zip(points, labels, range(len(points))):
@@ -494,7 +496,7 @@ def cmd_scatter(args) -> int:
         points = _project_rows(matrix, args.seed)
     with _stage("write"):
         lines = [
-            f"# seeded gaussian random 2-d projection (seed={args.seed}, smote={args.smote})",
+            f"# seeded random-sign 2-d projection (seed={args.seed}, smote={args.smote})",
             "x,y,class,synthetic",
         ]
         for idx, ((x, y), label) in enumerate(zip(points, matrix.labels)):

@@ -30,6 +30,14 @@ class LabeledDocument:
     def __post_init__(self):
         if self.label not in VALID_LABELS:
             raise DatasetError(f"label must be 0 or 1, got {self.label!r}")
+        for field in ("text", "id"):
+            value = getattr(self, field)
+            if not isinstance(value, str):
+                raise DatasetError(f"'{field}' must be a string")
+            try:
+                value.encode("utf-8")
+            except UnicodeEncodeError as exc:  # a lone surrogate, e.g. from a JSON \ud800 escape
+                raise DatasetError(f"'{field}' does not encode as UTF-8 ({exc.reason})") from exc
 
 
 @dataclass(frozen=True)
@@ -114,8 +122,6 @@ def _make_document(record: dict, index: int, where: str) -> LabeledDocument:
     if "label" not in record or record["label"] is None:
         raise DatasetError(f"{where}: missing 'label' field")
     text = record["text"]
-    if not isinstance(text, str):
-        raise DatasetError(f"{where}: 'text' must be a string")
     if text == "":
         raise DatasetError(f"{where}: empty text")
     label = _parse_label(record["label"], where)
@@ -125,13 +131,10 @@ def _make_document(record: dict, index: int, where: str) -> LabeledDocument:
     if explicit == "":
         raise DatasetError(f"{where}: empty 'id' value")
     doc_id = explicit if explicit is not None else f"row-{index}"
-    for field, value in (("text", text), ("id", doc_id)):
-        try:
-            value.encode("utf-8")
-        except UnicodeEncodeError as exc:  # a lone surrogate from a JSON \ud800 escape
-            message = f"'{field}' does not encode as UTF-8 ({exc.reason})"
-            raise DatasetError(f"{where}: {message}") from exc
-    return LabeledDocument(id=doc_id, text=text, label=label)
+    try:
+        return LabeledDocument(id=doc_id, text=text, label=label)
+    except DatasetError as exc:
+        raise DatasetError(f"{where}: {exc}") from exc
 
 
 def _iter_csv_records(path: Path):

@@ -13,8 +13,6 @@ generators" (the java.util.SplittableRandom mixing constants).
 
 from __future__ import annotations
 
-import math
-
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
@@ -40,7 +38,6 @@ class SplitMix64:
 
     def __init__(self, seed: int):
         self._state = seed & _MASK64
-        self._spare_gaussian: float | None = None
 
     def next_u64(self) -> int:
         value = mix64(self._state)
@@ -56,20 +53,6 @@ class SplitMix64:
         if bound <= 0:
             raise ValueError(f"bound must be positive, got {bound}")
         return (self.next_u64() * bound) >> 64
-
-    def next_gaussian(self) -> float:
-        """Standard normal via Box-Muller; pairs are cached."""
-        if self._spare_gaussian is not None:
-            value = self._spare_gaussian
-            self._spare_gaussian = None
-            return value
-        # (u64 + 1) * 2**-64 lies in (0, 1], keeping log() finite.
-        u1 = (self.next_u64() + 1) * 2.0**-64
-        u2 = self.next_float()
-        radius = math.sqrt(-2.0 * math.log(u1))
-        theta = 2.0 * math.pi * u2
-        self._spare_gaussian = radius * math.sin(theta)
-        return radius * math.cos(theta)
 
     def shuffle(self, items: list) -> None:
         """In-place Fisher-Yates shuffle (descending index convention)."""

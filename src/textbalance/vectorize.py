@@ -66,7 +66,9 @@ class CsrView:
     fixed and no BLAS call is involved.  ``X @ w`` gathers ``w[indices]``
     and adds each row's products in one serial chain; a caller that forms
     it many times over one matrix computes ``X.transpose().rmatvec(w)``
-    instead, which gives the same bits faster (see `rmatvec`).
+    instead, which gives the same bits faster (see `rmatvec`).  Both
+    return float64, also with no stored entries, where ``np.bincount``
+    ignores its weights and counts in int64.
     """
 
     def __init__(self, indptr: np.ndarray, indices: np.ndarray, data: np.ndarray, dim: int):
@@ -123,7 +125,8 @@ class CsrView:
         # trim and re-fault the heap on every call.
         products = weights[self.indices]
         products *= self.data
-        return np.bincount(self.row_ids, products, minlength=self.shape[0])
+        sums = np.bincount(self.row_ids, products, minlength=self.shape[0])
+        return sums.astype(np.float64, copy=False)
 
     def rmatvec(self, residuals: np.ndarray) -> np.ndarray:
         """Xᵀr.  Entry k's product is ``r[row] * data[k]``, with ``r``
@@ -139,7 +142,8 @@ class CsrView:
         avoid the gather and the one long chain of additions per row."""
         products = np.repeat(residuals, self.row_lengths)
         products *= self.data
-        return np.bincount(self.indices, products, minlength=self.shape[1])
+        sums = np.bincount(self.indices, products, minlength=self.shape[1])
+        return sums.astype(np.float64, copy=False)
 
 
 class FeatureMatrix:

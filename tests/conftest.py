@@ -1,11 +1,27 @@
-"""Shared helpers for building random sparse test data."""
+"""Shared helpers for building random sparse test data and for running
+the CLI in a child interpreter."""
 
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 
+import textbalance
 from oracles import SparseVector, csr_of, from_pairs, rows_of
 from textbalance.vectorize import CsrView, FeatureMatrix
+
+_CHILD_MAIN = """
+import json, sys
+from textbalance.cli import main
+for argv in json.loads(sys.argv[1]):
+    if main(argv) != 0:
+        sys.exit(f"exit != 0: {argv}")
+"""
 
 
 def rand_sparse(
@@ -84,3 +100,34 @@ def oracle_matrix(rng: np.random.Generator, nonneg: bool = False) -> FeatureMatr
     y = rng.integers(0, 2, size=n)
     y[: 2] = (0, 1)
     return dense_to_matrix(X + 0.0, y)  # + 0.0 turns -0.0 into 0.0
+
+
+def cli_outputs_in_child(calls, env: dict, workdir: Path) -> dict[str, bytes]:
+    """Run each argv in ``calls`` through ``cli.main`` in one new
+    interpreter, in the new directory ``workdir``, and return the bytes of
+    every file written there by name, plus the child's ``"stdout"``.
+
+    ``env`` is laid over this process's environment; a ``None`` value
+    unsets a variable.  Settings that a process reads only at start-up,
+    such as ``GLIBC_TUNABLES`` or ``NPY_DISABLE_CPU_FEATURES``, take effect
+    this way, so a test can compare outputs with and without a CPU
+    dispatch cap.  Every call must exit 0."""
+    child_env = dict(os.environ, PYTHONPATH=str(Path(textbalance.__file__).parents[1]))
+    for name, value in env.items():
+        if value is None:
+            child_env.pop(name, None)
+        else:
+            child_env[name] = value
+    workdir.mkdir()
+    argvs = json.dumps([[str(a) for a in argv] for argv in calls])
+    proc = subprocess.run(
+        [sys.executable, "-c", _CHILD_MAIN, argvs],
+        cwd=workdir,
+        env=child_env,
+        capture_output=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr.decode(errors="replace")
+    outputs = {path.name: path.read_bytes() for path in sorted(workdir.iterdir())}
+    outputs["stdout"] = proc.stdout
+    return outputs

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import platform
 import subprocess
 import sys
 import time
@@ -16,7 +17,7 @@ import pytest
 
 import oracles
 import textbalance
-from conftest import rand_matrix
+from conftest import cli_outputs_in_child, rand_matrix
 from textbalance import bundle as bundle_mod
 from textbalance import classify, evaluate, preprocess, stopwords, vectorize
 from textbalance.classify import ALGORITHMS, TrainConfig
@@ -25,7 +26,7 @@ from textbalance.fixtures import two_vocab_corpus
 from textbalance.ingest import Corpus, LabeledDocument, write_corpus
 from textbalance.matrixio import read_matrix, write_matrix
 from textbalance.resample import SmoteConfig
-from textbalance.rng import STREAM_PROJECTION, derive_stream
+from textbalance.rng import STREAM_PROJECTION, SplitMix64, derive_stream
 
 
 @pytest.fixture()
@@ -1083,8 +1084,8 @@ class TestScatter:
         tokens = preprocess.preprocess_corpus(corpus, stopwords.default_stopwords())
         matrix = vectorize.transform_corpus(vectorize.fit(tokens), tokens, corpus.labels)
         rng = derive_stream(6, STREAM_PROJECTION)
-        g = [(rng.next_gaussian(), rng.next_gaussian()) for _ in range(matrix.dim)]
-        gx, gy = [x for x, _ in g], [y for _, y in g]
+        signs = [-1.0 if rng.next_u64() >> 63 else 1.0 for _ in range(2 * matrix.dim)]
+        gx, gy = signs[0::2], signs[1::2]
         expected = [
             f"{oracles.dot(row, gx, start=0.0)!r},{oracles.dot(row, gy, start=0.0)!r},{label},false"
             for row, label in zip(oracles.rows_of(matrix.csr), matrix.labels)
@@ -1098,3 +1099,45 @@ class TestScatter:
         for out in (a, b):
             assert run(["scatter", "--data", dataset, "--out", out, "--seed", 9]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_matrix_without_entries_writes_float_zeros(self, tmp_path):
+        # Every post is stop words only, so the matrix has no stored entry.
+        texts = ["the of and", "a to in", "is it of", "and the a"]
+        docs = [LabeledDocument(id=f"d{i}", text=t, label=i % 2) for i, t in enumerate(texts)]
+        data = tmp_path / "stop.csv"
+        write_corpus(Corpus.from_documents(docs), data, "csv")
+        out = tmp_path / "points.csv"
+        assert run(["scatter", "--data", data, "--out", out, "--svg", tmp_path / "p.svg"]) == 0
+        assert out.read_text().split("\n")[2:-1] == [f"0.0,0.0,{i % 2},false" for i in range(4)]
+
+    def test_bytes_do_not_depend_on_glibc_math_kernels(self, tmp_path):
+        # glibc picks FMA or AVX2 variants of log, sin, cos and exp per
+        # CPU; the tunable masks them in the one child whose loader reads it.
+        try:
+            libc = os.confstr("CS_GNU_LIBC_VERSION")
+        except (AttributeError, ValueError, OSError):
+            libc = None
+        if not libc or platform.machine() != "x86_64":
+            pytest.skip(f"needs x86-64 glibc; libc {libc!r}, machine {platform.machine()!r}")
+        rng = SplitMix64(21)
+        docs = [
+            LabeledDocument(
+                id=f"p{i}",
+                text=" ".join(f"w{rng.next_below(6000):04d}x" for _ in range(20)),
+                label=int(i % 5 == 4),
+            )
+            for i in range(300)
+        ]
+        data = tmp_path / "posts.csv"
+        write_corpus(Corpus.from_documents(docs), data, "csv")
+        calls = [
+            ["scatter", "--data", data, "--seed", seed,
+             "--out", f"s{seed}.csv", "--svg", f"s{seed}.svg"]
+            for seed in range(1, 9)
+        ]
+        plain = cli_outputs_in_child(calls, {"GLIBC_TUNABLES": None}, tmp_path / "plain")
+        capped = cli_outputs_in_child(
+            calls, {"GLIBC_TUNABLES": "glibc.cpu.hwcaps=-FMA,-AVX2"}, tmp_path / "capped"
+        )
+        assert len(plain) == 17 and capped.keys() == plain.keys()
+        assert [name for name in plain if capped[name] != plain[name]] == []

@@ -50,19 +50,19 @@ GOLDEN = {
     "seed7-predict": "da3ed4de10450037c85b9b6514eb522a7be246cf35dc433cacb5e6a3cfb11870",
     "seed7-evaluate": "235726709270f21bae88fd46201e1effc5a5bdff99211359988a5d92a69bfc1d",
     "seed7-report": "dabf6e1de9bba5b7b35d2be280c38934cae3f6fdbbe722c6e9c90b50a0a018c2",
-    "seed7-scatter": "0de601e14eae7f3e7ad2b64879c163ad374248e37463df949ce6d58bd4355a61",
+    "seed7-scatter": "ec0592e50a084f74ee40f061bf80aa740f640170dc024fd4014139dd9334b22a",
     "seed7-oversample": "eed630c8fa349f4013d9b25f37cd725515040c55769154a55b5954cd1f1751dd",
     "seed11-train": "34e0c64326c01a15dfb65927eea3feb06c0c7ae63ad0c1b1378f543bb51bffc6",
     "seed11-predict": "af4c662d666a2494ccf3f0f43bd4eeb0cba8c6c88ff07eaabe7392ee2a69211d",
     "seed11-evaluate": "b86ad2221830460f467202b2d8196306be564a150e93904899db3d6efd9bb7f5",
     "seed11-report": "8b0077905cd3dde59de2086768915523d00abd2af1bfb28e89fabcd77f80cf56",
-    "seed11-scatter": "d12d7996e2900114818e9d9722b4cdfeda7fb3f0709ae0744da91bd2746a22a5",
+    "seed11-scatter": "2bfef8c10ca244e62b3e1e29a9ca173fda86b2944b2105bc51d51d8242d27da5",
     "seed11-oversample": "3d801af2f6b69860b1bd87aa94c8560a50fe37506a4dddbc2b3cfeae342dcd18",
     "seed13-train": "fce501a9cc301eeb98306776f9253ba336e6377ea0d7e898377d51890b96e141",
     "seed13-predict": "3e7c28fdf176a268dd62a9729b7e3f18bd059dc8bb621bf0c778a7a1ac014239",
     "seed13-evaluate": "ad29b1c0f3af69bdd6fb15a2ff47e9b05eb12f8a3188e02f360d66ef93f8f44e",
     "seed13-report": "ca22b58543f36e5dd53536654d5384da34cf485cce82c4d6f6094c1800988b63",
-    "seed13-scatter": "4d1755df4e151e52287f4984ada7bbd3bbe87f8e9cec016c92cbd3e782be9124",
+    "seed13-scatter": "caa16d4e1f5bc4cafd15e4a5fe206dc4adc8fbe180739776fbb8bd1a8e7f0c9d",
     "seed13-oversample": "a9371c9539c5d6b00bdf4271abece7a5a25d4f02da496ec238c5892b64bc10c3",
 }
 

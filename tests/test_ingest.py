@@ -32,6 +32,20 @@ class TestLabeledDocument:
         assert LabeledDocument(id="a", text="x", label=0).label == 0
         assert LabeledDocument(id="a", text="x", label=1).label == 1
 
+    @pytest.mark.parametrize("field", ["text", "id"])
+    def test_rejects_lone_surrogate(self, field):
+        # UTF-8 cannot encode a lone surrogate, so Corpus.digest could not hash it.
+        fields = {"id": "a", "text": "x", "label": 0, field: "bad \ud800 value"}
+        message = f"^'{field}' does not encode as UTF-8 \\(surrogates not allowed\\)$"
+        with pytest.raises(DatasetError, match=message):
+            LabeledDocument(**fields)
+
+    @pytest.mark.parametrize("field", ["text", "id"])
+    def test_rejects_non_string(self, field):
+        fields = {"id": "a", "text": "x", "label": 0, field: 5}
+        with pytest.raises(DatasetError, match=f"^'{field}' must be a string$"):
+            LabeledDocument(**fields)
+
 
 class TestCorpus:
     def test_class_counts(self):

@@ -197,7 +197,7 @@ def _transpose_cases() -> list[np.ndarray]:
 class TestCsrTranspose:
     """`CsrView.transpose` lists each column's rows in ascending order,
     ``X.transpose().rmatvec(w)`` is ``X @ w`` and ``X.rmatvec(r)`` is Xᵀr,
-    bit for bit."""
+    bit for bit, and every product is float64."""
 
     @pytest.mark.parametrize("dense", _transpose_cases())
     def test_shape_and_ascending_rows_per_column(self, dense):
@@ -231,20 +231,24 @@ class TestCsrTranspose:
             v[special] = rng.choice(specials, size=int(special.sum()))
             return v
 
-        for trial in range(200):
+        for trial in range(201):
             matrix = oracle_matrix(rng)
             if trial % 4 == 3:  # columns of more than 16 rows
                 n = int(rng.integers(17, 120))
                 dense = rng.normal(size=(n, 3)) * (rng.random((n, 3)) < 0.9)
                 matrix = dense_to_matrix(dense + 0.0, np.arange(n) % 2)
+            if trial == 200:  # no stored entry: np.bincount alone would count in int64
+                matrix = dense_to_matrix(np.zeros((4, 3)), np.arange(4) % 2)
             Xt = matrix.csr.transpose()
             with np.errstate(over="ignore", invalid="ignore"):
                 for _ in range(5):
                     w, r = draw(matrix.dim), draw(len(matrix))
                     for got, want in (
                         (Xt.rmatvec(w), oracles.matvec(matrix, w)),
+                        (matrix.csr @ w, oracles.matvec(matrix, w)),
                         (matrix.csr.rmatvec(r), oracles.rmatvec(matrix, r)),
                     ):
+                        assert got.dtype == np.float64, trial
                         nan = np.isnan(want)
                         assert np.array_equal(np.isnan(got), nan), trial
                         assert np.array_equal(
