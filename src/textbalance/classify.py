@@ -2,27 +2,29 @@
 
 All four are trained from scratch on the matrix's CSR view, without
 dense copies: multinomial naive Bayes with Laplace smoothing (fractional
-feature mass is allowed), full-batch gradient-descent logistic
-regression, a primal linear SVM with the Pegasos step schedule, and a
-greedy Gini CART tree.  Training is deterministic: same matrix and
-config, same model, bit for bit.  Every matrix-vector product and every
-mean has one fixed summation order:
+feature mass is allowed), L2-regularized logistic regression, the
+L2-loss (squared hinge) linear SVM, and a greedy Gini CART tree.  The two
+linear fits share one loop: accelerated gradient descent (FISTA, Beck &
+Teboulle 2009) with gradient restart (O'Donoghue & Candès 2015) and a
+fixed step 1/L, where L comes from the squared Frobenius norm of [X, 1],
+so no objective is ever evaluated.  Training is deterministic: same matrix and config, same
+model, bit for bit.  Every matrix-vector product and every sum has one
+fixed summation order:
 
 - ``X @ w`` adds each row's products in entry order, starting from 0.0;
 - ``X.rmatvec(r)`` (Xᵀr) adds each column's products in row-major order,
   from 0.0;
-- a squared norm ``||w||^2`` (the L2 penalty and the SVM projection) is
-  ``np.add.reduce(w * w)``, not a BLAS dot, whose kernel, and so whose
-  summation order, is picked per CPU;
-- a mean is ``np.add.reduce`` of the values divided by n, as ``np.mean``
-  computes it.
+- a sum over a vector (the bias gradient, the restart test's dot
+  product, ‖X‖_F²) is one ``np.add.reduce``, not a BLAS dot, whose
+  kernel, and so whose summation order, is picked per CPU.
 
-The logistic and SVM fits form ``X @ w`` every epoch, so each builds
+The linear fits form ``X @ w`` every epoch, so each builds
 ``Xt = X.transpose()`` once and computes ``Xt.rmatvec(w)``: ``w`` spread
 over Xt's entries by ``np.repeat``, then one ``np.bincount`` over their
 rows.  Xt keeps each row's entries in column order, so the sums are those
 of ``X @ w``, bit for bit, without its gather and per-row chain.  Every
-product of the two fits is therefore one `CsrView.rmatvec` call.
+product of the two fits is therefore one `CsrView.rmatvec` call, two per
+epoch.
 
 The tree sorts the stored entries of its candidate columns by (column,
 value) once per fit; each node keeps its entries in that order, so no
@@ -57,12 +59,10 @@ ALGORITHM_TITLES = {
 @dataclass(frozen=True)
 class TrainConfig:
     algorithm: str
-    seed: int = 0
-    lr_learning_rate: float = 0.1
-    lr_epochs: int = 300
+    lr_epochs: int = 200
     l2: float = 1e-4
     svm_C: float = 1.0
-    svm_epochs: int = 300
+    svm_epochs: int = 200
     nb_alpha: float = 1.0
     tree_max_depth: int = 10
     tree_min_samples_split: int = 2
@@ -73,11 +73,10 @@ class TrainConfig:
             raise ValueError(
                 f"unknown algorithm {self.algorithm!r} (expected one of {ALGORITHMS})"
             )
-        for name in ("lr_learning_rate", "l2", "svm_C", "nb_alpha"):
+        for name in ("l2", "svm_C", "nb_alpha"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         positives = {
-            "lr_learning_rate": self.lr_learning_rate,
             "lr_epochs": self.lr_epochs,
             "svm_C": self.svm_C,
             "svm_epochs": self.svm_epochs,
@@ -162,16 +161,6 @@ class DecisionTreeModel:
 TrainedClassifier = MultinomialNBModel | LinearModel | DecisionTreeModel
 
 
-def _mean(x: np.ndarray) -> float:
-    """``np.mean`` of a 1-D float array: its ``add.reduce``, divided by n."""
-    return float(np.add.reduce(x)) / len(x)
-
-
-def _squared_norm(w: np.ndarray) -> float:
-    """``||w||^2`` as ``np.add.reduce(w * w)``: the same order on every CPU."""
-    return float(np.add.reduce(w * w))
-
-
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     """1/(1 + e^-z) for z >= 0 and e^z/(1 + e^z) below, from one exp that
     never overflows; NaN stays NaN."""
@@ -179,46 +168,61 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
-def _fit_logistic(matrix: FeatureMatrix, config: TrainConfig) -> LinearModel:
-    """Full-batch gradient descent from zero on the mean log loss plus
-    l2/2 * ||w||^2; the bias is not regularized."""
+def _accelerated_descent(matrix: FeatureMatrix, epochs: int, slope, ridge, L: float) -> np.ndarray:
+    """Minimize mean(loss(x̃ᵀw̃)) + ½·w̃ᵀ(ridge·w̃) over w̃ = (w, b), where
+    x̃ is a row with a trailing 1 for the bias and ``slope`` maps the scores
+    z = x̃ᵀw̃ to the rows' dloss/dz.  FISTA from zero with step 1/L
+    (L bounds the gradient's Lipschitz constant), momentum taken from the
+    previous iterate, and a restart whenever the gradient and the step
+    point the same way.  Returns w̃, the bias last."""
+    if not 0.0 < L < math.inf:
+        raise ValueError(f"the step bound L = {L} must be finite and positive")
     X = matrix.csr
     Xt = X.transpose()  # Xt.rmatvec(w) is X @ w, bit for bit
-    y = matrix.labels_array().astype(np.float64)
-    w = np.zeros(matrix.dim)
-    b = 0.0
+    n = len(matrix)
+    w = np.zeros(matrix.dim + 1)
+    point, t = w, 1.0
     # A diverging fit overflows to inf or NaN weights, which `train` rejects.
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(config.lr_epochs):
-            residuals = _sigmoid(Xt.rmatvec(w) + b) - y
-            w -= config.lr_learning_rate * (X.rmatvec(residuals) / len(y) + config.l2 * w)
-            b -= config.lr_learning_rate * _mean(residuals)
-    return LinearModel("logistic", matrix.dim, tuple(float(v) for v in w), float(b))
+        for _ in range(epochs):
+            c = slope(Xt.rmatvec(point[:-1]) + point[-1])
+            grad = np.append(X.rmatvec(c), np.add.reduce(c)) / n + ridge * point
+            moved = point - grad / L
+            step = moved - w
+            w = moved
+            if np.add.reduce(grad * step) > 0.0:
+                t = 1.0
+            t_next = (1.0 + math.sqrt(1.0 + 4.0 * t * t)) / 2.0
+            point = w + ((t - 1.0) / t_next) * step
+            t = t_next
+    return w
 
 
-def _norm(w: np.ndarray) -> float:
-    """Euclidean norm of ``w``.  Past about 1e154, ``w * w`` overflows, so
-    a finite ``w`` with an infinite norm is measured again scaled by its
-    largest magnitude."""
-    norm = math.sqrt(_squared_norm(w))
-    if norm == math.inf and np.isfinite(w).all():
-        scale = float(np.abs(w).max())
-        norm = scale * math.sqrt(_squared_norm(w / scale))
-    return norm
+def _curvature(X: CsrView) -> float:
+    """ρ = ‖X̃‖_F²/n = (Σ data² + n)/n, with X̃ = [X, 1].  It bounds the
+    largest eigenvalue of X̃ᵀX̃/n (which is at most the trace) for entries
+    of any sign; the squares are summed by one ``np.add.reduce``."""
+    n = X.shape[0]
+    with np.errstate(over="ignore"):
+        return (float(np.add.reduce(X.data * X.data)) + n) / n
+
+
+def _fit_logistic(matrix: FeatureMatrix, config: TrainConfig) -> LinearModel:
+    """Mean log loss plus l2/2 * ||w||^2; the bias is not regularized.
+    The log loss's second derivative is at most 1/4, so L = ρ/4 + l2."""
+    y = matrix.labels_array().astype(np.float64)
+    ridge = np.append(np.full(matrix.dim, config.l2), 0.0)
+    L = _curvature(matrix.csr) / 4.0 + config.l2
+    w = _accelerated_descent(matrix, config.lr_epochs, lambda z: _sigmoid(z) - y, ridge, L)
+    return LinearModel("logistic", matrix.dim, tuple(float(v) for v in w[:-1]), float(w[-1]))
 
 
 def _fit_svm(matrix: FeatureMatrix, config: TrainConfig) -> LinearModel:
-    """Full-batch Pegasos on an augmented (regularized) bias feature.
-
-    Step t uses eta = 1/(lam*t) with lam = 1/(C*n), followed by the
-    Pegasos projection onto the ball of radius 1/sqrt(lam).  The last
-    entry of w is the bias, the weight of an implicit all-ones column.
-    The fit needs only the step and the projection, so it never computes
-    the primal objective.
-    """
+    """The L2-loss linear SVM: lam/2 * ||w̃||^2 + mean(max(0, 1 - y x̃ᵀw̃)^2)
+    with y in {-1, 1} and lam = 1/(C*n); the bias is regularized.  The
+    squared hinge's slope is 2(z - y) on rows with margin y·z < 1 (as
+    y² = 1), and its second derivative is at most 2, so L = 2ρ + lam."""
     n = len(matrix)
-    X = matrix.csr
-    Xt = X.transpose()  # Xt.rmatvec(w) is X @ w, bit for bit
     y_pm = 2.0 * matrix.labels_array().astype(np.float64) - 1.0
     lam = 1.0 / (config.svm_C * n)
     if not 0.0 < lam < math.inf:
@@ -226,18 +230,12 @@ def _fit_svm(matrix: FeatureMatrix, config: TrainConfig) -> LinearModel:
             f"svm_C {config.svm_C} with {n} rows gives lam = 1/(C*n) = {lam}, "
             "which must be finite and positive"
         )
-    w = np.zeros(matrix.dim + 1)
-    radius = 1.0 / math.sqrt(lam)
-    # A diverging fit overflows to inf or NaN weights, which `train` rejects.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for t in range(1, config.svm_epochs + 1):
-            margins = y_pm * (Xt.rmatvec(w[:-1]) + w[-1])
-            pull = np.where(margins < 1.0, y_pm, 0.0)  # y of each margin violator
-            grad = lam * w - np.append(X.rmatvec(pull), pull.sum()) / n
-            w -= (1.0 / (lam * t)) * grad
-            norm = _norm(w)
-            if norm > radius:
-                w *= radius / norm
+
+    def slope(z):
+        return np.where(y_pm * z < 1.0, 2.0 * (z - y_pm), 0.0)
+
+    L = 2.0 * _curvature(matrix.csr) + lam
+    w = _accelerated_descent(matrix, config.svm_epochs, slope, lam, L)
     return LinearModel("svm", matrix.dim, tuple(float(v) for v in w[:-1]), float(w[-1]))
 
 

@@ -33,9 +33,7 @@ EXIT_RUNTIME = 2
 CHUNK_POSTS = 1024
 
 _HYPER_FIELDS = tuple(
-    field
-    for field in dataclasses.fields(classify.TrainConfig)
-    if field.name not in ("algorithm", "seed")
+    field for field in dataclasses.fields(classify.TrainConfig) if field.name != "algorithm"
 )
 
 
@@ -186,7 +184,7 @@ def _resolve_stopwords(args) -> stopwords.StopWordList:
 
 def _train_config(args, algorithm: str) -> classify.TrainConfig:
     hyper = {field.name: getattr(args, field.name) for field in _HYPER_FIELDS}
-    return classify.TrainConfig(algorithm=algorithm, seed=args.seed, **hyper)
+    return classify.TrainConfig(algorithm=algorithm, **hyper)
 
 
 def _timestamp(args) -> str | None:

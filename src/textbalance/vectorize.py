@@ -114,8 +114,11 @@ class CsrView:
     def transpose(self) -> "CsrView":
         """Xᵀ as a view: row c holds column c's entries, their rows
         ascending.  One stable sort of ``indices`` keeps row-major order
-        within each column."""
-        by_column = np.argsort(self.indices, kind="stable")
+        within each column.  With at most 2^16 columns it sorts a
+        ``uint16`` copy instead: numpy's stable sort of 16-bit keys is a
+        radix sort, and gives the same permutation."""
+        keys = self.indices.astype(np.uint16) if self.shape[1] <= 1 << 16 else self.indices
+        by_column = np.argsort(keys, kind="stable")
         counts = np.bincount(self.indices, minlength=self.shape[1])
         indptr = np.concatenate(([0], np.cumsum(counts)))
         return CsrView(indptr, self.row_ids[by_column], self.data[by_column], self.shape[0])

@@ -16,9 +16,9 @@ into sparse vectors, checking each.
 The fit references at the end (logistic, SVM, tree) run the package's
 fits in their plainest loop form: every matrix product is an explicit
 gather and one ``np.bincount``, the sigmoid masks its two halves, means
-are ``np.mean``, squared norms are ``np.add.reduce(w * w)``, and the tree
-sorts each node's entries with ``np.lexsort``.  The fits must reproduce
-them exactly.
+are ``np.mean``, the weights and the bias are separate variables, other
+sums are ``np.add.reduce``, and the tree sorts each node's entries with
+``np.lexsort``.  The fits must reproduce them exactly.
 """
 
 from __future__ import annotations
@@ -318,42 +318,70 @@ def logistic_loss_and_grad(
     return loss, grad_w, float(np.mean(p - y))
 
 
-def logistic_fit(matrix, config: TrainConfig) -> tuple[np.ndarray, float]:
-    """Full-batch gradient descent from zero; (weights, bias)."""
-    w = np.zeros(matrix.dim)
-    b = 0.0
+def svm_objective(matrix, weights: np.ndarray, bias: float, lam: float) -> float:
+    """lam/2 * ||(w, b)||^2 + mean(max(0, 1 - y (Xw + b))^2), y in {-1, 1}."""
+    y_pm = 2.0 * np.asarray(matrix.labels, dtype=np.float64) - 1.0
+    hinge = np.maximum(0.0, 1.0 - y_pm * (matvec(matrix, weights) + bias))
+    penalty = 0.5 * lam * (float(np.add.reduce(weights * weights)) + bias * bias)
+    return penalty + float(np.mean(hinge * hinge))
+
+
+def step_bound(matrix, curvature: float, ridge: float) -> float:
+    """L = curvature * ||[X, 1]||_F^2 / n + ridge."""
+    _, _, values = _entries(matrix)
+    n = len(matrix)
+    return curvature * ((float(np.add.reduce(values * values)) + n) / n) + ridge
+
+
+def accelerated_fit(matrix, epochs, slope, ridge_w, ridge_b, L) -> tuple[np.ndarray, float]:
+    """FISTA from zero with step 1/L on mean(loss(Xw + b)) plus the ridge
+    terms, where ``slope`` maps the scores to dloss/dz; momentum is reset
+    when the gradient and the step point the same way.  (weights, bias)."""
+    n = len(matrix)
+    w, b = np.zeros(matrix.dim), 0.0
+    at_w, at_b = w, b  # the extrapolated point
+    t = 1.0
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(config.lr_epochs):
-            _, grad_w, grad_b = logistic_loss_and_grad(matrix, w, b, config.l2)
-            w -= config.lr_learning_rate * grad_w
-            b -= config.lr_learning_rate * grad_b
+        for _ in range(epochs):
+            c = slope(matvec(matrix, at_w) + at_b)
+            grad_w = rmatvec(matrix, c) / n + ridge_w * at_w
+            grad_b = float(np.mean(c)) + ridge_b * at_b
+            new_w, new_b = at_w - grad_w / L, at_b - grad_b / L
+            step_w, step_b = new_w - w, new_b - b
+            w, b = new_w, new_b
+            if float(np.add.reduce(np.append(grad_w * step_w, grad_b * step_b))) > 0.0:
+                t = 1.0
+            t_next = (1.0 + math.sqrt(1.0 + 4.0 * t * t)) / 2.0
+            beta = (t - 1.0) / t_next
+            at_w, at_b = w + beta * step_w, b + beta * step_b
+            t = t_next
     return w, b
 
 
-def svm_fit(matrix, config: TrainConfig) -> tuple[np.ndarray, list[float]]:
-    """Full-batch Pegasos with the bias as a last, regularized weight;
-    (weights with the bias last, objective before each step)."""
-    n = len(matrix)
+def logistic_fit(matrix, config: TrainConfig) -> tuple[np.ndarray, float]:
+    """The logistic fit: its log loss's slope is sigmoid(z) - y, its
+    bias is not regularized, and L = rho/4 + l2.  (weights, bias)."""
+    y = np.asarray(matrix.labels, dtype=np.float64)
+
+    def slope(z):
+        return masked_sigmoid(z) - y
+
+    L = step_bound(matrix, 0.25, config.l2)
+    return accelerated_fit(matrix, config.lr_epochs, slope, config.l2, 0.0, L)
+
+
+def svm_fit(matrix, config: TrainConfig) -> tuple[np.ndarray, float]:
+    """The L2-loss SVM fit with lam = 1/(C*n) on weights and bias alike:
+    the squared hinge's slope is -2y * max(0, 1 - yz), and
+    L = 2 * rho + lam.  (weights, bias)."""
     y_pm = 2.0 * np.asarray(matrix.labels, dtype=np.float64) - 1.0
-    lam = 1.0 / (config.svm_C * n)
-    w = np.zeros(matrix.dim + 1)
-    radius = 1.0 / math.sqrt(lam)
-    objectives = []
-    with np.errstate(over="ignore", invalid="ignore"):
-        for t in range(1, config.svm_epochs + 1):
-            margins = y_pm * (matvec(matrix, w[:-1]) + w[-1])
-            hinge = np.maximum(0.0, 1.0 - margins)
-            objectives.append(0.5 * lam * float(np.add.reduce(w * w)) + float(np.mean(hinge)))
-            pull = np.where(margins < 1.0, y_pm, 0.0)
-            grad = lam * w - np.append(rmatvec(matrix, pull), pull.sum()) / n
-            w -= (1.0 / (lam * t)) * grad
-            norm = math.sqrt(float(np.add.reduce(w * w)))
-            if norm == math.inf and np.isfinite(w).all():
-                scale = float(np.abs(w).max())
-                norm = scale * math.sqrt(float(np.add.reduce((w / scale) ** 2)))
-            if norm > radius:
-                w *= radius / norm
-    return w, objectives
+    lam = 1.0 / (config.svm_C * len(matrix))
+
+    def slope(z):
+        return -2.0 * y_pm * np.maximum(0.0, 1.0 - y_pm * z)
+
+    L = step_bound(matrix, 2.0, lam)
+    return accelerated_fit(matrix, config.svm_epochs, slope, lam, lam, L)
 
 
 def _gini(n0, n1):

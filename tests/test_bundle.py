@@ -222,7 +222,7 @@ class TestReadmeFlagTables:
         pattern = r"hyperparameter flags of `train` and\s+`report` \((.*?)\)"
         listed = re.search(pattern, readme(), re.S)
         flags = re.findall(r"`(--[a-z0-9-]+)`", listed.group(1))
-        hyper = [f.name for f in fields(TrainConfig) if f.name not in ("algorithm", "seed")]
+        hyper = [f.name for f in fields(TrainConfig) if f.name != "algorithm"]
         assert sorted(flags) == sorted("--" + name.lower().replace("_", "-") for name in hyper)
 
 

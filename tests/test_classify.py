@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,7 +23,11 @@ from textbalance.classify import (
     predict_batch,
     train,
 )
-from textbalance.vectorize import CsrView, FeatureMatrix
+from textbalance.fixtures import two_vocab_corpus
+from textbalance.preprocess import preprocess_corpus
+from textbalance.resample import SmoteConfig, balance_training_set
+from textbalance.stopwords import default_stopwords
+from textbalance.vectorize import CsrView, FeatureMatrix, fit, transform_corpus
 
 
 def separable_matrix() -> FeatureMatrix:
@@ -52,7 +57,7 @@ class TestTrainConfig:
 
     def test_positive_hyperparameters(self):
         with pytest.raises(ValueError):
-            TrainConfig(algorithm="logistic", lr_learning_rate=0.0)
+            TrainConfig(algorithm="logistic", lr_epochs=0)
         with pytest.raises(ValueError):
             TrainConfig(algorithm="svm", svm_epochs=0)
         with pytest.raises(ValueError):
@@ -62,18 +67,18 @@ class TestTrainConfig:
         with pytest.raises(ValueError):
             TrainConfig(algorithm="tree", tree_min_samples_split=1)
 
-    @pytest.mark.parametrize("field", ["lr_learning_rate", "l2", "svm_C", "nb_alpha"])
+    @pytest.mark.parametrize("field", ["l2", "svm_C", "nb_alpha"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_hyperparameters_rejected(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             TrainConfig(algorithm="nb", **{field: value})
 
     def test_to_dict_round_trips_values(self):
-        config = TrainConfig(algorithm="svm", svm_C=2.5, seed=4)
+        config = TrainConfig(algorithm="svm", svm_C=2.5, svm_epochs=4)
         data = config.to_dict()
         assert data["algorithm"] == "svm"
         assert data["svm_C"] == 2.5
-        assert data["seed"] == 4
+        assert data["svm_epochs"] == 4
 
 
 class TestNaiveBayes:
@@ -192,24 +197,16 @@ class TestLogistic:
 
 class TestSvm:
     def test_objective_decreases(self):
-        # The fit computes no objective; the oracle's run has the fit's bits.
+        # Nesterov's method is not monotone, so only the end is compared
+        # with the start: at w = 0 every margin is 0, and the objective is 1.
         matrix = separable_matrix()
         config = TrainConfig(algorithm="svm")
-        w, objectives = oracles.svm_fit(matrix, config)
-        model = train(matrix, config)
-        assert _bits(model.weights + (model.bias,)).tolist() == _bits(w).tolist()
-        assert len(objectives) == 300
-        # Pegasos objectives are noisy epoch to epoch; compare averaged windows.
-        assert np.mean(objectives[-10:]) <= np.mean(objectives[:10])
-        assert objectives[-1] < objectives[0]
-
-    def test_weight_stays_inside_pegasos_ball(self):
-        matrix = separable_matrix()
-        config = TrainConfig(algorithm="svm", svm_C=10.0)
         model = train(matrix, config)
         lam = 1.0 / (config.svm_C * len(matrix))
-        norm = math.sqrt(sum(w * w for w in model.weights) + model.bias**2)
-        assert norm <= 1.0 / math.sqrt(lam) + 1e-9
+        start = oracles.svm_objective(matrix, np.zeros(matrix.dim), 0.0, lam)
+        final = oracles.svm_objective(matrix, np.asarray(model.weights), model.bias, lam)
+        assert start == 1.0
+        assert final < 0.5 * start
 
     def test_learns_separable_data(self):
         matrix = separable_matrix()
@@ -225,6 +222,36 @@ class TestSvm:
         model = train(matrix, TrainConfig(algorithm="svm"))
         for row, vector in zip(matrix.rows, rows_of(matrix.csr)):
             assert predict(model, row) == (1 if predict_scored(model, vector)[1] >= 0 else 0)
+
+
+class TestConvergence:
+    """At the default epochs each linear fit ends within 1% of the objective
+    that the same fit reaches in 10x the epochs, on both arms of the golden
+    seed-7 corpus's training matrix."""
+
+    @staticmethod
+    def _arm(smote: bool) -> FeatureMatrix:
+        train_corpus, _ = two_vocab_corpus(7)
+        tokens = preprocess_corpus(train_corpus, default_stopwords())
+        matrix = transform_corpus(fit(tokens), tokens, train_corpus.labels)
+        return balance_training_set(matrix, SmoteConfig(seed=7))[0] if smote else matrix
+
+    @staticmethod
+    def _objective(matrix: FeatureMatrix, config: TrainConfig, model: LinearModel) -> float:
+        w = np.asarray(model.weights)
+        if config.algorithm == "logistic":
+            return oracles.logistic_loss_and_grad(matrix, w, model.bias, config.l2)[0]
+        return oracles.svm_objective(matrix, w, model.bias, 1.0 / (config.svm_C * len(matrix)))
+
+    @pytest.mark.parametrize("smote", [False, True], ids=["raw", "smote"])
+    @pytest.mark.parametrize("algo", ["logistic", "svm"])
+    def test_default_epochs_reach_the_ten_fold_objective(self, algo, smote):
+        matrix = self._arm(smote)
+        config = TrainConfig(algorithm=algo)
+        longer = replace(config, lr_epochs=10 * config.lr_epochs, svm_epochs=10 * config.svm_epochs)
+        final = self._objective(matrix, config, train(matrix, config))
+        best = self._objective(matrix, longer, train(matrix, longer))
+        assert final <= 1.01 * best
 
 
 class TestDecisionTree:
@@ -344,14 +371,20 @@ class TestTrainValidation:
 
     def test_diverging_fit_is_rejected_without_warnings(self):
         # pytest turns warnings into errors, so no RuntimeWarning escapes.
-        matrix = separable_matrix()
-        for hyper in (dict(lr_learning_rate=1e308), dict(l2=1e308)):
-            with pytest.raises(ValueError, match="logistic fit diverged"):
-                train(matrix, TrainConfig(algorithm="logistic", **hyper))
-        # lam = 1e-308 is finite, but the first step of size 1/lam overflows.
+        # The step is 1/L, so a huge l2, or a C that makes lam tiny, still
+        # gives a finite fit.
         two = dense_to_matrix([[10.0], [20.0]], [0, 1])
-        with pytest.raises(ValueError, match="svm fit diverged"):
-            train(two, TrainConfig(algorithm="svm", svm_C=5e307))
+        for matrix, config in (
+            (separable_matrix(), TrainConfig(algorithm="logistic", l2=1e308)),
+            (two, TrainConfig(algorithm="svm", svm_C=5e307)),  # lam = 1e-308
+        ):
+            model = train(matrix, config)
+            assert np.isfinite(model.weights).all() and math.isfinite(model.bias)
+        # Values near 1e200 are finite, but their squares, and so L, are not.
+        huge = dense_to_matrix([[1e200, 0.0], [0.0, -3e200], [2e200, 1e200]], [0, 1, 1])
+        for algo in ("logistic", "svm"):
+            with pytest.raises(ValueError, match="step bound L = inf must be finite"):
+                train(huge, TrainConfig(algorithm=algo))
 
     def test_predict_dimension_mismatch(self):
         matrix = separable_matrix()
@@ -551,38 +584,49 @@ def dense_nb(matrix: FeatureMatrix, alpha: float):
     return tuple(priors), tuple(tables)
 
 
+def dense_fista(X_aug: np.ndarray, epochs: int, gradient, L: float) -> np.ndarray:
+    """FISTA from zero with step 1/L and gradient restart, on an explicit
+    all-ones bias column; w with the bias last."""
+    w = np.zeros(X_aug.shape[1])
+    point, t = w, 1.0
+    for _ in range(epochs):
+        grad = gradient(point)
+        new = point - grad / L
+        if grad @ (new - w) > 0.0:
+            t = 1.0
+        t_next = (1.0 + math.sqrt(1.0 + 4.0 * t * t)) / 2.0
+        point = new + (t - 1.0) / t_next * (new - w)
+        w, t = new, t_next
+    return w
+
+
 def dense_logistic(matrix: FeatureMatrix, config: TrainConfig):
-    X = to_dense(matrix)
+    n = len(matrix)
+    X_aug = np.hstack([to_dense(matrix), np.ones((n, 1))])
     y = matrix.labels_array().astype(np.float64)
-    w = np.zeros(matrix.dim)
-    b = 0.0
-    for _ in range(config.lr_epochs):
-        residuals = oracles.masked_sigmoid(X @ w + b) - y
-        w -= config.lr_learning_rate * (X.T @ residuals / len(y) + config.l2 * w)
-        b -= config.lr_learning_rate * float(np.mean(residuals))
-    return w, b
+    ridge = np.append(np.full(matrix.dim, config.l2), 0.0)  # the bias is not regularized
+    L = np.linalg.norm(X_aug) ** 2 / n / 4 + config.l2
+
+    def gradient(w):
+        return X_aug.T @ (oracles.masked_sigmoid(X_aug @ w) - y) / n + ridge * w
+
+    w = dense_fista(X_aug, config.lr_epochs, gradient, L)
+    return w[:-1], w[-1]
 
 
 def dense_svm(matrix: FeatureMatrix, config: TrainConfig):
-    """Pegasos on an explicit all-ones bias column; w with the bias last."""
+    """The squared hinge with a regularized bias; w with the bias last."""
     n = len(matrix)
     X_aug = np.hstack([to_dense(matrix), np.ones((n, 1))])
     y_pm = 2.0 * matrix.labels_array().astype(np.float64) - 1.0
     lam = 1.0 / (config.svm_C * n)
-    w = np.zeros(matrix.dim + 1)
-    radius = 1.0 / math.sqrt(lam)
-    for t in range(1, config.svm_epochs + 1):
-        margins = y_pm * (X_aug @ w)
-        violators = margins < 1.0
-        grad = lam * w - (X_aug[violators] * y_pm[violators, None]).sum(axis=0) / n
-        w -= (1.0 / (lam * t)) * grad
-        norm = float(np.linalg.norm(w))
-        if norm == math.inf and np.isfinite(w).all():  # w @ w overflowed, w did not
-            scale = float(np.abs(w).max())
-            norm = scale * float(np.linalg.norm(w / scale))
-        if norm > radius:
-            w *= radius / norm
-    return w
+    L = 2 * np.linalg.norm(X_aug) ** 2 / n + lam
+
+    def gradient(w):
+        hinge = np.maximum(0.0, 1.0 - y_pm * (X_aug @ w))
+        return -2.0 * X_aug.T @ (y_pm * hinge) / n + lam * w
+
+    return dense_fista(X_aug, config.svm_epochs, gradient, L)
 
 
 def _dense_gini(n0: float, n1: float) -> float:
@@ -757,12 +801,8 @@ class TestExactFitReferences:
     def test_logistic_fit_equals_reference(self):
         rng = np.random.default_rng(81)
         for trial, matrix in enumerate(fit_matrices(rng, 80)):
-            config = TrainConfig(
-                algorithm="logistic",
-                lr_epochs=30,
-                lr_learning_rate=(0.1, 1.0, 4.0)[trial % 3],
-                l2=(1e-4, 0.0, 0.05)[trial % 3],
-            )
+            l2 = (1e-4, 0.0, 0.05)[trial % 3]
+            config = TrainConfig(algorithm="logistic", lr_epochs=30, l2=l2)
             model = train(matrix, config)
             w, b = oracles.logistic_fit(matrix, config)
             assert np.array_equal(_bits(model.weights), _bits(w)), trial
@@ -774,31 +814,32 @@ class TestExactFitReferences:
             c = (0.5, 1.0, 10.0, 1e160)[trial % 4]
             config = TrainConfig(algorithm="svm", svm_C=c, svm_epochs=30)
             model = train(matrix, config)
-            w, _ = oracles.svm_fit(matrix, config)
-            assert np.array_equal(_bits(model.weights), _bits(w[:-1])), trial
-            assert _bits(model.bias) == _bits(w[-1]), trial
+            w, b = oracles.svm_fit(matrix, config)
+            assert np.array_equal(_bits(model.weights), _bits(w)), trial
+            assert _bits(model.bias) == _bits(b), trial
 
-    def test_svm_fit_with_projection_on_wide_matrices_equals_reference(self):
+    def test_svm_fit_on_wide_matrices_equals_reference(self):
         # Wide weight vectors, where a BLAS dot product may add in another
-        # order than np.add.reduce; a small C keeps the projection firing.
+        # order than np.add.reduce: the restart test must not use one.
         rng = np.random.default_rng(86)
         for trial in range(4):
             matrix = rand_matrix(rng, n0=40, n1=25, dim=1500, density=0.02)
             config = TrainConfig(algorithm="svm", svm_C=(0.05, 0.5)[trial % 2], svm_epochs=40)
             model = train(matrix, config)
-            w, _ = oracles.svm_fit(matrix, config)
-            assert np.array_equal(_bits(model.weights), _bits(w[:-1])), trial
-            assert _bits(model.bias) == _bits(w[-1]), trial
+            w, b = oracles.svm_fit(matrix, config)
+            assert np.array_equal(_bits(model.weights), _bits(w)), trial
+            assert _bits(model.bias) == _bits(b), trial
 
     def test_norm_adds_squares_in_add_reduce_order(self):
+        # L comes from ||X||_F^2, summed by np.add.reduce over the stored
+        # entries in row-major order, not by a BLAS dot.
         rng = np.random.default_rng(87)
         for size in (1, 7, 100, 1501, 4000):
-            w = rng.normal(size=size) * 10.0 ** rng.integers(-3, 4, size=size)
-            assert _bits(classify._norm(w)) == _bits(math.sqrt(float(np.add.reduce(w * w))))
-        huge = np.array([3e200, -4e200, 0.0])  # w * w overflows; the scaled form does not
-        with np.errstate(over="ignore"):
-            norm = classify._norm(huge)
-        assert norm == 4e200 * math.sqrt(float(np.add.reduce((huge / 4e200) ** 2)))
+            values = rng.normal(size=size) * 10.0 ** rng.integers(-3, 4, size=size)
+            matrix = dense_to_matrix(values[:, None], [0] * size)  # one column: row-major
+            rho = (float(np.add.reduce(values * values)) + size) / size
+            assert _bits(classify._curvature(matrix.csr)) == _bits(rho)
+            assert _bits(oracles.step_bound(matrix, 1.0, 0.0)) == _bits(rho)
 
     def test_tree_fit_equals_reference(self):
         rng = np.random.default_rng(83)

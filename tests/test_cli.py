@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import io
 import json
-import math
 import os
 import platform
 import subprocess
@@ -231,8 +230,8 @@ class TestTrain:
         [
             (["--algo", "svm", "--svm-c", "1e308"], "lam = 1/(C*n) = 0.0"),
             (["--algo", "svm", "--svm-c", "1e-320"], "lam = 1/(C*n) = inf"),
-            (["--algo", "logistic", "--lr-learning-rate", "1e308"], "logistic fit diverged"),
-            (["--algo", "logistic", "--l2", "1e308"], "logistic fit diverged"),
+            (["--algo", "logistic", "--l2", "inf"], "l2 must be finite"),
+            (["--algo", "svm", "--svm-c", "nan"], "svm_C must be finite"),
             (["--algo", "nb", "--nb-alpha", "5e-324"], "nb_alpha 5e-324: a smoothed probability"),
             (["--algo", "nb", "--nb-alpha", "1e308"], "nb_alpha 1e+308: a smoothed probability"),
         ],
@@ -244,20 +243,35 @@ class TestTrain:
         assert err.startswith("error [train]") and message in err
         assert not out.exists()
 
-    def test_svm_at_huge_c_keeps_a_nonzero_model_inside_the_ball(self, dataset, tmp_path):
-        # Past C of about 1e154 the squared norm of the first steps overflows;
-        # the projection must still shrink w onto the ball, not to zero.
-        out, manifest = tmp_path / "model.json", tmp_path / "split.json"
-        argv = ["train", "--data", dataset, "--algo", "svm", "--svm-c", "1e160",
-                "--out", out, "--split-manifest", manifest]
+    def test_svm_at_huge_c_keeps_a_finite_nonzero_model(self, dataset, tmp_path):
+        # lam = 1/(C*n) is about 1e-162: L stays about 2 * ||X~||_F^2 / n,
+        # and the fit moves from 0 to a finite model.
+        out = tmp_path / "model.json"
+        argv = ["train", "--data", dataset, "--algo", "svm", "--svm-c", "1e160", "--out", out]
         assert run(argv) == 0
         classifier = json.loads(out.read_text())["classifier"]
         w = np.array(classifier["weights"] + [classifier["bias"]])
         assert np.isfinite(w).all() and np.count_nonzero(w[:-1]) > 0
-        n = len(json.loads(manifest.read_text())["train_ids"])
-        scale = np.abs(w).max()
-        radius = math.sqrt(1e160 * n)  # 1/sqrt(lam), lam = 1/(C*n)
-        assert scale * np.linalg.norm(w / scale) <= radius * (1 + 1e-12)
+
+    @pytest.mark.parametrize("algo", ["logistic", "svm"])
+    def test_values_whose_squares_overflow_exit_2_at_train(
+        self, dataset, tmp_path, capsys, monkeypatch, algo
+    ):
+        # Entries near 1e200 are finite, but ||X||_F^2, and so the step bound L, is not.
+        transform_corpus = vectorize.transform_corpus
+
+        def scaled(*args):
+            matrix = transform_corpus(*args)
+            X = matrix.csr
+            scaled_csr = vectorize.CsrView(X.indptr, X.indices, X.data * 1e200, X.shape[1])
+            return vectorize.FeatureMatrix(scaled_csr, matrix.labels)
+
+        monkeypatch.setattr(vectorize, "transform_corpus", scaled)
+        out = tmp_path / "model.json"
+        assert run(["train", "--data", dataset, "--algo", algo, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error [train]") and "step bound L = inf" in err
+        assert not out.exists()
 
     def test_split_manifest_written(self, dataset, tmp_path):
         out = tmp_path / "model.json"
@@ -487,14 +501,13 @@ class TestHyperparameterFlags:
     @pytest.mark.parametrize("algo", ALGORITHMS)
     def test_no_flags_give_the_default_config(self, command, algo):
         args = _parse(command, "--seed", "9")
-        assert _train_config(args, algo) == TrainConfig(algorithm=algo, seed=args.seed)
+        assert _train_config(args, algo) == TrainConfig(algorithm=algo)
 
     @pytest.mark.parametrize("command", ["train", "report"])
     def test_each_flag_sets_its_own_field(self, command):
         cases = [
             (["--svm-c", "2.5"], {"svm_C": 2.5}),
             (["--tree-max-features", "3"], {"tree_max_features": 3}),
-            (["--lr-learning-rate", "0.5"], {"lr_learning_rate": 0.5}),
             (["--lr-epochs", "7"], {"lr_epochs": 7}),
             (["--l2", "0.25"], {"l2": 0.25}),
             (["--svm-epochs", "8"], {"svm_epochs": 8}),
@@ -513,7 +526,7 @@ class TestHyperparameterFlags:
 
 
 _HYPER_FLAGS = {
-    "--svm-c", "--tree-max-features", "--lr-learning-rate", "--lr-epochs", "--l2",
+    "--svm-c", "--tree-max-features", "--lr-epochs", "--l2",
     "--svm-epochs", "--nb-alpha", "--tree-max-depth", "--tree-min-samples-split",
 }
 _CORPUS_FLAGS = {"--seed", "--stopwords", "--min-token-len", "--format", "--smote-k", "--data"}
@@ -897,8 +910,7 @@ class TestRowViews:
 class TestReport:
     @pytest.mark.parametrize(
         "flag, field, value",
-        [("--svm-c", "svm_C", "nan"), ("--lr-learning-rate", "lr_learning_rate", "inf"),
-         ("--l2", "l2", "nan"), ("--nb-alpha", "nb_alpha", "inf")],
+        [("--svm-c", "svm_C", "nan"), ("--l2", "l2", "nan"), ("--nb-alpha", "nb_alpha", "inf")],
     )
     def test_non_finite_hyperparameter_exits_2_before_any_fit(
         self, dataset, tmp_path, capsys, monkeypatch, flag, field, value
@@ -918,7 +930,6 @@ class TestReport:
         "flags, message",
         [
             (["--algos", "svm", "--svm-c", "1e308"], "lam = 1/(C*n) = 0.0"),
-            (["--algos", "nb,logistic", "--lr-learning-rate", "1e308"], "logistic fit diverged"),
         ],
     )
     def test_unusable_fit_exits_2_at_compare(self, dataset, tmp_path, capsys, flags, message):

@@ -46,22 +46,22 @@ MARKUP_POSTS = (
 )
 
 GOLDEN = {
-    "seed7-train": "e6045043702c9f7910fea43cfd764b83119ab98170a1c5c4053181b78b55b90f",
-    "seed7-predict": "da3ed4de10450037c85b9b6514eb522a7be246cf35dc433cacb5e6a3cfb11870",
-    "seed7-evaluate": "235726709270f21bae88fd46201e1effc5a5bdff99211359988a5d92a69bfc1d",
-    "seed7-report": "dabf6e1de9bba5b7b35d2be280c38934cae3f6fdbbe722c6e9c90b50a0a018c2",
+    "seed7-train": "b77f5332b10890d7b50d28016791d0a0635eaabd6f1bb44b7fb4229362b621fb",
+    "seed7-predict": "3d88d77164af00d1ea875570f7ad901655194aefb53ab9b8ff37fc9715d4c178",
+    "seed7-evaluate": "940300ee7b2ba82c1b65318212d2cbd1c685850cd6944bbd841431783168ad73",
+    "seed7-report": "9cafc6ab2a7a93c07a632231155bbdf025835c8c9bda42c6d49ac654b14372e6",
     "seed7-scatter": "ec0592e50a084f74ee40f061bf80aa740f640170dc024fd4014139dd9334b22a",
     "seed7-oversample": "eed630c8fa349f4013d9b25f37cd725515040c55769154a55b5954cd1f1751dd",
-    "seed11-train": "34e0c64326c01a15dfb65927eea3feb06c0c7ae63ad0c1b1378f543bb51bffc6",
-    "seed11-predict": "af4c662d666a2494ccf3f0f43bd4eeb0cba8c6c88ff07eaabe7392ee2a69211d",
-    "seed11-evaluate": "b86ad2221830460f467202b2d8196306be564a150e93904899db3d6efd9bb7f5",
-    "seed11-report": "8b0077905cd3dde59de2086768915523d00abd2af1bfb28e89fabcd77f80cf56",
+    "seed11-train": "e70643b75a4c9238aaddd07e75b300917d75b9e69bf43c72a8896c69c5af0fc4",
+    "seed11-predict": "feff3bd9654d3d9ef88723a3b97445a2ced46e81fdc18f1b6862baa6a6ed4edf",
+    "seed11-evaluate": "9a7e80d9860bff9b046d23895e79cc738007be283ef7a64a52dab152c7241eb6",
+    "seed11-report": "e15442c0e25887bfcb66c91ec0b59a3c28edf09ad878d3179a5dbcb1a18cb642",
     "seed11-scatter": "2bfef8c10ca244e62b3e1e29a9ca173fda86b2944b2105bc51d51d8242d27da5",
     "seed11-oversample": "3d801af2f6b69860b1bd87aa94c8560a50fe37506a4dddbc2b3cfeae342dcd18",
-    "seed13-train": "fce501a9cc301eeb98306776f9253ba336e6377ea0d7e898377d51890b96e141",
-    "seed13-predict": "3e7c28fdf176a268dd62a9729b7e3f18bd059dc8bb621bf0c778a7a1ac014239",
-    "seed13-evaluate": "ad29b1c0f3af69bdd6fb15a2ff47e9b05eb12f8a3188e02f360d66ef93f8f44e",
-    "seed13-report": "ca22b58543f36e5dd53536654d5384da34cf485cce82c4d6f6094c1800988b63",
+    "seed13-train": "1a383ba1ac2ca016740a1a55a2088cea6afe4580ab66e179aa0058fe7a6d1fa9",
+    "seed13-predict": "5f9082407a79fd6d9d88aed0703b73121ac61cf2ceb132c63ca67c6cd535a9b3",
+    "seed13-evaluate": "1bb994eb70aff88a8d8cd4423209607a60b33fd5bf4699c61c270c20b7860158",
+    "seed13-report": "2a29bdb42b2a5c847676b71086e9b0ef91b34afd0a5053f1590f014b1780dcc5",
     "seed13-scatter": "caa16d4e1f5bc4cafd15e4a5fe206dc4adc8fbe180739776fbb8bd1a8e7f0c9d",
     "seed13-oversample": "a9371c9539c5d6b00bdf4271abece7a5a25d4f02da496ec238c5892b64bc10c3",
 }

@@ -255,6 +255,26 @@ class TestCsrTranspose:
                             got[~nan].view(np.int64), want[~nan].view(np.int64)
                         ), trial
 
+    @pytest.mark.parametrize("dim", [1 << 16, (1 << 16) + 1], ids=["uint16-keys", "int64-keys"])
+    def test_permutation_equals_stable_int64_argsort(self, dim):
+        # Up to 2^16 columns the sort runs on uint16 keys; past that a
+        # uint16 copy would wrap column 2^16 to 0.  Each row draws from a
+        # small pool of columns, so most columns repeat across rows.
+        rng = np.random.default_rng(92)
+        pool = np.unique(np.concatenate(
+            ([0, 1, 255, 256, 32767, 32768, dim // 2, dim - 2, dim - 1], rng.integers(0, dim, 20))
+        ))
+        rows = [np.sort(rng.choice(pool, size=int(k), replace=False)) for k in rng.integers(0, 12, 400)]
+        indices = np.concatenate(rows).astype(np.int64)
+        indptr = np.concatenate(([0], np.cumsum([len(r) for r in rows])))
+        data = np.arange(1.0, len(indices) + 1.0)  # each entry's position, plus 1
+        X = CsrView(indptr, indices, data, dim)
+        by_column = np.argsort(indices, kind="stable")
+        Xt = X.transpose()
+        assert np.array_equal(Xt.data, data[by_column])
+        assert np.array_equal(Xt.indices, X.row_ids[by_column])
+        assert np.array_equal(Xt.row_lengths, np.bincount(indices, minlength=dim))
+
 
 class TestFit:
     def test_vocabulary_first_appearance_order(self):
