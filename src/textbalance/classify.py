@@ -5,26 +5,29 @@ dense copies: multinomial naive Bayes with Laplace smoothing (fractional
 feature mass is allowed), L2-regularized logistic regression, the
 L2-loss (squared hinge) linear SVM, and a greedy Gini CART tree.  The two
 linear fits share one loop: accelerated gradient descent (FISTA, Beck &
-Teboulle 2009) with gradient restart (O'Donoghue & Candès 2015) and a
-fixed step 1/L, where L comes from the squared Frobenius norm of [X, 1],
-so no objective is ever evaluated.  Training is deterministic: same matrix and config, same
-model, bit for bit.  Every matrix-vector product and every sum has one
-fixed summation order:
+Teboulle 2009) with gradient restart (O'Donoghue & Candès 2015) for 60
+epochs, at a fixed step 1/L per coordinate, so no objective is ever
+evaluated.  L is one value for the bias, 2c plus its ridge, and one for
+every weight, 2c·λ̂ plus theirs, where c bounds the loss's second
+derivative and λ̂ is a Collatz–Wielandt bound on λ_max(XᵀX)/n from 8
+power steps (`_step_sizes`).  Training is deterministic: same matrix and
+config, same model, bit for bit.  Every matrix-vector product and every
+sum has one fixed summation order:
 
 - ``X @ w`` adds each row's products in entry order, starting from 0.0;
 - ``X.rmatvec(r)`` (Xᵀr) adds each column's products in row-major order,
   from 0.0;
 - a sum over a vector (the bias gradient, the restart test's dot
-  product, ‖X‖_F²) is one ``np.add.reduce``, not a BLAS dot, whose
-  kernel, and so whose summation order, is picked per CPU.
+  product) is one ``np.add.reduce``, not a BLAS dot, whose kernel, and so
+  whose summation order, is picked per CPU.
 
 The linear fits form ``X @ w`` every epoch, so each builds
 ``Xt = X.transpose()`` once and computes ``Xt.rmatvec(w)``: ``w`` spread
 over Xt's entries by ``np.repeat``, then one ``np.bincount`` over their
 rows.  Xt keeps each row's entries in column order, so the sums are those
 of ``X @ w``, bit for bit, without its gather and per-row chain.  Every
-product of the two fits is therefore one `CsrView.rmatvec` call, two per
-epoch.
+product of the two fits is therefore one `CsrView.rmatvec` call: two per
+power step of λ̂, then two per epoch.
 
 The tree sorts the stored entries of its candidate columns by (column,
 value) once per fit; each node keeps its entries in that order, so no
@@ -59,10 +62,10 @@ ALGORITHM_TITLES = {
 @dataclass(frozen=True)
 class TrainConfig:
     algorithm: str
-    lr_epochs: int = 200
+    lr_epochs: int = 60
     l2: float = 1e-4
     svm_C: float = 1.0
-    svm_epochs: int = 200
+    svm_epochs: int = 60
     nb_alpha: float = 1.0
     tree_max_depth: int = 10
     tree_min_samples_split: int = 2
@@ -168,17 +171,65 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
-def _accelerated_descent(matrix: FeatureMatrix, epochs: int, slope, ridge, L: float) -> np.ndarray:
-    """Minimize mean(loss(x̃ᵀw̃)) + ½·w̃ᵀ(ridge·w̃) over w̃ = (w, b), where
-    x̃ is a row with a trailing 1 for the bias and ``slope`` maps the scores
-    z = x̃ᵀw̃ to the rows' dloss/dz.  FISTA from zero with step 1/L
-    (L bounds the gradient's Lipschitz constant), momentum taken from the
-    previous iterate, and a restart whenever the gradient and the step
-    point the same way.  Returns w̃, the bias last."""
-    if not 0.0 < L < math.inf:
-        raise ValueError(f"the step bound L = {L} must be finite and positive")
+_POWER_STEPS = 8  # products with |X|ᵀ|X| behind the weights' curvature bound
+
+
+def _weight_curvature(X: CsrView, Xt: CsrView) -> float:
+    """λ̂ ≥ λ_max(XᵀX)/n, the Collatz–Wielandt bound max_j (Au)_j/u_j over
+    u_j > 0 for A = |X|ᵀ|X|, where |X| holds the absolute values of X's
+    entries: λ_max(XᵀX) ≤ ρ(A) ≤ that max for any u ≥ 0 that is positive on
+    every non-empty column.  u starts as the all-ones vector and takes power
+    steps u ← Au/max(Au); the bound is read from the last of _POWER_STEPS
+    products.  Each product is two `CsrView.rmatvec` calls, |X|u on Xt's
+    arrays and |X|ᵀ(|X|u) on X's, so the fit's one transpose serves both.
+    Returns 0.0 when a product is all zero (no stored entries) and inf when
+    one overflows."""
+    n, dim = X.shape
+    absX = CsrView(X.indptr, X.indices, np.abs(X.data), dim)
+    absXt = CsrView(Xt.indptr, Xt.indices, np.abs(Xt.data), n)
+    v = np.ones(dim)
+    with np.errstate(over="ignore"):
+        for _ in range(_POWER_STEPS):
+            top = float(v.max())
+            if not 0.0 < top < math.inf:
+                return top
+            u = v / top
+            v = absX.rmatvec(absXt.rmatvec(u))
+        on = u > 0.0
+        return float(np.max(v[on] / u[on])) / n
+
+
+def _step_sizes(
+    X: CsrView, Xt: CsrView, curvature: float, ridge_w: float, ridge_b: float
+) -> np.ndarray:
+    """1/L per coordinate of w̃ = (w, b), the bias last, where L bounds the
+    Hessian c·X̃ᵀX̃/n + diag(ridge) (c = ``curvature`` bounds loss'') block
+    by block.  A PSD matrix [[A, b], [bᵀ, d]] is at most 2·blockdiag(A, d),
+    and the bias column's Gram entry d is 1, so L_w = 2c·λ̂ + ridge_w for
+    every weight (λ̂ from `_weight_curvature`) and L_b = 2c + ridge_b for
+    the bias.  With L_w = 0 (no stored entries and no ridge) the weights'
+    gradient is exactly 0: their step is 0, not 1/0."""
+    L_w = 2.0 * curvature * _weight_curvature(X, Xt) + ridge_w
+    if not L_w < math.inf:
+        raise ValueError(f"the weights' step bound L = {L_w} must be finite")
+    weight_step = 1.0 / L_w if L_w > 0.0 else 0.0
+    return np.append(np.full(X.shape[1], weight_step), 1.0 / (2.0 * curvature + ridge_b))
+
+
+def _accelerated_descent(
+    matrix: FeatureMatrix, epochs: int, slope, curvature: float, ridge_w: float, ridge_b: float
+) -> np.ndarray:
+    """Minimize mean(loss(x̃ᵀw̃)) + ½·ridge_w·‖w‖² + ½·ridge_b·b² over
+    w̃ = (w, b), where x̃ is a row with a trailing 1 for the bias,
+    ``slope`` maps the scores z = x̃ᵀw̃ to the rows' dloss/dz, and
+    ``curvature`` bounds loss''.  FISTA from zero in the diagonal metric
+    of `_step_sizes`, momentum taken from the previous iterate, and a
+    restart whenever the gradient and the step point the same way.
+    Returns w̃, the bias last."""
     X = matrix.csr
     Xt = X.transpose()  # Xt.rmatvec(w) is X @ w, bit for bit
+    step_sizes = _step_sizes(X, Xt, curvature, ridge_w, ridge_b)
+    ridge = np.append(np.full(matrix.dim, ridge_w), ridge_b)
     n = len(matrix)
     w = np.zeros(matrix.dim + 1)
     point, t = w, 1.0
@@ -187,7 +238,7 @@ def _accelerated_descent(matrix: FeatureMatrix, epochs: int, slope, ridge, L: fl
         for _ in range(epochs):
             c = slope(Xt.rmatvec(point[:-1]) + point[-1])
             grad = np.append(X.rmatvec(c), np.add.reduce(c)) / n + ridge * point
-            moved = point - grad / L
+            moved = point - grad * step_sizes
             step = moved - w
             w = moved
             if np.add.reduce(grad * step) > 0.0:
@@ -198,22 +249,13 @@ def _accelerated_descent(matrix: FeatureMatrix, epochs: int, slope, ridge, L: fl
     return w
 
 
-def _curvature(X: CsrView) -> float:
-    """ρ = ‖X̃‖_F²/n = (Σ data² + n)/n, with X̃ = [X, 1].  It bounds the
-    largest eigenvalue of X̃ᵀX̃/n (which is at most the trace) for entries
-    of any sign; the squares are summed by one ``np.add.reduce``."""
-    n = X.shape[0]
-    with np.errstate(over="ignore"):
-        return (float(np.add.reduce(X.data * X.data)) + n) / n
-
-
 def _fit_logistic(matrix: FeatureMatrix, config: TrainConfig) -> LinearModel:
     """Mean log loss plus l2/2 * ||w||^2; the bias is not regularized.
-    The log loss's second derivative is at most 1/4, so L = ρ/4 + l2."""
+    The log loss's second derivative is at most 1/4."""
     y = matrix.labels_array().astype(np.float64)
-    ridge = np.append(np.full(matrix.dim, config.l2), 0.0)
-    L = _curvature(matrix.csr) / 4.0 + config.l2
-    w = _accelerated_descent(matrix, config.lr_epochs, lambda z: _sigmoid(z) - y, ridge, L)
+    w = _accelerated_descent(
+        matrix, config.lr_epochs, lambda z: _sigmoid(z) - y, 0.25, config.l2, 0.0
+    )
     return LinearModel("logistic", matrix.dim, tuple(float(v) for v in w[:-1]), float(w[-1]))
 
 
@@ -221,7 +263,7 @@ def _fit_svm(matrix: FeatureMatrix, config: TrainConfig) -> LinearModel:
     """The L2-loss linear SVM: lam/2 * ||w̃||^2 + mean(max(0, 1 - y x̃ᵀw̃)^2)
     with y in {-1, 1} and lam = 1/(C*n); the bias is regularized.  The
     squared hinge's slope is 2(z - y) on rows with margin y·z < 1 (as
-    y² = 1), and its second derivative is at most 2, so L = 2ρ + lam."""
+    y² = 1), and its second derivative is at most 2."""
     n = len(matrix)
     y_pm = 2.0 * matrix.labels_array().astype(np.float64) - 1.0
     lam = 1.0 / (config.svm_C * n)
@@ -234,8 +276,7 @@ def _fit_svm(matrix: FeatureMatrix, config: TrainConfig) -> LinearModel:
     def slope(z):
         return np.where(y_pm * z < 1.0, 2.0 * (z - y_pm), 0.0)
 
-    L = 2.0 * _curvature(matrix.csr) + lam
-    w = _accelerated_descent(matrix, config.svm_epochs, slope, lam, L)
+    w = _accelerated_descent(matrix, config.svm_epochs, slope, 2.0, lam, lam)
     return LinearModel("svm", matrix.dim, tuple(float(v) for v in w[:-1]), float(w[-1]))
 
 

@@ -326,18 +326,37 @@ def svm_objective(matrix, weights: np.ndarray, bias: float, lam: float) -> float
     return penalty + float(np.mean(hinge * hinge))
 
 
-def step_bound(matrix, curvature: float, ridge: float) -> float:
-    """L = curvature * ||[X, 1]||_F^2 / n + ridge."""
-    _, _, values = _entries(matrix)
-    n = len(matrix)
-    return curvature * ((float(np.add.reduce(values * values)) + n) / n) + ridge
+def weight_curvature(matrix, products: int = 8) -> float:
+    """The Collatz-Wielandt bound max_j (Au)_j / u_j / n over u_j > 0,
+    with A = |X|^T |X|: u starts at all ones, is rescaled to max 1 before
+    each product, and the bound is read from the last of ``products``
+    products.  0.0 when a product is all zero, inf when one overflows."""
+    rows, columns, values = _entries(matrix)
+    magnitudes = np.abs(values)
+    u = np.ones(matrix.dim)
+    for step in range(products):
+        with np.errstate(over="ignore"):
+            inner = np.bincount(rows, u[columns] * magnitudes, minlength=len(matrix))
+            au = np.bincount(columns, inner[rows] * magnitudes, minlength=matrix.dim)
+        top = float(au.max())
+        if top == 0.0 or top == math.inf:
+            return top
+        if step == products - 1:
+            return max(au[j] / u[j] for j in range(matrix.dim) if u[j] > 0.0) / len(matrix)
+        u = au / top
 
 
-def accelerated_fit(matrix, epochs, slope, ridge_w, ridge_b, L) -> tuple[np.ndarray, float]:
-    """FISTA from zero with step 1/L on mean(loss(Xw + b)) plus the ridge
-    terms, where ``slope`` maps the scores to dloss/dz; momentum is reset
-    when the gradient and the step point the same way.  (weights, bias)."""
+def accelerated_fit(
+    matrix, epochs, slope, ridge_w, ridge_b, L_w, L_b
+) -> tuple[np.ndarray, float]:
+    """FISTA from zero with step 1/L_w on the weights and 1/L_b on the
+    bias (a weight step of 0 when L_w is 0), on mean(loss(Xw + b)) plus
+    the ridge terms, where ``slope`` maps the scores to dloss/dz; momentum
+    is reset when the gradient and the step point the same way.
+    (weights, bias)."""
     n = len(matrix)
+    inv_w = 1.0 / L_w if L_w > 0.0 else 0.0
+    inv_b = 1.0 / L_b
     w, b = np.zeros(matrix.dim), 0.0
     at_w, at_b = w, b  # the extrapolated point
     t = 1.0
@@ -346,7 +365,7 @@ def accelerated_fit(matrix, epochs, slope, ridge_w, ridge_b, L) -> tuple[np.ndar
             c = slope(matvec(matrix, at_w) + at_b)
             grad_w = rmatvec(matrix, c) / n + ridge_w * at_w
             grad_b = float(np.mean(c)) + ridge_b * at_b
-            new_w, new_b = at_w - grad_w / L, at_b - grad_b / L
+            new_w, new_b = at_w - grad_w * inv_w, at_b - grad_b * inv_b
             step_w, step_b = new_w - w, new_b - b
             w, b = new_w, new_b
             if float(np.add.reduce(np.append(grad_w * step_w, grad_b * step_b))) > 0.0:
@@ -358,30 +377,37 @@ def accelerated_fit(matrix, epochs, slope, ridge_w, ridge_b, L) -> tuple[np.ndar
     return w, b
 
 
+def step_bounds(matrix, curvature: float, ridge_w: float, ridge_b: float) -> tuple[float, float]:
+    """(L_w, L_b) = (2c * weight_curvature + ridge_w, 2c + ridge_b) for a
+    loss whose second derivative is at most c."""
+    return 2.0 * curvature * weight_curvature(matrix) + ridge_w, 2.0 * curvature + ridge_b
+
+
 def logistic_fit(matrix, config: TrainConfig) -> tuple[np.ndarray, float]:
     """The logistic fit: its log loss's slope is sigmoid(z) - y, its
-    bias is not regularized, and L = rho/4 + l2.  (weights, bias)."""
+    second derivative is at most 1/4, and its bias is not regularized.
+    (weights, bias)."""
     y = np.asarray(matrix.labels, dtype=np.float64)
 
     def slope(z):
         return masked_sigmoid(z) - y
 
-    L = step_bound(matrix, 0.25, config.l2)
-    return accelerated_fit(matrix, config.lr_epochs, slope, config.l2, 0.0, L)
+    L_w, L_b = step_bounds(matrix, 0.25, config.l2, 0.0)
+    return accelerated_fit(matrix, config.lr_epochs, slope, config.l2, 0.0, L_w, L_b)
 
 
 def svm_fit(matrix, config: TrainConfig) -> tuple[np.ndarray, float]:
     """The L2-loss SVM fit with lam = 1/(C*n) on weights and bias alike:
-    the squared hinge's slope is -2y * max(0, 1 - yz), and
-    L = 2 * rho + lam.  (weights, bias)."""
+    the squared hinge's slope is -2y * max(0, 1 - yz), and its second
+    derivative is at most 2.  (weights, bias)."""
     y_pm = 2.0 * np.asarray(matrix.labels, dtype=np.float64) - 1.0
     lam = 1.0 / (config.svm_C * len(matrix))
 
     def slope(z):
         return -2.0 * y_pm * np.maximum(0.0, 1.0 - y_pm * z)
 
-    L = step_bound(matrix, 2.0, lam)
-    return accelerated_fit(matrix, config.svm_epochs, slope, lam, lam, L)
+    L_w, L_b = step_bounds(matrix, 2.0, lam, lam)
+    return accelerated_fit(matrix, config.svm_epochs, slope, lam, lam, L_w, L_b)
 
 
 def _gini(n0, n1):

@@ -205,11 +205,20 @@ def test_criterion_07_logistic_gradient_check():
             y = rng.integers(0, 2, size=n).astype(np.float64)
             y[:2] = (0.0, 1.0)  # both classes
             l2 = float(rng.uniform(0, 0.2))
-            # The first step from w = 0 is a plain gradient step of size 1/L,
-            # L = ||[X, 1]||_F^2 / (4n) + l2, so the gradient at 0 is -L * (w1, b1).
+            # The first step from w = 0 is a plain gradient step of size 1/L
+            # per coordinate, so the gradient at 0 is -diag(L) (w1, b1).  For
+            # the bias L = 2/4; for every weight L = 2/4 * lam + l2, where lam
+            # is max_j (Au)_j / u_j / n for A = |X|^T |X| and u the all-ones
+            # vector after 7 power steps.
             matrix = dense_to_matrix(X, y)
             first = train(matrix, TrainConfig("logistic", lr_epochs=1, l2=l2))
-            L = (float(np.sum(X * X)) + n) / n / 4 + l2
+            A = np.abs(X).T @ np.abs(X)
+            u = np.ones(dim)
+            for _ in range(7):
+                au = A @ u
+                u = au / au.max()
+            lam = float(np.max((A @ u) / u)) / n
+            L = np.append(np.full(dim, 0.5 * lam + l2), 0.5)
             analytic = -L * np.append(first.weights, first.bias)
             w, b = np.zeros(dim), 0.0
             h = 1e-6

@@ -226,8 +226,14 @@ class TestSvm:
 
 class TestConvergence:
     """At the default epochs each linear fit ends within 1% of the objective
-    that the same fit reaches in 10x the epochs, on both arms of the golden
-    seed-7 corpus's training matrix."""
+    that the same fit reaches in a fixed 2,000 epochs, so a shorter default
+    cannot weaken the bound: on both arms of the golden seed-7 corpus's
+    training matrix, and on a wide Zipf TF-IDF matrix of 3,200 rows.  There
+    the weights' curvature is far below the bias column's, and one step
+    for all coordinates, set by the bias, ends the SVM more than 2% above
+    its 2,000-epoch objective after 200 epochs."""
+
+    REFERENCE_EPOCHS = 2000
 
     @staticmethod
     def _arm(smote: bool) -> FeatureMatrix:
@@ -237,21 +243,49 @@ class TestConvergence:
         return balance_training_set(matrix, SmoteConfig(seed=7))[0] if smote else matrix
 
     @staticmethod
+    def _zipf_matrix(n: int, seed: int) -> FeatureMatrix:
+        """TF-IDF rows of n posts of 15 to 54 words: 20% from their class's
+        200 words, 2% from the other class's, the rest from 60,000
+        background words by Zipf rank (exponent 1.35); 12% spam."""
+        rng = np.random.default_rng(seed)
+        labels = (rng.random(n) < 0.12).astype(np.int64)
+        sizes = rng.integers(15, 55, size=n)
+        spam = np.repeat(labels, sizes) == 1
+        source = rng.random(len(spam))
+        background = np.cumsum(1.0 / np.arange(1, 60001) ** 1.35)
+        ranks = np.searchsorted(background, rng.random(len(spam)) * background[-1], side="right")
+        class_ranks = np.cumsum(1.0 / np.arange(1, 201))
+        picks = np.searchsorted(class_ranks, rng.random(len(spam)) * class_ranks[-1], side="right")
+        own, classed = source < 0.2, source < 0.22
+        prefix = np.where(classed, np.where(own == spam, "s", "h"), "b").tolist()
+        words = [f"{p}{r}" for p, r in zip(prefix, np.where(classed, picks, ranks).tolist())]
+        ends = np.cumsum(sizes).tolist()
+        docs = [words[start:end] for start, end in zip([0] + ends[:-1], ends)]
+        return transform_corpus(fit(docs), docs, labels.tolist())
+
+    @staticmethod
     def _objective(matrix: FeatureMatrix, config: TrainConfig, model: LinearModel) -> float:
         w = np.asarray(model.weights)
         if config.algorithm == "logistic":
             return oracles.logistic_loss_and_grad(matrix, w, model.bias, config.l2)[0]
         return oracles.svm_objective(matrix, w, model.bias, 1.0 / (config.svm_C * len(matrix)))
 
+    def _gap(self, matrix: FeatureMatrix, algo: str) -> float:
+        """Default-epoch objective over the 2,000-epoch one, minus 1."""
+        config = TrainConfig(algorithm=algo)
+        longer = replace(config, lr_epochs=self.REFERENCE_EPOCHS, svm_epochs=self.REFERENCE_EPOCHS)
+        final = self._objective(matrix, config, train(matrix, config))
+        return final / self._objective(matrix, longer, train(matrix, longer)) - 1.0
+
     @pytest.mark.parametrize("smote", [False, True], ids=["raw", "smote"])
     @pytest.mark.parametrize("algo", ["logistic", "svm"])
-    def test_default_epochs_reach_the_ten_fold_objective(self, algo, smote):
-        matrix = self._arm(smote)
-        config = TrainConfig(algorithm=algo)
-        longer = replace(config, lr_epochs=10 * config.lr_epochs, svm_epochs=10 * config.svm_epochs)
-        final = self._objective(matrix, config, train(matrix, config))
-        best = self._objective(matrix, longer, train(matrix, longer))
-        assert final <= 1.01 * best
+    def test_default_epochs_reach_2000_epoch_objective(self, algo, smote):
+        assert self._gap(self._arm(smote), algo) <= 0.01
+
+    def test_svm_on_wide_zipf_rows_reaches_2000_epoch_objective(self):
+        matrix = self._zipf_matrix(3200, 5)
+        assert len(matrix) >= 3000 and matrix.dim > 3000
+        assert self._gap(matrix, "svm") <= 0.01
 
 
 class TestDecisionTree:
@@ -385,6 +419,17 @@ class TestTrainValidation:
         for algo in ("logistic", "svm"):
             with pytest.raises(ValueError, match="step bound L = inf must be finite"):
                 train(huge, TrainConfig(algorithm=algo))
+
+    @pytest.mark.parametrize("algo", ["logistic", "svm"])
+    def test_matrix_without_stored_entries_trains_the_bias_alone(self, algo):
+        # The weights' curvature bound is 0 here, and with l2 = 0 so is their
+        # step bound: their gradient is exactly 0, so they stay at 0 while
+        # the bias fits the 2:1 label ratio, ln 2 for the log loss and
+        # (2/3)/(2 + lam) = 2/7 for the squared hinge (lam = 1/3).
+        matrix = matrix_of([SparseVector(dim=3, entries=())] * 3, (1, 1, 0), 3)
+        model = train(matrix, TrainConfig(algorithm=algo, l2=0.0))
+        assert model.weights == (0.0, 0.0, 0.0)
+        assert model.bias == pytest.approx(math.log(2.0) if algo == "logistic" else 2.0 / 7.0)
 
     def test_predict_dimension_mismatch(self):
         matrix = separable_matrix()
@@ -584,14 +629,36 @@ def dense_nb(matrix: FeatureMatrix, alpha: float):
     return tuple(priors), tuple(tables)
 
 
-def dense_fista(X_aug: np.ndarray, epochs: int, gradient, L: float) -> np.ndarray:
-    """FISTA from zero with step 1/L and gradient restart, on an explicit
-    all-ones bias column; w with the bias last."""
+def dense_weight_curvature(X: np.ndarray, products: int = 8) -> float:
+    """max_j (Au)_j / u_j / n over u_j > 0 for the dense A = |X|^T |X|, with
+    u the all-ones vector after ``products - 1`` power steps."""
+    A = np.abs(X).T @ np.abs(X)
+    u = np.ones(X.shape[1])
+    for _ in range(products - 1):
+        au = A @ u
+        if not 0.0 < au.max() < math.inf:
+            return float(au.max())
+        u = au / au.max()
+    au = A @ u
+    return float(np.max(au[u > 0] / u[u > 0])) / X.shape[0]
+
+
+def dense_step_sizes(X: np.ndarray, curvature: float, ridge: np.ndarray) -> np.ndarray:
+    """1/L per coordinate of w with the bias last: L = 2c * lambda-hat + ridge
+    on the weights (a step of 0 where that is 0) and 2c + ridge on the bias."""
+    L = np.append(np.full(X.shape[1], 2 * curvature * dense_weight_curvature(X)), 2 * curvature)
+    L += ridge
+    return np.divide(1.0, L, out=np.zeros_like(L), where=L > 0)
+
+
+def dense_fista(X_aug: np.ndarray, epochs: int, gradient, step_sizes: np.ndarray) -> np.ndarray:
+    """FISTA from zero with per-coordinate steps and gradient restart, on an
+    explicit all-ones bias column; w with the bias last."""
     w = np.zeros(X_aug.shape[1])
     point, t = w, 1.0
     for _ in range(epochs):
         grad = gradient(point)
-        new = point - grad / L
+        new = point - grad * step_sizes
         if grad @ (new - w) > 0.0:
             t = 1.0
         t_next = (1.0 + math.sqrt(1.0 + 4.0 * t * t)) / 2.0
@@ -602,31 +669,32 @@ def dense_fista(X_aug: np.ndarray, epochs: int, gradient, L: float) -> np.ndarra
 
 def dense_logistic(matrix: FeatureMatrix, config: TrainConfig):
     n = len(matrix)
-    X_aug = np.hstack([to_dense(matrix), np.ones((n, 1))])
+    X = to_dense(matrix)
+    X_aug = np.hstack([X, np.ones((n, 1))])
     y = matrix.labels_array().astype(np.float64)
     ridge = np.append(np.full(matrix.dim, config.l2), 0.0)  # the bias is not regularized
-    L = np.linalg.norm(X_aug) ** 2 / n / 4 + config.l2
 
     def gradient(w):
         return X_aug.T @ (oracles.masked_sigmoid(X_aug @ w) - y) / n + ridge * w
 
-    w = dense_fista(X_aug, config.lr_epochs, gradient, L)
+    w = dense_fista(X_aug, config.lr_epochs, gradient, dense_step_sizes(X, 0.25, ridge))
     return w[:-1], w[-1]
 
 
 def dense_svm(matrix: FeatureMatrix, config: TrainConfig):
     """The squared hinge with a regularized bias; w with the bias last."""
     n = len(matrix)
-    X_aug = np.hstack([to_dense(matrix), np.ones((n, 1))])
+    X = to_dense(matrix)
+    X_aug = np.hstack([X, np.ones((n, 1))])
     y_pm = 2.0 * matrix.labels_array().astype(np.float64) - 1.0
     lam = 1.0 / (config.svm_C * n)
-    L = 2 * np.linalg.norm(X_aug) ** 2 / n + lam
+    ridge = np.full(matrix.dim + 1, lam)
 
     def gradient(w):
         hinge = np.maximum(0.0, 1.0 - y_pm * (X_aug @ w))
         return -2.0 * X_aug.T @ (y_pm * hinge) / n + lam * w
 
-    return dense_fista(X_aug, config.svm_epochs, gradient, L)
+    return dense_fista(X_aug, config.svm_epochs, gradient, dense_step_sizes(X, 2.0, ridge))
 
 
 def _dense_gini(n0: float, n1: float) -> float:
@@ -830,16 +898,24 @@ class TestExactFitReferences:
             assert np.array_equal(_bits(model.weights), _bits(w)), trial
             assert _bits(model.bias) == _bits(b), trial
 
-    def test_norm_adds_squares_in_add_reduce_order(self):
-        # L comes from ||X||_F^2, summed by np.add.reduce over the stored
-        # entries in row-major order, not by a BLAS dot.
+    def test_weight_curvature_equals_reference(self):
+        # The bound reads |X|u from the transpose's arrays and |X|^T(|X|u)
+        # from X's: the sums of the plain bincount loops, bit for bit.
         rng = np.random.default_rng(87)
-        for size in (1, 7, 100, 1501, 4000):
-            values = rng.normal(size=size) * 10.0 ** rng.integers(-3, 4, size=size)
-            matrix = dense_to_matrix(values[:, None], [0] * size)  # one column: row-major
-            rho = (float(np.add.reduce(values * values)) + size) / size
-            assert _bits(classify._curvature(matrix.csr)) == _bits(rho)
-            assert _bits(oracles.step_bound(matrix, 1.0, 0.0)) == _bits(rho)
+        for trial, matrix in enumerate(fit_matrices(rng, 60)):
+            X = matrix.csr
+            got = classify._weight_curvature(X, X.transpose())
+            assert _bits(got) == _bits(oracles.weight_curvature(matrix)), trial
+
+    def test_weight_curvature_edges(self):
+        # No stored entries: every product is 0.  Values near 1e200: the
+        # first product overflows.
+        empty = matrix_of([SparseVector(dim=3, entries=())] * 2, (0, 1), 3)
+        huge = dense_to_matrix([[1e200, 0.0], [0.0, -3e200]], [0, 1])
+        for matrix, bound in ((empty, 0.0), (huge, math.inf)):
+            X = matrix.csr
+            assert classify._weight_curvature(X, X.transpose()) == bound
+            assert oracles.weight_curvature(matrix) == bound
 
     def test_tree_fit_equals_reference(self):
         rng = np.random.default_rng(83)
@@ -872,11 +948,74 @@ class TestExactFitReferences:
             assert nodes == oracles.tree_fit(matrix, config) == dense_tree(matrix, config), trial
 
 
+def curvature_matrices(rng: np.random.Generator, count: int):
+    """`fit_matrices` draws, then one-row and one-column matrices, and
+    non-negative ones (as TF-IDF is)."""
+    yield from fit_matrices(rng, count)
+    for trial in range(count):
+        shape = ((1, int(rng.integers(1, 12))), (int(rng.integers(1, 40)), 1))[trial % 2]
+        X = rng.normal(size=shape) * (rng.random(shape) < 0.7)
+        yield dense_to_matrix(X + 0.0, [0] * shape[0])
+        yield oracle_matrix(rng, nonneg=True)
+
+
+class TestStepSizes:
+    """The step sizes against dense eigenvalues (``np.linalg.eigvalsh``):
+    the weights' curvature bound is a bound, and a tight one on TF-IDF
+    rows, and diag(L) bounds each fit's Hessian."""
+
+    @staticmethod
+    def _largest_eigenvalue(X: np.ndarray) -> float:
+        """lambda_max(X^T X) / n, from the smaller of X^T X and X X^T."""
+        gram = X.T @ X if X.shape[1] <= X.shape[0] else X @ X.T
+        return float(np.linalg.eigvalsh(gram)[-1]) / len(X)
+
+    def test_weight_curvature_bounds_the_largest_eigenvalue(self):
+        rng = np.random.default_rng(88)
+        for trial, matrix in enumerate(curvature_matrices(rng, 60)):
+            X = matrix.csr
+            bound = classify._weight_curvature(X, X.transpose())
+            assert bound >= self._largest_eigenvalue(to_dense(matrix)) * (1 - 1e-12), trial
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: TestConvergence._arm(False),
+            lambda: TestConvergence._arm(True),
+            lambda: TestConvergence._zipf_matrix(400, 3),
+        ],
+        ids=["raw", "smote", "zipf"],
+    )
+    def test_weight_curvature_is_within_one_percent_on_tfidf_rows(self, build):
+        matrix = build()
+        X = matrix.csr
+        bound = classify._weight_curvature(X, X.transpose())
+        assert bound <= 1.01 * self._largest_eigenvalue(to_dense(matrix))
+
+    def test_steps_bound_the_hessian(self):
+        # With S = diag(1/L), the largest eigenvalue of S^1/2 H S^1/2 is at
+        # most 1, for H = c X~^T X~ / n + diag(ridge): logistic (c = 1/4,
+        # bias not regularized) and SVM (c = 2, lam on weights and bias).
+        rng = np.random.default_rng(89)
+        for trial, matrix in enumerate(curvature_matrices(rng, 40)):
+            n = len(matrix)
+            X_aug = np.hstack([to_dense(matrix), np.ones((n, 1))])
+            l2, lam = (1e-4, 0.0, 0.05)[trial % 3], 1.0 / n
+            for curvature, ridge_w, ridge_b in ((0.25, l2, 0.0), (2.0, lam, lam)):
+                ridge = np.append(np.full(matrix.dim, ridge_w), ridge_b)
+                hessian = curvature * (X_aug.T @ X_aug) / n + np.diag(ridge)
+                X = matrix.csr
+                root = np.sqrt(classify._step_sizes(X, X.transpose(), curvature, ridge_w, ridge_b))
+                scaled = root[:, None] * hessian * root[None, :]
+                assert np.linalg.eigvalsh(scaled)[-1] <= 1.0 + 1e-12, trial
+
+
 class TestLinearFitProducts:
     """Each linear fit transposes X once and forms every product with
-    `CsrView.rmatvec`, two per epoch: ``X @ w`` as ``Xt.rmatvec(w)`` and Xᵀr
-    as ``X.rmatvec(r)``.  The gather-and-chain `CsrView.__matmul__` never
-    runs."""
+    `CsrView.rmatvec`: two per power step of its step-size bound, on |X|'s
+    and |Xt|'s arrays, and two per epoch, ``X @ w`` as ``Xt.rmatvec(w)``
+    and Xᵀr as ``X.rmatvec(r)``.  The gather-and-chain
+    `CsrView.__matmul__` never runs."""
 
     @pytest.mark.parametrize(
         "fit",
@@ -909,7 +1048,8 @@ class TestLinearFitProducts:
         monkeypatch.setattr(CsrView, "__matmul__", counted_matmul)
         monkeypatch.setattr(CsrView, "rmatvec", counted_rmatvec)
         fit(matrix)
-        assert calls == {"transpose": 1, "matmul": 0, "rmatvec": 2 * 7}
+        # Two per power step of the step-size bound, then two per epoch.
+        assert calls == {"transpose": 1, "matmul": 0, "rmatvec": 2 * 7 + 16}
         # The fit reads no entry's row of the transpose, so it never builds them.
         assert "row_ids" not in vars(transposes[0])
 

@@ -257,7 +257,7 @@ class TestTrain:
     def test_values_whose_squares_overflow_exit_2_at_train(
         self, dataset, tmp_path, capsys, monkeypatch, algo
     ):
-        # Entries near 1e200 are finite, but ||X||_F^2, and so the step bound L, is not.
+        # Entries near 1e200 are finite, but their squares, and so the weights' L, are not.
         transform_corpus = vectorize.transform_corpus
 
         def scaled(*args):

@@ -46,22 +46,22 @@ MARKUP_POSTS = (
 )
 
 GOLDEN = {
-    "seed7-train": "b77f5332b10890d7b50d28016791d0a0635eaabd6f1bb44b7fb4229362b621fb",
-    "seed7-predict": "3d88d77164af00d1ea875570f7ad901655194aefb53ab9b8ff37fc9715d4c178",
-    "seed7-evaluate": "940300ee7b2ba82c1b65318212d2cbd1c685850cd6944bbd841431783168ad73",
-    "seed7-report": "9cafc6ab2a7a93c07a632231155bbdf025835c8c9bda42c6d49ac654b14372e6",
+    "seed7-train": "7703bd951fcd0b9b1c03f496b14a4150f8c5749887630a2c9e9648521a5f9ebf",
+    "seed7-predict": "944ef4e11fdf4391fae317383b32a3f26a2502f26c841821524751410edaa64a",
+    "seed7-evaluate": "ab84b0b604261de3ce95e565a44d4c4b7dd492216c82aa2e1a257c72a714535f",
+    "seed7-report": "cd9b85c6a9bcf21c679cfb7ddd4bb4cec0844929018c6d073cf6a1134acc6f55",
     "seed7-scatter": "ec0592e50a084f74ee40f061bf80aa740f640170dc024fd4014139dd9334b22a",
     "seed7-oversample": "eed630c8fa349f4013d9b25f37cd725515040c55769154a55b5954cd1f1751dd",
-    "seed11-train": "e70643b75a4c9238aaddd07e75b300917d75b9e69bf43c72a8896c69c5af0fc4",
-    "seed11-predict": "feff3bd9654d3d9ef88723a3b97445a2ced46e81fdc18f1b6862baa6a6ed4edf",
+    "seed11-train": "d653d37bfc85325c858f21a74fbf6a85e7c28573e19c536b86df2002492dffd7",
+    "seed11-predict": "34d28649da3b039b20b8167a72d71c5364b5ae41224f378e6dcaa06f70cc421f",
     "seed11-evaluate": "9a7e80d9860bff9b046d23895e79cc738007be283ef7a64a52dab152c7241eb6",
-    "seed11-report": "e15442c0e25887bfcb66c91ec0b59a3c28edf09ad878d3179a5dbcb1a18cb642",
+    "seed11-report": "8bdd4851ba84a3c4e12c51844beb268d75ed83147b9cce36ca712fd0ded45ca8",
     "seed11-scatter": "2bfef8c10ca244e62b3e1e29a9ca173fda86b2944b2105bc51d51d8242d27da5",
     "seed11-oversample": "3d801af2f6b69860b1bd87aa94c8560a50fe37506a4dddbc2b3cfeae342dcd18",
-    "seed13-train": "1a383ba1ac2ca016740a1a55a2088cea6afe4580ab66e179aa0058fe7a6d1fa9",
-    "seed13-predict": "5f9082407a79fd6d9d88aed0703b73121ac61cf2ceb132c63ca67c6cd535a9b3",
+    "seed13-train": "a08ba45d5c006b4dad4a0c44dc2a80ae2b0d6dcc1ae881f5269ec83d41490c4e",
+    "seed13-predict": "fc3cc10896d84b036131bb51aa96388c8132f575527c98f65309a678937452d9",
     "seed13-evaluate": "1bb994eb70aff88a8d8cd4423209607a60b33fd5bf4699c61c270c20b7860158",
-    "seed13-report": "2a29bdb42b2a5c847676b71086e9b0ef91b34afd0a5053f1590f014b1780dcc5",
+    "seed13-report": "2805515d203d6d65cb6aec8410ebea923ab0040c7015299a7c7ae8d1d333a915",
     "seed13-scatter": "caa16d4e1f5bc4cafd15e4a5fe206dc4adc8fbe180739776fbb8bd1a8e7f0c9d",
     "seed13-oversample": "a9371c9539c5d6b00bdf4271abece7a5a25d4f02da496ec238c5892b64bc10c3",
 }
