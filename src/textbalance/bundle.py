@@ -78,7 +78,7 @@ class ModelBundle:
     @classmethod
     def from_dict(cls, data: dict) -> "ModelBundle":
         version = data.get("format_version")
-        if version != FORMAT_VERSION:
+        if type(version) is not int or version != FORMAT_VERSION:
             raise BundleError(
                 f"unsupported bundle format_version {version!r} (expected {FORMAT_VERSION})"
             )
@@ -133,8 +133,8 @@ def tfidf_to_dict(model: TfIdfModel) -> dict:
 
 
 def tfidf_from_dict(data: dict) -> TfIdfModel:
-    terms = tuple(data["terms"])
-    doc_freq = tuple(data["doc_freq"])
+    terms = tuple(_table(data["terms"], "TF-IDF terms"))
+    doc_freq = tuple(_table(data["doc_freq"], "TF-IDF doc_freq"))
     n_docs = data["n_docs"]
     _require(all(isinstance(t, str) for t in terms), "TF-IDF terms must be strings")
     _require(len(set(terms)) == len(terms), "TF-IDF terms must be unique")
@@ -172,9 +172,18 @@ def _integer(value, what: str) -> int:
     return value
 
 
+def _table(values, what: str):
+    """``values`` if it is a JSON array (a tuple in an in-memory record)."""
+    _require(isinstance(values, (list, tuple)), f"{what} must be an array")
+    return values
+
+
 def _finite_floats(values, what: str) -> tuple[float, ...]:
+    """Each item as a float; JSON numbers only, never strings or booleans."""
+    numbers = _table(values, what)
+    _require(all(type(v) in (int, float) for v in numbers), f"{what} holds a non-number")
     try:
-        floats = tuple(float(v) for v in values)
+        floats = tuple(float(v) for v in numbers)
     except OverflowError:  # a JSON integer beyond the float range
         raise BundleError(f"{what} holds a non-finite number") from None
     _require(all(math.isfinite(v) for v in floats), f"{what} holds a non-finite number")
@@ -223,11 +232,14 @@ def classifier_from_dict(data: dict) -> TrainedClassifier:
     dim = _integer(data["dim"], "classifier dim")
     _require(dim >= 0, f"negative classifier dim {dim}")
     if algorithm == "nb":
-        labels = tuple(_integer(v, "nb class label") for v in data["class_labels"])
+        labels = tuple(
+            _integer(v, "nb class label") for v in _table(data["class_labels"], "nb class_labels")
+        )
         _require(labels in ((0,), (1,), (0, 1)), f"nb class_labels {list(labels)} invalid")
         priors = _finite_floats(data["class_log_prior"], "nb class_log_prior")
         tables = tuple(
-            _finite_floats(row, "nb feature_log_prob") for row in data["feature_log_prob"]
+            _finite_floats(row, "nb feature_log_prob")
+            for row in _table(data["feature_log_prob"], "nb feature_log_prob")
         )
         _require(
             len(priors) == len(tables) == len(labels) and all(len(t) == dim for t in tables),
@@ -240,7 +252,7 @@ def classifier_from_dict(data: dict) -> TrainedClassifier:
         weights = _finite_floats(data["weights"], f"{algorithm} weights")
         _require(len(weights) == dim, f"{algorithm} dim {dim} but {len(weights)} weights")
         return LinearModel(algorithm, dim, weights, _finite_floats([data["bias"]], "bias")[0])
-    nodes = tuple(_tree_node(raw, dim) for raw in data["nodes"])
+    nodes = tuple(_tree_node(raw, dim) for raw in _table(data["nodes"], "tree nodes"))
     _require_tree_shape(nodes)
     return DecisionTreeModel(dim=dim, nodes=nodes)
 

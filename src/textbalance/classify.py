@@ -14,20 +14,18 @@ power steps (`_step_sizes`).  Training is deterministic: same matrix and
 config, same model, bit for bit.  Every matrix-vector product and every
 sum has one fixed summation order:
 
-- ``X @ w`` adds each row's products in entry order, starting from 0.0;
-- ``X.rmatvec(r)`` (Xᵀr) adds each column's products in row-major order,
-  from 0.0;
+- every matrix-vector product is one `CsrView.rmatvec` call:
+  ``X.rmatvec(r)`` (Xᵀr) adds each column's products in row-major order
+  from 0.0, and Xw is ``Xt.rmatvec(w)`` with ``Xt = X.transpose()``,
+  which adds each row's products in entry order from 0.0;
 - a sum over a vector (the bias gradient, the restart test's dot
   product) is one ``np.add.reduce``, not a BLAS dot, whose kernel, and so
   whose summation order, is picked per CPU.
 
-The linear fits form ``X @ w`` every epoch, so each builds
-``Xt = X.transpose()`` once and computes ``Xt.rmatvec(w)``: ``w`` spread
-over Xt's entries by ``np.repeat``, then one ``np.bincount`` over their
-rows.  Xt keeps each row's entries in column order, so the sums are those
-of ``X @ w``, bit for bit, without its gather and per-row chain.  Every
-product of the two fits is therefore one `CsrView.rmatvec` call: two per
-power step of λ̂, then two per epoch.
+Each linear fit builds Xt once and makes two `rmatvec` calls per power
+step of λ̂, then two per epoch.  NB's class masses are Xᵀ1_c, one
+`rmatvec` per class over the class's 0/1 row indicator, and linear
+scoring is one transpose and one `rmatvec`.
 
 The tree sorts the stored entries of its candidate columns by (column,
 value) once per fit; each node keeps its entries in that order, so no
@@ -227,7 +225,7 @@ def _accelerated_descent(
     restart whenever the gradient and the step point the same way.
     Returns w̃, the bias last."""
     X = matrix.csr
-    Xt = X.transpose()  # Xt.rmatvec(w) is X @ w, bit for bit
+    Xt = X.transpose()  # Xt.rmatvec(w) is Xw
     step_sizes = _step_sizes(X, Xt, curvature, ridge_w, ridge_b)
     ridge = np.append(np.full(matrix.dim, ridge_w), ridge_b)
     n = len(matrix)
@@ -283,20 +281,18 @@ def _fit_svm(matrix: FeatureMatrix, config: TrainConfig) -> LinearModel:
 def _fit_nb(matrix: FeatureMatrix, config: TrainConfig) -> MultinomialNBModel:
     labels = sorted(set(matrix.labels))
     X = matrix.csr
-    if X.data.min(initial=0.0) < 0.0:
-        raise ValueError(
-            "nb requires non-negative feature values (multinomial counts)"
-        )
+    if not 0.0 <= X.data.min(initial=0.0) <= X.data.max(initial=0.0) < math.inf:
+        raise ValueError("nb requires finite, non-negative feature values (multinomial counts)")
     y = matrix.labels_array()
-    entry_labels = y[X.row_ids]
     alpha = config.nb_alpha
     priors = []
     log_probs = []
     for label in labels:
         count = int((y == label).sum())
         priors.append(math.log(count / len(matrix)))
-        mine = entry_labels == label
-        mass = np.bincount(X.indices[mine], X.data[mine], minlength=matrix.dim)
+        # Xᵀ1_c: another class's entry x adds 0.0·x, +0.0 or -0.0, to a
+        # sum that starts from 0.0, which changes no bit of it.
+        mass = X.rmatvec((y == label).astype(np.float64))
         denom = float(mass.sum()) + alpha * matrix.dim
         if not (math.isfinite(denom) and ((mass + alpha) / denom).all()):
             raise ValueError(
@@ -533,8 +529,8 @@ def predict_batch(model: TrainedClassifier, matrix: FeatureMatrix) -> Prediction
     if isinstance(model, MultinomialNBModel):
         return _batch_nb(model, X)
     if isinstance(model, LinearModel):
-        # bincount adds each row's products in order from 0.0.
-        scores = X @ model._weight_array + model.bias
+        # Each row's products added in entry order from 0.0 (`CsrView.rmatvec`).
+        scores = X.transpose().rmatvec(model._weight_array) + model.bias
         return Predictions((scores >= 0.0).astype(np.int64).tolist(), scores.tolist())
     return _batch_tree(model, X)
 

@@ -318,9 +318,10 @@ def _load_bundle(args) -> bundle_mod.ModelBundle:
     return model_bundle
 
 
-def _predict_chunks(model_bundle: bundle_mod.ModelBundle, texts: list[str], labels: list[int]):
+def _predict_chunks(model_bundle: bundle_mod.ModelBundle, texts: list[str]):
     """Strip and tokenize each text, then transform and score the texts
     CHUNK_POSTS at a time; yields each chunk's `classify.Predictions`.
+    Scoring reads no label, so each chunk's matrix carries zeros.
 
     Unfiltered tokens give the filtered vectors: a checked vocabulary holds
     no short or stop-listed term, and out-of-vocabulary tokens count nowhere.
@@ -328,9 +329,7 @@ def _predict_chunks(model_bundle: bundle_mod.ModelBundle, texts: list[str], labe
     for start in range(0, len(texts), CHUNK_POSTS):
         chunk = texts[start : start + CHUNK_POSTS]
         tokens = (preprocess.tokenize(preprocess.strip_html(text)) for text in chunk)
-        matrix = vectorize.transform_corpus(
-            model_bundle.tfidf, tokens, labels[start : start + CHUNK_POSTS]
-        )
+        matrix = vectorize.transform_corpus(model_bundle.tfidf, tokens, [0] * len(chunk))
         yield classify.predict_batch(model_bundle.classifier, matrix)
 
 
@@ -357,8 +356,7 @@ def cmd_predict(args) -> int:
     model_bundle = _load_bundle(args)
     texts = _texts_for_predict(args)
     with _stage("predict"):
-        # Labels are unknown here; the matrix needs some.
-        for predictions in _predict_chunks(model_bundle, texts, [0] * len(texts)):
+        for predictions in _predict_chunks(model_bundle, texts):
             sys.stdout.write(
                 "".join(
                     f"{label}\n" if score is None else f"{label}\t{score!r}\n"
@@ -374,13 +372,10 @@ def cmd_evaluate(args) -> int:
         corpus = ingest.load_corpus(args.data, args.format)
     with _stage("evaluate"):
         texts = [doc.text for doc in corpus.documents]
-        labels = corpus.labels
         predicted = [
-            label
-            for predictions in _predict_chunks(model_bundle, texts, labels)
-            for label in predictions
+            label for predictions in _predict_chunks(model_bundle, texts) for label in predictions
         ]
-        report = evaluate.metrics(evaluate.confusion(predicted, labels))
+        report = evaluate.metrics(evaluate.confusion(predicted, corpus.labels))
     print(_metrics_text(report))
     if args.out:
         with _stage("write"):
@@ -446,7 +441,8 @@ def _project_rows(matrix, seed: int) -> list[tuple[float, float]]:
     rng = derive_stream(seed, STREAM_PROJECTION)
     signs = [1.0 - 2.0 * (rng.next_u64() >> 63) for _ in range(2 * matrix.dim)]
     gx, gy = np.array(signs).reshape(-1, 2).T
-    return list(zip((matrix.csr @ gx).tolist(), (matrix.csr @ gy).tolist()))
+    Xt = matrix.csr.transpose()
+    return list(zip(Xt.rmatvec(gx).tolist(), Xt.rmatvec(gy).tolist()))
 
 
 def _scatter_svg(points, labels, n_original: int) -> str:

@@ -61,14 +61,11 @@ class CsrView:
     (strictly increasing) with values ``data[...]``; ``row_lengths`` gives
     each row's entry count and ``row_ids`` each entry's row.
 
-    ``X @ w`` and ``X.rmatvec(r)`` (Xᵀr) are ``np.bincount`` sums over
-    the stored entries in row-major order, so their summation order is
-    fixed and no BLAS call is involved.  ``X @ w`` gathers ``w[indices]``
-    and adds each row's products in one serial chain; a caller that forms
-    it many times over one matrix computes ``X.transpose().rmatvec(w)``
-    instead, which gives the same bits faster (see `rmatvec`).  Both
-    return float64, also with no stored entries, where ``np.bincount``
-    ignores its weights and counts in int64.
+    The one matrix-vector product is `rmatvec`, ``X.rmatvec(r)`` = Xᵀr:
+    an ``np.bincount`` sum over the stored entries in row-major order, so
+    its summation order is fixed and no BLAS call is involved.  Xw is
+    ``X.transpose().rmatvec(w)``, the same sums as adding each row's
+    products in entry order.
     """
 
     def __init__(self, indptr: np.ndarray, indices: np.ndarray, data: np.ndarray, dim: int):
@@ -123,26 +120,19 @@ class CsrView:
         indptr = np.concatenate(([0], np.cumsum(counts)))
         return CsrView(indptr, self.row_ids[by_column], self.data[by_column], self.shape[0])
 
-    def __matmul__(self, weights: np.ndarray) -> np.ndarray:
-        # One nnz-sized temporary, not two: two at once can make malloc
-        # trim and re-fault the heap on every call.
-        products = weights[self.indices]
-        products *= self.data
-        sums = np.bincount(self.row_ids, products, minlength=self.shape[0])
-        return sums.astype(np.float64, copy=False)
-
     def rmatvec(self, residuals: np.ndarray) -> np.ndarray:
         """Xᵀr.  Entry k's product is ``r[row] * data[k]``, with ``r``
         spread over the entries by ``np.repeat`` (the same values a gather
         by ``row_ids`` reads, without the gather).  Each column sum starts
-        from 0.0 and adds its products in row-major order.
+        from 0.0 and adds its products in row-major order.  The result is
+        float64, also with no stored entries, where ``np.bincount`` ignores
+        its weights and counts in int64.
 
-        The linear fits also form ``X @ w`` this way, as
-        ``Xt.rmatvec(w)`` with ``Xt = X.transpose()``: for one row of X,
-        Xt's entries come in ascending column order, which is X's entry
-        order, so each row sum adds the same products in the same order as
-        ``X @ w``, bit for bit.  The spread and the column-sorted sums
-        avoid the gather and the one long chain of additions per row."""
+        Xw is ``Xt.rmatvec(w)`` with ``Xt = X.transpose()``: for one row
+        of X, Xt's entries come in ascending column order, which is X's
+        entry order, so each row sum adds that row's products in entry
+        order from 0.0.  One nnz-sized temporary, not two: two at once can
+        make malloc trim and re-fault the heap on every call."""
         products = np.repeat(residuals, self.row_lengths)
         products *= self.data
         sums = np.bincount(self.indices, products, minlength=self.shape[1])

@@ -1,0 +1,204 @@
+"""A catalogue of source mutants, each with the tests that must kill it.
+
+A `Mutant` replaces one exact snippet ``old`` of one file under ``src/``
+by ``new``.  Run from the repository root:
+
+    python tests/mutants.py [NAME ...]
+
+For each named mutant (all of them by default), the runner copies
+``src/`` to a temporary directory, applies the mutant there, and runs
+only its ``kills`` tests with the copy first on the import path (the
+pytest ``pythonpath`` option and ``PYTHONPATH`` for child interpreters).
+A mutant is killed when some test fails, survives when all pass, and is
+an error when pytest cannot run them or they run past the timeout.  The exit
+status is 1 unless every mutant is killed; the last line is a summary.
+
+`tests/test_mutants.py` keeps the catalogue from rotting: each ``old``
+occurs exactly once in its file, and each ``kills`` id names a test
+function that exists.  A change that rewrites mutated code updates the
+mutant, or says why it goes.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    path: str  # relative to the repository root, under src/
+    old: str
+    new: str
+    kills: tuple[str, ...]  # pytest node ids relative to the repository root
+    origin: str
+
+
+CATALOGUE = (
+    Mutant(
+        name="linear-zero-score-gives-label-0",
+        path="src/textbalance/classify.py",
+        old="(scores >= 0.0).astype(np.int64)",
+        new="(scores > 0.0).astype(np.int64)",
+        kills=("tests/test_classify.py::TestPredictBatchOracle::test_empty_row_scores_the_bias",),
+        origin="linear scoring through rmatvec",
+    ),
+    Mutant(
+        name="scatter-axes-swapped",
+        path="src/textbalance/cli.py",
+        old="Xt.rmatvec(gx).tolist(), Xt.rmatvec(gy).tolist()",
+        new="Xt.rmatvec(gy).tolist(), Xt.rmatvec(gx).tolist()",
+        kills=(
+            "tests/test_golden.py::test_golden_digest[seed7-scatter]",
+            "tests/test_golden.py::test_golden_digest[seed11-scatter]",
+            "tests/test_golden.py::test_golden_digest[seed13-scatter]",
+        ),
+        origin="scatter projection through rmatvec",
+    ),
+    Mutant(
+        name="nb-mass-of-the-other-class",
+        path="src/textbalance/classify.py",
+        old="X.rmatvec((y == label).astype(np.float64))",
+        new="X.rmatvec((y != label).astype(np.float64))",
+        kills=("tests/test_classify.py::TestDenseOracles::test_nb_tables_equal_dense_reference",),
+        origin="NB class masses through rmatvec",
+    ),
+    Mutant(
+        name="rmatvec-adds-instead-of-multiplies",
+        path="src/textbalance/vectorize.py",
+        old="products *= self.data",
+        new="products += self.data",
+        kills=("tests/test_vectorize.py::TestCsrTranspose::test_transposed_product_equals_matvec_bits",),
+        origin="CsrView.rmatvec, the one product",
+    ),
+    Mutant(
+        name="bundle-floats-accept-strings-and-booleans",
+        path="src/textbalance/bundle.py",
+        old='    _require(all(type(v) in (int, float) for v in numbers), f"{what} holds a non-number")\n',
+        new="",
+        kills=("tests/test_cli.py::TestCorruptBundles::test_float_fields_must_be_json_numbers",),
+        origin="bundle float fields take JSON numbers only",
+    ),
+    Mutant(
+        name="bundle-format-version-any-equal-value",
+        path="src/textbalance/bundle.py",
+        old="type(version) is not int or version != FORMAT_VERSION",
+        new="version != FORMAT_VERSION",
+        kills=("tests/test_bundle.py::TestModelBundle::test_format_version_pinned",),
+        origin="bundle format_version is the JSON integer 1",
+    ),
+    Mutant(
+        name="step-bound-without-factor-2",
+        path="src/textbalance/classify.py",
+        old="L_w = 2.0 * curvature * _weight_curvature(X, Xt) + ridge_w",
+        new="L_w = curvature * _weight_curvature(X, Xt) + ridge_w",
+        kills=("tests/test_classify.py::TestStepSizes::test_steps_bound_the_hessian",),
+        origin="block-diagonal step sizes of the linear fits",
+    ),
+    Mutant(
+        name="descent-without-momentum",
+        path="src/textbalance/classify.py",
+        old="point = w + ((t - 1.0) / t_next) * step",
+        new="point = w",
+        kills=("tests/test_classify.py::TestConvergence",),
+        origin="accelerated gradient descent (FISTA) of the linear fits",
+    ),
+    Mutant(
+        name="nb-prior-added-last",
+        path="src/textbalance/classify.py",
+        old=(
+            "    rows = np.concatenate((np.arange(n), X.row_ids))\n"
+            "    scores = [\n"
+            "        np.bincount(\n"
+            "            rows, np.concatenate((np.full(n, prior), X.data * log_prob[X.indices])),"
+        ),
+        new=(
+            "    rows = np.concatenate((X.row_ids, np.arange(n)))\n"
+            "    scores = [\n"
+            "        np.bincount(\n"
+            "            rows, np.concatenate((X.data * log_prob[X.indices], np.full(n, prior))),"
+        ),
+        kills=("tests/test_classify.py::TestPredictBatchOracle::test_nb_prior_is_added_first",),
+        origin="ROADMAP direction 8: NB prior taken last",
+    ),
+    Mutant(
+        name="nb-ties-go-to-the-later-label",
+        path="src/textbalance/classify.py",
+        old="best[scores[c] > np.choose(best, scores)] = c",
+        new="best[scores[c] >= np.choose(best, scores)] = c",
+        kills=("tests/test_classify.py::TestPredictBatchOracle::test_exact_nb_ties_give_label_zero",),
+        origin="ROADMAP direction 8: NB ties going to label 1",
+    ),
+)
+
+
+def apply(mutant: Mutant, root: Path) -> None:
+    """Rewrite ``mutant.path`` under ``root``; its ``old`` must occur once."""
+    path = root / mutant.path
+    text = path.read_text(encoding="utf-8")
+    if text.count(mutant.old) != 1:
+        raise ValueError(f"{mutant.name}: `old` occurs {text.count(mutant.old)}x in {mutant.path}")
+    path.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
+
+
+def run(mutant: Mutant, timeout: float = 300.0) -> str:
+    """'killed', 'survived' or 'error: ...' for one mutant; ``timeout`` is
+    in seconds."""
+    with tempfile.TemporaryDirectory(prefix="mutant-") as work:
+        work = Path(work)
+        shutil.copytree(ROOT / "src", work / "src", ignore=shutil.ignore_patterns("__pycache__"))
+        apply(mutant, work)
+        src = str(work / "src")
+        env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
+        argv = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+                "-o", f"pythonpath={src}", *mutant.kills]
+        try:
+            proc = subprocess.run(argv, cwd=ROOT, env=env, capture_output=True, text=True,
+                                  timeout=timeout)
+        except subprocess.TimeoutExpired:
+            return f"error: timed out after {timeout:g} s"
+    if proc.returncode == 1:
+        return "killed"
+    if proc.returncode == 0:
+        return "survived"
+    last = (proc.stdout.strip().splitlines() or [""])[-1]
+    return f"error: pytest exit {proc.returncode}: {last}"
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("names", nargs="*", help="mutants to run (default: all)")
+    args = parser.parse_args(argv)
+    by_name = {m.name: m for m in CATALOGUE}
+    unknown = [n for n in args.names if n not in by_name]
+    if unknown:
+        parser.error(f"unknown mutants: {', '.join(unknown)}")
+    chosen = [by_name[n] for n in args.names] if args.names else list(CATALOGUE)
+    start = time.monotonic()
+    outcomes = []
+    for mutant in chosen:
+        outcome = run(mutant)
+        outcomes.append(outcome)
+        print(f"{outcome:<9} {mutant.name}", flush=True)
+    killed = outcomes.count("killed")
+    survived = outcomes.count("survived")
+    errors = len(outcomes) - killed - survived
+    print(
+        f"mutants: {killed} killed, {survived} survived, {errors} errors of {len(outcomes)} "
+        f"in {time.monotonic() - start:.1f} s"
+    )
+    return 0 if killed == len(outcomes) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

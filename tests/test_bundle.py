@@ -148,10 +148,12 @@ class TestModelBundle:
         save_bundle(bundle, path)
         data = json.loads(path.read_text())
         assert data["format_version"] == 1
-        data["format_version"] = 2
-        path.write_text(json.dumps(data))
-        with pytest.raises(BundleError, match="format_version"):
-            load_bundle(path)
+        # Only the JSON integer 1: true == 1 and 1.0 == 1 in Python.
+        for version in (2, True, 1.0, "1", None):
+            data["format_version"] = version
+            path.write_text(json.dumps(data))
+            with pytest.raises(BundleError, match="format_version"):
+                load_bundle(path)
 
     def test_deeply_nested_json_reported(self, tmp_path):
         path = tmp_path / "deep.json"

@@ -11,7 +11,7 @@ import pytest
 import oracles
 from conftest import dense_to_matrix, matrix_of, oracle_matrix, rand_matrix, to_dense
 from oracles import SparseVector, csr_of, from_pairs, predict_scored, rows_of
-from textbalance import classify
+from textbalance import classify, cli
 from textbalance.classify import (
     ALGORITHMS,
     DecisionTreeModel,
@@ -129,6 +129,13 @@ class TestNaiveBayes:
     def test_negative_feature_values_rejected(self):
         matrix = dense_to_matrix([[1.0], [-0.5]], [0, 1])
         with pytest.raises(ValueError, match="non-negative"):
+            train(matrix, TrainConfig(algorithm="nb"))
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan], ids=["inf", "nan"])
+    def test_non_finite_feature_values_rejected(self, value):
+        # Rejected before any class mass is formed: 0.0 * inf would be NaN.
+        matrix = dense_to_matrix([[1.0, 0.0], [0.0, value]], [0, 1])
+        with pytest.raises(ValueError, match="finite, non-negative"):
             train(matrix, TrainConfig(algorithm="nb"))
 
 
@@ -1010,48 +1017,73 @@ class TestStepSizes:
                 assert np.linalg.eigvalsh(scaled)[-1] <= 1.0 + 1e-12, trial
 
 
-class TestLinearFitProducts:
-    """Each linear fit transposes X once and forms every product with
-    `CsrView.rmatvec`: two per power step of its step-size bound, on |X|'s
-    and |Xt|'s arrays, and two per epoch, ``X @ w`` as ``Xt.rmatvec(w)``
-    and Xᵀr as ``X.rmatvec(r)``.  The gather-and-chain
-    `CsrView.__matmul__` never runs."""
+class TestSparseProducts:
+    """`CsrView.rmatvec` is the one matrix-vector product, for fitting and
+    for scoring.  Each linear fit transposes X once and makes two calls per
+    power step of its step-size bound, on |X|'s and |Xt|'s arrays, and two
+    per epoch, Xw as ``Xt.rmatvec(w)`` and Xᵀr as ``X.rmatvec(r)``.  NB's
+    class masses are one call per class, linear scoring one transpose and
+    one call, and the `scatter` projection one transpose and two calls."""
 
-    @pytest.mark.parametrize(
-        "fit",
-        [
-            lambda m: train(m, TrainConfig(algorithm="logistic", lr_epochs=7)),
-            lambda m: train(m, TrainConfig(algorithm="svm", svm_epochs=7)),
-        ],
-        ids=["logistic", "svm"],
-    )
-    def test_one_transpose_and_no_row_matmul_per_fit(self, monkeypatch, fit):
-        matrix = rand_matrix(np.random.default_rng(85), n0=12, n1=9, dim=15)
-        calls = {"transpose": 0, "matmul": 0, "rmatvec": 0}
+    @staticmethod
+    def count_products(monkeypatch):
+        calls = {"transpose": 0, "rmatvec": 0}
         transposes = []
-        transpose, matmul, rmatvec = CsrView.transpose, CsrView.__matmul__, CsrView.rmatvec
+        transpose, rmatvec = CsrView.transpose, CsrView.rmatvec
 
         def counted_transpose(self):
             calls["transpose"] += 1
             transposes.append(transpose(self))
             return transposes[-1]
 
-        def counted_matmul(self, weights):
-            calls["matmul"] += 1
-            return matmul(self, weights)
-
         def counted_rmatvec(self, residuals):
             calls["rmatvec"] += 1
             return rmatvec(self, residuals)
 
         monkeypatch.setattr(CsrView, "transpose", counted_transpose)
-        monkeypatch.setattr(CsrView, "__matmul__", counted_matmul)
         monkeypatch.setattr(CsrView, "rmatvec", counted_rmatvec)
-        fit(matrix)
+        return calls, transposes
+
+    @pytest.mark.parametrize(
+        "config",
+        [TrainConfig(algorithm="logistic", lr_epochs=7), TrainConfig(algorithm="svm", svm_epochs=7)],
+        ids=["logistic", "svm"],
+    )
+    def test_one_transpose_per_linear_fit(self, monkeypatch, config):
+        matrix = rand_matrix(np.random.default_rng(85), n0=12, n1=9, dim=15)
+        calls, transposes = self.count_products(monkeypatch)
+        train(matrix, config)
         # Two per power step of the step-size bound, then two per epoch.
-        assert calls == {"transpose": 1, "matmul": 0, "rmatvec": 2 * 7 + 16}
+        assert calls == {"transpose": 1, "rmatvec": 2 * 7 + 16}
         # The fit reads no entry's row of the transpose, so it never builds them.
         assert "row_ids" not in vars(transposes[0])
+
+    @pytest.mark.parametrize("algorithm", ["logistic", "svm"])
+    def test_linear_scoring_is_one_transpose_and_one_rmatvec(self, monkeypatch, algorithm):
+        matrix = rand_matrix(np.random.default_rng(86), n0=12, n1=9, dim=15)
+        model = train(matrix, TrainConfig(algorithm=algorithm, lr_epochs=3, svm_epochs=3))
+        calls, _ = self.count_products(monkeypatch)
+        predict_batch(model, matrix)
+        assert calls == {"transpose": 1, "rmatvec": 1}
+
+    @pytest.mark.parametrize("n0, n1", [(12, 9), (0, 9), (12, 0)], ids=["both", "ones", "zeros"])
+    def test_nb_fit_is_one_rmatvec_per_class(self, monkeypatch, n0, n1):
+        matrix = rand_matrix(np.random.default_rng(87), n0=n0, n1=n1, dim=15, nonneg=True)
+        assert "row_ids" not in vars(matrix.csr)
+        calls, _ = self.count_products(monkeypatch)
+        train(matrix, TrainConfig(algorithm="nb"))
+        assert calls == {"transpose": 0, "rmatvec": (n0 > 0) + (n1 > 0)}
+        # The class masses read no entry's row.
+        assert "row_ids" not in vars(matrix.csr)
+
+    def test_scatter_projection_is_one_transpose_and_two_rmatvecs(self, monkeypatch):
+        matrix = rand_matrix(np.random.default_rng(88), n0=12, n1=9, dim=15)
+        calls, _ = self.count_products(monkeypatch)
+        cli._project_rows(matrix, 5)
+        assert calls == {"transpose": 1, "rmatvec": 2}
+
+    def test_csr_view_has_no_matmul(self):
+        assert not hasattr(CsrView, "__matmul__")
 
 
 class TestSigmoid:

@@ -662,6 +662,35 @@ def _set_integer(field, value):
     return edit
 
 
+def _set_float(field, value):
+    """A classifier edit that sets ``field`` to ``value``: every weight, the
+    whole weights table, the bias, the first NB prior, the first NB table
+    row, or the first tree threshold."""
+
+    def edit(c):
+        if field == "weights":
+            c["weights"] = [value] * len(c["weights"])
+        elif field == "weights_table":
+            c["weights"] = value * len(c["weights"])
+        elif field == "feature_log_prob":
+            c["feature_log_prob"][0] = value * len(c["feature_log_prob"][0])
+        elif field == "class_log_prior":
+            c["class_log_prior"][0] = value
+        elif field == "threshold":
+            c["nodes"][_first_split(c)]["threshold"] = value
+        else:
+            c[field] = value
+
+    return edit
+
+
+def _string_terms(data):
+    # One distinct single-letter token per term, joined into one string:
+    # `tuple` of it would split it back into the same terms.
+    data["tfidf"]["terms"] = "".join(chr(0x4E00 + i) for i in range(len(data["tfidf"]["terms"])))
+    data["preprocess_config"]["min_token_len"] = 1
+
+
 def _set(section, key, change):
     """A bundle edit that replaces ``data[section][key]`` by ``change(old)``."""
 
@@ -721,6 +750,30 @@ class TestCorruptBundles:
         assert capsys.readouterr().err.startswith("error [bundle]")
 
     @pytest.mark.parametrize(
+        "algo, edit",
+        [
+            ("logistic", _set_float("weights", "0.5")),
+            ("logistic", _set_float("bias", "0.5")),
+            ("svm", _set_float("weights", True)),
+            ("svm", _set_float("bias", False)),
+            ("logistic", _set_float("weights_table", "0")),
+            ("nb", _set_float("class_log_prior", "-0.5")),
+            ("nb", _set_float("feature_log_prob", "1")),
+            ("tree", _set_float("threshold", "0.5")),
+            ("tree", _set_float("threshold", True)),
+        ],
+        ids=[
+            "weight-str", "bias-str", "weight-true", "bias-false", "weights-string-table",
+            "nb-prior-str", "nb-row-string-table", "tree-threshold-str", "tree-threshold-true",
+        ],
+    )
+    def test_float_fields_must_be_json_numbers(self, dataset, tmp_path, capsys, algo, edit):
+        path = self.corrupt_bundle(dataset, tmp_path, algo, edit)
+        capsys.readouterr()
+        assert run(["predict", "--bundle", path, "free money offer click now"]) == 2
+        assert capsys.readouterr().err.startswith("error [bundle]")
+
+    @pytest.mark.parametrize(
         "edit",
         [_self_loop, _child_out_of_range, _shared_child, _unreachable_leaf, _feature_out_of_range],
     )
@@ -757,12 +810,13 @@ class TestCorruptBundles:
             _first_term("ab"),
             _first_term("the"),
             _first_term("Ab c"),
+            _string_terms,
         ],
         ids=[
             "min_len_string", "min_len_zero", "min_len_bool", "min_len_float",
             "stop_name_int", "stop_sha_null", "duplicate_term", "integer_term",
             "fractional_doc_freq", "fractional_n_docs", "float_n_docs", "huge_n_docs",
-            "short_term", "stop_word_term", "multi_token_term",
+            "short_term", "stop_word_term", "multi_token_term", "string_terms",
         ],
     )
     @pytest.mark.parametrize("command", ["predict", "evaluate"])
