@@ -5,14 +5,14 @@ dense copies: multinomial naive Bayes with Laplace smoothing (fractional
 feature mass is allowed), L2-regularized logistic regression, the
 L2-loss (squared hinge) linear SVM, and a greedy Gini CART tree.  The two
 linear fits share one loop: accelerated gradient descent (FISTA, Beck &
-Teboulle 2009) with gradient restart (O'Donoghue & Candès 2015) for 60
-epochs, at a fixed step 1/L per coordinate, so no objective is ever
-evaluated.  L is one value for the bias, 2c plus its ridge, and one for
-every weight, 2c·λ̂ plus theirs, where c bounds the loss's second
-derivative and λ̂ is a Collatz–Wielandt bound on λ_max(XᵀX)/n from 8
-power steps (`_step_sizes`).  Training is deterministic: same matrix and
-config, same model, bit for bit.  Every matrix-vector product and every
-sum has one fixed summation order:
+Teboulle 2009) with gradient restart (O'Donoghue & Candès 2015) for
+`epochs` (default 60), at a fixed step 1/L per coordinate, so no
+objective is ever evaluated.  L is one value for the bias, 2c plus its
+ridge, and one for every weight, 2c·λ̂ plus theirs, where c bounds the
+loss's second derivative and λ̂ is a Collatz–Wielandt bound on
+λ_max(XᵀX)/n from 8 power steps (`_step_sizes`).  Training is
+deterministic: same matrix and config, same model, bit for bit.  Every
+matrix-vector product and every sum has one fixed summation order:
 
 - every matrix-vector product is one `CsrView.rmatvec` call:
   ``X.rmatvec(r)`` (Xᵀr) adds each column's products in row-major order
@@ -27,10 +27,9 @@ step of λ̂, then two per epoch.  NB's class masses are Xᵀ1_c, one
 `rmatvec` per class over the class's 0/1 row indicator, and linear
 scoring is one transpose and one `rmatvec`.
 
-The tree sorts the stored entries of its candidate columns by (column,
-value) once per fit; each node keeps its entries in that order, so no
-node sorts again.  Split counts are integers, so they do not depend on
-the order of equal values.
+The tree sorts the stored entries by (column, value) once per fit; each
+node keeps its entries in that order, so no node sorts again.  Split
+counts are integers, so they do not depend on the order of equal values.
 
 `predict_batch` labels and scores a whole matrix from its CSR view at
 once, and `predict` is its one-row case.  The tests check its labels and
@@ -60,27 +59,27 @@ ALGORITHM_TITLES = {
 @dataclass(frozen=True)
 class TrainConfig:
     algorithm: str
-    lr_epochs: int = 60
+    epochs: int = 60
     l2: float = 1e-4
     svm_C: float = 1.0
-    svm_epochs: int = 60
     nb_alpha: float = 1.0
     tree_max_depth: int = 10
     tree_min_samples_split: int = 2
-    tree_max_features: int | None = None
 
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
             raise ValueError(
                 f"unknown algorithm {self.algorithm!r} (expected one of {ALGORITHMS})"
             )
+        for name in ("epochs", "tree_max_depth", "tree_min_samples_split"):
+            if type(getattr(self, name)) is not int:
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         for name in ("l2", "svm_C", "nb_alpha"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         positives = {
-            "lr_epochs": self.lr_epochs,
+            "epochs": self.epochs,
             "svm_C": self.svm_C,
-            "svm_epochs": self.svm_epochs,
             "nb_alpha": self.nb_alpha,
             "tree_max_depth": self.tree_max_depth,
         }
@@ -93,8 +92,6 @@ class TrainConfig:
             raise ValueError(
                 f"tree_min_samples_split must be >= 2, got {self.tree_min_samples_split}"
             )
-        if self.tree_max_features is not None and self.tree_max_features < 1:
-            raise ValueError("tree_max_features must be >= 1 when set")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -252,7 +249,7 @@ def _fit_logistic(matrix: FeatureMatrix, config: TrainConfig) -> LinearModel:
     The log loss's second derivative is at most 1/4."""
     y = matrix.labels_array().astype(np.float64)
     w = _accelerated_descent(
-        matrix, config.lr_epochs, lambda z: _sigmoid(z) - y, 0.25, config.l2, 0.0
+        matrix, config.epochs, lambda z: _sigmoid(z) - y, 0.25, config.l2, 0.0
     )
     return LinearModel("logistic", matrix.dim, tuple(float(v) for v in w[:-1]), float(w[-1]))
 
@@ -274,7 +271,7 @@ def _fit_svm(matrix: FeatureMatrix, config: TrainConfig) -> LinearModel:
     def slope(z):
         return np.where(y_pm * z < 1.0, 2.0 * (z - y_pm), 0.0)
 
-    w = _accelerated_descent(matrix, config.svm_epochs, slope, 2.0, lam, lam)
+    w = _accelerated_descent(matrix, config.epochs, slope, 2.0, lam, lam)
     return LinearModel("svm", matrix.dim, tuple(float(v) for v in w[:-1]), float(w[-1]))
 
 
@@ -314,29 +311,6 @@ def _gini_from_counts(n0, n1):
     p0 = n0 / total
     p1 = n1 / total
     return 1.0 - p0 * p0 - p1 * p1
-
-
-_VARIANCE_BLOCK = 256  # columns densified at a time by _candidate_features
-
-
-def _candidate_features(X: CsrView, max_features: int | None) -> np.ndarray:
-    n, d = X.shape
-    if max_features is None or max_features >= d:
-        return np.arange(d)
-    # Deterministic cap: keep the highest-variance columns, ties by index.
-    # np.var runs on dense blocks of one fixed width (the last block
-    # overlaps its neighbour): numpy sums a one-column block in a different
-    # order, and these variances must equal those of the full dense matrix.
-    width = min(_VARIANCE_BLOCK, d)
-    variances = np.empty(d)
-    for start in range(0, d, width):
-        start = min(start, d - width)
-        inside = (X.indices >= start) & (X.indices < start + width)
-        block = np.zeros((n, width))
-        block[X.row_ids[inside], X.indices[inside] - start] = X.data[inside]
-        variances[start : start + width] = block.var(axis=0)
-    order = np.lexsort((np.arange(d), -variances))
-    return np.sort(order[:max_features])
 
 
 def _best_split(
@@ -399,25 +373,16 @@ def _majority_label(y: np.ndarray) -> int:
     return 0  # ties resolve to the non-spam label
 
 
-def _sorted_entries(X: CsrView, features: np.ndarray) -> np.ndarray:
-    """Positions of the stored entries in the ``features`` columns, sorted
-    by (column, value).  A node's entries keep this order when it splits,
-    so `_best_split` never sorts."""
-    order = np.lexsort((X.data, X.indices))
-    return order[np.isin(X.indices[order], features)]
-
-
 def _fit_tree(matrix: FeatureMatrix, config: TrainConfig) -> DecisionTreeModel:
     X = matrix.csr
     y = matrix.labels_array()
-    features = _candidate_features(X, config.tree_max_features)
     nodes: list[TreeNode] = []
     # Nodes are numbered in pre-order: a node, its left subtree, then its
     # right subtree.  Each pending subtree holds its rows, their stored
-    # entries in candidate columns (as positions into ``X``, in the order
-    # of `_sorted_entries`), its depth, and the parent field that must
-    # point at it.
-    pending = [(np.arange(len(matrix)), _sorted_entries(X, features), 0, -1, "")]
+    # entries (as positions into ``X``, sorted by (column, value) once
+    # here; a split keeps that order, so `_best_split` never sorts), its
+    # depth, and the parent field that must point at it.
+    pending = [(np.arange(len(matrix)), np.lexsort((X.data, X.indices)), 0, -1, "")]
     while pending:
         rows, entries, depth, parent, side = pending.pop()
         node_id = len(nodes)
@@ -432,7 +397,7 @@ def _fit_tree(matrix: FeatureMatrix, config: TrainConfig) -> DecisionTreeModel:
         ):
             columns = X.indices[entries]
             found = _best_split(columns, X.data[entries], y[X.row_ids[entries]], sub_y, matrix.dim)
-        if found is None:  # pure, too deep, too small, or all candidate columns constant
+        if found is None:  # pure, too deep, too small, or every column constant
             nodes.append(TreeNode(label=_majority_label(sub_y)))
             continue
         feature, threshold = found

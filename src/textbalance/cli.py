@@ -115,13 +115,13 @@ _CORPUS_FLAGS = ("--seed", "--stopwords", "--min-token-len", "--format", "--smot
 
 def _add_hyper_flags(parser: argparse.ArgumentParser) -> None:
     """One flag per `TrainConfig` hyperparameter: svm_C gives --svm-c, with
-    the field's default and the default's type (int for a None default)."""
+    the field's default and the default's type."""
     group = parser.add_argument_group("hyperparameters")
     for field in _HYPER_FIELDS:
         group.add_argument(
             "--" + field.name.lower().replace("_", "-"),
             dest=field.name,
-            type=int if field.default is None else type(field.default),
+            type=type(field.default),
             default=field.default,
         )
 

@@ -139,6 +139,99 @@ CATALOGUE = (
         kills=("tests/test_classify.py::TestPredictBatchOracle::test_exact_nb_ties_give_label_zero",),
         origin="ROADMAP direction 8: NB ties going to label 1",
     ),
+    Mutant(
+        name="tokens-keep-underscores",
+        path="src/textbalance/preprocess.py",
+        old='_TOKEN = re.compile(r"[^\\W_]+")',
+        new='_TOKEN = re.compile(r"\\w+")',
+        kills=("tests/test_preprocess.py::TestScannerEdgeCases::test_tokenize_follows_isalnum",),
+        origin="tokens are the runs of str.isalnum() characters",
+    ),
+    Mutant(
+        name="ascii-element-name-is-a-prefix",
+        path="src/textbalance/preprocess.py",
+        old='return rf"<(?i:{name})(?![A-Za-z])(?:',
+        new='return rf"<(?i:{name})(?:',
+        kills=("tests/test_preprocess.py::TestAsciiPatternMatchesScanner",),
+        origin="strip_html's ASCII pattern agrees with the scanner",
+    ),
+    Mutant(
+        name="tfidf-counts-out-of-vocabulary-tokens",
+        path="src/textbalance/vectorize.py",
+        old=(
+            "    terms, doc_of = terms[known], doc_of[known]\n"
+            "    totals = np.bincount(doc_of, minlength=n_docs)\n"
+        ),
+        new=(
+            "    totals = np.bincount(doc_of, minlength=n_docs)\n"
+            "    terms, doc_of = terms[known], doc_of[known]\n"
+        ),
+        kills=("tests/test_vectorize.py::TestTransform::test_oov_excluded_from_denominator",),
+        origin="TF-IDF's tf is over in-vocabulary tokens",
+    ),
+    Mutant(
+        name="knn-filter-without-relative-slack",
+        path="src/textbalance/resample.py",
+        old="self._rel_slack = m * _UNIT_ROUNDOFF / (1.0 - m * _UNIT_ROUNDOFF)",
+        new="self._rel_slack = 0.0",
+        kills=("tests/test_resample.py::TestKnnAdversarial",),
+        origin="the kNN filter's proven rounding bound",
+    ),
+    Mutant(
+        name="interpolation-from-the-neighbor",
+        path="src/textbalance/resample.py",
+        old="values = base + gaps[chunk][pair] * (other - base)",
+        new="values = other + gaps[chunk][pair] * (base - other)",
+        kills=("tests/test_resample.py::TestInterpolate::test_endpoints",),
+        origin="SMOTE's synthetic row is base + gap * (other - base)",
+    ),
+    Mutant(
+        name="tree-fit-splits-at-the-threshold",
+        path="src/textbalance/classify.py",
+        old="goes_left[X.row_ids[on_feature]] = X.data[on_feature] <= threshold",
+        new="goes_left[X.row_ids[on_feature]] = X.data[on_feature] < threshold",
+        kills=("tests/test_classify.py::TestDecisionTree::test_values_at_the_threshold_go_left",),
+        origin="the tree sends values at the threshold left",
+    ),
+    Mutant(
+        name="tree-predict-splits-at-the-threshold",
+        path="src/textbalance/classify.py",
+        old="np.where(value <= threshold[at], left[at], right[at])",
+        new="np.where(value < threshold[at], left[at], right[at])",
+        kills=("tests/test_classify.py::TestDecisionTree::test_values_at_the_threshold_go_left",),
+        origin="the tree sends values at the threshold left",
+    ),
+    Mutant(
+        name="tree-min-samples-split-exclusive",
+        path="src/textbalance/classify.py",
+        old="and len(rows) >= config.tree_min_samples_split",
+        new="and len(rows) > config.tree_min_samples_split",
+        kills=("tests/test_classify.py::TestDenseOracles::test_tree_matches_dense_reference",),
+        origin="tree_min_samples_split is the smallest node that splits",
+    ),
+    Mutant(
+        name="nb-alpha-ignored",
+        path="src/textbalance/classify.py",
+        old="    alpha = config.nb_alpha\n",
+        new="    alpha = 1.0\n",
+        kills=(
+            "tests/test_classify.py::TestTrainConfig::test_every_hyperparameter_moves_some_model",
+        ),
+        origin="every TrainConfig field is read by some fit",
+    ),
+    Mutant(
+        name="matrix-reader-accepts-duplicates",
+        path="src/textbalance/matrixio.py",
+        old=(
+            "        if not _increasing(rows, cols):  # sorted now: a (row, col) pair repeats\n"
+            "            return None\n"
+        ),
+        new="",
+        kills=(
+            "tests/test_bundle.py::TestReaderFastPath::test_invalid_inputs_get_the_checker_message",
+        ),
+        origin="the fast matrix reader rejects a repeated (row, col) pair",
+    ),
 )
 
 

@@ -393,7 +393,7 @@ def logistic_fit(matrix, config: TrainConfig) -> tuple[np.ndarray, float]:
         return masked_sigmoid(z) - y
 
     L_w, L_b = step_bounds(matrix, 0.25, config.l2, 0.0)
-    return accelerated_fit(matrix, config.lr_epochs, slope, config.l2, 0.0, L_w, L_b)
+    return accelerated_fit(matrix, config.epochs, slope, config.l2, 0.0, L_w, L_b)
 
 
 def svm_fit(matrix, config: TrainConfig) -> tuple[np.ndarray, float]:
@@ -407,7 +407,7 @@ def svm_fit(matrix, config: TrainConfig) -> tuple[np.ndarray, float]:
         return -2.0 * y_pm * np.maximum(0.0, 1.0 - y_pm * z)
 
     L_w, L_b = step_bounds(matrix, 2.0, lam, lam)
-    return accelerated_fit(matrix, config.svm_epochs, slope, lam, lam, L_w, L_b)
+    return accelerated_fit(matrix, config.epochs, slope, lam, lam, L_w, L_b)
 
 
 def _gini(n0, n1):
@@ -451,18 +451,12 @@ def best_split(columns, values, entry_y, y, dim):
 
 def tree_fit(matrix, config: TrainConfig) -> tuple[TreeNode, ...]:
     """Greedy Gini CART in pre-order; each node's entries are in row-major
-    order and `best_split` sorts them.  A feature cap keeps the columns of
-    highest variance (over a dense copy), ties by index."""
+    order and `best_split` sorts them."""
     rows_of, columns_of, values_of = _entries(matrix)
     y = np.asarray(matrix.labels, dtype=np.int64)
     n, d = len(matrix), matrix.dim
-    features = np.arange(d)
-    if config.tree_max_features is not None and config.tree_max_features < d:
-        dense = np.zeros((n, d))
-        dense[rows_of, columns_of] = values_of
-        features = np.sort(np.lexsort((np.arange(d), -dense.var(axis=0)))[: config.tree_max_features])
     nodes: list[TreeNode] = []
-    pending = [(np.arange(n), np.flatnonzero(np.isin(columns_of, features)), 0, -1, "")]
+    pending = [(np.arange(n), np.arange(len(columns_of)), 0, -1, "")]
     while pending:
         rows, entries, depth, parent, side = pending.pop()
         node_id = len(nodes)

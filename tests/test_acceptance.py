@@ -211,7 +211,7 @@ def test_criterion_07_logistic_gradient_check():
             # is max_j (Au)_j / u_j / n for A = |X|^T |X| and u the all-ones
             # vector after 7 power steps.
             matrix = dense_to_matrix(X, y)
-            first = train(matrix, TrainConfig("logistic", lr_epochs=1, l2=l2))
+            first = train(matrix, TrainConfig("logistic", epochs=1, l2=l2))
             A = np.abs(X).T @ np.abs(X)
             u = np.ones(dim)
             for _ in range(7):

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -57,9 +57,9 @@ class TestTrainConfig:
 
     def test_positive_hyperparameters(self):
         with pytest.raises(ValueError):
-            TrainConfig(algorithm="logistic", lr_epochs=0)
+            TrainConfig(algorithm="logistic", epochs=0)
         with pytest.raises(ValueError):
-            TrainConfig(algorithm="svm", svm_epochs=0)
+            TrainConfig(algorithm="svm", epochs=-1)
         with pytest.raises(ValueError):
             TrainConfig(algorithm="nb", nb_alpha=-1.0)
         with pytest.raises(ValueError):
@@ -73,12 +73,46 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             TrainConfig(algorithm="nb", **{field: value})
 
+    @pytest.mark.parametrize("field", ["epochs", "tree_max_depth", "tree_min_samples_split"])
+    @pytest.mark.parametrize(
+        "value", [2.5, 1.5, 3.0, True, False, "3", None, np.int64(3)],
+        ids=["2.5", "1.5", "3.0", "True", "False", "str", "None", "int64"],
+    )
+    def test_counts_must_be_integers(self, field, value):
+        # Unchecked, 2.5 epochs would fail in the fit's range(), True would
+        # train one epoch, and depth 1.5 would grow a depth-2 tree.
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            TrainConfig(algorithm="tree", **{field: value})
+
+    # A value off each hyperparameter's default; a new field needs one here.
+    MOVED = {
+        "epochs": 5,
+        "l2": 0.1,
+        "svm_C": 0.01,
+        "nb_alpha": 0.1,
+        "tree_max_depth": 1,
+        "tree_min_samples_split": 20,
+    }
+
+    @pytest.mark.parametrize(
+        "field", [f for f in fields(TrainConfig) if f.name != "algorithm"], ids=lambda f: f.name
+    )
+    def test_every_hyperparameter_moves_some_model(self, field):
+        # A field that no fit reads fails here.
+        matrix = rand_matrix(np.random.default_rng(23), n0=20, n1=15, dim=10, nonneg=True)
+        moved = {field.name: self.MOVED[field.name]}
+        assert moved[field.name] != field.default
+        assert any(
+            train(matrix, TrainConfig(algo)) != train(matrix, TrainConfig(algo, **moved))
+            for algo in ALGORITHMS
+        )
+
     def test_to_dict_round_trips_values(self):
-        config = TrainConfig(algorithm="svm", svm_C=2.5, svm_epochs=4)
+        config = TrainConfig(algorithm="svm", svm_C=2.5, epochs=4)
         data = config.to_dict()
         assert data["algorithm"] == "svm"
         assert data["svm_C"] == 2.5
-        assert data["svm_epochs"] == 4
+        assert data["epochs"] == 4
 
 
 class TestNaiveBayes:
@@ -280,7 +314,7 @@ class TestConvergence:
     def _gap(self, matrix: FeatureMatrix, algo: str) -> float:
         """Default-epoch objective over the 2,000-epoch one, minus 1."""
         config = TrainConfig(algorithm=algo)
-        longer = replace(config, lr_epochs=self.REFERENCE_EPOCHS, svm_epochs=self.REFERENCE_EPOCHS)
+        longer = replace(config, epochs=self.REFERENCE_EPOCHS)
         final = self._objective(matrix, config, train(matrix, config))
         return final / self._objective(matrix, longer, train(matrix, longer)) - 1.0
 
@@ -309,6 +343,15 @@ class TestDecisionTree:
         assert not root.is_leaf
         assert root.threshold == 0.5
 
+    def test_values_at_the_threshold_go_left(self):
+        # The midpoint of 1.0 and the next float rounds to 1.0 itself, so
+        # the row holding 1.0 is on the threshold, in the fit and in predict.
+        above = math.nextafter(1.0, 2.0)
+        matrix = dense_to_matrix([[1.0], [above]], [0, 1])
+        model = train(matrix, TrainConfig(algorithm="tree"))
+        assert model.nodes[0].threshold == 1.0
+        assert predict_batch(model, matrix) == [0, 1]
+
     def test_max_depth_limits_tree(self):
         matrix = xor_matrix()
         model = train(matrix, TrainConfig(algorithm="tree", tree_max_depth=1))
@@ -333,27 +376,6 @@ class TestDecisionTree:
         a = train(matrix, TrainConfig(algorithm="tree"))
         b = train(matrix, TrainConfig(algorithm="tree"))
         assert a == b
-
-    def test_max_features_caps_candidates(self):
-        # Column 1 separates the classes; column 0 is label-free noise with
-        # the larger variance, so the cap must keep column 0 alone.
-        X = [[0.0, 0.1], [4.0, 0.1], [0.0, 0.2], [4.0, 0.2], [2.0, 0.1], [2.0, 0.2]]
-        matrix = dense_to_matrix(X, [0, 0, 1, 1, 0, 1])
-        assert np.argmax(to_dense(matrix).var(axis=0)) == 0
-        uncapped = train(matrix, TrainConfig(algorithm="tree"))
-        assert {node.feature for node in uncapped.nodes if not node.is_leaf} == {1}
-        model = train(matrix, TrainConfig(algorithm="tree", tree_max_features=1))
-        assert {node.feature for node in model.nodes if not node.is_leaf} == {0}
-
-    def test_max_features_variance_ties_keep_lower_index(self):
-        # Columns 0 and 2 have equal variance (mirror images); column 1 is
-        # constant.  Both separate the classes, so whichever is kept is used.
-        X = [[0.0, 1.0, 3.0], [3.0, 1.0, 0.0], [0.0, 1.0, 3.0], [3.0, 1.0, 0.0]]
-        matrix = dense_to_matrix(X, [0, 1, 0, 1])
-        variances = to_dense(matrix).var(axis=0)
-        assert variances[0] == variances[2] > variances[1]
-        model = train(matrix, TrainConfig(algorithm="tree", tree_max_features=1))
-        assert {node.feature for node in model.nodes if not node.is_leaf} == {0}
 
     def test_generalizes_on_separable_data(self):
         matrix = separable_matrix()
@@ -684,7 +706,7 @@ def dense_logistic(matrix: FeatureMatrix, config: TrainConfig):
     def gradient(w):
         return X_aug.T @ (oracles.masked_sigmoid(X_aug @ w) - y) / n + ridge * w
 
-    w = dense_fista(X_aug, config.lr_epochs, gradient, dense_step_sizes(X, 0.25, ridge))
+    w = dense_fista(X_aug, config.epochs, gradient, dense_step_sizes(X, 0.25, ridge))
     return w[:-1], w[-1]
 
 
@@ -701,7 +723,7 @@ def dense_svm(matrix: FeatureMatrix, config: TrainConfig):
         hinge = np.maximum(0.0, 1.0 - y_pm * (X_aug @ w))
         return -2.0 * X_aug.T @ (y_pm * hinge) / n + lam * w
 
-    return dense_fista(X_aug, config.svm_epochs, gradient, dense_step_sizes(X, 2.0, ridge))
+    return dense_fista(X_aug, config.epochs, gradient, dense_step_sizes(X, 2.0, ridge))
 
 
 def _dense_gini(n0: float, n1: float) -> float:
@@ -713,14 +735,14 @@ def _dense_gini(n0: float, n1: float) -> float:
     return 1.0 - p0 * p0 - p1 * p1
 
 
-def _dense_best_split(X: np.ndarray, y: np.ndarray, features: np.ndarray):
-    """Scan every boundary of every candidate column; the smallest
+def _dense_best_split(X: np.ndarray, y: np.ndarray):
+    """Scan every boundary of every column; the smallest
     (-gain, feature, threshold) wins."""
     n = len(y)
     parent_n1 = int(y.sum())
     parent_gini = _dense_gini(n - parent_n1, parent_n1)
     best = None
-    for f in features:
+    for f in range(X.shape[1]):
         column = X[:, f]
         order = np.argsort(column, kind="stable")
         sorted_vals = column[order]
@@ -749,11 +771,6 @@ def _dense_majority(y: np.ndarray) -> int:
 def dense_tree(matrix: FeatureMatrix, config: TrainConfig) -> tuple[TreeNode, ...]:
     X = to_dense(matrix)
     y = matrix.labels_array()
-    d = matrix.dim
-    features = np.arange(d)
-    if config.tree_max_features is not None and config.tree_max_features < d:
-        order = np.lexsort((np.arange(d), -X.var(axis=0)))
-        features = np.sort(order[: config.tree_max_features])
     nodes: list[TreeNode] = []
 
     def build(indices: np.ndarray, depth: int) -> int:
@@ -766,7 +783,7 @@ def dense_tree(matrix: FeatureMatrix, config: TrainConfig) -> tuple[TreeNode, ..
             and depth < config.tree_max_depth
             and len(indices) >= config.tree_min_samples_split
         ):
-            found = _dense_best_split(X[indices], sub_y, features)
+            found = _dense_best_split(X[indices], sub_y)
         if found is None:
             nodes[node_id] = TreeNode(label=_dense_majority(sub_y))
             return node_id
@@ -786,46 +803,28 @@ def dense_tree(matrix: FeatureMatrix, config: TrainConfig) -> tuple[TreeNode, ..
 class TestDenseOracles:
     def test_tree_matches_dense_reference(self):
         rng = np.random.default_rng(70)
-        combos = [
-            (depth, split, cap)
-            for depth in (1, 3, 10)
-            for split in (2, 3, 6)
-            for cap in (None, 1, 3)
-        ]
+        combos = [(depth, split) for depth in (1, 2, 3, 10) for split in (2, 3, 4, 6, 9)]
         for trial in range(270):
-            depth, split, cap = combos[trial % len(combos)]
+            depth, split = combos[trial % len(combos)]
             matrix = oracle_matrix(rng)
             config = TrainConfig(
-                algorithm="tree",
-                tree_max_depth=depth,
-                tree_min_samples_split=split,
-                tree_max_features=cap,
+                algorithm="tree", tree_max_depth=depth, tree_min_samples_split=split
             )
             assert train(matrix, config).nodes == dense_tree(matrix, config), trial
 
     def test_tree_matches_dense_reference_on_wider_matrices(self):
-        # Wider than one variance block of the max-features cap.
+        # Mostly-zero columns, most of them partly zero at every node.
         rng = np.random.default_rng(71)
-        for cap in (None, 1, 3, 40):
+        for depth, split in ((10, 2), (1, 2), (3, 5), (100, 12)):
             matrix = rand_matrix(rng, n0=30, n1=25, dim=300, density=0.05)
-            config = TrainConfig(algorithm="tree", tree_max_features=cap)
-            assert train(matrix, config).nodes == dense_tree(matrix, config)
-
-    def test_tree_cap_ranks_near_tied_variances_like_dense_reference(self):
-        # Columns that permute one set of values have equal variance in exact
-        # arithmetic; the float ranking then hinges on summation order.
-        rng = np.random.default_rng(76)
-        for _ in range(30):
-            n = int(rng.integers(20, 200))
-            base = rng.normal(size=n) * (rng.random(n) < 0.3)
-            X = np.column_stack([rng.permutation(base) for _ in range(12)]) + 0.0
-            matrix = dense_to_matrix(X, rng.integers(0, 2, size=n))
-            config = TrainConfig(algorithm="tree", tree_max_depth=2, tree_max_features=3)
+            config = TrainConfig(
+                algorithm="tree", tree_max_depth=depth, tree_min_samples_split=split
+            )
             assert train(matrix, config).nodes == dense_tree(matrix, config)
 
     def test_logistic_fit_matches_dense_reference(self):
         rng = np.random.default_rng(73)
-        config = TrainConfig(algorithm="logistic", lr_epochs=100)
+        config = TrainConfig(algorithm="logistic", epochs=100)
         for _ in range(20):
             matrix = oracle_matrix(rng)
             model = train(matrix, config)
@@ -837,7 +836,7 @@ class TestDenseOracles:
         rng = np.random.default_rng(74)
         for trial in range(40):
             matrix = oracle_matrix(rng)
-            config = TrainConfig(algorithm="svm", svm_C=(0.5, 1.0, 10.0)[trial % 3], svm_epochs=60)
+            config = TrainConfig(algorithm="svm", svm_C=(0.5, 1.0, 10.0)[trial % 3], epochs=60)
             model = train(matrix, config)
             w = dense_svm(matrix, config)
             np.testing.assert_allclose(model.weights, w[:-1], rtol=0, atol=1e-12)
@@ -877,7 +876,7 @@ class TestExactFitReferences:
         rng = np.random.default_rng(81)
         for trial, matrix in enumerate(fit_matrices(rng, 80)):
             l2 = (1e-4, 0.0, 0.05)[trial % 3]
-            config = TrainConfig(algorithm="logistic", lr_epochs=30, l2=l2)
+            config = TrainConfig(algorithm="logistic", epochs=30, l2=l2)
             model = train(matrix, config)
             w, b = oracles.logistic_fit(matrix, config)
             assert np.array_equal(_bits(model.weights), _bits(w)), trial
@@ -887,7 +886,7 @@ class TestExactFitReferences:
         rng = np.random.default_rng(82)
         for trial, matrix in enumerate(fit_matrices(rng, 80)):
             c = (0.5, 1.0, 10.0, 1e160)[trial % 4]
-            config = TrainConfig(algorithm="svm", svm_C=c, svm_epochs=30)
+            config = TrainConfig(algorithm="svm", svm_C=c, epochs=30)
             model = train(matrix, config)
             w, b = oracles.svm_fit(matrix, config)
             assert np.array_equal(_bits(model.weights), _bits(w)), trial
@@ -899,7 +898,7 @@ class TestExactFitReferences:
         rng = np.random.default_rng(86)
         for trial in range(4):
             matrix = rand_matrix(rng, n0=40, n1=25, dim=1500, density=0.02)
-            config = TrainConfig(algorithm="svm", svm_C=(0.05, 0.5)[trial % 2], svm_epochs=40)
+            config = TrainConfig(algorithm="svm", svm_C=(0.05, 0.5)[trial % 2], epochs=40)
             model = train(matrix, config)
             w, b = oracles.svm_fit(matrix, config)
             assert np.array_equal(_bits(model.weights), _bits(w)), trial
@@ -926,14 +925,11 @@ class TestExactFitReferences:
 
     def test_tree_fit_equals_reference(self):
         rng = np.random.default_rng(83)
-        combos = [(depth, cap) for depth in (1, 3, 10) for cap in (None, 1, 2, 5)]
+        combos = [(depth, split) for depth in (1, 2, 3, 10) for split in (2, 3, 5)]
         for trial, matrix in enumerate(fit_matrices(rng, 96)):
-            depth, cap = combos[trial % len(combos)]
+            depth, split = combos[trial % len(combos)]
             config = TrainConfig(
-                algorithm="tree",
-                tree_max_depth=depth,
-                tree_min_samples_split=(2, 3)[trial % 2],
-                tree_max_features=cap,
+                algorithm="tree", tree_max_depth=depth, tree_min_samples_split=split
             )
             assert train(matrix, config).nodes == oracles.tree_fit(matrix, config), trial
 
@@ -1046,7 +1042,7 @@ class TestSparseProducts:
 
     @pytest.mark.parametrize(
         "config",
-        [TrainConfig(algorithm="logistic", lr_epochs=7), TrainConfig(algorithm="svm", svm_epochs=7)],
+        [TrainConfig(algorithm="logistic", epochs=7), TrainConfig(algorithm="svm", epochs=7)],
         ids=["logistic", "svm"],
     )
     def test_one_transpose_per_linear_fit(self, monkeypatch, config):
@@ -1061,7 +1057,7 @@ class TestSparseProducts:
     @pytest.mark.parametrize("algorithm", ["logistic", "svm"])
     def test_linear_scoring_is_one_transpose_and_one_rmatvec(self, monkeypatch, algorithm):
         matrix = rand_matrix(np.random.default_rng(86), n0=12, n1=9, dim=15)
-        model = train(matrix, TrainConfig(algorithm=algorithm, lr_epochs=3, svm_epochs=3))
+        model = train(matrix, TrainConfig(algorithm=algorithm, epochs=3))
         calls, _ = self.count_products(monkeypatch)
         predict_batch(model, matrix)
         assert calls == {"transpose": 1, "rmatvec": 1}

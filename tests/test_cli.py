@@ -93,8 +93,8 @@ class TestUsageErrors:
     )
     @pytest.mark.parametrize(
         "flag, value, message",
-        [("--svm-epochs", "0", "svm_epochs must be positive"),
-         ("--lr-epochs", "-1", "lr_epochs must be positive"),
+        [("--epochs", "0", "epochs must be positive"),
+         ("--epochs", "-1", "epochs must be positive"),
          ("--tree-max-depth", "-2", "tree_max_depth must be positive"),
          ("--svm-c", "nan", "svm_C must be finite")],
     )
@@ -105,6 +105,14 @@ class TestUsageErrors:
         assert run([*command, "--data", "missing.csv", flag, value]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error [{stage}]") and message in err
+
+    @pytest.mark.parametrize(
+        "command", [["train", "--algo", "nb"], ["report"]], ids=["train", "report"]
+    )
+    @pytest.mark.parametrize("flag", ["--lr-epochs", "--svm-epochs", "--tree-max-features"])
+    def test_former_hyperparameter_flags_exit_1(self, command, flag, capsys):
+        assert run([*command, "--data", "missing.csv", flag, "3"]) == 1
+        assert f"unrecognized arguments: {flag} 3" in capsys.readouterr().err
 
     def test_bad_algo_exits_1(self, dataset):
         assert run(["train", "--data", dataset, "--algo", "forest"]) == 1
@@ -304,6 +312,28 @@ class TestPredictAndEvaluate:
         assert run(["train", "--data", dataset, "--algo", "nb", "--smote", "on",
                     "--out", path]) == 0
         return path
+
+    @pytest.mark.parametrize("algo", ALGORITHMS)
+    def test_bundles_with_the_former_train_config_keys_predict_the_same(
+        self, dataset, tmp_path, algo, capsys
+    ):
+        # Bundles written when TrainConfig had lr_epochs, svm_epochs and
+        # tree_max_features: load_bundle does not read the provenance.
+        path, former = tmp_path / "model.json", tmp_path / "former.json"
+        assert run(["train", "--data", dataset, "--algo", algo, "--out", path]) == 0
+        data = json.loads(path.read_text(encoding="utf-8"))
+        config = data["provenance"]["train_config"]
+        epochs = config.pop("epochs")
+        config.update(lr_epochs=epochs, svm_epochs=epochs, tree_max_features=None)
+        bundle_mod.write_json(data, former)
+        inputs = tmp_path / "texts.txt"
+        inputs.write_text("free money offer click now\nthe kernel driver\n\ncasino\n")
+        outputs = []
+        for bundle in (path, former):
+            capsys.readouterr()
+            assert run(["predict", "--bundle", bundle, "--input", inputs]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1] and outputs[0].count("\n") == 4
 
     def test_predict_single_text(self, bundle, capsys):
         capsys.readouterr()
@@ -507,10 +537,8 @@ class TestHyperparameterFlags:
     def test_each_flag_sets_its_own_field(self, command):
         cases = [
             (["--svm-c", "2.5"], {"svm_C": 2.5}),
-            (["--tree-max-features", "3"], {"tree_max_features": 3}),
-            (["--lr-epochs", "7"], {"lr_epochs": 7}),
+            (["--epochs", "7"], {"epochs": 7}),
             (["--l2", "0.25"], {"l2": 0.25}),
-            (["--svm-epochs", "8"], {"svm_epochs": 8}),
             (["--nb-alpha", "0.5"], {"nb_alpha": 0.5}),
             (["--tree-max-depth", "4"], {"tree_max_depth": 4}),
             (["--tree-min-samples-split", "5"], {"tree_min_samples_split": 5}),
@@ -526,8 +554,7 @@ class TestHyperparameterFlags:
 
 
 _HYPER_FLAGS = {
-    "--svm-c", "--tree-max-features", "--lr-epochs", "--l2",
-    "--svm-epochs", "--nb-alpha", "--tree-max-depth", "--tree-min-samples-split",
+    "--epochs", "--l2", "--svm-c", "--nb-alpha", "--tree-max-depth", "--tree-min-samples-split",
 }
 _CORPUS_FLAGS = {"--seed", "--stopwords", "--min-token-len", "--format", "--smote-k", "--data"}
 
