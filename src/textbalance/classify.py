@@ -75,8 +75,11 @@ class TrainConfig:
             if type(getattr(self, name)) is not int:
                 raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         for name in ("l2", "svm_C", "nb_alpha"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not isinstance(value, (int, float)) or isinstance(value, bool):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         positives = {
             "epochs": self.epochs,
             "svm_C": self.svm_C,

@@ -8,9 +8,9 @@ may appear only once.  Row labels live in a sidecar file (default
 files are UTF-8, and reading skips a leading byte-order mark.  Reading
 builds a `FeatureMatrix`'s CSR arrays directly.
 
-Writing works on the CSR arrays in chunks of `vectorize._CHUNK_ENTRIES`
-stored entries.  In each chunk every distinct value is formatted once,
-told apart by bit pattern so ``-0.0`` keeps its sign, and so is every
+Writing works on the CSR arrays in chunks of `_CHUNK_ENTRIES` stored
+entries.  In each chunk every distinct value is formatted once, told
+apart by bit pattern so ``-0.0`` keeps its sign, and so is every
 distinct row and column id; the entries' lines are then gathered from
 those texts and written as one string.  The bytes are those of one
 ``f"{r} {c} {v!r}\n"`` per entry, and memory follows the chunk, not the
@@ -29,12 +29,14 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Callable, Iterator
 from pathlib import Path
 
 import numpy as np
 
-from .vectorize import CsrView, FeatureMatrix, _entry_texts
+from .vectorize import CsrView, FeatureMatrix
 
+_CHUNK_ENTRIES = 1 << 13  # stored entries `_entry_texts` formats and joins per chunk
 _CHUNK_CHARS = 1 << 16  # text parsed per chunk by the fast path
 
 
@@ -45,6 +47,28 @@ class MatrixFormatError(ValueError):
 def default_labels_path(matrix_path) -> Path:
     path = Path(matrix_path)
     return path.with_name(path.name + ".labels")
+
+
+def _format_distinct(values: np.ndarray, form: Callable) -> np.ndarray:
+    """``form(v)`` for each item ``v`` of ``values``, as an object array,
+    with ``form`` called once per distinct bit pattern.  Bit patterns, not
+    ``==``, tell values apart: ``-0.0 == 0.0``, but their reprs differ."""
+    distinct, inverse = np.unique(values.view(f"i{values.itemsize}"), return_inverse=True)
+    texts = np.array(list(map(form, distinct.view(values.dtype).tolist())), dtype=object)
+    return texts[inverse]
+
+
+def _entry_texts(columns: list[tuple[np.ndarray, Callable]]) -> Iterator[str]:
+    """The text of every stored entry, joined `_CHUNK_ENTRIES` at a time.
+    Each (array, form) column gives one item per entry, and an entry's text
+    is its columns' ``form(item)`` in order.  Every table is sized by the
+    chunk, never by a matrix's row count or dim."""
+    n, chunk = columns[0][0].size, _CHUNK_ENTRIES
+    for lo in range(0, n, chunk):
+        table = np.stack(
+            [_format_distinct(items[lo : lo + chunk], form) for items, form in columns], axis=1
+        )
+        yield "".join(table.ravel().tolist())
 
 
 def write_matrix(matrix: FeatureMatrix, path, labels_path=None) -> None:

@@ -13,47 +13,18 @@ entry for entry and bit for bit, against the dict-counting transform of
 one document in `tests/oracles.py`.  `CsrView` is the one sparse type: a
 row is a one-row view, and a `FeatureMatrix` stores one view of all its
 rows.
-
-`_entry_texts` turns stored entries into text a chunk at a time and
-formats each distinct value once; `FeatureMatrix.digest` and
-`matrixio.write_matrix` both go through it.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
 
 import numpy as np
-
-
-_CHUNK_ENTRIES = 1 << 13  # stored entries `_entry_texts` formats and joins per chunk
-
-
-def _format_distinct(values: np.ndarray, form: Callable) -> np.ndarray:
-    """``form(v)`` for each item ``v`` of ``values``, as an object array,
-    with ``form`` called once per distinct bit pattern.  Bit patterns, not
-    ``==``, tell values apart: ``-0.0 == 0.0``, but their reprs differ."""
-    distinct, inverse = np.unique(values.view(f"i{values.itemsize}"), return_inverse=True)
-    texts = np.array(list(map(form, distinct.view(values.dtype).tolist())), dtype=object)
-    return texts[inverse]
-
-
-def _entry_texts(columns: list[tuple[np.ndarray, Callable]]) -> Iterator[str]:
-    """The text of every stored entry, joined `_CHUNK_ENTRIES` at a time.
-    Each (array, form) column gives one item per entry, and an entry's text
-    is its columns' ``form(item)`` in order.  Every table is sized by the
-    chunk, never by a matrix's row count or dim."""
-    n, chunk = columns[0][0].size, _CHUNK_ENTRIES
-    for lo in range(0, n, chunk):
-        table = np.stack(
-            [_format_distinct(items[lo : lo + chunk], form) for items, form in columns], axis=1
-        )
-        yield "".join(table.ravel().tolist())
 
 
 class CsrView:
@@ -183,24 +154,19 @@ class FeatureMatrix:
         return np.asarray(self.labels, dtype=np.int64)
 
     def digest(self) -> str:
-        """SHA-256 over dim, labels, and every (index, repr(value)) entry:
-        one line per row, its entries written ``index:value`` and joined by
-        ";"."""
-        h = hashlib.sha256()
-        h.update(f"{self.dim};{','.join(map(str, self.labels))}\n".encode())
-        rows, n_rows = self.csr.row_ids, self.csr.shape[0]
-        # A newline ends each row, so one precedes the first entry per empty
-        # row before it, and each entry is followed by ";" when the next one
-        # shares its row, else by one newline per row ending before the next.
-        h.update(b"\n" * int(rows[0] if rows.size else n_rows))
-        ends = np.diff(rows, append=n_rows)
-        columns = [
-            (self.csr.indices, "{}:".format),
-            (self.csr.data, repr),
-            (ends, lambda n: "\n" * n or ";"),
-        ]
-        for text in _entry_texts(columns):
-            h.update(text.encode())
+        """SHA-256 over the line ``f"{rows} {dim} {nnz}\n"``, then
+        ``indptr``, ``indices`` and the labels as little-endian int64 and
+        ``data`` as little-endian float64.  Each array is cast first, so the
+        hash depends on neither its dtype nor the host's byte order."""
+        csr = self.csr
+        h = hashlib.sha256(f"{len(self)} {self.dim} {csr.nnz}\n".encode())
+        for array, dtype in (
+            (csr.indptr, "<i8"),
+            (csr.indices, "<i8"),
+            (self.labels, "<i8"),
+            (csr.data, "<f8"),
+        ):
+            h.update(np.ascontiguousarray(array, dtype=dtype))
         return h.hexdigest()
 
 

@@ -232,6 +232,58 @@ CATALOGUE = (
         ),
         origin="the fast matrix reader rejects a repeated (row, col) pair",
     ),
+    Mutant(
+        name="matrix-digest-without-indptr",
+        path="src/textbalance/vectorize.py",
+        old='            (csr.indptr, "<i8"),\n',
+        new="",
+        kills=("tests/test_matrixio.py::TestDigestOracle::test_row_boundaries_change_the_digest",),
+        origin="FeatureMatrix.digest hashes the row boundaries",
+    ),
+    Mutant(
+        name="matrix-digest-without-labels",
+        path="src/textbalance/vectorize.py",
+        old='            (self.labels, "<i8"),\n',
+        new="",
+        kills=(
+            "tests/test_vectorize.py::TestFeatureMatrix::test_digest_changes_with_labels_and_values",
+        ),
+        origin="FeatureMatrix.digest hashes the labels",
+    ),
+    Mutant(
+        name="svm-slope-without-factor-2",
+        path="src/textbalance/classify.py",
+        old="2.0 * (z - y_pm)",
+        new="(z - y_pm)",
+        kills=("tests/test_classify.py::TestExactFitReferences::test_svm_fit_equals_reference",),
+        origin="the squared hinge's slope is 2(z - y)",
+    ),
+    Mutant(
+        name="svm-margin-against-zero",
+        path="src/textbalance/classify.py",
+        old="y_pm * z < 1.0",
+        new="y_pm * z < 0.0",
+        kills=("tests/test_classify.py::TestExactFitReferences::test_svm_fit_equals_reference",),
+        origin="the squared hinge is active below margin 1",
+    ),
+    Mutant(
+        name="tree-bundle-accepts-shared-nodes",
+        path="src/textbalance/bundle.py",
+        old='        _require(not reached[i], f"tree node {i} is reached more than once")\n',
+        new="",
+        kills=(
+            "tests/test_bundle.py::TestClassifierSerialization::test_tree_node_reached_twice_rejected",
+        ),
+        origin="a bundle's tree reaches every node exactly once",
+    ),
+    Mutant(
+        name="tfidf-doc-freq-per-token",
+        path="src/textbalance/vectorize.py",
+        old="for term in dict.fromkeys(doc):",
+        new="for term in doc:",
+        kills=("tests/test_vectorize.py::TestFit::test_vocabulary_first_appearance_order",),
+        origin="a term's document frequency counts each document once",
+    ),
 )
 
 

@@ -13,6 +13,10 @@ comparisons are bit for bit.
 stacks sparse vectors into a `CsrView`, and `rows_of` splits a view back
 into sparse vectors, checking each.
 
+`matrix_digest` packs a matrix's digest one element at a time with
+`struct`, and `text_digest` is the ``repr`` text digest that the pinned
+SMOTE outputs were recorded in.
+
 The fit references at the end (logistic, SVM, tree) run the package's
 fits in their plainest loop form: every matrix product is an explicit
 gather and one ``np.bincount``, the sigmoid masks its two halves, means
@@ -23,7 +27,9 @@ sums are ``np.add.reduce``, and the tree sorts each node's entries with
 
 from __future__ import annotations
 
+import hashlib
 import math
+import struct
 from collections.abc import Iterable
 from dataclasses import dataclass, replace
 
@@ -272,6 +278,52 @@ def smote_trace(
         gap = gap_rng.next_float()
         samples.append(SyntheticSample(interpolate(minority[i], minority[nn], gap), i, nn, gap))
     return samples
+
+
+# -- matrix digests --------------------------------------------------------
+
+
+def _row_lists(matrix) -> list[list[tuple[int, float]]]:
+    """Each row's (index, value) pairs as Python numbers, stored zeros kept."""
+    bounds = matrix.csr.indptr.tolist()
+    indices, data = matrix.csr.indices.tolist(), matrix.csr.data.tolist()
+    return [list(zip(indices[lo:hi], data[lo:hi])) for lo, hi in zip(bounds, bounds[1:])]
+
+
+def matrix_digest(matrix) -> str:
+    """`FeatureMatrix.digest`, one ``struct.pack`` per element: SHA-256 over
+    the line ``f"{rows} {dim} {nnz}\n"``, then the row offsets (counted
+    from the row lists), the column indices and the labels as ``"<q"``, and
+    the values as ``"<d"``."""
+    rows = _row_lists(matrix)
+    h = hashlib.sha256(f"{len(rows)} {matrix.dim} {sum(map(len, rows))}\n".encode())
+    offset = 0
+    h.update(struct.pack("<q", offset))
+    for row in rows:
+        offset += len(row)
+        h.update(struct.pack("<q", offset))
+    for row in rows:
+        for index, _ in row:
+            h.update(struct.pack("<q", index))
+    for label in matrix.labels:
+        h.update(struct.pack("<q", label))
+    for row in rows:
+        for _, value in row:
+            h.update(struct.pack("<d", value))
+    return h.hexdigest()
+
+
+def text_digest(matrix) -> str:
+    """SHA-256 over the text ``f"{dim};{labels}\n"`` (labels joined by
+    ","), then one line per row of its ``index:repr(value)`` entries joined
+    by ";".  The pinned SMOTE outputs in `tests/test_resample.py` were
+    recorded in this digest."""
+    h = hashlib.sha256()
+    h.update(f"{matrix.dim};{','.join(map(str, matrix.labels))}\n".encode())
+    for row in _row_lists(matrix):
+        h.update(";".join(f"{index}:{value!r}" for index, value in row).encode())
+        h.update(b"\n")
+    return h.hexdigest()
 
 
 # -- classifier fits --------------------------------------------------------

@@ -73,6 +73,23 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             TrainConfig(algorithm="nb", **{field: value})
 
+    @pytest.mark.parametrize(
+        ("field", "value"),
+        [("nb_alpha", True), ("l2", False), ("svm_C", True), ("l2", "0.1"),
+         ("svm_C", None), ("nb_alpha", "1"), ("l2", 1j), ("svm_C", [1.0])],
+        ids=["nb_alpha-True", "l2-False", "svm_C-True", "l2-str", "svm_C-None", "nb_alpha-str",
+             "l2-complex", "svm_C-list"],
+    )
+    def test_reals_must_be_int_or_float(self, field, value):
+        # Unchecked, nb_alpha=True would train with alpha 1 and write `true`
+        # into a bundle's provenance, and l2="0.1" would raise TypeError.
+        with pytest.raises(ValueError, match=f"{field} must be a real number"):
+            TrainConfig(algorithm="nb", **{field: value})
+
+    def test_reals_take_ints_and_float_subclasses(self):
+        config = TrainConfig(algorithm="nb", l2=0, svm_C=2, nb_alpha=np.float64(0.5))
+        assert (config.l2, config.svm_C, config.nb_alpha) == (0, 2, 0.5)
+
     @pytest.mark.parametrize("field", ["epochs", "tree_max_depth", "tree_min_samples_split"])
     @pytest.mark.parametrize(
         "value", [2.5, 1.5, 3.0, True, False, "3", None, np.int64(3)],

@@ -49,19 +49,19 @@ GOLDEN = {
     "seed7-train": "3a671eaf92d5c9b95d424385d1e3cd5691b72585b4365a3995c3ef31605aa2a9",
     "seed7-predict": "944ef4e11fdf4391fae317383b32a3f26a2502f26c841821524751410edaa64a",
     "seed7-evaluate": "ab84b0b604261de3ce95e565a44d4c4b7dd492216c82aa2e1a257c72a714535f",
-    "seed7-report": "88d9bd1e54f9c034c685ebf45e85e16d1cc899754615f518a7b27eda98f7e8c9",
+    "seed7-report": "044b43b28910d3b54671f58843e188d9812c69fe09c9c9c59ad5c192ca18d9db",
     "seed7-scatter": "ec0592e50a084f74ee40f061bf80aa740f640170dc024fd4014139dd9334b22a",
     "seed7-oversample": "eed630c8fa349f4013d9b25f37cd725515040c55769154a55b5954cd1f1751dd",
     "seed11-train": "5912146cd34ed1a63d18577135506532a9936fe5282dba1c42cff2bcc79c9a1e",
     "seed11-predict": "34d28649da3b039b20b8167a72d71c5364b5ae41224f378e6dcaa06f70cc421f",
     "seed11-evaluate": "9a7e80d9860bff9b046d23895e79cc738007be283ef7a64a52dab152c7241eb6",
-    "seed11-report": "331bf951e927d9f6bcf8a9b05cf01446600b9b0ea54cd2827a5c2ace740335c3",
+    "seed11-report": "405e653dcdf9f554318f125a0e5f64eb1e1d3ad4fa6c25a4e11507c043e24dd8",
     "seed11-scatter": "2bfef8c10ca244e62b3e1e29a9ca173fda86b2944b2105bc51d51d8242d27da5",
     "seed11-oversample": "3d801af2f6b69860b1bd87aa94c8560a50fe37506a4dddbc2b3cfeae342dcd18",
     "seed13-train": "d33d985d3a6496e4a48915fdc56d020601af09d33f30837386792d87bb0eeea6",
     "seed13-predict": "fc3cc10896d84b036131bb51aa96388c8132f575527c98f65309a678937452d9",
     "seed13-evaluate": "1bb994eb70aff88a8d8cd4423209607a60b33fd5bf4699c61c270c20b7860158",
-    "seed13-report": "4355e35b4aae467ad4b447104e35c0948057d77ae5b8068a0c455408909f1986",
+    "seed13-report": "98ec28f293b6567fae294506e636532166015464998e6e2d6433a3db8cf45a89",
     "seed13-scatter": "caa16d4e1f5bc4cafd15e4a5fe206dc4adc8fbe180739776fbb8bd1a8e7f0c9d",
     "seed13-oversample": "a9371c9539c5d6b00bdf4271abece7a5a25d4f02da496ec238c5892b64bc10c3",
 }

@@ -1,14 +1,14 @@
-"""The chunked matrix writer and `FeatureMatrix.digest` against the
-per-entry loops they replaced, kept here as reference oracles."""
+"""The chunked matrix writer against the per-entry loop it replaced, kept
+here as a reference oracle, and `FeatureMatrix.digest` against
+`oracles.matrix_digest`."""
 
 from __future__ import annotations
-
-import hashlib
 
 import numpy as np
 import pytest
 
-from textbalance import matrixio, vectorize
+from oracles import matrix_digest
+from textbalance import matrixio
 from textbalance.matrixio import read_matrix, write_matrix
 from textbalance.vectorize import CsrView, FeatureMatrix
 
@@ -32,19 +32,6 @@ def reference_write(matrix: FeatureMatrix, path, labels_path) -> None:
             out.writelines(f"{r} {indices[k]} {data[k]!r}\n" for k in range(lo, hi))
     with open(labels_path, "w", encoding="utf-8") as out:
         out.write("".join(f"{lb}\n" for lb in matrix.labels))
-
-
-def reference_digest(matrix: FeatureMatrix) -> str:
-    """The digest as it was: each row's ``index:repr(value)`` entries
-    joined by ";", one line per row."""
-    csr = matrix.csr
-    indptr, indices, data = csr.indptr.tolist(), csr.indices.tolist(), csr.data.tolist()
-    h = hashlib.sha256()
-    h.update(f"{matrix.dim};{','.join(map(str, matrix.labels))}\n".encode())
-    for lo, hi in zip(indptr, indptr[1:]):
-        h.update(";".join(f"{indices[k]}:{data[k]!r}" for k in range(lo, hi)).encode())
-        h.update(b"\n")
-    return h.hexdigest()
 
 
 def random_matrix(seed: int, n_rows: int, dim: int) -> FeatureMatrix:
@@ -72,7 +59,7 @@ SHAPES = [
     (0, 0, 0), (1, 0, 1), (2, 0, 7), (3, 4, 0), (4, 5, 1), (5, 1, 1),
     (6, 9, 4), (7, 30, 12), (8, 60, 40), (9, 200, 25),
 ]
-CHUNKS = [1, 2, 3, 7, vectorize._CHUNK_ENTRIES]
+CHUNKS = [1, 2, 3, 7, matrixio._CHUNK_ENTRIES]
 
 
 def written(matrix: FeatureMatrix, tmp_path, name: str, writer) -> tuple[bytes, bytes]:
@@ -85,7 +72,7 @@ class TestWriterOracle:
     @pytest.mark.parametrize("chunk", CHUNKS)
     @pytest.mark.parametrize("shape", SHAPES)
     def test_byte_identical_to_per_entry_writer(self, tmp_path, monkeypatch, shape, chunk):
-        monkeypatch.setattr(vectorize, "_CHUNK_ENTRIES", chunk)
+        monkeypatch.setattr(matrixio, "_CHUNK_ENTRIES", chunk)
         matrix = random_matrix(*shape)
         assert written(matrix, tmp_path, "new", write_matrix) == written(
             matrix, tmp_path, "old", reference_write
@@ -101,7 +88,7 @@ class TestWriterOracle:
         assert (lengths == 0).any() and (lengths > 1).any()
 
     def test_signed_zeros_keep_their_text(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(vectorize, "_CHUNK_ENTRIES", 2)
+        monkeypatch.setattr(matrixio, "_CHUNK_ENTRIES", 2)
         csr = CsrView(np.array([0, 3, 3]), np.array([0, 1, 2]), np.array([0.0, -0.0, 0.0]), 3)
         matrix = FeatureMatrix(csr, (0, 1))
         text, labels = written(matrix, tmp_path, "zeros", write_matrix)
@@ -131,7 +118,7 @@ class TestHugeDim:
 
     def test_digest_matches_reference(self):
         matrix = self.matrix()
-        assert matrix.digest() == reference_digest(matrix)
+        assert matrix.digest() == matrix_digest(matrix)
 
 
 class TestReaderContract:
@@ -159,17 +146,43 @@ class TestReaderContract:
         assert (restored.dim, restored.labels) == (matrix.dim, matrix.labels)
 
 
+def relaid(matrix: FeatureMatrix, layout: str) -> FeatureMatrix:
+    """The same matrix with its arrays stored another way."""
+    csr = matrix.csr
+    arrays = [csr.indptr, csr.indices, csr.data]
+    if layout == "int32":
+        arrays[:2] = [a.astype(np.int32) for a in arrays[:2]]
+    elif layout == "big-endian":
+        arrays = [a.astype(a.dtype.newbyteorder(">")) for a in arrays]
+    elif layout == "strided":
+        arrays = [np.repeat(a, 2)[::2] for a in arrays]
+    return FeatureMatrix(CsrView(*arrays, matrix.dim), matrix.labels)
+
+
+def digest_of(indptr, indices, data, dim: int, labels) -> str:
+    csr = CsrView(np.array(indptr), np.array(indices), np.array(data, dtype=np.float64), dim)
+    return FeatureMatrix(csr, labels).digest()
+
+
 class TestDigestOracle:
-    @pytest.mark.parametrize("chunk", CHUNKS)
+    @pytest.mark.parametrize("layout", ["native", "int32", "big-endian", "strided"])
     @pytest.mark.parametrize("shape", SHAPES)
-    def test_same_hash_as_per_row_loop(self, monkeypatch, shape, chunk):
-        monkeypatch.setattr(vectorize, "_CHUNK_ENTRIES", chunk)
+    def test_same_hash_as_struct_packing(self, shape, layout):
         matrix = random_matrix(*shape)
-        assert matrix.digest() == reference_digest(matrix)
+        assert relaid(matrix, layout).digest() == matrix_digest(matrix)
+
+    def test_row_boundaries_change_the_digest(self):
+        # Same indices, values, labels and row count; only indptr differs.
+        one_each = digest_of([0, 1, 2], [0, 1], [1.0, 2.0], 2, (0, 1))
+        both_first = digest_of([0, 2, 2], [0, 1], [1.0, 2.0], 2, (0, 1))
+        assert one_each != both_first
+
+    def test_dim_changes_the_digest(self):
+        assert digest_of([0, 1], [0], [1.0], 1, (0,)) != digest_of([0, 1], [0], [1.0], 2, (0,))
 
     def test_signed_zero_changes_the_digest(self):
-        def digest(value):
-            csr = CsrView(np.array([0, 1]), np.array([0]), np.array([value]), 1)
-            return FeatureMatrix(csr, (0,)).digest()
+        assert digest_of([0, 1], [0], [0.0], 1, (0,)) != digest_of([0, 1], [0], [-0.0], 1, (0,))
 
-        assert digest(0.0) != digest(-0.0)
+    def test_pinned_digest(self):
+        digest = digest_of([0, 2, 2, 3], [1, 4, 0], [0.5, -2.0, 1e-300], 5, (1, 0, 1))
+        assert digest == "dba423b6b2b8529b15c5672af610222b9fb4b891081aed69c66633eb451e4146"
