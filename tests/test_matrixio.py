@@ -165,6 +165,14 @@ def digest_of(indptr, indices, data, dim: int, labels) -> str:
 
 
 class TestDigestOracle:
+    @pytest.mark.parametrize("chunk", CHUNKS)
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_same_hash_as_per_row_loop(self, monkeypatch, shape, chunk):
+        # The writer's chunk size must not reach the digest.
+        monkeypatch.setattr(matrixio, "_CHUNK_ENTRIES", chunk)
+        matrix = random_matrix(*shape)
+        assert matrix.digest() == matrix_digest(matrix)
+
     @pytest.mark.parametrize("layout", ["native", "int32", "big-endian", "strided"])
     @pytest.mark.parametrize("shape", SHAPES)
     def test_same_hash_as_struct_packing(self, shape, layout):
