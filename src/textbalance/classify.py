@@ -27,9 +27,26 @@ step of λ̂, then two per epoch.  NB's class masses are Xᵀ1_c, one
 `rmatvec` per class over the class's 0/1 row indicator, and linear
 scoring is one transpose and one `rmatvec`.
 
-The tree sorts the stored entries by (column, value) once per fit; each
-node keeps its entries in that order, so no node sorts again.  Split
-counts are integers, so they do not depend on the order of equal values.
+The tree sorts the stored entries by (column, value) once per fit into
+four arrays (column, value, row, label) and keeps a row permutation
+beside them.  Each node owns one [lo, hi) slice of each; a split
+partitions the node's slices stably in place through one scratch buffer
+per dtype, so each child's entries stay sorted and no node sorts or
+gathers again (SPRINT's attribute lists, Shafer, Agrawal & Mehta 1996).
+A column's rows without an entry, its zero group, are counted, not
+stored.  Split counts are integers, so they do not depend on the order
+of equal values.  Only boundary points are scored: cuts between two value
+groups of a column that together hold both classes (Fayyad & Irani
+1992), plus the cuts on either side of each zero group.  Moving k rows of
+one class across a cut, from a side with b rows to one with a, makes the
+weighted impurity 2·a1·(1 − a1/(a + k)) + 2·b1·(1 − b1/(b − k)), a1 and b1
+the other class's counts; that is strictly concave in k unless the node
+is pure, and a pure node never splits.  So the gain is strictly convex
+along a run of groups pure in one class, no cut inside the run is a first
+maximum, and the split chosen, the first maximum in (feature, threshold)
+order, is the one a scan of every cut finds.  That holds in exact
+arithmetic; the tests check it on the floats against the every-cut scan
+in `tests/oracles.py`.
 
 `predict_batch` labels and scores a whole matrix from its CSR view at
 once, and `predict` is its one-row case.  The tests check its labels and
@@ -44,7 +61,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .vectorize import CsrView, FeatureMatrix
+from .vectorize import CsrView, FeatureMatrix, column_order
 
 ALGORITHMS = ("nb", "logistic", "svm", "tree")
 
@@ -78,7 +95,13 @@ class TrainConfig:
             value = getattr(self, name)
             if not isinstance(value, (int, float)) or isinstance(value, bool):
                 raise ValueError(f"{name} must be a real number, got {value!r}")
-            if not math.isfinite(value):
+            try:
+                finite = math.isfinite(value)
+            except OverflowError:  # an int too large for a float
+                raise ValueError(
+                    f"{name} must be finite, got an int of {value.bit_length()} bits"
+                ) from None
+            if not finite:
                 raise ValueError(f"{name} must be finite, got {value}")
         positives = {
             "epochs": self.epochs,
@@ -316,56 +339,100 @@ def _gini_from_counts(n0, n1):
     return 1.0 - p0 * p0 - p1 * p1
 
 
-def _best_split(
-    columns: np.ndarray, values: np.ndarray, entry_y: np.ndarray, y: np.ndarray, dim: int
-):
+def _best_split(col: np.ndarray, val: np.ndarray, lab: np.ndarray, n: int, n1: int):
     """Best (feature, threshold) split of a node, from its stored entries.
 
-    ``columns``/``values``/``entry_y`` hold the node's non-zero entries
-    (column, value, label of the entry's row), sorted by (column, value);
-    ``y`` holds the labels of all the node's rows.  Thresholds are
-    midpoints of sorted unique column values, zeros included.  Zero-gain
-    splits are allowed so impure nodes of distinguishable points always
-    split (ties: smaller feature, then smaller threshold).  Returns None
-    when no column has two values.
+    ``col``/``val``/``lab`` hold the node's stored entries (column, value,
+    label of the entry's row), sorted by (column, value); the node has
+    ``n`` rows, ``n1`` of them labelled 1.  A column's rows without an
+    entry form its zero group, which sorts between its negative and its
+    positive values.  Thresholds are midpoints of consecutive distinct
+    values of a column, the zero group's included.  Zero-gain splits are
+    allowed so impure nodes of distinguishable points always split (ties:
+    smaller feature, then smaller threshold).  Only boundary points and
+    the cuts next to a zero group are scored (see the module docstring).
+    Returns None when no column has two values.
     """
-    n = len(y)
-    parent_n1 = int(y.sum())
-    parent_gini = _gini_from_counts(n - parent_n1, parent_n1)
-    # One aggregated zero entry per column with both zeros and non-zeros.
-    # Stored values are never zero, so it goes after the column's negative
-    # values: the sorted order holds without sorting again.
-    col_nnz = np.bincount(columns, minlength=dim)
-    col_ones = np.bincount(columns[entry_y == 1], minlength=dim)
-    zero_cols = np.flatnonzero((col_nnz > 0) & (col_nnz < n))
-    col_negatives = np.bincount(columns[values < 0.0], minlength=dim)[zero_cols]
-    at = np.searchsorted(columns, zero_cols) + col_negatives
-    m = len(columns)
-    order = np.insert(np.arange(m), at, np.arange(m, m + len(zero_cols)))
-    columns = np.concatenate((columns, zero_cols))[order]
-    values = np.concatenate((values, np.zeros(len(zero_cols))))[order]
-    counts = np.concatenate((np.ones(m, dtype=np.int64), n - col_nnz[zero_cols]))[order]
-    ones = np.concatenate((entry_y, parent_n1 - col_ones[zero_cols]))[order]
-    # Split between consecutive distinct values of one column only.
-    boundaries = np.flatnonzero((columns[1:] == columns[:-1]) & (values[1:] > values[:-1]))
-    if len(boundaries) == 0:
+    m = len(col)
+    if m == 0:
         return None
-    # Every column here covers all n rows and all parent_n1 ones, so the
-    # counts left of a boundary are global prefix sums minus whole columns.
-    group = np.cumsum(np.concatenate(([True], columns[1:] != columns[:-1]))) - 1
-    left_n = (np.cumsum(counts) - group * n)[boundaries]
-    left_n1 = (np.cumsum(ones) - group * parent_n1)[boundaries]
+    # Entry i starts a column (a value group) where col_head (group_head)
+    # holds; both also hold at m, past the last entry.
+    col_head = np.ones(m + 1, dtype=bool)
+    np.not_equal(col[1:], col[:-1], out=col_head[1:m])
+    group_head = col_head.copy()
+    group_head[1:m] |= val[1:] > val[:-1]
+    col_edges = np.flatnonzero(col_head)
+    edges = np.flatnonzero(group_head)
+    col_groups = np.flatnonzero(col_head[edges])  # each column's first group, then G
+    ones_to = np.empty(m + 1, dtype=np.int64)
+    ones_to[0] = 0
+    np.cumsum(lab, out=ones_to[1:])
+    ones_before = ones_to[edges]  # label-1 entries before each group
+    # Large temporaries are dropped early: fewer alive at once keep malloc
+    # from trimming the heap and faulting it back in at every node.
+    del ones_to
+    zeros_before = edges - ones_before
+    # Boundary points: the cut before group j, in its column, where groups
+    # j - 1 and j together hold both classes.
+    cut = (ones_before[2:] > ones_before[:-2]) & (zeros_before[2:] > zeros_before[:-2])
+    del zeros_before
+    cut &= ~col_head[edges[1:-1]]
+    # Each partly-zero column's zero group: its rows, its label-1 rows, and
+    # the entry (and group) after its negative values.
+    starts = col_edges[:-1]
+    zeros = n - np.diff(col_edges)
+    zero_ones = n1 - np.diff(ones_before[col_groups])
+    z = np.flatnonzero(zeros)
+    negatives = np.add.reduceat(val < 0.0, starts)[z]
+    nonneg = starts[z] + negatives
+    anchor = np.searchsorted(edges, nonneg)
+    with_neg = negatives > 0
+    with_pos = nonneg < col_edges[z + 1]
+    j = np.flatnonzero(cut) + 1  # the group after each boundary point
+    at = edges[j]
+    c = np.searchsorted(col_edges, at, side="right") - 1
+    past_zero = val[at - 1] > 0.0  # the column's zero group is left of the cut
+    below_n1 = ones_before[anchor] - ones_before[col_groups[z]]
+    # Candidates: the boundary points, then the cut below each zero group,
+    # then the cut above it.
+    left_n = np.concatenate((
+        at - starts[c] + zeros[c] * past_zero,
+        negatives[with_neg],
+        (negatives + zeros[z])[with_pos],
+    ))
+    if len(left_n) == 0:
+        return None
+    left_n1 = np.concatenate((
+        ones_before[j] - ones_before[col_groups[c]] + zero_ones[c] * past_zero,
+        below_n1[with_neg],
+        (below_n1 + zero_ones[z])[with_pos],
+    ))
     right_n = n - left_n
-    right_n1 = parent_n1 - left_n1
+    right_n1 = n1 - left_n1
     weighted = (
         left_n * _gini_from_counts(left_n - left_n1, left_n1)
         + right_n * _gini_from_counts(right_n - right_n1, right_n1)
     ) / n
-    gains = parent_gini - weighted
-    best = int(np.argmax(gains))  # first maximum: smallest feature, then threshold
-    b = boundaries[best]
-    threshold = (float(values[b]) + float(values[b + 1])) / 2.0
-    return int(columns[b]), threshold
+    gains = _gini_from_counts(n - n1, n1) - weighted
+    # The first maximum in (column, value) order: the cut before group j
+    # ranks 2j, and a zero group before group a has its cuts at 2a - 1 and
+    # 2a.  The boundary point before a, between the column's negative and
+    # positive values, has the counts of the cut below the zero group and
+    # ranks after it, so it never wins.
+    rank = np.concatenate((2 * j, 2 * anchor[with_neg] - 1, 2 * anchor[with_pos]))
+    tied = np.flatnonzero(gains == gains.max())
+    best = int(tied[np.argmin(rank[tied])])
+    if best < len(at):
+        i = at[best]
+        return int(col[i]), (float(val[i - 1]) + float(val[i])) / 2.0
+    best -= len(at)
+    below = nonneg[with_neg]
+    if best < len(below):
+        i = below[best]
+        return int(col[i - 1]), (float(val[i - 1]) + 0.0) / 2.0
+    i = nonneg[with_pos][best - len(below)]
+    return int(col[i]), (0.0 + float(val[i])) / 2.0
 
 
 def _majority_label(y: np.ndarray) -> int:
@@ -376,21 +443,49 @@ def _majority_label(y: np.ndarray) -> int:
     return 0  # ties resolve to the non-spam label
 
 
+def _partition(left: np.ndarray, segments, scratch: dict) -> int:
+    """Reorder each array of ``segments`` in place, stably, so that the
+    items where ``left`` holds come first; returns their count.
+    ``scratch`` maps each dtype to a buffer at least as long."""
+    k = int(np.count_nonzero(left))
+    right = ~left
+    for segment in segments:
+        buffer = scratch[segment.dtype][: len(segment)]
+        buffer[:k] = segment[left]
+        buffer[k:] = segment[right]
+        segment[:] = buffer
+    return k
+
+
 def _fit_tree(matrix: FeatureMatrix, config: TrainConfig) -> DecisionTreeModel:
     X = matrix.csr
     y = matrix.labels_array()
+    n = len(matrix)
+    # The stored entries in (column, value) order: by value, then stably
+    # by column.  Equal (column, value) entries may come in any order: a
+    # split reads only each value group's counts.
+    by_value = np.argsort(X.data)
+    order = by_value[column_order(X.indices[by_value], matrix.dim)]
+    col, val, row = X.indices[order], X.data[order], X.row_ids[order]
+    lab = y[row]
+    entries = (col, val, row, lab)
+    perm = np.arange(n)
+    size = max(n, len(order))
+    scratch = {dtype: np.empty(size, dtype) for dtype in {a.dtype for a in (perm, *entries)}}
+    goes_left = np.empty(n, dtype=bool)
     nodes: list[TreeNode] = []
     # Nodes are numbered in pre-order: a node, its left subtree, then its
-    # right subtree.  Each pending subtree holds its rows, their stored
-    # entries (as positions into ``X``, sorted by (column, value) once
-    # here; a split keeps that order, so `_best_split` never sorts), its
-    # depth, and the parent field that must point at it.
-    pending = [(np.arange(len(matrix)), np.lexsort((X.data, X.indices)), 0, -1, "")]
+    # right subtree.  Each pending subtree holds its [lo, hi) slices of
+    # ``perm`` (its rows) and of the entry arrays, its depth, and the
+    # parent field that must point at it.  A split partitions both slices
+    # stably in place, so each child's entries stay sorted.
+    pending = [(0, n, 0, len(order), 0, -1, "")]
     while pending:
-        rows, entries, depth, parent, side = pending.pop()
+        r0, r1, e0, e1, depth, parent, side = pending.pop()
         node_id = len(nodes)
         if parent >= 0:
             nodes[parent] = replace(nodes[parent], **{side: node_id})
+        rows = perm[r0:r1]
         sub_y = y[rows]
         found = None
         if (
@@ -398,20 +493,19 @@ def _fit_tree(matrix: FeatureMatrix, config: TrainConfig) -> DecisionTreeModel:
             and depth < config.tree_max_depth
             and len(rows) >= config.tree_min_samples_split
         ):
-            columns = X.indices[entries]
-            found = _best_split(columns, X.data[entries], y[X.row_ids[entries]], sub_y, matrix.dim)
+            found = _best_split(col[e0:e1], val[e0:e1], lab[e0:e1], len(rows), int(sub_y.sum()))
         if found is None:  # pure, too deep, too small, or every column constant
             nodes.append(TreeNode(label=_majority_label(sub_y)))
             continue
         feature, threshold = found
         nodes.append(TreeNode(feature=feature, threshold=threshold))
-        on_feature = entries[columns == feature]
-        goes_left = np.full(len(matrix), 0.0 <= threshold)  # rows without an entry hold 0.0
-        goes_left[X.row_ids[on_feature]] = X.data[on_feature] <= threshold
-        row_left = goes_left[rows]
-        entry_left = goes_left[X.row_ids[entries]]
-        pending.append((rows[~row_left], entries[~entry_left], depth + 1, node_id, "right"))
-        pending.append((rows[row_left], entries[entry_left], depth + 1, node_id, "left"))
+        goes_left[rows] = 0.0 <= threshold  # rows without an entry hold 0.0
+        f0, f1 = e0 + np.searchsorted(col[e0:e1], (feature, feature + 1))
+        goes_left[row[f0:f1]] = val[f0:f1] <= threshold
+        r = r0 + _partition(goes_left[rows], (rows,), scratch)
+        e = e0 + _partition(goes_left[row[e0:e1]], [a[e0:e1] for a in entries], scratch)
+        pending.append((r, r1, e, e1, depth + 1, node_id, "right"))
+        pending.append((r0, r, e0, e, depth + 1, node_id, "left"))
     return DecisionTreeModel(dim=matrix.dim, nodes=tuple(nodes))
 
 

@@ -27,6 +27,14 @@ from itertools import repeat
 import numpy as np
 
 
+def column_order(indices: np.ndarray, dim: int) -> np.ndarray:
+    """The permutation that sorts the column ids ``indices`` (each below
+    ``dim``) stably.  With at most 2^16 columns it sorts a ``uint16``
+    copy: numpy's stable sort of 16-bit keys is a radix sort, and gives
+    the same permutation."""
+    return np.argsort(indices.astype(np.uint16) if dim <= 1 << 16 else indices, kind="stable")
+
+
 class CsrView:
     """Compressed sparse rows: row r holds ``indices[indptr[r]:indptr[r+1]]``
     (strictly increasing) with values ``data[...]``; ``row_lengths`` gives
@@ -81,12 +89,9 @@ class CsrView:
 
     def transpose(self) -> "CsrView":
         """Xᵀ as a view: row c holds column c's entries, their rows
-        ascending.  One stable sort of ``indices`` keeps row-major order
-        within each column.  With at most 2^16 columns it sorts a
-        ``uint16`` copy instead: numpy's stable sort of 16-bit keys is a
-        radix sort, and gives the same permutation."""
-        keys = self.indices.astype(np.uint16) if self.shape[1] <= 1 << 16 else self.indices
-        by_column = np.argsort(keys, kind="stable")
+        ascending.  One stable sort of ``indices`` (`column_order`) keeps
+        row-major order within each column."""
+        by_column = column_order(self.indices, self.shape[1])
         counts = np.bincount(self.indices, minlength=self.shape[1])
         indptr = np.concatenate(([0], np.cumsum(counts)))
         return CsrView(indptr, self.row_ids[by_column], self.data[by_column], self.shape[0])

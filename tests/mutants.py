@@ -98,6 +98,14 @@ CATALOGUE = (
         origin="bundle format_version is the JSON integer 1",
     ),
     Mutant(
+        name="sigmoid-without-the-nonnegative-branch",
+        path="src/textbalance/classify.py",
+        old="return np.where(z >= 0, 1.0, e) / (1.0 + e)",
+        new="return e / (1.0 + e)",
+        kills=("tests/test_classify.py::TestSigmoid::test_edge_values",),
+        origin="ROADMAP direction 8: the sigmoid's z >= 0 branch",
+    ),
+    Mutant(
         name="step-bound-without-factor-2",
         path="src/textbalance/classify.py",
         old="L_w = 2.0 * curvature * _weight_curvature(X, Xt) + ridge_w",
@@ -188,8 +196,8 @@ CATALOGUE = (
     Mutant(
         name="tree-fit-splits-at-the-threshold",
         path="src/textbalance/classify.py",
-        old="goes_left[X.row_ids[on_feature]] = X.data[on_feature] <= threshold",
-        new="goes_left[X.row_ids[on_feature]] = X.data[on_feature] < threshold",
+        old="goes_left[row[f0:f1]] = val[f0:f1] <= threshold",
+        new="goes_left[row[f0:f1]] = val[f0:f1] < threshold",
         kills=("tests/test_classify.py::TestDecisionTree::test_values_at_the_threshold_go_left",),
         origin="the tree sends values at the threshold left",
     ),
@@ -208,6 +216,17 @@ CATALOGUE = (
         new="and len(rows) > config.tree_min_samples_split",
         kills=("tests/test_classify.py::TestDenseOracles::test_tree_matches_dense_reference",),
         origin="tree_min_samples_split is the smallest node that splits",
+    ),
+    Mutant(
+        name="tree-boundary-from-adjacent-entries",
+        path="src/textbalance/classify.py",
+        old="cut = (ones_before[2:] > ones_before[:-2]) & (zeros_before[2:] > zeros_before[:-2])",
+        new="cut = lab[edges[1:-1] - 1] != lab[edges[1:-1]]",
+        kills=(
+            "tests/test_classify.py::TestExactFitReferences"
+            "::test_tree_fit_equals_reference_on_adversarial_columns",
+        ),
+        origin="ROADMAP direction 10: a boundary point is judged by its two value groups",
     ),
     Mutant(
         name="nb-alpha-ignored",

@@ -74,16 +74,21 @@ class TestTrainConfig:
             TrainConfig(algorithm="nb", **{field: value})
 
     @pytest.mark.parametrize(
-        ("field", "value"),
-        [("nb_alpha", True), ("l2", False), ("svm_C", True), ("l2", "0.1"),
-         ("svm_C", None), ("nb_alpha", "1"), ("l2", 1j), ("svm_C", [1.0])],
+        ("field", "value", "message"),
+        [("nb_alpha", True, "a real number"), ("l2", False, "a real number"),
+         ("svm_C", True, "a real number"), ("l2", "0.1", "a real number"),
+         ("svm_C", None, "a real number"), ("nb_alpha", "1", "a real number"),
+         ("l2", 1j, "a real number"), ("svm_C", [1.0], "a real number"),
+         ("nb_alpha", 10**400, "finite"), ("svm_C", -10**400, "finite"),
+         ("l2", 2**1024, "finite")],
         ids=["nb_alpha-True", "l2-False", "svm_C-True", "l2-str", "svm_C-None", "nb_alpha-str",
-             "l2-complex", "svm_C-list"],
+             "l2-complex", "svm_C-list", "nb_alpha-10**400", "svm_C--10**400", "l2-2**1024"],
     )
-    def test_reals_must_be_int_or_float(self, field, value):
+    def test_reals_must_be_int_or_float(self, field, value, message):
         # Unchecked, nb_alpha=True would train with alpha 1 and write `true`
         # into a bundle's provenance, and l2="0.1" would raise TypeError.
-        with pytest.raises(ValueError, match=f"{field} must be a real number"):
+        # An int beyond the float range raised OverflowError from isfinite.
+        with pytest.raises(ValueError, match=f"{field} must be {message}"):
             TrainConfig(algorithm="nb", **{field: value})
 
     def test_reals_take_ints_and_float_subclasses(self):
@@ -966,6 +971,48 @@ class TestExactFitReferences:
             config = TrainConfig(algorithm="tree")
             nodes = train(matrix, config).nodes
             assert nodes == oracles.tree_fit(matrix, config) == dense_tree(matrix, config), trial
+
+    @pytest.mark.parametrize("depth", [1, 3, 10])
+    def test_tree_fit_equals_reference_on_adversarial_columns(self, depth):
+        # The fit scores only boundary points and the cuts next to each
+        # zero group; the reference scans every cut.
+        rng = np.random.default_rng(85)
+        config = TrainConfig(algorithm="tree", tree_max_depth=depth)
+        for trial in range(60):
+            matrix = adversarial_tree_matrix(rng)
+            assert train(matrix, config).nodes == oracles.tree_fit(matrix, config), trial
+
+
+def adversarial_tree_matrix(rng: np.random.Generator) -> FeatureMatrix:
+    """Columns where pruning cuts to boundary points could go wrong:
+
+    - ties: a few repeated levels, so equal values hold both classes;
+    - runs: the value follows the label along a noisy ranking, in bands
+      with a zero band inside, so runs of groups of one class lie on both
+      sides of the zero group;
+    - one sign: only negative or only positive levels, with zeros, and
+      negative levels in every row.
+    """
+    n = int(rng.integers(6, 40))
+    y = rng.integers(0, 2, size=n)
+    y[:2] = (0, 1)
+    levels = np.array([0.25, 0.5, 1.0, 2.0])
+    columns = []
+    for _ in range(int(rng.integers(2, 8))):
+        kind = int(rng.integers(0, 5))
+        if kind == 0:  # ties
+            column = rng.choice(np.concatenate((-levels, levels)), size=n)
+            column *= rng.random(n) < rng.uniform(0.3, 1.0)
+        elif kind == 1:  # runs
+            rank = np.argsort(np.argsort(y + rng.uniform(-0.7, 0.7, size=n), kind="stable"))
+            band = rank // int(rng.integers(1, 4))
+            column = (band - int(rng.integers(0, band.max() + 1))).astype(np.float64)
+        else:  # one sign
+            column = rng.choice(levels, size=n) * (1.0 if kind == 2 else -1.0)
+            if kind != 4:
+                column *= rng.random(n) < rng.uniform(0.3, 0.9)
+        columns.append(column)
+    return dense_to_matrix(np.column_stack(columns) + 0.0, y)
 
 
 def curvature_matrices(rng: np.random.Generator, count: int):
