@@ -354,8 +354,6 @@ def _best_split(col: np.ndarray, val: np.ndarray, lab: np.ndarray, n: int, n1: i
     Returns None when no column has two values.
     """
     m = len(col)
-    if m == 0:
-        return None
     # Entry i starts a column (a value group) where col_head (group_head)
     # holds; both also hold at m, past the last entry.
     col_head = np.ones(m + 1, dtype=bool)

@@ -392,6 +392,11 @@ class TestDecisionTree:
         assert model.nodes[0].is_leaf
         assert model.nodes[0].label == 0
 
+    def test_matrix_without_stored_entries_is_one_leaf(self):
+        # Every column is constant (all zero), so the root cannot split.
+        matrix = matrix_of([SparseVector(dim=3, entries=())] * 3, (1, 1, 0), 3)
+        assert train(matrix, TrainConfig(algorithm="tree")).nodes == (TreeNode(label=1),)
+
     def test_training_is_deterministic(self):
         rng = np.random.default_rng(22)
         matrix = rand_matrix(rng, n0=15, n1=15, dim=6)
