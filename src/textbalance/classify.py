@@ -345,8 +345,8 @@ def _best_split(col: np.ndarray, val: np.ndarray, lab: np.ndarray, n: int, n1: i
     ``col``/``val``/``lab`` hold the node's stored entries (column, value,
     label of the entry's row), sorted by (column, value); the node has
     ``n`` rows, ``n1`` of them labelled 1.  A column's rows without an
-    entry form its zero group, which sorts between its negative and its
-    positive values.  Thresholds are midpoints of consecutive distinct
+    entry form its zero group (stored values are never zero), which sorts
+    between its negative and its positive values.  Thresholds are midpoints of consecutive distinct
     values of a column, the zero group's included.  Zero-gain splits are
     allowed so impure nodes of distinguishable points always split (ties:
     smaller feature, then smaller threshold).  Only boundary points and

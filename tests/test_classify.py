@@ -977,6 +977,26 @@ class TestExactFitReferences:
             nodes = train(matrix, config).nodes
             assert nodes == oracles.tree_fit(matrix, config) == dense_tree(matrix, config), trial
 
+    def test_tree_fit_past_2_16_columns_equals_reference(self):
+        # Columns c and c + 2^16 would share a uint16 sort key: the fit
+        # must sort them as the wide ids they are.
+        rng = np.random.default_rng(88)
+        dim = (1 << 16) + 8
+        pool = np.array([1, 2, 5, (1 << 16) + 1, (1 << 16) + 2, (1 << 16) + 5])
+        for trial in range(10):
+            n = int(rng.integers(6, 30))
+            rows = [
+                from_pairs(dim, [(int(c), float(rng.choice([-1.0, 0.5, 1.0, 2.0])))
+                                 for c in rng.choice(pool, size=int(rng.integers(0, 5)),
+                                                     replace=False)])
+                for _ in range(n)
+            ]
+            y = rng.integers(0, 2, size=n)
+            y[:2] = (0, 1)
+            matrix = matrix_of(rows, y, dim)
+            config = TrainConfig(algorithm="tree")
+            assert train(matrix, config).nodes == oracles.tree_fit(matrix, config), trial
+
     @pytest.mark.parametrize("depth", [1, 3, 10])
     def test_tree_fit_equals_reference_on_adversarial_columns(self, depth):
         # The fit scores only boundary points and the cuts next to each
