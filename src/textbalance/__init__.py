@@ -5,7 +5,7 @@ with/without-oversampling comparison harness."""
 from .bundle import ModelBundle, PreprocessConfig, load_bundle, save_bundle
 from .classify import ALGORITHMS, TrainConfig, predict, predict_batch, train
 from .evaluate import ComparisonReport, ConfusionMatrix, MetricsReport, compare, evaluate_model
-from .ingest import Corpus, DatasetSplit, LabeledDocument, load_corpus, split, write_corpus
+from .ingest import Corpus, DatasetSplit, LabeledDocument, load_corpus, split
 from .preprocess import filter_tokens, preprocess_corpus, strip_html, tokenize
 from .resample import ResampleReport, SmoteConfig, balance_training_set
 from .rng import SplitMix64, derive_stream
@@ -52,5 +52,4 @@ __all__ = [
     "train",
     "transform",
     "transform_corpus",
-    "write_corpus",
 ]

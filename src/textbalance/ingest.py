@@ -6,7 +6,6 @@ import csv
 import hashlib
 import json
 import math
-from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -63,11 +62,6 @@ class Corpus:
     @property
     def labels(self) -> list[int]:
         return [doc.label for doc in self.documents]
-
-    @property
-    def class_counts(self) -> dict[int, int]:
-        """Documents per label, in order of each label's first appearance."""
-        return dict(Counter(self.labels))
 
     @property
     def ids(self) -> list[str]:
@@ -194,24 +188,6 @@ def load_corpus(path, format: str = "csv") -> Corpus:
     if not documents:
         raise DatasetError(f"{path}: empty dataset (no records)")
     return Corpus.from_documents(documents)
-
-
-def write_corpus(corpus: Corpus, path, format: str = "csv") -> None:
-    """Write a corpus back to disk in the loader's CSV or JSONL schema."""
-    path = Path(path)
-    if format == "csv":
-        with path.open("w", encoding="utf-8", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["id", "text", "label"])
-            for doc in corpus.documents:
-                writer.writerow([doc.id, doc.text, doc.label])
-    elif format == "jsonl":
-        with path.open("w", encoding="utf-8") as handle:
-            for doc in corpus.documents:
-                record = {"id": doc.id, "text": doc.text, "label": doc.label}
-                handle.write(json.dumps(record, ensure_ascii=False) + "\n")
-    else:
-        raise DatasetError(f"unknown dataset format {format!r} (expected 'csv' or 'jsonl')")
 
 
 def _round_half_up(x: float) -> int:

@@ -337,23 +337,19 @@ def balance_training_set(
     Original rows are preserved unchanged and precede all synthetic rows.
     Must only ever be applied to training data.
     """
-    counts = matrix.class_counts()
-    if len(counts) < 2:
+    y = matrix.labels_array()
+    present, counts = np.unique(y, return_counts=True)
+    if present.size < 2:
         raise ValueError("cannot balance a single-class matrix")
-    (label_a, count_a), (label_b, count_b) = sorted(counts.items())
+    (label_a, label_b), (count_a, count_b) = present.tolist(), counts.tolist()
     if count_a == count_b:
-        report = ResampleReport(
-            minority_before=count_a,
-            majority=count_b,
-            synthetic_created=0,
-            per_sample_usage={},
-            minority_label=None,
+        return matrix, ResampleReport(
+            minority_before=count_a, majority=count_b, synthetic_created=0, per_sample_usage={}
         )
-        return matrix, report
 
     minority_label = label_a if count_a < count_b else label_b
     majority_count = max(count_a, count_b)
-    is_minority = matrix.labels_array() == minority_label
+    is_minority = y == minority_label
     minority_rows = np.flatnonzero(is_minority)
     bases, _, _, synthetic = _synthesize(matrix.csr.select(is_minority), majority_count, config)
     usage = np.bincount(bases, minlength=minority_rows.size)

@@ -1,9 +1,9 @@
 """Portable seeded random number generation.
 
 Every randomized operation in this package (train/test shuffling, SMOTE
-neighbor and gap draws, scatter projections, fixture synthesis) draws from
-SplitMix64, a public-domain 64-bit generator with a one-word state and a
-fixed, documented update rule.  Identical seeds therefore reproduce
+neighbor and gap draws, scatter projections) draws from SplitMix64, a
+public-domain 64-bit generator with a one-word state and a fixed,
+documented update rule.  Identical seeds therefore reproduce
 identical byte-level output on any platform and in any language that
 reimplements the same dozen lines.
 
@@ -22,7 +22,6 @@ STREAM_SPLIT = 0x53504C4954A011
 STREAM_NEIGHBOR = 0x4E4549474842
 STREAM_GAP = 0x474150C3
 STREAM_PROJECTION = 0x50524F4A32
-STREAM_FIXTURE = 0x46495854
 
 
 def mix64(value: int) -> int:

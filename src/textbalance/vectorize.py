@@ -149,12 +149,6 @@ class FeatureMatrix:
             and np.array_equal(a.data, b.data)
         )
 
-    def class_counts(self) -> dict[int, int]:
-        counts: dict[int, int] = {}
-        for label in self.labels:
-            counts[label] = counts.get(label, 0) + 1
-        return counts
-
     def labels_array(self) -> np.ndarray:
         return np.asarray(self.labels, dtype=np.int64)
 
@@ -241,8 +235,6 @@ def transform_corpus(
     for doc in docs:
         ids.extend(map(lookup, doc, repeat(-1)))
         ends.append(len(ids))
-    if len(ends) != len(labels):
-        raise ValueError(f"{len(ends)} docs but {len(labels)} labels")
     n_docs = len(ends)
     terms = np.array(ids, dtype=np.int64)
     doc_of = np.repeat(np.arange(n_docs), np.diff(np.array(ends, dtype=np.int64), prepend=0))

@@ -1,16 +1,25 @@
-"""Synthetic two-vocabulary corpora for experiments and the test suite.
+"""Synthetic two-vocabulary corpora for the test suite, and a corpus writer.
 
 Generates a forum-like binary corpus: non-spam posts draw from a shared
 pool plus topic words, spam posts from the shared pool plus a small
 promotional vocabulary diluted with topic noise.  Class imbalance and the
 weak per-document spam signal reproduce the regime where a classifier
 trained on raw counts leans majority and synthetic oversampling helps.
+`write_corpus` writes a corpus in the CSV or JSONL schema that
+`textbalance.ingest.load_corpus` reads.
 """
 
 from __future__ import annotations
 
-from .ingest import Corpus, LabeledDocument
-from .rng import STREAM_FIXTURE, SplitMix64, derive_stream
+import csv
+import json
+from pathlib import Path
+
+from textbalance.ingest import Corpus, LabeledDocument
+from textbalance.rng import SplitMix64, derive_stream
+
+# The stream tag of `two_vocab_corpus`; the golden digests depend on it.
+STREAM_FIXTURE = 0x46495854
 
 SHARED_WORDS = (
     "tutorial", "video", "audio", "please", "thanks", "question", "problem",
@@ -91,3 +100,20 @@ def two_vocab_corpus(
     for i in range(n_test_per_class):
         test_docs.append(LabeledDocument(f"test-spam-{i}", _spam_text(rng), 1))
     return Corpus.from_documents(train_docs), Corpus.from_documents(test_docs)
+
+
+def write_corpus(corpus: Corpus, path, format: str = "csv") -> None:
+    """Write a corpus in the loader's CSV schema, or in its JSONL schema for
+    any other ``format``."""
+    path = Path(path)
+    if format == "csv":
+        with path.open("w", encoding="utf-8", newline="") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(["id", "text", "label"])
+            for doc in corpus.documents:
+                writer.writerow([doc.id, doc.text, doc.label])
+    else:
+        with path.open("w", encoding="utf-8") as handle:
+            for doc in corpus.documents:
+                record = {"id": doc.id, "text": doc.text, "label": doc.label}
+                handle.write(json.dumps(record, ensure_ascii=False) + "\n")

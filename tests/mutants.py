@@ -186,6 +186,14 @@ CATALOGUE = (
         origin="the kNN filter's proven rounding bound",
     ),
     Mutant(
+        name="knn-recheck-ranks-by-the-gram-value",
+        path="src/textbalance/resample.py",
+        old="ranked = points[np.lexsort((points, np.sqrt(squared), which))]",
+        new="ranked = points[np.lexsort((points, gram[which, points], which))]",
+        kills=("tests/test_resample.py::TestKnnAdversarial",),
+        origin="ROADMAP direction 8: the recheck ranks by M, not by the filter's G",
+    ),
+    Mutant(
         name="interpolation-from-the-neighbor",
         path="src/textbalance/resample.py",
         old="values = base + gaps[chunk][pair] * (other - base)",
@@ -294,6 +302,31 @@ CATALOGUE = (
             "tests/test_bundle.py::TestClassifierSerialization::test_tree_node_reached_twice_rejected",
         ),
         origin="a bundle's tree reaches every node exactly once",
+    ),
+    Mutant(
+        name="tree-bundle-accepts-unreachable-nodes",
+        path="src/textbalance/bundle.py",
+        old=(
+            "    if not all(reached):\n"
+            '        raise BundleError(f"tree node {reached.index(False)} is unreachable")\n'
+        ),
+        new="",
+        kills=(
+            "tests/test_bundle.py::TestClassifierSerialization::test_tree_node_unreachable_rejected",
+        ),
+        origin="ROADMAP direction 8: a bundle's tree has no node the walk misses",
+    ),
+    Mutant(
+        name="balance-picks-the-larger-class",
+        path="src/textbalance/resample.py",
+        old="minority_label = label_a if count_a < count_b else label_b",
+        new="minority_label = label_a if count_a > count_b else label_b",
+        kills=(
+            "tests/test_resample.py::TestBalanceTrainingSet"
+            "::test_equalizes_and_appends_after_originals",
+            "tests/test_resample.py::TestBalanceTrainingSet::test_minority_can_be_label_zero",
+        ),
+        origin="balance_training_set oversamples the smaller class",
     ),
     Mutant(
         name="tfidf-doc-freq-per-token",

@@ -16,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+from corpora import two_vocab_corpus, write_corpus
 from textbalance import (
     bundle,
     classify,
@@ -27,7 +28,6 @@ from textbalance import (
     stopwords,
     vectorize,
 )
-from textbalance.fixtures import two_vocab_corpus
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 
@@ -72,7 +72,7 @@ def test_per_post_chain_agrees_with_predict(corpora, tmp_path, capsys):
     `predict_batch` and the command's own output."""
     train, test = corpora
     data = tmp_path / "train.csv"
-    ingest.write_corpus(train, data)
+    write_corpus(train, data)
     assert cli.main(["train", "--algo", "logistic", "--data", str(data),
                      "--out", str(tmp_path / "bundle.json")]) == 0
     model = bundle.load_bundle(tmp_path / "bundle.json")

@@ -138,6 +138,19 @@ class TestClassifierSerialization:
         with pytest.raises(BundleError, match="tree node 2 is reached more than once"):
             classifier_from_dict(data)
 
+    def test_tree_node_unreachable_rejected(self):
+        # Node 3 is a leaf that no node points to.  The walk from node 0
+        # ends without meeting it, so only the unreachable-node check fails.
+        nodes = (
+            TreeNode(feature=0, threshold=0.5, left=1, right=2),
+            TreeNode(label=0),
+            TreeNode(label=1),
+            TreeNode(label=1),
+        )
+        data = classifier_to_dict(DecisionTreeModel(dim=2, nodes=nodes))
+        with pytest.raises(BundleError, match="^tree node 3 is unreachable$"):
+            classifier_from_dict(data)
+
 
 class TestModelBundle:
     def test_save_load_round_trip(self, tmp_path):

@@ -10,6 +10,7 @@ import pytest
 
 import oracles
 from conftest import dense_to_matrix, matrix_of, oracle_matrix, rand_matrix, to_dense
+from corpora import two_vocab_corpus
 from oracles import SparseVector, csr_of, from_pairs, predict_scored, rows_of
 from textbalance import classify, cli
 from textbalance.classify import (
@@ -23,7 +24,6 @@ from textbalance.classify import (
     predict_batch,
     train,
 )
-from textbalance.fixtures import two_vocab_corpus
 from textbalance.preprocess import preprocess_corpus
 from textbalance.resample import SmoteConfig, balance_training_set
 from textbalance.stopwords import default_stopwords

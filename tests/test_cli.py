@@ -9,6 +9,7 @@ import platform
 import subprocess
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -17,12 +18,12 @@ import pytest
 import oracles
 import textbalance
 from conftest import cli_outputs_in_child, rand_matrix
+from corpora import two_vocab_corpus, write_corpus
 from textbalance import bundle as bundle_mod
 from textbalance import classify, evaluate, preprocess, stopwords, vectorize
 from textbalance.classify import ALGORITHMS, TrainConfig
 from textbalance.cli import CHUNK_POSTS, _train_config, build_parser, main
-from textbalance.fixtures import two_vocab_corpus
-from textbalance.ingest import Corpus, LabeledDocument, write_corpus
+from textbalance.ingest import Corpus, LabeledDocument
 from textbalance.matrixio import read_matrix, write_matrix
 from textbalance.resample import SmoteConfig
 from textbalance.rng import STREAM_PROJECTION, SplitMix64, derive_stream
@@ -880,7 +881,7 @@ class TestOversample:
         )
         assert code == 0
         balanced = read_matrix(dst)
-        assert balanced.class_counts() == {0: 12, 1: 12}
+        assert Counter(balanced.labels) == {0: 12, 1: 12}
         assert oracles.rows_of(balanced.csr)[:17] == oracles.rows_of(matrix.csr)
         report = json.loads(report_path.read_text())
         assert report["synthetic_created"] == 7
@@ -1233,3 +1234,24 @@ class TestScatter:
         )
         assert len(plain) == 17 and capped.keys() == plain.keys()
         assert [name for name in plain if capped[name] != plain[name]] == []
+
+
+def test_cli_imports_exactly_the_package_modules(tmp_path):
+    """A child interpreter's ``import textbalance.cli`` loads every module
+    of the package and nothing else of it, so no module that only the
+    tests use can sit in the package."""
+    package = Path(textbalance.__file__).parent
+    code = "import sys, textbalance.cli\nprint(*sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=str(package.parent)),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    stems = {path.stem for path in package.glob("*.py")}
+    expected = {"textbalance" if stem == "__init__" else f"textbalance.{stem}" for stem in stems}
+    loaded = {name for name in proc.stdout.split() if name.split(".")[0] == "textbalance"}
+    assert loaded == expected

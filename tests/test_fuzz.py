@@ -22,9 +22,9 @@ import numpy as np
 import pytest
 
 from conftest import rand_matrix
+from corpora import two_vocab_corpus, write_corpus
 from textbalance.cli import main
-from textbalance.fixtures import two_vocab_corpus
-from textbalance.ingest import Corpus, write_corpus
+from textbalance.ingest import Corpus
 from textbalance.matrixio import write_matrix
 from textbalance.rng import SplitMix64
 

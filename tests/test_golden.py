@@ -18,11 +18,11 @@ from pathlib import Path
 
 import pytest
 
+from corpora import two_vocab_corpus, write_corpus
 from textbalance import matrixio, preprocess, stopwords, vectorize
 from textbalance.classify import ALGORITHMS
 from textbalance.cli import main
-from textbalance.fixtures import two_vocab_corpus
-from textbalance.ingest import Corpus, LabeledDocument, write_corpus
+from textbalance.ingest import Corpus, LabeledDocument
 
 SEEDS = (7, 11, 13)
 TIMESTAMP = "2021-06-01T00:00:00+00:00"

@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import hashlib
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
 import oracles
 from conftest import matrix_of, rand_matrix, rand_sparse, to_dense
+from corpora import two_vocab_corpus
 from oracles import (
     SparseVector,
     SyntheticSample,
@@ -21,7 +23,6 @@ from oracles import (
 )
 from textbalance import resample
 from textbalance.bundle import canonical_json
-from textbalance.fixtures import two_vocab_corpus
 from textbalance.preprocess import preprocess_corpus
 from textbalance.resample import (
     NeighborIndex,
@@ -353,7 +354,7 @@ class TestBalanceTrainingSet:
         rng = np.random.default_rng(12)
         matrix = rand_matrix(rng, n0=20, n1=6, dim=10)
         balanced, report = balance_training_set(matrix, SmoteConfig(k=3, seed=2))
-        assert balanced.class_counts() == {0: 20, 1: 20}
+        assert Counter(balanced.labels) == {0: 20, 1: 20}
         assert rows_of(balanced.csr)[: len(matrix)] == rows_of(matrix.csr)
         assert balanced.labels[: len(matrix)] == matrix.labels
         assert set(balanced.labels[len(matrix) :]) == {1}
@@ -373,7 +374,7 @@ class TestBalanceTrainingSet:
         matrix = matrix_of(rows, (0, 0) + (1,) * 8, 6)
         balanced, report = balance_training_set(matrix, SmoteConfig(k=1, seed=0))
         assert report.minority_label == 0
-        assert balanced.class_counts() == {0: 8, 1: 8}
+        assert Counter(balanced.labels) == {0: 8, 1: 8}
 
     def test_balanced_input_is_a_no_op(self):
         rng = np.random.default_rng(14)
@@ -389,7 +390,7 @@ class TestBalanceTrainingSet:
         lone = rand_sparse(rng, 6)
         matrix = matrix_of(rows + [lone], (0, 0, 0, 0, 1), 6)
         balanced, report = balance_training_set(matrix, SmoteConfig(seed=9))
-        assert balanced.class_counts() == {0: 4, 1: 4}
+        assert Counter(balanced.labels) == {0: 4, 1: 4}
         assert all(row == lone for row in rows_of(balanced.csr)[5:])
         assert any("duplicate" in w for w in report.warnings)
 
@@ -437,7 +438,7 @@ class TestBalanceTrainingSet:
 def reference_balance(matrix: FeatureMatrix, config: SmoteConfig) -> FeatureMatrix:
     """SMOTE one sample at a time: `oracles.smote_trace` over the minority
     rows, its vectors appended below the matrix."""
-    counts = matrix.class_counts()
+    counts = Counter(matrix.labels)
     minority_label = min(counts, key=lambda label: (counts[label], label))
     minority = [row for row, lb in zip(rows_of(matrix.csr), matrix.labels) if lb == minority_label]
     synthetic = [s.vector for s in oracles.smote_trace(minority, max(counts.values()), config)]

@@ -9,8 +9,8 @@ import pytest
 
 import oracles
 from conftest import dense_to_matrix, matrix_of, oracle_matrix, rand_sparse, to_dense
+from corpora import two_vocab_corpus
 from oracles import SparseVector, csr_of, rows_of
-from textbalance.fixtures import two_vocab_corpus
 from textbalance.preprocess import preprocess_corpus
 from textbalance.stopwords import default_stopwords
 from textbalance.vectorize import (
@@ -360,8 +360,14 @@ class TestTransform:
 
     def test_transform_corpus_length_mismatch(self):
         model = fit([seq("alpha")])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^1 rows but 2 labels$"):
             transform_corpus(model, [seq("alpha")], [0, 1])
+
+    def test_transform_corpus_more_docs_than_labels(self):
+        # The one length check is FeatureMatrix's; transform_corpus has none.
+        model = fit([seq("alpha"), seq("beta")])
+        with pytest.raises(ValueError, match="^2 rows but 1 labels$"):
+            transform_corpus(model, [seq("alpha"), seq("beta")], [0])
 
 
 def _bits(row: SparseVector | CsrView) -> list[tuple[int, str]]:
