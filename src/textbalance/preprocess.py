@@ -4,10 +4,17 @@ The cleaning pipeline is the same for training, evaluation, and
 prediction-time inputs: strip HTML markup, lowercase and tokenize on
 non-alphanumeric runs, then drop short tokens and stop words.  A
 document's tokens are a plain ``list[str]`` from here to `vectorize`.
+
+`tokenize` makes no regex call.  It encodes the lowercased text to ASCII
+bytes, where the codec error handler ``"textbalance.tokens"`` writes each
+non-ASCII character as its UTF-8 bytes if it is alphanumeric and as a
+space if not; one ``bytes.translate`` through `_TOKEN_BYTES` then turns
+every other ASCII byte into a space, and ``str.split`` cuts the tokens.
 """
 
 from __future__ import annotations
 
+import codecs
 import re
 from collections.abc import Iterable
 
@@ -31,8 +38,23 @@ _MARKUP = re.compile("[<&]")
 # Numeric references take ASCII digits only, as in the WHATWG tokenizer.
 _DECIMAL_DIGITS = re.compile("[0-9]+")
 _HEX_DIGITS = re.compile("[0-9A-Fa-f]+")
-# [^\W_] matches exactly the characters for which str.isalnum() is true.
-_TOKEN = re.compile(r"[^\W_]+")
+
+# tokenize's byte table: ASCII letters and digits to lowercase, every other
+# ASCII byte to a space, and bytes >= 0x80 (the handler's UTF-8) unchanged.
+_TOKEN_BYTES = bytes(
+    b if b >= 0x80 else ord(chr(b).lower()) if chr(b).isalnum() else 0x20 for b in range(256)
+)
+
+
+def _non_ascii_tokens(error: UnicodeEncodeError) -> tuple[bytes, int]:
+    """The ASCII codec's handler for `tokenize`: a run of non-ASCII
+    characters becomes the UTF-8 bytes of its alphanumeric characters, each
+    other character (a lone surrogate among them) a space."""
+    run = error.object[error.start : error.end]
+    return "".join(c if c.isalnum() else " " for c in run).encode(), error.end
+
+
+codecs.register_error("textbalance.tokens", _non_ascii_tokens)
 
 
 def _element(name: str) -> str:
@@ -173,8 +195,22 @@ def strip_html(raw: str) -> str:
 
 
 def tokenize(text: str) -> list[str]:
-    """Lowercase and split on maximal runs of non-alphanumeric characters."""
-    return _TOKEN.findall(text.lower())
+    """Lowercase and split on maximal runs of non-alphanumeric characters.
+
+    The tokens are the maximal runs of characters for which
+    ``str.isalnum()`` is true in ``text.lower()``, the same as the regex
+    ``[^\\W_]+`` finds there, whatever the input:
+
+    * ``lower()`` runs on the whole text first, so a final sigma and
+      ``"İ"`` keep their context;
+    * every non-alphanumeric character becomes a space, and no
+      alphanumeric character is whitespace, so ``split()`` cuts exactly at
+      the non-alphanumeric positions;
+    * the UTF-8 of a non-ASCII character uses only bytes >= 0x80, which
+      `_TOKEN_BYTES` leaves as they are.
+    """
+    encoded = text.lower().encode("ascii", "textbalance.tokens")
+    return encoded.translate(_TOKEN_BYTES).decode().split()
 
 
 def filter_tokens(

@@ -150,10 +150,28 @@ CATALOGUE = (
     Mutant(
         name="tokens-keep-underscores",
         path="src/textbalance/preprocess.py",
-        old='_TOKEN = re.compile(r"[^\\W_]+")',
-        new='_TOKEN = re.compile(r"\\w+")',
+        old="b if b >= 0x80 else ord(chr(b).lower())",
+        new="b if b >= 0x80 or b == 95 else ord(chr(b).lower())",
         kills=("tests/test_preprocess.py::TestScannerEdgeCases::test_tokenize_follows_isalnum",),
         origin="tokens are the runs of str.isalnum() characters",
+    ),
+    Mutant(
+        name="tokens-keep-non-ascii-separators",
+        path="src/textbalance/preprocess.py",
+        old='return "".join(c if c.isalnum() else " " for c in run).encode(), error.end',
+        new="return run.encode(), error.end",
+        kills=(
+            "tests/test_preprocess.py::TestTokenizeMatchesRegex::test_stripped_markup_strings",
+        ),
+        origin="the codec handler turns each non-alphanumeric character into a space",
+    ),
+    Mutant(
+        name="tokens-fold-case-in-the-table-only",
+        path="src/textbalance/preprocess.py",
+        old='encoded = text.lower().encode("ascii", "textbalance.tokens")',
+        new='encoded = text.encode("ascii", "textbalance.tokens")',
+        kills=("tests/test_preprocess.py::TestScannerEdgeCases::test_tokenize_follows_isalnum",),
+        origin="tokenize lowercases the whole text, not only its ASCII bytes",
     ),
     Mutant(
         name="ascii-element-name-is-a-prefix",
@@ -192,6 +210,17 @@ CATALOGUE = (
         new="ranked = points[np.lexsort((points, gram[which, points], which))]",
         kills=("tests/test_resample.py::TestKnnAdversarial",),
         origin="ROADMAP direction 8: the recheck ranks by M, not by the filter's G",
+    ),
+    Mutant(
+        name="knn-recheck-summed-in-reverse",
+        path="src/textbalance/resample.py",
+        old="squared[chunk] = np.bincount(pair, d * d, minlength=squared[chunk].size)",
+        new=(
+            "squared[chunk] = np.bincount(pair[::-1], (d * d)[::-1], "
+            "minlength=squared[chunk].size)"
+        ),
+        kills=("tests/test_resample.py::TestKnnAdversarial",),
+        origin="ROADMAP direction 8: the recheck adds each pair's terms in column order",
     ),
     Mutant(
         name="interpolation-from-the-neighbor",

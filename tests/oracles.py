@@ -13,6 +13,8 @@ comparisons are bit for bit.
 stacks sparse vectors into a `CsrView`, and `rows_of` splits a view back
 into sparse vectors, checking each.
 
+`tokenize` is the regex tokenizer that `preprocess.tokenize` replaced.
+
 `matrix_digest` packs a matrix's digest one element at a time with
 `struct`, and `text_digest` is the ``repr`` text digest that the pinned
 SMOTE outputs were recorded in.
@@ -29,6 +31,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import re
 import struct
 from collections.abc import Iterable
 from dataclasses import dataclass, replace
@@ -45,6 +48,16 @@ from textbalance.classify import (
 from textbalance.resample import SmoteConfig
 from textbalance.rng import STREAM_GAP, STREAM_NEIGHBOR, derive_stream
 from textbalance.vectorize import CsrView, TfIdfModel
+
+
+# [^\W_] matches exactly the characters for which str.isalnum() is true.
+_TOKEN = re.compile(r"[^\W_]+")
+
+
+def tokenize(text: str) -> list[str]:
+    """The maximal runs of ``str.isalnum()`` characters in ``text.lower()``,
+    found by the regex engine."""
+    return _TOKEN.findall(text.lower())
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 
+import oracles
 import pytest
 
 from textbalance import preprocess
@@ -15,6 +16,7 @@ from textbalance.preprocess import (
     strip_html,
     tokenize,
 )
+from textbalance.rng import SplitMix64
 from textbalance.stopwords import StopWordList, default_stopwords, load_stopwords
 
 
@@ -236,6 +238,54 @@ class TestTokensAreFixedPoints:
         for code in range(0x10000):
             for token in tokenize(chr(code)):
                 assert tokenize(token) == [token], hex(code)
+
+
+# Characters whose case mapping depends on context or changes length, lone
+# surrogates, alphanumerics outside the letters, and the whitespace that
+# str.split knows beyond ASCII space, tab and newline.
+CASING_PIECES = (
+    "Σ", "σ", "ς", "İ", "ı", "K", "\u212a", "ǅ", "ﬃ", "\u0307", "\u0345",
+    "\ud800", "\udbff", "\udc00", "\udfff", "_", "²", "½", "٣",
+    "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\xa0", "\u2028", "\u3000",
+    "a", "B", "i", "s", "1", " ", "-", "\x7f", "é",
+)
+
+
+class TestTokenizeMatchesRegex:
+    """`tokenize` gives the tokens of the regex `oracles.tokenize` on any
+    text: every character in context, seeded mixes of the characters most
+    likely to break the byte-table path, and stripped markup."""
+
+    @staticmethod
+    def assert_same_tokens(texts):
+        for text in texts:
+            assert tokenize(text) == oracles.tokenize(text), ascii(text)
+
+    def test_every_basic_plane_character_in_context(self):
+        self.assert_same_tokens("a" + chr(c) + "B" + chr(c) for c in range(0x10000))
+
+    def test_astral_sample_in_context(self):
+        rng = SplitMix64(29)
+        codes = [0x10000 + rng.next_below(0x100000) for _ in range(20000)]
+        codes += [0x10000, 0x1D7CE, 0x1F600, 0x10FFFF]  # first, a math digit, an emoji, last
+        self.assert_same_tokens("a" + chr(c) + "B" + chr(c) for c in codes)
+
+    def test_no_alphanumeric_character_is_whitespace(self):
+        # So str.split can only cut where tokenize put a space.
+        assert not any(chr(c).isalnum() and chr(c).isspace() for c in range(0x110000))
+
+    def test_seeded_casing_strings(self):
+        rng = SplitMix64(2029)
+        texts = [
+            "".join(CASING_PIECES[rng.next_below(len(CASING_PIECES))] for _ in range(n))
+            for n in (rng.next_below(16) for _ in range(20000))
+        ]
+        self.assert_same_tokens(texts)
+
+    def test_stripped_markup_strings(self):
+        texts = list(_differential_strings(17, 4000))
+        self.assert_same_tokens(texts)
+        self.assert_same_tokens(strip_html(text) for text in texts)
 
 
 class TestFilterTokens:

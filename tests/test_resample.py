@@ -252,6 +252,17 @@ class TestKnnAdversarial:
         points.insert(2, points[-1])
         self.assert_every_query_matches_scan(points)
 
+    def test_terms_are_added_in_column_order(self):
+        # Added from column 0, each 2^-54 term rounds away against the 1.0
+        # before it, so point 1 ties point 2 at distance 1 and comes first
+        # by index; added in reverse, the eight terms make 2^-51 first and
+        # point 1 ends at sqrt(1 + 2^-51) > 1.
+        zero = SparseVector(dim=9, entries=())
+        spread = from_pairs(9, [(0, 1.0)] + [(j, 2.0**-27) for j in range(1, 9)])
+        points = [zero, spread, from_pairs(9, [(0, 1.0)])]
+        assert knn(index_of(points), 0, 1) == [1]
+        self.assert_every_query_matches_scan(points, ks=(1, 2))
+
     def test_two_points(self):
         rng = np.random.default_rng(33)
         zero = SparseVector(dim=5, entries=())
