@@ -254,6 +254,20 @@ def _balance(args, matrix):
     return config, balanced, report
 
 
+def _distinct_outputs(*outputs: tuple[str, str | os.PathLike | None]) -> None:
+    """Refuse two (flag, path) outputs that resolve to one file, before
+    any input is read: the later write would replace the earlier one."""
+    seen: dict[str, str] = {}
+    with _stage("config"):
+        for flag, path in outputs:
+            if path is None:
+                continue
+            resolved = os.path.realpath(path)
+            if resolved in seen:
+                raise ValueError(f"{seen[resolved]} and {flag} both name {str(path)!r}")
+            seen[resolved] = flag
+
+
 def _write_manifest(args, dataset_split: ingest.DatasetSplit) -> None:
     if args.split_manifest:
         with _stage("write"):
@@ -261,6 +275,7 @@ def _write_manifest(args, dataset_split: ingest.DatasetSplit) -> None:
 
 
 def cmd_train(args) -> int:
+    _distinct_outputs(("--out", args.out), ("--split-manifest", args.split_manifest))
     with _stage("train"):  # a bad hyperparameter fails before any file is read
         config = _train_config(args, args.algo)
     timestamp = _timestamp(args)  # so does a bad $SOURCE_DATE_EPOCH
@@ -384,6 +399,11 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_oversample(args) -> int:
+    _distinct_outputs(
+        ("--out", args.out),
+        ("--out-labels", args.out_labels or matrixio.default_labels_path(args.out)),
+        ("--report", args.report),
+    )
     with _stage("read"):
         matrix = matrixio.read_matrix(args.matrix, args.labels)
     _, balanced, report = _balance(args, matrix)
@@ -399,6 +419,11 @@ def cmd_oversample(args) -> int:
 
 
 def cmd_report(args) -> int:
+    suffixes = ("json", "txt", "csv") if args.csv else ("json", "txt")
+    _distinct_outputs(
+        *(("--out", f"{args.out}.{suffix}") for suffix in suffixes),
+        ("--split-manifest", args.split_manifest),
+    )
     # In order, each once: a repeat would refit to print the same column.
     algorithms = list(dict.fromkeys(a.strip() for a in args.algos.split(",") if a.strip()))
     if not algorithms:
@@ -477,6 +502,7 @@ def _scatter_svg(points, labels, n_original: int) -> str:
 
 
 def cmd_scatter(args) -> int:
+    _distinct_outputs(("--out", args.out), ("--svg", args.svg))
     # The whole input file is treated as the training matrix under
     # inspection; no train/test split happens here.
     with _stage("ingest"):

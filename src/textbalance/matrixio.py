@@ -17,12 +17,17 @@ those texts and written as one string.  The bytes are those of one
 matrix's row count or dim.
 
 Reading has a fast path and a checker.  The fast path parses chunks of
-about 64 KiB of lines with ``str.split`` and the same ``int()`` and
-``float()`` as the checker, then checks finiteness and bounds per chunk and
-order and repeats once over all entries, with numpy.  It gives up on any
-fault, and the checker then reads the file line by line and raises a
-`MatrixFormatError` naming the first faulty line, so the fast path changes
-neither a matrix nor a message.
+about 64 KiB of lines and keeps no container per line: it checks each
+line's field count with a split it drops at once, takes the chunk's fields
+from one ``str.split``, and parses every third of them with the same
+``int()`` and ``float()`` as the checker.  Every line break is whitespace to
+``str.split``, so those fields are the lines' triples in order.  It then
+checks finiteness and bounds per chunk and order and repeats once over all
+entries, with numpy.  It gives up on any fault, and the checker then reads
+the file line by line and raises a `MatrixFormatError` naming the first
+faulty line, so the fast path changes neither a matrix nor a message.
+Only a few flat lists per chunk outlive a line, so a read triggers no
+cyclic garbage collection however many lines it parses.
 """
 
 from __future__ import annotations
@@ -117,12 +122,12 @@ def _header(path: Path, line: str) -> tuple[int, int, int]:
 
 
 def _line_chunks(text: str):
-    """``text.splitlines()`` in pieces of about `_CHUNK_CHARS` characters,
-    each cut just after a newline, so no line is split."""
+    """``text`` in pieces of about `_CHUNK_CHARS` characters, each cut just
+    after a newline, so no line is split."""
     start = 0
     while start < len(text):
         stop = text.find("\n", start + _CHUNK_CHARS) + 1 or len(text)
-        yield text[start:stop].splitlines()
+        yield text[start:stop]
         start = stop
 
 
@@ -132,18 +137,21 @@ def _parse_fast(path: Path, text: str):
     `_parse_checked` and checked with array operations; None wherever that
     checker could fail, so it runs and words the error."""
     chunks = _line_chunks(text)
-    first = next(chunks, [""])
-    n_rows, n_cols, nnz = _header(path, first[0])
+    first = next(chunks, "")
+    lines = first.splitlines()
+    n_rows, n_cols, nnz = _header(path, lines[0] if lines else "")
+    # (lines, fields) per chunk; the header's three fields are dropped.
+    pieces = itertools.chain(
+        [(lines[1:], first.split()[3:])], ((c.splitlines(), c.split()) for c in chunks)
+    )
     parts: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-    for lines in itertools.chain([first[1:]], chunks):
-        fields = list(filter(None, map(str.split, lines)))  # blank lines split to []
-        if set(map(len, fields)) - {3}:
+    for lines, fields in pieces:
+        if not set(map(len, map(str.split, lines))) <= {0, 3}:  # blank lines split to []
             return None
-        r, c, v = zip(*fields) if fields else ((), (), ())
         try:
-            r = np.fromiter(map(int, r), dtype=np.int64, count=len(r))
-            c = np.fromiter(map(int, c), dtype=np.int64, count=len(c))
-            v = np.fromiter(map(float, v), dtype=np.float64, count=len(v))
+            r = np.array(list(map(int, fields[0::3])), dtype=np.int64)
+            c = np.array(list(map(int, fields[1::3])), dtype=np.int64)
+            v = np.array(list(map(float, fields[2::3])), dtype=np.float64)
         except (ValueError, OverflowError):  # unparsable, or beyond int64
             return None
         if not (

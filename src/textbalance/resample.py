@@ -17,6 +17,12 @@ order: a distance adds the squared differences in column order with
 tests check the neighbors and the synthetic rows, bit for bit, against
 such loops in `tests/oracles.py`.  `balance_training_set` builds no
 one-row view.
+
+The neighbor search's filter is the one place in the package that calls
+BLAS: its dot products over the most-used columns are one dense matrix
+product, summed in whatever order the library picks.  The filter's proven
+slack holds for any order, and the exact recheck alone ranks the points,
+so no value the library computes reaches a neighbor list or an output.
 """
 
 from __future__ import annotations
@@ -33,6 +39,9 @@ _SMALLEST_SUBNORMAL = 2.0**-1074
 _SAFE_NORM_SUM = 2.0**1000
 # Elements in one block's temporary arrays (a block of one query may exceed it).
 _BLOCK_ENTRIES = 1 << 16
+# Columns the kNN filter holds dense: the most-used ones carry nearly all
+# of the filter's products on TF-IDF rows.
+_HEAVY_COLUMNS = 64
 
 
 @dataclass(frozen=True)
@@ -125,19 +134,25 @@ class NeighborIndex:
     a given k, it is solved with as many points after it as fill the
     block's budget, and the neighbor lists are kept per k.
 
-    The filter computes, for every query a of a block and every point b,
-    the Gram form G = (|a|^2 + |b|^2) - 2 a.b of the squared distance,
-    from squared row norms taken once and dot products summed with one
-    `np.bincount` over the block's nonzero products (columns joined through
-    the points' `CsrView.transpose`, added in column order); the points
-    are never densified.  Each G carries a slack e >= |G - M|, where M is
+    The filter computes, for every query a of a block and every point b, the
+    Gram form G = (|a|^2 + |b|^2) - 2 a.b of the squared distance, from
+    squared row norms taken once.  Each dot product is a heavy part plus a
+    light part.  The heavy columns are the `_HEAVY_COLUMNS` (64) columns
+    most points use (all of them, if fewer), ties to the lower column.  On
+    TF-IDF rows they hold nearly all of the products.  The points' entries
+    in them are kept as one dense n x 64 matrix (512 bytes a point), so the
+    heavy parts of a block of queries are one matrix product of their dense
+    rows with that matrix's transpose.  The light part sums the products in
+    the other columns with one `np.bincount` over the block's nonzero light
+    products (columns joined through the light entries' `CsrView.transpose`,
+    added in column order).  Each G carries a slack e >= |G - M|, where M is
     the computed squared distance: each squared difference (a_i - b_i)^2
     over the union of both supports (a missing entry reads 0.0), added in
     column order from 0.0, one rounding per operation.  The distance is
     sqrt(M).  The exact recheck then ranks by (distance, index), as an
-    exhaustive scan does, every point whose lower bound G - e is at most
-    the query's k-th smallest upper bound G + e.  At least k points have M
-    at most that upper bound, so every point the scan would return is
+    exhaustive scan does, every point whose lower bound G - e is at most the
+    query's k-th smallest upper bound G + e.  At least k points have M at
+    most that upper bound, so every point the scan would return is
     rechecked, and the result is the scan's, ties included.  The recheck
     computes M itself, each pair's terms added by `np.bincount` in column
     order from 0.0.  The tests check the neighbors against an exhaustive
@@ -153,35 +168,44 @@ class NeighborIndex:
     * M sums at most 2L terms in order, each the square of a rounded
       difference (three roundings), so |M - S| <= g(2L+2) S, where
       S = |a - b|^2 <= 2N.
-    * Each squared norm and each dot product sums at most L rounded
-      products, in a fixed order (any order obeys this bound), so it is
-      within g(L) of its exact value, or of sum |a_i b_i| <= N/2 for a dot
-      product.  With the roundings of the sum and the difference,
-      |G - S| <= g(2L+4) N.
-    * So |G - M| <= g(2L+4) N + 2 g(2L+2) N <= 3 g(2L+4) N.
+    * Each squared norm sums at most L rounded products in a fixed order,
+      so it is within g(L) of its exact value.
+    * A dot product's heavy and light parts have at most L nonzero
+      products between them, and a product with a zero factor adds an
+      exact 0.0.  Summed in any order, with or without fused multiply-adds
+      (the matrix product may use either), a part of p such products is
+      within g(p) of its exact value, or of sum |a_i b_i| over its
+      columns; adding the two parts rounds once more.  So a dot product
+      is within g(L+1) of sum |a_i b_i| <= N/2.  With the roundings of the
+      norm sum and the difference, |G - S| <= g(2L+5) N.
+    * So |G - M| <= g(2L+5) N + 2 g(2L+2) N <= 3 g(2L+5) N.
 
     Two margins ride on top.  Distances are compared after a correctly
     rounded square root, so two points tie at one distance while their M
     differ by a factor of up to ((1 + u) / (1 - u))^2 <= 1 + 5u; the upper
     bound must clear M by 5u M <= 10u N(1 + g(2L+2)).  Forming G - e and
     G + e rounds once each, by at most u |G| + u e.  To first order in u
-    all of this is (6L + 24) u N, and
+    all of this is (6L + 27) u N, and
     e = g(8L+32) N' + (4L + 4) 2^-1074
-    exceeds it by (2L + 8) u N, which covers every second-order term
+    exceeds it by (2L + 5) u N, which covers every second-order term
     (including N' >= N (1 - g(L+1))) while L u < 2^-20.  The absolute term
-    covers the at most 6L products that can underflow, each off by at most
-    2^-1075; additions never lose anything to underflow.
+    covers the at most 6L products (or fused multiply-adds of a nonzero
+    product) that can underflow, each off by at most 2^-1075; additions
+    never lose anything to underflow.  This assumes IEEE arithmetic with
+    subnormals kept, which numpy and its BLAS use.
 
     A pair whose N' is above 2^1000, or not a number, might overflow: its
     lower bound is -inf and its upper bound +inf, so it is never filtered
     out, and if it is among the k smallest upper bounds every point is
     rechecked.
 
-    Memory.  A block holds as many queries as keep its products plus its
-    n-wide filter rows within `_BLOCK_ENTRIES` elements (at least one
-    query), and the recheck takes its pairs from `_union_chunks`, at most
-    `_BLOCK_ENTRIES` union entries at a time, so every temporary array is bounded by
-    that budget or by one query's share, whatever the point count or k.
+    Memory.  The index holds the dense heavy matrix, n x 64 float64, and
+    the light entries with their transpose.  A block holds as many queries
+    as keep its light products, its dense rows and its n-wide filter rows
+    within `_BLOCK_ENTRIES` elements (at least one query), and the recheck
+    takes its pairs from `_union_chunks`, at most `_BLOCK_ENTRIES` union
+    entries at a time, so every temporary array is bounded by that budget
+    or by one query's share, whatever the point count or k.
     """
 
     def __init__(self, points: CsrView):
@@ -191,16 +215,32 @@ class NeighborIndex:
         self._csr = csr = _compact(points)[1]
         data, columns = csr.data, csr.indices
         with np.errstate(over="ignore"):  # overflowing rows are caught per query
-            self._sq_norms = np.bincount(csr.row_ids, data * data, minlength=n)
+            sq_norms = np.bincount(csr.row_ids, data * data, minlength=n)
+        # float64 also with no stored entries, where `np.bincount` counts in int64
+        self._sq_norms = sq_norms.astype(np.float64, copy=False)
         longest = int(csr.row_lengths.max(initial=0))
         m = 8 * longest + 32
         self._rel_slack = m * _UNIT_ROUNDOFF / (1.0 - m * _UNIT_ROUNDOFF)
         self._abs_slack = (4 * longest + 4) * _SMALLEST_SUBNORMAL
 
-        self._by_column = by_column = csr.transpose()
+        # The `_HEAVY_COLUMNS` columns most points use (ties to the lower one)
+        # as one dense matrix, and the other entries as a CSR view and its
+        # transpose.
+        uses = np.bincount(columns, minlength=csr.shape[1])
+        heavy = np.argsort(-uses, kind="stable")[:_HEAVY_COLUMNS]
+        slot = np.full(csr.shape[1], -1)
+        slot[heavy] = np.arange(heavy.size)
+        is_heavy = slot[columns] >= 0
+        self._dense = np.zeros((n, heavy.size), order="F")  # so its transpose is C-ordered
+        self._dense[csr.row_ids[is_heavy], slot[columns[is_heavy]]] = data[is_heavy]
+        light = ~is_heavy
+        indptr = np.concatenate(([0], np.cumsum(light)))[csr.indptr]
+        self._light = CsrView(indptr, columns[light], data[light], csr.shape[1])
+        self._light_by_column = by_column = self._light.transpose()
 
-        # A query's filter work: its nonzero products and its n-wide rows.
-        work = np.bincount(csr.row_ids, by_column.row_lengths[columns], minlength=n) + n
+        # A query's filter work: its light products, its dense row and its n-wide rows.
+        products = by_column.row_lengths[self._light.indices]
+        work = np.bincount(self._light.row_ids, products, minlength=n) + (heavy.size + n)
         self._work = np.concatenate(([0], np.cumsum(work)))
         self._found: dict[int, dict[int, np.ndarray]] = {}  # k -> query -> neighbors
 
@@ -225,35 +265,46 @@ class NeighborIndex:
 
     def _solve(self, start: int, stop: int, k: int) -> np.ndarray:
         """The k nearest points of queries start..stop-1, one row each."""
-        csr, by_column, n = self._csr, self._by_column, len(self)
-        lo, hi = csr.indptr[start], csr.indptr[stop]
-        columns = csr.indices[lo:hi]
+        light, by_column, n = self._light, self._light_by_column, len(self)
+        lo, hi = light.indptr[start], light.indptr[stop]
+        columns = light.indices[lo:hi]
         counts = by_column.row_lengths[columns]  # each query entry meets its column's points
         pos = _segments(by_column.indptr[columns], counts)
         queries = np.arange(start, stop)
         own = (queries - start, queries)
         with np.errstate(over="ignore", invalid="ignore"):  # unsafe pairs, below
-            dots = np.bincount(
-                np.repeat((csr.row_ids[lo:hi] - start) * n, counts) + by_column.indices[pos],
-                np.repeat(csr.data[lo:hi], counts) * by_column.data[pos],
+            dots = self._dense[start:stop] @ self._dense.T
+            # In place: with no light entries `np.bincount` counts in int64.
+            dots += np.bincount(
+                np.repeat((light.row_ids[lo:hi] - start) * n, counts) + by_column.indices[pos],
+                np.repeat(light.data[lo:hi], counts) * by_column.data[pos],
                 minlength=(stop - start) * n,
             ).reshape(-1, n)
             norm_sum = self._sq_norms[queries, None] + self._sq_norms
-            gram = norm_sum - 2.0 * dots
-            slack = self._rel_slack * norm_sum + self._abs_slack
+            unsafe = ~(norm_sum <= _SAFE_NORM_SUM)
+            # G, e and G + e overwrite the arrays they come from, rounded as
+            # N' - 2 a.b and rel N' + abs are: a new n-wide array costs more
+            # in page faults than in arithmetic.
+            gram = dots
+            gram *= -2.0
+            gram += norm_sum
+            slack = norm_sum
+            slack *= self._rel_slack
+            slack += self._abs_slack
             lower = gram - slack
-            upper = gram + slack
-        unsafe = ~(norm_sum <= _SAFE_NORM_SUM)
+            upper = gram
+            upper += slack
         lower[unsafe] = -np.inf
         upper[unsafe] = np.inf
         upper[own] = np.inf
-        bound = np.partition(upper, k - 1, axis=1)[:, k - 1]
+        upper.partition(k - 1, axis=1)
+        bound = upper[:, k - 1]
         candidate = lower <= bound[:, None]
         candidate[own] = False
 
         which, points = np.nonzero(candidate)  # grouped by query, at least k each
         squared = np.empty(which.size)  # M, as the class docstring defines it
-        for chunk, pair, _, a, b in _union_chunks(csr, which + start, points):
+        for chunk, pair, _, a, b in _union_chunks(self._csr, which + start, points):
             with np.errstate(over="ignore"):
                 d = a - b
                 squared[chunk] = np.bincount(pair, d * d, minlength=squared[chunk].size)

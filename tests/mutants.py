@@ -204,12 +204,36 @@ CATALOGUE = (
         origin="the kNN filter's proven rounding bound",
     ),
     Mutant(
+        name="knn-filter-drops-the-light-products",
+        path="src/textbalance/resample.py",
+        old="dots += np.bincount(",
+        new="dots += 0.0 * np.bincount(",
+        kills=("tests/test_resample.py::TestKnnAdversarial",),
+        origin="ROADMAP direction 5: a dot product is its dense part plus its light part",
+    ),
+    Mutant(
+        name="knn-heavy-columns-the-least-used",
+        path="src/textbalance/resample.py",
+        old='heavy = np.argsort(-uses, kind="stable")[:_HEAVY_COLUMNS]',
+        new='heavy = np.argsort(uses, kind="stable")[:_HEAVY_COLUMNS]',
+        kills=("tests/test_resample.py::TestKnnAdversarial::test_heavy_columns_are_the_most_used",),
+        origin="ROADMAP direction 5: the dense columns are the most-used ones",
+    ),
+    Mutant(
+        name="matrix-reader-keeps-each-lines-fields",
+        path="src/textbalance/matrixio.py",
+        old="if not set(map(len, map(str.split, lines))) <= {0, 3}:",
+        new="if not set(map(len, list(map(str.split, lines)))) <= {0, 3}:",
+        kills=("tests/test_matrixio.py::TestReaderGarbage::test_read_triggers_no_collection",),
+        origin="the fast matrix reader keeps no container per line alive",
+    ),
+    Mutant(
         name="knn-recheck-ranks-by-the-gram-value",
         path="src/textbalance/resample.py",
         old="ranked = points[np.lexsort((points, np.sqrt(squared), which))]",
-        new="ranked = points[np.lexsort((points, gram[which, points], which))]",
+        new="ranked = points[np.lexsort((points, lower[which, points], which))]",
         kills=("tests/test_resample.py::TestKnnAdversarial",),
-        origin="ROADMAP direction 8: the recheck ranks by M, not by the filter's G",
+        origin="ROADMAP direction 8: the recheck ranks by M, not by the filter's G - e",
     ),
     Mutant(
         name="knn-recheck-summed-in-reverse",

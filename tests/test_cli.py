@@ -165,6 +165,33 @@ class TestRuntimeErrors:
         assert capsys.readouterr().err == f"error [ingest] {message}\n"
         assert list(tmp_path.iterdir()) == [path]
 
+    @pytest.mark.parametrize(
+        "command, outputs, flags",
+        [
+            (["train", "--algo", "nb"], ["--out", "x", "--split-manifest", "./x"],
+             ("--out", "--split-manifest")),
+            (["report", "--algos", "nb"], ["--out", "p", "--split-manifest", "p.json"],
+             ("--out", "--split-manifest")),
+            (["oversample"], ["--out", "x", "--out-labels", "x"], ("--out", "--out-labels")),
+            (["oversample"], ["--out", "x", "--report", "x.labels"], ("--out-labels", "--report")),
+            (["scatter"], ["--out", "x", "--svg", "x"], ("--out", "--svg")),
+        ],
+        ids=["train", "report", "oversample", "oversample-default-labels", "scatter"],
+    )
+    def test_two_outputs_naming_one_file_exit_2_and_write_nothing(
+        self, dataset, tmp_path, capsys, monkeypatch, command, outputs, flags
+    ):
+        monkeypatch.chdir(tmp_path)
+        inputs = ["--data", dataset]
+        if command == ["oversample"]:
+            write_matrix(rand_matrix(np.random.default_rng(9), n0=6, n1=3, dim=5), "in.mtx")
+            inputs = ["--matrix", "in.mtx"]
+        before = sorted(tmp_path.iterdir())
+        assert run([*command, *inputs, *outputs]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error [config]") and all(flag in err for flag in flags), err
+        assert sorted(tmp_path.iterdir()) == before
+
     def test_missing_bundle_exits_2(self, tmp_path, capsys):
         code = run(["predict", "--bundle", tmp_path / "nope.json", "hello"])
         assert code == 2

@@ -4,6 +4,8 @@ here as a reference oracle, and `FeatureMatrix.digest` against
 
 from __future__ import annotations
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -144,6 +146,45 @@ class TestReaderContract:
         assert csr.indices.tolist() == matrix.csr.indices[stored].tolist()
         assert csr.data.view(np.int64).tolist() == matrix.csr.data[stored].view(np.int64).tolist()
         assert (restored.dim, restored.labels) == (matrix.dim, matrix.labels)
+
+
+class TestReaderGarbage:
+    @staticmethod
+    def collections(work) -> list[int]:
+        """The cyclic garbage collections per generation while ``work()``
+        runs, counted from a fresh `gc.collect`."""
+        counts = [0, 0, 0]
+
+        def count(phase, info):
+            if phase == "start":
+                counts[info["generation"]] += 1
+
+        assert gc.isenabled()
+        gc.collect()
+        gc.callbacks.append(count)
+        try:
+            work()
+        finally:
+            gc.callbacks.remove(count)
+        return counts
+
+    def test_read_triggers_no_collection(self, tmp_path):
+        # 36,000 entries: a reader that kept one container per line alive
+        # would run about a hundred collections here.
+        n_rows, per_row, dim = 3000, 12, 500
+        rng = np.random.default_rng(3)
+        indices = np.concatenate(
+            [np.sort(rng.choice(dim, per_row, replace=False)) for _ in range(n_rows)]
+        )
+        csr = CsrView(np.arange(n_rows + 1) * per_row, indices, rng.random(indices.size), dim)
+        matrix = FeatureMatrix(csr, tuple(int(b) for b in rng.integers(0, 2, n_rows)))
+        path = tmp_path / "m.mtx"
+        write_matrix(matrix, path)
+        # The counter sees the collections that many live lists trigger.
+        assert self.collections(lambda: [[] for _ in range(5000)])[0] > 0
+        restored = []
+        assert self.collections(lambda: restored.append(read_matrix(path))) == [0, 0, 0]
+        assert restored == [matrix]
 
 
 def relaid(matrix: FeatureMatrix, layout: str) -> FeatureMatrix:

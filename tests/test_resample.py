@@ -192,21 +192,38 @@ class TestKnn:
             knn(two, 0, 0)
 
 
+class NoisyProducts(np.ndarray):
+    """A dense heavy matrix whose products ``a @ b`` come back off by
+    ``rel`` times sum |a_i b_i|, with a random sign per entry."""
+
+    def __array_finalize__(self, obj):
+        self.rel = getattr(obj, "rel", 0.0)
+        self.rng = getattr(obj, "rng", None)
+
+    def __matmul__(self, other):
+        a, b = np.asarray(self), np.asarray(other)
+        signs = self.rng.choice((-1.0, 1.0), size=(a.shape[0], b.shape[1]))
+        return a @ b + signs * (self.rel * (np.abs(a) @ np.abs(b)))
+
+
 class TestKnnAdversarial:
     """Inputs where the Gram-form filter is least accurate or ties decide."""
 
     @staticmethod
     def assert_every_query_matches_scan(points, ks=(1, 2, 3, 5)):
-        index = index_of(points)
-        for query in range(len(points)):
-            for k in set(ks) | {len(points) - 1, len(points) + 2}:
-                expected = exhaustive_knn(points, query, k)
-                assert knn(index, query, k) == expected, (query, k)
-                # With a budget of one element, a fresh index solves this
-                # query alone, in a block of one, one pair per recheck chunk.
-                with pytest.MonkeyPatch.context() as patch:
-                    patch.setattr(resample, "_BLOCK_ENTRIES", 1)
-                    assert knn(index_of(points), query, k) == expected, (query, k)
+        ks = set(ks) | {len(points) - 1, len(points) + 2}
+        expected = {(q, k): exhaustive_knn(points, q, k) for q in range(len(points)) for k in ks}
+        # The default index; then, with a budget of one element (each query
+        # solved alone, in a block of one, one pair per recheck chunk), an
+        # index with every column light and one with two heavy columns.
+        settings = ((resample._HEAVY_COLUMNS, resample._BLOCK_ENTRIES), (0, 1), (2, 1))
+        for heavy, budget in settings:
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(resample, "_HEAVY_COLUMNS", heavy)
+                patch.setattr(resample, "_BLOCK_ENTRIES", budget)
+                index = index_of(points)
+                for (query, k), want in expected.items():
+                    assert knn(index, query, k) == want, (heavy, budget, query, k)
 
     def test_exact_duplicates_tie_break_by_index(self):
         rng = np.random.default_rng(30)
@@ -262,6 +279,124 @@ class TestKnnAdversarial:
         points = [zero, spread, from_pairs(9, [(0, 1.0)])]
         assert knn(index_of(points), 0, 1) == [1]
         self.assert_every_query_matches_scan(points, ks=(1, 2))
+
+    def test_near_duplicates_on_heavy_columns(self):
+        # Every point stores columns 0-69, so the default index holds 0-63
+        # dense; the points move from their base in the last bits of those
+        # columns only, and 64-69 and one rare column each carry little mass.
+        rng = np.random.default_rng(35)
+        dim = 100
+        points = []
+        for scale in (1e4, 1e-4):
+            base = [(i, scale * float(rng.normal()) * (1.0 if i < 64 else 1e-6)) for i in range(70)]
+            for _ in range(12):
+                pairs = [
+                    (i, v * (1.0 + float(rng.integers(-4, 5)) * 2.0**-50) if i < 64 else v)
+                    for i, v in base
+                ]
+                pairs.append((int(rng.integers(70, dim)), scale * 1e-7 * float(rng.normal())))
+                points.append(from_pairs(dim, pairs))
+        points = [points[i] for i in rng.permutation(len(points))]
+        index = index_of(points)
+        assert index._dense.shape == (len(points), resample._HEAVY_COLUMNS)
+        assert index._light.nnz > 0
+        self.assert_every_query_matches_scan(points)
+
+    def test_pairs_split_across_heavy_and_light_columns(self):
+        # Every point stores columns 0-63, held dense by default, and about
+        # half of columns 64-99, held sparse, with like mass in each part;
+        # the near-duplicates move in the last bits of both parts.
+        rng = np.random.default_rng(36)
+        dim = 100
+        points = []
+        for _ in range(3):
+            base = [(i, float(rng.normal()) / 8.0) for i in range(64)]
+            base += [(i, float(rng.normal()) / 4.0) for i in range(64, dim) if rng.random() < 0.5]
+            for _ in range(8):
+                pairs = [(i, v * (1.0 + float(rng.integers(-4, 5)) * 2.0**-51)) for i, v in base]
+                if rng.random() < 0.5:  # one light entry moves to another column
+                    i, v = pairs.pop(int(rng.integers(64, len(pairs))))
+                    pairs.append((int(rng.choice([c for c in range(64, dim) if c not in dict(pairs)])), v))
+                points.append(from_pairs(dim, pairs))
+        points = [points[i] for i in rng.permutation(len(points))]
+        index = index_of(points)
+        assert index._dense.shape[1] == 64 and index._light.nnz > 0
+        self.assert_every_query_matches_scan(points)
+
+    def test_all_columns_heavy(self):
+        # Fewer used columns than `_HEAVY_COLUMNS`: the dense matrix holds
+        # every entry, and each light part is `np.bincount` over nothing.
+        rng = np.random.default_rng(37)
+        a = rand_sparse(rng, 30, density=0.6)
+        points = [rand_sparse(rng, 30, density=0.5) for _ in range(9)] + [a, a]
+        index = index_of(points)
+        used = len({i for p in points for i, _ in p.entries})
+        assert used < resample._HEAVY_COLUMNS
+        assert index._dense.shape == (len(points), used) and index._light.nnz == 0
+        self.assert_every_query_matches_scan(points)
+
+    @staticmethod
+    def noisy_index(points, seed: int, times: float = 1.0) -> NeighborIndex:
+        """An index whose heavy products are off by ``times`` g(L) times
+        sum |a_i b_i|, L the longest row.  At ``times`` 1 that is the most
+        the class docstring's proof lets a heavy part, summed in any order,
+        be off, and here it comes on top of the product's own rounding,
+        which the slack's (2L + 5) u N spare covers."""
+        index = index_of(points)
+        longest = max(p.nnz for p in points)
+        dense = index._dense.view(NoisyProducts)
+        dense.rel = times * longest * 2.0**-53 / (1.0 - longest * 2.0**-53)
+        dense.rng = np.random.default_rng(seed)
+        index._dense = dense
+        return index
+
+    @staticmethod
+    def noise_cases():
+        """Seeded clouds of near-duplicates whose mass is on the heavy
+        columns, at scales from 1e-6 to 1e6, and the heavy column count."""
+        rng = np.random.default_rng(39)
+        for case in range(6):
+            dim, scale = 24, 10.0 ** float(rng.integers(-6, 7))
+            base = rand_sparse(rng, dim, density=0.8)
+            points = [
+                from_pairs(dim, [(i, scale * v * (1.0 + float(rng.integers(-8, 9)) * 2.0**-52))
+                                 for i, v in base.entries])
+                for _ in range(14)
+            ] + [rand_sparse(rng, dim, density=0.3) for _ in range(3)]
+            yield case, points, (64, 8, 2)[case % 3]
+
+    def test_heavy_products_off_by_their_bound_change_no_list(self, monkeypatch):
+        for case, points, heavy in self.noise_cases():
+            monkeypatch.setattr(resample, "_HEAVY_COLUMNS", heavy)
+            index = self.noisy_index(points, seed=case)
+            for query in range(len(points)):
+                for k in (1, 2, 5):
+                    assert knn(index, query, k) == exhaustive_knn(points, query, k), (case, query, k)
+
+    def test_sixteen_times_that_noise_moves_some_list(self, monkeypatch):
+        # So the cases above come within a small factor of what the slack absorbs.
+        wrong = 0
+        for case, points, heavy in self.noise_cases():
+            monkeypatch.setattr(resample, "_HEAVY_COLUMNS", heavy)
+            index = self.noisy_index(points, seed=case, times=16.0)
+            wrong += sum(
+                knn(index, query, k) != exhaustive_knn(points, query, k)
+                for query in range(len(points))
+                for k in (1, 2, 5)
+            )
+        assert wrong > 0
+
+    def test_heavy_columns_are_the_most_used(self, monkeypatch):
+        # Points per column: 5 in column 6, 3 in columns 1 and 8, 2 in
+        # column 0 and 1 in column 3.  Ties go to the lower column.
+        monkeypatch.setattr(resample, "_HEAVY_COLUMNS", 3)
+        columns = [(6, 1, 0), (6, 8), (6, 1, 8, 3), (6, 0), (6, 1, 8)]
+        rng = np.random.default_rng(38)
+        points = [from_pairs(10, [(c, float(rng.normal())) for c in row]) for row in columns]
+        index = index_of(points)
+        dense = np.vstack([to_dense(p) for p in points])
+        assert np.array_equal(index._dense, dense[:, [6, 1, 8]])
+        assert index._light.nnz == 3  # columns 0 and 3
 
     def test_two_points(self):
         rng = np.random.default_rng(33)
