@@ -8,7 +8,8 @@ rejected, never migrated.
 Each record's keys are its dataclass's field names, read by `_fields`,
 which shares the model's tuples rather than copying them (JSON writes a
 tuple as a list).  The NB record adds its ``algorithm`` tag, and a tree
-writes its tag, dim and nodes, each node its label or its split.
+writes its tag, dim and one record per entry of its node columns: a
+leaf's label, or a split's feature, threshold and children.
 `write_json` writes every JSON file the package produces: bundles, split
 manifests, and metric, resample and comparison reports.
 """
@@ -26,7 +27,6 @@ from .classify import (
     LinearModel,
     MultinomialNBModel,
     TrainedClassifier,
-    TreeNode,
 )
 from .preprocess import filter_tokens, tokenize
 from .stopwords import StopWordList
@@ -153,10 +153,12 @@ def classifier_to_dict(model: TrainedClassifier) -> dict:
         return _fields(model)
     if isinstance(model, DecisionTreeModel):
         nodes = [
-            {"label": n.label}
-            if n.is_leaf
-            else {"feature": n.feature, "threshold": n.threshold, "left": n.left, "right": n.right}
-            for n in model.nodes
+            {"label": label}
+            if label >= 0
+            else {"feature": feature, "threshold": threshold, "left": left, "right": right}
+            for feature, threshold, left, right, label in zip(
+                model.feature, model.threshold, model.left, model.right, model.label
+            )
         ]
         return {"algorithm": "tree", "dim": model.dim, "nodes": nodes}
     raise BundleError(f"unknown classifier type {type(model).__name__}")
@@ -190,34 +192,37 @@ def _finite_floats(values, what: str) -> tuple[float, ...]:
     return floats
 
 
-def _tree_node(raw: dict, dim: int) -> TreeNode:
+def _tree_node(raw: dict, dim: int) -> tuple:
+    """A node record as (feature, threshold, left, right, label), with
+    `DecisionTreeModel`'s fill values."""
     if "label" in raw:
         label = _integer(raw["label"], "tree leaf label")
         _require(label in (0, 1), f"tree leaf label {label} is not 0 or 1")
-        return TreeNode(label=label)
+        return -1, 0.0, -1, -1, label
     feature = _integer(raw["feature"], "tree feature")
     _require(0 <= feature < dim, f"tree feature {feature} outside [0, {dim})")
-    return TreeNode(
-        feature=feature,
-        threshold=_finite_floats([raw["threshold"]], "tree threshold")[0],
-        left=_integer(raw["left"], "tree child"),
-        right=_integer(raw["right"], "tree child"),
+    return (
+        feature,
+        _finite_floats([raw["threshold"]], "tree threshold")[0],
+        _integer(raw["left"], "tree child"),
+        _integer(raw["right"], "tree child"),
+        -1,
     )
 
 
-def _require_tree_shape(nodes: tuple[TreeNode, ...]) -> None:
+def _require_tree_shape(tree: DecisionTreeModel) -> None:
     """Children in range, and every node reached exactly once from node 0,
     so prediction always ends at a leaf."""
-    _require(len(nodes) > 0, "tree has no nodes")
-    reached = [False] * len(nodes)
+    n = len(tree.label)
+    reached = [False] * n
     pending = [0]
     while pending:
         i = pending.pop()
-        _require(0 <= i < len(nodes), f"tree child {i} outside [0, {len(nodes)})")
+        _require(0 <= i < n, f"tree child {i} outside [0, {n})")
         _require(not reached[i], f"tree node {i} is reached more than once")
         reached[i] = True
-        if not nodes[i].is_leaf:
-            pending += [nodes[i].left, nodes[i].right]
+        if tree.label[i] < 0:
+            pending += [tree.left[i], tree.right[i]]
     if not all(reached):
         raise BundleError(f"tree node {reached.index(False)} is unreachable")
 
@@ -252,9 +257,11 @@ def classifier_from_dict(data: dict) -> TrainedClassifier:
         weights = _finite_floats(data["weights"], f"{algorithm} weights")
         _require(len(weights) == dim, f"{algorithm} dim {dim} but {len(weights)} weights")
         return LinearModel(algorithm, dim, weights, _finite_floats([data["bias"]], "bias")[0])
-    nodes = tuple(_tree_node(raw, dim) for raw in _table(data["nodes"], "tree nodes"))
-    _require_tree_shape(nodes)
-    return DecisionTreeModel(dim=dim, nodes=nodes)
+    nodes = [_tree_node(raw, dim) for raw in _table(data["nodes"], "tree nodes")]
+    _require(len(nodes) > 0, "tree has no nodes")
+    tree = DecisionTreeModel(dim, *zip(*nodes))
+    _require_tree_shape(tree)
+    return tree
 
 
 def save_bundle(bundle: ModelBundle, path) -> None:

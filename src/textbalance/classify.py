@@ -46,7 +46,9 @@ along a run of groups pure in one class, no cut inside the run is a first
 maximum, and the split chosen, the first maximum in (feature, threshold)
 order, is the one a scan of every cut finds.  That holds in exact
 arithmetic; the tests check it on the floats against the every-cut scan
-in `tests/oracles.py`.
+in `tests/oracles.py`.  The fit appends each node to five pre-order
+columns, which are the model: `_batch_tree` descends them as arrays, and
+a bundle maps them to node records.
 
 `predict_batch` labels and scores a whole matrix from its CSR view at
 once, and `predict` is its one-row case.  The tests check its labels and
@@ -56,7 +58,7 @@ scores, bit for bit, against the per-vector scorer in `tests/oracles.py`.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from functools import cached_property
 
 import numpy as np
@@ -150,36 +152,17 @@ class LinearModel:
 
 
 @dataclass(frozen=True)
-class TreeNode:
-    """Internal node (feature/threshold/children) or leaf (label set)."""
-
-    feature: int = -1
-    threshold: float = 0.0
-    left: int = -1
-    right: int = -1
-    label: int | None = None
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.label is not None
-
-
-@dataclass(frozen=True)
 class DecisionTreeModel:
-    dim: int
-    nodes: tuple[TreeNode, ...]
+    """A tree's nodes as five pre-order columns.  A split holds its feature,
+    threshold and children, and label -1; a leaf holds its label, feature,
+    left and right -1, and threshold 0.0."""
 
-    @cached_property
-    def _arrays(self) -> tuple[np.ndarray, ...]:
-        """Per node: feature, threshold, left, right, and label (-1 inside)."""
-        nodes = self.nodes
-        return (
-            np.array([n.feature for n in nodes], dtype=np.int64),
-            np.array([n.threshold for n in nodes], dtype=np.float64),
-            np.array([n.left for n in nodes], dtype=np.int64),
-            np.array([n.right for n in nodes], dtype=np.int64),
-            np.array([-1 if n.label is None else n.label for n in nodes], dtype=np.int64),
-        )
+    dim: int
+    feature: tuple[int, ...]
+    threshold: tuple[float, ...]
+    left: tuple[int, ...]
+    right: tuple[int, ...]
+    label: tuple[int, ...]
 
 
 TrainedClassifier = MultinomialNBModel | LinearModel | DecisionTreeModel
@@ -471,18 +454,19 @@ def _fit_tree(matrix: FeatureMatrix, config: TrainConfig) -> DecisionTreeModel:
     size = max(n, len(order))
     scratch = {dtype: np.empty(size, dtype) for dtype in {a.dtype for a in (perm, *entries)}}
     goes_left = np.empty(n, dtype=bool)
-    nodes: list[TreeNode] = []
+    columns = feature, threshold, left, right, label = [], [], [], [], []
     # Nodes are numbered in pre-order: a node, its left subtree, then its
     # right subtree.  Each pending subtree holds its [lo, hi) slices of
-    # ``perm`` (its rows) and of the entry arrays, its depth, and the
-    # parent field that must point at it.  A split partitions both slices
-    # stably in place, so each child's entries stay sorted.
-    pending = [(0, n, 0, len(order), 0, -1, "")]
+    # ``perm`` (its rows) and of the entry arrays, its depth, its parent,
+    # and the child column (``left`` or ``right``) whose parent entry must
+    # point at it.  A split partitions both slices stably in place, so each
+    # child's entries stay sorted.
+    pending = [(0, n, 0, len(order), 0, -1, None)]
     while pending:
-        r0, r1, e0, e1, depth, parent, side = pending.pop()
-        node_id = len(nodes)
+        r0, r1, e0, e1, depth, parent, child = pending.pop()
+        node_id = len(label)
         if parent >= 0:
-            nodes[parent] = replace(nodes[parent], **{side: node_id})
+            child[parent] = node_id
         rows = perm[r0:r1]
         sub_y = y[rows]
         found = None
@@ -492,19 +476,21 @@ def _fit_tree(matrix: FeatureMatrix, config: TrainConfig) -> DecisionTreeModel:
             and len(rows) >= config.tree_min_samples_split
         ):
             found = _best_split(col[e0:e1], val[e0:e1], lab[e0:e1], len(rows), int(sub_y.sum()))
-        if found is None:  # pure, too deep, too small, or every column constant
-            nodes.append(TreeNode(label=_majority_label(sub_y)))
+        leaf = found is None  # pure, too deep, too small, or every column constant
+        node = (-1, 0.0, -1, -1, _majority_label(sub_y)) if leaf else (*found, -1, -1, -1)
+        for column, value in zip(columns, node):
+            column.append(value)
+        if leaf:
             continue
-        feature, threshold = found
-        nodes.append(TreeNode(feature=feature, threshold=threshold))
-        goes_left[rows] = 0.0 <= threshold  # rows without an entry hold 0.0
-        f0, f1 = e0 + np.searchsorted(col[e0:e1], (feature, feature + 1))
-        goes_left[row[f0:f1]] = val[f0:f1] <= threshold
+        on, cut = found
+        goes_left[rows] = 0.0 <= cut  # rows without an entry hold 0.0
+        f0, f1 = e0 + np.searchsorted(col[e0:e1], (on, on + 1))
+        goes_left[row[f0:f1]] = val[f0:f1] <= cut
         r = r0 + _partition(goes_left[rows], (rows,), scratch)
         e = e0 + _partition(goes_left[row[e0:e1]], [a[e0:e1] for a in entries], scratch)
-        pending.append((r, r1, e, e1, depth + 1, node_id, "right"))
-        pending.append((r0, r, e0, e, depth + 1, node_id, "left"))
-    return DecisionTreeModel(dim=matrix.dim, nodes=tuple(nodes))
+        pending.append((r, r1, e, e1, depth + 1, node_id, right))
+        pending.append((r0, r, e0, e, depth + 1, node_id, left))
+    return DecisionTreeModel(matrix.dim, *map(tuple, columns))
 
 
 def train(matrix: FeatureMatrix, config: TrainConfig) -> TrainedClassifier:
@@ -538,29 +524,27 @@ class Predictions(list):
 
 def _batch_nb(model: MultinomialNBModel, X: CsrView) -> Predictions:
     n = X.shape[0]
+    if len(model.class_labels) == 1:  # else the labels are (0, 1)
+        return Predictions([model.class_labels[0]] * n, [None] * n)
     # A class score starts from its prior and adds the row's products left
     # to right, so the prior is a leading pseudo-entry of its row:
     # bincount adds in order.
     rows = np.concatenate((np.arange(n), X.row_ids))
-    scores = [
+    s0, s1 = [
         np.bincount(
             rows, np.concatenate((np.full(n, prior), X.data * log_prob[X.indices])), minlength=n
         )
         for prior, log_prob in zip(model.class_log_prior, model._log_prob_table)
     ]
-    best = np.zeros(n, dtype=np.int64)
-    for c in range(1, len(scores)):
-        best[scores[c] > np.choose(best, scores)] = c
-    labels = np.array(model.class_labels)[best].tolist()
-    if model.class_labels == (0, 1):
-        return Predictions(labels, (scores[1] - scores[0]).tolist())
-    return Predictions(labels, [None] * n)
+    return Predictions((s1 > s0).astype(np.int64).tolist(), (s1 - s0).tolist())
 
 
 def _batch_tree(model: DecisionTreeModel, X: CsrView) -> Predictions:
     """Descend all rows one level at a time; a row's value of a feature is
     found by binary search over the sorted ``row * dim + col`` keys."""
-    feature, threshold, left, right, label = model._arrays
+    feature, threshold, left, right, label = map(
+        np.array, (model.feature, model.threshold, model.left, model.right, model.label)
+    )
     sentinel = np.iinfo(np.int64).max  # past every key; its value reads 0.0
     keys = np.append(X.row_ids * model.dim + X.indices, sentinel)
     data = np.append(X.data, 0.0)

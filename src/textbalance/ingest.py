@@ -131,6 +131,14 @@ def _make_document(record: dict, index: int, where: str) -> LabeledDocument:
         raise DatasetError(f"{where}: {exc}") from exc
 
 
+def _require_unique_fields(names: list[str], where: str) -> None:
+    """Refuse a CSV header or a JSON object's keys that name a record
+    field twice: which of the values to read would be a guess."""
+    for field in ("id", "text", "label"):
+        if names.count(field) > 1:
+            raise DatasetError(f"{where}: field '{field}' named more than once")
+
+
 def _iter_csv_records(path: Path):
     with path.open("r", encoding="utf-8-sig", newline="") as handle:
         reader = csv.DictReader(handle)
@@ -142,6 +150,7 @@ def _iter_csv_records(path: Path):
                 raise DatasetError(
                     f"CSV header must contain 'text' and 'label' (missing: {sorted(missing)})"
                 )
+            _require_unique_fields(reader.fieldnames, "CSV header")
             for row in reader:
                 if None in row:
                     raise DatasetError(f"record {reader.line_num}: more fields than header columns")
@@ -155,14 +164,16 @@ def _iter_jsonl_records(path: Path):
         for line_num, line in enumerate(handle, start=1):
             if not line.strip():
                 continue
+            objects = []  # each object's (key, value) pairs, the top-level one last
             try:
-                obj = json.loads(line)
+                obj = json.loads(line, object_pairs_hook=lambda p: objects.append(p) or dict(p))
             except json.JSONDecodeError as exc:
                 raise DatasetError(f"record at line {line_num}: invalid JSON ({exc.msg})") from exc
             except RecursionError as exc:
                 raise DatasetError(f"record at line {line_num}: JSON nested too deeply") from exc
             if not isinstance(obj, dict):
                 raise DatasetError(f"record at line {line_num}: expected a JSON object")
+            _require_unique_fields([key for key, _ in objects[-1]], f"record at line {line_num}")
             yield obj
 
 

@@ -129,7 +129,7 @@ class NeighborIndex:
     the rows of a `CsrView`.
 
     The points' columns are renumbered, in order, to the ones they use, so
-    no buffer grows with the dimension.  Queries are answered a block of
+    no buffer grows with the dimension.  `knn` answers queries a block of
     consecutive points at a time: the first time a point is asked for with
     a given k, it is solved with as many points after it as fill the
     block's budget, and the neighbor lists are kept per k.
@@ -247,22 +247,6 @@ class NeighborIndex:
     def __len__(self) -> int:
         return self._csr.shape[0]
 
-    def query(self, query_index: int, k: int) -> list[int]:
-        """Indices of the k nearest points to point query_index; see `knn`."""
-        n = len(self)
-        if not 0 <= query_index < n:
-            raise ValueError(f"query_index {query_index} outside [0, {n})")
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
-        k = min(k, n - 1)
-        found = self._found.setdefault(k, {})
-        if query_index not in found:
-            start, work = query_index, self._work
-            within = int(np.searchsorted(work, work[start] + _BLOCK_ENTRIES, side="right")) - 1
-            stop = max(start + 1, within)
-            found.update(zip(range(start, stop), self._solve(start, stop, k)))
-        return found[query_index].tolist()
-
     def _solve(self, start: int, stop: int, k: int) -> np.ndarray:
         """The k nearest points of queries start..stop-1, one row each."""
         light, by_column, n = self._light, self._light_by_column, len(self)
@@ -317,7 +301,19 @@ def knn(index: NeighborIndex, query_index: int, k: int) -> list[int]:
     """Indices of the k nearest points to point query_index of the index's
     set (self excluded), sorted by (distance, index): distance ties resolve
     to the smaller index."""
-    return index.query(query_index, k)
+    n = len(index)
+    if not 0 <= query_index < n:
+        raise ValueError(f"query_index {query_index} outside [0, {n})")
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    k = min(k, n - 1)
+    found = index._found.setdefault(k, {})
+    if query_index not in found:
+        start, work = query_index, index._work
+        within = int(np.searchsorted(work, work[start] + _BLOCK_ENTRIES, side="right")) - 1
+        stop = max(start + 1, within)
+        found.update(zip(range(start, stop), index._solve(start, stop, k)))
+    return found[query_index].tolist()
 
 
 def _interpolate_rows(

@@ -126,13 +126,13 @@ CATALOGUE = (
         path="src/textbalance/classify.py",
         old=(
             "    rows = np.concatenate((np.arange(n), X.row_ids))\n"
-            "    scores = [\n"
+            "    s0, s1 = [\n"
             "        np.bincount(\n"
             "            rows, np.concatenate((np.full(n, prior), X.data * log_prob[X.indices])),"
         ),
         new=(
             "    rows = np.concatenate((X.row_ids, np.arange(n)))\n"
-            "    scores = [\n"
+            "    s0, s1 = [\n"
             "        np.bincount(\n"
             "            rows, np.concatenate((X.data * log_prob[X.indices], np.full(n, prior))),"
         ),
@@ -142,8 +142,8 @@ CATALOGUE = (
     Mutant(
         name="nb-ties-go-to-the-later-label",
         path="src/textbalance/classify.py",
-        old="best[scores[c] > np.choose(best, scores)] = c",
-        new="best[scores[c] >= np.choose(best, scores)] = c",
+        old="(s1 > s0).astype(np.int64)",
+        new="(s1 >= s0).astype(np.int64)",
         kills=("tests/test_classify.py::TestPredictBatchOracle::test_exact_nb_ties_give_label_zero",),
         origin="ROADMAP direction 8: NB ties going to label 1",
     ),
@@ -257,8 +257,8 @@ CATALOGUE = (
     Mutant(
         name="tree-fit-splits-at-the-threshold",
         path="src/textbalance/classify.py",
-        old="goes_left[row[f0:f1]] = val[f0:f1] <= threshold",
-        new="goes_left[row[f0:f1]] = val[f0:f1] < threshold",
+        old="goes_left[row[f0:f1]] = val[f0:f1] <= cut",
+        new="goes_left[row[f0:f1]] = val[f0:f1] < cut",
         kills=("tests/test_classify.py::TestDecisionTree::test_values_at_the_threshold_go_left",),
         origin="the tree sends values at the threshold left",
     ),
@@ -277,6 +277,14 @@ CATALOGUE = (
         new="and len(rows) > config.tree_min_samples_split",
         kills=("tests/test_classify.py::TestDenseOracles::test_tree_matches_dense_reference",),
         origin="tree_min_samples_split is the smallest node that splits",
+    ),
+    Mutant(
+        name="tree-fit-links-both-children-left",
+        path="src/textbalance/classify.py",
+        old="pending.append((r, r1, e, e1, depth + 1, node_id, right))",
+        new="pending.append((r, r1, e, e1, depth + 1, node_id, left))",
+        kills=("tests/test_classify.py::TestDenseOracles::test_tree_matches_dense_reference",),
+        origin="the fit writes each child's index into its own column",
     ),
     Mutant(
         name="tree-boundary-from-adjacent-entries",
@@ -368,6 +376,16 @@ CATALOGUE = (
             "tests/test_bundle.py::TestClassifierSerialization::test_tree_node_unreachable_rejected",
         ),
         origin="ROADMAP direction 8: a bundle's tree has no node the walk misses",
+    ),
+    Mutant(
+        name="tree-bundle-walks-label-0-leaves",
+        path="src/textbalance/bundle.py",
+        old="if tree.label[i] < 0:",
+        new="if tree.label[i] < 1:",
+        kills=(
+            "tests/test_bundle.py::TestClassifierSerialization::test_round_trip_all_algorithms",
+        ),
+        origin="a bundle's tree walk stops at every leaf, whatever its label",
     ),
     Mutant(
         name="balance-picks-the-larger-class",

@@ -34,16 +34,16 @@ import math
 import re
 import struct
 from collections.abc import Iterable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from textbalance.classify import (
+    DecisionTreeModel,
     LinearModel,
     MultinomialNBModel,
     TrainConfig,
     TrainedClassifier,
-    TreeNode,
 )
 from textbalance.resample import SmoteConfig
 from textbalance.rng import STREAM_GAP, STREAM_NEIGHBOR, derive_stream
@@ -187,11 +187,11 @@ def predict_scored(model: TrainedClassifier, vector: SparseVector) -> tuple[int,
     if isinstance(model, LinearModel):
         score = dot(vector, model.weights) + model.bias
         return (1 if score >= 0.0 else 0), score
-    node = model.nodes[0]
-    while not node.is_leaf:
-        value = get(vector, node.feature)
-        node = model.nodes[node.left if value <= node.threshold else node.right]
-    return node.label, None
+    i = 0
+    while model.label[i] < 0:
+        value = get(vector, model.feature[i])
+        i = model.left[i] if value <= model.threshold[i] else model.right[i]
+    return model.label[i], None
 
 
 def euclidean_distance(a: SparseVector, b: SparseVector) -> float:
@@ -514,19 +514,19 @@ def best_split(columns, values, entry_y, y, dim):
     return int(columns[b]), (float(values[b]) + float(values[b + 1])) / 2.0
 
 
-def tree_fit(matrix, config: TrainConfig) -> tuple[TreeNode, ...]:
+def tree_fit(matrix, config: TrainConfig) -> DecisionTreeModel:
     """Greedy Gini CART in pre-order; each node's entries are in row-major
     order and `best_split` sorts them."""
     rows_of, columns_of, values_of = _entries(matrix)
     y = np.asarray(matrix.labels, dtype=np.int64)
     n, d = len(matrix), matrix.dim
-    nodes: list[TreeNode] = []
-    pending = [(np.arange(n), np.arange(len(columns_of)), 0, -1, "")]
+    nodes: list[list] = []  # each node's [feature, threshold, left, right, label]
+    pending = [(np.arange(n), np.arange(len(columns_of)), 0, -1, 0)]
     while pending:
-        rows, entries, depth, parent, side = pending.pop()
+        rows, entries, depth, parent, slot = pending.pop()  # slot 2 is left, 3 right
         node_id = len(nodes)
         if parent >= 0:
-            nodes[parent] = replace(nodes[parent], **{side: node_id})
+            nodes[parent][slot] = node_id
         sub_y = y[rows]
         found = None
         if (
@@ -538,15 +538,15 @@ def tree_fit(matrix, config: TrainConfig) -> tuple[TreeNode, ...]:
             found = best_split(columns, values_of[entries], y[rows_of[entries]], sub_y, d)
         if found is None:
             n1 = int(sub_y.sum())
-            nodes.append(TreeNode(label=1 if n1 > len(sub_y) - n1 else 0))
+            nodes.append([-1, 0.0, -1, -1, 1 if n1 > len(sub_y) - n1 else 0])
             continue
         feature, threshold = found
-        nodes.append(TreeNode(feature=feature, threshold=threshold))
+        nodes.append([feature, threshold, -1, -1, -1])
         on_feature = entries[columns == feature]
         goes_left = np.full(n, 0.0 <= threshold)
         goes_left[rows_of[on_feature]] = values_of[on_feature] <= threshold
         row_left = goes_left[rows]
         entry_left = goes_left[rows_of[entries]]
-        pending.append((rows[~row_left], entries[~entry_left], depth + 1, node_id, "right"))
-        pending.append((rows[row_left], entries[entry_left], depth + 1, node_id, "left"))
-    return tuple(nodes)
+        pending.append((rows[~row_left], entries[~entry_left], depth + 1, node_id, 3))
+        pending.append((rows[row_left], entries[entry_left], depth + 1, node_id, 2))
+    return DecisionTreeModel(d, *map(tuple, zip(*nodes)))

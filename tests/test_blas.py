@@ -17,9 +17,8 @@ from __future__ import annotations
 
 import ast
 from collections import Counter
-from pathlib import Path
 
-import textbalance
+from sourcescan import ScopedVisitor, package_uses
 
 BLAS = frozenset("dot matmul inner vdot tensordot einsum linalg".split())
 MODULE_NAMES = {"np": "numpy", "numpy": "numpy"}
@@ -28,24 +27,10 @@ MODULE_NAMES = {"np": "numpy", "numpy": "numpy"}
 ALLOWED = Counter({("resample.NeighborIndex._solve", "@"): 1})
 
 
-class _Uses(ast.NodeVisitor):
+class _Uses(ScopedVisitor):
     """Each ``@`` and ``@=``, each BLAS ``np.``/``numpy.`` attribute, each
     ``.dot`` method, and each BLAS name imported from ``numpy``, keyed by
     the dotted name of its enclosing class and function scopes."""
-
-    def __init__(self, module: str):
-        self.scope = [module]
-        self.found: list[tuple[str, str, int]] = []
-
-    def _enter(self, node):
-        self.scope.append(node.name)
-        self.generic_visit(node)
-        self.scope.pop()
-
-    visit_ClassDef = visit_FunctionDef = visit_AsyncFunctionDef = _enter
-
-    def _record(self, use: str, node) -> None:
-        self.found.append((".".join(self.scope), use, node.lineno))
 
     def visit_BinOp(self, node):
         if isinstance(node.op, ast.MatMult):
@@ -73,16 +58,6 @@ class _Uses(ast.NodeVisitor):
                     self._record(f"{node.module}.{alias.name}", node)
 
 
-def blas_uses(package: Path) -> list[tuple[str, str, int]]:
-    """(enclosing function, use, line) for every module of ``package``."""
-    found = []
-    for path in sorted(package.glob("*.py")):
-        visitor = _Uses(path.stem)
-        visitor.visit(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
-        found += visitor.found
-    return found
-
-
 def test_visitor_finds_every_form():
     source = (
         "import numpy as np\nfrom numpy import einsum\nfrom numpy.linalg import norm\n"
@@ -104,6 +79,6 @@ def test_visitor_finds_every_form():
 
 
 def test_only_the_knn_filter_calls_blas():
-    uses = blas_uses(Path(textbalance.__file__).parent)
+    uses = package_uses(_Uses)
     counts = Counter((function, use) for function, use, _ in uses)
     assert counts == ALLOWED, f"(function, use, line) in src: {uses}"

@@ -25,14 +25,7 @@ from textbalance.bundle import (
     tfidf_to_dict,
 )
 from textbalance import cli, matrixio
-from textbalance.classify import (
-    ALGORITHMS,
-    DecisionTreeModel,
-    TrainConfig,
-    TreeNode,
-    predict_batch,
-    train,
-)
+from textbalance.classify import ALGORITHMS, TrainConfig, predict_batch, train
 from textbalance.matrixio import (
     MatrixFormatError,
     default_labels_path,
@@ -128,26 +121,26 @@ class TestClassifierSerialization:
     def test_tree_node_reached_twice_rejected(self):
         # Node 2 is a child of nodes 0 and 1: every node is reachable and
         # there is no cycle, so only the "reached more than once" check fails.
-        nodes = (
-            TreeNode(feature=0, threshold=0.5, left=1, right=2),
-            TreeNode(feature=1, threshold=0.5, left=2, right=3),
-            TreeNode(label=0),
-            TreeNode(label=1),
-        )
-        data = classifier_to_dict(DecisionTreeModel(dim=2, nodes=nodes))
+        nodes = [
+            {"feature": 0, "threshold": 0.5, "left": 1, "right": 2},
+            {"feature": 1, "threshold": 0.5, "left": 2, "right": 3},
+            {"label": 0},
+            {"label": 1},
+        ]
+        data = {"algorithm": "tree", "dim": 2, "nodes": nodes}
         with pytest.raises(BundleError, match="tree node 2 is reached more than once"):
             classifier_from_dict(data)
 
     def test_tree_node_unreachable_rejected(self):
         # Node 3 is a leaf that no node points to.  The walk from node 0
         # ends without meeting it, so only the unreachable-node check fails.
-        nodes = (
-            TreeNode(feature=0, threshold=0.5, left=1, right=2),
-            TreeNode(label=0),
-            TreeNode(label=1),
-            TreeNode(label=1),
-        )
-        data = classifier_to_dict(DecisionTreeModel(dim=2, nodes=nodes))
+        nodes = [
+            {"feature": 0, "threshold": 0.5, "left": 1, "right": 2},
+            {"label": 0},
+            {"label": 1},
+            {"label": 1},
+        ]
+        data = {"algorithm": "tree", "dim": 2, "nodes": nodes}
         with pytest.raises(BundleError, match="^tree node 3 is unreachable$"):
             classifier_from_dict(data)
 

@@ -19,7 +19,6 @@ from textbalance.classify import (
     LinearModel,
     MultinomialNBModel,
     TrainConfig,
-    TreeNode,
     predict,
     predict_batch,
     train,
@@ -361,9 +360,8 @@ class TestDecisionTree:
     def test_thresholds_are_midpoints(self):
         matrix = dense_to_matrix([[0.0], [1.0]], [0, 1])
         model = train(matrix, TrainConfig(algorithm="tree"))
-        root = model.nodes[0]
-        assert not root.is_leaf
-        assert root.threshold == 0.5
+        assert model.label[0] == -1
+        assert model.threshold[0] == 0.5
 
     def test_values_at_the_threshold_go_left(self):
         # The midpoint of 1.0 and the next float rounds to 1.0 itself, so
@@ -371,31 +369,31 @@ class TestDecisionTree:
         above = math.nextafter(1.0, 2.0)
         matrix = dense_to_matrix([[1.0], [above]], [0, 1])
         model = train(matrix, TrainConfig(algorithm="tree"))
-        assert model.nodes[0].threshold == 1.0
+        assert model.threshold[0] == 1.0
         assert predict_batch(model, matrix) == [0, 1]
 
     def test_max_depth_limits_tree(self):
         matrix = xor_matrix()
         model = train(matrix, TrainConfig(algorithm="tree", tree_max_depth=1))
         # Depth 1 allows a single split: at most three nodes.
-        assert len(model.nodes) <= 3
+        assert len(model.label) <= 3
 
     def test_min_samples_split_forces_leaf(self):
         matrix = xor_matrix()
         model = train(matrix, TrainConfig(algorithm="tree", tree_min_samples_split=5))
-        assert len(model.nodes) == 1
-        assert model.nodes[0].is_leaf
+        assert len(model.label) == 1
+        assert model.label[0] >= 0
 
     def test_leaf_tie_prefers_label_zero(self):
         matrix = dense_to_matrix([[1.0], [1.0]], [0, 1])  # indistinguishable points
         model = train(matrix, TrainConfig(algorithm="tree"))
-        assert model.nodes[0].is_leaf
-        assert model.nodes[0].label == 0
+        assert model.label == (0,)
 
     def test_matrix_without_stored_entries_is_one_leaf(self):
         # Every column is constant (all zero), so the root cannot split.
         matrix = matrix_of([SparseVector(dim=3, entries=())] * 3, (1, 1, 0), 3)
-        assert train(matrix, TrainConfig(algorithm="tree")).nodes == (TreeNode(label=1),)
+        leaf = DecisionTreeModel(3, (-1,), (0.0,), (-1,), (-1,), (1,))
+        assert train(matrix, TrainConfig(algorithm="tree")) == leaf
 
     def test_training_is_deterministic(self):
         rng = np.random.default_rng(22)
@@ -430,7 +428,7 @@ class TestDecisionTree:
         n = 1200
         matrix = dense_to_matrix([[float(i)] for i in range(n)], [i % 2 for i in range(n)])
         model = train(matrix, TrainConfig(algorithm="tree", tree_max_depth=100_000))
-        assert len(model.nodes) == 2 * n - 1
+        assert len(model.label) == 2 * n - 1
         assert predict_batch(model, matrix) == list(matrix.labels)
 
 
@@ -628,14 +626,14 @@ class TestPredictBatchOracle:
     def test_tree_rows_without_the_split_feature(self):
         # Root splits on feature 2 at 0.5 (absent reads 0.0, goes left);
         # the left child splits on feature 0 at -1.0 (absent goes right).
-        nodes = (
-            TreeNode(feature=2, threshold=0.5, left=1, right=4),
-            TreeNode(feature=0, threshold=-1.0, left=2, right=3),
-            TreeNode(label=1),
-            TreeNode(label=0),
-            TreeNode(label=1),
+        model = DecisionTreeModel(
+            dim=3,
+            feature=(2, 0, -1, -1, -1),
+            threshold=(0.5, -1.0, 0.0, 0.0, 0.0),
+            left=(1, 2, -1, -1, -1),
+            right=(4, 3, -1, -1, -1),
+            label=(-1, -1, 1, 0, 1),
         )
-        model = DecisionTreeModel(dim=3, nodes=nodes)
         rows = (
             SparseVector(3, ()),
             SparseVector(3, ((0, -2.0),)),
@@ -651,7 +649,7 @@ class TestPredictBatchOracle:
         assert _scored(model, matrix) == _reference(model, matrix)
 
     def test_leaf_only_tree_and_empty_matrix(self):
-        leaf = DecisionTreeModel(dim=2, nodes=(TreeNode(label=1),))
+        leaf = DecisionTreeModel(2, (-1,), (0.0,), (-1,), (-1,), (1,))
         matrix = matrix_of((SparseVector(2, ((0, 1.0),)),), (0,), 2)
         assert predict_batch(leaf, matrix) == [1]
         empty = matrix_of((), (), 2)
@@ -795,14 +793,15 @@ def _dense_majority(y: np.ndarray) -> int:
     return 1 if int(y.sum()) > len(y) - int(y.sum()) else 0
 
 
-def dense_tree(matrix: FeatureMatrix, config: TrainConfig) -> tuple[TreeNode, ...]:
+def dense_tree(matrix: FeatureMatrix, config: TrainConfig) -> DecisionTreeModel:
     X = to_dense(matrix)
     y = matrix.labels_array()
-    nodes: list[TreeNode] = []
+    columns = feature, threshold, left, right, label = [], [], [], [], []
 
     def build(indices: np.ndarray, depth: int) -> int:
-        node_id = len(nodes)
-        nodes.append(TreeNode())
+        node_id = len(label)
+        for column, fill in zip(columns, (-1, 0.0, -1, -1, -1)):
+            column.append(fill)
         sub_y = y[indices]
         found = None
         if (
@@ -812,19 +811,16 @@ def dense_tree(matrix: FeatureMatrix, config: TrainConfig) -> tuple[TreeNode, ..
         ):
             found = _dense_best_split(X[indices], sub_y)
         if found is None:
-            nodes[node_id] = TreeNode(label=_dense_majority(sub_y))
+            label[node_id] = _dense_majority(sub_y)
             return node_id
-        feature, threshold = found
-        mask = X[indices, feature] <= threshold
-        left_id = build(indices[mask], depth + 1)
-        right_id = build(indices[~mask], depth + 1)
-        nodes[node_id] = TreeNode(
-            feature=feature, threshold=threshold, left=left_id, right=right_id
-        )
+        feature[node_id], threshold[node_id] = found
+        mask = X[indices, found[0]] <= found[1]
+        left[node_id] = build(indices[mask], depth + 1)
+        right[node_id] = build(indices[~mask], depth + 1)
         return node_id
 
     build(np.arange(len(matrix)), 0)
-    return tuple(nodes)
+    return DecisionTreeModel(matrix.dim, *map(tuple, columns))
 
 
 class TestDenseOracles:
@@ -837,7 +833,7 @@ class TestDenseOracles:
             config = TrainConfig(
                 algorithm="tree", tree_max_depth=depth, tree_min_samples_split=split
             )
-            assert train(matrix, config).nodes == dense_tree(matrix, config), trial
+            assert train(matrix, config) == dense_tree(matrix, config), trial
 
     def test_tree_matches_dense_reference_on_wider_matrices(self):
         # Mostly-zero columns, most of them partly zero at every node.
@@ -847,7 +843,7 @@ class TestDenseOracles:
             config = TrainConfig(
                 algorithm="tree", tree_max_depth=depth, tree_min_samples_split=split
             )
-            assert train(matrix, config).nodes == dense_tree(matrix, config)
+            assert train(matrix, config) == dense_tree(matrix, config)
 
     def test_logistic_fit_matches_dense_reference(self):
         rng = np.random.default_rng(73)
@@ -958,7 +954,7 @@ class TestExactFitReferences:
             config = TrainConfig(
                 algorithm="tree", tree_max_depth=depth, tree_min_samples_split=split
             )
-            assert train(matrix, config).nodes == oracles.tree_fit(matrix, config), trial
+            assert train(matrix, config) == oracles.tree_fit(matrix, config), trial
 
     def test_tree_split_ties_on_negative_and_repeated_values(self):
         # Columns of a few repeated levels on both sides of zero, in every
@@ -974,8 +970,8 @@ class TestExactFitReferences:
             y[:2] = (0, 1)
             matrix = dense_to_matrix(X + 0.0, y)
             config = TrainConfig(algorithm="tree")
-            nodes = train(matrix, config).nodes
-            assert nodes == oracles.tree_fit(matrix, config) == dense_tree(matrix, config), trial
+            model = train(matrix, config)
+            assert model == oracles.tree_fit(matrix, config) == dense_tree(matrix, config), trial
 
     def test_tree_fit_past_2_16_columns_equals_reference(self):
         # Columns c and c + 2^16 would share a uint16 sort key: the fit
@@ -995,7 +991,7 @@ class TestExactFitReferences:
             y[:2] = (0, 1)
             matrix = matrix_of(rows, y, dim)
             config = TrainConfig(algorithm="tree")
-            assert train(matrix, config).nodes == oracles.tree_fit(matrix, config), trial
+            assert train(matrix, config) == oracles.tree_fit(matrix, config), trial
 
     @pytest.mark.parametrize("depth", [1, 3, 10])
     def test_tree_fit_equals_reference_on_adversarial_columns(self, depth):
@@ -1005,7 +1001,7 @@ class TestExactFitReferences:
         config = TrainConfig(algorithm="tree", tree_max_depth=depth)
         for trial in range(60):
             matrix = adversarial_tree_matrix(rng)
-            assert train(matrix, config).nodes == oracles.tree_fit(matrix, config), trial
+            assert train(matrix, config) == oracles.tree_fit(matrix, config), trial
 
 
 def adversarial_tree_matrix(rng: np.random.Generator) -> FeatureMatrix:

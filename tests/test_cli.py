@@ -139,6 +139,15 @@ class TestRuntimeErrors:
         assert err.startswith("error [ingest]")
         assert "line 3: malformed CSV (field larger than field limit" in err
 
+    def test_field_named_twice_exits_2_in_ingest(self, tmp_path, capsys):
+        path = tmp_path / "posts.csv"
+        path.write_text("text,label,text\n" + "".join(f"spam {i},{i % 2},ham\n" for i in range(20)))
+        out = tmp_path / "bundle.json"
+        assert run(["train", "--data", path, "--algo", "nb", "--out", out]) == 2
+        message = "CSV header: field 'text' named more than once"
+        assert capsys.readouterr().err == f"error [ingest] {message}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "command",
         [

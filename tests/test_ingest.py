@@ -189,6 +189,36 @@ class TestLoadCorpus:
         with pytest.raises(DatasetError, match="header"):
             load_corpus(path, "csv")
 
+    @pytest.mark.parametrize(
+        "fmt, text, message",
+        [
+            ("csv", "text,label,text\nspam,1,ham\n", "CSV header: field 'text'"),
+            ("csv", "id,text,label,id\na,x,0,b\n", "CSV header: field 'id'"),
+            ("csv", "label,text,label\n1,x,0\n", "CSV header: field 'label'"),
+            ("jsonl", '{"text": "ok", "label": 0}\n\n{"text": "a", "label": 1, "text": "b"}\n',
+             "record at line 3: field 'text'"),
+            ("jsonl", '{"id": "a", "text": "x", "label": 0, "id": "b"}\n',
+             "record at line 1: field 'id'"),
+            ("jsonl", '{"label": 1, "text": "x", "label": 0}\n', "record at line 1: field 'label'"),
+        ],
+    )
+    def test_field_named_twice_rejected(self, tmp_path, fmt, text, message):
+        path = tmp_path / f"twice.{fmt}"
+        path.write_text(text)
+        with pytest.raises(DatasetError, match=f"^{message} named more than once$"):
+            load_corpus(path, fmt)
+
+    def test_other_repeated_names_are_read(self, tmp_path):
+        # A repeated column that is no field, and the keys of a nested JSON
+        # object, are read as before: the fields are the record's own.
+        rows = tmp_path / "notes.csv"
+        rows.write_text("id,note,text,label,note\na,x,alpha,1,y\n")
+        lines = tmp_path / "nested.jsonl"
+        lines.write_text('{"id": "a", "text": "alpha", "label": 1, "meta": {"text": 1, "text": 2}}')
+        expected = (LabeledDocument(id="a", text="alpha", label=1),)
+        assert load_corpus(rows, "csv").documents == expected
+        assert load_corpus(lines, "jsonl").documents == expected
+
 
 class TestStratifiedSplit:
     def test_imbalanced_class_proportions(self):

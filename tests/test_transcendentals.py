@@ -16,9 +16,8 @@ from __future__ import annotations
 
 import ast
 from collections import Counter
-from pathlib import Path
 
-import textbalance
+from sourcescan import ScopedVisitor, package_uses
 
 TRANSCENDENTAL = frozenset(
     "exp expm1 exp2 log log1p log2 log10 logaddexp pow power "
@@ -36,24 +35,10 @@ ALLOWED = Counter(
 )
 
 
-class _Uses(ast.NodeVisitor):
+class _Uses(ScopedVisitor):
     """Each transcendental ``math.``/``np.``/``numpy.`` attribute and each
     one imported by name from ``math`` or ``numpy``, keyed by the dotted
     name of its enclosing class and function scopes."""
-
-    def __init__(self, module: str):
-        self.scope = [module]
-        self.found: list[tuple[str, str, int]] = []
-
-    def _enter(self, node):
-        self.scope.append(node.name)
-        self.generic_visit(node)
-        self.scope.pop()
-
-    visit_ClassDef = visit_FunctionDef = visit_AsyncFunctionDef = _enter
-
-    def _record(self, use: str, node) -> None:
-        self.found.append((".".join(self.scope), use, node.lineno))
 
     def visit_Attribute(self, node):
         if (
@@ -69,16 +54,6 @@ class _Uses(ast.NodeVisitor):
             for alias in node.names:
                 if alias.name in TRANSCENDENTAL:
                     self._record(f"{node.module}.{alias.name}", node)
-
-
-def transcendental_uses(package: Path) -> list[tuple[str, str, int]]:
-    """(enclosing function, use, line) for every module of ``package``."""
-    found = []
-    for path in sorted(package.glob("*.py")):
-        visitor = _Uses(path.stem)
-        visitor.visit(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
-        found += visitor.found
-    return found
 
 
 def test_visitor_finds_every_form():
@@ -98,6 +73,6 @@ def test_visitor_finds_every_form():
 
 
 def test_only_the_allowed_transcendental_calls_remain():
-    uses = transcendental_uses(Path(textbalance.__file__).parent)
+    uses = package_uses(_Uses)
     counts = Counter((function, use) for function, use, _ in uses)
     assert counts == ALLOWED, f"(function, use, line) in src: {uses}"
