@@ -92,21 +92,30 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _nonempty(text: str) -> str:
+    """An empty path would name the working directory, or fall back to stdin
+    or a default without a word, and so would an empty --timestamp."""
+    if not text:
+        raise argparse.ArgumentTypeError("must not be empty")
+    return text
+
+
+_PATH = dict(type=_nonempty, metavar="PATH")
 # Every flag that two or more commands take, stated once; each command
 # names the ones it reads in `build_parser`.
 _SHARED_FLAGS = {
     "--seed": dict(type=_seed, default=0, help="RNG seed (u64, default 0)"),
-    "--stopwords": dict(metavar="PATH", help="stop-word override file"),
+    "--stopwords": dict(**_PATH, help="stop-word override file"),
     "--min-token-len": dict(type=_positive_int, default=preprocess.DEFAULT_MIN_TOKEN_LEN,
                             metavar="N", help="minimum surviving token length (default 3)"),
     "--format": dict(choices=("csv", "jsonl"), default="csv", help="dataset file format"),
     "--smote-k": dict(type=_positive_int, default=resample.SmoteConfig.k,
                       help="SMOTE neighbor count (>= 1)"),
-    "--data": dict(required=True, metavar="PATH"),
+    "--data": dict(required=True, **_PATH),
     "--split": dict(type=_fraction, default=0.8, metavar="FRACTION"),
-    "--split-manifest": dict(metavar="PATH"),
+    "--split-manifest": dict(_PATH),
     "--smote": dict(choices=("on", "off"), default="off"),
-    "--bundle": dict(required=True, metavar="PATH"),
+    "--bundle": dict(required=True, **_PATH),
 }
 # What train, report and scatter read to featurize a corpus and balance it.
 _CORPUS_FLAGS = ("--seed", "--stopwords", "--min-token-len", "--format", "--smote-k", "--data")
@@ -139,24 +148,24 @@ def build_parser() -> _Parser:
                       *_CORPUS_FLAGS, "--smote", "--split", "--split-manifest")
     _add_hyper_flags(p_train)
     p_train.add_argument("--algo", required=True, choices=classify.ALGORITHMS)
-    p_train.add_argument("--out", default="model.json", metavar="PATH")
-    p_train.add_argument("--timestamp", help="provenance timestamp (default: null)")
+    p_train.add_argument("--out", default="model.json", **_PATH)
+    p_train.add_argument("--timestamp", type=_nonempty, help="provenance timestamp (default: null)")
 
     p_predict = command("predict", "label new texts", "--stopwords", "--bundle")
     source = p_predict.add_mutually_exclusive_group()
     source.add_argument("text", nargs="?", help="single text (else --input or stdin)")
-    source.add_argument("--input", metavar="PATH", help="file with one text per line")
+    source.add_argument("--input", **_PATH, help="file with one text per line")
 
     p_eval = command("evaluate", "score a bundle on labeled data",
                      "--stopwords", "--format", "--bundle", "--data")
-    p_eval.add_argument("--out", metavar="PATH", help="write metrics JSON here")
+    p_eval.add_argument("--out", **_PATH, help="write metrics JSON here")
 
     p_over = command("oversample", "SMOTE-balance a sparse matrix file", "--seed", "--smote-k")
-    p_over.add_argument("--matrix", required=True, metavar="PATH")
-    p_over.add_argument("--labels", metavar="PATH", help="label sidecar (default <matrix>.labels)")
-    p_over.add_argument("--out", required=True, metavar="PATH")
-    p_over.add_argument("--out-labels", metavar="PATH")
-    p_over.add_argument("--report", metavar="PATH", help="write resample report JSON")
+    p_over.add_argument("--matrix", required=True, **_PATH)
+    p_over.add_argument("--labels", **_PATH, help="label sidecar (default <matrix>.labels)")
+    p_over.add_argument("--out", required=True, **_PATH)
+    p_over.add_argument("--out-labels", **_PATH)
+    p_over.add_argument("--report", **_PATH, help="write resample report JSON")
 
     p_report = command("report", "with/without-SMOTE comparison table",
                        *_CORPUS_FLAGS, "--split", "--split-manifest")
@@ -164,13 +173,13 @@ def build_parser() -> _Parser:
     p_report.add_argument(
         "--algos", default=",".join(classify.ALGORITHMS), help="comma-separated algorithm list"
     )
-    p_report.add_argument("--out", default="comparison", metavar="PREFIX")
+    p_report.add_argument("--out", default="comparison", type=_nonempty, metavar="PREFIX")
     p_report.add_argument("--csv", action="store_true", help="also write PREFIX.csv")
 
     p_scatter = command("scatter", "2-d projection of a training matrix",
                         *_CORPUS_FLAGS, "--smote")
-    p_scatter.add_argument("--out", default="scatter.csv", metavar="PATH")
-    p_scatter.add_argument("--svg", metavar="PATH", help="also write a minimal SVG")
+    p_scatter.add_argument("--out", default="scatter.csv", **_PATH)
+    p_scatter.add_argument("--svg", **_PATH, help="also write a minimal SVG")
 
     return parser
 
@@ -420,9 +429,9 @@ def cmd_oversample(args) -> int:
 
 def cmd_report(args) -> int:
     suffixes = ("json", "txt", "csv") if args.csv else ("json", "txt")
+    paths = [Path(f"{args.out}.{suffix}") for suffix in suffixes]
     _distinct_outputs(
-        *(("--out", f"{args.out}.{suffix}") for suffix in suffixes),
-        ("--split-manifest", args.split_manifest),
+        *(("--out", path) for path in paths), ("--split-manifest", args.split_manifest)
     )
     # In order, each once: a repeat would refit to print the same column.
     algorithms = list(dict.fromkeys(a.strip() for a in args.algos.split(",") if a.strip()))
@@ -441,21 +450,15 @@ def cmd_report(args) -> int:
         report.metadata["seed"] = args.seed
         report.metadata["train_fraction"] = args.split
         report.metadata["dataset"] = str(args.data)
-    written = []
     with _stage("write"):
-        json_path = Path(f"{args.out}.json")
-        text_path = Path(f"{args.out}.txt")
-        bundle_mod.write_json(report.to_dict(), json_path)
+        bundle_mod.write_json(report.to_dict(), paths[0])
         table = report.to_text_table()
-        text_path.write_text(table, encoding="utf-8")
-        written = [json_path, text_path]
+        paths[1].write_text(table, encoding="utf-8")
         if args.csv:
-            csv_path = Path(f"{args.out}.csv")
-            csv_path.write_text(report.to_csv(), encoding="utf-8")
-            written.append(csv_path)
+            paths[2].write_text(report.to_csv(), encoding="utf-8")
     _write_manifest(args, dataset_split)
     print(table, end="")
-    print("wrote " + ", ".join(str(p) for p in written))
+    print("wrote " + ", ".join(map(str, paths)))
     return EXIT_OK
 
 

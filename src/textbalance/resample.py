@@ -7,10 +7,10 @@ order over the minority set; the neighbor pick and the interpolation gap
 come from two independent seeded streams, so changing k never perturbs
 the gap sequence.  Oversampling is a training-set operation only.
 
-SMOTE runs on CSR arrays: the neighbor search and the interpolation each
-take whole blocks of rows, and `knn` and `interpolate` are their
-one-query and one-pair cases.  Both walk their row pairs over the union
-of each pair's supports in one chunked loop, `_union_chunks`.  Each sum
+SMOTE runs on CSR arrays in two stateless batch calls: `knn` finds the
+neighbors of every base point at once, and `interpolate` builds every
+synthetic row at once.  Both walk their row pairs over the union of each
+pair's supports in one chunked loop, `_union_chunks`.  Each sum
 and product is the IEEE operation a per-pair loop performs, in the same
 order: a distance adds the squared differences in column order with
 `np.bincount`, and an interpolated entry is b + gap * (o - b).  The
@@ -129,10 +129,9 @@ class NeighborIndex:
     the rows of a `CsrView`.
 
     The points' columns are renumbered, in order, to the ones they use, so
-    no buffer grows with the dimension.  `knn` answers queries a block of
-    consecutive points at a time: the first time a point is asked for with
-    a given k, it is solved with as many points after it as fill the
-    block's budget, and the neighbor lists are kept per k.
+    no buffer grows with the dimension.  `knn` solves its queries in order,
+    a block of consecutive points at a time, each block as many as fill the
+    budget; the index keeps no results.
 
     The filter computes, for every query a of a block and every point b, the
     Gram form G = (|a|^2 + |b|^2) - 2 a.b of the squared distance, from
@@ -242,7 +241,6 @@ class NeighborIndex:
         products = by_column.row_lengths[self._light.indices]
         work = np.bincount(self._light.row_ids, products, minlength=n) + (heavy.size + n)
         self._work = np.concatenate(([0], np.cumsum(work)))
-        self._found: dict[int, dict[int, np.ndarray]] = {}  # k -> query -> neighbors
 
     def __len__(self) -> int:
         return self._csr.shape[0]
@@ -297,26 +295,29 @@ class NeighborIndex:
         return ranked[firsts[:, None] + np.arange(k)]
 
 
-def knn(index: NeighborIndex, query_index: int, k: int) -> list[int]:
-    """Indices of the k nearest points to point query_index of the index's
-    set (self excluded), sorted by (distance, index): distance ties resolve
-    to the smaller index."""
+def knn(index: NeighborIndex, count: int, k: int) -> np.ndarray:
+    """The k nearest points of each of points 0..count-1 of the index's set
+    (self excluded): row q holds point q's, sorted by (distance, index), so
+    distance ties resolve to the smaller index.  k above n - 1 gives n - 1
+    columns.  The queries are solved in order, as many consecutive ones a
+    block as fill the `_BLOCK_ENTRIES` budget (at least one)."""
     n = len(index)
-    if not 0 <= query_index < n:
-        raise ValueError(f"query_index {query_index} outside [0, {n})")
+    if not 0 <= count <= n:
+        raise ValueError(f"count {count} outside [0, {n}]")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     k = min(k, n - 1)
-    found = index._found.setdefault(k, {})
-    if query_index not in found:
-        start, work = query_index, index._work
+    work, start = index._work, 0
+    blocks = [np.zeros((0, k), dtype=np.int64)]
+    while start < count:
         within = int(np.searchsorted(work, work[start] + _BLOCK_ENTRIES, side="right")) - 1
-        stop = max(start + 1, within)
-        found.update(zip(range(start, stop), index._solve(start, stop, k)))
-    return found[query_index].tolist()
+        stop = min(count, max(start + 1, within))
+        blocks.append(index._solve(start, stop, k))
+        start = stop
+    return np.concatenate(blocks)
 
 
-def _interpolate_rows(
+def interpolate(
     points: CsrView, bases: np.ndarray, others: np.ndarray, gaps: np.ndarray
 ) -> CsrView:
     """Row s is base + gaps[s] * (other - base) for rows bases[s] and
@@ -324,6 +325,12 @@ def _interpolate_rows(
     reads 0.0) with zeros dropped, one rounding per operation.  A value
     that is not finite (the difference of two entries can overflow)
     raises ValueError: no reader accepts it."""
+    rows = points.shape[0]
+    if not len(bases) == len(others) == len(gaps):
+        raise ValueError(f"{len(bases)} bases, {len(others)} others and {len(gaps)} gaps")
+    for name, picked in (("bases", bases), ("others", others)):
+        if np.any((picked < 0) | (picked >= rows)):
+            raise ValueError(f"{name} names a row outside [0, {rows})")
     used, compact = _compact(points)
     counts, indices, data = [np.zeros(0, dtype=np.int64)], [used[:0]], [points.data[:0]]
     for chunk, pair, col, base, other in _union_chunks(compact, bases, others):
@@ -337,15 +344,6 @@ def _interpolate_rows(
         data.append(values[kept])
     indptr = np.concatenate(([0], np.cumsum(np.concatenate(counts))))
     return CsrView(indptr, np.concatenate(indices), np.concatenate(data), points.shape[1])
-
-
-def interpolate(base: CsrView, other: CsrView, gap: float) -> CsrView:
-    """base + gap * (other - base) for two one-row views, over the union of
-    supports, zeros dropped: `_interpolate_rows` on the one pair."""
-    if base.shape[0] != 1 or other.shape[0] != 1:
-        raise ValueError(f"one-row views expected, got {base.shape[0]} and {other.shape[0]} rows")
-    gaps = np.array([float(gap)])
-    return _interpolate_rows(base.stack(other), np.array([0]), np.array([1]), gaps)
 
 
 def _synthesize(
@@ -366,14 +364,13 @@ def _synthesize(
         # No neighbor exists: base + 0.0 * (base - base) is the finite row itself.
         neighbors, gaps = bases, np.zeros(n_new)
     else:
-        k = min(config.k, t - 1)
-        index = NeighborIndex(minority)
-        nearest = [knn(index, i, k) for i in range(min(n_new, t))]
+        nearest = knn(NeighborIndex(minority), min(n_new, t), config.k)  # k clamps to t - 1
         pick = derive_stream(config.seed, STREAM_NEIGHBOR).next_below
         draw_gap = derive_stream(config.seed, STREAM_GAP).next_float
-        neighbors = np.array([nearest[i][pick(k)] for i in bases.tolist()], dtype=np.int64)
+        picks = np.array([pick(nearest.shape[1]) for _ in range(n_new)], dtype=np.int64)
+        neighbors = nearest[bases, picks]
         gaps = np.array([draw_gap() for _ in range(n_new)], dtype=np.float64)
-    return bases, neighbors, gaps, _interpolate_rows(minority, bases, neighbors, gaps)
+    return bases, neighbors, gaps, interpolate(minority, bases, neighbors, gaps)
 
 
 def balance_training_set(

@@ -220,6 +220,14 @@ CATALOGUE = (
         origin="ROADMAP direction 5: the dense columns are the most-used ones",
     ),
     Mutant(
+        name="knn-joins-its-blocks-out-of-order",
+        path="src/textbalance/resample.py",
+        old="blocks.append(index._solve(start, stop, k))",
+        new="blocks.insert(1, index._solve(start, stop, k))",
+        kills=("tests/test_resample.py::TestKnn::test_blocks_join_in_query_order",),
+        origin="the batch knn's row q holds the neighbors of point q",
+    ),
+    Mutant(
         name="matrix-reader-keeps-each-lines-fields",
         path="src/textbalance/matrixio.py",
         old="if not set(map(len, map(str.split, lines))) <= {0, 3}:",

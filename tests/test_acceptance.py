@@ -93,15 +93,16 @@ def test_criterion_03_knn_oracle():
             points = [rand_sparse(rng, dim, density=0.4) for _ in range(n)]
             dense = np.vstack([to_dense(p) for p in points])
             index = NeighborIndex(csr_of(points, dim))
-            for _ in range(3):
-                query = int(rng.integers(0, n))
-                k = int(rng.integers(1, n + 2))
+            orders = []
+            for query in range(n):
                 dist = np.sqrt(((dense - dense[query]) ** 2).sum(axis=1))
-                order = sorted(
-                    (float(dist[i]), i) for i in range(n) if i != query
-                )
-                expected = [i for _, i in order[: min(k, n - 1)]]
-                assert knn(index, query, k) == expected
+                order = np.lexsort((np.arange(n), dist)).tolist()  # by (distance, index)
+                order.remove(query)
+                orders.append(order)
+            for _ in range(3):
+                k = int(rng.integers(1, n + 2))
+                expected = [order[: min(k, n - 1)] for order in orders]
+                assert knn(index, n, k).tolist() == expected
         elapsed = time.perf_counter() - started
         assert elapsed < 30.0, f"took {elapsed:.2f}s"
 

@@ -5,7 +5,8 @@ runs two call chains through the public modules: `bench/gen.py` builds a
 matrix file, and `bench/workloads.py` labels posts one at a time to check
 `predict`'s output.  A rename or a type change in those names would first
 show up as a failed benchmark run; these tests catch it in the suite.
-The span observers are not called here.
+One test runs the tracer itself over `oversample`, so an observer that
+reads a stale attribute, or a wrapper that times nothing, fails here.
 """
 
 from __future__ import annotations
@@ -14,8 +15,10 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from conftest import rand_matrix
 from corpora import two_vocab_corpus, write_corpus
 from textbalance import (
     bundle,
@@ -103,8 +106,9 @@ def test_per_post_chain_agrees_with_predict(corpora, tmp_path, capsys):
 def test_per_row_results_have_the_types_the_benchmark_reads(corpora, tmp_path):
     """What the span observers and the reference loop read from the
     per-row names: ``transform(...).nnz`` fed to ``predict``,
-    ``len(NeighborIndex)`` and a ``list[int]`` from ``knn``,
-    ``interpolate(...).nnz``, and ``read_matrix(...).rows[i].nnz``."""
+    ``len(NeighborIndex)`` (``knn``'s first argument), and
+    ``read_matrix(...).rows[i].nnz``; and the batch ``knn`` and
+    ``interpolate`` the resample spans time."""
     train, _ = corpora
     tokens = preprocess.preprocess_corpus(train, stopwords.default_stopwords())
     model = vectorize.fit(tokens)
@@ -117,14 +121,35 @@ def test_per_row_results_have_the_types_the_benchmark_reads(corpora, tmp_path):
 
     index = resample.NeighborIndex(matrix.csr)
     assert len(index) == len(matrix)
-    neighbors = resample.knn(index, 0, 3)
-    assert type(neighbors) is list and len(neighbors) == 3
-    assert all(type(i) is int for i in neighbors)
+    neighbors = resample.knn(index, len(index), 3)
+    assert neighbors.shape == (len(matrix), 3) and neighbors.dtype == np.int64
 
-    row = resample.interpolate(matrix.rows[0], matrix.rows[neighbors[0]], 0.5)
-    assert row.nnz >= max(matrix.rows[0].nnz, matrix.rows[neighbors[0]].nnz)
+    bases = np.arange(len(matrix))
+    rows = resample.interpolate(matrix.csr, bases, neighbors[:, 0], np.full(bases.size, 0.5))
+    assert rows.shape == matrix.csr.shape
+    assert (rows.row_lengths >= matrix.csr.row_lengths[neighbors[:, 0]]).all()
 
     path = tmp_path / "matrix.txt"
     matrixio.write_matrix(matrix, path)
     read = matrixio.read_matrix(path)
     assert sum(r.nnz for r in read.rows) == read.csr.data.size == matrix.csr.data.size
+
+
+def test_tracer_times_every_resample_stage_of_oversample(tmp_path):
+    """`bench/spans.py` run over `oversample` as `--trace 1` runs it: the
+    balance asks ``knn`` and ``interpolate`` once each, and the observers
+    read the input's stored entries."""
+    spans = _load_spans()
+    # 30 + 20 rows: 10 synthetic rows, fewer than the 20 minority rows.
+    matrix = rand_matrix(np.random.default_rng(8), n0=30, n1=20, dim=40, density=0.2)
+    matrixio.write_matrix(matrix, tmp_path / "m.txt")
+    argv = ["oversample", "--matrix", str(tmp_path / "m.txt"), "--out", str(tmp_path / "o.txt")]
+    tracer = spans.Tracer()
+    assert spans.run_traced(tracer, cli.main, argv) == 0
+    tracer.finish()
+    values = spans.layer_metrics(tracer)
+    assert values["resample.knn_s"] > 0 and values["resample.interpolate_s"] > 0
+    assert values["resample.knn_calls"] == 1
+    assert values["resample.synthetic_rows"] == 10
+    assert values["matrixio.nnz"] == matrix.csr.nnz
+    assert not hasattr(resample.knn, "__wrapped__")  # the tracer unwrapped it again

@@ -115,6 +115,49 @@ class TestUsageErrors:
         assert run([*command, "--data", "missing.csv", flag, "3"]) == 1
         assert f"unrecognized arguments: {flag} 3" in capsys.readouterr().err
 
+    # Each command's required flags, naming inputs that do not exist: a
+    # check made after parsing would exit 2.
+    MISSING = {
+        "train": ["--algo", "nb", "--data", "missing.csv"],
+        "predict": ["--bundle", "missing.json"],
+        "evaluate": ["--bundle", "missing.json", "--data", "missing.csv"],
+        "oversample": ["--matrix", "missing.mtx", "--out", "o.mtx"],
+        "report": ["--data", "missing.csv"],
+        "scatter": ["--data", "missing.csv"],
+    }
+    PATH_FLAGS = [
+        ("train", "--stopwords"), ("train", "--data"), ("train", "--split-manifest"),
+        ("train", "--out"), ("train", "--timestamp"),
+        ("predict", "--stopwords"), ("predict", "--bundle"), ("predict", "--input"),
+        ("evaluate", "--stopwords"), ("evaluate", "--bundle"), ("evaluate", "--data"),
+        ("evaluate", "--out"),
+        ("oversample", "--matrix"), ("oversample", "--labels"), ("oversample", "--out"),
+        ("oversample", "--out-labels"), ("oversample", "--report"),
+        ("report", "--stopwords"), ("report", "--data"), ("report", "--split-manifest"),
+        ("report", "--out"),
+        ("scatter", "--stopwords"), ("scatter", "--data"), ("scatter", "--out"),
+        ("scatter", "--svg"),
+    ]
+
+    @pytest.mark.parametrize("command, flag", PATH_FLAGS)
+    def test_empty_path_exits_1_before_reading_input(self, command, flag, capsys):
+        # Before, an empty value read stdin or the built-in stop list,
+        # wrote nothing, or failed only when writing to the directory ".".
+        assert run([command, *self.MISSING[command], flag, ""]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage:") and f"argument {flag}: must not be empty" in err
+
+    def test_every_path_flag_is_checked(self):
+        commands = build_parser()._subparsers._group_actions[0].choices
+        flags = {
+            (name, option)
+            for name, command in commands.items()
+            for action in command._actions
+            for option in action.option_strings
+            if action.metavar in ("PATH", "PREFIX") or option == "--timestamp"
+        }
+        assert flags == set(self.PATH_FLAGS)
+
     def test_bad_algo_exits_1(self, dataset):
         assert run(["train", "--data", dataset, "--algo", "forest"]) == 1
 

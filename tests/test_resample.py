@@ -42,9 +42,15 @@ def _points(rows: list[SparseVector]) -> CsrView:
 
 
 def interpolated(base: SparseVector, other: SparseVector, gap: float) -> SparseVector:
-    """`interpolate` on the one-row views of two sparse vectors."""
-    (row,) = rows_of(interpolate(_points([base]), _points([other]), gap))
+    """`interpolate` of the one pair (0, 1) of the rows base and other."""
+    pair = _points([base, other]), np.array([0]), np.array([1]), np.array([gap])
+    (row,) = rows_of(interpolate(*pair))
     return row
+
+
+def knn_lists(index: NeighborIndex, k: int) -> list[list[int]]:
+    """`knn` of every point of the index, as lists."""
+    return knn(index, len(index), k).tolist()
 
 
 def index_of(points: list[SparseVector]) -> NeighborIndex:
@@ -111,52 +117,69 @@ class TestInterpolate:
 
     def test_matches_dense_formula(self):
         rng = np.random.default_rng(2)
-        for _ in range(100):
-            dim = int(rng.integers(1, 25))
-            base = rand_sparse(rng, dim)
-            other = rand_sparse(rng, dim)
-            gap = float(rng.random())
-            expected = to_dense(base) + gap * (to_dense(other) - to_dense(base))
-            np.testing.assert_allclose(
-                to_dense(interpolated(base, other, gap)), expected, atol=1e-15
-            )
+        for _ in range(20):
+            dim, n, pairs = (int(rng.integers(1, top)) for top in (25, 8, 30))
+            points = [rand_sparse(rng, dim) for _ in range(n)]
+            bases, others = rng.integers(0, n, pairs), rng.integers(0, n, pairs)
+            gaps = rng.random(pairs)
+            dense = np.vstack([to_dense(p) for p in points])
+            expected = dense[bases] + gaps[:, None] * (dense[others] - dense[bases])
+            got = interpolate(_points(points), bases, others, gaps)
+            assert got.shape == (pairs, dim)
+            got_dense = np.zeros(got.shape)
+            got_dense[got.row_ids, got.indices] = got.data
+            np.testing.assert_allclose(got_dense, expected, atol=1e-15)
 
     def test_matches_the_dict_oracle_bit_for_bit(self):
         rng = np.random.default_rng(20)
         tiny = 5e-324  # base + gap * (0 - base) rounds to 0.0 here when gap > 1/2
-        dims = rng.integers(1, 25, 100).tolist()
-        pairs = [(rand_sparse(rng, dim), rand_sparse(rng, dim)) for dim in dims]
-        pairs.append((from_pairs(3, [(0, tiny), (1, tiny)]), from_pairs(3, [(2, 2 * tiny)])))
-        for base, other in pairs:
-            for gap in (0.0, float(rng.random()), 0.75, 1.0):
-                got = interpolated(base, other, gap)
-                want = oracles.interpolate(base, other, gap)
-                assert [(i, v.hex()) for i, v in got.entries] == [
+        dims = rng.integers(1, 25, 20).tolist()
+        sets = [[rand_sparse(rng, dim) for _ in range(6)] for dim in dims]
+        sets.append([from_pairs(3, [(0, tiny), (1, tiny)]), from_pairs(3, [(2, 2 * tiny)])])
+        for points in sets:
+            n = len(points)
+            bases = np.repeat(np.arange(n), 4 * n)
+            others = np.tile(np.repeat(np.arange(n), 4), n)
+            gaps = np.tile([0.0, float(rng.random()), 0.75, 1.0], n * n)
+            got = rows_of(interpolate(_points(points), bases, others, gaps))
+            for row, base, other, gap in zip(got, bases, others, gaps.tolist()):
+                want = oracles.interpolate(points[base], points[other], gap)
+                assert [(i, v.hex()) for i, v in row.entries] == [
                     (i, v.hex()) for i, v in want.entries
                 ]
 
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="stacked dim 3 != dim 2"):
-            interpolate(_points([from_pairs(2, [])]), _points([from_pairs(3, [])]), 0.5)
+    def test_no_pairs_give_no_rows(self):
+        points = _points([from_pairs(4, [(1, 2.0)]), from_pairs(4, [(3, 1.0)])])
+        empty = np.zeros(0, dtype=np.int64)
+        got = interpolate(points, empty, empty, np.zeros(0))
+        assert got.shape == (0, 4) and got.nnz == 0
+
+    def test_lengths_must_agree(self):
+        points = _points([from_pairs(2, [(0, 1.0)]), from_pairs(2, [(1, 1.0)])])
+        pair = np.array([0]), np.array([1]), np.array([0.5])
+        for bad in range(3):
+            args = [np.concatenate((a, a)) if i == bad else a for i, a in enumerate(pair)]
+            with pytest.raises(ValueError, match="bases, .* others and .* gaps"):
+                interpolate(points, *args)
+
+    def test_rows_must_be_in_range(self):
+        points = _points([from_pairs(2, [(0, 1.0)]), from_pairs(2, [(1, 1.0)])])
+        gap = np.array([0.5])
+        for row in (-1, 2):
+            with pytest.raises(ValueError, match=r"bases names a row outside \[0, 2\)"):
+                interpolate(points, np.array([row]), np.array([0]), gap)
+            with pytest.raises(ValueError, match=r"others names a row outside \[0, 2\)"):
+                interpolate(points, np.array([1]), np.array([row]), gap)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_non_finite_result_raises(self):
-        big, small = _points([from_pairs(2, [(0, 1e308)])]), _points([from_pairs(2, [(0, -1e308)])])
+        big, small = from_pairs(2, [(0, 1e308)]), from_pairs(2, [(0, -1e308)])
         with pytest.raises(ValueError, match="not finite"):
-            interpolate(big, small, 0.5)  # -1e308 - 1e308 overflows
+            interpolated(big, small, 0.5)  # -1e308 - 1e308 overflows
         for gap in (math.inf, math.nan):
             with pytest.raises(ValueError, match="not finite"):
-                interpolate(big, big, gap)
-        assert rows_of(interpolate(big, big, 0.5)) == rows_of(big)
-
-    def test_takes_one_row_views_only(self):
-        rng = np.random.default_rng(3)
-        one = _points([rand_sparse(rng, 4)])
-        two = _points([rand_sparse(rng, 4), rand_sparse(rng, 4)])
-        for base, other in ((two, one), (one, two), (one, _points([]))):
-            with pytest.raises(ValueError, match="one-row views expected"):
-                interpolate(base, other, 0.5)
-        assert interpolate(one, one, 0.5).shape == (1, 4)
+                interpolated(big, big, gap)
+        assert interpolated(big, big, 0.5) == big
 
 
 class TestKnn:
@@ -166,30 +189,64 @@ class TestKnn:
             n = int(rng.integers(2, 40))
             dim = int(rng.integers(1, 20))
             points = [rand_sparse(rng, dim) for _ in range(n)]
-            query = int(rng.integers(0, n))
             k = int(rng.integers(1, n + 3))  # may exceed n-1; clamps
-            assert knn(index_of(points), query, k) == brute_force_knn(points, query, k)
+            expected = [brute_force_knn(points, query, k) for query in range(n)]
+            assert knn_lists(index_of(points), k) == expected
 
     def test_distance_ties_resolve_to_smaller_index(self):
         # Three identical candidates: order must be by index.
         same = from_pairs(2, [(0, 1.0)])
         query = from_pairs(2, [(1, 1.0)])
         points = [query, same, same, same]
-        assert knn(index_of(points), 0, 3) == [1, 2, 3]
+        assert knn_lists(index_of(points), 3)[0] == [1, 2, 3]
 
     def test_k_clamped_to_n_minus_one(self):
         points = [rand_sparse(np.random.default_rng(i), 4) for i in range(3)]
-        assert len(knn(index_of(points), 0, 99)) == 2
+        got = knn(index_of(points), 3, 99)
+        assert got.shape == (3, 2) and got.dtype == np.int64
+
+    def test_stops_at_count(self):
+        rng = np.random.default_rng(4)
+        points = [rand_sparse(rng, 8) for _ in range(9)]
+        index = index_of(points)
+        every = knn(index, 9, 3)
+        for count in range(10):
+            got = knn(index, count, 3)
+            assert got.shape == (count, 3) and got.dtype == np.int64
+            assert np.array_equal(got, every[:count])
+
+    def test_blocks_join_in_query_order(self, monkeypatch):
+        # A budget of one element solves each query in a block of its own.
+        rng = np.random.default_rng(5)
+        points = [rand_sparse(rng, 10, density=0.5) for _ in range(12)]
+        monkeypatch.setattr(resample, "_BLOCK_ENTRIES", 1)
+        blocks = []
+        real_solve = NeighborIndex._solve
+
+        def counted(index, start, stop, k):
+            blocks.append((start, stop))
+            return real_solve(index, start, stop, k)
+
+        monkeypatch.setattr(NeighborIndex, "_solve", counted)
+        expected = [exhaustive_knn(points, query, 4) for query in range(12)]
+        assert knn_lists(index_of(points), 4) == expected
+        assert blocks == [(q, q + 1) for q in range(12)]
 
     def test_validation(self):
-        points = [from_pairs(2, [(0, 1.0)])]
         with pytest.raises(ValueError, match="at least 2 points"):
-            index_of(points)
-        two = index_of(points + [from_pairs(2, [(1, 1.0)])])
-        with pytest.raises(ValueError):
-            knn(two, 5, 1)
-        with pytest.raises(ValueError):
-            knn(two, 0, 0)
+            index_of([from_pairs(2, [(0, 1.0)])])
+
+    def test_count_outside_zero_to_n_raises(self):
+        two = index_of([from_pairs(2, [(0, 1.0)]), from_pairs(2, [(1, 1.0)])])
+        for count in (-1, 3):
+            with pytest.raises(ValueError, match=r"outside \[0, 2\]"):
+                knn(two, count, 1)
+
+    def test_k_below_one_raises(self):
+        two = index_of([from_pairs(2, [(0, 1.0)]), from_pairs(2, [(1, 1.0)])])
+        for k in (0, -1):
+            with pytest.raises(ValueError, match="k must be >= 1"):
+                knn(two, 2, k)
 
 
 class NoisyProducts(np.ndarray):
@@ -212,7 +269,7 @@ class TestKnnAdversarial:
     @staticmethod
     def assert_every_query_matches_scan(points, ks=(1, 2, 3, 5)):
         ks = set(ks) | {len(points) - 1, len(points) + 2}
-        expected = {(q, k): exhaustive_knn(points, q, k) for q in range(len(points)) for k in ks}
+        expected = {k: [exhaustive_knn(points, q, k) for q in range(len(points))] for k in ks}
         # The default index; then, with a budget of one element (each query
         # solved alone, in a block of one, one pair per recheck chunk), an
         # index with every column light and one with two heavy columns.
@@ -222,8 +279,8 @@ class TestKnnAdversarial:
                 patch.setattr(resample, "_HEAVY_COLUMNS", heavy)
                 patch.setattr(resample, "_BLOCK_ENTRIES", budget)
                 index = index_of(points)
-                for (query, k), want in expected.items():
-                    assert knn(index, query, k) == want, (heavy, budget, query, k)
+                for k, want in expected.items():
+                    assert knn_lists(index, k) == want, (heavy, budget, k)
 
     def test_exact_duplicates_tie_break_by_index(self):
         rng = np.random.default_rng(30)
@@ -277,7 +334,7 @@ class TestKnnAdversarial:
         zero = SparseVector(dim=9, entries=())
         spread = from_pairs(9, [(0, 1.0)] + [(j, 2.0**-27) for j in range(1, 9)])
         points = [zero, spread, from_pairs(9, [(0, 1.0)])]
-        assert knn(index_of(points), 0, 1) == [1]
+        assert knn(index_of(points), 1, 1).tolist() == [[1]]
         self.assert_every_query_matches_scan(points, ks=(1, 2))
 
     def test_near_duplicates_on_heavy_columns(self):
@@ -369,9 +426,9 @@ class TestKnnAdversarial:
         for case, points, heavy in self.noise_cases():
             monkeypatch.setattr(resample, "_HEAVY_COLUMNS", heavy)
             index = self.noisy_index(points, seed=case)
-            for query in range(len(points)):
-                for k in (1, 2, 5):
-                    assert knn(index, query, k) == exhaustive_knn(points, query, k), (case, query, k)
+            for k in (1, 2, 5):
+                expected = [exhaustive_knn(points, query, k) for query in range(len(points))]
+                assert knn_lists(index, k) == expected, (case, k)
 
     def test_sixteen_times_that_noise_moves_some_list(self, monkeypatch):
         # So the cases above come within a small factor of what the slack absorbs.
@@ -380,9 +437,9 @@ class TestKnnAdversarial:
             monkeypatch.setattr(resample, "_HEAVY_COLUMNS", heavy)
             index = self.noisy_index(points, seed=case, times=16.0)
             wrong += sum(
-                knn(index, query, k) != exhaustive_knn(points, query, k)
-                for query in range(len(points))
+                got != exhaustive_knn(points, query, k)
                 for k in (1, 2, 5)
+                for query, got in enumerate(knn_lists(index, k))
             )
         assert wrong > 0
 
@@ -658,22 +715,38 @@ class TestArraySmoteOracle:
         assert any(s.vector.nnz < len(u) for s, u in zip(trace, union))
 
     def test_knn_is_called_once_per_distinct_base(self, monkeypatch):
+        # One call asks for bases 0..count-1, each once.
         calls = []
         real_knn = resample.knn
 
-        def counted(index, query, k):
-            calls.append((query, k))
-            return real_knn(index, query, k)
+        def counted(index, count, k):
+            calls.append((count, k))
+            return real_knn(index, count, k)
 
         monkeypatch.setattr(resample, "knn", counted)
         rng = np.random.default_rng(66)
         few = rand_matrix(rng, n0=20, n1=6, dim=9)  # 14 synthetic rows over 6 bases
         balance_training_set(few, SmoteConfig(k=3, seed=1))
-        assert calls == [(i, 3) for i in range(6)]
+        assert calls == [(6, 3)]
         calls.clear()
         many = rand_matrix(rng, n0=12, n1=9, dim=9)  # 3 synthetic rows over 3 bases
-        balance_training_set(many, SmoteConfig(k=20, seed=1))
-        assert calls == [(0, 8), (1, 8), (2, 8)]
+        balance_training_set(many, SmoteConfig(k=20, seed=1))  # knn clamps k to 8
+        assert calls == [(3, 20)]
+
+    def test_knn_and_interpolate_run_once_through_the_module_globals(self, monkeypatch):
+        calls = []
+        for name in ("knn", "interpolate"):
+            real = getattr(resample, name)
+
+            def counted(*args, _name=name, _real=real):
+                calls.append(_name)
+                return _real(*args)
+
+            monkeypatch.setattr(resample, name, counted)
+        matrix = rand_matrix(np.random.default_rng(67), n0=30, n1=20, dim=12)
+        balanced, report = balance_training_set(matrix, SmoteConfig(k=5, seed=2))
+        assert calls == ["knn", "interpolate"]
+        assert report.synthetic_created == 10 and len(balanced) == 60
 
 
 class TestPinnedOutputs:
