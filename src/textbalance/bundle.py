@@ -65,11 +65,11 @@ class ModelBundle:
     classifier: TrainedClassifier
     preprocess_config: PreprocessConfig
     provenance: dict
-    format_version: int = FORMAT_VERSION
 
     def to_dict(self) -> dict:
         return {
             **_fields(self),
+            "format_version": FORMAT_VERSION,
             "tfidf": tfidf_to_dict(self.tfidf),
             "classifier": classifier_to_dict(self.classifier),
             "preprocess_config": _fields(self.preprocess_config),
@@ -88,7 +88,6 @@ class ModelBundle:
                 classifier=classifier_from_dict(data["classifier"]),
                 preprocess_config=PreprocessConfig.from_dict(data["preprocess_config"]),
                 provenance=data["provenance"],
-                format_version=version,
             )
         except (KeyError, TypeError, ValueError) as exc:
             if isinstance(exc, BundleError):

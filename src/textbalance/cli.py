@@ -212,7 +212,7 @@ def _timestamp(args) -> str | None:
 
 def _metrics_text(report: evaluate.MetricsReport) -> str:
     lines = []
-    for name in ("accuracy", "precision", "recall", "f1"):
+    for name in evaluate.METRIC_TITLES:
         value = getattr(report, name)
         if value is None:
             lines.append(f"{name:<10} 0.000  (undefined: zero denominator)")

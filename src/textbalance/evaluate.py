@@ -15,6 +15,14 @@ from .vectorize import FeatureMatrix
 
 POSITIVE_CLASS = 1
 
+# Every report's metrics, in report order, with their table titles.
+METRIC_TITLES = {
+    "accuracy": "Accuracy",
+    "precision": "Precision",
+    "recall": "Recall",
+    "f1": "F1 Score",
+}
+
 
 @dataclass(frozen=True)
 class ConfusionMatrix:
@@ -48,11 +56,7 @@ class MetricsReport:
     positive_class: int = POSITIVE_CLASS
 
     def undefined_metrics(self) -> list[str]:
-        names = []
-        for name in ("precision", "recall", "f1"):
-            if getattr(self, name) is None:
-                names.append(name)
-        return names
+        return [name for name in METRIC_TITLES if getattr(self, name) is None]
 
     def rendered(self, name: str) -> float:
         """Table-output value: undefined metrics render as 0.0."""
@@ -136,12 +140,7 @@ class ComparisonReport:
             header_sub.extend(["With SMOTE", "Without SMOTE"])
         rows = [header_top, header_sub]
         any_undefined = False
-        for metric_name, label in (
-            ("accuracy", "Accuracy"),
-            ("precision", "Precision"),
-            ("recall", "Recall"),
-            ("f1", "F1 Score"),
-        ):
+        for metric_name, label in METRIC_TITLES.items():
             row = [label]
             for algo in algos:
                 for arm in self.ARMS:
@@ -163,13 +162,11 @@ class ComparisonReport:
         return "\n".join(lines) + "\n"
 
     def to_csv(self) -> str:
-        lines = ["algorithm,arm,accuracy,precision,recall,f1"]
+        lines = [",".join(("algorithm", "arm", *METRIC_TITLES))]
         for algo, arms in self.cells.items():
             for arm in self.ARMS:
                 report = arms[arm]
-                cells = [algo, arm] + [
-                    repr(report.rendered(m)) for m in ("accuracy", "precision", "recall", "f1")
-                ]
+                cells = [algo, arm] + [repr(report.rendered(m)) for m in METRIC_TITLES]
                 lines.append(",".join(cells))
         return "\n".join(lines) + "\n"
 

@@ -5,6 +5,12 @@ prediction-time inputs: strip HTML markup, lowercase and tokenize on
 non-alphanumeric runs, then drop short tokens and stop words.  A
 document's tokens are a plain ``list[str]`` from here to `vectorize`.
 
+`strip_html` is one ``re.sub`` of the compiled `_MARKUP` on every post.
+That pattern reads only ASCII letters, so a post that is not ASCII first
+has each non-ASCII letter just after '<' or an element name turned into
+"z"; such a letter always lies in a span the pattern deletes (see
+`strip_html`).
+
 `tokenize` makes no regex call.  It encodes the lowercased text to ASCII
 bytes, where the codec error handler ``"textbalance.tokens"`` writes each
 non-ASCII character as its UTF-8 bytes if it is alphanumeric and as a
@@ -31,14 +37,6 @@ _NAMED_ENTITIES = {
     "quot": '"',
 }
 
-# Longest recognizable entity body: "#" + up to 7 digits, or a name.
-_MAX_ENTITY_BODY = 8
-
-_MARKUP = re.compile("[<&]")
-# Numeric references take ASCII digits only, as in the WHATWG tokenizer.
-_DECIMAL_DIGITS = re.compile("[0-9]+")
-_HEX_DIGITS = re.compile("[0-9A-Fa-f]+")
-
 # tokenize's byte table: ASCII letters and digits to lowercase, every other
 # ASCII byte to a space, and bytes >= 0x80 (the handler's UTF-8) unchanged.
 _TOKEN_BYTES = bytes(
@@ -58,33 +56,38 @@ codecs.register_error("textbalance.tokens", _non_ascii_tokens)
 
 
 def _element(name: str) -> str:
-    """A script or style element as the scanner skips it.  An opening tag
-    whose body rstrips to a trailing "/" is the tag alone; any other runs
-    through the first closing ``</name`` (whole name, any case) and on to
-    the next '>', or to the end of input.  On ASCII, ``\\s`` matches exactly
-    what ``str.rstrip`` strips."""
-    closing = rf"/(?i:{name})(?![A-Za-z])"
+    """A script or style element.  An opening tag whose body rstrips to a
+    trailing "/" is the tag alone; any other runs through the first closing
+    ``</name`` (whole name, ASCII letters in any case) and on to the next
+    '>', or to the end of input.  ``\\s`` matches exactly what
+    ``str.rstrip`` strips."""
+    closing = rf"/(?ai:{name})(?![A-Za-z])"
     # Text up to the first closing tag, one run of non-'<' at a time.
     body = rf"[^<]*(?:<(?!{closing})[^<]*)*(?:<{closing}[^>]*>?)?"
-    return rf"<(?i:{name})(?![A-Za-z])(?:[^>]*/\s*(?:>|\Z)|[^>]*>?{body})"
+    return rf"<(?ai:{name})(?![A-Za-z])(?:[^>]*/\s*(?:>|\Z)|[^>]*>?{body})"
 
 
-# strip_html's markup on ASCII input: script and style elements, any other
-# tag, then the entities _decode_entity accepts within _MAX_ENTITY_BODY.
-_ASCII_MARKUP = re.compile(
+# strip_html's markup: script and style elements, any other tag, then the
+# named entities and the numeric references of at most 7 decimal or 6 hex
+# digits.
+_MARKUP = re.compile(
     "|".join(
         (
             _element("script"),
             _element("style"),
             r"<[A-Za-z/!][^>]*>?",
-            r"&(?:(?P<named>nbsp|amp|lt|gt|quot)"
+            rf"&(?:(?P<named>{'|'.join(_NAMED_ENTITIES)})"
             r"|#(?P<dec>[0-9]{1,7})|#[xX](?P<hex>[0-9A-Fa-f]{1,6}));",
         )
     )
 )
 
+# The places where _MARKUP reads a letter, when the character there is not
+# ASCII: just after '<', and just after an element name.
+_LETTER_SITES = re.compile(r"<(?ai:/?(?:script|style))?[^\x00-\x7f]")
 
-def _ascii_replacement(m: re.Match) -> str:
+
+def _replacement(m: re.Match) -> str:
     kind = m.lastgroup
     if kind is None:  # a tag or element
         return ""
@@ -94,78 +97,11 @@ def _ascii_replacement(m: re.Match) -> str:
     return chr(code) if code <= 0x10FFFF else m[0]
 
 
-def _decode_entity(raw: str, pos: int) -> tuple[str, int] | None:
-    """Decode an entity starting at raw[pos] == '&'.
-
-    Returns (decoded_text, chars_consumed) or None when the span is not a
-    recognizable entity and the '&' should pass through literally.
-    """
-    end = raw.find(";", pos + 1, pos + 2 + _MAX_ENTITY_BODY)
-    if end == -1:
-        return None
-    body = raw[pos + 1 : end]
-    if body in _NAMED_ENTITIES:
-        return _NAMED_ENTITIES[body], end - pos + 1
-    if body[:2] in ("#x", "#X"):
-        digits, base = _HEX_DIGITS.fullmatch(body, 2), 16
-    elif body[:1] == "#":
-        digits, base = _DECIMAL_DIGITS.fullmatch(body, 1), 10
-    else:
-        return None
-    if digits is None:
-        return None
-    code = int(digits[0], base)
-    if code <= 0x10FFFF:
-        return chr(code), end - pos + 1
-    return None
-
-
-def _alpha_run(raw: str, start: int) -> str:
-    end = start
-    while end < len(raw) and raw[end].isalpha():
-        end += 1
-    return raw[start:end]
-
-
-def _skip_body(raw: str, i: int, name: str) -> int:
-    """Index just past the ``</name ...>`` that closes a script/style body."""
-    while (j := raw.find("</", i)) != -1:
-        if _alpha_run(raw, j + 2).lower() == name:
-            gt = raw.find(">", j + 2)
-            return len(raw) if gt == -1 else gt + 1
-        i = j + 1
-    return len(raw)
-
-
-def _strip_scanned(raw: str) -> str:
-    """`strip_html` for any input: the reference scanner, and the path
-    every post that is not pure ASCII takes."""
-    out: list[str] = []
-    i = 0
-    while (m := _MARKUP.search(raw, i)) is not None:
-        j = m.start()
-        out.append(raw[i:j])
-        i = j + 1
-        if raw[j] == "&":
-            decoded = _decode_entity(raw, j)
-            if decoded is None:
-                out.append("&")
-            else:
-                out.append(decoded[0])
-                i = j + decoded[1]
-            continue
-        nxt = raw[i : i + 1]
-        if not (nxt.isalpha() or nxt in ("/", "!")):
-            out.append("<")
-            continue
-        gt = raw.find(">", i)
-        tag_body = raw[i:] if gt == -1 else raw[i:gt]
-        i = len(raw) if gt == -1 else gt + 1
-        name = _alpha_run(tag_body, 0).lower()
-        if name in ("script", "style") and not tag_body.rstrip().endswith("/"):
-            i = _skip_body(raw, i, name)
-    out.append(raw[i:])
-    return "".join(out).replace("\n", " ").replace("\r", " ").replace("\t", " ")
+def _mask_letter(m: re.Match) -> str:
+    """A letter site with its last character turned into "z" if that
+    character is a letter; no element name contains "z"."""
+    site = m[0]
+    return site[:-1] + "z" if site[-1].isalpha() else site
 
 
 def strip_html(raw: str) -> str:
@@ -173,24 +109,28 @@ def strip_html(raw: str) -> str:
 
     Survives unclosed tags and skips everything inside <script> and
     <style> elements.  A tag consumes input up to the next '>' (or end of
-    input); a lone '<' not followed by a letter, '/', or '!' is literal
-    text.  The five common named entities and numeric character references
-    (ASCII decimal digits after ``&#``, ASCII hex digits after ``&#x``) are
-    decoded; decoded characters are emitted directly and never rescanned as
-    markup.  Each newline, carriage return and tab, decoded ones included,
-    becomes a space.
+    input); a lone '<' not followed by a letter (any ``str.isalpha``
+    character), '/', or '!' is literal text.  An element name is
+    ``script`` or ``style`` in ASCII letters of any case, ended by a
+    character that is not a letter.  The five common named entities and
+    numeric character references (ASCII decimal digits after ``&#``, ASCII
+    hex digits after ``&#x``) are decoded; decoded characters are emitted
+    directly and never rescanned as markup.  Each newline, carriage return
+    and tab, decoded ones included, becomes a space.
 
-    Two paths give identical output.  An ASCII post goes through one
-    compiled pattern and ``re.sub``; any other post goes through the
-    hand-written scanner `_strip_scanned`, which copies the text between
-    markup characters in one slice.  The pattern holds only on ASCII:
-    off ASCII, ``(?i:script)`` also matches "ſcript" (long s), the scanner
-    opens a tag at any ``str.isalpha`` character, and ``"İ".lower()``
-    changes length.
+    One ``re.sub`` of `_MARKUP` does the work.  The pattern knows only
+    ASCII letters, so a post that is not ASCII runs through a view of it
+    instead: `_LETTER_SITES` finds each non-ASCII character just after
+    '<' or an element name, and `_mask_letter` turns it into "z" if it is
+    a letter.  The sub never copies a masked character into the output,
+    because each one lies inside a span that the pattern deletes: the tag
+    whose '<' or element name it follows, or a script or style body.  The
+    view equals the post everywhere else.  This argument holds only while
+    the pattern reads a letter nowhere else and matches no name that
+    contains "z".
     """
-    if not raw.isascii():
-        return _strip_scanned(raw)
-    stripped = _ASCII_MARKUP.sub(_ascii_replacement, raw)
+    view = raw if raw.isascii() else _LETTER_SITES.sub(_mask_letter, raw)
+    stripped = _MARKUP.sub(_replacement, view)
     return stripped.replace("\n", " ").replace("\r", " ").replace("\t", " ")
 
 

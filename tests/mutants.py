@@ -176,10 +176,54 @@ CATALOGUE = (
     Mutant(
         name="ascii-element-name-is-a-prefix",
         path="src/textbalance/preprocess.py",
-        old='return rf"<(?i:{name})(?![A-Za-z])(?:',
-        new='return rf"<(?i:{name})(?:',
-        kills=("tests/test_preprocess.py::TestAsciiPatternMatchesScanner",),
-        origin="strip_html's ASCII pattern agrees with the scanner",
+        old='return rf"<(?ai:{name})(?![A-Za-z])(?:',
+        new='return rf"<(?ai:{name})(?:',
+        kills=("tests/test_preprocess.py::TestStripHtmlMatchesScanner",),
+        origin="strip_html's pattern agrees with the scanner",
+    ),
+    Mutant(
+        name="strip-html-masks-letters-as-s",
+        path="src/textbalance/preprocess.py",
+        old='return site[:-1] + "z" if site[-1].isalpha() else site',
+        new='return site[:-1] + "s" if site[-1].isalpha() else site',
+        kills=(
+            "tests/test_preprocess.py::TestScannerEdgeCases::test_strip_html"
+            r"[<\u017fcript>x</script>y-xy]",
+        ),
+        origin="the mask letter is in no element name",
+    ),
+    Mutant(
+        name="closing-name-folds-case-beyond-ascii",
+        path="src/textbalance/preprocess.py",
+        old='closing = rf"/(?ai:{name})(?![A-Za-z])"',
+        new='closing = rf"/(?i:{name})(?![A-Za-z])"',
+        kills=(
+            "tests/test_preprocess.py::TestScannerEdgeCases::test_strip_html"
+            r"[a<script>x</\u017fcript>y</script>z-az]",
+        ),
+        origin="element names match ASCII letters only",
+    ),
+    Mutant(
+        name="letter-sites-after-lt-only",
+        path="src/textbalance/preprocess.py",
+        old=r'_LETTER_SITES = re.compile(r"<(?ai:/?(?:script|style))?[^\x00-\x7f]")',
+        new=r'_LETTER_SITES = re.compile(r"<[^\x00-\x7f]")',
+        kills=(
+            "tests/test_preprocess.py::TestScannerEdgeCases::test_strip_html"
+            r"[a<script>x</script\xe9>y</script>z-az]",
+        ),
+        origin="the mask covers the letter after an element name",
+    ),
+    Mutant(
+        name="strip-html-without-the-mask",
+        path="src/textbalance/preprocess.py",
+        old="view = raw if raw.isascii() else _LETTER_SITES.sub(_mask_letter, raw)",
+        new="view = raw",
+        kills=(
+            "tests/test_preprocess.py::TestScannerEdgeCases::test_strip_html"
+            r"[<\xe9>b-b]",
+        ),
+        origin="any isalpha character after '<' opens a tag",
     ),
     Mutant(
         name="tfidf-counts-out-of-vocabulary-tokens",

@@ -13,7 +13,9 @@ comparisons are bit for bit.
 stacks sparse vectors into a `CsrView`, and `rows_of` splits a view back
 into sparse vectors, checking each.
 
-`tokenize` is the regex tokenizer that `preprocess.tokenize` replaced.
+`tokenize` is the regex tokenizer that `preprocess.tokenize` replaced, and
+`strip_html` the hand-written scanner that `preprocess.strip_html` once ran
+on every post that was not ASCII.
 
 `matrix_digest` packs a matrix's digest one element at a time with
 `struct`, and `text_digest` is the ``repr`` text digest that the pinned
@@ -58,6 +60,87 @@ def tokenize(text: str) -> list[str]:
     """The maximal runs of ``str.isalnum()`` characters in ``text.lower()``,
     found by the regex engine."""
     return _TOKEN.findall(text.lower())
+
+
+_ENTITIES = {"nbsp": " ", "amp": "&", "lt": "<", "gt": ">", "quot": '"'}
+# Longest recognizable entity body: "#" + up to 7 digits, or a name.
+_MAX_ENTITY_BODY = 8
+_MARKUP_START = re.compile("[<&]")
+# Numeric references take ASCII digits only, as in the WHATWG tokenizer.
+_DECIMAL_DIGITS = re.compile("[0-9]+")
+_HEX_DIGITS = re.compile("[0-9A-Fa-f]+")
+
+
+def _decode_entity(raw: str, pos: int) -> tuple[str, int] | None:
+    """(decoded text, characters consumed) for the entity at raw[pos] ==
+    '&', or None when the '&' is literal."""
+    end = raw.find(";", pos + 1, pos + 2 + _MAX_ENTITY_BODY)
+    if end == -1:
+        return None
+    body = raw[pos + 1 : end]
+    if body in _ENTITIES:
+        return _ENTITIES[body], end - pos + 1
+    if body[:2] in ("#x", "#X"):
+        digits, base = _HEX_DIGITS.fullmatch(body, 2), 16
+    elif body[:1] == "#":
+        digits, base = _DECIMAL_DIGITS.fullmatch(body, 1), 10
+    else:
+        return None
+    if digits is None:
+        return None
+    code = int(digits[0], base)
+    if code <= 0x10FFFF:
+        return chr(code), end - pos + 1
+    return None
+
+
+def _alpha_run(raw: str, start: int) -> str:
+    end = start
+    while end < len(raw) and raw[end].isalpha():
+        end += 1
+    return raw[start:end]
+
+
+def _skip_body(raw: str, i: int, name: str) -> int:
+    """Index just past the ``</name ...>`` that closes a script/style body."""
+    while (j := raw.find("</", i)) != -1:
+        if _alpha_run(raw, j + 2).lower() == name:
+            gt = raw.find(">", j + 2)
+            return len(raw) if gt == -1 else gt + 1
+        i = j + 1
+    return len(raw)
+
+
+def strip_html(raw: str) -> str:
+    """`preprocess.strip_html` as a hand-written scanner: it jumps from one
+    '<' or '&' to the next, reads tag and element names as runs of
+    ``str.isalpha`` characters, and decodes each entity on its own."""
+    out: list[str] = []
+    i = 0
+    while (m := _MARKUP_START.search(raw, i)) is not None:
+        j = m.start()
+        out.append(raw[i:j])
+        i = j + 1
+        if raw[j] == "&":
+            decoded = _decode_entity(raw, j)
+            if decoded is None:
+                out.append("&")
+            else:
+                out.append(decoded[0])
+                i = j + decoded[1]
+            continue
+        nxt = raw[i : i + 1]
+        if not (nxt.isalpha() or nxt in ("/", "!")):
+            out.append("<")
+            continue
+        gt = raw.find(">", i)
+        tag_body = raw[i:] if gt == -1 else raw[i:gt]
+        i = len(raw) if gt == -1 else gt + 1
+        name = _alpha_run(tag_body, 0).lower()
+        if name in ("script", "style") and not tag_body.rstrip().endswith("/"):
+            i = _skip_body(raw, i, name)
+    out.append(raw[i:])
+    return "".join(out).replace("\n", " ").replace("\r", " ").replace("\t", " ")
 
 
 @dataclass(frozen=True)

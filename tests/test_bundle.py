@@ -195,14 +195,15 @@ class TestModelBundle:
 
 
 class TestRecordFields:
-    """Each record's keys are its dataclass's fields, and `to_dict` shares the
-    model's tuples: `dataclasses.asdict` would copy every table entry."""
+    """Each record's keys are its dataclass's fields (a bundle's also
+    ``format_version``), and `to_dict` shares the model's tuples:
+    `dataclasses.asdict` would copy every table entry."""
 
     @pytest.mark.parametrize("algo", ALGORITHMS)
     def test_to_dict_shares_tables_and_keys_are_fields(self, algo):
         bundle, _ = make_bundle(algo)
         data = bundle.to_dict()
-        assert set(data) == {f.name for f in fields(ModelBundle)}
+        assert set(data) == {f.name for f in fields(ModelBundle)} | {"format_version"}
         assert set(data["tfidf"]) == {f.name for f in fields(bundle.tfidf)}
         assert set(data["preprocess_config"]) == {f.name for f in fields(PreprocessConfig)}
         assert data["tfidf"]["terms"] is bundle.tfidf.terms
@@ -219,10 +220,11 @@ class TestRecordFields:
 
     def test_readme_bundle_block_names_the_fields(self):
         """The README's "Model bundle" block lists one top-level key per
-        unindented line; they must be `ModelBundle`'s fields."""
+        unindented line; they must be `ModelBundle`'s fields and
+        ``format_version``."""
         block = re.search(r"\*\*Model bundle\*\*.*?```\n(.*?)```", readme(), re.S).group(1)
         keys = {line.split()[0] for line in block.splitlines() if line[:1].strip()}
-        assert keys == {f.name for f in fields(ModelBundle)}
+        assert keys == {f.name for f in fields(ModelBundle)} | {"format_version"}
 
 
 class TestReadmeFlagTables:

@@ -7,15 +7,8 @@ import random
 import oracles
 import pytest
 
-from textbalance import preprocess
 from textbalance.ingest import Corpus, LabeledDocument
-from textbalance.preprocess import (
-    _strip_scanned,
-    filter_tokens,
-    preprocess_corpus,
-    strip_html,
-    tokenize,
-)
+from textbalance.preprocess import filter_tokens, preprocess_corpus, strip_html, tokenize
 from textbalance.rng import SplitMix64
 from textbalance.stopwords import StopWordList, default_stopwords, load_stopwords
 
@@ -98,8 +91,8 @@ class TestTokenize:
 
 
 class TestScannerEdgeCases:
-    """Tag, script-body and entity rules at their boundaries, for both the
-    ASCII pattern (`strip_html`) and the scanner it must agree with."""
+    """Tag, script-body and entity rules at their boundaries, for both
+    `strip_html` and the scanner `oracles.strip_html` it must agree with."""
 
     CASES = [
         ("a<script/>b", "ab"),  # self-closing: no body to skip
@@ -110,6 +103,12 @@ class TestScannerEdgeCases:
         ("a<script>x</SCRİPT>y", "a"),  # "İ".lower() is two characters
         ("a<script>1<2</script>b", "ab"),
         ("<é>b", "b"),  # any isalpha character opens a tag
+        # A name is ASCII letters ended by a non-letter, ASCII or not.
+        ("<ſcript>x</script>y", "xy"),  # "ſ" (long s) is not "s"
+        ("a<script>x</ſcript>y</script>z", "az"),
+        ("a<script>x</scripté>y</script>z", "az"),
+        ("a<scripté>x</script>y", "axy"),
+        ("a<style>b</STYLEé>c</style>d", "ad"),
         ("<²>b", "<²>b"),  # "²" is not alphabetic
         ("<!x>y", "y"),
         ("</>z", "z"),
@@ -129,7 +128,7 @@ class TestScannerEdgeCases:
         ("&#9;a&#10;b", " a b"),  # decoded tab and newline become spaces
         ("&#13;\r\n", "   "),
         ("a&amp;&lt;b", "a&<b"),
-        # Traps for the ASCII pattern; each expected value is the scanner's.
+        # Traps for the pattern; each expected value is the scanner's.
         ("<script/\x1c>x", "x"),  # rstrip() strips \x1c-\x1f, \x0b and \x0c
         ("<script /\x0b>x", "x"),
         ("a<script>x</script1>b", "ab"),  # a digit ends the name
@@ -152,7 +151,7 @@ class TestScannerEdgeCases:
 
     @pytest.mark.parametrize("raw, expected", CASES)
     def test_scanner(self, raw, expected):
-        assert _strip_scanned(raw) == expected
+        assert oracles.strip_html(raw) == expected
 
     def test_tokenize_follows_isalnum(self):
         assert tokenize("Ǆemo_x²½ İstanbul ß") == ["ǆemo", "x²½", "i", "stanbul", "ß"]
@@ -180,12 +179,9 @@ MARKUP_PIECES = (
 )
 
 
-ASCII_PIECES = tuple(piece for piece in MARKUP_PIECES if piece.isascii())
-
-
-def _differential_strings(seed: int, count: int, pieces=MARKUP_PIECES, codes=range(0x20, 0x3000)):
-    """Seeded strings of up to 40 draws; a draw is one of ``pieces``, or
-    (one time in 12.5) the character of a random code from ``codes``."""
+def _differential_strings(seed: int, count: int, codes=range(0x20, 0x3000)):
+    """Seeded strings of up to 40 draws; a draw is one of `MARKUP_PIECES`,
+    or (one time in 12.5) the character of a random code from ``codes``."""
     rng = random.Random(seed)
     for _ in range(count):
         parts = []
@@ -193,35 +189,45 @@ def _differential_strings(seed: int, count: int, pieces=MARKUP_PIECES, codes=ran
             if rng.random() < 0.08:
                 parts.append(chr(rng.choice(codes)))
             else:
-                parts.append(rng.choice(pieces))
+                parts.append(rng.choice(MARKUP_PIECES))
         yield "".join(parts)
 
 
-class TestAsciiPatternMatchesScanner:
-    """`strip_html` runs ASCII posts through one compiled pattern and every
-    other post through the scanner `_strip_scanned`; both give the same
-    output."""
+# One template per place where strip_html reads a letter (after '<', and
+# after an element name in an opening or closing tag), plus the whitespace
+# before a self-closing '>'.
+SITE_TEMPLATES = (
+    "<{}b>c",
+    "a<script{}>x</script>y",
+    "a<SCRIPT>x</script{}>y</script>z",
+    "a<style{}>x</style>y",
+    "a<style>x</STYLE{}>y</style>z",
+    "a<script/{}>x",
+)
 
-    def test_differential_ascii_strings(self):
-        texts = list(_differential_strings(11, 4000, ASCII_PIECES, range(0x80)))
-        assert all(text.isascii() for text in texts)
+
+class TestStripHtmlMatchesScanner:
+    """`strip_html`, one pattern over a masked view of a post that is not
+    ASCII, gives the output of the scanner `oracles.strip_html`."""
+
+    @staticmethod
+    def assert_same_output(texts):
         for text in texts:
-            assert strip_html(text) == _strip_scanned(text), text
+            assert strip_html(text) == oracles.strip_html(text), ascii(text)
 
-    def test_only_non_ascii_posts_reach_the_scanner(self, monkeypatch):
-        calls = []
+    def test_differential_strings(self):
+        texts = list(_differential_strings(11, 4000, codes=range(0x110000)))
+        assert {text.isascii() for text in texts} == {True, False}
+        self.assert_same_output(texts)
 
-        def counted(raw):
-            calls.append(raw)
-            return _strip_scanned(raw)
+    def test_every_basic_plane_character_at_each_site(self):
+        self.assert_same_output(t.format(chr(c)) for t in SITE_TEMPLATES for c in range(0x10000))
 
-        monkeypatch.setattr(preprocess, "_strip_scanned", counted)
-        for text in ("<p>caf&eacute;</p>", "a<script>x</script>b", "", "&amp;\x7f"):
-            strip_html(text)
-        assert calls == []
-        for text in ("<p>café</p>", "a<ſcript>x</script>b", "\x80"):
-            assert strip_html(text) == _strip_scanned(text)
-        assert calls == ["<p>café</p>", "a<ſcript>x</script>b", "\x80"]
+    def test_astral_sample_at_each_site(self):
+        rng = SplitMix64(31)
+        codes = [0x10000 + rng.next_below(0x100000) for _ in range(5000)]
+        codes += [0x10000, 0x1D400, 0x20000, 0x10FFFF]  # first, a math letter, a CJK ideograph, last
+        self.assert_same_output(t.format(chr(c)) for t in SITE_TEMPLATES for c in codes)
 
 
 class TestTokensAreFixedPoints:
