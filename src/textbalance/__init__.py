@@ -1,55 +1,39 @@
 """Imbalanced text classification toolkit: TF-IDF features, SMOTE
 oversampling, and four small from-scratch classifiers with a
-with/without-oversampling comparison harness."""
+with/without-oversampling comparison harness.  Each public name and each
+submodule is imported on first access (PEP 562), not with the package."""
 
-from .bundle import ModelBundle, PreprocessConfig, load_bundle, save_bundle
-from .classify import ALGORITHMS, TrainConfig, predict, predict_batch, train
-from .evaluate import ComparisonReport, ConfusionMatrix, MetricsReport, compare, evaluate_model
-from .ingest import Corpus, DatasetSplit, LabeledDocument, load_corpus, split
-from .preprocess import filter_tokens, preprocess_corpus, strip_html, tokenize
-from .resample import ResampleReport, SmoteConfig, balance_training_set
-from .rng import SplitMix64, derive_stream
-from .stopwords import StopWordList, default_stopwords, load_stopwords
-from .vectorize import FeatureMatrix, TfIdfModel, fit, transform, transform_corpus
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ALGORITHMS",
-    "ComparisonReport",
-    "ConfusionMatrix",
-    "Corpus",
-    "DatasetSplit",
-    "FeatureMatrix",
-    "LabeledDocument",
-    "MetricsReport",
-    "ModelBundle",
-    "PreprocessConfig",
-    "ResampleReport",
-    "SmoteConfig",
-    "SplitMix64",
-    "StopWordList",
-    "TfIdfModel",
-    "TrainConfig",
-    "__version__",
-    "balance_training_set",
-    "compare",
-    "default_stopwords",
-    "derive_stream",
-    "evaluate_model",
-    "filter_tokens",
-    "fit",
-    "load_bundle",
-    "load_corpus",
-    "load_stopwords",
-    "predict",
-    "predict_batch",
-    "preprocess_corpus",
-    "save_bundle",
-    "split",
-    "strip_html",
-    "tokenize",
-    "train",
-    "transform",
-    "transform_corpus",
-]
+# Each home module and the public names it gives the package.
+_EXPORTS = {
+    "bundle": ("ModelBundle", "PreprocessConfig", "load_bundle", "save_bundle"),
+    "classify": ("ALGORITHMS", "TrainConfig", "predict", "predict_batch", "train"),
+    "evaluate": ("ComparisonReport", "ConfusionMatrix", "MetricsReport", "compare", "evaluate_model"),
+    "ingest": ("Corpus", "DatasetSplit", "LabeledDocument", "load_corpus", "split"),
+    "preprocess": ("filter_tokens", "preprocess_corpus", "strip_html", "tokenize"),
+    "resample": ("ResampleReport", "SmoteConfig", "balance_training_set"),
+    "rng": ("SplitMix64", "derive_stream"),
+    "stopwords": ("StopWordList", "default_stopwords", "load_stopwords"),
+    "vectorize": ("FeatureMatrix", "TfIdfModel", "fit", "transform", "transform_corpus"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+__all__ = sorted([*_HOME, "__version__"])
+
+
+def __getattr__(name):
+    if name in _HOME:
+        value = globals()[name] = getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+        return value
+    try:
+        return importlib.import_module(f".{name}", __name__)
+    except ModuleNotFoundError as exc:
+        if exc.name != f"{__name__}.{name}":
+            raise
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return __all__

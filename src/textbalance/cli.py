@@ -15,12 +15,17 @@ import sys
 from contextlib import contextmanager
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import bundle as bundle_mod
-from . import classify, evaluate, ingest, matrixio, preprocess, resample, stopwords, vectorize
+# `bundle`, `ingest` and `stopwords` are imported where used, so `oversample` skips them and the
+# json, csv and hashlib they load.  `evaluate` stays: bench/spans.py wraps only loaded modules.
+from . import classify, evaluate, matrixio, preprocess, resample, vectorize
 from .rng import STREAM_PROJECTION, derive_stream
+
+if TYPE_CHECKING:
+    from . import bundle, ingest, stopwords
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -185,6 +190,7 @@ def build_parser() -> _Parser:
 
 
 def _resolve_stopwords(args) -> stopwords.StopWordList:
+    from . import stopwords
     if args.stopwords:
         return stopwords.load_stopwords(args.stopwords)
     return stopwords.default_stopwords()
@@ -239,6 +245,7 @@ def _features(args, *corpora: ingest.Corpus):
 
 def _prepare_features(args):
     """Load and split the dataset, then featurize its train and test sides."""
+    from . import ingest
     with _stage("ingest"):
         corpus = ingest.load_corpus(args.data, args.format)
         dataset_split = ingest.split(corpus, args.split, args.seed)
@@ -278,12 +285,14 @@ def _distinct_outputs(*outputs: tuple[str, str | os.PathLike | None]) -> None:
 
 
 def _write_manifest(args, dataset_split: ingest.DatasetSplit) -> None:
+    from . import bundle
     if args.split_manifest:
         with _stage("write"):
-            bundle_mod.write_json(dataset_split.to_manifest(), args.split_manifest)
+            bundle.write_json(dataset_split.to_manifest(), args.split_manifest)
 
 
 def cmd_train(args) -> int:
+    from . import bundle
     _distinct_outputs(("--out", args.out), ("--split-manifest", args.split_manifest))
     with _stage("train"):  # a bad hyperparameter fails before any file is read
         config = _train_config(args, args.algo)
@@ -298,10 +307,10 @@ def cmd_train(args) -> int:
     with _stage("evaluate"):
         held_out = evaluate.evaluate_model(model, test_matrix)
     with _stage("write"):
-        model_bundle = bundle_mod.ModelBundle(
+        model_bundle = bundle.ModelBundle(
             tfidf=tfidf,
             classifier=model,
-            preprocess_config=bundle_mod.PreprocessConfig(
+            preprocess_config=bundle.PreprocessConfig(
                 min_token_len=args.min_token_len,
                 stopwords_name=stops.name,
                 stopwords_sha256=stops.sha256(),
@@ -315,7 +324,7 @@ def cmd_train(args) -> int:
                 "timestamp": timestamp,
             },
         )
-        bundle_mod.save_bundle(model_bundle, args.out)
+        bundle.save_bundle(model_bundle, args.out)
     _write_manifest(args, dataset_split)
     print(f"held-out metrics ({len(test_matrix)} test docs):")
     print(_metrics_text(held_out))
@@ -323,11 +332,12 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _load_bundle(args) -> bundle_mod.ModelBundle:
+def _load_bundle(args) -> bundle.ModelBundle:
     """Load the bundle, require its stop list, and check its vocabulary
     against that list, so serving can skip `preprocess.filter_tokens`."""
+    from . import bundle
     with _stage("bundle"):
-        model_bundle = bundle_mod.load_bundle(args.bundle)
+        model_bundle = bundle.load_bundle(args.bundle)
     cfg = model_bundle.preprocess_config
     with _stage("stopwords"):
         stops = _resolve_stopwords(args)
@@ -341,7 +351,7 @@ def _load_bundle(args) -> bundle_mod.ModelBundle:
     return model_bundle
 
 
-def _predict_chunks(model_bundle: bundle_mod.ModelBundle, texts: list[str]):
+def _predict_chunks(model_bundle: bundle.ModelBundle, texts: list[str]):
     """Strip and tokenize each text, then transform and score the texts
     CHUNK_POSTS at a time; yields each chunk's `classify.Predictions`.
     Scoring reads no label, so each chunk's matrix carries zeros.
@@ -390,6 +400,7 @@ def cmd_predict(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    from . import bundle, ingest
     model_bundle = _load_bundle(args)
     with _stage("ingest"):
         corpus = ingest.load_corpus(args.data, args.format)
@@ -402,7 +413,7 @@ def cmd_evaluate(args) -> int:
     print(_metrics_text(report))
     if args.out:
         with _stage("write"):
-            bundle_mod.write_json(report.to_dict(), args.out)
+            bundle.write_json(report.to_dict(), args.out)
         print(f"wrote metrics to {args.out}")
     return EXIT_OK
 
@@ -419,7 +430,8 @@ def cmd_oversample(args) -> int:
     with _stage("write"):
         matrixio.write_matrix(balanced, args.out, args.out_labels)
         if args.report:
-            bundle_mod.write_json(report.to_dict(), args.report)
+            from . import bundle
+            bundle.write_json(report.to_dict(), args.report)
     print(
         f"balanced {report.minority_before}/{report.majority} -> "
         f"{report.majority}/{report.majority} ({report.synthetic_created} synthetic rows)"
@@ -428,6 +440,7 @@ def cmd_oversample(args) -> int:
 
 
 def cmd_report(args) -> int:
+    from . import bundle
     suffixes = ("json", "txt", "csv") if args.csv else ("json", "txt")
     paths = [Path(f"{args.out}.{suffix}") for suffix in suffixes]
     _distinct_outputs(
@@ -451,7 +464,7 @@ def cmd_report(args) -> int:
         report.metadata["train_fraction"] = args.split
         report.metadata["dataset"] = str(args.data)
     with _stage("write"):
-        bundle_mod.write_json(report.to_dict(), paths[0])
+        bundle.write_json(report.to_dict(), paths[0])
         table = report.to_text_table()
         paths[1].write_text(table, encoding="utf-8")
         if args.csv:
@@ -505,6 +518,7 @@ def _scatter_svg(points, labels, n_original: int) -> str:
 
 
 def cmd_scatter(args) -> int:
+    from . import ingest
     _distinct_outputs(("--out", args.out), ("--svg", args.svg))
     # The whole input file is treated as the training matrix under
     # inspection; no train/test split happens here.

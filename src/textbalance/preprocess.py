@@ -23,9 +23,11 @@ from __future__ import annotations
 import codecs
 import re
 from collections.abc import Iterable
+from typing import TYPE_CHECKING
 
-from .ingest import Corpus
-from .stopwords import StopWordList
+if TYPE_CHECKING:
+    from .ingest import Corpus
+    from .stopwords import StopWordList
 
 DEFAULT_MIN_TOKEN_LEN = 3
 

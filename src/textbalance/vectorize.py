@@ -17,7 +17,6 @@ rows.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass
@@ -157,6 +156,7 @@ class FeatureMatrix:
         ``indptr``, ``indices`` and the labels as little-endian int64 and
         ``data`` as little-endian float64.  Each array is cast first, so the
         hash depends on neither its dtype nor the host's byte order."""
+        import hashlib  # not at the top: `oversample` never hashes, and OpenSSL loads slowly
         csr = self.csr
         h = hashlib.sha256(f"{len(self)} {self.dim} {csr.nnz}\n".encode())
         for array, dtype in (

@@ -1,7 +1,9 @@
 """A catalogue of source mutants, each with the tests that must kill it.
 
 A `Mutant` replaces one exact snippet ``old`` of one file under ``src/``
-by ``new``.  Run from the repository root:
+by ``new``, and then makes each of its ``also`` edits to the same file in
+the same way, so that one mutant can move code.  Run from the repository
+root:
 
     python tests/mutants.py [NAME ...]
 
@@ -42,6 +44,7 @@ class Mutant:
     new: str
     kills: tuple[str, ...]  # pytest node ids relative to the repository root
     origin: str
+    also: tuple[tuple[str, str], ...] = ()  # more (old, new) edits, for a move within the file
 
 
 CATALOGUE = (
@@ -459,16 +462,56 @@ CATALOGUE = (
         kills=("tests/test_vectorize.py::TestFit::test_vocabulary_first_appearance_order",),
         origin="a term's document frequency counts each document once",
     ),
+    Mutant(
+        name="cli-loads-bundle-at-import",
+        path="src/textbalance/cli.py",
+        old="from . import classify, evaluate, matrixio, preprocess, resample, vectorize",
+        new="from . import bundle, classify, evaluate, matrixio, preprocess, resample, vectorize",
+        kills=(
+            "tests/test_cli.py::TestStartupModules"
+            "::test_oversample_skips_the_text_and_bundle_layers",
+        ),
+        origin="oversample loads no bundle, ingest or stopwords",
+    ),
+    Mutant(
+        name="cli-defers-evaluate",
+        path="src/textbalance/cli.py",
+        old="from . import classify, evaluate, matrixio, preprocess, resample, vectorize",
+        new="from . import classify, matrixio, preprocess, resample, vectorize",
+        also=(
+            ("    lines = []\n", "    from . import evaluate\n\n    lines = []\n"),
+            ("def cmd_train(args) -> int:\n    from . import bundle\n",
+             "def cmd_train(args) -> int:\n    from . import bundle, evaluate\n"),
+            ("    from . import bundle, ingest\n", "    from . import bundle, evaluate, ingest\n"),
+            ("def cmd_report(args) -> int:\n    from . import bundle\n",
+             "def cmd_report(args) -> int:\n    from . import bundle, evaluate\n"),
+        ),
+        kills=("tests/test_bench_contract.py::test_bench_imports_load_every_traced_module",),
+        origin="cli loads evaluate at import, for the benchmark's tracer",
+    ),
+    Mutant(
+        name="vectorize-hashlib-at-import",
+        path="src/textbalance/vectorize.py",
+        old="import math\nfrom collections.abc import Iterable\n",
+        new="import hashlib\nimport math\nfrom collections.abc import Iterable\n",
+        kills=(
+            "tests/test_cli.py::TestStartupModules"
+            "::test_oversample_skips_the_text_and_bundle_layers",
+        ),
+        origin="oversample loads no hashlib",
+    ),
 )
 
 
 def apply(mutant: Mutant, root: Path) -> None:
-    """Rewrite ``mutant.path`` under ``root``; its ``old`` must occur once."""
+    """Rewrite ``mutant.path`` under ``root``; each ``old`` must occur once."""
     path = root / mutant.path
     text = path.read_text(encoding="utf-8")
-    if text.count(mutant.old) != 1:
-        raise ValueError(f"{mutant.name}: `old` occurs {text.count(mutant.old)}x in {mutant.path}")
-    path.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
+    for old, new in ((mutant.old, mutant.new), *mutant.also):
+        if text.count(old) != 1:
+            raise ValueError(f"{mutant.name}: {old!r} occurs {text.count(old)}x in {mutant.path}")
+        text = text.replace(old, new)
+    path.write_text(text, encoding="utf-8")
 
 
 def run(mutant: Mutant, timeout: float = 300.0) -> str:

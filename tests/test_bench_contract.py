@@ -13,11 +13,15 @@ from __future__ import annotations
 
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import textbalance
 from conftest import rand_matrix
 from corpora import two_vocab_corpus, write_corpus
 from textbalance import (
@@ -32,7 +36,8 @@ from textbalance import (
     vectorize,
 )
 
-SPANS_PATH = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+SPANS_PATH = BENCH / "spans.py"
 
 
 def _load_spans():
@@ -48,6 +53,28 @@ def test_every_traced_target_exists():
     for module_name, func_name, _, _ in targets:
         module = importlib.import_module(f"textbalance.{module_name}")
         assert callable(getattr(module, func_name, None)), f"{module_name}.{func_name}"
+
+
+def test_bench_imports_load_every_traced_module():
+    """`bench/run.py` imports `harness` and `workloads` and then traces in
+    its own process, where `spans.installed` looks each target's module up
+    in ``sys.modules``.  So those imports must load every target module;
+    this is why `cli` imports `evaluate` at module level."""
+    code = (
+        "import sys, harness, workloads, spans\n"
+        "print(*sorted({m for m, *_ in spans.TARGETS if f'textbalance.{m}' not in sys.modules}))"
+    )
+    src = Path(textbalance.__file__).parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        cwd=BENCH,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), str(BENCH)])),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
 
 
 @pytest.fixture(scope="module")

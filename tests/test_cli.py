@@ -22,7 +22,7 @@ from corpora import two_vocab_corpus, write_corpus
 from textbalance import bundle as bundle_mod
 from textbalance import classify, evaluate, preprocess, stopwords, vectorize
 from textbalance.classify import ALGORITHMS, TrainConfig
-from textbalance.cli import CHUNK_POSTS, _train_config, build_parser, main
+from textbalance.cli import _COMMANDS, CHUNK_POSTS, _train_config, build_parser, main
 from textbalance.ingest import Corpus, LabeledDocument
 from textbalance.matrixio import read_matrix, write_matrix
 from textbalance.resample import SmoteConfig
@@ -1315,22 +1315,79 @@ class TestScatter:
         assert [name for name in plain if capped[name] != plain[name]] == []
 
 
-def test_cli_imports_exactly_the_package_modules(tmp_path):
-    """A child interpreter's ``import textbalance.cli`` loads every module
-    of the package and nothing else of it, so no module that only the
-    tests use can sit in the package."""
-    package = Path(textbalance.__file__).parent
-    code = "import sys, textbalance.cli\nprint(*sys.modules)"
+# Runs each argv, ended by ";", through `cli.main`, then prints the loaded
+# module names as its last line.  It imports nothing itself but `sys`, so
+# every other name it prints was loaded by the package or by the commands.
+_MODULES_CHILD = """
+import sys
+from textbalance.cli import main
+argv = sys.argv[1:]
+while argv:
+    end = argv.index(";")
+    if main(argv[:end]) != 0:
+        sys.exit(f"exit != 0: {argv[:end]}")
+    del argv[: end + 1]
+print("\\n" + " ".join(sys.modules))
+"""
+
+
+def _modules_loaded_by(calls, workdir: Path) -> set[str]:
+    """The modules one new interpreter holds after running ``calls``."""
+    args = [str(a) for argv in calls for a in (*argv, ";")]
     proc = subprocess.run(
-        [sys.executable, "-c", code],
-        cwd=tmp_path,
-        env=dict(os.environ, PYTHONPATH=str(package.parent)),
+        [sys.executable, "-c", _MODULES_CHILD, *args],
+        cwd=workdir,
+        env=dict(os.environ, PYTHONPATH=str(Path(textbalance.__file__).parents[1])),
         capture_output=True,
         text=True,
-        timeout=60,
+        timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.splitlines()[-1].split())
+
+
+@pytest.fixture()
+def matrix_file(tmp_path):
+    path = tmp_path / "m.txt"
+    write_matrix(rand_matrix(np.random.default_rng(3), n0=30, n1=10, dim=20), path)
+    return path
+
+
+def test_cli_imports_exactly_the_package_modules(dataset, matrix_file, tmp_path):
+    """The six commands, run in one child interpreter, load every module of
+    the package between them and nothing else of it, so no module that only
+    the tests use can sit in the package."""
+    calls = [
+        ["train", "--data", dataset, "--algo", "nb", "--out", "model.json"],
+        ["predict", "--bundle", "model.json", "free money"],
+        ["evaluate", "--bundle", "model.json", "--data", dataset],
+        ["oversample", "--matrix", matrix_file, "--out", "o.txt", "--report", "o.json"],
+        ["report", "--data", dataset, "--algos", "nb"],
+        ["scatter", "--data", dataset],
+    ]
+    assert {argv[0] for argv in calls} == set(_COMMANDS)
+    package = Path(textbalance.__file__).parent
     stems = {path.stem for path in package.glob("*.py")}
     expected = {"textbalance" if stem == "__init__" else f"textbalance.{stem}" for stem in stems}
-    loaded = {name for name in proc.stdout.split() if name.split(".")[0] == "textbalance"}
-    assert loaded == expected
+    loaded = _modules_loaded_by(calls, tmp_path)
+    assert {name for name in loaded if name.split(".")[0] == "textbalance"} == expected
+
+
+class TestStartupModules:
+    """Each command loads only what it runs: SMOTE alone needs neither the
+    text layers nor the bundle format, and serving reads no dataset."""
+
+    def test_oversample_skips_the_text_and_bundle_layers(self, matrix_file, tmp_path):
+        loaded = _modules_loaded_by([["oversample", "--matrix", matrix_file, "--out", "o.txt"]],
+                                    tmp_path)
+        assert "textbalance.resample" in loaded
+        skipped = {"textbalance.bundle", "textbalance.ingest", "textbalance.stopwords",
+                   "json", "csv", "hashlib"}
+        assert loaded & skipped == set()
+
+    def test_predict_skips_ingest(self, dataset, tmp_path):
+        bundle_path = tmp_path / "model.json"
+        assert run(["train", "--data", dataset, "--algo", "nb", "--out", bundle_path]) == 0
+        loaded = _modules_loaded_by([["predict", "--bundle", bundle_path, "free money"]], tmp_path)
+        assert "textbalance.bundle" in loaded
+        assert loaded & {"textbalance.ingest", "csv"} == set()

@@ -1,7 +1,8 @@
 """The mutant catalogue in `tests/mutants.py` stays applicable: each
-mutant's ``old`` snippet occurs exactly once in its file, and each of its
-``kills`` ids names a test class or function that exists, read from the
-test file's AST.  Running the mutants is `python tests/mutants.py`."""
+mutant's ``old`` snippet, and the ``old`` of each of its ``also`` edits,
+occurs exactly once in its file, and each of its ``kills`` ids names a
+test class or function that exists, read from the test file's AST.
+Running the mutants is `python tests/mutants.py`."""
 
 from __future__ import annotations
 
@@ -29,8 +30,10 @@ def test_names_are_unique():
 @pytest.mark.parametrize("mutant", CATALOGUE, ids=lambda m: m.name)
 def test_old_occurs_once_in_its_source_file(mutant):
     assert mutant.path.startswith("src/")
-    assert mutant.old != mutant.new
-    assert (ROOT / mutant.path).read_text(encoding="utf-8").count(mutant.old) == 1
+    text = (ROOT / mutant.path).read_text(encoding="utf-8")
+    for old, new in ((mutant.old, mutant.new), *mutant.also):
+        assert old != new
+        assert text.count(old) == 1
 
 
 @pytest.mark.parametrize("mutant", CATALOGUE, ids=lambda m: m.name)
