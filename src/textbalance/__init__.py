@@ -3,7 +3,7 @@ oversampling, and four small from-scratch classifiers with a
 with/without-oversampling comparison harness.  Each public name and each
 submodule is imported on first access (PEP 562), not with the package."""
 
-import importlib
+import sys
 
 __version__ = "0.1.0"
 
@@ -24,15 +24,19 @@ __all__ = sorted([*_HOME, "__version__"])
 
 
 def __getattr__(name):
-    if name in _HOME:
-        value = globals()[name] = getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
-        return value
+    module = f"{__name__}.{_HOME.get(name, name)}"
     try:
-        return importlib.import_module(f".{name}", __name__)
+        # `__import__`, not `importlib.import_module`: only the former's
+        # path is logged by `python -X importtime`.
+        __import__(module)
     except ModuleNotFoundError as exc:
-        if exc.name != f"{__name__}.{name}":
+        if exc.name != module:
             raise
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    if name not in _HOME:
+        return sys.modules[module]
+    value = globals()[name] = getattr(sys.modules[module], name)
+    return value
 
 
 def __dir__():

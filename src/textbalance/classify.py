@@ -28,16 +28,18 @@ step of λ̂, then two per epoch.  NB's class masses are Xᵀ1_c, one
 scoring is one transpose and one `rmatvec`.
 
 The tree sorts the stored entries by (column, value) once per fit into
-four arrays (column, value, row, label) and keeps a row permutation
-beside them.  Each node owns one [lo, hi) slice of each; a split
+four arrays (column, value, row, label).  A node is its [e0, e1) slice of
+them and two counts, its rows and its label-1 rows, as SPRINT keeps class
+counts beside its attribute lists (Shafer, Agrawal & Mehta 1996).  A split
 partitions the node's slices stably in place through one scratch buffer
 per dtype, so each child's entries stay sorted and no node sorts or
-gathers again (SPRINT's attribute lists, Shafer, Agrawal & Mehta 1996).
+gathers again, and it hands each child the counts it was scored by.
 A column's rows without an entry, its zero group, are counted, not
-stored.  Split counts are integers, so they do not depend on the order
-of equal values.  Only boundary points are scored: cuts between two value
-groups of a column that together hold both classes (Fayyad & Irani
-1992), plus the cuts on either side of each zero group.  Moving k rows of
+stored; so are rows without any entry, which no slice holds.  Split
+counts are integers, so they do not depend on the order of equal values.
+Only boundary points are scored: cuts between two value groups of a
+column that together hold both classes (Fayyad & Irani 1992), plus the
+cuts on either side of each zero group.  Moving k rows of
 one class across a cut, from a side with b rows to one with a, makes the
 weighted impurity 2·a1·(1 − a1/(a + k)) + 2·b1·(1 − b1/(b − k)), a1 and b1
 the other class's counts; that is strictly concave in k unless the node
@@ -334,7 +336,9 @@ def _best_split(col: np.ndarray, val: np.ndarray, lab: np.ndarray, n: int, n1: i
     allowed so impure nodes of distinguishable points always split (ties:
     smaller feature, then smaller threshold).  Only boundary points and
     the cuts next to a zero group are scored (see the module docstring).
-    Returns None when no column has two values.
+    Returns (feature, threshold, left_n, left_n1), the last two the rows
+    and label-1 rows at or below the threshold, or None when no column
+    has two values.
     """
     m = len(col)
     # Entry i starts a column (a value group) where col_head (group_head)
@@ -404,24 +408,25 @@ def _best_split(col: np.ndarray, val: np.ndarray, lab: np.ndarray, n: int, n1: i
     rank = np.concatenate((2 * j, 2 * anchor[with_neg] - 1, 2 * anchor[with_pos]))
     tied = np.flatnonzero(gains == gains.max())
     best = int(tied[np.argmin(rank[tied])])
+    counts = int(left_n[best]), int(left_n1[best])
     if best < len(at):
         i = at[best]
-        return int(col[i]), (float(val[i - 1]) + float(val[i])) / 2.0
+        return int(col[i]), _threshold(float(val[i - 1]), float(val[i])), *counts
     best -= len(at)
     below = nonneg[with_neg]
     if best < len(below):
         i = below[best]
-        return int(col[i - 1]), (float(val[i - 1]) + 0.0) / 2.0
+        return int(col[i - 1]), _threshold(float(val[i - 1]), 0.0), *counts
     i = nonneg[with_pos][best - len(below)]
-    return int(col[i]), (0.0 + float(val[i])) / 2.0
+    return int(col[i]), _threshold(0.0, float(val[i])), *counts
 
 
-def _majority_label(y: np.ndarray) -> int:
-    n1 = int(y.sum())
-    n0 = len(y) - n1
-    if n1 > n0:
-        return 1
-    return 0  # ties resolve to the non-spam label
+def _threshold(lower: float, upper: float) -> float:
+    """The midpoint of two consecutive values of a column, or ``lower``
+    where the midpoint rounds or overflows up to ``upper``: the cut sends
+    ``lower`` left and ``upper`` right, as the counts it was scored by say."""
+    midpoint = (lower + upper) / 2.0
+    return midpoint if midpoint < upper else lower
 
 
 def _partition(left: np.ndarray, segments, scratch: dict) -> int:
@@ -441,7 +446,6 @@ def _partition(left: np.ndarray, segments, scratch: dict) -> int:
 def _fit_tree(matrix: FeatureMatrix, config: TrainConfig) -> DecisionTreeModel:
     X = matrix.csr
     y = matrix.labels_array()
-    n = len(matrix)
     # The stored entries in (column, value) order: by value, then stably
     # by column.  Equal (column, value) entries may come in any order: a
     # split reads only each value group's counts.
@@ -450,46 +454,40 @@ def _fit_tree(matrix: FeatureMatrix, config: TrainConfig) -> DecisionTreeModel:
     col, val, row = X.indices[order], X.data[order], X.row_ids[order]
     lab = y[row]
     entries = (col, val, row, lab)
-    perm = np.arange(n)
-    size = max(n, len(order))
-    scratch = {dtype: np.empty(size, dtype) for dtype in {a.dtype for a in (perm, *entries)}}
-    goes_left = np.empty(n, dtype=bool)
+    scratch = {dtype: np.empty(len(order), dtype) for dtype in {a.dtype for a in entries}}
+    goes_left = np.empty(len(matrix), dtype=bool)
     columns = feature, threshold, left, right, label = [], [], [], [], []
     # Nodes are numbered in pre-order: a node, its left subtree, then its
-    # right subtree.  Each pending subtree holds its [lo, hi) slices of
-    # ``perm`` (its rows) and of the entry arrays, its depth, its parent,
-    # and the child column (``left`` or ``right``) whose parent entry must
-    # point at it.  A split partitions both slices stably in place, so each
-    # child's entries stay sorted.
-    pending = [(0, n, 0, len(order), 0, -1, None)]
+    # right subtree.  Each pending subtree holds its row and label-1
+    # counts, its [e0, e1) slice of the entry arrays, its depth, its
+    # parent, and the child column (``left`` or ``right``) whose parent
+    # entry must point at it.
+    pending = [(len(matrix), int(y.sum()), 0, len(order), 0, -1, None)]
     while pending:
-        r0, r1, e0, e1, depth, parent, child = pending.pop()
+        n, n1, e0, e1, depth, parent, child = pending.pop()
         node_id = len(label)
         if parent >= 0:
             child[parent] = node_id
-        rows = perm[r0:r1]
-        sub_y = y[rows]
         found = None
-        if (
-            sub_y.min() != sub_y.max()
-            and depth < config.tree_max_depth
-            and len(rows) >= config.tree_min_samples_split
-        ):
-            found = _best_split(col[e0:e1], val[e0:e1], lab[e0:e1], len(rows), int(sub_y.sum()))
+        if 0 < n1 < n and depth < config.tree_max_depth and n >= config.tree_min_samples_split:
+            found = _best_split(col[e0:e1], val[e0:e1], lab[e0:e1], n, n1)
         leaf = found is None  # pure, too deep, too small, or every column constant
-        node = (-1, 0.0, -1, -1, _majority_label(sub_y)) if leaf else (*found, -1, -1, -1)
+        # A leaf's ties resolve to the non-spam label.
+        node = (-1, 0.0, -1, -1, 1 if n1 > n - n1 else 0) if leaf else (*found[:2], -1, -1, -1)
         for column, value in zip(columns, node):
             column.append(value)
         if leaf:
             continue
-        on, cut = found
-        goes_left[rows] = 0.0 <= cut  # rows without an entry hold 0.0
+        on, cut, left_n, left_n1 = found
+        # Rows without an entry in column ``on`` hold 0.0.  Rows without
+        # any entry are in no slice: only the counts carry them.
+        node_rows = row[e0:e1]
+        goes_left[node_rows] = 0.0 <= cut
         f0, f1 = e0 + np.searchsorted(col[e0:e1], (on, on + 1))
         goes_left[row[f0:f1]] = val[f0:f1] <= cut
-        r = r0 + _partition(goes_left[rows], (rows,), scratch)
-        e = e0 + _partition(goes_left[row[e0:e1]], [a[e0:e1] for a in entries], scratch)
-        pending.append((r, r1, e, e1, depth + 1, node_id, right))
-        pending.append((r0, r, e0, e, depth + 1, node_id, left))
+        e = e0 + _partition(goes_left[node_rows], [a[e0:e1] for a in entries], scratch)
+        pending.append((n - left_n, n1 - left_n1, e, e1, depth + 1, node_id, right))
+        pending.append((left_n, left_n1, e0, e, depth + 1, node_id, left))
     return DecisionTreeModel(matrix.dim, *map(tuple, columns))
 
 

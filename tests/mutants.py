@@ -328,18 +328,48 @@ CATALOGUE = (
     Mutant(
         name="tree-min-samples-split-exclusive",
         path="src/textbalance/classify.py",
-        old="and len(rows) >= config.tree_min_samples_split",
-        new="and len(rows) > config.tree_min_samples_split",
+        old="n >= config.tree_min_samples_split",
+        new="n > config.tree_min_samples_split",
         kills=("tests/test_classify.py::TestDenseOracles::test_tree_matches_dense_reference",),
         origin="tree_min_samples_split is the smallest node that splits",
     ),
     Mutant(
         name="tree-fit-links-both-children-left",
         path="src/textbalance/classify.py",
-        old="pending.append((r, r1, e, e1, depth + 1, node_id, right))",
-        new="pending.append((r, r1, e, e1, depth + 1, node_id, left))",
+        old="pending.append((n - left_n, n1 - left_n1, e, e1, depth + 1, node_id, right))",
+        new="pending.append((n - left_n, n1 - left_n1, e, e1, depth + 1, node_id, left))",
         kills=("tests/test_classify.py::TestDenseOracles::test_tree_matches_dense_reference",),
         origin="the fit writes each child's index into its own column",
+    ),
+    Mutant(
+        name="tree-right-child-takes-left-ones",
+        path="src/textbalance/classify.py",
+        old="(n - left_n, n1 - left_n1, e, e1,",
+        new="(n - left_n, left_n1, e, e1,",
+        kills=("tests/test_classify.py::TestDenseOracles::test_tree_matches_dense_reference",),
+        origin="each child of a split carries its own row and label-1 counts",
+    ),
+    Mutant(
+        name="tree-leaf-ties-go-to-spam",
+        path="src/textbalance/classify.py",
+        old="1 if n1 > n - n1 else 0",
+        new="1 if n1 >= n - n1 else 0",
+        kills=(
+            "tests/test_classify.py::TestDecisionTree::test_leaf_tie_prefers_label_zero",
+            "tests/test_classify.py::TestExactFitReferences::test_tree_fit_equals_reference",
+        ),
+        origin="a tied leaf takes the non-spam label",
+    ),
+    Mutant(
+        name="tree-threshold-at-a-rounded-up-midpoint",
+        path="src/textbalance/classify.py",
+        old="return midpoint if midpoint < upper else lower",
+        new="return midpoint",
+        kills=(
+            "tests/test_classify.py::TestDecisionTree"
+            "::test_a_midpoint_at_the_upper_value_cuts_at_the_lower",
+        ),
+        origin="a split's threshold sends rows where its counts say",
     ),
     Mutant(
         name="tree-boundary-from-adjacent-entries",

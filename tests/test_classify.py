@@ -365,11 +365,29 @@ class TestDecisionTree:
 
     def test_values_at_the_threshold_go_left(self):
         # The midpoint of 1.0 and the next float rounds to 1.0 itself, so
-        # the row holding 1.0 is on the threshold, in the fit and in predict.
+        # the rows holding 1.0 are on the threshold, in the fit and in
+        # predict.  The left child splits them again on column 1, which
+        # needs their entries there, not only their counts.
         above = math.nextafter(1.0, 2.0)
-        matrix = dense_to_matrix([[1.0], [above]], [0, 1])
+        X = [[1.0, 0.0], [1.0, 1.0], [above, 0.0], [above, 0.0], [above, 0.0]]
+        matrix = dense_to_matrix(X, [0, 1, 1, 1, 1])
         model = train(matrix, TrainConfig(algorithm="tree"))
-        assert model.threshold[0] == 1.0
+        assert (model.feature[0], model.threshold[0]) == (0, 1.0)
+        assert predict_batch(model, matrix) == [0, 1, 1, 1, 1]
+
+    @pytest.mark.parametrize(
+        "lower, upper",
+        [(math.nextafter(1.0, 2.0), math.nextafter(math.nextafter(1.0, 2.0), 2.0)),
+         (1.5e308, 1.7e308), (-5e-324, 0.0)],
+        ids=["rounds-up", "overflows", "negative-zero"],
+    )
+    def test_a_midpoint_at_the_upper_value_cuts_at_the_lower(self, lower, upper):
+        # The midpoint rounds up to ``upper`` (or overflows, or is -0.0 below
+        # a zero group), which would send both rows left; the cut must send
+        # each row to the side its split was scored with.
+        matrix = dense_to_matrix([[lower], [upper]], [0, 1])
+        model = train(matrix, TrainConfig(algorithm="tree"))
+        assert model.threshold[0] == lower
         assert predict_batch(model, matrix) == [0, 1]
 
     def test_max_depth_limits_tree(self):
@@ -949,7 +967,8 @@ class TestExactFitReferences:
     def test_tree_fit_equals_reference(self):
         rng = np.random.default_rng(83)
         combos = [(depth, split) for depth in (1, 2, 3, 10) for split in (2, 3, 5)]
-        for trial, matrix in enumerate(fit_matrices(rng, 96)):
+        matrices = [*fit_matrices(rng, 96), *[rows_without_entries_matrix()] * len(combos)]
+        for trial, matrix in enumerate(matrices):
             depth, split = combos[trial % len(combos)]
             config = TrainConfig(
                 algorithm="tree", tree_max_depth=depth, tree_min_samples_split=split
@@ -1002,6 +1021,15 @@ class TestExactFitReferences:
         for trial in range(60):
             matrix = adversarial_tree_matrix(rng)
             assert train(matrix, config) == oracles.tree_fit(matrix, config), trial
+
+
+def rows_without_entries_matrix() -> FeatureMatrix:
+    """Four rows without any entry, two of each label, which no node's
+    entry slice holds: the root sends them left with three ham rows, that
+    child splits again, and they end in a leaf of their own, tied, so
+    labelled 0.  Only the counts each split hands on carry them."""
+    X = [[1.0, 0.0], [2.0, 0.0], [1.0, 0.0], [2.0, 0.0], [0.0, 1.0], [0.0, 2.0], [0.0, 1.0]]
+    return dense_to_matrix(X + [[0.0, 0.0]] * 4, [1, 1, 1, 1, 0, 0, 0, 0, 1, 0, 1])
 
 
 def adversarial_tree_matrix(rng: np.random.Generator) -> FeatureMatrix:

@@ -244,6 +244,36 @@ class TestRuntimeErrors:
         assert err.startswith("error [config]") and all(flag in err for flag in flags), err
         assert sorted(tmp_path.iterdir()) == before
 
+    @pytest.mark.parametrize(
+        "argv, flags",
+        [
+            (["train", "--algo", "nb", "--data", "data.csv", "--out", "data.csv"],
+             ("--data", "--out")),
+            (["evaluate", "--bundle", "b.json", "--data", "data.csv", "--out", "./b.json"],
+             ("--bundle", "--out")),
+            (["oversample", "--matrix", "m.txt", "--out", "m.txt"], ("--matrix", "--out")),
+            (["oversample", "--matrix", "m.txt", "--out", "o.txt", "--report", "m.txt.labels"],
+             ("--labels", "--report")),
+            (["report", "--algos", "nb", "--data", "data.csv", "--split-manifest", "data.csv"],
+             ("--data", "--split-manifest")),
+            (["scatter", "--data", "data.csv", "--stopwords", "stop.txt", "--svg", "stop.txt"],
+             ("--stopwords", "--svg")),
+        ],
+        ids=["train", "evaluate", "oversample", "oversample-default-labels", "report", "scatter"],
+    )
+    def test_an_output_naming_an_input_exits_2_and_writes_nothing(
+        self, dataset, tmp_path, capsys, monkeypatch, argv, flags
+    ):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "b.json").write_text("{}")
+        (tmp_path / "stop.txt").write_text("the\n")
+        write_matrix(rand_matrix(np.random.default_rng(9), n0=6, n1=3, dim=5), "m.txt")
+        before = {path: path.read_bytes() for path in tmp_path.iterdir()}
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error [config]") and all(flag in err for flag in flags), err
+        assert {path: path.read_bytes() for path in tmp_path.iterdir()} == before
+
     def test_missing_bundle_exits_2(self, tmp_path, capsys):
         code = run(["predict", "--bundle", tmp_path / "nope.json", "hello"])
         assert code == 2

@@ -26,18 +26,27 @@ PUBLIC = """
 """.split()
 
 
-def _child(code: str) -> str:
-    """The stdout of ``code`` run by a new interpreter that imports the
-    package under test."""
+def _child(code: str, *options: str) -> subprocess.CompletedProcess:
+    """``code`` run by a new interpreter, given ``options``, that imports
+    the package under test; it must exit 0."""
     proc = subprocess.run(
-        [sys.executable, "-c", code],
+        [sys.executable, *options, "-c", code],
         env=dict(os.environ, PYTHONPATH=str(Path(textbalance.__file__).parents[1])),
         capture_output=True,
         text=True,
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    return proc.stdout
+    return proc
+
+
+def test_importtime_lists_the_submodules_cli_loads():
+    # `-X importtime` logs only imports that go through the import system's
+    # own path, so a submodule that `__getattr__` loads must take it too.
+    log = _child("import textbalance.cli", "-X", "importtime").stderr
+    listed = {line.rsplit("|", 1)[-1].strip() for line in log.splitlines()}
+    for module in ("classify", "evaluate", "matrixio", "preprocess"):
+        assert f"textbalance.{module}" in listed, log
 
 
 def test_all_is_the_public_api():
@@ -47,7 +56,7 @@ def test_all_is_the_public_api():
 
 def test_import_loads_no_submodule():
     code = "import sys, textbalance\nprint(*(m for m in sys.modules if m.startswith('textbalance')))"
-    assert _child(code).split() == ["textbalance"]
+    assert _child(code).stdout.split() == ["textbalance"]
 
 
 @pytest.mark.parametrize(
@@ -85,4 +94,4 @@ def test_submodule_resolves_after_a_bare_import():
         "print(textbalance.bundle.__name__, textbalance.ModelBundle.__module__)\n"
         "print('textbalance.ingest' in sys.modules)"
     )
-    assert _child(code).split() == ["textbalance.bundle", "textbalance.bundle", "False"]
+    assert _child(code).stdout.split() == ["textbalance.bundle", "textbalance.bundle", "False"]
