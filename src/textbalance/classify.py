@@ -423,10 +423,11 @@ def _best_split(col: np.ndarray, val: np.ndarray, lab: np.ndarray, n: int, n1: i
 
 def _threshold(lower: float, upper: float) -> float:
     """The midpoint of two consecutive values of a column, or ``lower``
-    where the midpoint rounds or overflows up to ``upper``: the cut sends
-    ``lower`` left and ``upper`` right, as the counts it was scored by say."""
+    where the midpoint rounds or overflows outside ``[lower, upper)``: the
+    cut sends ``lower`` left and ``upper`` right, as the counts it was
+    scored by say."""
     midpoint = (lower + upper) / 2.0
-    return midpoint if midpoint < upper else lower
+    return midpoint if lower <= midpoint < upper else lower
 
 
 def _partition(left: np.ndarray, segments, scratch: dict) -> int:

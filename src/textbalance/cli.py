@@ -270,17 +270,10 @@ def _balance(args, matrix):
     return config, balanced, report
 
 
-# The flags whose files a command reads; each one's dest is its name.
-_INPUT_FLAGS = ("--data", "--bundle", "--stopwords", "--input", "--matrix", "--labels")
-
-
-def _distinct_outputs(args, *outputs: tuple[str, str | os.PathLike | None]) -> None:
+def _distinct_outputs(inputs, outputs) -> None:
     """Refuse a (flag, path) output that resolves to the same file as one
-    of the command's inputs or an earlier output, before any file is read:
-    the write would replace it."""
-    inputs = [(flag, getattr(args, flag[2:], None)) for flag in _INPUT_FLAGS]
-    if getattr(args, "matrix", None) and not args.labels:
-        inputs.append(("--labels", matrixio.default_labels_path(args.matrix)))
+    of the command's (flag, path) inputs or an earlier output, before any
+    file is read: the write would replace it.  A None path is skipped."""
     seen: dict[str, str] = {}
     with _stage("config"):
         for flag, path in inputs:
@@ -304,7 +297,10 @@ def _write_manifest(args, dataset_split: ingest.DatasetSplit) -> None:
 
 def cmd_train(args) -> int:
     from . import bundle
-    _distinct_outputs(args, ("--out", args.out), ("--split-manifest", args.split_manifest))
+    _distinct_outputs(
+        inputs=[("--data", args.data), ("--stopwords", args.stopwords)],
+        outputs=[("--out", args.out), ("--split-manifest", args.split_manifest)],
+    )
     with _stage("train"):  # a bad hyperparameter fails before any file is read
         config = _train_config(args, args.algo)
     timestamp = _timestamp(args)  # so does a bad $SOURCE_DATE_EPOCH
@@ -412,7 +408,10 @@ def cmd_predict(args) -> int:
 
 def cmd_evaluate(args) -> int:
     from . import bundle, ingest
-    _distinct_outputs(args, ("--out", args.out))
+    _distinct_outputs(
+        inputs=[("--bundle", args.bundle), ("--data", args.data), ("--stopwords", args.stopwords)],
+        outputs=[("--out", args.out)],
+    )
     model_bundle = _load_bundle(args)
     with _stage("ingest"):
         corpus = ingest.load_corpus(args.data, args.format)
@@ -432,10 +431,15 @@ def cmd_evaluate(args) -> int:
 
 def cmd_oversample(args) -> int:
     _distinct_outputs(
-        args,
-        ("--out", args.out),
-        ("--out-labels", args.out_labels or matrixio.default_labels_path(args.out)),
-        ("--report", args.report),
+        inputs=[
+            ("--matrix", args.matrix),
+            ("--labels", args.labels or matrixio.default_labels_path(args.matrix)),
+        ],
+        outputs=[
+            ("--out", args.out),
+            ("--out-labels", args.out_labels or matrixio.default_labels_path(args.out)),
+            ("--report", args.report),
+        ],
     )
     with _stage("read"):
         matrix = matrixio.read_matrix(args.matrix, args.labels)
@@ -457,7 +461,8 @@ def cmd_report(args) -> int:
     suffixes = ("json", "txt", "csv") if args.csv else ("json", "txt")
     paths = [Path(f"{args.out}.{suffix}") for suffix in suffixes]
     _distinct_outputs(
-        args, *(("--out", path) for path in paths), ("--split-manifest", args.split_manifest)
+        inputs=[("--data", args.data), ("--stopwords", args.stopwords)],
+        outputs=[*(("--out", path) for path in paths), ("--split-manifest", args.split_manifest)],
     )
     # In order, each once: a repeat would refit to print the same column.
     algorithms = list(dict.fromkeys(a.strip() for a in args.algos.split(",") if a.strip()))
@@ -532,7 +537,10 @@ def _scatter_svg(points, labels, n_original: int) -> str:
 
 def cmd_scatter(args) -> int:
     from . import ingest
-    _distinct_outputs(args, ("--out", args.out), ("--svg", args.svg))
+    _distinct_outputs(
+        inputs=[("--data", args.data), ("--stopwords", args.stopwords)],
+        outputs=[("--out", args.out), ("--svg", args.svg)],
+    )
     # The whole input file is treated as the training matrix under
     # inspection; no train/test split happens here.
     with _stage("ingest"):

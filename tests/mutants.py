@@ -363,8 +363,19 @@ CATALOGUE = (
     Mutant(
         name="tree-threshold-at-a-rounded-up-midpoint",
         path="src/textbalance/classify.py",
-        old="return midpoint if midpoint < upper else lower",
+        old="return midpoint if lower <= midpoint < upper else lower",
         new="return midpoint",
+        kills=(
+            "tests/test_classify.py::TestDecisionTree"
+            "::test_a_midpoint_at_the_upper_value_cuts_at_the_lower",
+        ),
+        origin="a split's threshold sends rows where its counts say",
+    ),
+    Mutant(
+        name="tree-threshold-at-an-overflowed-down-midpoint",
+        path="src/textbalance/classify.py",
+        old="return midpoint if lower <= midpoint < upper else lower",
+        new="return midpoint if midpoint < upper else lower",
         kills=(
             "tests/test_classify.py::TestDecisionTree"
             "::test_a_midpoint_at_the_upper_value_cuts_at_the_lower",

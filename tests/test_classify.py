@@ -378,12 +378,13 @@ class TestDecisionTree:
     @pytest.mark.parametrize(
         "lower, upper",
         [(math.nextafter(1.0, 2.0), math.nextafter(math.nextafter(1.0, 2.0), 2.0)),
-         (1.5e308, 1.7e308), (-5e-324, 0.0)],
-        ids=["rounds-up", "overflows", "negative-zero"],
+         (1.5e308, 1.7e308), (-1.7e308, -1.5e308), (-5e-324, 0.0)],
+        ids=["rounds-up", "overflows", "overflows-down", "negative-zero"],
     )
     def test_a_midpoint_at_the_upper_value_cuts_at_the_lower(self, lower, upper):
-        # The midpoint rounds up to ``upper`` (or overflows, or is -0.0 below
-        # a zero group), which would send both rows left; the cut must send
+        # The midpoint rounds up to ``upper`` (or overflows to inf, or is
+        # -0.0 below a zero group), which would send both rows left, or
+        # overflows to -inf, which would send both right; the cut must send
         # each row to the side its split was scored with.
         matrix = dense_to_matrix([[lower], [upper]], [0, 1])
         model = train(matrix, TrainConfig(algorithm="tree"))
