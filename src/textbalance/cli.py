@@ -8,6 +8,14 @@ $SOURCE_DATE_EPOCH when set) so repeated runs emit byte-identical files.
 
 from __future__ import annotations
 
+import gc
+
+if __name__ == "__main__":
+    # Run as `python -m textbalance.cli`: the imports below trigger no
+    # collection, and `run` freezes what they made before enabling the
+    # collector again.
+    gc.disable()
+
 import argparse
 import dataclasses
 import os
@@ -65,6 +73,11 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         sys.stderr.write(f"{self.prog}: error: {message}\n")
         raise SystemExit(EXIT_USAGE)
+
+    def print_help(self, file=None):
+        """argparse drops a help text it cannot write; this tool reports it."""
+        with _stage("write"):
+            (file or sys.stdout).write(self.format_help())
 
 
 def _fraction(text: str) -> float:
@@ -291,8 +304,7 @@ def _distinct_outputs(inputs, outputs) -> None:
 def _write_manifest(args, dataset_split: ingest.DatasetSplit) -> None:
     from . import bundle
     if args.split_manifest:
-        with _stage("write"):
-            bundle.write_json(dataset_split.to_manifest(), args.split_manifest)
+        bundle.write_json(dataset_split.to_manifest(), args.split_manifest)
 
 
 def cmd_train(args) -> int:
@@ -332,10 +344,10 @@ def cmd_train(args) -> int:
             },
         )
         bundle.save_bundle(model_bundle, args.out)
-    _write_manifest(args, dataset_split)
-    print(f"held-out metrics ({len(test_matrix)} test docs):")
-    print(_metrics_text(held_out))
-    print(f"wrote bundle to {args.out}")
+        _write_manifest(args, dataset_split)
+        print(f"held-out metrics ({len(test_matrix)} test docs):")
+        print(_metrics_text(held_out))
+        print(f"wrote bundle to {args.out}")
     return EXIT_OK
 
 
@@ -421,11 +433,11 @@ def cmd_evaluate(args) -> int:
             label for predictions in _predict_chunks(model_bundle, texts) for label in predictions
         ]
         report = evaluate.metrics(evaluate.confusion(predicted, corpus.labels))
-    print(_metrics_text(report))
-    if args.out:
-        with _stage("write"):
+    with _stage("write"):
+        print(_metrics_text(report))
+        if args.out:
             bundle.write_json(report.to_dict(), args.out)
-        print(f"wrote metrics to {args.out}")
+            print(f"wrote metrics to {args.out}")
     return EXIT_OK
 
 
@@ -449,10 +461,10 @@ def cmd_oversample(args) -> int:
         if args.report:
             from . import bundle
             bundle.write_json(report.to_dict(), args.report)
-    print(
-        f"balanced {report.minority_before}/{report.majority} -> "
-        f"{report.majority}/{report.majority} ({report.synthetic_created} synthetic rows)"
-    )
+        print(
+            f"balanced {report.minority_before}/{report.majority} -> "
+            f"{report.majority}/{report.majority} ({report.synthetic_created} synthetic rows)"
+        )
     return EXIT_OK
 
 
@@ -487,9 +499,9 @@ def cmd_report(args) -> int:
         paths[1].write_text(table, encoding="utf-8")
         if args.csv:
             paths[2].write_text(report.to_csv(), encoding="utf-8")
-    _write_manifest(args, dataset_split)
-    print(table, end="")
-    print("wrote " + ", ".join(map(str, paths)))
+        _write_manifest(args, dataset_split)
+        print(table, end="")
+        print("wrote " + ", ".join(map(str, paths)))
     return EXIT_OK
 
 
@@ -564,7 +576,7 @@ def cmd_scatter(args) -> int:
             Path(args.svg).write_text(
                 _scatter_svg(points, matrix.labels, n_original), encoding="utf-8"
             )
-    print(f"wrote {len(points)} projected rows to {args.out}")
+        print(f"wrote {len(points)} projected rows to {args.out}")
     return EXIT_OK
 
 
@@ -579,17 +591,45 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
+    """Run one command in this process and return its exit code.  It makes
+    no garbage-collector call, so it can run many times in one process."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    try:
         return _COMMANDS[args.command](args)
+    except SystemExit as exc:  # from parse_args: --help or a usage error
+        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     except CliRuntimeError as exc:
         print(f"error {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 
 
+def run(argv=None) -> int:
+    """The process entry point: `python -m textbalance.cli` and the
+    `textbalance` console script.
+
+    The objects the imports made live until exit, so it freezes them
+    (`gc.freeze`): no collection scans them again, at shutdown included.
+    Then it runs `main` and flushes stdout, so that output the process
+    could not write ends in ``error [write]`` and exit 2."""
+    gc.freeze()
+    gc.enable()
+    code = main(argv)
+    try:
+        with _stage("write"):
+            if sys.stdout is not None:
+                sys.stdout.flush()
+    except CliRuntimeError as exc:
+        # The interpreter flushes stdout once more at exit; on a failure
+        # there it would print a warning and exit 120, whatever this returns.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        if code != EXIT_RUNTIME:  # else `main` has reported its own error
+            print(f"error {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
+    return code
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(run())

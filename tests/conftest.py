@@ -102,22 +102,30 @@ def oracle_matrix(rng: np.random.Generator, nonneg: bool = False) -> FeatureMatr
     return dense_to_matrix(X + 0.0, y)  # + 0.0 turns -0.0 into 0.0
 
 
-def cli_outputs_in_child(calls, env: dict, workdir: Path) -> dict[str, bytes]:
-    """Run each argv in ``calls`` through ``cli.main`` in one new
-    interpreter, in the new directory ``workdir``, and return the bytes of
-    every file written there by name, plus the child's ``"stdout"``.
-
-    ``env`` is laid over this process's environment; a ``None`` value
-    unsets a variable.  Settings that a process reads only at start-up,
-    such as ``GLIBC_TUNABLES`` or ``NPY_DISABLE_CPU_FEATURES``, take effect
-    this way, so a test can compare outputs with and without a CPU
-    dispatch cap.  Every call must exit 0."""
+def child_environ(env: dict) -> dict[str, str]:
+    """The environment for a child interpreter that imports the package
+    under test: this process's, with ``env`` laid over it, where a
+    ``None`` value unsets a variable."""
     child_env = dict(os.environ, PYTHONPATH=str(Path(textbalance.__file__).parents[1]))
     for name, value in env.items():
         if value is None:
             child_env.pop(name, None)
         else:
             child_env[name] = value
+    return child_env
+
+
+def cli_outputs_in_child(calls, env: dict, workdir: Path) -> dict[str, bytes]:
+    """Run each argv in ``calls`` through ``cli.main`` in one new
+    interpreter, in the new directory ``workdir``, and return the bytes of
+    every file written there by name, plus the child's ``"stdout"``.
+
+    ``env`` is laid over this process's environment (`child_environ`).
+    Settings that a process reads only at start-up, such as
+    ``GLIBC_TUNABLES`` or ``NPY_DISABLE_CPU_FEATURES``, take effect this
+    way, so a test can compare outputs with and without a CPU dispatch
+    cap.  Every call must exit 0."""
+    child_env = child_environ(env)
     workdir.mkdir()
     argvs = json.dumps([[str(a) for a in argv] for argv in calls])
     proc = subprocess.run(

@@ -541,6 +541,52 @@ CATALOGUE = (
         ),
         origin="oversample loads no hashlib",
     ),
+    Mutant(
+        name="cli-run-skips-the-freeze",
+        path="src/textbalance/cli.py",
+        old="    gc.freeze()\n    gc.enable()\n",
+        new="    gc.enable()\n",
+        kills=(
+            "tests/test_cli.py::TestEntryPoint"
+            "::test_module_run_freezes_the_imports_and_enables_the_collector",
+        ),
+        origin="the entry point keeps the import-time objects out of every collection",
+    ),
+    Mutant(
+        name="cli-collects-during-imports",
+        path="src/textbalance/cli.py",
+        old="    gc.disable()\n",
+        new="    pass\n",
+        kills=(
+            "tests/test_cli.py::TestEntryPoint"
+            "::test_module_run_freezes_the_imports_and_enables_the_collector",
+        ),
+        origin="under -m the imports run with the collector off",
+    ),
+    Mutant(
+        name="cli-run-skips-the-stdout-flush",
+        path="src/textbalance/cli.py",
+        old="sys.stdout.flush()",
+        new="pass",
+        kills=(
+            "tests/test_cli.py::TestUnwritableStdout"
+            "::test_ends_in_exit_2_with_an_error_line[oversample-full-buffered]",
+            "tests/test_cli.py::TestUnwritableStdout"
+            "::test_ends_in_exit_2_with_an_error_line[oversample-closed-pipe-buffered]",
+        ),
+        origin="stdout that cannot be written ends in error [write], not exit 120",
+    ),
+    Mutant(
+        name="cli-help-drops-a-failed-write",
+        path="src/textbalance/cli.py",
+        old="            (file or sys.stdout).write(self.format_help())",
+        new="            super().print_help(file)",
+        kills=(
+            "tests/test_cli.py::TestUnwritableStdout"
+            "::test_ends_in_exit_2_with_an_error_line[help-full-unbuffered]",
+        ),
+        origin="--help that cannot be written ends in error [write]",
+    ),
 )
 
 

@@ -594,7 +594,14 @@ def best_split(columns, values, entry_y, y, dim):
         left_n * _gini(left_n - left_n1, left_n1) + right_n * _gini(right_n - right_n1, right_n1)
     ) / n
     b = boundaries[int(np.argmax(_gini(n - parent_n1, parent_n1) - weighted))]
-    return int(columns[b]), (float(values[b]) + float(values[b + 1])) / 2.0
+    lower, upper = float(values[b]), float(values[b + 1])
+    midpoint = (lower + upper) / 2.0
+    # Rounding is monotone, so a finite midpoint is never below ``lower``;
+    # one that rounds onto ``upper`` or overflows would put both values on
+    # one side of the cut, so the cut is at ``lower``.
+    if not math.isfinite(midpoint) or midpoint == upper:
+        midpoint = lower
+    return int(columns[b]), midpoint
 
 
 def tree_fit(matrix, config: TrainConfig) -> DecisionTreeModel:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import fields, replace
 
 import numpy as np
@@ -801,7 +802,10 @@ def _dense_best_split(X: np.ndarray, y: np.ndarray):
                 + right_n * _dense_gini(right_n - right_n1, right_n1)
             ) / n
             gain = parent_gini - weighted
-            threshold = (float(sorted_vals[b]) + float(sorted_vals[b + 1])) / 2.0
+            lower, upper = float(sorted_vals[b]), float(sorted_vals[b + 1])
+            threshold = (lower + upper) / 2.0
+            if not lower <= threshold < upper:  # rounded onto upper, or overflowed
+                threshold = lower
             key = (-gain, int(f), threshold)
             if best is None or key < best[0]:
                 best = (key, int(f), threshold)
@@ -1022,6 +1026,39 @@ class TestExactFitReferences:
         for trial in range(60):
             matrix = adversarial_tree_matrix(rng)
             assert train(matrix, config) == oracles.tree_fit(matrix, config), trial
+
+    @pytest.mark.parametrize(
+        "lower, upper",
+        [(math.nextafter(1.0, 2.0), math.nextafter(math.nextafter(1.0, 2.0), 2.0)),
+         (-1.7e308, -1.5e308)],
+        ids=["rounds-up", "overflows-down"],
+    )
+    def test_both_references_cut_at_the_lower_value(self, lower, upper):
+        matrix = dense_to_matrix([[lower], [upper]], [0, 1])
+        config = TrainConfig(algorithm="tree")
+        model = train(matrix, config)
+        assert model.threshold[0] == lower
+        assert model == oracles.tree_fit(matrix, config) == dense_tree(matrix, config)
+
+    @pytest.mark.parametrize("depth", [1, 3, 10])
+    def test_tree_fit_equals_references_on_adjacent_and_huge_values(self, depth):
+        # Adjacent floats, whose midpoint rounds onto the upper one, and
+        # values near the largest float, whose sums overflow to +-inf.
+        rng = np.random.default_rng(86)
+        one_up = math.nextafter(1.0, 2.0)
+        top = sys.float_info.max
+        magnitudes = [1.0, one_up, math.nextafter(one_up, 2.0), 5e-324, 1e-323,
+                      1.5e308, 1.7e308, math.nextafter(top, 0.0), top]
+        levels = np.array(magnitudes + [-m for m in magnitudes])
+        config = TrainConfig(algorithm="tree", tree_max_depth=depth)
+        for trial in range(40):
+            n, dim = int(rng.integers(2, 30)), int(rng.integers(1, 5))
+            X = rng.choice(levels, size=(n, dim)) * (rng.random((n, dim)) < rng.uniform(0.3, 1.0))
+            y = rng.integers(0, 2, size=n)
+            y[:2] = (0, 1)
+            matrix = dense_to_matrix(X + 0.0, y)
+            model = train(matrix, config)
+            assert model == oracles.tree_fit(matrix, config) == dense_tree(matrix, config), trial
 
 
 def rows_without_entries_matrix() -> FeatureMatrix:

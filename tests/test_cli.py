@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import gc
+import importlib
 import io
 import json
 import os
@@ -17,10 +19,10 @@ import pytest
 
 import oracles
 import textbalance
-from conftest import cli_outputs_in_child, rand_matrix
+from conftest import child_environ, cli_outputs_in_child, rand_matrix
 from corpora import two_vocab_corpus, write_corpus
 from textbalance import bundle as bundle_mod
-from textbalance import classify, evaluate, preprocess, stopwords, vectorize
+from textbalance import classify, cli, evaluate, preprocess, stopwords, vectorize
 from textbalance.classify import ALGORITHMS, TrainConfig
 from textbalance.cli import _COMMANDS, CHUNK_POSTS, _train_config, build_parser, main
 from textbalance.ingest import Corpus, LabeledDocument
@@ -1421,3 +1423,165 @@ class TestStartupModules:
         loaded = _modules_loaded_by([["predict", "--bundle", bundle_path, "free money"]], tmp_path)
         assert "textbalance.bundle" in loaded
         assert loaded & {"textbalance.ingest", "csv"} == set()
+
+
+def _cli_child(argv, cwd: Path, stdout, env: dict) -> subprocess.CompletedProcess:
+    """``python -m textbalance.cli *argv`` in a new interpreter, with its
+    stdout on the open file or descriptor ``stdout`` and ``env`` laid over
+    this process's environment (`child_environ`)."""
+    return subprocess.run(
+        [sys.executable, "-m", "textbalance.cli", *map(str, argv)],
+        cwd=cwd,
+        env=child_environ(env),
+        stdout=stdout,
+        stderr=subprocess.PIPE,
+        text=True,
+        timeout=120,
+    )
+
+
+# Runs `python -m textbalance.cli` through runpy, as `-m` does, with the
+# argv after its own, and prints its exit code, the frozen object count,
+# whether the collector is on, and how many collections ran once the
+# imports had reached numpy and before the freeze.
+_RUNPY_CHILD = """
+import gc, runpy, sys
+during_imports = []
+gc.callbacks.append(
+    lambda phase, info: phase == "start" and "numpy" in sys.modules
+    and gc.get_freeze_count() == 0 and during_imports.append(info["generation"])
+)
+sys.argv = ["textbalance", *sys.argv[1:]]
+try:
+    runpy.run_module("textbalance.cli", run_name="__main__")
+except SystemExit as exc:
+    code = exc.code
+print(code, gc.get_freeze_count(), gc.isenabled(), len(during_imports))
+"""
+
+
+class TestEntryPoint:
+    """`cli.run` is the process entry point: it freezes what the imports
+    made, so no collection scans it again, and under `-m` the imports
+    themselves run with the collector off.  `main` makes no GC call, so
+    it can run many times in one process."""
+
+    def test_module_run_freezes_the_imports_and_enables_the_collector(
+        self, matrix_file, tmp_path
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-c", _RUNPY_CHILD,
+             "oversample", "--matrix", str(matrix_file), "--out", "o.txt"],
+            cwd=tmp_path,
+            env=child_environ({}),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        code, frozen, enabled, during_imports = proc.stdout.splitlines()[-1].split()
+        assert code == "0"
+        assert int(frozen) > 0
+        assert enabled == "True"
+        assert during_imports == "0"
+
+    def test_main_leaves_the_collector_as_it_was(self, dataset, matrix_file, tmp_path,
+                                                 monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        calls = [
+            ["train", "--data", dataset, "--algo", "nb", "--out", "model.json"],
+            ["predict", "--bundle", "model.json", "free money"],
+            ["evaluate", "--bundle", "model.json", "--data", dataset],
+            ["oversample", "--matrix", matrix_file, "--out", "o.txt"],
+            ["report", "--data", dataset, "--algos", "nb"],
+            ["scatter", "--data", dataset],
+        ]
+        assert {argv[0] for argv in calls} == set(_COMMANDS)
+        for argv in calls:
+            before = (gc.get_freeze_count(), gc.isenabled())
+            assert run(argv) == 0
+            assert (gc.get_freeze_count(), gc.isenabled()) == before, argv
+
+    def test_console_script_is_run(self):
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        scripts = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["scripts"]
+        assert scripts == {"textbalance": "textbalance.cli:run"}
+        module, _, name = scripts["textbalance"].partition(":")
+        assert getattr(importlib.import_module(module), name) is cli.run
+
+
+class TestUnwritableStdout:
+    """Output the process cannot write, on a full device or into a pipe
+    whose reader has gone, ends in exit 2 and an ``error [stage]`` line,
+    never in a traceback or the interpreter's exit 120.  With
+    PYTHONUNBUFFERED set the failing write is the command's own; without
+    it, the flush in `cli.run`."""
+
+    @pytest.fixture(scope="class")
+    def inputs(self, tmp_path_factory):
+        work = tmp_path_factory.mktemp("stdout")
+        train, test = two_vocab_corpus(seed=3, n_train_nonspam=40, n_train_spam=10,
+                                       n_test_per_class=6)
+        data = work / "data.csv"
+        write_corpus(Corpus.from_documents([*train.documents, *test.documents]), data)
+        model = work / "model.json"
+        assert run(["train", "--data", data, "--algo", "nb", "--out", model]) == 0
+        matrix = work / "m.txt"
+        write_matrix(rand_matrix(np.random.default_rng(3), n0=30, n1=10, dim=20), matrix)
+        return {"data": data, "model": model, "matrix": matrix}
+
+    COMMANDS = {
+        "train": ["train", "--data", "{data}", "--algo", "nb"],
+        "predict": ["predict", "--bundle", "{model}", "free money"],
+        "evaluate": ["evaluate", "--bundle", "{model}", "--data", "{data}"],
+        "oversample": ["oversample", "--matrix", "{matrix}", "--out", "o.txt"],
+        "report": ["report", "--data", "{data}", "--algos", "nb"],
+        "scatter": ["scatter", "--data", "{data}"],
+        "help": ["--help"],
+    }
+
+    def test_every_command_is_covered(self):
+        assert set(self.COMMANDS) == {*_COMMANDS, "help"}
+
+    @pytest.mark.parametrize("unbuffered", ["1", None], ids=["unbuffered", "buffered"])
+    @pytest.mark.parametrize("target", ["full", "closed-pipe"])
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_ends_in_exit_2_with_an_error_line(self, inputs, tmp_path, command, target,
+                                               unbuffered):
+        argv = [arg.format(**inputs) for arg in self.COMMANDS[command]]
+        env = {"PYTHONUNBUFFERED": unbuffered}
+        if target == "full":
+            if not os.path.exists("/dev/full"):
+                pytest.skip("no /dev/full on this system")
+            with open("/dev/full", "wb") as full:
+                proc = _cli_child(argv, tmp_path, full, env)
+        else:
+            read_end, write_end = os.pipe()
+            os.close(read_end)
+            try:
+                proc = _cli_child(argv, tmp_path, write_end, env)
+            finally:
+                os.close(write_end)
+        stage = "predict" if command == "predict" and unbuffered else "write"
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith(f"error [{stage}] "), proc.stderr
+        assert proc.stderr.count("error [") == 1, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "Exception ignored" not in proc.stderr
+
+    def test_a_closed_stdout_is_not_an_error(self, inputs, tmp_path):
+        # With fd 1 closed at start-up, sys.stdout is None and print
+        # writes nothing; the command still succeeds.
+        argv = [arg.format(**inputs) for arg in self.COMMANDS["oversample"]]
+        proc = subprocess.run(
+            ["sh", "-c", 'exec "$0" -m textbalance.cli "$@" >&-', sys.executable, *argv],
+            cwd=tmp_path,
+            env=child_environ({}),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        assert read_matrix(tmp_path / "o.txt").labels.count(1) == 30
