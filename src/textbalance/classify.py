@@ -28,29 +28,31 @@ step of λ̂, then two per epoch.  NB's class masses are Xᵀ1_c, one
 scoring is one transpose and one `rmatvec`.
 
 The tree sorts the stored entries by (column, value) once per fit into
-four arrays (column, value, row, label).  A node is its [e0, e1) slice of
-them and two counts, its rows and its label-1 rows, as SPRINT keeps class
+three arrays (column, value, row).  A node is its [e0, e1) slice of them
+and two counts, its rows and its label-1 rows, as SPRINT keeps class
 counts beside its attribute lists (Shafer, Agrawal & Mehta 1996).  A split
 partitions the node's slices stably in place through one scratch buffer
-per dtype, so each child's entries stay sorted and no node sorts or
-gathers again, and it hands each child the counts it was scored by.
-A column's rows without an entry, its zero group, are counted, not
-stored; so are rows without any entry, which no slice holds.  Split
-counts are integers, so they do not depend on the order of equal values.
-Only boundary points are scored: cuts between two value groups of a
-column that together hold both classes (Fayyad & Irani 1992), plus the
-cuts on either side of each zero group.  Moving k rows of
-one class across a cut, from a side with b rows to one with a, makes the
-weighted impurity 2·a1·(1 − a1/(a + k)) + 2·b1·(1 − b1/(b − k)), a1 and b1
-the other class's counts; that is strictly concave in k unless the node
+per dtype, so each child's entries stay sorted and no node sorts again,
+and it hands each child the counts it was scored by.  A column's rows
+without an entry, its zero group, are counted, not stored; so are rows
+without any entry, which no slice holds.  Split counts are integers, so
+they do not depend on the order of equal values.  Two kinds of cut are
+scored: the cut before a stored value group, where it is a boundary point
+of its column (the groups on either side together hold both classes:
+Fayyad & Irani 1992) or the cut above the zero group, and the cut below
+each zero group.  Moving k rows of one class across a cut, from a side
+with b rows to one with a, makes the weighted impurity
+2·a1·(1 − a1/(a + k)) + 2·b1·(1 − b1/(b − k)), a1 and b1 the other
+class's counts; that is strictly concave in k unless the node
 is pure, and a pure node never splits.  So the gain is strictly convex
 along a run of groups pure in one class, no cut inside the run is a first
 maximum, and the split chosen, the first maximum in (feature, threshold)
 order, is the one a scan of every cut finds.  That holds in exact
 arithmetic; the tests check it on the floats against the every-cut scan
 in `tests/oracles.py`.  The fit appends each node to five pre-order
-columns, which are the model: `_batch_tree` descends them as arrays, and
-a bundle maps them to node records.
+columns, which are the model: a split's left child is the next node, and
+its right child is linked when that subtree starts.  `_batch_tree`
+descends the columns as arrays, and a bundle maps them to node records.
 
 `predict_batch` labels and scores a whole matrix from its CSR view at
 once, and `predict` is its one-row case.  The tests check its labels and
@@ -331,11 +333,11 @@ def _best_split(col: np.ndarray, val: np.ndarray, lab: np.ndarray, n: int, n1: i
     label of the entry's row), sorted by (column, value); the node has
     ``n`` rows, ``n1`` of them labelled 1.  A column's rows without an
     entry form its zero group (stored values are never zero), which sorts
-    between its negative and its positive values.  Thresholds are midpoints of consecutive distinct
-    values of a column, the zero group's included.  Zero-gain splits are
-    allowed so impure nodes of distinguishable points always split (ties:
-    smaller feature, then smaller threshold).  Only boundary points and
-    the cuts next to a zero group are scored (see the module docstring).
+    between its negative and its positive values.  Thresholds are midpoints
+    of consecutive distinct values of a column, the zero group's included.
+    Zero-gain splits are allowed so impure nodes of distinguishable points
+    always split (ties: smaller feature, then smaller threshold).  Only the
+    two kinds of cut of the module docstring are scored.
     Returns (feature, threshold, left_n, left_n1), the last two the rows
     and label-1 rows at or below the threshold, or None when no column
     has two values.
@@ -358,11 +360,12 @@ def _best_split(col: np.ndarray, val: np.ndarray, lab: np.ndarray, n: int, n1: i
     # from trimming the heap and faulting it back in at every node.
     del ones_to
     zeros_before = edges - ones_before
-    # Boundary points: the cut before group j, in its column, where groups
-    # j - 1 and j together hold both classes.
-    cut = (ones_before[2:] > ones_before[:-2]) & (zeros_before[2:] > zeros_before[:-2])
+    # The cut before group j is scored where cut[j] holds.  Boundary points:
+    # in its column, where groups j - 1 and j together hold both classes.
+    cut = np.zeros(len(edges) - 1, dtype=bool)
+    cut[1:] = (ones_before[2:] > ones_before[:-2]) & (zeros_before[2:] > zeros_before[:-2])
     del zeros_before
-    cut &= ~col_head[edges[1:-1]]
+    cut[1:] &= ~col_head[edges[1:-1]]
     # Each partly-zero column's zero group: its rows, its label-1 rows, and
     # the entry (and group) after its negative values.
     starts = col_edges[:-1]
@@ -372,26 +375,22 @@ def _best_split(col: np.ndarray, val: np.ndarray, lab: np.ndarray, n: int, n1: i
     negatives = np.add.reduceat(val < 0.0, starts)[z]
     nonneg = starts[z] + negatives
     anchor = np.searchsorted(edges, nonneg)
+    # The cut above a zero group: before its column's first positive group.
+    above = anchor[nonneg < col_edges[z + 1]]
+    cut[above] = True
     with_neg = negatives > 0
-    with_pos = nonneg < col_edges[z + 1]
-    j = np.flatnonzero(cut) + 1  # the group after each boundary point
+    j = np.flatnonzero(cut)  # the group after each cut
     at = edges[j]
     c = np.searchsorted(col_edges, at, side="right") - 1
-    past_zero = val[at - 1] > 0.0  # the column's zero group is left of the cut
-    below_n1 = ones_before[anchor] - ones_before[col_groups[z]]
-    # Candidates: the boundary points, then the cut below each zero group,
-    # then the cut above it.
-    left_n = np.concatenate((
-        at - starts[c] + zeros[c] * past_zero,
-        negatives[with_neg],
-        (negatives + zeros[z])[with_pos],
-    ))
+    past_zero = val[at] > 0.0  # the column's zero group is left of the cut
+    # Candidates: the cuts before stored groups, then the cut below each
+    # zero group.
+    left_n = np.concatenate((at - starts[c] + zeros[c] * past_zero, negatives[with_neg]))
     if len(left_n) == 0:
         return None
     left_n1 = np.concatenate((
         ones_before[j] - ones_before[col_groups[c]] + zero_ones[c] * past_zero,
-        below_n1[with_neg],
-        (below_n1 + zero_ones[z])[with_pos],
+        ones_before[anchor[with_neg]] - ones_before[col_groups[z[with_neg]]],
     ))
     right_n = n - left_n
     right_n1 = n1 - left_n1
@@ -401,24 +400,17 @@ def _best_split(col: np.ndarray, val: np.ndarray, lab: np.ndarray, n: int, n1: i
     ) / n
     gains = _gini_from_counts(n - n1, n1) - weighted
     # The first maximum in (column, value) order: the cut before group j
-    # ranks 2j, and a zero group before group a has its cuts at 2a - 1 and
-    # 2a.  The boundary point before a, between the column's negative and
-    # positive values, has the counts of the cut below the zero group and
-    # ranks after it, so it never wins.
-    rank = np.concatenate((2 * j, 2 * anchor[with_neg] - 1, 2 * anchor[with_pos]))
+    # ranks 2j, and the cut below a zero group before group a ranks 2a - 1.
+    rank = np.concatenate((2 * j, 2 * anchor[with_neg] - 1))
     tied = np.flatnonzero(gains == gains.max())
     best = int(tied[np.argmin(rank[tied])])
     counts = int(left_n[best]), int(left_n1[best])
     if best < len(at):
         i = at[best]
-        return int(col[i]), _threshold(float(val[i - 1]), float(val[i])), *counts
-    best -= len(at)
-    below = nonneg[with_neg]
-    if best < len(below):
-        i = below[best]
-        return int(col[i - 1]), _threshold(float(val[i - 1]), 0.0), *counts
-    i = nonneg[with_pos][best - len(below)]
-    return int(col[i]), _threshold(0.0, float(val[i])), *counts
+        lower = 0.0 if j[best] in above else float(val[i - 1])
+        return int(col[i]), _threshold(lower, float(val[i])), *counts
+    i = nonneg[with_neg][best - len(at)]
+    return int(col[i - 1]), _threshold(float(val[i - 1]), 0.0), *counts
 
 
 def _threshold(lower: float, upper: float) -> float:
@@ -453,28 +445,30 @@ def _fit_tree(matrix: FeatureMatrix, config: TrainConfig) -> DecisionTreeModel:
     by_value = np.argsort(X.data)
     order = by_value[column_order(X.indices[by_value], matrix.dim)]
     col, val, row = X.indices[order], X.data[order], X.row_ids[order]
-    lab = y[row]
-    entries = (col, val, row, lab)
+    entries = (col, val, row)
     scratch = {dtype: np.empty(len(order), dtype) for dtype in {a.dtype for a in entries}}
     goes_left = np.empty(len(matrix), dtype=bool)
     columns = feature, threshold, left, right, label = [], [], [], [], []
     # Nodes are numbered in pre-order: a node, its left subtree, then its
-    # right subtree.  Each pending subtree holds its row and label-1
-    # counts, its [e0, e1) slice of the entry arrays, its depth, its
-    # parent, and the child column (``left`` or ``right``) whose parent
-    # entry must point at it.
-    pending = [(len(matrix), int(y.sum()), 0, len(order), 0, -1, None)]
+    # right subtree, so a split's left child is the next node.  Each pending
+    # subtree holds its row and label-1 counts, its [e0, e1) slice of the
+    # entry arrays, its depth, and the split whose right child it is (-1
+    # for a root or a left child).
+    pending = [(len(matrix), int(y.sum()), 0, len(order), 0, -1)]
     while pending:
-        n, n1, e0, e1, depth, parent, child = pending.pop()
+        n, n1, e0, e1, depth, parent = pending.pop()
         node_id = len(label)
         if parent >= 0:
-            child[parent] = node_id
+            right[parent] = node_id
         found = None
         if 0 < n1 < n and depth < config.tree_max_depth and n >= config.tree_min_samples_split:
-            found = _best_split(col[e0:e1], val[e0:e1], lab[e0:e1], n, n1)
+            found = _best_split(col[e0:e1], val[e0:e1], y[row[e0:e1]], n, n1)
         leaf = found is None  # pure, too deep, too small, or every column constant
         # A leaf's ties resolve to the non-spam label.
-        node = (-1, 0.0, -1, -1, 1 if n1 > n - n1 else 0) if leaf else (*found[:2], -1, -1, -1)
+        if leaf:
+            node = (-1, 0.0, -1, -1, 1 if n1 > n - n1 else 0)
+        else:
+            node = (*found[:2], node_id + 1, -1, -1)
         for column, value in zip(columns, node):
             column.append(value)
         if leaf:
@@ -487,8 +481,8 @@ def _fit_tree(matrix: FeatureMatrix, config: TrainConfig) -> DecisionTreeModel:
         f0, f1 = e0 + np.searchsorted(col[e0:e1], (on, on + 1))
         goes_left[row[f0:f1]] = val[f0:f1] <= cut
         e = e0 + _partition(goes_left[node_rows], [a[e0:e1] for a in entries], scratch)
-        pending.append((n - left_n, n1 - left_n1, e, e1, depth + 1, node_id, right))
-        pending.append((left_n, left_n1, e0, e, depth + 1, node_id, left))
+        pending.append((n - left_n, n1 - left_n1, e, e1, depth + 1, node_id))
+        pending.append((left_n, left_n1, e0, e, depth + 1, -1))
     return DecisionTreeModel(matrix.dim, *map(tuple, columns))
 
 

@@ -56,6 +56,29 @@ class CliRuntimeError(Exception):
         self.cause = cause
 
 
+def _to_devnull(stream) -> None:
+    """Point ``stream``'s descriptor at /dev/null.  After a failed write the
+    interpreter flushes the stream once more at exit; on a failure there it
+    would print a warning and exit 120, whatever the command returned."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, stream.fileno())
+    os.close(devnull)
+
+
+def _stderr_line(text: str) -> None:
+    """Write ``text`` and a newline to stderr, the one place this module
+    does.  A diagnostic that cannot be written changes neither the exit
+    code nor stdout: a closed stderr (None; `print` would fall back to
+    stdout) takes nothing, and a failed write is dropped."""
+    if sys.stderr is None:
+        return
+    try:
+        sys.stderr.write(text + "\n")
+        sys.stderr.flush()
+    except OSError:
+        _to_devnull(sys.stderr)
+
+
 @contextmanager
 def _stage(name: str):
     try:
@@ -70,8 +93,7 @@ class _Parser(argparse.ArgumentParser):
     """argparse exits 2 on usage errors by default; this tool uses 1."""
 
     def error(self, message):
-        self.print_usage(sys.stderr)
-        sys.stderr.write(f"{self.prog}: error: {message}\n")
+        _stderr_line(f"{self.format_usage()}{self.prog}: error: {message}")
         raise SystemExit(EXIT_USAGE)
 
     def print_help(self, file=None):
@@ -270,7 +292,7 @@ def _prepare_features(args):
 
 def _print_warnings(report: resample.ResampleReport) -> None:
     for warning in report.warnings:
-        print(f"warning: {warning}", file=sys.stderr)
+        _stderr_line(f"warning: {warning}")
 
 
 def _balance(args, matrix):
@@ -600,7 +622,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # from parse_args: --help or a usage error
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     except CliRuntimeError as exc:
-        print(f"error {exc}", file=sys.stderr)
+        _stderr_line(f"error {exc}")
         return EXIT_RUNTIME
 
 
@@ -620,13 +642,9 @@ def run(argv=None) -> int:
             if sys.stdout is not None:
                 sys.stdout.flush()
     except CliRuntimeError as exc:
-        # The interpreter flushes stdout once more at exit; on a failure
-        # there it would print a warning and exit 120, whatever this returns.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
+        _to_devnull(sys.stdout)
         if code != EXIT_RUNTIME:  # else `main` has reported its own error
-            print(f"error {exc}", file=sys.stderr)
+            _stderr_line(f"error {exc}")
         return EXIT_RUNTIME
     return code
 

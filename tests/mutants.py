@@ -336,10 +336,18 @@ CATALOGUE = (
     Mutant(
         name="tree-fit-links-both-children-left",
         path="src/textbalance/classify.py",
-        old="pending.append((n - left_n, n1 - left_n1, e, e1, depth + 1, node_id, right))",
-        new="pending.append((n - left_n, n1 - left_n1, e, e1, depth + 1, node_id, left))",
+        old="right[parent] = node_id",
+        new="left[parent] = node_id",
         kills=("tests/test_classify.py::TestDenseOracles::test_tree_matches_dense_reference",),
         origin="the fit writes each child's index into its own column",
+    ),
+    Mutant(
+        name="tree-right-subtree-left-unlinked",
+        path="src/textbalance/classify.py",
+        old="pending.append((n - left_n, n1 - left_n1, e, e1, depth + 1, node_id))",
+        new="pending.append((n - left_n, n1 - left_n1, e, e1, depth + 1, -1))",
+        kills=("tests/test_classify.py::TestDenseOracles::test_tree_matches_dense_reference",),
+        origin="a pending right subtree carries the split it is the right child of",
     ),
     Mutant(
         name="tree-right-child-takes-left-ones",
@@ -385,13 +393,29 @@ CATALOGUE = (
     Mutant(
         name="tree-boundary-from-adjacent-entries",
         path="src/textbalance/classify.py",
-        old="cut = (ones_before[2:] > ones_before[:-2]) & (zeros_before[2:] > zeros_before[:-2])",
-        new="cut = lab[edges[1:-1] - 1] != lab[edges[1:-1]]",
+        old="cut[1:] = (ones_before[2:] > ones_before[:-2]) & (zeros_before[2:] > zeros_before[:-2])",
+        new="cut[1:] = lab[edges[1:-1] - 1] != lab[edges[1:-1]]",
         kills=(
             "tests/test_classify.py::TestExactFitReferences"
             "::test_tree_fit_equals_reference_on_adversarial_columns",
         ),
         origin="ROADMAP direction 10: a boundary point is judged by its two value groups",
+    ),
+    Mutant(
+        name="tree-above-zero-cut-from-its-neighbour",
+        path="src/textbalance/classify.py",
+        old="lower = 0.0 if j[best] in above else float(val[i - 1])",
+        new="lower = float(val[i - 1])",
+        kills=("tests/test_classify.py::TestDenseOracles::test_tree_matches_dense_reference",),
+        origin="the cut above a zero group has the zero group's value 0.0 below it",
+    ),
+    Mutant(
+        name="tree-zero-group-side-from-the-group-before",
+        path="src/textbalance/classify.py",
+        old="past_zero = val[at] > 0.0",
+        new="past_zero = val[at - 1] > 0.0",
+        kills=("tests/test_classify.py::TestDenseOracles::test_tree_matches_dense_reference",),
+        origin="the cut above a zero group counts the zero group on its left",
     ),
     Mutant(
         name="nb-alpha-ignored",
@@ -586,6 +610,22 @@ CATALOGUE = (
             "::test_ends_in_exit_2_with_an_error_line[help-full-unbuffered]",
         ),
         origin="--help that cannot be written ends in error [write]",
+    ),
+    Mutant(
+        name="cli-stderr-line-lets-a-failed-write-through",
+        path="src/textbalance/cli.py",
+        old="    except OSError:\n        _to_devnull(sys.stderr)\n",
+        new="    except ValueError:\n        _to_devnull(sys.stderr)\n",
+        kills=("tests/test_cli.py::TestUnwritableStderr::test_exit_code_and_stdout_do_not_change",),
+        origin="a diagnostic that cannot be written changes neither the exit code nor stdout",
+    ),
+    Mutant(
+        name="cli-stderr-line-writes-to-a-closed-stderr",
+        path="src/textbalance/cli.py",
+        old="    if sys.stderr is None:\n        return\n",
+        new="    if sys.stderr is None:\n        print(text, file=sys.stderr)\n        return\n",
+        kills=("tests/test_cli.py::TestUnwritableStderr::test_exit_code_and_stdout_do_not_change",),
+        origin="with stderr closed, print(file=None) would fall back to stdout",
     ),
 )
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import gc
 import importlib
 import io
@@ -19,8 +20,9 @@ import pytest
 
 import oracles
 import textbalance
-from conftest import child_environ, cli_outputs_in_child, rand_matrix
+from conftest import child_environ, cli_outputs_in_child, dense_to_matrix, rand_matrix
 from corpora import two_vocab_corpus, write_corpus
+from sourcescan import ScopedVisitor, package_uses
 from textbalance import bundle as bundle_mod
 from textbalance import classify, cli, evaluate, preprocess, stopwords, vectorize
 from textbalance.classify import ALGORITHMS, TrainConfig
@@ -1585,3 +1587,111 @@ class TestUnwritableStdout:
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr == ""
         assert read_matrix(tmp_path / "o.txt").labels.count(1) == 30
+
+
+# Installed as `sitecustomize` in a child whose stderr cannot be read: an
+# uncaught exception, or one the interpreter can only ignore, then shows
+# on stdout.
+_STDERR_HOOKS = """
+import os, sys
+def _show(text):
+    os.write(1, f"{text}\\n".encode())
+sys.excepthook = lambda kind, value, tb: _show(f"Traceback: {kind.__name__}: {value}")
+sys.unraisablehook = lambda info: _show(f"Exception ignored: {info.exc_type.__name__}")
+"""
+
+
+class TestUnwritableStderr:
+    """A diagnostic the process cannot write, with stderr on a full device
+    or closed at start-up, changes neither the exit code nor stdout: no
+    traceback, no exit 120, and no error, usage or warning line falls back
+    to stdout.  A warning that cannot be written does not stop the run."""
+
+    # (argv, exit code, stdout)
+    CASES = {
+        "runtime-error": (["train", "--data", "missing.csv", "--algo", "nb"], 2, ""),
+        "usage-error": (["train", "--bogus"], 1, ""),
+        "warning": (["oversample", "--matrix", "{matrix}", "--out", "o.txt"], 0,
+                    "balanced 1/2 -> 2/2 (1 synthetic rows)\n"),
+    }
+
+    @pytest.fixture(scope="class")
+    def inputs(self, tmp_path_factory):
+        work = tmp_path_factory.mktemp("stderr")
+        # One minority row: SMOTE warns that its synthetic row duplicates it.
+        matrix = work / "m.txt"
+        write_matrix(dense_to_matrix([[1.0, 0.0], [0.0, 2.0], [0.5, 0.0]], [0, 0, 1]), matrix)
+        hooks = work / "hooks"
+        hooks.mkdir()
+        (hooks / "sitecustomize.py").write_text(_STDERR_HOOKS, encoding="utf-8")
+        return {"matrix": matrix, "hooks": hooks}
+
+    def _child(self, argv, inputs, cwd, env, stderr) -> subprocess.CompletedProcess:
+        """``python -m textbalance.cli *argv`` with the hooks loaded, and
+        stderr on the open file ``stderr``, or closed where it is None."""
+        child_env = child_environ(env)
+        child_env["PYTHONPATH"] = os.pathsep.join((str(inputs["hooks"]), child_env["PYTHONPATH"]))
+        command = [sys.executable, "-m", "textbalance.cli", *map(str, argv)]
+        if stderr is None:
+            command = ["sh", "-c", 'exec "$0" "$@" 2>&-', *command]
+        return subprocess.run(command, cwd=cwd, env=child_env, stdout=subprocess.PIPE,
+                              stderr=stderr, text=True, timeout=120)
+
+    def test_the_hooks_show_an_uncaught_exception_on_stdout(self, inputs, tmp_path):
+        proc = subprocess.run(
+            [sys.executable, "-c", "raise KeyError('k')"], cwd=tmp_path,
+            env=dict(os.environ, PYTHONPATH=str(inputs["hooks"])),
+            capture_output=True, text=True, timeout=120,
+        )
+        assert (proc.returncode, proc.stdout) == (1, "Traceback: KeyError: 'k'\n")
+
+    @pytest.mark.parametrize("stderr", ["full-unbuffered", "full-buffered", "closed"])
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_exit_code_and_stdout_do_not_change(self, inputs, tmp_path, case, stderr):
+        template, code, stdout = self.CASES[case]
+        argv = [arg.format(**inputs) for arg in template]
+        env = {"PYTHONUNBUFFERED": "1" if stderr == "full-unbuffered" else None}
+        if stderr == "closed":
+            proc = self._child(argv, inputs, tmp_path, env, None)
+        else:
+            if not os.path.exists("/dev/full"):
+                pytest.skip("no /dev/full on this system")
+            with open("/dev/full", "wb") as full:
+                proc = self._child(argv, inputs, tmp_path, env, full)
+        assert (proc.returncode, proc.stdout) == (code, stdout)
+        if case == "warning":
+            assert read_matrix(tmp_path / "o.txt").labels == (0, 0, 1, 1)
+
+
+class _StderrUses(ScopedVisitor):
+    """Each ``sys.stderr`` attribute, and each ``stderr`` imported from
+    ``sys``, keyed by its enclosing class and function scopes."""
+
+    def visit_Attribute(self, node):
+        if isinstance(node.value, ast.Name) and node.value.id == "sys" and node.attr == "stderr":
+            self._record("sys.stderr", node)
+        self.generic_visit(node)
+
+    def visit_ImportFrom(self, node):
+        if node.module == "sys" and any(alias.name == "stderr" for alias in node.names):
+            self._record("sys.stderr", node)
+
+
+def test_stderr_visitor_finds_every_form():
+    source = (
+        "import sys\nfrom sys import stderr\n"
+        "def f():\n    print('x', file=sys.stderr)\n"
+        "class P:\n    def error(self):\n        sys.stderr.write('x')\n"
+    )
+    visitor = _StderrUses("m")
+    visitor.visit(ast.parse(source))
+    assert visitor.found == [("m", "sys.stderr", 2), ("m.f", "sys.stderr", 4),
+                             ("m.P.error", "sys.stderr", 7)]
+
+
+def test_only_the_diagnostic_helper_touches_stderr():
+    """A diagnostic written past `cli._stderr_line` (a ``print(...,
+    file=sys.stderr)`` or ``sys.stderr.write``) would end a run with a
+    traceback or exit 120 when stderr cannot be written."""
+    uses = package_uses(_StderrUses)
+    assert uses and {function for function, _, _ in uses} == {"cli._stderr_line"}, uses
