@@ -83,8 +83,6 @@ def _stderr_line(text: str) -> None:
 def _stage(name: str):
     try:
         yield
-    except CliRuntimeError:
-        raise
     except (ValueError, OSError) as exc:
         raise CliRuntimeError(name, exc) from exc
 
@@ -423,6 +421,8 @@ def _texts_for_predict(args):
     with _stage("read"):  # strict UTF-8 from either source, whatever the locale
         if args.input:
             return _lines(Path(args.input).read_text(encoding="utf-8"))
+        if sys.stdin is None:  # fd 0 was closed at start-up
+            raise OSError("stdin is closed")
         return _lines(sys.stdin.buffer.read().decode("utf-8"))
 
 

@@ -153,7 +153,7 @@ def _iter_csv_records(path: Path):
             _require_unique_fields(reader.fieldnames, "CSV header")
             for row in reader:
                 if None in row:
-                    raise DatasetError(f"record {reader.line_num}: more fields than header columns")
+                    raise DatasetError(f"line {reader.line_num}: more fields than header columns")
                 yield {k: v for k, v in row.items() if k in ("id", "text", "label")}
         except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
             raise DatasetError(f"line {reader.reader.line_num}: malformed CSV ({exc})") from exc

@@ -16,33 +16,34 @@ those texts and written as one string.  The bytes are those of one
 ``f"{r} {c} {v!r}\n"`` per entry, and memory follows the chunk, not the
 matrix's row count or dim.
 
-Reading has a fast path and a checker.  The fast path parses chunks of
-about 64 KiB of lines and keeps no container per line: it checks each
-line's field count with a split it drops at once, takes the chunk's fields
-from one ``str.split``, and parses every third of them with the same
-``int()`` and ``float()`` as the checker.  Every line break is whitespace to
-``str.split``, so those fields are the lines' triples in order.  It then
-checks finiteness and bounds per chunk and order and repeats once over all
-entries, with numpy.  It gives up on any fault, and the checker then reads
-the file line by line and raises a `MatrixFormatError` naming the first
-faulty line, so the fast path changes neither a matrix nor a message.
-Only a few flat lists per chunk outlive a line, so a read triggers no
-cyclic garbage collection however many lines it parses.
+Reading has one parser.  It parses chunks of about 64 KiB of lines and
+keeps no container per line: it checks each line's field count with a
+split it drops at once, takes the chunk's fields from one ``str.split``,
+and parses every third of them with ``int()`` and ``float()``.  Every line
+break is whitespace to ``str.split``, so those fields are the lines'
+triples in order.  It then checks finiteness and bounds per chunk and
+order and repeats once over all entries, with numpy.  It gives up on any
+fault, and only then does a line reader go through the file to raise a
+`MatrixFormatError` naming the first faulty line; it keeps the (row, col)
+keys it has seen and nothing else.  Only a few flat lists per chunk
+outlive a line, so a read triggers no cyclic garbage collection however
+many lines it parses.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Callable, Iterator
+from collections.abc import Callable
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
 from .vectorize import CsrView, FeatureMatrix
 
-_CHUNK_ENTRIES = 1 << 13  # stored entries `_entry_texts` formats and joins per chunk
-_CHUNK_CHARS = 1 << 16  # text parsed per chunk by the fast path
+_CHUNK_ENTRIES = 1 << 13  # stored entries `write_matrix` formats and joins per chunk
+_CHUNK_CHARS = 1 << 16  # text `_parse_fast` parses per chunk
 
 
 class MatrixFormatError(ValueError):
@@ -63,29 +64,21 @@ def _format_distinct(values: np.ndarray, form: Callable) -> np.ndarray:
     return texts[inverse]
 
 
-def _entry_texts(columns: list[tuple[np.ndarray, Callable]]) -> Iterator[str]:
-    """The text of every stored entry, joined `_CHUNK_ENTRIES` at a time.
-    Each (array, form) column gives one item per entry, and an entry's text
-    is its columns' ``form(item)`` in order.  Every table is sized by the
-    chunk, never by a matrix's row count or dim."""
-    n, chunk = columns[0][0].size, _CHUNK_ENTRIES
-    for lo in range(0, n, chunk):
-        table = np.stack(
-            [_format_distinct(items[lo : lo + chunk], form) for items, form in columns], axis=1
-        )
-        yield "".join(table.ravel().tolist())
-
-
 def write_matrix(matrix: FeatureMatrix, path, labels_path=None) -> None:
     path = Path(path)
     labels_path = default_labels_path(path) if labels_path is None else Path(labels_path)
     csr = matrix.csr
     # Each newline is written ahead of the line it precedes (the last one
-    # after the loop), so a value's text is its bare `repr`.
+    # after the loop), so a value's text is its bare `repr`.  An entry's
+    # text is its columns' texts in order, and every table is sized by the
+    # chunk, never by the row count or dim.
     columns = [(csr.row_ids, "\n{} ".format), (csr.indices, "{} ".format), (csr.data, repr)]
     with path.open("w", encoding="utf-8") as out:
         out.write(f"{len(matrix)} {matrix.dim} {csr.data.size}")
-        out.writelines(_entry_texts(columns))
+        for lo in range(0, csr.data.size, _CHUNK_ENTRIES):
+            chunk = slice(lo, lo + _CHUNK_ENTRIES)
+            texts = [_format_distinct(items[chunk], form) for items, form in columns]
+            out.write("".join(np.stack(texts, axis=1).ravel().tolist()))
         out.write("\n")
     labels_path.write_text("".join(f"{lb}\n" for lb in matrix.labels), encoding="utf-8")
 
@@ -96,7 +89,7 @@ def read_matrix(path, labels_path=None) -> FeatureMatrix:
     text = path.read_text(encoding="utf-8-sig")
     parsed = _parse_fast(path, text)
     if parsed is None:
-        parsed = _parse_checked(path, text.splitlines())
+        _first_fault(path, text.splitlines())
     n_rows, n_cols, rows, cols, data = parsed
     labels = _read_labels(labels_path, n_rows)
     # Only now has the label file backed up the header's row count.
@@ -133,9 +126,8 @@ def _line_chunks(text: str):
 
 def _parse_fast(path: Path, text: str):
     """The stored entries as sorted (rows, cols, data) arrays, parsed a
-    chunk of lines at a time with the same ``int()`` and ``float()`` as
-    `_parse_checked` and checked with array operations; None wherever that
-    checker could fail, so it runs and words the error."""
+    chunk of lines at a time and checked with array operations; None on
+    any fault, which `_first_fault` then words."""
     chunks = _line_chunks(text)
     first = next(chunks, "")
     lines = first.splitlines()
@@ -178,18 +170,18 @@ def _increasing(rows: np.ndarray, cols: np.ndarray) -> bool:
     return bool(((step > 0) | ((step == 0) & (np.diff(cols) > 0))).all())
 
 
-def _parse_checked(path: Path, lines: list[str]):
-    """Line by line: the first fault raises a `MatrixFormatError` naming
-    its line.  Returns what `_parse_fast` returns for the same file."""
-    n_rows, n_cols, nnz = _header(path, lines[0] if lines else "")
-    # Values by (row, col).  The CSR arrays are built only once the file has
-    # backed the header up, so memory follows the file's contents, not the
-    # row count it claims.
-    entries: dict[tuple[int, int], float] = {}
+def _first_fault(path: Path, lines: list[str]) -> NoReturn:
+    """Raise a `MatrixFormatError` naming the first faulty line of a file
+    that `_parse_fast` gave up on.  Lines are checked in order, each for
+    what that parser checks, keeping only the (row, col) keys seen so far.
+    The file has a fault, so when no line holds one, the entry count is
+    wrong."""
+    n_rows, n_cols, nnz = _header(path, lines[0])
+    seen: set[tuple[int, int]] = set()
     for line_num, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
         parts = line.split()
+        if not parts:
+            continue
         if len(parts) != 3:
             raise MatrixFormatError(f"{path}:{line_num}: expected 'row col value'")
         try:
@@ -200,16 +192,10 @@ def _parse_checked(path: Path, lines: list[str]):
             raise MatrixFormatError(f"{path}:{line_num}: non-finite value {parts[2]!r}")
         if not 0 <= r < n_rows or not 0 <= c < n_cols:
             raise MatrixFormatError(f"{path}:{line_num}: index out of bounds")
-        if (r, c) in entries:
+        if (r, c) in seen:
             raise MatrixFormatError(f"{path}:{line_num}: duplicate entry ({r}, {c})")
-        entries[r, c] = v
-    if len(entries) != nnz:
-        raise MatrixFormatError(f"{path}: header claims {nnz} entries, found {len(entries)}")
-
-    kept = sorted(key for key, v in entries.items() if v != 0.0)
-    rows, cols = np.array(kept, dtype=np.int64).reshape(-1, 2).T
-    data = np.array([entries[key] for key in kept], dtype=np.float64)
-    return n_rows, n_cols, rows, cols, data
+        seen.add((r, c))
+    raise MatrixFormatError(f"{path}: header claims {nnz} entries, found {len(seen)}")
 
 
 def _read_labels(labels_path: Path, n_rows: int) -> tuple[int, ...]:

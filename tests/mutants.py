@@ -441,6 +441,26 @@ CATALOGUE = (
         origin="the fast matrix reader rejects a repeated (row, col) pair",
     ),
     Mutant(
+        name="matrix-line-reader-tests-duplicates-first",
+        path="src/textbalance/matrixio.py",
+        old=(
+            "        if (r, c) in seen:\n"
+            "            raise MatrixFormatError(f\"{path}:{line_num}: duplicate entry ({r}, {c})\")\n"
+        ),
+        new="",
+        also=((
+            "        if not math.isfinite(v):\n",
+            "        if (r, c) in seen:\n"
+            "            raise MatrixFormatError(f\"{path}:{line_num}: duplicate entry ({r}, {c})\")\n"
+            "        if not math.isfinite(v):\n",
+        ),),
+        kills=(
+            "tests/test_bundle.py::TestReaderFastPath"
+            "::test_invalid_inputs_get_the_checker_message[duplicate_non_finite]",
+        ),
+        origin="the line reader names a line's first fault in the array parser's order",
+    ),
+    Mutant(
         name="matrix-digest-without-indptr",
         path="src/textbalance/vectorize.py",
         old='            (csr.indptr, "<i8"),\n',
@@ -599,6 +619,17 @@ CATALOGUE = (
             "::test_ends_in_exit_2_with_an_error_line[oversample-closed-pipe-buffered]",
         ),
         origin="stdout that cannot be written ends in error [write], not exit 120",
+    ),
+    Mutant(
+        name="predict-reads-a-closed-stdin",
+        path="src/textbalance/cli.py",
+        old=(
+            "        if sys.stdin is None:  # fd 0 was closed at start-up\n"
+            "            raise OSError(\"stdin is closed\")\n"
+        ),
+        new="",
+        kills=("tests/test_cli.py::TestClosedStdin::test_predict_ends_in_a_read_error",),
+        origin="predict with stdin closed ends in error [read], not a traceback",
     ),
     Mutant(
         name="cli-help-drops-a-failed-write",

@@ -19,7 +19,9 @@ on every post that was not ASCII.
 
 `matrix_digest` packs a matrix's digest one element at a time with
 `struct`, and `text_digest` is the ``repr`` text digest that the pinned
-SMOTE outputs were recorded in.
+SMOTE outputs were recorded in.  `read_matrix_entries` is the line-by-line
+matrix-file reader that `matrixio.read_matrix` once fell back to: it both
+parses a file and words its first fault.
 
 The fit references at the end (logistic, SVM, tree) run the package's
 fits in their plainest loop form: every matrix product is an explicit
@@ -37,6 +39,7 @@ import re
 import struct
 from collections.abc import Iterable
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -47,6 +50,7 @@ from textbalance.classify import (
     TrainConfig,
     TrainedClassifier,
 )
+from textbalance.matrixio import MatrixFormatError
 from textbalance.resample import SmoteConfig
 from textbalance.rng import STREAM_GAP, STREAM_NEIGHBOR, derive_stream
 from textbalance.vectorize import CsrView, TfIdfModel
@@ -420,6 +424,57 @@ def text_digest(matrix) -> str:
         h.update(";".join(f"{index}:{value!r}" for index, value in row).encode())
         h.update(b"\n")
     return h.hexdigest()
+
+
+def _matrix_header(path: Path, line: str) -> tuple[int, int, int]:
+    if not line.strip():
+        raise MatrixFormatError(f"{path}: missing header line")
+    header = line.split()
+    if len(header) != 3:
+        raise MatrixFormatError(f"{path}: header must be 'nrows ncols nnz'")
+    try:
+        n_rows, n_cols, nnz = (int(x) for x in header)
+    except ValueError as exc:
+        raise MatrixFormatError(f"{path}: non-integer header field") from exc
+    if n_rows < 0 or n_cols < 0 or nnz < 0:
+        raise MatrixFormatError(f"{path}: negative header field")
+    if max(n_rows, n_cols) >= 2**63:
+        raise MatrixFormatError(f"{path}: header field does not fit a 64-bit index")
+    return n_rows, n_cols, nnz
+
+
+def read_matrix_entries(path):
+    """A sparse-matrix file's ``(n_rows, n_cols, rows, cols, data)``, read
+    line by line into a dict keyed by (row, col): the entries as lists
+    sorted by (row, col), stored zeros of either sign dropped.  The first
+    fault raises a `MatrixFormatError` naming its line."""
+    path = Path(path)
+    lines = path.read_text(encoding="utf-8-sig").splitlines()
+    n_rows, n_cols, nnz = _matrix_header(path, lines[0] if lines else "")
+    entries: dict[tuple[int, int], float] = {}
+    for line_num, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        parts = line.split()
+        if len(parts) != 3:
+            raise MatrixFormatError(f"{path}:{line_num}: expected 'row col value'")
+        try:
+            r, c, v = int(parts[0]), int(parts[1]), float(parts[2])
+        except ValueError as exc:
+            raise MatrixFormatError(f"{path}:{line_num}: unparsable triple") from exc
+        if not math.isfinite(v):
+            raise MatrixFormatError(f"{path}:{line_num}: non-finite value {parts[2]!r}")
+        if not 0 <= r < n_rows or not 0 <= c < n_cols:
+            raise MatrixFormatError(f"{path}:{line_num}: index out of bounds")
+        if (r, c) in entries:
+            raise MatrixFormatError(f"{path}:{line_num}: duplicate entry ({r}, {c})")
+        entries[r, c] = v
+    if len(entries) != nnz:
+        raise MatrixFormatError(f"{path}: header claims {nnz} entries, found {len(entries)}")
+    kept = sorted(key for key, v in entries.items() if v != 0.0)
+    rows = [r for r, _ in kept]
+    cols = [c for _, c in kept]
+    return n_rows, n_cols, rows, cols, [entries[key] for key in kept]
 
 
 # -- classifier fits --------------------------------------------------------

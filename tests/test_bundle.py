@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 import re
@@ -11,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import oracles
 from conftest import matrix_of, rand_matrix
 from textbalance.bundle import (
     BundleError,
@@ -32,6 +34,7 @@ from textbalance.matrixio import (
     read_matrix,
     write_matrix,
 )
+from textbalance.rng import SplitMix64
 from textbalance.stopwords import default_stopwords
 from textbalance.vectorize import FeatureMatrix, fit
 
@@ -302,7 +305,7 @@ class TestMatrixIo:
         labels = tmp_path / "bad.mtx.labels"
         path.write_text("1 2 2\n0 0 1.0\n")
         labels.write_text("0\n")
-        with pytest.raises(MatrixFormatError, match="nnz"):
+        with pytest.raises(MatrixFormatError, match="header claims 2 entries, found 1$"):
             read_matrix(path)
 
     def test_out_of_range_index_detected(self, tmp_path):
@@ -359,7 +362,69 @@ def _outcome(path):
     return csr.indptr.tolist(), csr.indices.tolist(), values, matrix.dim, matrix.labels
 
 
-# Accepted by the chunked fast path as well as by the line-by-line checker.
+def _reference_outcome(path):
+    """`_outcome` by way of the line-by-line reference reader."""
+    try:
+        n_rows, n_cols, rows, cols, data = oracles.read_matrix_entries(path)
+    except MatrixFormatError as exc:
+        return str(exc)
+    labels = tuple(int(x) for x in default_labels_path(path).read_text().split())
+    indptr = [bisect.bisect_left(rows, r) for r in range(n_rows + 1)]
+    return indptr, cols, [repr(v) for v in data], n_cols, labels
+
+
+def _pick(rng: SplitMix64, items: list):
+    return items[rng.next_below(len(items))]
+
+
+# What the seeded bodies are drawn from: mostly plain fields, and now and
+# then one that `int()` or `float()` refuses, reads in another form, or
+# that does not fit an int64.
+_ODD_INDEXES = ["+1", "-1", "01", "1_0", "\u0661", str(2**63), str(-(2**64)), "x", "1.0"]
+_VALUES = ["1.0", "-2.5", "0.0", "-0.0", "5e-324", "1e-07", "0.1"]
+_ODD_VALUES = ["1_0.5", "+7e-3", "\u0661.\u0665", "nan", "inf", "-inf", "1e400", "x", "0x1p3"]
+_FIELD_GAPS = [" ", " ", "\t", "  ", "\x1f", "\xa0"]
+_LINE_BREAKS = ["\n", "\n", "\r\n", "\r", "\x0b", "\x1c", "\x85", "\u2028"]
+# The faults a seeded body can hold, as their messages name them.
+MATRIX_FAULTS = (
+    "expected 'row col value'", "unparsable triple", "non-finite value", "index out of bounds",
+    "duplicate entry", "header claims", "negative header field", "does not fit a 64-bit index",
+)
+
+
+def _random_body(rng: SplitMix64, n_rows: int) -> str:
+    """A matrix file of up to seven entries over ``n_rows`` rows, valid or
+    not: indexes one past the bounds, repeated pairs, odd fields, wrong
+    field counts, blank lines and an entry count off by one."""
+
+    def chance(n: int) -> bool:
+        return rng.next_below(n) == 0
+
+    def index(bound: int) -> str:
+        if chance(40):
+            return _pick(rng, _ODD_INDEXES)
+        return str(bound if bound == 0 or chance(20) else rng.next_below(bound))
+
+    n_cols = rng.next_below(6)
+    lines = []
+    for _ in range(rng.next_below(8)):
+        value = _pick(rng, _ODD_VALUES) if chance(30) else _pick(rng, _VALUES)
+        fields = [index(n_rows), index(n_cols), value]
+        if chance(40):
+            fields = fields[: rng.next_below(3)] if chance(2) else [*fields, "1"]
+        lines.append(_pick(rng, _FIELD_GAPS).join(fields))
+        if chance(10):
+            lines.append(_pick(rng, ["", " ", "\t"]))
+    nnz = sum(1 for line in lines if line.strip()) + (_pick(rng, [-1, 1]) if chance(12) else 0)
+    header = [n_rows, n_cols, max(nnz, 0)]
+    if chance(40):
+        header[rng.next_below(3)] = _pick(rng, [-1, 2**63])
+    body = [" ".join(map(str, header)), *lines]
+    text = "".join(line + _pick(rng, _LINE_BREAKS) for line in body)
+    return text if chance(2) else text[:-1]
+
+
+# Accepted by the chunked fast path as well as by the line-by-line reference.
 VALID_BODIES = {
     "signs_underscores_nonascii_digits": "4 20 4\n+2 1_0 1.5\n0 \u0663 -2.5\n\u0661 0 1_000.5\n3 +19 +7e-3\n",
     "subnormals_and_dropped_zeros": (
@@ -370,7 +435,7 @@ VALID_BODIES = {
     "tabs_and_unit_separator": "2 2 2\n0\t0  1.0 \n 1 1\x1f2.0\n",
     "leading_byte_order_mark": "\ufeff2 2 2\n0 0 1.0\n1 1 2.0\n",
 }
-# Rejected: the checker words the error and names the line.
+# Rejected: the line reader words the error and names the line.
 INVALID_BODIES = {
     "vt_splits_a_line": "2 2 1\n0\x0b1 1.0\n",
     "unparsable": "2 2 1\n0 x 1.0\n",
@@ -382,13 +447,15 @@ INVALID_BODIES = {
     "two_fields": "2 2 1\n0 0\n",
     "missing_header": "\n0 0 1.0\n",
     "empty_file": "",
+    "duplicate_non_finite": "2 2 2\n0 0 1.0\n0 0 nan\n",
 }
 
 
 class TestReaderFastPath:
-    """`read_matrix` parses in chunks and checks with arrays, falling back
-    to the line-by-line checker on any fault; both must agree on every
-    input, matrix for matrix and message for message."""
+    """`read_matrix` parses in chunks and checks with arrays, and words a
+    fault with a line reader only once the array parser has given up; it
+    must agree with the line-by-line reference reader on every input,
+    matrix for matrix and message for message."""
 
     @staticmethod
     def write(tmp_path, body, n_rows):
@@ -398,32 +465,46 @@ class TestReaderFastPath:
         return path
 
     @staticmethod
-    def assert_same_as_checker(path, monkeypatch):
-        fast = _outcome(path)
-        with monkeypatch.context() as patch:
-            patch.setattr(matrixio, "_parse_fast", lambda path, text: None)
-            checked = _outcome(path)
-        assert fast == checked
-        return fast
+    def assert_same_as_reference(path):
+        outcome = _outcome(path)
+        assert outcome == _reference_outcome(path)
+        return outcome
 
     @pytest.mark.parametrize("name", sorted(VALID_BODIES))
-    def test_valid_inputs_take_the_fast_path(self, tmp_path, monkeypatch, name):
+    def test_valid_inputs_take_the_fast_path(self, tmp_path, name):
         body = VALID_BODIES[name]
         text = body.removeprefix("\ufeff")  # what `read_matrix` decodes
         path = self.write(tmp_path, body, int(text.split()[0]))
         assert matrixio._parse_fast(path, text) is not None
-        assert not isinstance(self.assert_same_as_checker(path, monkeypatch), str)
+        assert not isinstance(self.assert_same_as_reference(path), str)
 
     @pytest.mark.parametrize("name", sorted(INVALID_BODIES))
-    def test_invalid_inputs_get_the_checker_message(self, tmp_path, monkeypatch, name):
+    def test_invalid_inputs_get_the_checker_message(self, tmp_path, name):
         body = INVALID_BODIES[name]
         path = self.write(tmp_path, body, 2)
-        assert isinstance(self.assert_same_as_checker(path, monkeypatch), str)
+        assert isinstance(self.assert_same_as_reference(path), str)
 
-    def test_explicit_zeros_and_order(self, tmp_path, monkeypatch):
+    def test_seeded_bodies_match_the_reference(self, tmp_path, monkeypatch):
+        rng = SplitMix64(38)
+        faults: set[str] = set()
+        valid = 0
+        for _ in range(2400):
+            # Small chunks put chunk boundaries between and inside lines.
+            monkeypatch.setattr(matrixio, "_CHUNK_CHARS", _pick(rng, [1, 5, 16, 1 << 16]))
+            n_rows = rng.next_below(4)
+            path = self.write(tmp_path, _random_body(rng, n_rows), n_rows)
+            outcome = self.assert_same_as_reference(path)
+            if isinstance(outcome, str):
+                faults.update(fault for fault in MATRIX_FAULTS if fault in outcome)
+            else:
+                valid += 1
+        assert valid > 400
+        assert faults == set(MATRIX_FAULTS)
+
+    def test_explicit_zeros_and_order(self, tmp_path):
         body = VALID_BODIES["subnormals_and_dropped_zeros"]
-        indptr, indices, values, _, _ = self.assert_same_as_checker(
-            self.write(tmp_path, body, 3), monkeypatch
+        indptr, indices, values, _, _ = self.assert_same_as_reference(
+            self.write(tmp_path, body, 3)
         )
         assert (indptr, indices, values) == ([0, 1, 1, 3], [0, 0, 2], ["5e-324", "-5e-324", "2.2250738585072014e-308"])
 
@@ -432,7 +513,7 @@ class TestReaderFastPath:
         [("7 7 oops", "unparsable triple"), ("0 0 9.0", "duplicate entry (0, 0)")],
         ids=["bad_line", "duplicate"],
     )
-    def test_fault_in_a_later_chunk_names_its_line(self, tmp_path, monkeypatch, fault, message):
+    def test_fault_in_a_later_chunk_names_its_line(self, tmp_path, fault, message):
         n_rows = 3000
         lines = [f"{r} {c} {r + c + 0.5!r}" for r in range(n_rows) for c in range(3)]
         at = len(lines) - 5
@@ -442,7 +523,7 @@ class TestReaderFastPath:
         fault_line = at + 2  # 1-based, after the header
         assert fault_line > first_chunk_lines + 1
         path = self.write(tmp_path, body, n_rows)
-        assert self.assert_same_as_checker(path, monkeypatch) == f"{path}:{fault_line}: {message}"
+        assert self.assert_same_as_reference(path) == f"{path}:{fault_line}: {message}"
         lines.remove(fault)
         path = self.write(tmp_path, f"{n_rows} 8 {len(lines)}\n" + "\n".join(lines), n_rows)
-        assert len(self.assert_same_as_checker(path, monkeypatch)[1]) == len(lines)
+        assert len(self.assert_same_as_reference(path)[1]) == len(lines)

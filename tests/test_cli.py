@@ -195,6 +195,76 @@ class TestRuntimeErrors:
         assert capsys.readouterr().err == f"error [ingest] {message}\n"
         assert not out.exists()
 
+    # (input files, argv, the one stderr line); paths are relative to the working directory.
+    BAD_INPUTS = {
+        "jsonl-label-true": (
+            {"posts.jsonl": '{"text": "a", "label": true}\n'},
+            ["train", "--data", "posts.jsonl", "--format", "jsonl", "--algo", "nb"],
+            "error [ingest] record 1: label must be 0 or 1, got True",
+        ),
+        "jsonl-numeric-id-is-a-string": (
+            {"posts.jsonl": '{"id": 7, "text": "a", "label": 0}\n'
+                            '{"id": "7", "text": "b", "label": 1}\n'},
+            ["train", "--data", "posts.jsonl", "--format", "jsonl", "--algo", "nb"],
+            "error [ingest] duplicate document id '7'",
+        ),
+        "jsonl-empty-id": (
+            {"posts.jsonl": '{"id": "", "text": "a", "label": 0}\n'},
+            ["train", "--data", "posts.jsonl", "--format", "jsonl", "--algo", "nb"],
+            "error [ingest] record 1: empty 'id' value",
+        ),
+        "jsonl-not-an-object": (
+            {"posts.jsonl": '[{"text": "a", "label": 0}]\n'},
+            ["report", "--data", "posts.jsonl", "--format", "jsonl", "--algos", "nb"],
+            "error [ingest] record at line 1: expected a JSON object",
+        ),
+        "csv-empty-file": (
+            {"posts.csv": ""},
+            ["scatter", "--data", "posts.csv"],
+            "error [ingest] posts.csv: empty dataset (no records)",
+        ),
+        "csv-more-fields-than-header": (
+            {"posts.csv": "text,label\nfree money,1,extra\n"},
+            ["train", "--data", "posts.csv", "--algo", "nb"],
+            "error [ingest] line 2: more fields than header columns",
+        ),
+        "one-record": (
+            {"posts.csv": "text,label\nfree money,1\n"},
+            ["train", "--data", "posts.csv", "--algo", "nb"],
+            "error [ingest] corpus must contain at least 2 documents",
+        ),
+        "matrix-negative-header": (
+            {"m.mtx": "-1 2 0\n", "m.mtx.labels": ""},
+            ["oversample", "--matrix", "m.mtx", "--out", "o.mtx"],
+            "error [read] m.mtx: negative header field",
+        ),
+        "matrix-missing-labels": (
+            {"m.mtx": "2 2 1\n0 0 1.0\n"},
+            ["oversample", "--matrix", "m.mtx", "--out", "o.mtx"],
+            "error [read] label sidecar file not found: m.mtx.labels",
+        ),
+        "labels-blank-lines-skipped": (
+            {"m.mtx": "3 2 1\n0 0 1.0\n", "m.mtx.labels": "0\n\n1\n\n"},
+            ["oversample", "--matrix", "m.mtx", "--out", "o.mtx"],
+            "error [read] m.mtx.labels: 2 labels for 3 matrix rows",
+        ),
+        "bundle-json-list": (
+            {"b.json": "[]"},
+            ["predict", "--bundle", "b.json", "free money"],
+            "error [bundle] b.json: bundle must be a JSON object",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", list(BAD_INPUTS))
+    def test_bad_input_exits_2_with_its_error_line(self, tmp_path, capsys, monkeypatch, case):
+        files, argv, line = self.BAD_INPUTS[case]
+        for name, text in files.items():
+            (tmp_path / name).write_text(text, encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        assert run(argv) == 2
+        assert capsys.readouterr() == ("", line + "\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(files)
+
     @pytest.mark.parametrize(
         "command",
         [
@@ -1661,6 +1731,26 @@ class TestUnwritableStderr:
         assert (proc.returncode, proc.stdout) == (code, stdout)
         if case == "warning":
             assert read_matrix(tmp_path / "o.txt").labels == (0, 0, 1, 1)
+
+
+class TestClosedStdin:
+    """With fd 0 closed at start-up, sys.stdin is None: `predict` with no
+    text and no --input ends in ``error [read]``, not a traceback."""
+
+    def test_predict_ends_in_a_read_error(self, dataset, tmp_path):
+        model = tmp_path / "model.json"
+        assert run(["train", "--data", dataset, "--algo", "nb", "--out", model]) == 0
+        proc = subprocess.run(
+            ["sh", "-c", 'exec "$0" -m textbalance.cli "$@" <&-', sys.executable,
+             "predict", "--bundle", str(model)],
+            cwd=tmp_path,
+            env=child_environ({}),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == "error [read] stdin is closed\n"
 
 
 class _StderrUses(ScopedVisitor):

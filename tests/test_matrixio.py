@@ -124,15 +124,15 @@ class TestHugeDim:
 
 
 class TestReaderContract:
-    """Whatever the writer emits re-reads through the fast path: the
-    line-by-line checker exists only to word errors."""
+    """Whatever the writer emits re-reads through the array parser: the
+    line reader runs only to word an error."""
 
     @pytest.mark.parametrize("shape", SHAPES)
     def test_written_files_never_reach_the_checker(self, tmp_path, monkeypatch, shape):
-        def checker(path, lines):
-            raise AssertionError(f"{path} fell back to the checker")
+        def first_fault(path, lines):
+            raise AssertionError(f"{path} reached the line reader")
 
-        monkeypatch.setattr(matrixio, "_parse_checked", checker)
+        monkeypatch.setattr(matrixio, "_first_fault", first_fault)
         matrix = random_matrix(*shape)
         path = tmp_path / "m.mtx"
         write_matrix(matrix, path)
