@@ -5,27 +5,31 @@ dense copies: multinomial naive Bayes with Laplace smoothing (fractional
 feature mass is allowed), L2-regularized logistic regression, the
 L2-loss (squared hinge) linear SVM, and a greedy Gini CART tree.  The two
 linear fits share one loop: accelerated gradient descent (FISTA, Beck &
-Teboulle 2009) with gradient restart (O'Donoghue & Candès 2015) for
-`epochs` (default 60), at a fixed step 1/L per coordinate, so no
-objective is ever evaluated.  L is one value for the bias, 2c plus its
-ridge, and one for every weight, 2c·λ̂ plus theirs, where c bounds the
-loss's second derivative and λ̂ is a Collatz–Wielandt bound on
-λ_max(XᵀX)/n from 8 power steps (`_step_sizes`).  Training is
-deterministic: same matrix and config, same model, bit for bit.  Every
-matrix-vector product and every sum has one fixed summation order:
+Teboulle 2009) with gradient restart (O'Donoghue & Candès 2015), at a
+fixed step 1/L per coordinate, so no objective is ever evaluated.  It
+stops once the gradient's norm in the steps' metric is at most 1e-3 of
+the first epoch's (LIBLINEAR's relative-gradient stop: Lin, Weng &
+Keerthi 2008), or after `epochs` (default 300).  L is one value for the
+bias, 2c plus its ridge, and one for every weight, 2c·λ̂ plus theirs,
+where c bounds the loss's second derivative and λ̂ is a Collatz–Wielandt
+bound on λ_max(XᵀX)/n from 8 power steps (`CsrView.gram_bound`).
+Training is deterministic: same matrix and config, same model, bit for
+bit.  Every matrix-vector product and every sum has one fixed summation
+order:
 
 - every matrix-vector product is one `CsrView.rmatvec` call:
   ``X.rmatvec(r)`` (Xᵀr) adds each column's products in row-major order
   from 0.0, and Xw is ``Xt.rmatvec(w)`` with ``Xt = X.transpose()``,
   which adds each row's products in entry order from 0.0;
 - a sum over a vector (the bias gradient, the restart test's dot
-  product) is one ``np.add.reduce``, not a BLAS dot, whose kernel, and so
-  whose summation order, is picked per CPU.
+  product, the stop test's norm) is one ``np.add.reduce``, not a BLAS
+  dot, whose kernel, and so whose summation order, is picked per CPU.
 
-Each linear fit builds Xt once and makes two `rmatvec` calls per power
-step of λ̂, then two per epoch.  NB's class masses are Xᵀ1_c, one
-`rmatvec` per class over the class's 0/1 row indicator, and linear
-scoring is one transpose and one `rmatvec`.
+A view keeps its Xt and its bound on λ_max(XᵀX) once built, so only
+the first linear fit on a matrix transposes it and makes two `rmatvec`
+calls per power step of λ̂; every fit makes two per epoch.  NB's class
+masses are Xᵀ1_c, one `rmatvec` per class over the class's 0/1 row
+indicator, and linear scoring is one transpose and one `rmatvec`.
 
 The tree sorts the stored entries by (column, value) once per fit into
 three arrays (column, value, row).  A node is its [e0, e1) slice of them
@@ -82,7 +86,7 @@ ALGORITHM_TITLES = {
 @dataclass(frozen=True)
 class TrainConfig:
     algorithm: str
-    epochs: int = 60
+    epochs: int = 300
     l2: float = 1e-4
     svm_C: float = 1.0
     nb_alpha: float = 1.0
@@ -179,45 +183,18 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
-_POWER_STEPS = 8  # products with |X|ᵀ|X| behind the weights' curvature bound
+_TOL = 1e-3  # a linear fit stops once its scaled gradient norm falls to _TOL of the first
 
 
-def _weight_curvature(X: CsrView, Xt: CsrView) -> float:
-    """λ̂ ≥ λ_max(XᵀX)/n, the Collatz–Wielandt bound max_j (Au)_j/u_j over
-    u_j > 0 for A = |X|ᵀ|X|, where |X| holds the absolute values of X's
-    entries: λ_max(XᵀX) ≤ ρ(A) ≤ that max for any u ≥ 0 that is positive on
-    every non-empty column.  u starts as the all-ones vector and takes power
-    steps u ← Au/max(Au); the bound is read from the last of _POWER_STEPS
-    products.  Each product is two `CsrView.rmatvec` calls, |X|u on Xt's
-    arrays and |X|ᵀ(|X|u) on X's, so the fit's one transpose serves both.
-    Returns 0.0 when a product is all zero (no stored entries) and inf when
-    one overflows."""
-    n, dim = X.shape
-    absX = CsrView(X.indptr, X.indices, np.abs(X.data), dim)
-    absXt = CsrView(Xt.indptr, Xt.indices, np.abs(Xt.data), n)
-    v = np.ones(dim)
-    with np.errstate(over="ignore"):
-        for _ in range(_POWER_STEPS):
-            top = float(v.max())
-            if not 0.0 < top < math.inf:
-                return top
-            u = v / top
-            v = absX.rmatvec(absXt.rmatvec(u))
-        on = u > 0.0
-        return float(np.max(v[on] / u[on])) / n
-
-
-def _step_sizes(
-    X: CsrView, Xt: CsrView, curvature: float, ridge_w: float, ridge_b: float
-) -> np.ndarray:
+def _step_sizes(X: CsrView, curvature: float, ridge_w: float, ridge_b: float) -> np.ndarray:
     """1/L per coordinate of w̃ = (w, b), the bias last, where L bounds the
     Hessian c·X̃ᵀX̃/n + diag(ridge) (c = ``curvature`` bounds loss'') block
     by block.  A PSD matrix [[A, b], [bᵀ, d]] is at most 2·blockdiag(A, d),
     and the bias column's Gram entry d is 1, so L_w = 2c·λ̂ + ridge_w for
-    every weight (λ̂ from `_weight_curvature`) and L_b = 2c + ridge_b for
-    the bias.  With L_w = 0 (no stored entries and no ridge) the weights'
-    gradient is exactly 0: their step is 0, not 1/0."""
-    L_w = 2.0 * curvature * _weight_curvature(X, Xt) + ridge_w
+    every weight, with λ̂ = `CsrView.gram_bound`/n ≥ λ_max(XᵀX)/n, and
+    L_b = 2c + ridge_b for the bias.  With L_w = 0 (no stored entries and
+    no ridge) the weights' gradient is exactly 0: their step is 0, not 1/0."""
+    L_w = 2.0 * curvature * (X.gram_bound / X.shape[0]) + ridge_w
     if not L_w < math.inf:
         raise ValueError(f"the weights' step bound L = {L_w} must be finite")
     weight_step = 1.0 / L_w if L_w > 0.0 else 0.0
@@ -231,24 +208,33 @@ def _accelerated_descent(
     w̃ = (w, b), where x̃ is a row with a trailing 1 for the bias,
     ``slope`` maps the scores z = x̃ᵀw̃ to the rows' dloss/dz, and
     ``curvature`` bounds loss''.  FISTA from zero in the diagonal metric
-    of `_step_sizes`, momentum taken from the previous iterate, and a
-    restart whenever the gradient and the step point the same way.
-    Returns w̃, the bias last."""
+    S of `_step_sizes`, momentum taken from the previous iterate, and a
+    restart whenever the gradient and the step point the same way.  It
+    stops after the first epoch whose gradient g_k has
+    ‖g_k‖²_S = Σ s_j·g_j² ≤ _TOL²·‖g_0‖²_S (LIBLINEAR's relative-gradient
+    stop in the fit's own metric), so at once when ‖g_0‖_S = 0, and
+    after ``epochs`` epochs at most.  Returns w̃, the bias last."""
     X = matrix.csr
     Xt = X.transpose()  # Xt.rmatvec(w) is Xw
-    step_sizes = _step_sizes(X, Xt, curvature, ridge_w, ridge_b)
+    step_sizes = _step_sizes(X, curvature, ridge_w, ridge_b)
     ridge = np.append(np.full(matrix.dim, ridge_w), ridge_b)
     n = len(matrix)
     w = np.zeros(matrix.dim + 1)
     point, t = w, 1.0
     # A diverging fit overflows to inf or NaN weights, which `train` rejects.
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(epochs):
+        for epoch in range(epochs):
             c = slope(Xt.rmatvec(point[:-1]) + point[-1])
             grad = np.append(X.rmatvec(c), np.add.reduce(c)) / n + ridge * point
-            moved = point - grad * step_sizes
+            scaled = grad * step_sizes
+            moved = point - scaled
             step = moved - w
             w = moved
+            norm = np.add.reduce(grad * scaled)
+            if epoch == 0:
+                stop = _TOL * _TOL * norm
+            if norm <= stop:
+                break
             if np.add.reduce(grad * step) > 0.0:
                 t = 1.0
             t_next = (1.0 + math.sqrt(1.0 + 4.0 * t * t)) / 2.0
@@ -264,7 +250,7 @@ def _fit_logistic(matrix: FeatureMatrix, config: TrainConfig) -> LinearModel:
     w = _accelerated_descent(
         matrix, config.epochs, lambda z: _sigmoid(z) - y, 0.25, config.l2, 0.0
     )
-    return LinearModel("logistic", matrix.dim, tuple(float(v) for v in w[:-1]), float(w[-1]))
+    return LinearModel("logistic", matrix.dim, tuple(w[:-1].tolist()), float(w[-1]))
 
 
 def _fit_svm(matrix: FeatureMatrix, config: TrainConfig) -> LinearModel:
@@ -285,7 +271,7 @@ def _fit_svm(matrix: FeatureMatrix, config: TrainConfig) -> LinearModel:
         return np.where(y_pm * z < 1.0, 2.0 * (z - y_pm), 0.0)
 
     w = _accelerated_descent(matrix, config.epochs, slope, 2.0, lam, lam)
-    return LinearModel("svm", matrix.dim, tuple(float(v) for v in w[:-1]), float(w[-1]))
+    return LinearModel("svm", matrix.dim, tuple(w[:-1].tolist()), float(w[-1]))
 
 
 def _fit_nb(matrix: FeatureMatrix, config: TrainConfig) -> MultinomialNBModel:
@@ -309,7 +295,7 @@ def _fit_nb(matrix: FeatureMatrix, config: TrainConfig) -> MultinomialNBModel:
                 f"nb_alpha {alpha!r}: a smoothed probability is zero "
                 f"or the denominator {denom!r} is not finite"
             )
-        log_probs.append(tuple(float(math.log((m + alpha) / denom)) for m in mass))
+        log_probs.append(tuple(map(math.log, ((mass + alpha) / denom).tolist())))
     return MultinomialNBModel(
         dim=matrix.dim,
         class_labels=tuple(labels),

@@ -26,6 +26,9 @@ from itertools import repeat
 import numpy as np
 
 
+_POWER_STEPS = 8  # products with |X|ᵀ|X| behind `CsrView.gram_bound`
+
+
 def column_order(indices: np.ndarray, dim: int) -> np.ndarray:
     """The permutation that sorts the column ids ``indices`` (each below
     ``dim``) stably.  With at most 2^16 columns it sorts a ``uint16``
@@ -88,12 +91,46 @@ class CsrView:
 
     def transpose(self) -> "CsrView":
         """Xᵀ as a view: row c holds column c's entries, their rows
-        ascending.  One stable sort of ``indices`` (`column_order`) keeps
-        row-major order within each column."""
+        ascending.  Built on the first call and kept, as `row_ids` is: a
+        view's arrays are never changed in place, so every fit and score
+        on this view shares one transpose."""
+        return self._transposed
+
+    @cached_property
+    def _transposed(self) -> "CsrView":
+        """One stable sort of ``indices`` (`column_order`) keeps row-major
+        order within each column."""
         by_column = column_order(self.indices, self.shape[1])
         counts = np.bincount(self.indices, minlength=self.shape[1])
         indptr = np.concatenate(([0], np.cumsum(counts)))
         return CsrView(indptr, self.row_ids[by_column], self.data[by_column], self.shape[0])
+
+    @cached_property
+    def gram_bound(self) -> float:
+        """An upper bound on λ_max(XᵀX), built on first use and kept: the
+        Collatz–Wielandt bound max_j (Au)_j/u_j over u_j > 0 for
+        A = |X|ᵀ|X|, where |X| holds the absolute values of X's entries.
+        λ_max(XᵀX) ≤ ρ(A) ≤ that max for any u ≥ 0 that is positive on
+        every non-empty column.  u starts as the all-ones vector and takes
+        power steps u ← Au/max(Au); the bound is read from the last of
+        _POWER_STEPS products.  Each product is two `rmatvec` calls, |X|u
+        on the transpose's arrays and |X|ᵀ(|X|u) on X's.  0.0 when a
+        product is all zero (no stored entries) and inf when one
+        overflows."""
+        n, dim = self.shape
+        Xt = self.transpose()
+        absX = CsrView(self.indptr, self.indices, np.abs(self.data), dim)
+        absXt = CsrView(Xt.indptr, Xt.indices, np.abs(Xt.data), n)
+        v = np.ones(dim)
+        with np.errstate(over="ignore"):
+            for _ in range(_POWER_STEPS):
+                top = float(v.max())
+                if not 0.0 < top < math.inf:
+                    return top
+                u = v / top
+                v = absX.rmatvec(absXt.rmatvec(u))
+            on = u > 0.0
+            return float(np.max(v[on] / u[on]))
 
     def rmatvec(self, residuals: np.ndarray) -> np.ndarray:
         """Xᵀr.  Entry k's product is ``r[row] * data[k]``, with ``r``

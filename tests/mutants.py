@@ -111,10 +111,52 @@ CATALOGUE = (
     Mutant(
         name="step-bound-without-factor-2",
         path="src/textbalance/classify.py",
-        old="L_w = 2.0 * curvature * _weight_curvature(X, Xt) + ridge_w",
-        new="L_w = curvature * _weight_curvature(X, Xt) + ridge_w",
+        old="L_w = 2.0 * curvature * (X.gram_bound / X.shape[0]) + ridge_w",
+        new="L_w = curvature * (X.gram_bound / X.shape[0]) + ridge_w",
         kills=("tests/test_classify.py::TestStepSizes::test_steps_bound_the_hessian",),
         origin="block-diagonal step sizes of the linear fits",
+    ),
+    Mutant(
+        name="linear-stop-tolerance-times-100",
+        path="src/textbalance/classify.py",
+        old="_TOL = 1e-3",
+        new="_TOL = 1e-1",
+        kills=(
+            "tests/test_classify.py::TestConvergence",
+            "tests/test_classify.py::TestExactFitReferences::test_logistic_fit_equals_reference",
+        ),
+        origin="the linear fits' relative gradient-norm stop",
+    ),
+    Mutant(
+        name="linear-stop-against-the-previous-epoch",
+        path="src/textbalance/classify.py",
+        old="            if norm <= stop:\n                break\n",
+        new="            if norm <= stop:\n                break\n            stop = _TOL * _TOL * norm\n",
+        kills=(
+            "tests/test_classify.py::TestExactFitReferences::test_logistic_fit_equals_reference",
+            "tests/test_classify.py::TestSparseProducts::test_one_transpose_per_linear_fit",
+        ),
+        origin="the linear fits' relative gradient-norm stop",
+    ),
+    Mutant(
+        name="linear-fit-reuses-the-last-matrix-bound",
+        path="src/textbalance/classify.py",
+        old="(X.gram_bound / X.shape[0])",
+        new="(_step_sizes.__dict__.setdefault(X.shape, X.gram_bound) / X.shape[0])",
+        kills=(
+            "tests/test_classify.py::TestSparseProducts::test_no_transpose_or_bound_leaks_between_matrices",
+        ),
+        origin="one transpose and one curvature bound per training matrix",
+    ),
+    Mutant(
+        name="linear-fit-reuses-the-last-matrix-transpose",
+        path="src/textbalance/classify.py",
+        old="Xt = X.transpose()  # Xt.rmatvec(w) is Xw",
+        new="Xt = _accelerated_descent.__dict__.setdefault(X.shape, X.transpose())",
+        kills=(
+            "tests/test_classify.py::TestSparseProducts::test_no_transpose_or_bound_leaks_between_matrices",
+        ),
+        origin="one transpose and one curvature bound per training matrix",
     ),
     Mutant(
         name="descent-without-momentum",

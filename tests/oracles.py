@@ -549,14 +549,19 @@ def weight_curvature(matrix, products: int = 8) -> float:
         u = au / top
 
 
+STOP_TOL = 1e-3  # the linear fits' relative gradient-norm stop
+
+
 def accelerated_fit(
     matrix, epochs, slope, ridge_w, ridge_b, L_w, L_b
-) -> tuple[np.ndarray, float]:
+) -> tuple[np.ndarray, float, int]:
     """FISTA from zero with step 1/L_w on the weights and 1/L_b on the
     bias (a weight step of 0 when L_w is 0), on mean(loss(Xw + b)) plus
     the ridge terms, where ``slope`` maps the scores to dloss/dz; momentum
-    is reset when the gradient and the step point the same way.
-    (weights, bias)."""
+    is reset when the gradient and the step point the same way.  After
+    each epoch's step it stops if g·(g/L), over the weights and the bias,
+    is at most STOP_TOL² times the first epoch's; it stops after
+    ``epochs`` epochs at most.  (weights, bias, epochs run)."""
     n = len(matrix)
     inv_w = 1.0 / L_w if L_w > 0.0 else 0.0
     inv_b = 1.0 / L_b
@@ -564,20 +569,26 @@ def accelerated_fit(
     at_w, at_b = w, b  # the extrapolated point
     t = 1.0
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(epochs):
+        for run in range(1, epochs + 1):
             c = slope(matvec(matrix, at_w) + at_b)
             grad_w = rmatvec(matrix, c) / n + ridge_w * at_w
             grad_b = float(np.mean(c)) + ridge_b * at_b
             new_w, new_b = at_w - grad_w * inv_w, at_b - grad_b * inv_b
             step_w, step_b = new_w - w, new_b - b
             w, b = new_w, new_b
+            terms = np.append(grad_w * (grad_w * inv_w), grad_b * (grad_b * inv_b))
+            norm = float(np.add.reduce(terms))
+            if run == 1:
+                first = norm
+            if norm <= STOP_TOL * STOP_TOL * first:
+                break
             if float(np.add.reduce(np.append(grad_w * step_w, grad_b * step_b))) > 0.0:
                 t = 1.0
             t_next = (1.0 + math.sqrt(1.0 + 4.0 * t * t)) / 2.0
             beta = (t - 1.0) / t_next
             at_w, at_b = w + beta * step_w, b + beta * step_b
             t = t_next
-    return w, b
+    return w, b, run
 
 
 def step_bounds(matrix, curvature: float, ridge_w: float, ridge_b: float) -> tuple[float, float]:
@@ -586,10 +597,10 @@ def step_bounds(matrix, curvature: float, ridge_w: float, ridge_b: float) -> tup
     return 2.0 * curvature * weight_curvature(matrix) + ridge_w, 2.0 * curvature + ridge_b
 
 
-def logistic_fit(matrix, config: TrainConfig) -> tuple[np.ndarray, float]:
+def logistic_fit(matrix, config: TrainConfig) -> tuple[np.ndarray, float, int]:
     """The logistic fit: its log loss's slope is sigmoid(z) - y, its
     second derivative is at most 1/4, and its bias is not regularized.
-    (weights, bias)."""
+    (weights, bias, epochs run)."""
     y = np.asarray(matrix.labels, dtype=np.float64)
 
     def slope(z):
@@ -599,10 +610,10 @@ def logistic_fit(matrix, config: TrainConfig) -> tuple[np.ndarray, float]:
     return accelerated_fit(matrix, config.epochs, slope, config.l2, 0.0, L_w, L_b)
 
 
-def svm_fit(matrix, config: TrainConfig) -> tuple[np.ndarray, float]:
+def svm_fit(matrix, config: TrainConfig) -> tuple[np.ndarray, float, int]:
     """The L2-loss SVM fit with lam = 1/(C*n) on weights and bias alike:
     the squared hinge's slope is -2y * max(0, 1 - yz), and its second
-    derivative is at most 2.  (weights, bias)."""
+    derivative is at most 2.  (weights, bias, epochs run)."""
     y_pm = 2.0 * np.asarray(matrix.labels, dtype=np.float64) - 1.0
     lam = 1.0 / (config.svm_C * len(matrix))
 

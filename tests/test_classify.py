@@ -2,15 +2,25 @@
 
 from __future__ import annotations
 
+import json
 import math
+import subprocess
 import sys
 from dataclasses import fields, replace
+from functools import cached_property
 
 import numpy as np
 import pytest
 
 import oracles
-from conftest import dense_to_matrix, matrix_of, oracle_matrix, rand_matrix, to_dense
+from conftest import (
+    child_environ,
+    dense_to_matrix,
+    matrix_of,
+    oracle_matrix,
+    rand_matrix,
+    to_dense,
+)
 from corpora import two_vocab_corpus
 from oracles import SparseVector, csr_of, from_pairs, predict_scored, rows_of
 from textbalance import classify, cli
@@ -26,6 +36,7 @@ from textbalance.classify import (
 )
 from textbalance.preprocess import preprocess_corpus
 from textbalance.resample import SmoteConfig, balance_training_set
+from textbalance.rng import SplitMix64
 from textbalance.stopwords import default_stopwords
 from textbalance.vectorize import CsrView, FeatureMatrix, fit, transform_corpus
 
@@ -288,13 +299,16 @@ class TestSvm:
 
 
 class TestConvergence:
-    """At the default epochs each linear fit ends within 1% of the objective
-    that the same fit reaches in a fixed 2,000 epochs, so a shorter default
-    cannot weaken the bound: on both arms of the golden seed-7 corpus's
-    training matrix, and on a wide Zipf TF-IDF matrix of 3,200 rows.  There
-    the weights' curvature is far below the bias column's, and one step
-    for all coordinates, set by the bias, ends the SVM more than 2% above
-    its 2,000-epoch objective after 200 epochs."""
+    """At the default settings each linear fit ends within 1% of the
+    objective that the same fit reaches in a fixed 2,000 epochs (no stop
+    test: `_TOL` = 0), so neither a looser stop nor a lower cap can weaken
+    the bound: on both arms of the golden seed-7 corpus's training matrix,
+    on a wide Zipf TF-IDF matrix of 3,200 rows, and on Zipf count rows
+    without IDF weighting.  On the TF-IDF rows the weights' curvature is
+    far below the bias column's, and one step for all coordinates, set by
+    the bias, ends the SVM more than 2% above its 2,000-epoch objective
+    after 200 epochs.  The count rows converge slowly: a fixed 60 epochs
+    ends the logistic fit more than 4% and the SVM more than 14% above it."""
 
     REFERENCE_EPOCHS = 2000
 
@@ -327,6 +341,26 @@ class TestConvergence:
         return transform_corpus(fit(docs), docs, labels.tolist())
 
     @staticmethod
+    def _count_matrix(n: int, dim: int, seed: int) -> FeatureMatrix:
+        """n unit-norm rows of word counts over dim columns, with no IDF
+        weighting, drawn with SplitMix64: 40 words a row by Zipf rank
+        (exponent 1.1), and a label drawn before each row, 1 with
+        probability 15%."""
+        rng = SplitMix64(seed)
+        cdf = np.cumsum(1.0 / np.arange(1, dim + 1) ** 1.1)
+        labels, indices, data, indptr = [], [], [], [0]
+        for _ in range(n):
+            labels.append(int(rng.next_below(100) < 15))
+            draws = np.array([rng.next_float() for _ in range(40)]) * cdf[-1]
+            words = np.searchsorted(cdf, draws, side="right")
+            columns, counts = np.unique(words, return_counts=True)
+            indices.append(columns)
+            data.append(counts / np.sqrt(np.add.reduce(counts * counts)))
+            indptr.append(indptr[-1] + len(columns))
+        csr = CsrView(np.array(indptr), np.concatenate(indices), np.concatenate(data), dim)
+        return FeatureMatrix(csr, tuple(labels))
+
+    @staticmethod
     def _objective(matrix: FeatureMatrix, config: TrainConfig, model: LinearModel) -> float:
         w = np.asarray(model.weights)
         if config.algorithm == "logistic":
@@ -334,11 +368,14 @@ class TestConvergence:
         return oracles.svm_objective(matrix, w, model.bias, 1.0 / (config.svm_C * len(matrix)))
 
     def _gap(self, matrix: FeatureMatrix, algo: str) -> float:
-        """Default-epoch objective over the 2,000-epoch one, minus 1."""
+        """Default objective over the fixed 2,000-epoch one, minus 1."""
         config = TrainConfig(algorithm=algo)
         longer = replace(config, epochs=self.REFERENCE_EPOCHS)
         final = self._objective(matrix, config, train(matrix, config))
-        return final / self._objective(matrix, longer, train(matrix, longer)) - 1.0
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(classify, "_TOL", 0.0)
+            reference = train(matrix, longer)
+        return final / self._objective(matrix, longer, reference) - 1.0
 
     @pytest.mark.parametrize("smote", [False, True], ids=["raw", "smote"])
     @pytest.mark.parametrize("algo", ["logistic", "svm"])
@@ -349,6 +386,12 @@ class TestConvergence:
         matrix = self._zipf_matrix(3200, 5)
         assert len(matrix) >= 3000 and matrix.dim > 3000
         assert self._gap(matrix, "svm") <= 0.01
+
+    @pytest.mark.parametrize("algo", ["logistic", "svm"])
+    def test_count_rows_without_idf_reach_2000_epoch_objective(self, algo):
+        matrix = self._count_matrix(3200, 3000, 41)
+        assert 0.12 <= np.mean(matrix.labels) <= 0.18
+        assert self._gap(matrix, algo) <= 0.01
 
 
 class TestDecisionTree:
@@ -499,11 +542,15 @@ class TestTrainValidation:
         # The weights' curvature bound is 0 here, and with l2 = 0 so is their
         # step bound: their gradient is exactly 0, so they stay at 0 while
         # the bias fits the 2:1 label ratio, ln 2 for the log loss and
-        # (2/3)/(2 + lam) = 2/7 for the squared hinge (lam = 1/3).
+        # (2/3)/(2 + lam) = 2/7 for the squared hinge (lam = 1/3).  The fit
+        # stops once the bias's gradient is _TOL of its first, -1/6 or -2/3;
+        # over the loss's curvature at the optimum, 2/9 or 7/3, that is about
+        # _TOL of the optimum itself.
         matrix = matrix_of([SparseVector(dim=3, entries=())] * 3, (1, 1, 0), 3)
         model = train(matrix, TrainConfig(algorithm=algo, l2=0.0))
         assert model.weights == (0.0, 0.0, 0.0)
-        assert model.bias == pytest.approx(math.log(2.0) if algo == "logistic" else 2.0 / 7.0)
+        optimum = math.log(2.0) if algo == "logistic" else 2.0 / 7.0
+        assert model.bias == pytest.approx(optimum, rel=2 * classify._TOL)
 
     def test_predict_dimension_mismatch(self):
         matrix = separable_matrix()
@@ -727,12 +774,18 @@ def dense_step_sizes(X: np.ndarray, curvature: float, ridge: np.ndarray) -> np.n
 
 def dense_fista(X_aug: np.ndarray, epochs: int, gradient, step_sizes: np.ndarray) -> np.ndarray:
     """FISTA from zero with per-coordinate steps and gradient restart, on an
-    explicit all-ones bias column; w with the bias last."""
+    explicit all-ones bias column, stopping after the first step whose
+    gradient g has g @ (s * g) at most STOP_TOL² times the first step's; w
+    with the bias last."""
     w = np.zeros(X_aug.shape[1])
     point, t = w, 1.0
-    for _ in range(epochs):
+    for epoch in range(epochs):
         grad = gradient(point)
         new = point - grad * step_sizes
+        norm = grad @ (grad * step_sizes)
+        first = norm if epoch == 0 else first
+        if norm <= oracles.STOP_TOL**2 * first:
+            return new
         if grad @ (new - w) > 0.0:
             t = 1.0
         t_next = (1.0 + math.sqrt(1.0 + 4.0 * t * t)) / 2.0
@@ -924,7 +977,7 @@ class TestExactFitReferences:
             l2 = (1e-4, 0.0, 0.05)[trial % 3]
             config = TrainConfig(algorithm="logistic", epochs=30, l2=l2)
             model = train(matrix, config)
-            w, b = oracles.logistic_fit(matrix, config)
+            w, b, _ = oracles.logistic_fit(matrix, config)
             assert np.array_equal(_bits(model.weights), _bits(w)), trial
             assert _bits(model.bias) == _bits(b), trial
 
@@ -934,7 +987,7 @@ class TestExactFitReferences:
             c = (0.5, 1.0, 10.0, 1e160)[trial % 4]
             config = TrainConfig(algorithm="svm", svm_C=c, epochs=30)
             model = train(matrix, config)
-            w, b = oracles.svm_fit(matrix, config)
+            w, b, _ = oracles.svm_fit(matrix, config)
             assert np.array_equal(_bits(model.weights), _bits(w)), trial
             assert _bits(model.bias) == _bits(b), trial
 
@@ -946,7 +999,7 @@ class TestExactFitReferences:
             matrix = rand_matrix(rng, n0=40, n1=25, dim=1500, density=0.02)
             config = TrainConfig(algorithm="svm", svm_C=(0.05, 0.5)[trial % 2], epochs=40)
             model = train(matrix, config)
-            w, b = oracles.svm_fit(matrix, config)
+            w, b, _ = oracles.svm_fit(matrix, config)
             assert np.array_equal(_bits(model.weights), _bits(w)), trial
             assert _bits(model.bias) == _bits(b), trial
 
@@ -955,8 +1008,7 @@ class TestExactFitReferences:
         # from X's: the sums of the plain bincount loops, bit for bit.
         rng = np.random.default_rng(87)
         for trial, matrix in enumerate(fit_matrices(rng, 60)):
-            X = matrix.csr
-            got = classify._weight_curvature(X, X.transpose())
+            got = matrix.csr.gram_bound / len(matrix)
             assert _bits(got) == _bits(oracles.weight_curvature(matrix)), trial
 
     def test_weight_curvature_edges(self):
@@ -965,8 +1017,7 @@ class TestExactFitReferences:
         empty = matrix_of([SparseVector(dim=3, entries=())] * 2, (0, 1), 3)
         huge = dense_to_matrix([[1e200, 0.0], [0.0, -3e200]], [0, 1])
         for matrix, bound in ((empty, 0.0), (huge, math.inf)):
-            X = matrix.csr
-            assert classify._weight_curvature(X, X.transpose()) == bound
+            assert matrix.csr.gram_bound == bound
             assert oracles.weight_curvature(matrix) == bound
 
     def test_tree_fit_equals_reference(self):
@@ -1127,8 +1178,7 @@ class TestStepSizes:
     def test_weight_curvature_bounds_the_largest_eigenvalue(self):
         rng = np.random.default_rng(88)
         for trial, matrix in enumerate(curvature_matrices(rng, 60)):
-            X = matrix.csr
-            bound = classify._weight_curvature(X, X.transpose())
+            bound = matrix.csr.gram_bound / len(matrix)
             assert bound >= self._largest_eigenvalue(to_dense(matrix)) * (1 - 1e-12), trial
 
     @pytest.mark.parametrize(
@@ -1142,8 +1192,7 @@ class TestStepSizes:
     )
     def test_weight_curvature_is_within_one_percent_on_tfidf_rows(self, build):
         matrix = build()
-        X = matrix.csr
-        bound = classify._weight_curvature(X, X.transpose())
+        bound = matrix.csr.gram_bound / len(matrix)
         assert bound <= 1.01 * self._largest_eigenvalue(to_dense(matrix))
 
     def test_steps_bound_the_hessian(self):
@@ -1158,59 +1207,88 @@ class TestStepSizes:
             for curvature, ridge_w, ridge_b in ((0.25, l2, 0.0), (2.0, lam, lam)):
                 ridge = np.append(np.full(matrix.dim, ridge_w), ridge_b)
                 hessian = curvature * (X_aug.T @ X_aug) / n + np.diag(ridge)
-                X = matrix.csr
-                root = np.sqrt(classify._step_sizes(X, X.transpose(), curvature, ridge_w, ridge_b))
+                root = np.sqrt(classify._step_sizes(matrix.csr, curvature, ridge_w, ridge_b))
                 scaled = root[:, None] * hessian * root[None, :]
                 assert np.linalg.eigvalsh(scaled)[-1] <= 1.0 + 1e-12, trial
 
 
+# Fits a saved matrix's logistic and SVM models, each on a new view of it,
+# and prints their weights and bias as float.hex strings.
+_FRESH_FITS = """
+import json, sys
+import numpy as np
+from textbalance.classify import TrainConfig, train
+from textbalance.vectorize import CsrView, FeatureMatrix
+saved = np.load(sys.argv[1])
+hexes = []
+for algorithm in ("logistic", "svm"):
+    csr = CsrView(saved["indptr"], saved["indices"], saved["data"], 25)
+    model = train(FeatureMatrix(csr, tuple(saved["labels"].tolist())), TrainConfig(algorithm))
+    hexes.append([*map(float.hex, model.weights), model.bias.hex()])
+print(json.dumps(hexes))
+"""
+
+
 class TestSparseProducts:
     """`CsrView.rmatvec` is the one matrix-vector product, for fitting and
-    for scoring.  Each linear fit transposes X once and makes two calls per
-    power step of its step-size bound, on |X|'s and |Xt|'s arrays, and two
-    per epoch, Xw as ``Xt.rmatvec(w)`` and Xᵀr as ``X.rmatvec(r)``.  NB's
-    class masses are one call per class, linear scoring one transpose and
-    one call, and the `scatter` projection one transpose and two calls."""
+    for scoring.  The first linear fit on a view transposes X and makes two
+    calls per power step of its step-size bound, on |X|'s and |Xt|'s
+    arrays; the view keeps both.  Every fit makes two calls per epoch, Xw
+    as ``Xt.rmatvec(w)`` and Xᵀr as ``X.rmatvec(r)``.  NB's class masses
+    are one call per class, linear scoring one transpose and one call, and
+    the `scatter` projection one transpose and two calls."""
 
     @staticmethod
     def count_products(monkeypatch):
+        """Count the transposes built, not read from a view's cache, and
+        the `rmatvec` calls."""
         calls = {"transpose": 0, "rmatvec": 0}
         transposes = []
-        transpose, rmatvec = CsrView.transpose, CsrView.rmatvec
+        build, rmatvec = CsrView.__dict__["_transposed"].func, CsrView.rmatvec
 
-        def counted_transpose(self):
+        def counted_build(self):
             calls["transpose"] += 1
-            transposes.append(transpose(self))
+            transposes.append(build(self))
             return transposes[-1]
 
         def counted_rmatvec(self, residuals):
             calls["rmatvec"] += 1
             return rmatvec(self, residuals)
 
-        monkeypatch.setattr(CsrView, "transpose", counted_transpose)
+        counted = cached_property(counted_build)
+        counted.__set_name__(CsrView, "_transposed")
+        monkeypatch.setattr(CsrView, "_transposed", counted)
         monkeypatch.setattr(CsrView, "rmatvec", counted_rmatvec)
         return calls, transposes
 
-    @pytest.mark.parametrize(
-        "config",
-        [TrainConfig(algorithm="logistic", epochs=7), TrainConfig(algorithm="svm", epochs=7)],
-        ids=["logistic", "svm"],
-    )
-    def test_one_transpose_per_linear_fit(self, monkeypatch, config):
+    @pytest.mark.parametrize("algorithm", ["logistic", "svm"])
+    def test_one_transpose_per_linear_fit(self, monkeypatch, algorithm):
         matrix = rand_matrix(np.random.default_rng(85), n0=12, n1=9, dim=15)
+        first = TrainConfig(algorithm=algorithm)
+        second = TrainConfig(algorithm="svm" if algorithm == "logistic" else "logistic")
+        # Each fit stops before its cap, at the reference's epoch.
+        epochs = [
+            {"logistic": oracles.logistic_fit, "svm": oracles.svm_fit}[c.algorithm](matrix, c)[2]
+            for c in (first, second)
+        ]
+        assert max(epochs) < first.epochs
         calls, transposes = self.count_products(monkeypatch)
-        train(matrix, config)
+        train(matrix, first)
         # Two per power step of the step-size bound, then two per epoch.
-        assert calls == {"transpose": 1, "rmatvec": 2 * 7 + 16}
+        assert calls == {"transpose": 1, "rmatvec": 2 * epochs[0] + 16}
         # The fit reads no entry's row of the transpose, so it never builds them.
         assert "row_ids" not in vars(transposes[0])
+        # A second fit on the same view reuses its transpose and its bound.
+        train(matrix, second)
+        assert calls == {"transpose": 1, "rmatvec": 2 * sum(epochs) + 16}
 
     @pytest.mark.parametrize("algorithm", ["logistic", "svm"])
     def test_linear_scoring_is_one_transpose_and_one_rmatvec(self, monkeypatch, algorithm):
-        matrix = rand_matrix(np.random.default_rng(86), n0=12, n1=9, dim=15)
+        rng = np.random.default_rng(86)
+        matrix = rand_matrix(rng, n0=12, n1=9, dim=15)
         model = train(matrix, TrainConfig(algorithm=algorithm, epochs=3))
         calls, _ = self.count_products(monkeypatch)
-        predict_batch(model, matrix)
+        predict_batch(model, rand_matrix(rng, n0=5, n1=4, dim=15))
         assert calls == {"transpose": 1, "rmatvec": 1}
 
     @pytest.mark.parametrize("n0, n1", [(12, 9), (0, 9), (12, 0)], ids=["both", "ones", "zeros"])
@@ -1231,6 +1309,32 @@ class TestSparseProducts:
 
     def test_csr_view_has_no_matmul(self):
         assert not hasattr(CsrView, "__matmul__")
+
+    def test_no_transpose_or_bound_leaks_between_matrices(self, tmp_path):
+        # Two matrices of one shape, each fitted by both linear fits in turn
+        # in this process, equal each fit on a view of its own in a fresh
+        # interpreter, bit for bit.
+        rng = np.random.default_rng(90)
+        fitted = []
+        for index in range(2):
+            matrix = rand_matrix(rng, n0=14, n1=9, dim=25)
+            X = matrix.csr
+            np.savez(
+                tmp_path / f"m{index}.npz", indptr=X.indptr, indices=X.indices, data=X.data,
+                labels=matrix.labels_array(),
+            )
+            for algorithm in ("logistic", "svm"):
+                model = train(matrix, TrainConfig(algorithm=algorithm))
+                fitted.append([*map(float.hex, model.weights), model.bias.hex()])
+        fresh = []
+        for index in range(2):
+            child = subprocess.run(
+                [sys.executable, "-c", _FRESH_FITS, str(tmp_path / f"m{index}.npz")],
+                env=child_environ({}), capture_output=True, text=True, timeout=120,
+            )
+            assert child.returncode == 0, child.stderr
+            fresh += json.loads(child.stdout)
+        assert fitted == fresh
 
 
 class TestSigmoid:
