@@ -91,15 +91,19 @@ class CsrView:
 
     def transpose(self) -> "CsrView":
         """Xᵀ as a view: row c holds column c's entries, their rows
-        ascending.  Built on the first call and kept, as `row_ids` is: a
-        view's arrays are never changed in place, so every fit and score
-        on this view shares one transpose."""
+        ascending.  Built on the first call and kept, as `row_ids` is, so
+        every fit and score on this view shares one transpose."""
         return self._transposed
 
     @cached_property
     def _transposed(self) -> "CsrView":
         """One stable sort of ``indices`` (`column_order`) keeps row-major
-        order within each column."""
+        order within each column.  The transpose and `gram_bound` are kept
+        as long as the view, and nothing checks that its arrays still hold
+        what they were built from: a view's arrays are not changed once a
+        fit or a score has used it, and a changed matrix is a new view.
+        (Making the arrays read-only would check it, but it slowed the
+        fits' `rmatvec` calls.)"""
         by_column = column_order(self.indices, self.shape[1])
         counts = np.bincount(self.indices, minlength=self.shape[1])
         indptr = np.concatenate(([0], np.cumsum(counts)))

@@ -542,14 +542,21 @@ class TestTrainValidation:
         # The weights' curvature bound is 0 here, and with l2 = 0 so is their
         # step bound: their gradient is exactly 0, so they stay at 0 while
         # the bias fits the 2:1 label ratio, ln 2 for the log loss and
-        # (2/3)/(2 + lam) = 2/7 for the squared hinge (lam = 1/3).  The fit
-        # stops once the bias's gradient is _TOL of its first, -1/6 or -2/3;
-        # over the loss's curvature at the optimum, 2/9 or 7/3, that is about
-        # _TOL of the optimum itself.
+        # (2/3)/(2 + lam) = 2/7 for the squared hinge (lam = 1/3).  Without
+        # the stop (_TOL = 0) the fit reaches that optimum; with it, it stops
+        # once the bias's gradient is _TOL of its first, -1/6 or -2/3, which
+        # over the loss's curvature at the optimum, 2/9 or 7/3, leaves the
+        # bias about _TOL of the optimum away.
         matrix = matrix_of([SparseVector(dim=3, entries=())] * 3, (1, 1, 0), 3)
-        model = train(matrix, TrainConfig(algorithm=algo, l2=0.0))
-        assert model.weights == (0.0, 0.0, 0.0)
+        config = TrainConfig(algorithm=algo, l2=0.0)
         optimum = math.log(2.0) if algo == "logistic" else 2.0 / 7.0
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(classify, "_TOL", 0.0)
+            exact = train(matrix, config)
+        assert exact.weights == (0.0, 0.0, 0.0)
+        assert exact.bias == pytest.approx(optimum)
+        model = train(matrix, config)
+        assert model.weights == (0.0, 0.0, 0.0)
         assert model.bias == pytest.approx(optimum, rel=2 * classify._TOL)
 
     def test_predict_dimension_mismatch(self):
