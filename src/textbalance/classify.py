@@ -9,7 +9,7 @@ Teboulle 2009) with gradient restart (O'Donoghue & Candès 2015), at a
 fixed step 1/L per coordinate, so no objective is ever evaluated.  It
 stops once the gradient's norm in the steps' metric is at most 1e-3 of
 the first epoch's (LIBLINEAR's relative-gradient stop: Lin, Weng &
-Keerthi 2008), or after `epochs` (default 300).  L is one value for the
+Keerthi 2008), or after `_MAX_EPOCHS` (300).  L is one value for the
 bias, 2c plus its ridge, and one for every weight, 2c·λ̂ plus theirs,
 where c bounds the loss's second derivative and λ̂ is a Collatz–Wielandt
 bound on λ_max(XᵀX)/n from 8 power steps (`CsrView.gram_bound`).
@@ -86,21 +86,18 @@ ALGORITHM_TITLES = {
 @dataclass(frozen=True)
 class TrainConfig:
     algorithm: str
-    epochs: int = 300
     l2: float = 1e-4
     svm_C: float = 1.0
     nb_alpha: float = 1.0
     tree_max_depth: int = 10
-    tree_min_samples_split: int = 2
 
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
             raise ValueError(
                 f"unknown algorithm {self.algorithm!r} (expected one of {ALGORITHMS})"
             )
-        for name in ("epochs", "tree_max_depth", "tree_min_samples_split"):
-            if type(getattr(self, name)) is not int:
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        if type(self.tree_max_depth) is not int:
+            raise ValueError(f"tree_max_depth must be an integer, got {self.tree_max_depth!r}")
         for name in ("l2", "svm_C", "nb_alpha"):
             value = getattr(self, name)
             if not isinstance(value, (int, float)) or isinstance(value, bool):
@@ -114,7 +111,6 @@ class TrainConfig:
             if not finite:
                 raise ValueError(f"{name} must be finite, got {value}")
         positives = {
-            "epochs": self.epochs,
             "svm_C": self.svm_C,
             "nb_alpha": self.nb_alpha,
             "tree_max_depth": self.tree_max_depth,
@@ -124,10 +120,6 @@ class TrainConfig:
                 raise ValueError(f"{name} must be positive, got {value}")
         if self.l2 < 0:
             raise ValueError(f"l2 must be non-negative, got {self.l2}")
-        if self.tree_min_samples_split < 2:
-            raise ValueError(
-                f"tree_min_samples_split must be >= 2, got {self.tree_min_samples_split}"
-            )
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -184,6 +176,7 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 
 
 _TOL = 1e-3  # a linear fit stops once its scaled gradient norm falls to _TOL of the first
+_MAX_EPOCHS = 300  # or after this many epochs; no measured fit has reached it
 
 
 def _step_sizes(X: CsrView, curvature: float, ridge_w: float, ridge_b: float) -> np.ndarray:
@@ -202,7 +195,7 @@ def _step_sizes(X: CsrView, curvature: float, ridge_w: float, ridge_b: float) ->
 
 
 def _accelerated_descent(
-    matrix: FeatureMatrix, epochs: int, slope, curvature: float, ridge_w: float, ridge_b: float
+    matrix: FeatureMatrix, slope, curvature: float, ridge_w: float, ridge_b: float
 ) -> np.ndarray:
     """Minimize mean(loss(x̃ᵀw̃)) + ½·ridge_w·‖w‖² + ½·ridge_b·b² over
     w̃ = (w, b), where x̃ is a row with a trailing 1 for the bias,
@@ -213,7 +206,7 @@ def _accelerated_descent(
     stops after the first epoch whose gradient g_k has
     ‖g_k‖²_S = Σ s_j·g_j² ≤ _TOL²·‖g_0‖²_S (LIBLINEAR's relative-gradient
     stop in the fit's own metric), so at once when ‖g_0‖_S = 0, and
-    after ``epochs`` epochs at most.  Returns w̃, the bias last."""
+    after `_MAX_EPOCHS` epochs at most.  Returns w̃, the bias last."""
     X = matrix.csr
     Xt = X.transpose()  # Xt.rmatvec(w) is Xw
     step_sizes = _step_sizes(X, curvature, ridge_w, ridge_b)
@@ -223,7 +216,7 @@ def _accelerated_descent(
     point, t = w, 1.0
     # A diverging fit overflows to inf or NaN weights, which `train` rejects.
     with np.errstate(over="ignore", invalid="ignore"):
-        for epoch in range(epochs):
+        for epoch in range(_MAX_EPOCHS):
             c = slope(Xt.rmatvec(point[:-1]) + point[-1])
             grad = np.append(X.rmatvec(c), np.add.reduce(c)) / n + ridge * point
             scaled = grad * step_sizes
@@ -247,9 +240,7 @@ def _fit_logistic(matrix: FeatureMatrix, config: TrainConfig) -> LinearModel:
     """Mean log loss plus l2/2 * ||w||^2; the bias is not regularized.
     The log loss's second derivative is at most 1/4."""
     y = matrix.labels_array().astype(np.float64)
-    w = _accelerated_descent(
-        matrix, config.epochs, lambda z: _sigmoid(z) - y, 0.25, config.l2, 0.0
-    )
+    w = _accelerated_descent(matrix, lambda z: _sigmoid(z) - y, 0.25, config.l2, 0.0)
     return LinearModel("logistic", matrix.dim, tuple(w[:-1].tolist()), float(w[-1]))
 
 
@@ -270,7 +261,7 @@ def _fit_svm(matrix: FeatureMatrix, config: TrainConfig) -> LinearModel:
     def slope(z):
         return np.where(y_pm * z < 1.0, 2.0 * (z - y_pm), 0.0)
 
-    w = _accelerated_descent(matrix, config.epochs, slope, 2.0, lam, lam)
+    w = _accelerated_descent(matrix, slope, 2.0, lam, lam)
     return LinearModel("svm", matrix.dim, tuple(w[:-1].tolist()), float(w[-1]))
 
 
@@ -447,9 +438,9 @@ def _fit_tree(matrix: FeatureMatrix, config: TrainConfig) -> DecisionTreeModel:
         if parent >= 0:
             right[parent] = node_id
         found = None
-        if 0 < n1 < n and depth < config.tree_max_depth and n >= config.tree_min_samples_split:
+        if 0 < n1 < n and depth < config.tree_max_depth:
             found = _best_split(col[e0:e1], val[e0:e1], y[row[e0:e1]], n, n1)
-        leaf = found is None  # pure, too deep, too small, or every column constant
+        leaf = found is None  # pure, too deep, or every column constant
         # A leaf's ties resolve to the non-spam label.
         if leaf:
             node = (-1, 0.0, -1, -1, 1 if n1 > n - n1 else 0)

@@ -47,10 +47,6 @@ CHUNK_POSTS = 1024
 _HYPER_FIELDS = tuple(
     field for field in dataclasses.fields(classify.TrainConfig) if field.name != "algorithm"
 )
-_EPOCHS_HELP = (
-    "cap on each linear fit's epochs (default %(default)s); a fit stops sooner "
-    f"once its gradient norm is {classify._TOL:g} of its first epoch's"
-)
 
 
 class CliRuntimeError(Exception):
@@ -173,7 +169,6 @@ def _add_hyper_flags(parser: argparse.ArgumentParser) -> None:
             dest=field.name,
             type=type(field.default),
             default=field.default,
-            help=_EPOCHS_HELP if field.name == "epochs" else None,
         )
 
 

@@ -49,9 +49,9 @@ def default_stopwords() -> StopWordList:
     return stops
 
 
-def load_stopwords(path, name: str | None = None) -> StopWordList:
-    """Load an override list: one word per line, '#' starts a comment.
-    The file is UTF-8; a leading byte-order mark is skipped."""
+def load_stopwords(path) -> StopWordList:
+    """Load an override list, named after its file: one word per line, '#'
+    starts a comment.  The file is UTF-8; a leading byte-order mark is skipped."""
     path = Path(path)
     with path.open("r", encoding="utf-8-sig") as handle:
-        return _parse_lines(handle, name if name is not None else path.name)
+        return _parse_lines(handle, path.name)

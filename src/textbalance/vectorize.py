@@ -58,8 +58,8 @@ class CsrView:
 
     @cached_property
     def row_ids(self) -> np.ndarray:
-        """Each entry's row; built on first use, which a fit's transpose
-        never makes."""
+        """Each entry's row; built on first use, such as the first
+        `transpose`, which gathers it."""
         return np.repeat(np.arange(self.shape[0]), self.row_lengths)
 
     @property

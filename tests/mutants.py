@@ -139,6 +139,27 @@ CATALOGUE = (
         origin="the linear fits' relative gradient-norm stop",
     ),
     Mutant(
+        name="linear-epoch-cap-at-60",
+        path="src/textbalance/classify.py",
+        old="_MAX_EPOCHS = 300",
+        new="_MAX_EPOCHS = 60",
+        kills=(
+            "tests/test_classify.py::TestConvergence"
+            "::test_count_rows_without_idf_reach_2000_epoch_objective",
+        ),
+        origin="the linear fits' constant epoch cap",
+    ),
+    Mutant(
+        name="linear-fit-divergence-unchecked",
+        path="src/textbalance/classify.py",
+        old="    if isinstance(model, LinearModel) and not (",
+        new="    if False and isinstance(model, LinearModel) and not (",
+        kills=(
+            "tests/test_classify.py::TestTrainValidation::test_weights_that_overflow_are_rejected",
+        ),
+        origin="train rejects a linear fit whose weights are not finite",
+    ),
+    Mutant(
         name="linear-fit-reuses-the-last-matrix-bound",
         path="src/textbalance/classify.py",
         old="(X.gram_bound / X.shape[0])",
@@ -366,14 +387,6 @@ CATALOGUE = (
         new="np.where(value < threshold[at], left[at], right[at])",
         kills=("tests/test_classify.py::TestDecisionTree::test_values_at_the_threshold_go_left",),
         origin="the tree sends values at the threshold left",
-    ),
-    Mutant(
-        name="tree-min-samples-split-exclusive",
-        path="src/textbalance/classify.py",
-        old="n >= config.tree_min_samples_split",
-        new="n > config.tree_min_samples_split",
-        kills=("tests/test_classify.py::TestDenseOracles::test_tree_matches_dense_reference",),
-        origin="tree_min_samples_split is the smallest node that splits",
     ),
     Mutant(
         name="tree-fit-links-both-children-left",

@@ -597,23 +597,24 @@ def step_bounds(matrix, curvature: float, ridge_w: float, ridge_b: float) -> tup
     return 2.0 * curvature * weight_curvature(matrix) + ridge_w, 2.0 * curvature + ridge_b
 
 
-def logistic_fit(matrix, config: TrainConfig) -> tuple[np.ndarray, float, int]:
-    """The logistic fit: its log loss's slope is sigmoid(z) - y, its
-    second derivative is at most 1/4, and its bias is not regularized.
-    (weights, bias, epochs run)."""
+def logistic_fit(matrix, config: TrainConfig, epochs: int) -> tuple[np.ndarray, float, int]:
+    """The logistic fit, at most ``epochs`` epochs: its log loss's slope
+    is sigmoid(z) - y, its second derivative is at most 1/4, and its bias
+    is not regularized.  (weights, bias, epochs run)."""
     y = np.asarray(matrix.labels, dtype=np.float64)
 
     def slope(z):
         return masked_sigmoid(z) - y
 
     L_w, L_b = step_bounds(matrix, 0.25, config.l2, 0.0)
-    return accelerated_fit(matrix, config.epochs, slope, config.l2, 0.0, L_w, L_b)
+    return accelerated_fit(matrix, epochs, slope, config.l2, 0.0, L_w, L_b)
 
 
-def svm_fit(matrix, config: TrainConfig) -> tuple[np.ndarray, float, int]:
-    """The L2-loss SVM fit with lam = 1/(C*n) on weights and bias alike:
-    the squared hinge's slope is -2y * max(0, 1 - yz), and its second
-    derivative is at most 2.  (weights, bias, epochs run)."""
+def svm_fit(matrix, config: TrainConfig, epochs: int) -> tuple[np.ndarray, float, int]:
+    """The L2-loss SVM fit, at most ``epochs`` epochs, with lam = 1/(C*n)
+    on weights and bias alike: the squared hinge's slope is
+    -2y * max(0, 1 - yz), and its second derivative is at most 2.
+    (weights, bias, epochs run)."""
     y_pm = 2.0 * np.asarray(matrix.labels, dtype=np.float64) - 1.0
     lam = 1.0 / (config.svm_C * len(matrix))
 
@@ -621,7 +622,7 @@ def svm_fit(matrix, config: TrainConfig) -> tuple[np.ndarray, float, int]:
         return -2.0 * y_pm * np.maximum(0.0, 1.0 - y_pm * z)
 
     L_w, L_b = step_bounds(matrix, 2.0, lam, lam)
-    return accelerated_fit(matrix, config.epochs, slope, lam, lam, L_w, L_b)
+    return accelerated_fit(matrix, epochs, slope, lam, lam, L_w, L_b)
 
 
 def _gini(n0, n1):
@@ -685,11 +686,7 @@ def tree_fit(matrix, config: TrainConfig) -> DecisionTreeModel:
             nodes[parent][slot] = node_id
         sub_y = y[rows]
         found = None
-        if (
-            sub_y.min() != sub_y.max()
-            and depth < config.tree_max_depth
-            and len(rows) >= config.tree_min_samples_split
-        ):
+        if sub_y.min() != sub_y.max() and depth < config.tree_max_depth:
             columns = columns_of[entries]
             found = best_split(columns, values_of[entries], y[rows_of[entries]], sub_y, d)
         if found is None:

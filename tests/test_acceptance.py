@@ -16,6 +16,7 @@ import numpy as np
 from conftest import dense_to_matrix, rand_matrix, rand_sparse, to_dense
 from corpora import two_vocab_corpus, write_corpus
 from oracles import csr_of, rows_of
+from textbalance import classify
 from textbalance.classify import TrainConfig, predict_batch, train
 from textbalance.cli import main as cli_main
 from textbalance.evaluate import ConfusionMatrix, compare, confusion, metrics
@@ -191,7 +192,7 @@ def test_criterion_06_degenerate_metric_rendering():
     _criterion(6, "all-negative predictions over 95/5 report accuracy 0.95, recall 0", body)
 
 
-def test_criterion_07_logistic_gradient_check():
+def test_criterion_07_logistic_gradient_check(monkeypatch):
     def loss(X, y, w, b, l2):
         """Mean log loss at z = Xw + b plus l2/2 * ||w||^2 (bias unregularized)."""
         z = X @ w + b
@@ -199,6 +200,7 @@ def test_criterion_07_logistic_gradient_check():
 
     def body():
         rng = np.random.default_rng(107)
+        monkeypatch.setattr(classify, "_MAX_EPOCHS", 1)  # one step from w = 0
         started = time.perf_counter()
         for _ in range(20):
             n = int(rng.integers(2, 31))
@@ -213,7 +215,7 @@ def test_criterion_07_logistic_gradient_check():
             # is max_j (Au)_j / u_j / n for A = |X|^T |X| and u the all-ones
             # vector after 7 power steps.
             matrix = dense_to_matrix(X, y)
-            first = train(matrix, TrainConfig("logistic", epochs=1, l2=l2))
+            first = train(matrix, TrainConfig("logistic", l2=l2))
             A = np.abs(X).T @ np.abs(X)
             u = np.ones(dim)
             for _ in range(7):

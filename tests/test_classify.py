@@ -6,7 +6,7 @@ import json
 import math
 import subprocess
 import sys
-from dataclasses import fields, replace
+from dataclasses import fields
 from functools import cached_property
 
 import numpy as np
@@ -68,15 +68,13 @@ class TestTrainConfig:
 
     def test_positive_hyperparameters(self):
         with pytest.raises(ValueError):
-            TrainConfig(algorithm="logistic", epochs=0)
+            TrainConfig(algorithm="tree", tree_max_depth=0)
         with pytest.raises(ValueError):
-            TrainConfig(algorithm="svm", epochs=-1)
+            TrainConfig(algorithm="svm", svm_C=-1.0)
         with pytest.raises(ValueError):
             TrainConfig(algorithm="nb", nb_alpha=-1.0)
         with pytest.raises(ValueError):
             TrainConfig(algorithm="logistic", l2=-0.01)
-        with pytest.raises(ValueError):
-            TrainConfig(algorithm="tree", tree_min_samples_split=1)
 
     @pytest.mark.parametrize("field", ["l2", "svm_C", "nb_alpha"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
@@ -106,26 +104,18 @@ class TestTrainConfig:
         config = TrainConfig(algorithm="nb", l2=0, svm_C=2, nb_alpha=np.float64(0.5))
         assert (config.l2, config.svm_C, config.nb_alpha) == (0, 2, 0.5)
 
-    @pytest.mark.parametrize("field", ["epochs", "tree_max_depth", "tree_min_samples_split"])
+    @pytest.mark.parametrize("field", ["tree_max_depth"])
     @pytest.mark.parametrize(
         "value", [2.5, 1.5, 3.0, True, False, "3", None, np.int64(3)],
         ids=["2.5", "1.5", "3.0", "True", "False", "str", "None", "int64"],
     )
     def test_counts_must_be_integers(self, field, value):
-        # Unchecked, 2.5 epochs would fail in the fit's range(), True would
-        # train one epoch, and depth 1.5 would grow a depth-2 tree.
+        # Unchecked, depth 1.5 would grow a depth-2 tree, and True a stump.
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
             TrainConfig(algorithm="tree", **{field: value})
 
     # A value off each hyperparameter's default; a new field needs one here.
-    MOVED = {
-        "epochs": 5,
-        "l2": 0.1,
-        "svm_C": 0.01,
-        "nb_alpha": 0.1,
-        "tree_max_depth": 1,
-        "tree_min_samples_split": 20,
-    }
+    MOVED = {"l2": 0.1, "svm_C": 0.01, "nb_alpha": 0.1, "tree_max_depth": 1}
 
     @pytest.mark.parametrize(
         "field", [f for f in fields(TrainConfig) if f.name != "algorithm"], ids=lambda f: f.name
@@ -141,11 +131,11 @@ class TestTrainConfig:
         )
 
     def test_to_dict_round_trips_values(self):
-        config = TrainConfig(algorithm="svm", svm_C=2.5, epochs=4)
+        config = TrainConfig(algorithm="svm", svm_C=2.5, tree_max_depth=4)
         data = config.to_dict()
         assert data["algorithm"] == "svm"
         assert data["svm_C"] == 2.5
-        assert data["epochs"] == 4
+        assert data["tree_max_depth"] == 4
 
 
 class TestNaiveBayes:
@@ -370,12 +360,12 @@ class TestConvergence:
     def _gap(self, matrix: FeatureMatrix, algo: str) -> float:
         """Default objective over the fixed 2,000-epoch one, minus 1."""
         config = TrainConfig(algorithm=algo)
-        longer = replace(config, epochs=self.REFERENCE_EPOCHS)
         final = self._objective(matrix, config, train(matrix, config))
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(classify, "_TOL", 0.0)
-            reference = train(matrix, longer)
-        return final / self._objective(matrix, longer, reference) - 1.0
+            patch.setattr(classify, "_MAX_EPOCHS", self.REFERENCE_EPOCHS)
+            reference = train(matrix, config)
+        return final / self._objective(matrix, config, reference) - 1.0
 
     @pytest.mark.parametrize("smote", [False, True], ids=["raw", "smote"])
     @pytest.mark.parametrize("algo", ["logistic", "svm"])
@@ -440,12 +430,6 @@ class TestDecisionTree:
         model = train(matrix, TrainConfig(algorithm="tree", tree_max_depth=1))
         # Depth 1 allows a single split: at most three nodes.
         assert len(model.label) <= 3
-
-    def test_min_samples_split_forces_leaf(self):
-        matrix = xor_matrix()
-        model = train(matrix, TrainConfig(algorithm="tree", tree_min_samples_split=5))
-        assert len(model.label) == 1
-        assert model.label[0] >= 0
 
     def test_leaf_tie_prefers_label_zero(self):
         matrix = dense_to_matrix([[1.0], [1.0]], [0, 1])  # indistinguishable points
@@ -536,6 +520,16 @@ class TestTrainValidation:
         for algo in ("logistic", "svm"):
             with pytest.raises(ValueError, match="step bound L = inf must be finite"):
                 train(huge, TrainConfig(algorithm=algo))
+
+    @pytest.mark.parametrize("algo", ["logistic", "svm"])
+    def test_weights_that_overflow_are_rejected(self, monkeypatch, algo):
+        # Steps 10^6 times 1/L overshoot further every epoch, until the
+        # weights overflow to inf and then NaN, with no warning.
+        step_sizes = classify._step_sizes
+        monkeypatch.setattr(classify, "_step_sizes", lambda *args: step_sizes(*args) * 1e6)
+        matrix = rand_matrix(np.random.default_rng(5), n0=12, n1=9, dim=15)
+        with pytest.raises(ValueError, match=f"^{algo} fit diverged"):
+            train(matrix, TrainConfig(algorithm=algo))
 
     @pytest.mark.parametrize("algo", ["logistic", "svm"])
     def test_matrix_without_stored_entries_trains_the_bias_alone(self, algo):
@@ -801,7 +795,7 @@ def dense_fista(X_aug: np.ndarray, epochs: int, gradient, step_sizes: np.ndarray
     return w
 
 
-def dense_logistic(matrix: FeatureMatrix, config: TrainConfig):
+def dense_logistic(matrix: FeatureMatrix, config: TrainConfig, epochs: int):
     n = len(matrix)
     X = to_dense(matrix)
     X_aug = np.hstack([X, np.ones((n, 1))])
@@ -811,11 +805,11 @@ def dense_logistic(matrix: FeatureMatrix, config: TrainConfig):
     def gradient(w):
         return X_aug.T @ (oracles.masked_sigmoid(X_aug @ w) - y) / n + ridge * w
 
-    w = dense_fista(X_aug, config.epochs, gradient, dense_step_sizes(X, 0.25, ridge))
+    w = dense_fista(X_aug, epochs, gradient, dense_step_sizes(X, 0.25, ridge))
     return w[:-1], w[-1]
 
 
-def dense_svm(matrix: FeatureMatrix, config: TrainConfig):
+def dense_svm(matrix: FeatureMatrix, config: TrainConfig, epochs: int):
     """The squared hinge with a regularized bias; w with the bias last."""
     n = len(matrix)
     X = to_dense(matrix)
@@ -828,7 +822,7 @@ def dense_svm(matrix: FeatureMatrix, config: TrainConfig):
         hinge = np.maximum(0.0, 1.0 - y_pm * (X_aug @ w))
         return -2.0 * X_aug.T @ (y_pm * hinge) / n + lam * w
 
-    return dense_fista(X_aug, config.epochs, gradient, dense_step_sizes(X, 2.0, ridge))
+    return dense_fista(X_aug, epochs, gradient, dense_step_sizes(X, 2.0, ridge))
 
 
 def _dense_gini(n0: float, n1: float) -> float:
@@ -887,11 +881,7 @@ def dense_tree(matrix: FeatureMatrix, config: TrainConfig) -> DecisionTreeModel:
             column.append(fill)
         sub_y = y[indices]
         found = None
-        if (
-            sub_y.min() != sub_y.max()
-            and depth < config.tree_max_depth
-            and len(indices) >= config.tree_min_samples_split
-        ):
+        if sub_y.min() != sub_y.max() and depth < config.tree_max_depth:
             found = _dense_best_split(X[indices], sub_y)
         if found is None:
             label[node_id] = _dense_majority(sub_y)
@@ -909,42 +899,39 @@ def dense_tree(matrix: FeatureMatrix, config: TrainConfig) -> DecisionTreeModel:
 class TestDenseOracles:
     def test_tree_matches_dense_reference(self):
         rng = np.random.default_rng(70)
-        combos = [(depth, split) for depth in (1, 2, 3, 10) for split in (2, 3, 4, 6, 9)]
+        depths = (1, 2, 3, 10)
         for trial in range(270):
-            depth, split = combos[trial % len(combos)]
             matrix = oracle_matrix(rng)
-            config = TrainConfig(
-                algorithm="tree", tree_max_depth=depth, tree_min_samples_split=split
-            )
+            config = TrainConfig(algorithm="tree", tree_max_depth=depths[trial % len(depths)])
             assert train(matrix, config) == dense_tree(matrix, config), trial
 
     def test_tree_matches_dense_reference_on_wider_matrices(self):
         # Mostly-zero columns, most of them partly zero at every node.
         rng = np.random.default_rng(71)
-        for depth, split in ((10, 2), (1, 2), (3, 5), (100, 12)):
+        for depth in (10, 1, 3, 100):
             matrix = rand_matrix(rng, n0=30, n1=25, dim=300, density=0.05)
-            config = TrainConfig(
-                algorithm="tree", tree_max_depth=depth, tree_min_samples_split=split
-            )
+            config = TrainConfig(algorithm="tree", tree_max_depth=depth)
             assert train(matrix, config) == dense_tree(matrix, config)
 
-    def test_logistic_fit_matches_dense_reference(self):
+    def test_logistic_fit_matches_dense_reference(self, monkeypatch):
         rng = np.random.default_rng(73)
-        config = TrainConfig(algorithm="logistic", epochs=100)
+        monkeypatch.setattr(classify, "_MAX_EPOCHS", 100)
+        config = TrainConfig(algorithm="logistic")
         for _ in range(20):
             matrix = oracle_matrix(rng)
             model = train(matrix, config)
-            w, b = dense_logistic(matrix, config)
+            w, b = dense_logistic(matrix, config, classify._MAX_EPOCHS)
             np.testing.assert_allclose(model.weights, w, rtol=0, atol=1e-12)
             assert abs(model.bias - b) <= 1e-12
 
-    def test_svm_weights_match_dense_reference(self):
+    def test_svm_weights_match_dense_reference(self, monkeypatch):
         rng = np.random.default_rng(74)
+        monkeypatch.setattr(classify, "_MAX_EPOCHS", 60)
         for trial in range(40):
             matrix = oracle_matrix(rng)
-            config = TrainConfig(algorithm="svm", svm_C=(0.5, 1.0, 10.0)[trial % 3], epochs=60)
+            config = TrainConfig(algorithm="svm", svm_C=(0.5, 1.0, 10.0)[trial % 3])
             model = train(matrix, config)
-            w = dense_svm(matrix, config)
+            w = dense_svm(matrix, config, classify._MAX_EPOCHS)
             np.testing.assert_allclose(model.weights, w[:-1], rtol=0, atol=1e-12)
             assert abs(model.bias - w[-1]) <= 1e-12
 
@@ -978,35 +965,38 @@ def fit_matrices(rng: np.random.Generator, count: int):
 class TestExactFitReferences:
     """Each fit equals, bit for bit, its plain loop form in `tests/oracles.py`."""
 
-    def test_logistic_fit_equals_reference(self):
+    def test_logistic_fit_equals_reference(self, monkeypatch):
         rng = np.random.default_rng(81)
+        monkeypatch.setattr(classify, "_MAX_EPOCHS", 30)
         for trial, matrix in enumerate(fit_matrices(rng, 80)):
             l2 = (1e-4, 0.0, 0.05)[trial % 3]
-            config = TrainConfig(algorithm="logistic", epochs=30, l2=l2)
+            config = TrainConfig(algorithm="logistic", l2=l2)
             model = train(matrix, config)
-            w, b, _ = oracles.logistic_fit(matrix, config)
+            w, b, _ = oracles.logistic_fit(matrix, config, classify._MAX_EPOCHS)
             assert np.array_equal(_bits(model.weights), _bits(w)), trial
             assert _bits(model.bias) == _bits(b), trial
 
-    def test_svm_fit_equals_reference(self):
+    def test_svm_fit_equals_reference(self, monkeypatch):
         rng = np.random.default_rng(82)
+        monkeypatch.setattr(classify, "_MAX_EPOCHS", 30)
         for trial, matrix in enumerate(fit_matrices(rng, 80)):
             c = (0.5, 1.0, 10.0, 1e160)[trial % 4]
-            config = TrainConfig(algorithm="svm", svm_C=c, epochs=30)
+            config = TrainConfig(algorithm="svm", svm_C=c)
             model = train(matrix, config)
-            w, b, _ = oracles.svm_fit(matrix, config)
+            w, b, _ = oracles.svm_fit(matrix, config, classify._MAX_EPOCHS)
             assert np.array_equal(_bits(model.weights), _bits(w)), trial
             assert _bits(model.bias) == _bits(b), trial
 
-    def test_svm_fit_on_wide_matrices_equals_reference(self):
+    def test_svm_fit_on_wide_matrices_equals_reference(self, monkeypatch):
         # Wide weight vectors, where a BLAS dot product may add in another
         # order than np.add.reduce: the restart test must not use one.
         rng = np.random.default_rng(86)
+        monkeypatch.setattr(classify, "_MAX_EPOCHS", 40)
         for trial in range(4):
             matrix = rand_matrix(rng, n0=40, n1=25, dim=1500, density=0.02)
-            config = TrainConfig(algorithm="svm", svm_C=(0.05, 0.5)[trial % 2], epochs=40)
+            config = TrainConfig(algorithm="svm", svm_C=(0.05, 0.5)[trial % 2])
             model = train(matrix, config)
-            w, b, _ = oracles.svm_fit(matrix, config)
+            w, b, _ = oracles.svm_fit(matrix, config, classify._MAX_EPOCHS)
             assert np.array_equal(_bits(model.weights), _bits(w)), trial
             assert _bits(model.bias) == _bits(b), trial
 
@@ -1029,13 +1019,10 @@ class TestExactFitReferences:
 
     def test_tree_fit_equals_reference(self):
         rng = np.random.default_rng(83)
-        combos = [(depth, split) for depth in (1, 2, 3, 10) for split in (2, 3, 5)]
-        matrices = [*fit_matrices(rng, 96), *[rows_without_entries_matrix()] * len(combos)]
+        depths = (1, 2, 3, 10)
+        matrices = [*fit_matrices(rng, 96), *[rows_without_entries_matrix()] * len(depths)]
         for trial, matrix in enumerate(matrices):
-            depth, split = combos[trial % len(combos)]
-            config = TrainConfig(
-                algorithm="tree", tree_max_depth=depth, tree_min_samples_split=split
-            )
+            config = TrainConfig(algorithm="tree", tree_max_depth=depths[trial % len(depths)])
             assert train(matrix, config) == oracles.tree_fit(matrix, config), trial
 
     def test_tree_split_ties_on_negative_and_repeated_values(self):
@@ -1274,11 +1261,10 @@ class TestSparseProducts:
         first = TrainConfig(algorithm=algorithm)
         second = TrainConfig(algorithm="svm" if algorithm == "logistic" else "logistic")
         # Each fit stops before its cap, at the reference's epoch.
-        epochs = [
-            {"logistic": oracles.logistic_fit, "svm": oracles.svm_fit}[c.algorithm](matrix, c)[2]
-            for c in (first, second)
-        ]
-        assert max(epochs) < first.epochs
+        cap = classify._MAX_EPOCHS
+        fits = {"logistic": oracles.logistic_fit, "svm": oracles.svm_fit}
+        epochs = [fits[c.algorithm](matrix, c, cap)[2] for c in (first, second)]
+        assert max(epochs) < cap
         calls, transposes = self.count_products(monkeypatch)
         train(matrix, first)
         # Two per power step of the step-size bound, then two per epoch.
@@ -1293,7 +1279,8 @@ class TestSparseProducts:
     def test_linear_scoring_is_one_transpose_and_one_rmatvec(self, monkeypatch, algorithm):
         rng = np.random.default_rng(86)
         matrix = rand_matrix(rng, n0=12, n1=9, dim=15)
-        model = train(matrix, TrainConfig(algorithm=algorithm, epochs=3))
+        monkeypatch.setattr(classify, "_MAX_EPOCHS", 3)
+        model = train(matrix, TrainConfig(algorithm=algorithm))
         calls, _ = self.count_products(monkeypatch)
         predict_batch(model, rand_matrix(rng, n0=5, n1=4, dim=15))
         assert calls == {"transpose": 1, "rmatvec": 1}

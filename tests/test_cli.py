@@ -98,8 +98,7 @@ class TestUsageErrors:
     )
     @pytest.mark.parametrize(
         "flag, value, message",
-        [("--epochs", "0", "epochs must be positive"),
-         ("--epochs", "-1", "epochs must be positive"),
+        [("--tree-max-depth", "0", "tree_max_depth must be positive"),
          ("--tree-max-depth", "-2", "tree_max_depth must be positive"),
          ("--svm-c", "nan", "svm_C must be finite")],
     )
@@ -114,7 +113,11 @@ class TestUsageErrors:
     @pytest.mark.parametrize(
         "command", [["train", "--algo", "nb"], ["report"]], ids=["train", "report"]
     )
-    @pytest.mark.parametrize("flag", ["--lr-epochs", "--svm-epochs", "--tree-max-features"])
+    @pytest.mark.parametrize(
+        "flag",
+        ["--lr-epochs", "--svm-epochs", "--tree-max-features", "--epochs",
+         "--tree-min-samples-split"],
+    )
     def test_former_hyperparameter_flags_exit_1(self, command, flag, capsys):
         assert run([*command, "--data", "missing.csv", flag, "3"]) == 1
         assert f"unrecognized arguments: {flag} 3" in capsys.readouterr().err
@@ -502,22 +505,27 @@ class TestPredictAndEvaluate:
         self, dataset, tmp_path, algo, capsys
     ):
         # Bundles written when TrainConfig had lr_epochs, svm_epochs and
-        # tree_max_features: load_bundle does not read the provenance.
-        path, former = tmp_path / "model.json", tmp_path / "former.json"
+        # tree_max_features, or later epochs and tree_min_samples_split:
+        # load_bundle does not read the provenance.
+        path = tmp_path / "model.json"
         assert run(["train", "--data", dataset, "--algo", algo, "--out", path]) == 0
-        data = json.loads(path.read_text(encoding="utf-8"))
-        config = data["provenance"]["train_config"]
-        epochs = config.pop("epochs")
-        config.update(lr_epochs=epochs, svm_epochs=epochs, tree_max_features=None)
-        bundle_mod.write_json(data, former)
+        formers = {
+            "oldest": dict(lr_epochs=60, svm_epochs=60, tree_max_features=None,
+                           tree_min_samples_split=2),
+            "capped": dict(epochs=300, tree_min_samples_split=2),
+        }
+        for name, keys in formers.items():
+            data = json.loads(path.read_text(encoding="utf-8"))
+            data["provenance"]["train_config"].update(keys)
+            bundle_mod.write_json(data, tmp_path / f"{name}.json")
         inputs = tmp_path / "texts.txt"
         inputs.write_text("free money offer click now\nthe kernel driver\n\ncasino\n")
         outputs = []
-        for bundle in (path, former):
+        for bundle in (path, *(tmp_path / f"{name}.json" for name in formers)):
             capsys.readouterr()
             assert run(["predict", "--bundle", bundle, "--input", inputs]) == 0
             outputs.append(capsys.readouterr().out)
-        assert outputs[0] == outputs[1] and outputs[0].count("\n") == 4
+        assert outputs[0] == outputs[1] == outputs[2] and outputs[0].count("\n") == 4
 
     def test_predict_single_text(self, bundle, capsys):
         capsys.readouterr()
@@ -721,11 +729,9 @@ class TestHyperparameterFlags:
     def test_each_flag_sets_its_own_field(self, command):
         cases = [
             (["--svm-c", "2.5"], {"svm_C": 2.5}),
-            (["--epochs", "7"], {"epochs": 7}),
             (["--l2", "0.25"], {"l2": 0.25}),
             (["--nb-alpha", "0.5"], {"nb_alpha": 0.5}),
             (["--tree-max-depth", "4"], {"tree_max_depth": 4}),
-            (["--tree-min-samples-split", "5"], {"tree_min_samples_split": 5}),
         ]
         for flags, changed in cases:
             config = _train_config(_parse(command, *flags), "svm")
@@ -737,9 +743,7 @@ class TestHyperparameterFlags:
         assert _parse(command, "--smote-k", "2").smote_k == 2
 
 
-_HYPER_FLAGS = {
-    "--epochs", "--l2", "--svm-c", "--nb-alpha", "--tree-max-depth", "--tree-min-samples-split",
-}
+_HYPER_FLAGS = {"--l2", "--svm-c", "--nb-alpha", "--tree-max-depth"}
 _CORPUS_FLAGS = {"--seed", "--stopwords", "--min-token-len", "--format", "--smote-k", "--data"}
 
 

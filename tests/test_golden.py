@@ -46,22 +46,22 @@ MARKUP_POSTS = (
 )
 
 GOLDEN = {
-    "seed7-train": "83e90f044391095d5b7baa5160fb54dcc84be08630cd363e2b971eb4e2a42e54",
+    "seed7-train": "3347c4610116bb6d6d54a0c7bd5cafc4681aaca0e8546b7a9430ed0f8a1d3917",
     "seed7-predict": "746054805b4af87da4caef7743b963f06a822a052f2aa499d97ad56e3ca30f5d",
     "seed7-evaluate": "ab84b0b604261de3ce95e565a44d4c4b7dd492216c82aa2e1a257c72a714535f",
-    "seed7-report": "b53245530fc805e3ec271059ddc6f75b9463a2f249badd23db0f3c4d17f0e6d2",
+    "seed7-report": "b0ce4cb243976cc5860ed51817f5c1b8a0ada3fd94a14b11e2772d9526560d16",
     "seed7-scatter": "ec0592e50a084f74ee40f061bf80aa740f640170dc024fd4014139dd9334b22a",
     "seed7-oversample": "eed630c8fa349f4013d9b25f37cd725515040c55769154a55b5954cd1f1751dd",
-    "seed11-train": "23adb8b0d0912a398b5d5e4659cc3a8c493fb7cb8c7538dfad4ba562bdb23786",
+    "seed11-train": "bdad3814d404f1c9eee632eda91385ffc9eedb02aaed3b63ec20c0c79845290b",
     "seed11-predict": "f8e96adf62fb6bd3c44da94cc0b62bdbb59ce52732bd42e48886771bb7db65a2",
     "seed11-evaluate": "9a7e80d9860bff9b046d23895e79cc738007be283ef7a64a52dab152c7241eb6",
-    "seed11-report": "25ca2bd2133e0c1f06459176d0b4d3f990ccd4c86031d0def4a1293848e42a94",
+    "seed11-report": "4561db7543639a348c85b8d9720fae6a3c49274cd14e4351c33fff1d64ee315d",
     "seed11-scatter": "2bfef8c10ca244e62b3e1e29a9ca173fda86b2944b2105bc51d51d8242d27da5",
     "seed11-oversample": "3d801af2f6b69860b1bd87aa94c8560a50fe37506a4dddbc2b3cfeae342dcd18",
-    "seed13-train": "cff88f19afb60dc7d678d9455622882b35d6b6d76a65035577fa38ef6f68b597",
+    "seed13-train": "3e912f17e6e561ee7f270421d37fc21fa51293b94409751357c885c22e672d3f",
     "seed13-predict": "e554d5c78680ba79b7320abae6102f48d071a188dabc49f3b4fdfd2282a3b47b",
     "seed13-evaluate": "1bb994eb70aff88a8d8cd4423209607a60b33fd5bf4699c61c270c20b7860158",
-    "seed13-report": "26d92f0fe6c674516baa1d4317f645ab1549608326222ba24d063bdf67473a16",
+    "seed13-report": "d329da1b47c57d1519bb046db28db919e4370e34223325a78c65d8225e2eb4e9",
     "seed13-scatter": "caa16d4e1f5bc4cafd15e4a5fe206dc4adc8fbe180739776fbb8bd1a8e7f0c9d",
     "seed13-oversample": "a9371c9539c5d6b00bdf4271abece7a5a25d4f02da496ec238c5892b64bc10c3",
 }
